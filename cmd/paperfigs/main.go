@@ -5,7 +5,7 @@
 // Usage:
 //
 //	paperfigs [-exp all|table1|fig1|...|figpsrs|table23|figtopo|figskew] [-sizes 1M,4M,16M]
-//	          [-procs 16,32,64] [-seed N] [-j N] [-benchjson] [-v]
+//	          [-procs 16,32,64] [-seed N] [-j N] [-v]
 //	          [-paranoid] [-trace out.json] [-cpuprofile out.pprof]
 //
 // -paranoid runs every experiment cell with the invariant-checking
@@ -29,15 +29,11 @@
 // Experiment cells run concurrently on -j worker goroutines (default
 // GOMAXPROCS). The simulator's virtual time is independent of host
 // scheduling and results are gathered in deterministic cell order, so
-// stdout is byte-identical at any -j; only wall-clock changes.
-//
-// -benchjson additionally writes per-figure wall-clock and
-// simulated-time metrics to BENCH_paperfigs.json (override the path with
-// -benchout) so the performance trajectory is machine-readable.
+// stdout is byte-identical at any -j; only wall-clock changes. Per-figure
+// wall-clock is measured by cmd/bench's paper-grid workload.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -46,7 +42,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro"
 	"repro/internal/trace"
@@ -134,25 +129,6 @@ func relativeRunner(fn func(*repro.Harness) (*repro.RelativeFigure, error)) func
 	}
 }
 
-// benchEntry is one figure's metrics in the -benchjson report.
-type benchEntry struct {
-	Name   string  `json:"name"`
-	WallMs float64 `json:"wall_ms"`
-	Runs   int     `json:"runs"`
-	SimMs  float64 `json:"sim_ms"`
-}
-
-// benchReport is the BENCH_paperfigs.json schema (documented in README).
-type benchReport struct {
-	Parallelism int          `json:"parallelism"`
-	GOMAXPROCS  int          `json:"gomaxprocs"`
-	Seed        uint64       `json:"seed"`
-	Figures     []benchEntry `json:"figures"`
-	TotalWallMs float64      `json:"total_wall_ms"`
-	TotalRuns   int          `json:"total_runs"`
-	TotalSimMs  float64      `json:"total_sim_ms"`
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fatal(err)
@@ -161,7 +137,7 @@ func main() {
 
 // run is the command body, parameterized over arguments and output
 // streams so the golden-file test can drive it in-process. Figure/table
-// blocks go to stdout; progress and bench summaries go to stderr.
+// blocks go to stdout; progress goes to stderr.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("paperfigs", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -172,8 +148,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		radixes   = fs.String("radixes", "", "comma-separated radix sweep for fig6/fig10; default 6..12")
 		seed      = fs.Uint64("seed", 0, "key generation seed")
 		par       = fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent experiment runs (>= 1)")
-		benchjson = fs.Bool("benchjson", false, "write per-figure wall-clock/simulated metrics to -benchout")
-		benchout  = fs.String("benchout", "BENCH_paperfigs.json", "output path for -benchjson")
 		paranoid  = fs.Bool("paranoid", false, "shadow every access with the reference models and invariant checks (slow; fails on any violation)")
 		paranoidN = fs.Int("paranoid-sample", 0, "spot-sample the paranoid checks every N priced events (0/1 = full per-access checks; N>1 implies -paranoid and keeps the fast kernels)")
 		traceTo   = fs.String("trace", "", "write every cell's event trace to this Chrome trace_event JSON file")
@@ -235,7 +209,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	h := repro.NewHarness(opts)
 
-	rep := benchReport{Parallelism: *par, GOMAXPROCS: runtime.GOMAXPROCS(0), Seed: *seed}
 	for _, r := range runners {
 		if *exp == "all" && r.extra {
 			continue
@@ -243,28 +216,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *exp != "all" && *exp != r.name {
 			continue
 		}
-		before := h.Stats()
-		start := time.Now()
 		blocks, err := r.run(h)
 		if err != nil {
 			return err
 		}
-		wall := time.Since(start)
-		after := h.Stats()
 		for _, b := range blocks {
 			fmt.Fprintln(stdout, b)
 		}
-		rep.Figures = append(rep.Figures, benchEntry{
-			Name:   r.name,
-			WallMs: float64(wall.Nanoseconds()) / 1e6,
-			Runs:   after.Runs - before.Runs,
-			SimMs:  (after.SimNs - before.SimNs) / 1e6,
-		})
-	}
-	for _, e := range rep.Figures {
-		rep.TotalWallMs += e.WallMs
-		rep.TotalRuns += e.Runs
-		rep.TotalSimMs += e.SimMs
 	}
 	if *traceTo != "" {
 		f, err := os.Create(*traceTo)
@@ -280,17 +238,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stderr, "paperfigs: wrote %s (%d traces; open in Perfetto)\n",
 			*traceTo, len(h.Traces()))
-	}
-	if *benchjson {
-		buf, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*benchout, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "paperfigs: wrote %s (%d runs, %.0f ms wall, -j %d)\n",
-			*benchout, rep.TotalRuns, rep.TotalWallMs, *par)
 	}
 	return nil
 }

@@ -6,8 +6,7 @@
 //	sortbench -algo radix -model shmem -n 262144 -procs 16 -radix 8 \
 //	          -dist gauss [-seed N] [-seeds K] [-confidence 0.95] \
 //	          [-full] [-perproc] [-paranoid] \
-//	          [-trace out.json] [-metrics out.json] \
-//	          [-benchjson] [-benchout BENCH_sim.json] [-benchlabel rev]
+//	          [-trace out.json] [-metrics out.json]
 //
 // -seeds K (K >= 2) switches to ensemble mode: the experiment runs at K
 // consecutive seeds starting from -seed, and the output is each
@@ -15,7 +14,7 @@
 // (internal/stats; -confidence selects 0.95 or 0.99) instead of a
 // single point estimate. Ensemble mode is about the statistics of the
 // simulated metrics, so it excludes the single-run outputs -trace,
-// -metrics, -benchjson and -perproc.
+// -metrics and -perproc.
 //
 // -paranoid shadows every simulated access with the slow reference
 // models and invariant checks of internal/check (DESIGN.md §9). Output
@@ -28,22 +27,15 @@
 // -metrics writes the run's flat metrics map as JSON. Both outputs are
 // deterministic: the same experiment always produces identical bytes.
 //
-// -benchjson records host-performance metrics of the run — wall-clock,
-// simulated memory accesses, ns per simulated access, accesses/sec — by
-// appending an entry to -benchout (default BENCH_sim.json, schema in
-// README). The simulation itself is deterministic, so the access count
-// is stable across hosts and the wall-clock fields are the only
-// machine-dependent numbers; -benchlabel tags the entry with the code
-// revision being measured.
+// Host-time measurement (ns per simulated access and the rest) is
+// cmd/bench's job, not this command's.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro"
 	"repro/internal/keys"
@@ -51,27 +43,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
-
-// benchRun is one -benchjson entry: the host cost of one simulation run.
-type benchRun struct {
-	Label             string  `json:"label"`
-	Revision          string  `json:"revision"`
-	WallMs            float64 `json:"wall_ms"`
-	SimMs             float64 `json:"sim_ms"`
-	SimulatedAccesses uint64  `json:"simulated_accesses"`
-	NsPerAccess       float64 `json:"ns_per_access"`
-	AccessesPerSec    float64 `json:"accesses_per_sec"`
-}
-
-// benchFile is the BENCH_sim.json schema. Grids holds curated
-// before/after wall-clock comparisons (edited by hand when a perf PR
-// lands); Runs accumulates -benchjson entries.
-type benchFile struct {
-	Note  string            `json:"note,omitempty"`
-	Grids []json.RawMessage `json:"grids,omitempty"`
-	Micro []json.RawMessage `json:"micro,omitempty"`
-	Runs  []benchRun        `json:"runs"`
-}
 
 func main() {
 	var (
@@ -91,9 +62,6 @@ func main() {
 		perproc    = flag.Bool("perproc", false, "print the per-processor breakdown")
 		traceTo    = flag.String("trace", "", "write a Chrome trace_event JSON trace to this file")
 		metrics    = flag.String("metrics", "", "write the flat metrics map as JSON to this file")
-		benchjson  = flag.Bool("benchjson", false, "append host metrics (ns/simulated access, accesses/sec) to -benchout")
-		benchout   = flag.String("benchout", "BENCH_sim.json", "output path for -benchjson")
-		benchlabel = flag.String("benchlabel", "worktree", "revision tag for the -benchjson entry")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -117,31 +85,22 @@ func main() {
 		fatal(err)
 	}
 	if *seedsK != 0 {
-		if *traceTo != "" || *metrics != "" || *benchjson || *perproc {
-			fatal(fmt.Errorf("-seeds is incompatible with -trace, -metrics, -benchjson and -perproc"))
+		if *traceTo != "" || *metrics != "" || *perproc {
+			fatal(fmt.Errorf("-seeds is incompatible with -trace, -metrics and -perproc"))
 		}
 		if err := runEnsemble(a, m, d, tp, *n, *procs, *radix, *seed, *seedsK, *confidence, *full, *paranoid); err != nil {
 			fatal(err)
 		}
 		return
 	}
-	start := time.Now()
 	out, err := repro.Run(repro.Experiment{
 		Algorithm: a, Model: m, N: *n, Procs: *procs, Radix: *radix,
 		Dist: d, Topo: tp, Seed: *seed, FullSize: *full, Paranoid: *paranoid,
 		ParanoidSampleEvery: *paranoidN,
 		Trace:               *traceTo != "" || *metrics != "",
 	})
-	wall := time.Since(start)
 	if err != nil {
 		fatal(err)
-	}
-	if *benchjson {
-		if err := appendBench(*benchout, *benchlabel, out, wall,
-			fmt.Sprintf("%s/%s n=%d procs=%d radix=%d dist=%s", a, m, *n, *procs, *radix, d)); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("benchjson: appended to %s\n", *benchout)
 	}
 	if *traceTo != "" {
 		if err := writeFile(*traceTo, func(w io.Writer) error {
@@ -214,41 +173,6 @@ func runEnsemble(a repro.Algorithm, m repro.Model, d keys.Dist, topo string,
 	}
 	fmt.Println(t)
 	return nil
-}
-
-// appendBench loads path (if it exists), appends one benchRun entry
-// computed from the outcome, and rewrites the file, preserving the
-// curated grids/micro sections.
-func appendBench(path, label string, out *repro.Outcome, wall time.Duration, desc string) error {
-	var bf benchFile
-	if buf, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(buf, &bf); err != nil {
-			return fmt.Errorf("benchjson: %s exists but is not a bench file: %v", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	var accesses uint64
-	for _, ps := range out.Result.Run.PerProc {
-		accesses += ps.CacheAccesses
-	}
-	e := benchRun{
-		Label:             desc,
-		Revision:          label,
-		WallMs:            float64(wall.Nanoseconds()) / 1e6,
-		SimMs:             out.TimeNs / 1e6,
-		SimulatedAccesses: accesses,
-	}
-	if accesses > 0 {
-		e.NsPerAccess = float64(wall.Nanoseconds()) / float64(accesses)
-		e.AccessesPerSec = float64(accesses) / wall.Seconds()
-	}
-	bf.Runs = append(bf.Runs, e)
-	buf, err := json.MarshalIndent(&bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // writeFile creates path and streams write's output into it.

@@ -141,7 +141,7 @@ type HarnessStats struct {
 
 // Stats returns a snapshot of the harness's work counters. Diffing two
 // snapshots around a figure driver yields that figure's run count and
-// simulated time (cmd/paperfigs -benchjson does exactly this).
+// simulated time (cmd/bench's paper-grid workload does exactly this).
 func (h *Harness) Stats() HarnessStats {
 	h.statMu.Lock()
 	defer h.statMu.Unlock()

@@ -9,8 +9,8 @@ func benchCache() *Cache {
 	return New(Config{Size: 256 << 10, LineSize: 128, Ways: 2})
 }
 
-// BenchmarkAccessHit measures the cache hit path on a resident line
-// rotation wide enough to defeat the line memo (the common probe case).
+// BenchmarkAccessHit measures the cache hit path (set probe) on a
+// rotation of resident lines.
 func BenchmarkAccessHit(b *testing.B) {
 	c := benchCache()
 	const lines = 64
@@ -20,17 +20,6 @@ func BenchmarkAccessHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Access(Addr((i%lines)*128), false)
-	}
-}
-
-// BenchmarkAccessMemoHit measures the memoized hit path (repeated
-// touches of one line, as in an element-granular sequential sweep).
-func BenchmarkAccessMemoHit(b *testing.B) {
-	c := benchCache()
-	c.Access(0, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(64, false)
 	}
 }
 
@@ -49,8 +38,8 @@ func BenchmarkAccessMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkTLBHit measures a resident-page translation (rotation wide
-// enough to defeat the translation memo).
+// BenchmarkTLBHit measures a resident-page translation (hash probe) on
+// a rotation of resident pages.
 func BenchmarkTLBHit(b *testing.B) {
 	t := NewTLB(TLBConfig{Entries: 64, PageSize: 1 << 10})
 	for i := 0; i < 32; i++ {

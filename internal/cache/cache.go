@@ -103,9 +103,14 @@ const (
 // Cache is a set-associative write-back cache model.
 //
 // The LRU sequence number handed to lines is stats.Accesses: it
-// increments exactly once per Access, so it is the same sequence the
-// former dedicated tick counter produced, with one fewer counter update
-// on the hot path.
+// increments exactly once per access, so it is the same sequence a
+// dedicated tick counter would produce, with one fewer counter update on
+// the hot path.
+//
+// The cache itself memoizes nothing: Access is a plain set probe, which
+// makes it the definition the reference model (check.RefCache) and the
+// stream-equivalence tests compare against. Same-line runs are
+// accelerated by the caller's Lane, the only memo mechanism.
 type Cache struct {
 	cfg       Config
 	sets      int
@@ -122,32 +127,10 @@ type Cache struct {
 	twoWay bool
 	lines  []line // sets*ways, set-major
 	stats  Stats
-
-	// Two-entry line memo: pointer and line number of the two most
-	// recently touched resident lines, MRU first. Element-granular
-	// sweeps touch the same line dozens of times in a row, and the
-	// sorts' permutation passes alternate a sequential load with a
-	// scattered store — a pattern that defeats a one-entry memo but is
-	// exactly captured by two. (A third entry was measured and lost:
-	// unlike the TLB, whose page memo captures the permutation pass's
-	// three-stream rotation, the cache-line streams churn too fast for
-	// the extra rotation work to pay for the probes it saves.) An
-	// entry is empty when its line number is memoNone (simulated
-	// addresses are far too small to reach it), which keeps the
-	// hot-path test to a single compare; holding a *line rather than
-	// an index makes the memoized hit free of bounds checks. The memo
-	// is maintained so it can never name an evicted line (fills
-	// repoint or clear it, Invalidate and Flush clear it), and a memo
-	// hit performs the same stats/LRU/dirty updates as the probe it
-	// skips, so behavior is bit-identical.
-	lastLineNum uint64
-	prevLineNum uint64
-	lastLine    *line
-	prevLine    *line
 }
 
-// memoNone marks an empty memo entry: no simulated address shifts down
-// to this line or page number (the address space allocates a few
+// memoNone marks an empty lane or TLB slot: no simulated address shifts
+// down to this line or page number (the address space allocates a few
 // megabytes upward from the page size).
 const memoNone = ^uint64(0)
 
@@ -163,15 +146,13 @@ func New(cfg Config) *Cache {
 		shift++
 	}
 	return &Cache{
-		cfg:         cfg,
-		sets:        sets,
-		lineShift:   shift,
-		tagShift:    uint(log2(sets)),
-		setMask:     uint64(sets - 1),
-		twoWay:      cfg.Ways == 2,
-		lines:       make([]line, sets*cfg.Ways),
-		lastLineNum: memoNone,
-		prevLineNum: memoNone,
+		cfg:       cfg,
+		sets:      sets,
+		lineShift: shift,
+		tagShift:  uint(log2(sets)),
+		setMask:   uint64(sets - 1),
+		twoWay:    cfg.Ways == 2,
+		lines:     make([]line, sets*cfg.Ways),
 	}
 }
 
@@ -193,44 +174,23 @@ func (c *Cache) LineAddr(a Addr) Addr {
 	return a &^ Addr(c.cfg.LineSize-1)
 }
 
-// Access simulates one access to address a. write marks the line dirty.
-// The returned result reports hit/miss and any dirty eviction.
-//
-// The function is split so the memoized-hit path stays within the
-// compiler's inlining budget; accessSlow carries the probe and fill.
-// accessHit is the shared hit result; returning a prebuilt value keeps
-// the fast path within the inlining budget.
+// accessHit is the shared lane-hit result; returning a prebuilt value
+// keeps AccessLane's fast path within the inlining budget.
 var accessHit = AccessResult{Hit: true}
 
+// Access simulates one access to address a. write marks the line dirty.
+// The returned result reports hit/miss and any dirty eviction.
 func (c *Cache) Access(a Addr, write bool) AccessResult {
 	c.stats.Accesses++
-	lineNum := uint64(a) >> c.lineShift
-	if lineNum != c.lastLineNum {
-		return c.accessSlow(lineNum, write)
-	}
-	ln := c.lastLine
-	ln.lru = c.stats.Accesses
-	if write {
-		ln.meta |= lineDirty
-	}
-	return accessHit
+	res, _ := c.lookup(uint64(a)>>c.lineShift, write)
+	return res
 }
 
-// accessSlow handles an access that missed the MRU memo entry: second
-// memo entry, then set probe, then fill.
-func (c *Cache) accessSlow(lineNum uint64, write bool) AccessResult {
+// lookup completes an already counted access to line lineNum: set probe,
+// then fill on a miss. It also returns the slot now holding the line, for
+// AccessLaneMiss to capture.
+func (c *Cache) lookup(lineNum uint64, write bool) (AccessResult, *line) {
 	tick := c.stats.Accesses
-	if lineNum == c.prevLineNum {
-		ln := c.prevLine
-		ln.lru = tick
-		if write {
-			ln.meta |= lineDirty
-		}
-		// Promote to MRU; old MRU becomes the second entry.
-		c.lastLineNum, c.lastLine, c.prevLineNum, c.prevLine =
-			lineNum, ln, c.lastLineNum, c.lastLine
-		return AccessResult{Hit: true}
-	}
 	set := int(lineNum & c.setMask)
 	tag := lineNum >> c.tagShift
 	// want is the meta word of a valid, clean line with this tag; masking
@@ -268,9 +228,7 @@ func (c *Cache) accessSlow(lineNum uint64, write bool) AccessResult {
 		if write {
 			hit.meta |= lineDirty
 		}
-		c.prevLineNum, c.prevLine = c.lastLineNum, c.lastLine
-		c.lastLineNum, c.lastLine = lineNum, hit
-		return AccessResult{Hit: true}
+		return AccessResult{Hit: true}, hit
 	}
 
 	// Miss: fill the victim way.
@@ -288,26 +246,16 @@ func (c *Cache) accessSlow(lineNum uint64, write bool) AccessResult {
 	}
 	ln.meta = nm
 	ln.lru = tick
-	// Fills update the memo, so it can never name an evicted line: the
-	// only way a resident line leaves the cache is a fill into its slot
-	// (which repoints the memo here, and clears the second entry if it
-	// named the victim slot) or Invalidate/Flush (which clear it).
-	c.prevLineNum, c.prevLine = c.lastLineNum, c.lastLine
-	c.lastLineNum, c.lastLine = lineNum, ln
-	if c.prevLine == ln {
-		c.prevLineNum = memoNone
-	}
-	return res
+	return res, ln
 }
 
 // A Lane is a per-stream line memo for the batched access kernels
 // (machine's stream engine): each concurrent access stream of a kernel —
 // the sequential key sweep, the histogram gather, the scattered store —
-// holds its own Lane, so the streams stop evicting each other out of the
-// cache's two shared memo entries and a same-line run costs one compare
-// per access after its first touch (this is the run-coalescing fast
-// path: the first touch of a line is simulated exactly, the remaining
-// touches of the run take the lane hit).
+// holds its own Lane, so interleaved streams keep one hot line each and a
+// same-line run costs one compare per access after its first touch (this
+// is the run-coalescing fast path: the first touch of a line is simulated
+// exactly, the remaining touches of the run take the lane hit).
 //
 // A Lane is self-validating, so it needs no registry and no
 // invalidation hooks: the fast path re-checks that the slot it points at
@@ -315,10 +263,10 @@ func (c *Cache) accessSlow(lineNum uint64, write bool) AccessResult {
 // belongs to one set forever and the lane's line number fixes both the
 // set and the tag, so a passing check identifies exactly the lane's line
 // — a slot refilled with any other line, an invalidated line, or a
-// flushed cache all fail the compare and fall through to the normal
-// path. A lane hit performs the same stats/LRU/dirty updates as the
-// probe it skips, so behavior is bit-identical to plain Access
-// (FuzzAccessOracle drives both side by side).
+// flushed cache all fail the compare and fall through to the probe. A
+// lane hit performs the same stats/LRU/dirty updates as the probe it
+// skips, so behavior is bit-identical to plain Access (FuzzAccessOracle
+// drives both side by side).
 type Lane struct {
 	lineNum uint64
 	// want is the meta word of a valid, clean line with lineNum's tag
@@ -327,21 +275,18 @@ type Lane struct {
 	ln   *line
 }
 
-// Reset empties the lane; the next access through it takes the normal
-// path and recaptures.
+// Reset empties the lane; the next access through it takes the probe and
+// recaptures.
 func (l *Lane) Reset() { l.lineNum = memoNone; l.ln = nil; l.want = 0 }
 
 // AccessLane is Access with the lane as a private memo: identical
 // observable behavior (stats, LRU, dirty bits, hit/miss/writeback), but
-// the memoized-hit test uses the caller's lane, so interleaved streams
-// each keep their own hot line. The cache's shared memo entries are
-// not rotated on a lane hit; they are pure accelerators, so skipping
-// them changes no modeled outcome.
+// a repeat touch of the lane's line skips the probe.
 func (c *Cache) AccessLane(l *Lane, a Addr, write bool) AccessResult {
 	if c.LaneHit(l, a, write) {
 		return accessHit
 	}
-	return c.laneSlow(l, uint64(a)>>c.lineShift, write)
+	return c.AccessLaneMiss(l, a, write)
 }
 
 // LaneHit is the inlinable half of AccessLane: it counts the access and
@@ -363,30 +308,13 @@ func (c *Cache) LaneHit(l *Lane, a Addr, write bool) bool {
 	return false
 }
 
-// AccessLaneMiss completes an access whose LaneHit returned false,
-// resolving it through the cache's normal path and recapturing the lane.
+// AccessLaneMiss completes an access whose LaneHit returned false: the
+// plain probe, after which the lane names the line just touched.
 func (c *Cache) AccessLaneMiss(l *Lane, a Addr, write bool) AccessResult {
-	return c.laneSlow(l, uint64(a)>>c.lineShift, write)
-}
-
-// laneSlow resolves a lane miss through the cache's normal path (shared
-// memo, probe, fill) and recaptures the lane: every exit of that path
-// leaves the just-touched line as the MRU memo entry, which is exactly
-// the line the lane should name.
-func (c *Cache) laneSlow(l *Lane, lineNum uint64, write bool) AccessResult {
-	var res AccessResult
-	if lineNum == c.lastLineNum {
-		ln := c.lastLine
-		ln.lru = c.stats.Accesses
-		if write {
-			ln.meta |= lineDirty
-		}
-		res = accessHit
-	} else {
-		res = c.accessSlow(lineNum, write)
-	}
+	lineNum := uint64(a) >> c.lineShift
+	res, ln := c.lookup(lineNum, write)
 	l.lineNum = lineNum
-	l.ln = c.lastLine
+	l.ln = ln
 	l.want = lineNum>>c.tagShift<<lineTagLSB | lineValid
 	return res
 }
@@ -449,27 +377,10 @@ func (c *Cache) Invalidate(a Addr) (present, dirty bool) {
 		if ln.meta&^uint64(lineDirty) == want {
 			d := ln.meta&lineDirty != 0
 			ln.meta = 0
-			if c.lastLine == ln {
-				c.lastLineNum = memoNone
-			}
-			if c.prevLine == ln {
-				c.prevLineNum = memoNone
-			}
 			return true, d
 		}
 	}
 	return false, false
-}
-
-// CorruptMemoForTest poisons the MRU line-memo entry so the next access
-// to a's line reports a memoized hit regardless of whether the line is
-// resident, pointing the memo at way 0 of set 0. It deliberately breaks
-// the memo invariant ("a memo entry never names a non-resident line") so
-// the paranoid differential oracle can prove it detects memo-layer
-// corruption; it must never be called outside tests.
-func (c *Cache) CorruptMemoForTest(a Addr) {
-	c.lastLineNum = uint64(a) >> c.lineShift
-	c.lastLine = &c.lines[0]
 }
 
 // Flush invalidates every line and returns the number of dirty lines
@@ -482,8 +393,6 @@ func (c *Cache) Flush() int {
 		}
 		c.lines[i] = line{}
 	}
-	c.lastLineNum = memoNone
-	c.prevLineNum = memoNone
 	return dirty
 }
 

@@ -42,11 +42,13 @@ func (s TLBStats) MissRate() float64 {
 // replacement (the R10000's TLB uses random replacement; FIFO is a
 // deterministic stand-in with the same capacity behavior and O(1) cost).
 //
-// The resident set is held in a small open-addressing hash table (plus a
-// one-entry last-page memo) rather than a Go map: the translation probe
-// runs once per simulated memory reference and the map lookup dominated
-// the simulator's host-time profile (ISSUE 4). Replacement decisions,
-// miss counts and access counts are identical to the map-based model.
+// The resident set is held in a small open-addressing hash table rather
+// than a Go map: the translation probe runs whenever a reference leaves
+// its stream's page, and the map lookup dominated the simulator's
+// host-time profile (ISSUE 4). Replacement decisions, miss counts and
+// access counts are identical to the map-based model. Like the cache, the
+// TLB memoizes nothing itself: Access is a plain probe, and same-page
+// runs are accelerated by the caller's TLBLane.
 type TLB struct {
 	cfg       TLBConfig
 	pageShift uint
@@ -62,19 +64,6 @@ type TLB struct {
 	// ring is the FIFO eviction order over resident pages.
 	ring []uint64
 	head int
-	// Three-entry translation memo, MRU first: sequential sweeps
-	// re-translate the same page line after line, and the sorts'
-	// permutation passes rotate through three streams per element (a
-	// sequential key load, a histogram access, and a scattered store) —
-	// a pattern that defeats shallower memos but is exactly captured by
-	// three entries. An empty entry holds memoNone, which no simulated
-	// address shifts down to, so each test is one compare. Hits do not
-	// mutate FIFO state, so skipping the probe for a memoized resident
-	// page is exact; eviction clears any memo entry naming the evicted
-	// page.
-	lastPage  uint64
-	prevPage  uint64
-	prev2Page uint64
 	// accesses and misses are kept as direct fields (not a TLBStats) so
 	// the counter bump in Access stays within the inlining budget;
 	// Stats assembles the exported view.
@@ -89,22 +78,26 @@ type TLB struct {
 
 // A TLBLane is a per-stream page memo for the batched access kernels:
 // each access stream of a kernel holds its own lane, so interleaved
-// streams stop churning the TLB's three shared memo entries. A lane hit
-// counts the access and does nothing else — exactly what a plain Access
-// hit of a memoized resident page does — so behavior is bit-identical.
+// streams keep one hot page each. A lane hit counts the access and does
+// nothing else — exactly what a plain Access of a resident page does
+// (hits do not mutate FIFO state) — so behavior is bit-identical.
 //
 // Lanes must be attached (AttachLane) before use and detached
-// (DetachLanes) when the kernel finishes; while attached, translateSlow's
-// eviction and Flush clear any lane naming the dropped page, preserving
-// the invariant that a lane never names a non-resident page.
+// (DetachLanes) when the kernel finishes; while attached, eviction and
+// Flush clear any lane naming the dropped page, preserving the invariant
+// that a lane never names a non-resident page.
 type TLBLane struct {
 	page uint64
 }
 
+// Reset empties the lane; the next access through it takes the probe and
+// recaptures.
+func (l *TLBLane) Reset() { l.page = memoNone }
+
 // AttachLane registers l with the TLB's eviction bookkeeping and empties
 // it. Attach a lane once per kernel invocation; lanes are not reentrant.
 func (t *TLB) AttachLane(l *TLBLane) {
-	l.page = memoNone
+	l.Reset()
 	t.lanes = append(t.lanes, l)
 }
 
@@ -120,14 +113,13 @@ func (t *TLB) DetachLanes() {
 }
 
 // AccessLane is Access with the lane as a private memo: identical
-// counters and miss decisions, but the memoized-hit test uses the
-// caller's lane. A lane hit skips the shared three-entry memo rotation;
-// hits do not mutate FIFO state, so the skip is exact.
+// counters and miss decisions, but a repeat touch of the lane's page
+// skips the probe.
 func (t *TLB) AccessLane(l *TLBLane, a Addr) bool {
 	if t.LaneHit(l, a) {
 		return false
 	}
-	return t.laneSlow(l, uint64(a)>>t.pageShift)
+	return t.LaneRefill(l, a)
 }
 
 // LaneHit is the inlinable half of AccessLane: it counts the access and
@@ -140,15 +132,11 @@ func (t *TLB) LaneHit(l *TLBLane, a Addr) bool {
 	return uint64(a)>>t.pageShift == l.page
 }
 
-// LaneRefill completes a translation whose LaneHit returned false,
-// reporting whether it missed the TLB.
+// LaneRefill completes a translation whose LaneHit returned false: the
+// plain probe, after which the lane names the page just translated. It
+// reports whether the translation missed the TLB.
 func (t *TLB) LaneRefill(l *TLBLane, a Addr) bool {
-	return t.laneSlow(l, uint64(a)>>t.pageShift)
-}
-
-// laneSlow resolves a lane miss through the normal translation path and
-// recaptures the lane.
-func (t *TLB) laneSlow(l *TLBLane, page uint64) bool {
+	page := uint64(a) >> t.pageShift
 	miss := t.translate(page)
 	l.page = page
 	return miss
@@ -181,9 +169,6 @@ func NewTLB(cfg TLBConfig) *TLB {
 		slotMask:  uint64(1<<bits - 1),
 		slotBits:  bits,
 		ring:      make([]uint64, 0, cfg.Entries),
-		lastPage:  memoNone,
-		prevPage:  memoNone,
-		prev2Page: memoNone,
 	}
 }
 
@@ -198,21 +183,6 @@ func (t *TLB) Stats() TLBStats {
 // home returns page's preferred slot index (Fibonacci hashing).
 func (t *TLB) home(page uint64) uint64 {
 	return (page * 0x9E3779B97F4A7C15) >> (64 - t.slotBits)
-}
-
-// contains probes the resident set for page.
-func (t *TLB) contains(page uint64) bool {
-	i := t.home(page)
-	for {
-		pg := t.slots[i]
-		if pg == page {
-			return true
-		}
-		if pg == memoNone {
-			return false
-		}
-		i = (i + 1) & t.slotMask
-	}
 }
 
 // remove deletes page (present) from the resident set using
@@ -243,37 +213,14 @@ func (t *TLB) remove(page uint64) {
 }
 
 // translate looks page up, refilling on a miss, and reports whether the
-// translation missed. Shared by Access and AccessN; does not touch the
-// access counter. Split so the memoized path inlines into the per-access
-// loop; translateSlow carries the probe and refill.
+// translation missed. It does not touch the access counter.
 func (t *TLB) translate(page uint64) (miss bool) {
-	if page == t.lastPage {
-		return false
-	}
-	return t.translateSlow(page)
-}
-
-func (t *TLB) translateSlow(page uint64) (miss bool) {
-	if page == t.prevPage {
-		// Promote to MRU; old MRU becomes the second entry.
-		t.lastPage, t.prevPage = page, t.lastPage
-		return false
-	}
-	if page == t.prev2Page {
-		t.prev2Page = t.prevPage
-		t.prevPage = t.lastPage
-		t.lastPage = page
-		return false
-	}
 	// One probe serves both outcomes: it either finds the page (hit) or
 	// ends on the empty slot where the page belongs (miss refill site).
 	i := t.home(page)
 	for {
 		pg := t.slots[i]
 		if pg == page {
-			t.prev2Page = t.prevPage
-			t.prevPage = t.lastPage
-			t.lastPage = page
 			return false
 		}
 		if pg == memoNone {
@@ -292,15 +239,6 @@ func (t *TLB) translateSlow(page uint64) (miss bool) {
 	} else {
 		evicted := t.ring[t.head]
 		t.remove(evicted)
-		if evicted == t.lastPage {
-			t.lastPage = memoNone
-		}
-		if evicted == t.prevPage {
-			t.prevPage = memoNone
-		}
-		if evicted == t.prev2Page {
-			t.prev2Page = memoNone
-		}
 		for _, ln := range t.lanes {
 			if ln.page == evicted {
 				ln.page = memoNone
@@ -312,9 +250,6 @@ func (t *TLB) translateSlow(page uint64) (miss bool) {
 			t.head = 0
 		}
 	}
-	t.prev2Page = t.prevPage
-	t.prevPage = t.lastPage
-	t.lastPage = page
 	return true
 }
 
@@ -322,24 +257,6 @@ func (t *TLB) translateSlow(page uint64) (miss bool) {
 // missed.
 func (t *TLB) Access(a Addr) bool {
 	t.accesses++
-	page := uint64(a) >> t.pageShift
-	if page != t.lastPage {
-		return t.translateSlow(page)
-	}
-	return false
-}
-
-// AccessN simulates n accesses that all fall on the page containing a
-// (one translation, n accesses counted). Block walks use it to hoist the
-// per-page translation out of their per-line loops: after the first
-// access of a page run the remaining accesses of the run hit the TLB by
-// construction, so miss counts and replacement decisions are identical
-// to issuing n separate Access calls.
-func (t *TLB) AccessN(a Addr, n uint64) (miss bool) {
-	if n == 0 {
-		return false
-	}
-	t.accesses += n
 	return t.translate(uint64(a) >> t.pageShift)
 }
 
@@ -350,9 +267,6 @@ func (t *TLB) Flush() {
 	}
 	t.ring = t.ring[:0]
 	t.head = 0
-	t.lastPage = memoNone
-	t.prevPage = memoNone
-	t.prev2Page = memoNone
 	for _, ln := range t.lanes {
 		ln.page = memoNone
 	}

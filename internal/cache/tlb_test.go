@@ -172,30 +172,3 @@ func TestTLBMatchesMapReference(t *testing.T) {
 		}
 	}
 }
-
-// TestTLBAccessNEquivalence proves AccessN(a, n) leaves the TLB in the
-// same state, with the same stats, as n same-page Access calls.
-func TestTLBAccessNEquivalence(t *testing.T) {
-	cfg := TLBConfig{Entries: 4, PageSize: 1024}
-	bulk, serial := NewTLB(cfg), NewTLB(cfg)
-	state := uint64(99)
-	for i := 0; i < 5000; i++ {
-		state = state*6364136223846793005 + 1442695040888963407
-		page := Addr(((state >> 40) % 16) * 1024)
-		n := uint64(state>>20) % 5
-		gotMiss := bulk.AccessN(page, n)
-		wantMiss := false
-		for k := uint64(0); k < n; k++ {
-			m := serial.Access(page + Addr(k*64)%1024)
-			if k == 0 {
-				wantMiss = m
-			}
-		}
-		if n > 0 && gotMiss != wantMiss {
-			t.Fatalf("step %d: AccessN miss=%v, serial first access miss=%v", i, gotMiss, wantMiss)
-		}
-	}
-	if bulk.Stats() != serial.Stats() {
-		t.Errorf("stats diverged: bulk %+v, serial %+v", bulk.Stats(), serial.Stats())
-	}
-}

@@ -3,12 +3,14 @@
 // TestParanoidAllPrograms runs every sorting program at small N with the
 // paranoid checker enabled: each run shadows every simulated access with
 // the reference cache/TLB/page-home/protocol models and asserts the
-// structural invariants, so a pass means the PR-3 fast paths and the
+// structural invariants, so a pass means the fast paths and the
 // reference semantics agree access-by-access on real workloads.
 //
 // The mutation tests then prove the oracle has teeth: each one injects a
 // deliberate corruption into a fast-path structure (a pricing-table
-// entry, the cache's MRU line memo) and asserts the checker reports it.
+// entry, a PSRS partition boundary; machine's in-package
+// TestParanoidCatchesDroppedLine covers the cache) and asserts the
+// checker reports it.
 package check_test
 
 import (
@@ -179,34 +181,5 @@ func TestMutationPsrsPartitionBoundary(t *testing.T) {
 		if !strings.Contains(err.Error(), "output invalid") {
 			t.Errorf("%s: error %v, want the sorted-output oracle's 'output invalid'", model, err)
 		}
-	}
-}
-
-// TestMutationCacheMemo poisons the cache's MRU line memo to name a
-// non-resident line, making the fast path report a spurious hit; the
-// unmemoized reference cache disagrees and the checker must flag the
-// access.
-func TestMutationCacheMemo(t *testing.T) {
-	cfg := machine.Origin2000Scaled(1)
-	cfg.Paranoid = true
-	m := machine.MustNew(cfg)
-	arr := machine.NewArrayBlocked[int64](m, "a", 1<<13)
-	m.Run(func(p *machine.Proc) {
-		arr.Load(p, 0, machine.Private) // line 0 resident, memo points at it
-		// Poison the memo: claim the (cold) line of element 1<<12 is the
-		// MRU-resident line. The next access to it falsely memo-hits.
-		p.CorruptCacheMemoForTest(arr.Addr(1 << 12))
-		arr.Load(p, 1<<12, machine.Private)
-	})
-	ck := m.Checker()
-	if ck.Count() == 0 {
-		t.Fatal("poisoned cache memo went undetected")
-	}
-	if ok, kinds := hasKind(ck, "cache-access"); !ok {
-		t.Errorf("no cache-access violation; got kinds: %s", kinds)
-	}
-	v := ck.Violations()[0]
-	if v.Proc != 0 || v.Addr == 0 {
-		t.Errorf("violation should name proc 0 and the faulting address, got %+v", v)
 	}
 }

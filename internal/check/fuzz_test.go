@@ -12,19 +12,19 @@ import (
 // flushes mixed in — through the fast-path cache/TLB models and the
 // unmemoized reference models side by side, and requires bit-identical
 // results on every operation plus identical final counters. Each access
-// is randomly routed through the plain shared-memo path, a per-stream
-// lane (cache.Lane / cache.TLBLane), or the split LaneHit/miss-completer
-// pair the batched kernels inline, so the lane machinery faces the same
-// oracle as the paths it accelerates.
+// is randomly routed through the plain probe, a per-stream lane
+// (cache.Lane / cache.TLBLane), or the split LaneHit/miss-completer pair
+// the batched kernels inline, so the lane machinery faces the same
+// oracle as the probe it accelerates.
 //
 // Two cache geometries run the same stream: the Origin-style 2-way
-// shape exercises the unrolled probe and the line memos, a 4-way shape
-// exercises the general probe loop. The address space is kept to 16
+// shape exercises the unrolled probe, a 4-way shape exercises the
+// general probe loop. The address space is kept to 16
 // bits over a tiny cache/TLB so conflict evictions, writebacks and TLB
 // FIFO churn all happen within a short input.
 func FuzzAccessOracle(f *testing.F) {
 	// Seed corpus: a sequential sweep, a write-heavy strided pass, an
-	// alternating two-stream pattern (defeats a one-entry memo), a
+	// alternating two-stream pattern (defeats a single lane), a
 	// flush/invalidate torture mix, and a page-crossing run.
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x80, 0x00, 0x00, 0xC0, 0x00})
 	f.Add([]byte{0x03, 0x00, 0x10, 0x03, 0x04, 0x10, 0x03, 0x08, 0x10, 0x03, 0x0C, 0x10})
@@ -42,7 +42,7 @@ func FuzzAccessOracle(f *testing.F) {
 	f.Add([]byte{0x3B, 0xFC, 0x03, 0x3B, 0x00, 0x04, 0x18, 0xF8, 0x03, 0x18, 0x04, 0x04, 0x07, 0x00, 0x00})
 
 	ccfgs := []cache.Config{
-		{Size: 4096, LineSize: 64, Ways: 2}, // unrolled 2-way probe + memo
+		{Size: 4096, LineSize: 64, Ways: 2}, // unrolled 2-way probe
 		{Size: 8192, LineSize: 32, Ways: 4}, // general probe loop
 	}
 	tcfg := cache.TLBConfig{Entries: 8, PageSize: 1 << 10}
@@ -69,12 +69,12 @@ func FuzzAccessOracle(f *testing.F) {
 				op := data[i]
 				a := cache.Addr(uint64(data[i+1]) | uint64(data[i+2])<<8)
 				switch op & 7 {
-				case 0, 1, 2, 3, 4: // access; ops 3-4 write
+				case 0, 1, 2, 3, 4, 5: // access; ops 3-5 write
 					write := op&7 >= 3
 					var fm bool
 					var fr cache.AccessResult
 					switch (op >> 3) & 3 {
-					case 0: // plain shared-memo path
+					case 0: // plain probe
 						fm = ftlb.Access(a)
 						fr = fast.Access(a, write)
 					case 1, 2: // lane path, one of two interleaved streams
@@ -102,11 +102,6 @@ func FuzzAccessOracle(f *testing.F) {
 						(fr.WriteBack && fr.WritebackAddr != rr.WritebackAddr) {
 						t.Fatalf("%+v op %d: Access(%#x, write=%v) fast=%+v ref=%+v",
 							ccfg, i, a, write, fr, rr)
-					}
-				case 5: // page-run translation (the walkBlock hoist)
-					n := uint64(op>>3) & 15
-					if fm, rm := ftlb.AccessN(a, n), rtlb.AccessN(a, n); fm != rm {
-						t.Fatalf("%+v op %d: tlb.AccessN(%#x, %d) fast=%v ref=%v", ccfg, i, a, n, fm, rm)
 					}
 				case 6:
 					fp, fd := fast.Invalidate(a)

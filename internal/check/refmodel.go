@@ -171,7 +171,7 @@ type RefTLBCounts struct {
 
 // RefTLB is the unmemoized reference TLB model: a map resident set plus
 // a FIFO ring, exactly the structure the fast model's open-addressing
-// table and translation memo replaced.
+// table replaced.
 type RefTLB struct {
 	cfg       cache.TLBConfig
 	pageShift uint
@@ -205,20 +205,7 @@ func (t *RefTLB) Counts() RefTLBCounts { return t.counts }
 // missed.
 func (t *RefTLB) Access(a cache.Addr) bool {
 	t.counts.Accesses++
-	return t.translate(uint64(a) >> t.pageShift)
-}
-
-// AccessN simulates n same-page accesses (one translation, n counted),
-// mirroring the fast model's block-walk entry point.
-func (t *RefTLB) AccessN(a cache.Addr, n uint64) bool {
-	if n == 0 {
-		return false
-	}
-	t.counts.Accesses += n
-	return t.translate(uint64(a) >> t.pageShift)
-}
-
-func (t *RefTLB) translate(page uint64) bool {
+	page := uint64(a) >> t.pageShift
 	if t.resident[page] {
 		return false
 	}

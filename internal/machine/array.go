@@ -157,19 +157,14 @@ func (a *Array[T]) StoreSeq(p *Proc, i int, v T, sh Sharing) {
 	a.Data[i] = v
 }
 
-// LoadRange charges a sequential read of elements [lo, hi). The caller
-// reads a.Data[lo:hi] directly for the values.
+// LoadRange charges a sequential block read of elements [lo, hi),
+// touching each cache line once with stream overlap. The caller reads
+// a.Data[lo:hi] directly for the values.
 func (a *Array[T]) LoadRange(p *Proc, lo, hi int, sh Sharing) {
-	if hi <= lo {
-		return
-	}
-	p.LoadBlock(a.Addr(lo), (hi-lo)*a.elemSize, sh)
+	p.walkBlock(a.Addr(lo), (hi-lo)*a.elemSize, false, sh)
 }
 
-// StoreRange charges a sequential write of elements [lo, hi).
+// StoreRange charges a sequential block write of elements [lo, hi).
 func (a *Array[T]) StoreRange(p *Proc, lo, hi int, sh Sharing) {
-	if hi <= lo {
-		return
-	}
-	p.StoreBlock(a.Addr(lo), (hi-lo)*a.elemSize, sh)
+	p.walkBlock(a.Addr(lo), (hi-lo)*a.elemSize, true, sh)
 }

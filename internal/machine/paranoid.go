@@ -13,16 +13,20 @@ import (
 // This file wires paranoid mode (Config.Paranoid, package check) into
 // the simulator's hot path. Every Proc of a paranoid machine carries a
 // *paranoid shadow holding unmemoized reference models; each hook site
-// in proc.go/machine.go is a nil check on p.pc, so a non-paranoid run
-// pays one predictable branch per site and zero allocations
-// (TestParanoidDisabledZeroAlloc).
+// in proc.go/stream.go/machine.go is a nil check on p.pc, so a
+// non-paranoid run pays one predictable branch per site and zero
+// allocations (TestParanoidDisabledZeroAlloc). The per-access hooks sit
+// where every translation and every cache access ends (translated and
+// accessed in proc.go), which the lanes' slow steps share with the
+// per-element path; in full mode those slow steps leave the lane empty,
+// so no access of any kernel loop resolves without reaching its hook.
 //
 // What is checked, per access:
 //
-//   - TLB miss/hit vs check.RefTLB (map + FIFO ring, no memos, no open
+//   - TLB miss/hit vs check.RefTLB (map + FIFO ring, no lanes, no open
 //     addressing).
 //   - Cache hit/miss/writeback (and the writeback's address) vs
-//     check.RefCache (plain structs, no memo entries, no packed meta).
+//     check.RefCache (plain structs, no lanes, no packed meta).
 //   - The page's home node vs memsys.ReferenceHomeOf (fresh region walk,
 //     bypassing the flat page table and the lastRegion memo).
 //   - The memoized price entry the hot path reads — through the same
@@ -42,11 +46,6 @@ import (
 //   - Traffic conservation: the shadow's per-class transaction counts
 //     sum to Traffic.ProtocolTransactions and match the trace's TxClass
 //     counters when tracing is on.
-//
-// Paranoid mode also forces walkBlock through the plain per-access loop
-// (see proc.go), so the page-run hoisting of the fast path is itself
-// differentially tested: a paranoid run must still produce byte-
-// identical outputs.
 
 // identityTol is the relative tolerance for the accounting identities.
 // The clock and the breakdown buckets accumulate the same addends in
@@ -101,10 +100,11 @@ func newParanoid(m *Machine, ck *check.Checker) *paranoid {
 	return pc
 }
 
-// perAccess reports whether every access must route through the fully
-// hooked per-access path (full paranoid mode). Sampled mode lets the
-// stream kernels keep their fast path: kernel misses still flow through
-// the hooked missCharge, which is where the sampled oracles live.
+// perAccess reports whether every access is shadowed by the reference
+// models (full paranoid mode), which requires the lanes to stay empty.
+// Sampled mode lets the stream kernels keep their lanes: kernel misses
+// still flow through the hooked missCharge, which is where the sampled
+// oracles live.
 func (pc *paranoid) perAccess() bool { return pc.sampleEvery <= 1 }
 
 // sampleHit numbers one priced event and reports whether the stateless
@@ -169,33 +169,27 @@ func fmtPrice(e priceEntry) string {
 	return fmt.Sprintf("{latency=%v traffic=%d remote=%v}", e.latencyNs, e.trafficBytes, e.remote)
 }
 
-// checkAccess shadows one full memory reference: TLB translation plus
-// cache access. tlbMiss and res are what the fast path observed.
-func (pc *paranoid) checkAccess(p *Proc, a Addr, write, tlbMiss bool, res cache.AccessResult) {
-	if pc.cache == nil {
+// checkTLBAccess shadows one translation; tlbMiss is what the fast TLB
+// observed.
+func (pc *paranoid) checkTLBAccess(p *Proc, a Addr, tlbMiss bool) {
+	if pc.tlb == nil {
 		// Sampled mode: no reference models to diff against. The sampled
 		// oracles live in checkMiss/checkWriteback.
 		return
 	}
-	pc.noteClock(p)
 	if refMiss := pc.tlb.Access(a); refMiss != tlbMiss {
 		pc.report(p, a, "tlb-miss",
 			fmt.Sprintf("miss=%v", tlbMiss), fmt.Sprintf("miss=%v", refMiss))
 	}
-	pc.compareCache(p, a, write, res)
 }
 
-// checkCacheAccess shadows a cache-only access (BulkTransfer's install
-// loop, which models a DMA-style fill and does not translate).
+// checkCacheAccess shadows one cache access; res is what the fast cache
+// observed.
 func (pc *paranoid) checkCacheAccess(p *Proc, a Addr, write bool, res cache.AccessResult) {
 	if pc.cache == nil {
 		return
 	}
 	pc.noteClock(p)
-	pc.compareCache(p, a, write, res)
-}
-
-func (pc *paranoid) compareCache(p *Proc, a Addr, write bool, res cache.AccessResult) {
 	ref := pc.cache.Access(a, write)
 	if res.Hit != ref.Hit || res.WriteBack != ref.WriteBack ||
 		(res.WriteBack && res.WritebackAddr != ref.WritebackAddr) {
@@ -440,9 +434,3 @@ func (pc *paranoid) finishTx(p *Proc, ps ProcStats) {
 		}
 	}
 }
-
-// CorruptCacheMemoForTest poisons this processor's cache line memo (see
-// cache.CorruptMemoForTest). The paranoid mutation tests use it to
-// prove the differential oracle detects memo-layer corruption; it must
-// never be called outside tests.
-func (p *Proc) CorruptCacheMemoForTest(a Addr) { p.cache.CorruptMemoForTest(a) }

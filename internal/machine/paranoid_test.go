@@ -80,7 +80,7 @@ func TestParanoidRunClean(t *testing.T) {
 		}
 		m.Barrier(p)
 		p.SetPhase("block")
-		p.LoadBlock(arr.Addr(lo), arr.Bytes(1024), SharedRead)
+		arr.LoadRange(p, lo, lo+1024, SharedRead)
 		p.InvalidateRange(arr.Addr(lo), arr.Bytes(64))
 		p.BulkTransfer((p.Node+1)%m.Topology().Nodes(), 4096, arr.Addr(lo), true)
 		p.SetPhase("")
@@ -123,6 +123,38 @@ func TestParanoidCatchesClockRegression(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `phase="rewind"`) {
 		t.Errorf("violation should name the phase: %v", err)
+	}
+}
+
+// TestParanoidCatchesDroppedLine is the mutation test for the cache
+// oracle: it drops a resident line from the fast cache behind the
+// shadow's back (the reference cache still holds it), so the next access
+// misses where the reference model hits, and the checker must flag that
+// access with the processor and the faulting address.
+func TestParanoidCatchesDroppedLine(t *testing.T) {
+	cfg := Origin2000Scaled(1)
+	cfg.Paranoid = true
+	m := MustNew(cfg)
+	arr := NewArrayBlocked[int64](m, "a", 1<<13)
+	const elem = 1 << 12
+	m.Run(func(p *Proc) {
+		arr.Load(p, elem, Private)
+		if err := m.Checker().Err(); err != nil {
+			t.Errorf("violation before the mutation: %v", err)
+		}
+		if present, _ := p.cache.Invalidate(arr.Addr(elem)); !present {
+			t.Error("line not resident after its load")
+		}
+		arr.Load(p, elem, Private)
+	})
+	vs := m.Checker().Violations()
+	if len(vs) == 0 {
+		t.Fatal("dropped cache line went undetected")
+	}
+	v := vs[0]
+	if v.Kind != "cache-access" || v.Proc != 0 || v.Addr != uint64(arr.Addr(elem)) {
+		t.Errorf("want a cache-access violation naming proc 0 and %#x, got %+v",
+			uint64(arr.Addr(elem)), v)
 	}
 }
 

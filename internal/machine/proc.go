@@ -83,7 +83,7 @@ type Proc struct {
 	// set for scatter targets. Persistent on the Proc so steady-state
 	// kernel calls are allocation-free (TestStreamKernelsZeroAlloc).
 	sTLB   [2]cache.TLBLane
-	sLane  [2]cache.Lane
+	sLane  cache.Lane
 	bLanes []cache.Lane
 	tLanes []cache.Lane
 }
@@ -307,28 +307,51 @@ func (p *Proc) chargeRemote(ns float64) {
 	}
 }
 
-// access simulates one memory reference. overlap divides the miss
-// latency: 1 for scattered dependent accesses, Config.MissOverlap for
-// sequential streams whose misses pipeline through the MSHRs.
+// access simulates one memory reference through the plain TLB and cache
+// probes. It is the definition of what a reference charges: every stream
+// kernel must leave the machine in the state the equivalent loop of
+// access calls leaves it in (TestStreamEquivalence). overlap divides the
+// miss latency: 1 for scattered dependent accesses, Config.MissOverlap
+// for sequential streams whose misses pipeline through the MSHRs.
 func (p *Proc) access(a Addr, write bool, sh Sharing, overlap float64) {
-	tlbMiss := p.tlb.Access(a)
-	if tlbMiss {
+	p.translated(a, p.tlb.Access(a))
+	p.accessed(a, write, sh, overlap, p.cache.Access(a, write))
+}
+
+// translated finishes a TLB access of a whose outcome was miss: full
+// paranoid mode diffs the outcome against the reference TLB, and a miss
+// charges the refill. Every translation of the simulator ends here,
+// whether it came from the plain probe or from a lane's slow step.
+func (p *Proc) translated(a Addr, miss bool) {
+	if p.pc != nil {
+		p.pc.checkTLBAccess(p, a, miss)
+	}
+	if miss {
 		p.chargeLocal(p.m.cfg.TLBMissNs)
 	}
-	res := p.cache.Access(a, write)
+}
+
+// accessed finishes a cache access of a whose outcome was res: full
+// paranoid mode diffs the outcome against the reference cache, then the
+// writeback and the miss are priced. Every translated reference ends
+// here, whether it came from the plain probe or from a lane's slow step.
+func (p *Proc) accessed(a Addr, write bool, sh Sharing, overlap float64, res cache.AccessResult) {
 	if p.pc != nil {
-		p.pc.checkAccess(p, a, write, tlbMiss, res)
+		p.pc.checkCacheAccess(p, a, write, res)
 	}
 	if res.WriteBack {
 		p.chargeWriteback(res.WritebackAddr)
 	}
-	if res.Hit {
-		return
+	if !res.Hit {
+		p.missCharge(a, write, sh, overlap)
 	}
-	p.missCharge(a, write, sh, overlap)
 }
 
-// missCharge prices a cache miss according to the declared sharing class.
+// missCharge prices a cache miss according to the declared sharing
+// class. The charge comes from the machine's memoized pricing table; the
+// table is built by the live coherence.Protocol at Machine.New, so the
+// charged floats are bit-identical to the per-miss protocol walk it
+// replaced (TestPriceTableMatchesProtocol).
 func (p *Proc) missCharge(a Addr, write bool, sh Sharing, overlap float64) {
 	cfg := &p.m.cfg
 	if cfg.FlatMemory {
@@ -342,15 +365,6 @@ func (p *Proc) missCharge(a Addr, write bool, sh Sharing, overlap float64) {
 	if p.pc != nil {
 		p.pc.checkMiss(p, a, write, sh, home)
 	}
-	p.missChargeHome(home, write, sh, overlap)
-}
-
-// missChargeHome prices a (non-flat-memory) miss on a line homed at
-// home. The charge comes from the machine's memoized pricing table; the
-// table is built by the live coherence.Protocol at Machine.New, so the
-// charged floats are bit-identical to the per-miss protocol walk it
-// replaced (TestPriceTableMatchesProtocol).
-func (p *Proc) missChargeHome(home int, write bool, sh Sharing, overlap float64) {
 	// Sharing constants mirror trace.TxClass order, so the conversion is
 	// a cast (checked by TestSharingTxClassAlignment).
 	p.countTx(trace.TxClass(sh))
@@ -408,79 +422,6 @@ func (p *Proc) LoadSeq(a Addr, sh Sharing) {
 // StoreSeq simulates one write within a sequential sweep.
 func (p *Proc) StoreSeq(a Addr, sh Sharing) {
 	p.access(a, true, sh, p.m.cfg.MissOverlap)
-}
-
-// LoadBlock simulates a sequential read of [a, a+bytes), touching each
-// cache line once with stream overlap.
-func (p *Proc) LoadBlock(a Addr, bytes int, sh Sharing) {
-	p.walkBlock(a, bytes, false, sh)
-}
-
-// StoreBlock simulates a sequential write of [a, a+bytes).
-func (p *Proc) StoreBlock(a Addr, bytes int, sh Sharing) {
-	p.walkBlock(a, bytes, true, sh)
-}
-
-// walkBlock touches each cache line of [a, a+bytes) once with stream
-// overlap, chunked into page runs: the TLB translation and the page's
-// home node are invariants of a run, so they are resolved once per page
-// instead of once per line. Charge order — TLB refill at the first line
-// of a page, then per-line writeback/miss charges — matches the legacy
-// per-line walk exactly, so virtual times are byte-identical.
-func (p *Proc) walkBlock(a Addr, bytes int, write bool, sh Sharing) {
-	if bytes <= 0 {
-		return
-	}
-	cfg := &p.m.cfg
-	line := Addr(cfg.Cache.LineSize)
-	end := a + Addr(bytes)
-	overlap := cfg.MissOverlap
-	la := p.cache.LineAddr(a)
-	pageSize := Addr(cfg.TLB.PageSize)
-	if line > pageSize || p.pc != nil {
-		// Degenerate geometry (line larger than page): no page run to
-		// hoist; take the per-access path. Paranoid mode takes it too:
-		// routing every block access through the fully-hooked per-access
-		// path both shadows each reference individually and turns the
-		// byte-identical-outputs requirement into a whole-run
-		// differential test of the page-run hoisting below.
-		for ; la < end; la += line {
-			p.access(la, write, sh, overlap)
-		}
-		return
-	}
-	as := p.m.as
-	for la < end {
-		// One page run: lines in [la, runEnd). Lines never straddle
-		// pages (both sizes are powers of two with line <= page).
-		runEnd := (la &^ (pageSize - 1)) + pageSize
-		if runEnd > end {
-			runEnd = end
-		}
-		nLines := uint64((runEnd - la + line - 1) / line)
-		if p.tlb.AccessN(la, nLines) {
-			p.chargeLocal(cfg.TLBMissNs)
-		}
-		home, uniform := as.PageHome(la)
-		for ; la < runEnd; la += line {
-			res := p.cache.Access(la, write)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if res.Hit {
-				continue
-			}
-			if cfg.FlatMemory {
-				p.chargeLocal(cfg.Topology.LocalLatency)
-				continue
-			}
-			h := home
-			if !uniform {
-				h = as.HomeOf(la)
-			}
-			p.missChargeHome(h, write, sh, overlap)
-		}
-	}
 }
 
 // BulkTransfer simulates a pipelined block transfer of bytes between this

@@ -7,22 +7,45 @@ import "repro/internal/cache"
 // per-element gather/scatter target, and the interleaved Compute cost —
 // in one call instead of three wrapper calls per element. The kernels
 // hoist everything the per-element path re-derives each iteration (cfg
-// fields, phase accumulator, tracer and paranoid nil checks) and give
-// each access stream a private cache/TLB lane (cache.Lane, cache.TLBLane)
-// so a stream's same-line and same-page runs resolve in one inlined
-// compare — the LaneHit fast path — instead of fighting the other
-// streams for the shared memo entries.
+// fields, phase accumulator) and give each access stream a private
+// cache/TLB lane (cache.Lane, cache.TLBLane), the simulator's only memo
+// mechanism: a stream's same-line and same-page runs resolve in one
+// inlined compare, the LaneHit fast path.
+//
+// Every reference of every kernel is the same step: two inlined LaneHit
+// tests, and on a lane miss one out-of-line slow step each (tlbSlow,
+// cacheSlow) that runs the plain probe, recaptures the lane and ends in
+// the same translated/accessed helpers as the per-element path. Block
+// walks (LoadRange/StoreRange) are the sequential kernel over whole
+// lines.
 //
 // Equivalence contract: every kernel charges exactly what the equivalent
-// per-element wrapper loop charges — same counters, same replacement
+// loop of per-element accesses charges — same counters, same replacement
 // decisions, same float addition order — so simulated results are
 // bit-identical whichever API a sort uses (TestStreamEquivalence,
-// FuzzAccessOracle). Under full paranoid mode the kernels route every
-// access through the fully hooked per-access path instead, exactly like
-// walkBlock, which turns any `-paranoid` run into a whole-run
-// differential test of the kernels; spot-sampled paranoid mode
-// (Config.ParanoidSampleEvery > 1) keeps the fast path, whose misses
-// still flow through the hooked missCharge.
+// FuzzAccessOracle). Full paranoid mode adds no second copy of any loop:
+// the slow steps leave the lane empty, so every access of the kernel's
+// own loop reaches them and is diffed against the reference models
+// there. Spot-sampled paranoid mode (Config.ParanoidSampleEvery > 1)
+// keeps the lanes live; its oracles sit in missCharge/chargeWriteback.
+
+// tlbSlow completes a translation whose TLB LaneHit returned false.
+func (p *Proc) tlbSlow(l *cache.TLBLane, a Addr) {
+	miss := p.tlb.LaneRefill(l, a)
+	if p.pc != nil && p.pc.perAccess() {
+		l.Reset()
+	}
+	p.translated(a, miss)
+}
+
+// cacheSlow completes a cache access whose LaneHit returned false.
+func (p *Proc) cacheSlow(l *cache.Lane, a Addr, write bool, sh Sharing, overlap float64) {
+	res := p.cache.AccessLaneMiss(l, a, write)
+	if p.pc != nil && p.pc.perAccess() {
+		l.Reset()
+	}
+	p.accessed(a, write, sh, overlap, res)
+}
 
 // grownLanes returns a reset lane scratch of b lanes backed by *store.
 // The backing array is retained across calls, so steady-state kernels
@@ -44,19 +67,9 @@ func grownLanes(store *[]cache.Lane, b int) []cache.Lane {
 	return ls
 }
 
-// LoadStream charges a sequential read sweep of n elemSize-byte elements
-// starting at a, with opsPerElem busy operations interleaved after each
-// element — equivalent to `for each element { LoadSeq; Compute }`.
-func (p *Proc) LoadStream(a Addr, elemSize, n int, sh Sharing, opsPerElem int) {
-	p.seqStream(a, elemSize, n, false, sh, opsPerElem)
-}
-
-// StoreStream charges a sequential write sweep of n elements starting at
-// a, with opsPerElem busy operations per element.
-func (p *Proc) StoreStream(a Addr, elemSize, n int, sh Sharing, opsPerElem int) {
-	p.seqStream(a, elemSize, n, true, sh, opsPerElem)
-}
-
+// seqStream charges a sequential sweep of n elemSize-byte elements
+// starting at a, with ops busy operations interleaved after each element
+// — equivalent to `for each element { LoadSeq or StoreSeq; Compute }`.
 func (p *Proc) seqStream(a Addr, elemSize, n int, write bool, sh Sharing, ops int) {
 	if n <= 0 {
 		return
@@ -64,34 +77,18 @@ func (p *Proc) seqStream(a Addr, elemSize, n int, write bool, sh Sharing, ops in
 	cfg := &p.m.cfg
 	opNs := float64(ops) * cfg.OpNs
 	es := Addr(elemSize)
-	if p.pc != nil && p.pc.perAccess() {
-		for i := 0; i < n; i++ {
-			p.access(a, write, sh, cfg.MissOverlap)
-			p.ComputeNs(opNs)
-			a += es
-		}
-		return
-	}
 	t, c := p.tlb, p.cache
-	tl, cl := &p.sTLB[0], &p.sLane[0]
+	tl, cl := &p.sTLB[0], &p.sLane
 	t.AttachLane(tl)
 	cl.Reset()
-	ov, tlbNs := cfg.MissOverlap, cfg.TLBMissNs
+	ov := cfg.MissOverlap
 	acc := p.phaseAcc
 	for i := 0; i < n; i++ {
 		if !t.LaneHit(tl, a) {
-			if t.LaneRefill(tl, a) {
-				p.chargeLocal(tlbNs)
-			}
+			p.tlbSlow(tl, a)
 		}
 		if !c.LaneHit(cl, a, write) {
-			res := c.AccessLaneMiss(cl, a, write)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if !res.Hit {
-				p.missCharge(a, write, sh, ov)
-			}
+			p.cacheSlow(cl, a, write, sh, ov)
 		}
 		p.clock += opNs
 		p.stats.Breakdown.Busy += opNs
@@ -103,55 +100,39 @@ func (p *Proc) seqStream(a Addr, elemSize, n int, write bool, sh Sharing, ops in
 	t.DetachLanes()
 }
 
-// GatherStream charges n dependent reads of elements base+idx[i] —
-// equivalent to `for each i { Load(idx[i]); Compute }`. Gathered reads
-// are dependent accesses, so misses do not overlap.
-func (p *Proc) GatherStream(base Addr, elemSize int, idx []int64, sh Sharing, opsPerElem int) {
-	p.idxStream(base, elemSize, idx, false, 1, sh, opsPerElem)
+// walkBlock touches each cache line of [a, a+bytes) once with stream
+// overlap: the sequential kernel with whole lines as its elements and no
+// interleaved compute. The TLB lane resolves a page's translation once
+// per page run; the cache lane never hits, since no line repeats.
+func (p *Proc) walkBlock(a Addr, bytes int, write bool, sh Sharing) {
+	if bytes <= 0 {
+		return
+	}
+	line := Addr(p.m.cfg.Cache.LineSize)
+	first := a &^ (line - 1)
+	p.seqStream(first, int(line), int((a+Addr(bytes)-first+line-1)/line), write, sh, 0)
 }
 
-// ScatterStream charges len(idx) writes of elements base+idx[i] —
-// equivalent to `for each i { Store(idx[i]); Compute }`. Stores post
-// through the write buffer, so scattered write misses overlap like
-// streams (see Proc.Store).
-func (p *Proc) ScatterStream(base Addr, elemSize int, idx []int64, sh Sharing, opsPerElem int) {
-	p.idxStream(base, elemSize, idx, true, p.m.cfg.MissOverlap, sh, opsPerElem)
-}
-
+// idxStream charges len(idx) accesses of elements base+idx[i], with ops
+// busy operations after each — equivalent to `for each i { Load or
+// Store of element idx[i]; Compute }`.
 func (p *Proc) idxStream(base Addr, elemSize int, idx []int64, write bool, overlap float64, sh Sharing, ops int) {
 	if len(idx) == 0 {
 		return
 	}
-	cfg := &p.m.cfg
-	opNs := float64(ops) * cfg.OpNs
-	if p.pc != nil && p.pc.perAccess() {
-		for _, ix := range idx {
-			p.access(base+Addr(int(ix)*elemSize), write, sh, overlap)
-			p.ComputeNs(opNs)
-		}
-		return
-	}
+	opNs := float64(ops) * p.m.cfg.OpNs
 	t, c := p.tlb, p.cache
-	tl, cl := &p.sTLB[0], &p.sLane[0]
+	tl, cl := &p.sTLB[0], &p.sLane
 	t.AttachLane(tl)
 	cl.Reset()
-	tlbNs := cfg.TLBMissNs
 	acc := p.phaseAcc
 	for _, ix := range idx {
 		a := base + Addr(int(ix)*elemSize)
 		if !t.LaneHit(tl, a) {
-			if t.LaneRefill(tl, a) {
-				p.chargeLocal(tlbNs)
-			}
+			p.tlbSlow(tl, a)
 		}
 		if !c.LaneHit(cl, a, write) {
-			res := c.AccessLaneMiss(cl, a, write)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if !res.Hit {
-				p.missCharge(a, write, sh, overlap)
-			}
+			p.cacheSlow(cl, a, write, sh, overlap)
 		}
 		p.clock += opNs
 		p.stats.Breakdown.Busy += opNs
@@ -179,21 +160,9 @@ func (p *Proc) CountStream(src *Array[uint32], lo, n int, srcSh Sharing,
 	srcA := src.base + Addr(lo*src.elemSize)
 	srcES := Addr(src.elemSize)
 	tblBase, tblES := tbl.base, tbl.elemSize
-	if p.pc != nil && p.pc.perAccess() {
-		ov := cfg.MissOverlap
-		for i := range sd {
-			p.access(srcA, false, srcSh, ov)
-			d := int(sd[i] >> shift & mask)
-			p.access(tblBase+Addr(d*tblES), false, tblSh, 1)
-			td[d]++
-			p.ComputeNs(opNs)
-			srcA += srcES
-		}
-		return
-	}
 	t, c := p.tlb, p.cache
 	sT, tT := &p.sTLB[0], &p.sTLB[1]
-	sL := &p.sLane[0]
+	sL := &p.sLane
 	t.AttachLane(sT)
 	t.AttachLane(tT)
 	sL.Reset()
@@ -201,38 +170,22 @@ func (p *Proc) CountStream(src *Array[uint32], lo, n int, srcSh Sharing,
 	// single memo; one lane per bucket pins each bucket's (shared) line so
 	// steady-state table reads resolve on the inlined hit path.
 	tl := grownLanes(&p.tLanes, int(mask)+1)
-	ov, tlbNs := cfg.MissOverlap, cfg.TLBMissNs
+	ov := cfg.MissOverlap
 	acc := p.phaseAcc
 	for i := range sd {
 		if !t.LaneHit(sT, srcA) {
-			if t.LaneRefill(sT, srcA) {
-				p.chargeLocal(tlbNs)
-			}
+			p.tlbSlow(sT, srcA)
 		}
 		if !c.LaneHit(sL, srcA, false) {
-			res := c.AccessLaneMiss(sL, srcA, false)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if !res.Hit {
-				p.missCharge(srcA, false, srcSh, ov)
-			}
+			p.cacheSlow(sL, srcA, false, srcSh, ov)
 		}
 		d := int(sd[i] >> shift & mask)
 		ta := tblBase + Addr(d*tblES)
 		if !t.LaneHit(tT, ta) {
-			if t.LaneRefill(tT, ta) {
-				p.chargeLocal(tlbNs)
-			}
+			p.tlbSlow(tT, ta)
 		}
 		if !c.LaneHit(&tl[d], ta, false) {
-			res := c.AccessLaneMiss(&tl[d], ta, false)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if !res.Hit {
-				p.missCharge(ta, false, tblSh, 1)
-			}
+			p.cacheSlow(&tl[d], ta, false, tblSh, 1)
 		}
 		td[d]++
 		p.clock += opNs
@@ -254,10 +207,10 @@ func (p *Proc) CountStream(src *Array[uint32], lo, n int, srcSh Sharing,
 //
 // The scatter target gets one cache lane per digit bucket: each bucket's
 // writes walk its output run sequentially, so per-bucket lanes turn the
-// scatter — which defeats both the shared memo and a single lane — back
-// into mask+1 independent same-line runs. The TLB keeps its shared
-// memo path for the scatter stream; per-bucket TLB lanes would make
-// every TLB eviction scan mask+1 registry entries.
+// scatter — which defeats a single lane — back into mask+1 independent
+// same-line runs. The scatter stream's translations take the plain TLB
+// probe; per-bucket TLB lanes would make every TLB eviction scan mask+1
+// registry entries.
 func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 	shift uint, mask uint32, tbl *Array[int32], pos []int64,
 	srcSh, tblSh, dstSh Sharing, opsPerElem int) {
@@ -273,78 +226,38 @@ func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 	tblBase, tblES := tbl.base, tbl.elemSize
 	dstBase, dstES := dst.base, dst.elemSize
 	ov := cfg.MissOverlap
-	if p.pc != nil && p.pc.perAccess() {
-		for i := range sd {
-			p.access(srcA, false, srcSh, ov)
-			k := sd[i]
-			d := int(k >> shift & mask)
-			p.access(tblBase+Addr(d*tblES), false, tblSh, 1)
-			at := pos[d]
-			pos[d]++
-			dd[at] = k
-			p.access(dstBase+Addr(int(at)*dstES), true, dstSh, ov)
-			p.ComputeNs(opNs)
-			srcA += srcES
-		}
-		return
-	}
 	t, c := p.tlb, p.cache
 	sT, tT := &p.sTLB[0], &p.sTLB[1]
-	sL := &p.sLane[0]
+	sL := &p.sLane
 	t.AttachLane(sT)
 	t.AttachLane(tT)
 	sL.Reset()
 	tl := grownLanes(&p.tLanes, int(mask)+1)
 	bl := grownLanes(&p.bLanes, int(mask)+1)
-	tlbNs := cfg.TLBMissNs
 	acc := p.phaseAcc
 	for i := range sd {
 		if !t.LaneHit(sT, srcA) {
-			if t.LaneRefill(sT, srcA) {
-				p.chargeLocal(tlbNs)
-			}
+			p.tlbSlow(sT, srcA)
 		}
 		if !c.LaneHit(sL, srcA, false) {
-			res := c.AccessLaneMiss(sL, srcA, false)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if !res.Hit {
-				p.missCharge(srcA, false, srcSh, ov)
-			}
+			p.cacheSlow(sL, srcA, false, srcSh, ov)
 		}
 		k := sd[i]
 		d := int(k >> shift & mask)
 		ta := tblBase + Addr(d*tblES)
 		if !t.LaneHit(tT, ta) {
-			if t.LaneRefill(tT, ta) {
-				p.chargeLocal(tlbNs)
-			}
+			p.tlbSlow(tT, ta)
 		}
 		if !c.LaneHit(&tl[d], ta, false) {
-			res := c.AccessLaneMiss(&tl[d], ta, false)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if !res.Hit {
-				p.missCharge(ta, false, tblSh, 1)
-			}
+			p.cacheSlow(&tl[d], ta, false, tblSh, 1)
 		}
 		at := pos[d]
 		pos[d]++
 		dd[at] = k
 		da := dstBase + Addr(int(at)*dstES)
-		if t.Access(da) {
-			p.chargeLocal(tlbNs)
-		}
+		p.translated(da, t.Access(da))
 		if !c.LaneHit(&bl[d], da, true) {
-			res := c.AccessLaneMiss(&bl[d], da, true)
-			if res.WriteBack {
-				p.chargeWriteback(res.WritebackAddr)
-			}
-			if !res.Hit {
-				p.missCharge(da, true, dstSh, ov)
-			}
+			p.cacheSlow(&bl[d], da, true, dstSh, ov)
 		}
 		p.clock += opNs
 		p.stats.Breakdown.Busy += opNs
@@ -360,7 +273,7 @@ func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 // elements are consumed on demand rather than in a closed loop — the
 // multiway merge's run heads and output head. Each cursor carries its
 // own cache and TLB lane, so several concurrently open cursors (one per
-// merge run) do not evict each other's memo state. Open with
+// merge run) each keep their hot line and page. Open with
 // Array.OpenCursor; close every cursor of a batch at once with
 // Proc.CloseCursors. The cursor must not be copied while open (its TLB
 // lane is registered by address).
@@ -371,11 +284,8 @@ type SeqCursor struct {
 	sh       Sharing
 	write    bool
 	overlap  float64
-	// slow routes every access through the fully hooked per-access path
-	// (full paranoid mode), mirroring the kernels' fallback.
-	slow bool
-	lane cache.Lane
-	tlb  cache.TLBLane
+	lane     cache.Lane
+	tlb      cache.TLBLane
 }
 
 // OpenCursor binds cur to this array's address range as a sequential
@@ -388,42 +298,27 @@ func (a *Array[T]) OpenCursor(cur *SeqCursor, p *Proc, write bool, sh Sharing) {
 	cur.sh = sh
 	cur.write = write
 	cur.overlap = p.m.cfg.MissOverlap
-	cur.slow = p.pc != nil && p.pc.perAccess()
-	if !cur.slow {
-		cur.lane.Reset()
-		p.tlb.AttachLane(&cur.tlb)
-	}
+	cur.lane.Reset()
+	p.tlb.AttachLane(&cur.tlb)
 }
 
 // Access charges one access of element i through the cursor's lanes.
 func (cur *SeqCursor) Access(i int) {
 	p := cur.p
 	a := cur.base + Addr(i*cur.elemSize)
-	if cur.slow {
-		p.access(a, cur.write, cur.sh, cur.overlap)
-		return
+	if !p.tlb.LaneHit(&cur.tlb, a) {
+		p.tlbSlow(&cur.tlb, a)
 	}
-	t, c := p.tlb, p.cache
-	if !t.LaneHit(&cur.tlb, a) {
-		if t.LaneRefill(&cur.tlb, a) {
-			p.chargeLocal(p.m.cfg.TLBMissNs)
-		}
-	}
-	if !c.LaneHit(&cur.lane, a, cur.write) {
-		res := c.AccessLaneMiss(&cur.lane, a, cur.write)
-		if res.WriteBack {
-			p.chargeWriteback(res.WritebackAddr)
-		}
-		if !res.Hit {
-			p.missCharge(a, cur.write, cur.sh, cur.overlap)
-		}
+	if !p.cache.LaneHit(&cur.lane, a, cur.write) {
+		p.cacheSlow(&cur.lane, a, cur.write, cur.sh, cur.overlap)
 	}
 }
 
 // CloseCursors detaches the TLB lanes of every cursor opened on this
 // processor since the last close. Cursor batches must be strictly
 // bracketed (open all, use, close all) and must not overlap stream
-// kernel calls, which bracket their own lanes.
+// kernel calls — block walks (LoadRange/StoreRange) included — which
+// bracket their own lanes.
 func (p *Proc) CloseCursors() { p.tlb.DetachLanes() }
 
 // LoadRangeWith charges a sequential read of elements [lo, hi) with
@@ -432,29 +327,26 @@ func (p *Proc) CloseCursors() { p.tlb.DetachLanes() }
 // Unlike LoadRange, which touches each cache line once (a block
 // transfer), this charges one access per element.
 func (a *Array[T]) LoadRangeWith(p *Proc, lo, hi int, sh Sharing, opsPerElem int) {
-	if hi <= lo {
-		return
-	}
-	p.LoadStream(a.Addr(lo), a.elemSize, hi-lo, sh, opsPerElem)
+	p.seqStream(a.Addr(lo), a.elemSize, hi-lo, false, sh, opsPerElem)
 }
 
 // StoreRangeWith charges a sequential write of elements [lo, hi) with
 // opsPerElem busy operations per element.
 func (a *Array[T]) StoreRangeWith(p *Proc, lo, hi int, sh Sharing, opsPerElem int) {
-	if hi <= lo {
-		return
-	}
-	p.StoreStream(a.Addr(lo), a.elemSize, hi-lo, sh, opsPerElem)
+	p.seqStream(a.Addr(lo), a.elemSize, hi-lo, true, sh, opsPerElem)
 }
 
 // GatherLoad charges dependent reads of elements idx[0..] with
-// opsPerElem busy operations per element.
+// opsPerElem busy operations per element. Gathered reads are dependent
+// accesses, so misses do not overlap.
 func (a *Array[T]) GatherLoad(p *Proc, idx []int64, sh Sharing, opsPerElem int) {
-	p.GatherStream(a.base, a.elemSize, idx, sh, opsPerElem)
+	p.idxStream(a.base, a.elemSize, idx, false, 1, sh, opsPerElem)
 }
 
 // ScatterStore charges scattered writes of elements idx[0..] with
-// opsPerElem busy operations per element.
+// opsPerElem busy operations per element. Stores post through the write
+// buffer, so scattered write misses overlap like streams (see
+// Proc.Store).
 func (a *Array[T]) ScatterStore(p *Proc, idx []int64, sh Sharing, opsPerElem int) {
-	p.ScatterStream(a.base, a.elemSize, idx, sh, opsPerElem)
+	p.idxStream(a.base, a.elemSize, idx, true, p.m.cfg.MissOverlap, sh, opsPerElem)
 }

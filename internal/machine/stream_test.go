@@ -18,9 +18,12 @@ type streamTestState struct {
 	hist *Array[int32]
 }
 
-func newStreamTestState(t *testing.T) *streamTestState {
+func newStreamTestState(t *testing.T, cfg Config) *streamTestState {
 	t.Helper()
-	m := testMachine(t, 2)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
 	s := &streamTestState{
 		m:    m,
 		keys: NewArrayBlocked[uint32](m, "keys", 1<<13),
@@ -59,111 +62,242 @@ func (s *streamTestState) check(t *testing.T, ref *streamTestState, step string)
 	}
 }
 
+// streamRound is one randomly drawn step of the equivalence workload.
+type streamRound struct {
+	kind      int // which kernel, 0..6
+	lo, cnt   int
+	ops       int
+	shift     uint
+	idx       []int64 // gather/scatter indices
+	pos       []int64 // permutation start positions
+	scattered []int   // plain accesses issued after the kernel
+}
+
+func drawStreamRound(rng *rand.Rand, kind, n int) streamRound {
+	r := streamRound{
+		kind:  kind,
+		lo:    rng.Intn(n - 600),
+		cnt:   1 + rng.Intn(500),
+		ops:   rng.Intn(9),
+		shift: uint(rng.Intn(3) * 8),
+		idx:   make([]int64, 512),
+		pos:   make([]int64, 256),
+	}
+	for i := range r.idx {
+		r.idx[i] = int64(rng.Intn(n))
+	}
+	for i := range r.pos {
+		r.pos[i] = int64((i * 32) % n)
+	}
+	for i := 0; i < 8; i++ {
+		r.scattered = append(r.scattered, rng.Intn(n))
+	}
+	return r
+}
+
+// viaKernels charges round r through the batched kernels, cursors and
+// block walks.
+func (s *streamTestState) viaKernels(r streamRound) {
+	p, lo, cnt, ops := s.p, r.lo, r.cnt, r.ops
+	switch r.kind {
+	case 0: // sequential load sweep
+		s.keys.LoadRangeWith(p, lo, lo+cnt, SharedRead, ops)
+	case 1: // sequential store sweep
+		s.dst.StoreRangeWith(p, lo, lo+cnt, Private, ops)
+	case 2: // gather + scatter over random indices
+		s.keys.GatherLoad(p, r.idx, SharedRead, ops)
+		s.dst.ScatterStore(p, r.idx, ConflictWrite, ops)
+	case 3: // radix counting pass
+		clear(s.hist.Data)
+		p.CountStream(s.keys, lo, cnt, SharedRead, r.shift, 255, s.hist, Private, ops)
+	case 4: // radix permutation pass (positions spread over dst)
+		pos := append([]int64(nil), r.pos...)
+		p.PermuteStream(s.keys, s.dst, lo, cnt, r.shift, 255, s.hist, pos,
+			SharedRead, Private, ConflictWrite, ops)
+	case 5: // interleaved cursors (the multiway-merge shape)
+		var sr, sw SeqCursor
+		s.keys.OpenCursor(&sr, p, false, SharedRead)
+		s.dst.OpenCursor(&sw, p, true, Private)
+		for i := 0; i < cnt; i++ {
+			sr.Access(lo + i)
+			sw.Access(lo + cnt - 1 - i)
+		}
+		p.CloseCursors()
+	case 6: // block walks: unaligned start, page-crossing and sub-line lengths
+		s.keys.LoadRange(p, lo, lo+cnt, SharedRead)
+		s.dst.StoreRange(p, lo+1, lo+1+cnt%7, Private)
+	}
+	for _, i := range r.scattered {
+		s.keys.Load(p, i, SharedRead)
+	}
+}
+
+// viaElements charges round r through the per-element path, the
+// definition the kernels must match.
+func (s *streamTestState) viaElements(r streamRound) {
+	p, lo, cnt, ops := s.p, r.lo, r.cnt, r.ops
+	switch r.kind {
+	case 0:
+		for i := lo; i < lo+cnt; i++ {
+			p.LoadSeq(s.keys.Addr(i), SharedRead)
+			p.Compute(ops)
+		}
+	case 1:
+		for i := lo; i < lo+cnt; i++ {
+			p.StoreSeq(s.dst.Addr(i), Private)
+			p.Compute(ops)
+		}
+	case 2:
+		for _, ix := range r.idx {
+			p.Load(s.keys.Addr(int(ix)), SharedRead)
+			p.Compute(ops)
+		}
+		for _, ix := range r.idx {
+			p.Store(s.dst.Addr(int(ix)), ConflictWrite)
+			p.Compute(ops)
+		}
+	case 3:
+		clear(s.hist.Data)
+		for i := lo; i < lo+cnt; i++ {
+			p.LoadSeq(s.keys.Addr(i), SharedRead)
+			d := int(s.keys.Data[i] >> r.shift & 255)
+			p.Load(s.hist.Addr(d), Private)
+			s.hist.Data[d]++
+			p.Compute(ops)
+		}
+	case 4:
+		pos := append([]int64(nil), r.pos...)
+		for i := lo; i < lo+cnt; i++ {
+			p.LoadSeq(s.keys.Addr(i), SharedRead)
+			k := s.keys.Data[i]
+			d := int(k >> r.shift & 255)
+			p.Load(s.hist.Addr(d), Private)
+			at := pos[d]
+			pos[d]++
+			s.dst.Data[at] = k
+			p.Store(s.dst.Addr(int(at)), ConflictWrite)
+			p.Compute(ops)
+		}
+	case 5:
+		for i := 0; i < cnt; i++ {
+			p.LoadSeq(s.keys.Addr(lo+i), SharedRead)
+			p.StoreSeq(s.dst.Addr(lo+cnt-1-i), Private)
+		}
+	case 6:
+		s.perLine(s.keys, lo, lo+cnt, false, SharedRead)
+		s.perLine(s.dst, lo+1, lo+1+cnt%7, true, Private)
+	}
+	for _, i := range r.scattered {
+		s.keys.Load(p, i, SharedRead)
+	}
+}
+
+// perLine is the block walk spelled out: one LoadSeq/StoreSeq per cache
+// line overlapping elements [lo, hi).
+func (s *streamTestState) perLine(a *Array[uint32], lo, hi int, write bool, sh Sharing) {
+	if hi <= lo {
+		return
+	}
+	line := Addr(s.m.cfg.Cache.LineSize)
+	for la := a.Addr(lo) &^ (line - 1); la < a.Addr(hi); la += line {
+		if write {
+			s.p.StoreSeq(la, sh)
+		} else {
+			s.p.LoadSeq(la, sh)
+		}
+	}
+}
+
+const streamRoundKinds = 7
+
 // TestStreamEquivalence drives random workloads through the batched
-// stream kernels on one machine and through the equivalent per-element
-// wrapper loops on an identical second machine, asserting bit-identical
-// simulated state after every step: same clock (float addition order
-// included), same breakdowns, same cache/TLB replacement decisions and
-// counters. This is the equivalence contract of DESIGN.md §13 checked
-// end to end on live machines; FuzzAccessOracle covers the lane
-// primitives underneath against the reference models.
+// stream kernels, cursors and block walks on one machine and through the
+// equivalent per-element loops on an identical second machine, asserting
+// bit-identical simulated state after every step: same clock (float
+// addition order included), same breakdowns, same cache/TLB replacement
+// decisions and counters. The per-element path is the definition (plain
+// probes, no lanes); this is the equivalence contract of DESIGN.md §13
+// checked end to end on live machines, on the NUMA model and on the
+// flat-memory ablation. FuzzAccessOracle covers the lane primitives
+// underneath against the reference models.
 func TestStreamEquivalence(t *testing.T) {
-	sv := newStreamTestState(t) // stream side
-	rv := newStreamTestState(t) // per-element side
+	flat := Origin2000Scaled(2)
+	flat.FlatMemory = true
+	for name, cfg := range map[string]Config{"numa": Origin2000Scaled(2), "flatmem": flat} {
+		t.Run(name, func(t *testing.T) {
+			sv := newStreamTestState(t, cfg) // kernel side
+			rv := newStreamTestState(t, cfg) // per-element side
+			rng := rand.New(rand.NewSource(99))
+			for round := 0; round < 28; round++ {
+				r := drawStreamRound(rng, round%streamRoundKinds, sv.keys.Len())
+				sv.viaKernels(r)
+				rv.viaElements(r)
+				sv.check(t, rv, "round")
+			}
+		})
+	}
+}
+
+// TestBlockWalkEquivalence pins the block walk's edge geometry against
+// the per-line loop: an unaligned start, a range shorter than a line, a
+// range that ends exactly on a line boundary, ranges crossing one and
+// several pages, and an empty range.
+func TestBlockWalkEquivalence(t *testing.T) {
+	cfg := Origin2000Scaled(2)
+	perLine := cfg.Cache.LineSize / 4 // uint32 elements per line
+	perPage := cfg.TLB.PageSize / 4
+	sv := newStreamTestState(t, cfg)
+	rv := newStreamTestState(t, cfg)
+	for _, c := range []struct {
+		name   string
+		lo, hi int
+	}{
+		{"unaligned start", 5, 5 + 3*perLine},
+		{"sub-line", perLine + 3, perLine + 9},
+		{"ends on a line boundary", 7, 4 * perLine},
+		{"crosses a page", perPage - 5, perPage + 5},
+		{"crosses pages", perPage / 2, 3*perPage + 11},
+		{"empty", 40, 40},
+	} {
+		sv.keys.LoadRange(sv.p, c.lo, c.hi, SharedRead)
+		sv.dst.StoreRange(sv.p, c.lo, c.hi, ConflictWrite)
+		rv.perLine(rv.keys, c.lo, c.hi, false, SharedRead)
+		rv.perLine(rv.dst, c.lo, c.hi, true, ConflictWrite)
+		sv.check(t, rv, c.name)
+	}
+	if sv.p.tlb.Stats().Misses == 0 || sv.p.cache.Stats().Misses == 0 {
+		t.Error("workload never missed; the comparison is vacuous")
+	}
+}
+
+// TestStreamEquivalenceParanoid is the full-paranoid twin: the same
+// random kernel/cursor/block workload runs on a Paranoid machine, whose
+// slow steps shadow every access of the kernels' own loops against the
+// reference models (the lanes stay empty), and on a plain machine. The
+// checker must stay clean, the reference models must have seen every
+// access, and the simulated state must be bit-identical — the shadow
+// observes, it never charges.
+func TestStreamEquivalenceParanoid(t *testing.T) {
+	pcfg := Origin2000Scaled(2)
+	pcfg.Paranoid = true
+	pv := newStreamTestState(t, pcfg)
+	sv := newStreamTestState(t, Origin2000Scaled(2))
 	rng := rand.New(rand.NewSource(99))
-	n := sv.keys.Len()
-
-	idx := make([]int64, 512)
-	pos := make([]int64, 256)
-	for round := 0; round < 20; round++ {
-		lo := rng.Intn(n - 600)
-		cnt := 1 + rng.Intn(500)
-		ops := rng.Intn(9)
-		shift := uint(rng.Intn(3) * 8)
-
-		switch round % 6 {
-		case 0: // sequential load sweep
-			sv.p.LoadStream(sv.keys.Addr(lo), 4, cnt, SharedRead, ops)
-			for i := 0; i < cnt; i++ {
-				rv.p.LoadSeq(rv.keys.Addr(lo+i), SharedRead)
-				rv.p.Compute(ops)
-			}
-		case 1: // sequential store sweep
-			sv.dst.StoreRangeWith(sv.p, lo, lo+cnt, Private, ops)
-			for i := lo; i < lo+cnt; i++ {
-				rv.p.StoreSeq(rv.dst.Addr(i), Private)
-				rv.p.Compute(ops)
-			}
-		case 2: // gather + scatter over random indices
-			for i := range idx {
-				idx[i] = int64(rng.Intn(n))
-			}
-			sv.keys.GatherLoad(sv.p, idx, SharedRead, ops)
-			sv.dst.ScatterStore(sv.p, idx, ConflictWrite, ops)
-			for _, ix := range idx {
-				rv.p.Load(rv.keys.Addr(int(ix)), SharedRead)
-				rv.p.Compute(ops)
-			}
-			for _, ix := range idx {
-				rv.p.Store(rv.dst.Addr(int(ix)), ConflictWrite)
-				rv.p.Compute(ops)
-			}
-		case 3: // radix counting pass
-			clear(sv.hist.Data)
-			clear(rv.hist.Data)
-			sv.p.CountStream(sv.keys, lo, cnt, SharedRead, shift, 255,
-				sv.hist, Private, ops)
-			for i := lo; i < lo+cnt; i++ {
-				rv.p.LoadSeq(rv.keys.Addr(i), SharedRead)
-				d := int(rv.keys.Data[i] >> shift & 255)
-				rv.p.Load(rv.hist.Addr(d), Private)
-				rv.hist.Data[d]++
-				rv.p.Compute(ops)
-			}
-		case 4: // radix permutation pass (positions spread over dst)
-			for i := range pos {
-				pos[i] = int64((i * 32) % n)
-			}
-			sPos := append([]int64(nil), pos...)
-			rPos := append([]int64(nil), pos...)
-			sv.p.PermuteStream(sv.keys, sv.dst, lo, min(cnt, 256*8),
-				shift, 255, sv.hist, sPos, SharedRead, Private, ConflictWrite, ops)
-			for i := lo; i < lo+min(cnt, 256*8); i++ {
-				rv.p.LoadSeq(rv.keys.Addr(i), SharedRead)
-				k := rv.keys.Data[i]
-				d := int(k >> shift & 255)
-				rv.p.Load(rv.hist.Addr(d), Private)
-				at := rPos[d]
-				rPos[d]++
-				rv.dst.Data[at] = k
-				rv.p.Store(rv.dst.Addr(int(at)), ConflictWrite)
-				rv.p.Compute(ops)
-			}
-			if !reflect.DeepEqual(sPos, rPos) {
-				t.Fatal("permute position tables diverge")
-			}
-		case 5: // interleaved cursors (the multiway-merge shape)
-			var sr, sw SeqCursor
-			sv.keys.OpenCursor(&sr, sv.p, false, SharedRead)
-			sv.dst.OpenCursor(&sw, sv.p, true, Private)
-			for i := 0; i < cnt; i++ {
-				sr.Access(lo + i)
-				sw.Access(lo + cnt - 1 - i)
-			}
-			sv.p.CloseCursors()
-			for i := 0; i < cnt; i++ {
-				rv.p.LoadSeq(rv.keys.Addr(lo+i), SharedRead)
-				rv.p.StoreSeq(rv.dst.Addr(lo+cnt-1-i), Private)
-			}
-		}
-		// A few plain accesses between kernels churn the shared memos, so
-		// later rounds start from a memo state the kernels did not set up.
-		for i := 0; i < 8; i++ {
-			rnd := rng.Intn(n)
-			sv.p.Load(sv.keys.Addr(rnd), SharedRead)
-			rv.p.Load(rv.keys.Addr(rnd), SharedRead)
-		}
-		sv.check(t, rv, "round")
+	for round := 0; round < 28; round++ {
+		r := drawStreamRound(rng, round%streamRoundKinds, sv.keys.Len())
+		pv.viaKernels(r)
+		sv.viaKernels(r)
+		pv.check(t, sv, "round")
+	}
+	if err := pv.m.Checker().Err(); err != nil {
+		t.Fatalf("paranoid kernels report violations: %v", err)
+	}
+	pc := pv.p.pc
+	if got, want := pc.cache.Counts().Accesses, pv.p.cache.Stats().Accesses; got != want {
+		t.Errorf("reference cache saw %d of %d accesses", got, want)
+	}
+	if got, want := pc.tlb.Counts().Accesses, pv.p.tlb.Stats().Accesses; got != want {
+		t.Errorf("reference TLB saw %d of %d accesses", got, want)
 	}
 }
 
@@ -187,8 +321,9 @@ func TestStreamKernelsZeroAlloc(t *testing.T) {
 	// their cursors in a slice allocated once per merge.
 	var cur SeqCursor
 	allocs := testing.AllocsPerRun(50, func() {
-		p.LoadStream(keys.Addr(0), 4, 512, SharedRead, 2)
-		p.StoreStream(dst.Addr(0), 4, 512, Private, 1)
+		keys.LoadRangeWith(p, 0, 512, SharedRead, 2)
+		dst.StoreRangeWith(p, 0, 512, Private, 1)
+		keys.LoadRange(p, 0, 512, SharedRead)
 		keys.GatherLoad(p, idx, SharedRead, 1)
 		dst.ScatterStore(p, idx, ConflictWrite, 1)
 		p.CountStream(keys, 0, 512, SharedRead, 0, 255, hist, Private, 8)

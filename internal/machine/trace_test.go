@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/trace"
@@ -168,6 +169,47 @@ func TestMachineTraceDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(m1, m2) {
 		t.Error("metrics exports of identical runs differ")
+	}
+}
+
+// TestFillMetricsManyPhasesDeterministic pins the determinism gap in
+// fillMetrics: it aggregates per-phase breakdowns in a
+// map[string]Breakdown and ranges over it into the trace's map-backed
+// metric set, so both the aggregation and the insertion order follow
+// Go's randomized map iteration. With sixteen phases two runs almost
+// never iterate alike, yet identical traced runs must export
+// byte-identical metrics JSON, with every phase present.
+func TestFillMetricsManyPhasesDeterministic(t *testing.T) {
+	const phases = 16
+	export := func() []byte {
+		m := MustNew(Origin2000Scaled(4))
+		m.EnableTracing()
+		arr := NewArrayBlocked[int64](m, "t", 4*phases*64)
+		res := m.Run(func(p *Proc) {
+			for ph := 0; ph < phases; ph++ {
+				p.SetPhase(fmt.Sprintf("ph%02d", ph))
+				lo := (p.ID*phases + ph) * 64
+				arr.StoreRangeWith(p, lo, lo+64, Private, ph+1)
+				m.Barrier(p)
+			}
+			p.SetPhase("")
+		})
+		var buf bytes.Buffer
+		if err := res.Trace.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := export()
+	for ph := 0; ph < phases; ph++ {
+		if key := fmt.Sprintf("\"phase.ph%02d.busy_ns\"", ph); !bytes.Contains(first, []byte(key)) {
+			t.Fatalf("metrics export lacks %s", key)
+		}
+	}
+	for run := 1; run < 6; run++ {
+		if again := export(); !bytes.Equal(first, again) {
+			t.Fatalf("run %d: metrics export differs from the first run's", run)
+		}
 	}
 }
 

@@ -142,9 +142,9 @@ func multiwayMergeCharged(p *machine.Proc, recv, out *machine.Array[uint32], sta
 	}
 	// Each run head advances sequentially through its own region of recv,
 	// so every run gets its own stream cursor (private cache/TLB lanes):
-	// the P interleaved streams stop evicting each other's memo state,
-	// and each access charges exactly what the LoadSeq/StoreSeq wrappers
-	// charged before. readers must not be appended to while open — the
+	// each of the P interleaved streams keeps its own hot line and page,
+	// and each access charges exactly what a LoadSeq/StoreSeq of the
+	// element charges. readers must not be appended to while open — the
 	// cursors' TLB lanes are registered by address.
 	readers := make([]machine.SeqCursor, len(starts))
 	for q := range starts {

@@ -170,6 +170,33 @@ func TestWriteMetrics(t *testing.T) {
 	}
 }
 
+// TestWriteMetricsInsertionOrderInvariant pins what makes the machine
+// layer's fillMetrics safe: it ranges over a map of phases into this
+// map-backed metric set, so insertion order varies from run to run, and
+// only the exporter's key sort keeps the rendered bytes stable. The same
+// metrics inserted in opposite orders must render identically.
+func TestWriteMetricsInsertionOrderInvariant(t *testing.T) {
+	keys := []string{"time_ns", "phase.merge.busy_ns", "phase.count.busy_ns",
+		"breakdown.sync_ns", "tx.private", "cache.miss_rate", "phase.a.rmem_ns"}
+	fwd, rev := New(1), New(1)
+	for i, k := range keys {
+		fwd.AddMetric(k, float64(i)+0.25)
+	}
+	for i := len(keys) - 1; i >= 0; i-- {
+		rev.AddMetric(keys[i], float64(i)+0.25)
+	}
+	var a, b bytes.Buffer
+	if err := fwd.WriteMetrics(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := rev.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("insertion order leaks into the export:\n%s\nvs\n%s", a.String(), b.String())
+	}
+}
+
 func TestMetricsAccessors(t *testing.T) {
 	tr := New(1)
 	tr.AddMetric("x", 2.5)
