@@ -46,14 +46,11 @@ func main() {
 	if *par < 1 {
 		fatal(fmt.Errorf("-j must be >= 1, got %d", *par))
 	}
-	if *n < 1 {
-		fatal(fmt.Errorf("-n must be >= 1, got %d", *n))
-	}
-	if *procs < 1 {
-		fatal(fmt.Errorf("-procs must be >= 1, got %d", *procs))
-	}
-	if *radix < 1 || *radix > 24 {
-		fatal(fmt.Errorf("-radix must be in [1, 24], got %d", *radix))
+	// The same bounds the simulator enforces (key count, processor
+	// count, radix size), checked before predicting anything.
+	if err := (repro.Experiment{Algorithm: repro.Radix, Model: repro.MPI,
+		N: *n, Procs: *procs, Radix: *radix}).Validate(); err != nil {
+		fatal(err)
 	}
 
 	tp, err := repro.ParseTopology(*topo)

@@ -215,34 +215,21 @@ func (s *server) parseRequest(req experimentRequest) (repro.Experiment, cacheCon
 	if radix == 0 {
 		radix = 8
 	}
-	if radix < 1 || radix > 24 {
-		return zero, cacheConfig{}, fmt.Errorf("radix must be in [1, 24] bits, got %d", radix)
-	}
-	if req.N < 1 || req.N > s.cfg.MaxN {
+	if req.N > s.cfg.MaxN {
 		return zero, cacheConfig{}, fmt.Errorf("n must be in [1, %d], got %d", s.cfg.MaxN, req.N)
 	}
-	if req.Procs < 1 || req.Procs > 1024 {
+	if req.Procs > 1024 {
 		return zero, cacheConfig{}, fmt.Errorf("procs must be in [1, 1024], got %d", req.Procs)
-	}
-	if model == repro.Seq {
-		if alg != repro.Radix || req.Procs != 1 {
-			return zero, cacheConfig{}, fmt.Errorf("model seq is the sequential radix baseline: algorithm must be radix and procs must be 1")
-		}
-	} else {
-		supported := false
-		for _, m := range repro.Models(alg) {
-			if m == model {
-				supported = true
-				break
-			}
-		}
-		if !supported {
-			return zero, cacheConfig{}, fmt.Errorf("algorithm %q has no %q program (supported: %v)", alg, model, repro.Models(alg))
-		}
 	}
 	exp := repro.Experiment{
 		Algorithm: alg, Model: model, N: req.N, Procs: req.Procs, Radix: radix,
 		Dist: dist, Topo: topo, Seed: req.Seed, FullSize: req.FullSize, Trace: req.Trace,
+	}
+	// Everything Run would refuse without simulating is the client's
+	// fault too: radix range, algorithm × model support, power-of-two
+	// CC-SAS machines, the sequential baseline's single processor.
+	if err := exp.Validate(); err != nil {
+		return zero, cacheConfig{}, err
 	}
 	// Canonical topo: an empty request field IS the hypercube, and the
 	// two spellings must hit the same cache entry.

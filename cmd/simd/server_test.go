@@ -91,7 +91,7 @@ func TestRunColdWarmByteIdentical(t *testing.T) {
 
 // TestRunValidation maps every malformed request to 400.
 func TestRunValidation(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{MaxN: 1 << 16})
+	s, ts := newTestServer(t, serverConfig{MaxN: 1 << 16})
 	cases := []struct {
 		name string
 		body string
@@ -108,6 +108,17 @@ func TestRunValidation(t *testing.T) {
 		{"zero procs", `{"algorithm":"radix","model":"shmem","n":4096,"procs":0}`},
 		{"procs over max", `{"algorithm":"radix","model":"shmem","n":4096,"procs":2048}`},
 		{"radix out of range", `{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"radix":25}`},
+		// Above the key generators' and sorting programs' bound: these
+		// used to pass validation and die in keys.Generate as a 500.
+		{"radix 17", `{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"radix":17}`},
+		{"radix 20", `{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"radix":20}`},
+		{"radix 24", `{"algorithm":"sample","model":"mpi","n":4096,"procs":4,"radix":24}`},
+		{"negative radix", `{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"radix":-1}`},
+		// The CC-SAS programs need a power-of-two machine (formerly a 500
+		// out of repro.Run).
+		{"ccsas procs 6", `{"algorithm":"radix","model":"ccsas","n":4096,"procs":6}`},
+		{"ccsas-new procs 12", `{"algorithm":"radix","model":"ccsas-new","n":4096,"procs":12}`},
+		{"sample ccsas procs 3", `{"algorithm":"sample","model":"ccsas","n":4096,"procs":3}`},
 		{"seq with procs", `{"algorithm":"radix","model":"seq","n":4096,"procs":4}`},
 		{"seq sample", `{"algorithm":"sample","model":"seq","n":4096,"procs":1}`},
 		{"sample ccsas-new", `{"algorithm":"sample","model":"ccsas-new","n":4096,"procs":4}`},
@@ -130,6 +141,10 @@ func TestRunValidation(t *testing.T) {
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error envelope missing: %s", tc.name, body)
 		}
+	}
+	// A rejected request never reaches the simulator.
+	if runs := s.h.Stats().Runs; runs != 0 {
+		t.Errorf("harness Runs = %d after only malformed requests, want 0", runs)
 	}
 }
 

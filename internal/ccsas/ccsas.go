@@ -39,9 +39,6 @@ func NewWorld(m *machine.Machine) *World {
 // Barrier joins the machine-wide barrier.
 func (w *World) Barrier(p *machine.Proc) { w.M.Barrier(p) }
 
-// FlagLatency returns the modeled flag propagation latency.
-func (w *World) FlagLatency() float64 { return w.flagLatencyNs }
-
 // Flag is a pairwise synchronization flag carrying the setter's virtual
 // time, modeling a spin-wait on a shared memory word. Each Flag is
 // single-producer single-consumer per episode.
@@ -143,9 +140,6 @@ func NewPrefixTree(w *World, buckets int) *PrefixTree {
 	}
 	return t
 }
-
-// Buckets returns the histogram width the tree was built for.
-func (t *PrefixTree) Buckets() int { return t.buckets }
 
 // Reduce runs one accumulation episode for processor p (id == leaf index)
 // with local histogram local (length == buckets). It returns the

@@ -136,6 +136,11 @@ type GenConfig struct {
 	AdvSamples int
 }
 
+// MaxRadixBits is the largest radix size the generators, the sorting
+// programs and every front end accept: a 2^16-entry histogram per
+// processor is past anything the paper studies (6..14 bits).
+const MaxRadixBits = 16
+
 func (c GenConfig) validate() error {
 	if c.N <= 0 {
 		return fmt.Errorf("keys: N must be positive, got %d", c.N)
@@ -143,8 +148,8 @@ func (c GenConfig) validate() error {
 	if c.Procs <= 0 {
 		return fmt.Errorf("keys: Procs must be positive, got %d", c.Procs)
 	}
-	if c.RadixBits < 1 || c.RadixBits > 16 {
-		return fmt.Errorf("keys: RadixBits must be in [1,16], got %d", c.RadixBits)
+	if c.RadixBits < 1 || c.RadixBits > MaxRadixBits {
+		return fmt.Errorf("keys: RadixBits must be in [1,%d], got %d", MaxRadixBits, c.RadixBits)
 	}
 	if c.ZipfS < 0 || c.ZipfS > 8 {
 		return fmt.Errorf("keys: ZipfS must be in [0,8], got %g", c.ZipfS)

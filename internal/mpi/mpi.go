@@ -195,34 +195,26 @@ func (c *Comm) Send(p *machine.Proc, dst, tag int, payload any, bytes int) {
 
 	msg := &Message{Src: p.ID, Tag: tag, Payload: payload, Bytes: bytes,
 		done: make(chan float64, 1)}
-	dstNode := c.m.Topology().NodeOf(dst)
-	wire := c.m.Topology().TransferTime(bytes)
-	switch c.cfg.Engine {
-	case Direct:
-		// The sender itself streams the data into the receiver's memory.
-		if bytes > 0 {
-			if dstNode == p.Node {
-				p.LocalMemNs(c.m.Topology().Config().LocalLatency + wire)
-			} else {
-				p.RemoteMemNs(c.m.Topology().ReadLatency(p.Node, dstNode) + wire)
-			}
+	top := c.m.Topology()
+	dstNode := top.NodeOf(dst)
+	if bytes > 0 {
+		// Direct: the sender itself streams the data into the receiver's
+		// memory at wire speed. Staged: the sender copies into a staging
+		// buffer in the shared address space near the receiver — an
+		// uncached PIO-rate copy across the network, which is exactly the
+		// overhead the paper blames for the vendor MPI's performance (the
+		// receiver copies out again in Recv).
+		xfer := top.TransferTime(bytes)
+		if c.cfg.Engine == Staged {
+			xfer = float64(bytes) * c.cfg.CopyNsPerByte
 		}
-		msg.availAt = p.Now() + c.cfg.DeliveryNs
-	case Staged:
-		// The sender copies into a staging buffer in the shared address
-		// space near the receiver — an uncached PIO-rate copy across the
-		// network, which is exactly the overhead the paper blames for the
-		// vendor MPI's performance (the receiver copies out again below).
-		if bytes > 0 {
-			pio := float64(bytes) * c.cfg.CopyNsPerByte
-			if dstNode == p.Node {
-				p.LocalMemNs(c.m.Topology().Config().LocalLatency + pio)
-			} else {
-				p.RemoteMemNs(c.m.Topology().ReadLatency(p.Node, dstNode) + pio)
-			}
+		if dstNode == p.Node {
+			p.LocalMemNs(top.Config().LocalLatency + xfer)
+		} else {
+			p.RemoteMemNs(top.ReadLatency(p.Node, dstNode) + xfer)
 		}
-		msg.availAt = p.Now() + c.cfg.DeliveryNs
 	}
+	msg.availAt = p.Now() + c.cfg.DeliveryNs
 	remoteBytes := 0
 	if dstNode != p.Node {
 		remoteBytes = bytes

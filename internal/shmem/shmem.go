@@ -78,11 +78,7 @@ type Sym[T any] struct {
 
 // NewSym allocates a symmetric array of n elements per rank.
 func NewSym[T any](c *Comm, name string, n int) *Sym[T] {
-	s := &Sym[T]{c: c, Seg: make([]*machine.Array[T], c.Ranks())}
-	for r := 0; r < c.Ranks(); r++ {
-		s.Seg[r] = machine.NewArrayOnProc[T](c.m, fmt.Sprintf("%s[%d]", name, r), n, r)
-	}
-	return s
+	return newSym(c, name, n, machine.NewArrayOnProc[T])
 }
 
 // NewSymReserve allocates a symmetric segment like NewSym but only
@@ -92,9 +88,14 @@ func NewSym[T any](c *Comm, name string, n int) *Sym[T] {
 // data-dependent: the symmetric addresses exist up front (so remote
 // ranks can target them) while host memory is committed lazily.
 func NewSymReserve[T any](c *Comm, name string, capElems int) *Sym[T] {
+	return newSym(c, name, capElems, machine.NewArrayReserve[T])
+}
+
+func newSym[T any](c *Comm, name string, n int,
+	alloc func(*machine.Machine, string, int, int) *machine.Array[T]) *Sym[T] {
 	s := &Sym[T]{c: c, Seg: make([]*machine.Array[T], c.Ranks())}
-	for r := 0; r < c.Ranks(); r++ {
-		s.Seg[r] = machine.NewArrayReserve[T](c.m, fmt.Sprintf("%s[%d]", name, r), capElems, r)
+	for r := range s.Seg {
+		s.Seg[r] = alloc(c.m, fmt.Sprintf("%s[%d]", name, r), n, r)
 	}
 	return s
 }
@@ -103,27 +104,16 @@ func NewSymReserve[T any](c *Comm, name string, capElems int) *Sym[T] {
 func (s *Sym[T]) Local(p *machine.Proc) *machine.Array[T] { return s.Seg[p.ID] }
 
 // Get pulls n elements from srcRank's segment at srcOff into the
-// caller's segment at dstOff (shmem_get). The transferred lines land in
-// the caller's cache. The caller must ensure (by barrier or fence) that
-// the source data is ready; gets carry no pairwise synchronization.
+// caller's segment at dstOff (shmem_get).
 func (s *Sym[T]) Get(p *machine.Proc, dstOff, srcRank, srcOff, n int) {
-	if n <= 0 {
-		return
-	}
-	c := s.c
-	start := p.Now()
-	p.ComputeNs(c.cfg.GetOverheadNs)
-	src := s.Seg[srcRank]
-	dst := s.Seg[p.ID]
-	copy(dst.Data[dstOff:dstOff+n], src.Data[srcOff:srcOff+n])
-	srcNode := c.m.Topology().NodeOf(srcRank)
-	p.BulkTransfer(srcNode, dst.Bytes(n), dst.Addr(dstOff), true)
-	p.TraceEvent(trace.EvGet, srcRank, dst.Bytes(n), p.Now()-start)
+	s.GetInto(p, s.Seg[p.ID], dstOff, srcRank, srcOff, n)
 }
 
 // GetInto pulls n elements from srcRank's segment at srcOff into an
 // arbitrary local destination array (the common pattern of fetching into
-// a private working buffer).
+// a private working buffer). The transferred lines land in the caller's
+// cache. The caller must ensure (by barrier or fence) that the source
+// data is ready; gets carry no pairwise synchronization.
 func (s *Sym[T]) GetInto(p *machine.Proc, dst *machine.Array[T], dstOff, srcRank, srcOff, n int) {
 	if n <= 0 {
 		return
@@ -139,29 +129,17 @@ func (s *Sym[T]) GetInto(p *machine.Proc, dst *machine.Array[T], dstOff, srcRank
 }
 
 // Put pushes n elements from the caller's segment at srcOff into
-// dstRank's segment at dstOff (shmem_put). The data does NOT land in the
-// destination's cache; the destination's stale copies are invalidated.
+// dstRank's segment at dstOff (shmem_put).
 func (s *Sym[T]) Put(p *machine.Proc, dstRank, dstOff, srcOff, n int) {
-	if n <= 0 {
-		return
-	}
-	c := s.c
-	start := p.Now()
-	p.ComputeNs(c.cfg.PutOverheadNs)
-	src := s.Seg[p.ID]
-	dst := s.Seg[dstRank]
-	copy(dst.Data[dstOff:dstOff+n], src.Data[srcOff:srcOff+n])
-	dstNode := c.m.Topology().NodeOf(dstRank)
-	p.BulkTransfer(dstNode, dst.Bytes(n), dst.Addr(dstOff), false)
-	p.TraceEvent(trace.EvPut, dstRank, dst.Bytes(n), p.Now()-start)
+	s.PutFrom(p, s.Seg[p.ID], srcOff, dstRank, dstOff, n)
 }
 
 // PutFrom pushes n elements from an arbitrary local source array into
 // dstRank's segment at dstOff (the put-side analogue of GetInto: the
-// common pattern of pushing from a private working buffer). Like Put,
-// the data does not land in the destination's cache; the destination's
-// stale copies are invalidated. The caller must ensure (by barrier) that
-// the destination segment is ready to receive.
+// common pattern of pushing from a private working buffer). The data
+// does NOT land in the destination's cache; the destination's stale
+// copies are invalidated. The caller must ensure (by barrier) that the
+// destination segment is ready to receive.
 func (s *Sym[T]) PutFrom(p *machine.Proc, src *machine.Array[T], srcOff, dstRank, dstOff, n int) {
 	if n <= 0 {
 		return

@@ -1,114 +1,204 @@
 package sorts
 
-// chunkPlan captures, for one radix pass, where every processor's
-// bucket-major send buffer scatters into the globally partitioned output
-// array. Each processor computes the plan locally and redundantly from
-// the allgathered histograms (as the paper's MPI and SHMEM programs do),
-// so senders know exactly what to send and receivers know exactly what
-// to expect — one of the simplifications the paper credits to having all
-// histogram data locally.
+// chunkPlan captures where every processor's bucket-major send buffer
+// scatters into the partitioned output of one all-to-all. Each processor
+// computes the plan locally and redundantly from the collected
+// histograms (as the paper's MPI and SHMEM programs do), so senders know
+// exactly what to send and receivers know exactly what to expect — one
+// of the simplifications the paper credits to having all histogram data
+// locally.
+//
+// All three algorithms exchange through it. Radix sort's buckets are
+// digits and its destination partitions the blocked slices of the global
+// array; in the splitter sorts bucket d is the run of keys bound for
+// processor d, so every bucket is one whole destination partition.
 type chunkPlan struct {
-	n, procs, buckets int
+	buckets int
+	// rows is how many processors' histograms the plan was built from
+	// (the CC-SAS radix sort learns only its own rank row from the prefix
+	// tree); the scan over them is what computeOps charges.
+	rows int
 	// gStart[d] is the global output index where bucket d begins.
 	gStart []int64
 	// rank[i][d] is processor i's key count rank within bucket d
-	// (exclusive prefix over processors).
+	// (exclusive prefix over processors). A nil rank marks an unplaced
+	// plan: nobody learned the other processors' counts (sample sort), so
+	// receivers pack runs in arrival order and dstOff is meaningless.
 	rank [][]int64
 	// bufPos[i][d] is bucket d's offset inside processor i's bucket-major
-	// send buffer (exclusive prefix over buckets of i's histogram).
+	// send buffer (exclusive prefix over buckets of i's histogram) and
+	// bufPos[i][buckets] the buffer's length, so bucket d of processor i
+	// holds bufPos[i][d+1]-bufPos[i][d] keys. A row this processor never
+	// learned is nil.
 	bufPos [][]int64
-	hists  [][]int32
+	// parts[j] is the global output index where destination partition j
+	// begins, with one trailing entry for the total. nil marks a
+	// splitter-directed plan: the partitions are the buckets themselves
+	// (parts == gStart), every ordered pair of processors exchanges
+	// exactly one possibly-empty run, and no clipping is needed.
+	parts []int64
 }
 
 // chunk is one contiguous run of keys moving from a source processor's
-// send buffer to a destination processor's output partition.
+// send buffer to a destination partition.
 type chunk struct {
-	// srcOff is the offset within the source's send buffer.
-	srcOff int
-	// dstOff is the offset within the destination's partition.
-	dstOff int
-	// count is the number of keys.
-	count int
-	// bucket is the radix digit the run belongs to (diagnostics).
-	bucket int
+	srcOff int // offset within the source's send buffer
+	dstOff int // offset within the destination partition
+	count  int // number of keys
 }
 
-// newChunkPlan builds the plan for n total keys over the given per-
-// processor histograms.
-func newChunkPlan(n int, hists [][]int32) *chunkPlan {
-	P := len(hists)
-	B := len(hists[0])
-	pl := &chunkPlan{n: n, procs: P, buckets: B, hists: hists}
-	pl.gStart = make([]int64, B)
-	pl.rank = make([][]int64, P)
-	pl.bufPos = make([][]int64, P)
-	for i := 0; i < P; i++ {
-		pl.rank[i] = make([]int64, B)
-		pl.bufPos[i] = make([]int64, B)
+// blockedParts returns the partition starts of an n-key array blocked
+// over procs processors (radix sort's destination layout).
+func blockedParts(n, procs int) []int64 {
+	parts := make([]int64, procs+1)
+	for i := range parts {
+		parts[i] = int64(i) * int64(n) / int64(procs)
 	}
-	// rank: exclusive scan over processors per bucket; total per bucket.
-	totals := make([]int64, B)
+	return parts
+}
+
+// matrix allocates a rows×cols int64 matrix in one slab.
+func matrix(rows, cols int) [][]int64 {
+	slab := make([]int64, rows*cols)
+	m := make([][]int64, rows)
+	for i := range m {
+		m[i] = slab[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return m
+}
+
+// newChunkPlan builds the placed plan over every processor's histogram
+// for the given destination partition starts (nil: splitter-directed).
+func newChunkPlan(hists [][]int32, parts []int64) *chunkPlan {
+	P, B := len(hists), len(hists[0])
+	pl := &chunkPlan{buckets: B, rows: P, parts: parts,
+		gStart: make([]int64, B), rank: matrix(P, B), bufPos: matrix(P, B+1)}
+	// rank: exclusive scan over processors per bucket; gStart: exclusive
+	// scan over buckets of the per-bucket totals.
+	var start int64
 	for d := 0; d < B; d++ {
+		pl.gStart[d] = start
 		var run int64
 		for i := 0; i < P; i++ {
 			pl.rank[i][d] = run
 			run += int64(hists[i][d])
 		}
-		totals[d] = run
+		start += run
 	}
-	// gStart: exclusive scan over buckets.
-	var run int64
-	for d := 0; d < B; d++ {
-		pl.gStart[d] = run
-		run += totals[d]
-	}
-	// bufPos: per-processor bucket-major layout.
 	for i := 0; i < P; i++ {
-		var off int64
-		for d := 0; d < B; d++ {
-			pl.bufPos[i][d] = off
-			off += int64(hists[i][d])
-		}
+		scanInto(pl.bufPos[i], hists[i])
 	}
 	return pl
 }
 
-// computeOps returns the abstract operation count of building the plan
-// (charged to each processor, since each builds it redundantly): the
-// rank scan over all processors' histograms dominates.
-func (pl *chunkPlan) computeOps() int {
-	return pl.procs*pl.buckets + 2*pl.buckets
+// newRankPlan builds processor me's view of a plan when the collective
+// delivered only its own rank row and the bucket totals (the CC-SAS
+// prefix tree) rather than every histogram.
+func newRankPlan(me, procs int, counts, rank, total []int32, parts []int64) *chunkPlan {
+	B := len(counts)
+	pl := &chunkPlan{buckets: B, rows: 1, parts: parts,
+		rank: make([][]int64, procs), bufPos: make([][]int64, procs)}
+	sums := make([]int64, B+1)
+	scanInto(sums, total)
+	pl.gStart = sums[:B]
+	pl.rank[me] = make([]int64, B)
+	for d, r := range rank {
+		pl.rank[me][d] = int64(r)
+	}
+	pl.bufPos[me] = make([]int64, B+1)
+	scanInto(pl.bufPos[me], counts)
+	return pl
 }
 
-// sendChunks returns the contiguous runs processor src contributes to
-// processor dst's partition, in bucket order.
-func (pl *chunkPlan) sendChunks(src, dst int) []chunk {
-	plo64, phi64 := int64(dst)*int64(pl.n)/int64(pl.procs),
-		int64(dst+1)*int64(pl.n)/int64(pl.procs)
-	var out []chunk
-	for d := 0; d < pl.buckets; d++ {
-		cnt := int64(pl.hists[src][d])
+// scanInto writes the exclusive prefix sums of counts, and their total,
+// into pos (len(counts)+1 entries).
+func scanInto(pos []int64, counts []int32) {
+	var run int64
+	for d, c := range counts {
+		pos[d] = run
+		run += int64(c)
+	}
+	pos[len(counts)] = run
+}
+
+// computeOps returns the abstract operation count of building the plan
+// (charged to each processor, since each builds it redundantly): the
+// rank scan over the known processors' histograms dominates.
+func (pl *chunkPlan) computeOps() int {
+	return pl.rows*pl.buckets + 2*pl.buckets
+}
+
+// placed reports whether runs have plan-assigned destination offsets.
+func (pl *chunkPlan) placed() bool { return pl.rank != nil }
+
+// each calls fn for every contiguous run processor src contributes to
+// destination partition dst, in bucket order. It allocates nothing.
+func (pl *chunkPlan) each(src, dst int, fn func(chunk)) {
+	row := pl.bufPos[src]
+	if pl.parts == nil {
+		if cnt := row[dst+1] - row[dst]; cnt > 0 {
+			ch := chunk{srcOff: int(row[dst]), count: int(cnt)}
+			if pl.rank != nil {
+				ch.dstOff = int(pl.rank[src][dst])
+			}
+			fn(ch)
+		}
+		return
+	}
+	plo, phi := pl.parts[dst], pl.parts[dst+1]
+	rank := pl.rank[src]
+	// Buckets lie in the output in order: none past the partition's end
+	// can reach back into it.
+	for d := 0; d < pl.buckets && pl.gStart[d] < phi; d++ {
+		cnt := row[d+1] - row[d]
 		if cnt == 0 {
 			continue
 		}
-		cs := pl.gStart[d] + pl.rank[src][d]
-		ce := cs + cnt
-		s, e := cs, ce
-		if plo64 > s {
-			s = plo64
-		}
-		if phi64 < e {
-			e = phi64
-		}
+		cs := pl.gStart[d] + rank[d]
+		s, e := max(cs, plo), min(cs+cnt, phi)
 		if e <= s {
 			continue
 		}
-		out = append(out, chunk{
-			srcOff: int(pl.bufPos[src][d] + (s - cs)),
-			dstOff: int(s - plo64),
-			count:  int(e - s),
-			bucket: d,
-		})
+		fn(chunk{srcOff: int(row[d] + (s - cs)), dstOff: int(s - plo), count: int(e - s)})
 	}
-	return out
+}
+
+// count returns how many runs src contributes to partition dst.
+func (pl *chunkPlan) count(src, dst int) int {
+	n := 0
+	pl.each(src, dst, func(chunk) { n++ })
+	return n
+}
+
+// runLen returns how many keys src holds for bucket d.
+func (pl *chunkPlan) runLen(src, d int) int {
+	return int(pl.bufPos[src][d+1] - pl.bufPos[src][d])
+}
+
+// incoming returns how many keys land on processor dst under a
+// splitter-directed plan, or -1 when this processor never learned some
+// source's counts.
+func (pl *chunkPlan) incoming(dst int) int {
+	total := 0
+	for q, row := range pl.bufPos {
+		if row == nil {
+			return -1
+		}
+		total += pl.runLen(q, dst)
+	}
+	return total
+}
+
+// runs returns the receive-buffer layout of processor dst's incoming
+// runs under a placed splitter-directed plan: runs arrive source-major
+// (rank is the exclusive prefix over sources), so run q occupies
+// [starts[q], starts[q]+counts[q]).
+func (pl *chunkPlan) runs(dst int) (starts, counts []int) {
+	starts = make([]int, len(pl.bufPos))
+	counts = make([]int, len(pl.bufPos))
+	for q := range starts {
+		starts[q] = int(pl.rank[q][dst])
+		counts[q] = pl.runLen(q, dst)
+	}
+	return starts, counts
 }

@@ -67,14 +67,14 @@ func digestVariants() []digestVariant {
 
 // digestShape is one machine × input shape every variant is pinned at.
 type digestShape struct {
-	name        string
-	procs, n    int
-	radix       int
-	dist        keys.Dist
-	topo        string
-	procsPerNod int // 0 = the Origin2000's two
-	flat        bool
-	sampleSize  int
+	name         string
+	procs, n     int
+	radix        int
+	dist         keys.Dist
+	topo         string
+	procsPerNode int // 0 = the Origin2000's two
+	flat         bool
+	sampleSize   int
 	// traced records the virtual-time event trace and folds it into the
 	// digest, pinning every phase boundary and communication event.
 	traced bool
@@ -93,7 +93,7 @@ func digestShapes() []digestShape {
 		// Non-power-of-two machines (message-passing and one-sided
 		// programs only; the fat-tree accepts any router count).
 		{name: "p3-fattree", procs: 3, n: 3001, radix: 8, dist: keys.Gauss,
-			topo: topology.KindFatTree, procsPerNod: 1},
+			topo: topology.KindFatTree, procsPerNode: 1},
 		{name: "p12-fattree", procs: 12, n: 1 << 13, radix: 8, dist: keys.Random,
 			topo: topology.KindFatTree},
 		// Partitions of unequal size, and more processors than keys.
@@ -121,8 +121,8 @@ func (s digestShape) machine(t *testing.T) *machine.Machine {
 	t.Helper()
 	cfg := machine.Origin2000Scaled(s.procs)
 	cfg.Topology.Kind = s.topo
-	if s.procsPerNod != 0 {
-		cfg.Topology.ProcsPerNode = s.procsPerNod
+	if s.procsPerNode != 0 {
+		cfg.Topology.ProcsPerNode = s.procsPerNode
 	}
 	cfg.TLB.PageSize = (64 << 10) / machine.ScaleFactor
 	cfg.FlatMemory = s.flat

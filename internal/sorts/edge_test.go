@@ -5,36 +5,21 @@ import (
 
 	"repro/internal/keys"
 	"repro/internal/machine"
+	"repro/internal/mpi"
 )
 
-// allPrograms runs every parallel sorting program on the given input and
-// verifies the output.
+// allPrograms runs every parallel sorting program of the Variants table
+// on the given input and verifies the output.
 func allPrograms(t *testing.T, m func() *machine.Machine, in []uint32, cfg Config) {
 	t.Helper()
-	type prog struct {
-		name string
-		fn   func(*machine.Machine, []uint32, Config) (*Result, error)
-	}
-	progs := []prog{
-		{"radix-ccsas", func(m *machine.Machine, in []uint32, c Config) (*Result, error) {
-			return RadixCCSAS(m, in, c, false)
-		}},
-		{"radix-ccsas-new", func(m *machine.Machine, in []uint32, c Config) (*Result, error) {
-			return RadixCCSAS(m, in, c, true)
-		}},
-		{"radix-mpi", RadixMPI},
-		{"radix-shmem", RadixSHMEM},
-		{"sample-ccsas", SampleCCSAS},
-		{"sample-mpi", SampleMPI},
-		{"sample-shmem", SampleSHMEM},
-		{"psrs-ccsas", PsrsCCSAS},
-		{"psrs-mpi", PsrsMPI},
-		{"psrs-shmem", PsrsSHMEM},
-	}
-	for _, pr := range progs {
-		res, err := pr.fn(m(), in, cfg)
+	for _, v := range Variants() {
+		if v.Model == "seq" {
+			continue
+		}
+		cfg.MPI = mpi.ConfigFor(v.Engine)
+		res, err := v.Sort(m(), in, cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", pr.name, err)
+			t.Fatalf("%s-%s: %v", v.Algorithm, v.Model, err)
 		}
 		checkSorted(t, in, res)
 	}

@@ -7,10 +7,12 @@ import (
 
 	"repro/internal/keys"
 	"repro/internal/machine"
+	"repro/internal/mpi"
 )
 
-// FuzzSortAgreement drives every sorting program — sequential baseline,
-// radix and sample sort under all programming models — over fuzzed key
+// FuzzSortAgreement drives every sorting program in the Variants table —
+// sequential baseline, radix sort, sample sort and PSRS under all
+// programming models and both MPI libraries — over fuzzed key
 // sets, sizes, processor counts and radixes, and requires that each
 // output is exactly the sort.Slice ordering of the input and that every
 // simulated-time bucket stays non-negative and finite. This is the
@@ -44,37 +46,27 @@ func FuzzSortAgreement(f *testing.F) {
 		want := append([]uint32(nil), in...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 
-		runs := []struct {
-			name string
-			run  func() (*Result, error)
-		}{
-			{"seq", func() (*Result, error) { return SeqRadix(fuzzMachine(t, 1), in, cfg) }},
-			{"radix/ccsas", func() (*Result, error) { return RadixCCSAS(fuzzMachine(t, procs), in, cfg, false) }},
-			{"radix/ccsas-new", func() (*Result, error) { return RadixCCSAS(fuzzMachine(t, procs), in, cfg, true) }},
-			{"radix/mpi", func() (*Result, error) { return RadixMPI(fuzzMachine(t, procs), in, cfg) }},
-			{"radix/shmem", func() (*Result, error) { return RadixSHMEM(fuzzMachine(t, procs), in, cfg) }},
-			{"sample/ccsas", func() (*Result, error) { return SampleCCSAS(fuzzMachine(t, procs), in, cfg) }},
-			{"sample/mpi", func() (*Result, error) { return SampleMPI(fuzzMachine(t, procs), in, cfg) }},
-			{"sample/shmem", func() (*Result, error) { return SampleSHMEM(fuzzMachine(t, procs), in, cfg) }},
-			{"psrs/ccsas", func() (*Result, error) { return PsrsCCSAS(fuzzMachine(t, procs), in, cfg) }},
-			{"psrs/mpi", func() (*Result, error) { return PsrsMPI(fuzzMachine(t, procs), in, cfg) }},
-			{"psrs/shmem", func() (*Result, error) { return PsrsSHMEM(fuzzMachine(t, procs), in, cfg) }},
-		}
-		for _, r := range runs {
-			res, err := r.run()
+		for _, v := range Variants() {
+			name := v.Algorithm + "/" + v.Model
+			vprocs := procs
+			if v.Model == "seq" {
+				vprocs = 1
+			}
+			cfg.MPI = mpi.ConfigFor(v.Engine)
+			res, err := v.Sort(fuzzMachine(t, vprocs), in, cfg)
 			if err != nil {
-				t.Fatalf("%s (n=%d procs=%d radix=%d): %v", r.name, n, procs, radix, err)
+				t.Fatalf("%s (n=%d procs=%d radix=%d): %v", name, n, procs, radix, err)
 			}
 			if len(res.Sorted) != len(want) {
-				t.Fatalf("%s: output length %d, want %d", r.name, len(res.Sorted), len(want))
+				t.Fatalf("%s: output length %d, want %d", name, len(res.Sorted), len(want))
 			}
 			for i := range want {
 				if res.Sorted[i] != want[i] {
 					t.Fatalf("%s (n=%d procs=%d radix=%d): output[%d]=%d, sort.Slice says %d",
-						r.name, n, procs, radix, i, res.Sorted[i], want[i])
+						name, n, procs, radix, i, res.Sorted[i], want[i])
 				}
 			}
-			checkFiniteCharges(t, r.name, res)
+			checkFiniteCharges(t, name, res)
 		}
 	})
 }

@@ -4,28 +4,15 @@ import (
 	"repro/internal/machine"
 )
 
-// localScratch holds one processor's private working state for local
-// radix sorting: the histogram array (modeled in the simulated address
-// space so its cache footprint is charged — the radix-size tradeoff
-// depends on it) and host-side position counters.
-type localScratch struct {
-	hist *machine.Array[int32]
-}
-
-// newLocalScratch allocates scratch for a processor.
-func newLocalScratch(m *machine.Machine, name string, buckets, proc int) *localScratch {
-	return &localScratch{
-		hist: machine.NewArrayOnProc[int32](m, name, buckets, proc),
-	}
-}
-
 // countPass builds the histogram of the pass-th digit of
 // arr.Data[lo:lo+n], charging one sequential key sweep plus per-key
-// histogram accesses. firstClass prices the key reads' misses.
+// histogram accesses. hist is the processor's private histogram array,
+// modeled in the simulated address space so its cache footprint is
+// charged — the radix-size tradeoff depends on it. firstClass prices the
+// key reads' misses.
 func countPass(p *machine.Proc, arr *machine.Array[uint32], lo, n int,
-	pass int, cfg Config, sc *localScratch, firstClass machine.Sharing) []int32 {
+	pass int, cfg Config, hist *machine.Array[int32], firstClass machine.Sharing) []int32 {
 	b := cfg.Buckets()
-	hist := sc.hist
 	for j := 0; j < b; j++ {
 		hist.Data[j] = 0
 	}
@@ -47,14 +34,14 @@ func countPass(p *machine.Proc, arr *machine.Array[uint32], lo, n int,
 // Destination stores are priced with dstClass; key re-reads with
 // srcClass. pos is advanced in place.
 func permutePass(p *machine.Proc, arr, dst *machine.Array[uint32], lo, n int,
-	pass int, cfg Config, sc *localScratch, pos []int64,
+	pass int, cfg Config, hist *machine.Array[int32], pos []int64,
 	srcClass, dstClass machine.Sharing) {
 	// One kernel call charges the whole permutation loop: per key, the
 	// sequential read, the digit extraction, the position-counter access
 	// and bump, the scattered destination write, and 13 ops (shift/mask,
 	// position load/bump/store, addressing, loop control).
 	p.PermuteStream(arr, dst, lo, n,
-		uint(pass*cfg.Radix), uint32(cfg.Buckets()-1), sc.hist, pos,
+		uint(pass*cfg.Radix), uint32(cfg.Buckets()-1), hist, pos,
 		srcClass, machine.Private, dstClass, 13)
 }
 
@@ -77,16 +64,16 @@ func exclusiveScan(p *machine.Proc, counts []int32, base int64) []int64 {
 // prices the very first sweep's key reads (later sweeps read data this
 // processor itself wrote: Private).
 func localRadixSort(p *machine.Proc, arr, tmp *machine.Array[uint32], lo, n int,
-	cfg Config, sc *localScratch, firstClass machine.Sharing) (inTmp bool) {
+	cfg Config, hist *machine.Array[int32], firstClass machine.Sharing) (inTmp bool) {
 	if n <= 0 {
 		return false
 	}
 	cur, nxt := arr, tmp
 	class := firstClass
 	for pass := 0; pass < cfg.Passes(); pass++ {
-		counts := countPass(p, cur, lo, n, pass, cfg, sc, class)
+		counts := countPass(p, cur, lo, n, pass, cfg, hist, class)
 		pos := exclusiveScan(p, counts, int64(lo))
-		permutePass(p, cur, nxt, lo, n, pass, cfg, sc, pos, class, machine.Private)
+		permutePass(p, cur, nxt, lo, n, pass, cfg, hist, pos, class, machine.Private)
 		cur, nxt = nxt, cur
 		class = machine.Private
 	}
@@ -97,14 +84,14 @@ func localRadixSort(p *machine.Proc, arr, tmp *machine.Array[uint32], lo, n int,
 // baseline for both algorithms (Table 1). m must be a 1-processor
 // machine.
 func SeqRadix(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, err := cfg.resolved()
+	if err != nil {
 		return nil, err
 	}
 	n := len(keysIn)
 	arr := machine.NewArrayOnProc[uint32](m, "seq.keys", n, 0)
 	tmp := machine.NewArrayOnProc[uint32](m, "seq.tmp", n, 0)
-	sc := newLocalScratch(m, "seq.hist", cfg.Buckets(), 0)
+	hist := machine.NewArrayOnProc[int32](m, "seq.hist", cfg.Buckets(), 0)
 	copy(arr.Data, keysIn)
 	m.ResetMemory()
 	var inTmp bool
@@ -113,7 +100,7 @@ func SeqRadix(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) 
 			return
 		}
 		p.SetPhase("localsort")
-		inTmp = localRadixSort(p, arr, tmp, 0, n, cfg, sc, machine.Private)
+		inTmp = localRadixSort(p, arr, tmp, 0, n, cfg, hist, machine.Private)
 		p.SetPhase("")
 	})
 	out := arr

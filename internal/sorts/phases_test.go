@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/keys"
 	"repro/internal/machine"
+	"repro/internal/mpi"
 )
 
 func TestRadixPhaseAttribution(t *testing.T) {
@@ -133,6 +134,22 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
+// runVariant runs one entry of the program table the way a front end
+// does: on a scaled machine (one processor for the sequential baseline)
+// with the MPI library the model names.
+func runVariant(t *testing.T, v Variant, procs int, in []uint32, cfg Config) *Result {
+	t.Helper()
+	if v.Model == "seq" {
+		procs = 1
+	}
+	cfg.MPI = mpi.ConfigFor(v.Engine)
+	res, err := v.Sort(scaled(t, procs), in, cfg)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", v.Algorithm, v.Model, err)
+	}
+	return res
+}
+
 // TestPhaseLabelsConsistent is the SetPhase audit: every paper phase
 // must be labeled, with identical names across programming models, so
 // Figure 4/8 panels and trace spans align. The radix sorts share
@@ -140,99 +157,49 @@ func equalStrings(a, b []string) bool {
 // scatters in place, so it has no separate transfer; MPI's sync time is
 // message waiting inside transfer, so it has no separate sync); the
 // sample sorts share {localsort1, splitters, redistribute, localsort2};
-// the sequential baseline is one localsort.
+// PSRS labels its six phases identically across models — the merge phase
+// replaces the sample sorts' second local sort, and barrier/message
+// waiting stays inside the surrounding phase, so no separate sync label
+// exists under any model; the sequential baseline is one localsort.
+// Iterating the program table means a new variant cannot skip the audit.
 func TestPhaseLabelsConsistent(t *testing.T) {
 	const procs, n, radix = 8, 1 << 13, 8
 	in := genKeys(t, keys.Gauss, n, procs, radix)
-	cfg := Config{Radix: radix}
-
-	radixWant := map[string][]string{
-		"ccsas":     {"count", "histogram", "permute", "sync"},
-		"ccsas-new": {"count", "histogram", "permute", "sync", "transfer"},
-		"mpi":       {"count", "histogram", "permute", "transfer"},
-		"shmem":     {"count", "histogram", "permute", "sync", "transfer"},
+	want := map[string][]string{
+		"radix/seq":       {"localsort"},
+		"radix/ccsas":     {"count", "histogram", "permute", "sync"},
+		"radix/ccsas-new": {"count", "histogram", "permute", "sync", "transfer"},
+		"radix/mpi":       {"count", "histogram", "permute", "transfer"},
+		"radix/mpi-sgi":   {"count", "histogram", "permute", "transfer"},
+		"radix/shmem":     {"count", "histogram", "permute", "sync", "transfer"},
+		"sample":          {"localsort1", "localsort2", "redistribute", "splitters"},
+		"psrs":            {"localsort", "merge", "partition", "pivot-exchange", "sample", "transfer"},
 	}
-	sampleWant := []string{"localsort1", "localsort2", "redistribute", "splitters"}
-
-	runs := map[string]func() (*Result, error){
-		"ccsas":     func() (*Result, error) { return RadixCCSAS(scaled(t, procs), in, cfg, false) },
-		"ccsas-new": func() (*Result, error) { return RadixCCSAS(scaled(t, procs), in, cfg, true) },
-		"mpi":       func() (*Result, error) { return RadixMPI(scaled(t, procs), in, cfg) },
-		"shmem":     func() (*Result, error) { return RadixSHMEM(scaled(t, procs), in, cfg) },
-	}
-	for name, run := range runs {
-		res, err := run()
-		if err != nil {
-			t.Fatalf("radix/%s: %v", name, err)
+	for _, v := range Variants() {
+		id := v.Algorithm + "/" + v.Model
+		w, ok := want[id]
+		if !ok {
+			w, ok = want[v.Algorithm]
 		}
-		if got := phaseSet(res.Run); !equalStrings(got, radixWant[name]) {
-			t.Errorf("radix/%s phases = %v, want %v", name, got, radixWant[name])
+		if !ok {
+			t.Errorf("%s: no expected phase set — extend this audit", id)
+			continue
 		}
-	}
-
-	sampleRuns := map[string]func() (*Result, error){
-		"ccsas": func() (*Result, error) { return SampleCCSAS(scaled(t, procs), in, cfg) },
-		"mpi":   func() (*Result, error) { return SampleMPI(scaled(t, procs), in, cfg) },
-		"shmem": func() (*Result, error) { return SampleSHMEM(scaled(t, procs), in, cfg) },
-	}
-	for name, run := range sampleRuns {
-		res, err := run()
-		if err != nil {
-			t.Fatalf("sample/%s: %v", name, err)
+		res := runVariant(t, v, procs, in, Config{Radix: radix})
+		if got := phaseSet(res.Run); !equalStrings(got, w) {
+			t.Errorf("%s phases = %v, want %v", id, got, w)
 		}
-		if got := phaseSet(res.Run); !equalStrings(got, sampleWant) {
-			t.Errorf("sample/%s phases = %v, want %v", name, got, sampleWant)
-		}
-	}
-
-	// PSRS labels its six phases identically across models; the merge
-	// phase must appear (it replaces the sample sorts' second local sort)
-	// and barrier/message waiting stays inside the surrounding phase, so
-	// no separate sync label exists under any model.
-	psrsWant := []string{"localsort", "merge", "partition", "pivot-exchange", "sample", "transfer"}
-	psrsRuns := map[string]func() (*Result, error){
-		"ccsas": func() (*Result, error) { return PsrsCCSAS(scaled(t, procs), in, cfg) },
-		"mpi":   func() (*Result, error) { return PsrsMPI(scaled(t, procs), in, cfg) },
-		"shmem": func() (*Result, error) { return PsrsSHMEM(scaled(t, procs), in, cfg) },
-	}
-	for name, run := range psrsRuns {
-		res, err := run()
-		if err != nil {
-			t.Fatalf("psrs/%s: %v", name, err)
-		}
-		if got := phaseSet(res.Run); !equalStrings(got, psrsWant) {
-			t.Errorf("psrs/%s phases = %v, want %v", name, got, psrsWant)
-		}
-	}
-
-	seq, err := SeqRadix(scaled(t, 1), in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := phaseSet(seq.Run); !equalStrings(got, []string{"localsort"}) {
-		t.Errorf("seq phases = %v, want [localsort]", got)
 	}
 }
 
-// TestPhaseBreakdownsCoverTotal checks per-phase breakdowns account for
-// every charged nanosecond: no charge lands outside a labeled phase.
+// TestPhaseBreakdownsCoverTotal checks, for every program in the table,
+// that per-phase breakdowns account for every charged nanosecond: no
+// charge lands outside a labeled phase.
 func TestPhaseBreakdownsCoverTotal(t *testing.T) {
 	const procs, n, radix = 4, 1 << 12, 8
 	in := genKeys(t, keys.Gauss, n, procs, radix)
-	cfg := Config{Radix: radix}
-	for name, run := range map[string]func() (*Result, error){
-		"radix/mpi":    func() (*Result, error) { return RadixMPI(scaled(t, procs), in, cfg) },
-		"radix/shmem":  func() (*Result, error) { return RadixSHMEM(scaled(t, procs), in, cfg) },
-		"sample/ccsas": func() (*Result, error) { return SampleCCSAS(scaled(t, procs), in, cfg) },
-		"psrs/ccsas":   func() (*Result, error) { return PsrsCCSAS(scaled(t, procs), in, cfg) },
-		"psrs/mpi":     func() (*Result, error) { return PsrsMPI(scaled(t, procs), in, cfg) },
-		"psrs/shmem":   func() (*Result, error) { return PsrsSHMEM(scaled(t, procs), in, cfg) },
-		"seq":          func() (*Result, error) { return SeqRadix(scaled(t, 1), in, cfg) },
-	} {
-		res, err := run()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	for _, v := range Variants() {
+		res := runVariant(t, v, procs, in, Config{Radix: radix})
 		for i, ps := range res.Run.PerProc {
 			var phased machine.Breakdown
 			for _, b := range ps.Phases {
@@ -240,8 +207,8 @@ func TestPhaseBreakdownsCoverTotal(t *testing.T) {
 			}
 			total := ps.Breakdown.Total()
 			if diff := total - phased.Total(); diff > 1e-6*total+1e-3 || diff < -(1e-6*total+1e-3) {
-				t.Errorf("%s proc %d: phases cover %v of %v ns (unlabeled charges)",
-					name, i, phased.Total(), total)
+				t.Errorf("%s/%s proc %d: phases cover %v of %v ns (unlabeled charges)",
+					v.Algorithm, v.Model, i, phased.Total(), total)
 			}
 		}
 	}

@@ -4,14 +4,91 @@ import (
 	"repro/internal/machine"
 )
 
-// Shared machinery for Parallel Sorting by Regular Sampling (PSRS,
-// Shi & Schaeffer 1992). PSRS differs from the paper's splitter-based
+// PsrsCCSAS runs Parallel Sorting by Regular Sampling under the
+// cache-coherent shared address space model: pivots travel through
+// shared memory and the chunk exchange is pull-based (see ccsasBackend).
+func PsrsCCSAS(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) {
+	return psrsSort(m, keysIn, cfg, &ccsasBackend{})
+}
+
+// PsrsMPI runs PSRS under message passing: the pivot step is an explicit
+// gather/broadcast through rank 0, the partition counts are allgathered,
+// and the exchange is exactly one message per pair (see mpiBackend).
+func PsrsMPI(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) {
+	return psrsSort(m, keysIn, cfg, &mpiBackend{})
+}
+
+// PsrsSHMEM runs PSRS under the SHMEM model with sender-initiated
+// communication: samples and chunks are put, pivots got (see
+// shmemBackend).
+func PsrsSHMEM(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) {
+	return psrsSort(m, keysIn, cfg, &shmemBackend{put: true})
+}
+
+// psrsSort is Parallel Sorting by Regular Sampling (Shi & Schaeffer
+// 1992), written once for every model: local radix sort, P regular
+// samples per processor, pivot selection, binary-search partition, a
+// planned all-to-all of the partition chunks into source-major receive
+// buffers, and a local multiway merge. It differs from the paper's
 // sample sort in two communication shapes: pivot selection is a
-// gather-to-root plus broadcast (the root merges all P*P regular
-// samples and picks the P-1 pivots alone), and the received keys are
+// gather-to-root plus broadcast (the root merges all P*P regular samples
+// and picks the P-1 pivots alone), and the received keys are
 // multiway-MERGED rather than re-sorted — each processor's contribution
-// arrives already sorted, so a P-way merge of the runs finishes the
-// sort in one sweep.
+// arrives already sorted, so a P-way merge of the runs finishes the sort
+// in one sweep.
+func psrsSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Result, error) {
+	cfg, err := cfg.resolved()
+	if err != nil {
+		return nil, err
+	}
+	n, P := len(keysIn), m.Procs()
+	st := be.alloc(m, cfg, algPsrs, n, P)
+	st.load(keysIn)
+	m.ResetMemory()
+
+	final := make([]part, P)
+	run := m.Run(func(p *machine.Proc) {
+		me := p.ID
+
+		p.SetPhase("localsort")
+		sorted := sortLocal(p, st, cfg)
+		mine := sorted.part[me]
+		if P == 1 {
+			// A uniprocessor PSRS is just the local sort.
+			final[0] = mine
+			return
+		}
+
+		p.SetPhase("sample")
+		samples := selectSamples(p, mine.arr, mine.lo, mine.n, P)
+		be.publishSamples(p, samples)
+
+		p.SetPhase("pivot-exchange")
+		pivots := be.pivots(p, samples)
+
+		p.SetPhase("partition")
+		b := boundariesOf(p, mine.arr, mine.lo, mine.n, pivots)
+		if hook := corruptPSRSBoundary; hook != nil {
+			hook(me, mine.n, b)
+		}
+		// Destinations play the role of radix buckets, so the plan's
+		// rank/bufPos give the exchange and merge offsets directly.
+		plan := be.routes(p, b, true)
+		p.Compute(plan.computeOps())
+
+		p.SetPhase("transfer")
+		incoming := be.exchange(p, plan, sorted, st.recv, xfer{tag: 2})
+
+		p.SetPhase("merge")
+		out := st.out.part[me].arr.Grow(incoming)
+		starts, counts := plan.runs(me)
+		multiwayMergeCharged(p, st.recv.part[me].arr, out, starts, counts)
+		final[me] = part{arr: out, n: incoming}
+	})
+
+	return &Result{Algorithm: "psrs", Model: be.model(), Sorted: gather(final, n),
+		RecvCounts: partSizes(final), Run: run}, nil
+}
 
 // corruptPSRSBoundary, when set, mutates a processor's partition
 // boundary vector in place right after it is computed. It exists for
@@ -58,6 +135,13 @@ func pivotsFrom(p *machine.Proc, sortedAll []uint32, procs int) []uint32 {
 	return pv
 }
 
+// pivotsOf merges the root's pool of every processor's sorted samples
+// and picks the pivots.
+func pivotsOf(p *machine.Proc, pool []uint32, procs int) []uint32 {
+	mergeSamplesCharged(p, pool, procs)
+	return pivotsFrom(p, pool, procs)
+}
+
 // psrsDestCounts converts partition boundaries b (from boundariesOf,
 // len P+1) into the per-destination key counts that act as this
 // processor's "histogram" row of the chunk plan: destinations play the
@@ -71,36 +155,12 @@ func psrsDestCounts(p *machine.Proc, b []int64) []int32 {
 	return counts
 }
 
-// psrsIncoming returns how many keys land on processor me under the
-// plan — the total of "bucket" me across all sources.
-func psrsIncoming(pl *chunkPlan, me int) int {
-	end := int64(pl.n)
-	if me+1 < pl.buckets {
-		end = pl.gStart[me+1]
-	}
-	return int(end - pl.gStart[me])
-}
-
-// psrsRuns returns the receive-buffer layout of processor me's incoming
-// runs: runs arrive source-major (plan.rank is the exclusive prefix over
-// sources), so run q occupies [starts[q], starts[q]+counts[q]).
-func psrsRuns(pl *chunkPlan, me int) (starts, counts []int) {
-	P := pl.procs
-	starts = make([]int, P)
-	counts = make([]int, P)
-	for q := 0; q < P; q++ {
-		starts[q] = int(pl.rank[q][me])
-		counts[q] = int(pl.hists[q][me])
-	}
-	return starts, counts
-}
-
 // multiwayMergeCharged merges the sorted runs recv[starts[q] :
 // starts[q]+counts[q]) into out[0:total] with a binary heap of run
 // heads, charging per output key one sequential read of the winning
 // head, the heap's ~2·log2(ways) comparisons, and one sequential write.
 // Ties break by source rank, keeping the merge deterministic.
-func multiwayMergeCharged(p *machine.Proc, recv, out *machine.Array[uint32], starts, counts []int) int {
+func multiwayMergeCharged(p *machine.Proc, recv, out *machine.Array[uint32], starts, counts []int) {
 	type head struct {
 		key     uint32
 		src     int
@@ -179,5 +239,4 @@ func multiwayMergeCharged(p *machine.Proc, recv, out *machine.Array[uint32], sta
 		siftDown()
 	}
 	p.CloseCursors()
-	return total
 }

@@ -22,13 +22,13 @@ func TestChunkPlanCoversEverything(t *testing.T) {
 			n += int(c)
 		}
 	}
-	pl := newChunkPlan(n, hists)
+	pl := newChunkPlan(hists, blockedParts(n, 4))
 	covered := make([]int, n)
 	for src := 0; src < 4; src++ {
 		bufSeen := make(map[int]bool)
 		for dst := 0; dst < 4; dst++ {
 			plo := dst * n / 4
-			for _, ch := range pl.sendChunks(src, dst) {
+			pl.each(src, dst, func(ch chunk) {
 				if ch.count <= 0 {
 					t.Fatalf("empty chunk %+v", ch)
 				}
@@ -39,7 +39,7 @@ func TestChunkPlanCoversEverything(t *testing.T) {
 					}
 					bufSeen[ch.srcOff+o] = true
 				}
-			}
+			})
 		}
 		// Every key in src's buffer is sent exactly once.
 		var total int32
@@ -60,7 +60,7 @@ func TestChunkPlanCoversEverything(t *testing.T) {
 func TestChunkPlanGlobalOrder(t *testing.T) {
 	// gStart must be monotone and rank consistent with histogram sums.
 	hists := [][]int32{{5, 1}, {2, 8}}
-	pl := newChunkPlan(16, hists)
+	pl := newChunkPlan(hists, blockedParts(16, 2))
 	if pl.gStart[0] != 0 || pl.gStart[1] != 7 {
 		t.Errorf("gStart = %v, want [0 7]", pl.gStart)
 	}

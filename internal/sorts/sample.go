@@ -1,0 +1,195 @@
+package sorts
+
+import (
+	"sort"
+
+	"repro/internal/machine"
+)
+
+// SampleCCSAS runs the parallel sample sort under the cache-coherent
+// shared address space model: group-based splitter selection, and a
+// redistribution by remote reads (see ccsasBackend).
+func SampleCCSAS(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) {
+	return sampleSort(m, keysIn, cfg, &ccsasBackend{})
+}
+
+// SampleMPI runs the parallel sample sort under message passing: the
+// splitter phase is an MPI_Allgather and the redistribution exactly one
+// message per process pair (see mpiBackend).
+func SampleMPI(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) {
+	return sampleSort(m, keysIn, cfg, &mpiBackend{})
+}
+
+// SampleSHMEM runs the parallel sample sort under the SHMEM model,
+// obtained from the MPI program as in the paper: each send/receive pair
+// of the redistribution becomes a one-sided get (see shmemBackend).
+func SampleSHMEM(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) {
+	return sampleSort(m, keysIn, cfg, &shmemBackend{})
+}
+
+// sampleSort is the paper's splitter-based sample sort, written once for
+// every model, in its five phases: local radix sort, evenly spaced
+// samples, splitter selection from everyone's samples, splitter-directed
+// redistribution, and a second local radix sort of the received keys.
+func sampleSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Result, error) {
+	cfg, err := cfg.resolved()
+	if err != nil {
+		return nil, err
+	}
+	n, P := len(keysIn), m.Procs()
+	sCount := cfg.SampleSize
+	if sCount > n/P {
+		sCount = max(1, n/P)
+	}
+	st := be.alloc(m, cfg, algSample, n, sCount)
+	st.load(keysIn)
+	m.ResetMemory()
+
+	final := make([]part, P)
+	run := m.Run(func(p *machine.Proc) {
+		me := p.ID
+		hist := st.hist[me]
+
+		p.SetPhase("localsort1")
+		sorted := sortLocal(p, st, cfg)
+		mine := sorted.part[me]
+		if P == 1 {
+			// A uniprocessor sample sort is just the local sort.
+			final[0] = mine
+			return
+		}
+
+		p.SetPhase("splitters")
+		samples := selectSamples(p, mine.arr, mine.lo, mine.n, sCount)
+		splitters := be.splitters(p, samples)
+
+		p.SetPhase("redistribute")
+		b := boundariesOf(p, mine.arr, mine.lo, mine.n, splitters)
+		incoming := be.exchange(p, be.routes(p, b, false), sorted, st.recv, xfer{})
+
+		p.SetPhase("localsort2")
+		recv := st.recv.part[me].arr
+		tmp2 := st.out.part[me].arr.Grow(incoming)
+		if localRadixSort(p, recv, tmp2, 0, incoming, cfg, hist, machine.Private) {
+			recv = tmp2
+		}
+		final[me] = part{arr: recv, n: incoming}
+	})
+
+	return &Result{Algorithm: "sample", Model: be.model(), Sorted: gather(final, n),
+		RecvCounts: partSizes(final), Run: run}, nil
+}
+
+// sortLocal radix-sorts the calling processor's key partition, toggling
+// between the key array pair, and returns the array the sorted run ended
+// up in.
+func sortLocal(p *machine.Proc, st *store, cfg Config) *partitioned {
+	mine := st.keys.part[p.ID]
+	if localRadixSort(p, mine.arr, st.tmp.part[p.ID].arr, mine.lo, mine.n, cfg,
+		st.hist[p.ID], machine.Private) {
+		return st.tmp
+	}
+	return st.keys
+}
+
+// partSizes returns the key count of each processor's output run: what
+// it received in the main redistribution (Result.RecvCounts).
+func partSizes(final []part) []int {
+	counts := make([]int, len(final))
+	for i, pt := range final {
+		counts[i] = pt.n
+	}
+	return counts
+}
+
+// selectSamples picks count evenly spaced keys from the locally sorted
+// run arr.Data[lo:lo+n], charging the reads.
+func selectSamples(p *machine.Proc, arr *machine.Array[uint32], lo, n, count int) []uint32 {
+	if count > n {
+		count = n
+	}
+	out := make([]uint32, count)
+	idx := make([]int64, count)
+	for j := 0; j < count; j++ {
+		// Position (j+1)*n/(count+1): interior points, avoiding the ends.
+		i := lo + (j+1)*n/(count+1)
+		idx[j] = int64(i)
+		out[j] = arr.Data[i]
+	}
+	// One gather-stream call charges all sample reads (3 ops each for the
+	// index arithmetic), replacing count per-element Load/Compute pairs.
+	arr.GatherLoad(p, idx, machine.Private, 3)
+	return out
+}
+
+// mergeSamplesCharged sorts a concatenation of `ways` already-sorted
+// runs, charging only a multiway merge (n log ways) — the samples each
+// process publishes are pre-sorted, so collectors merge rather than
+// re-sort.
+func mergeSamplesCharged(p *machine.Proc, s []uint32, ways int) {
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	n := len(s)
+	if n > 1 && ways > 1 {
+		p.Compute(2 * n * ilog2(ways))
+	}
+}
+
+// splittersFrom picks procs-1 splitters from the sorted pool of all
+// samples by regular sampling.
+func splittersFrom(p *machine.Proc, sortedAll []uint32, procs int) []uint32 {
+	spl := make([]uint32, procs-1)
+	for j := 1; j < procs; j++ {
+		spl[j-1] = sortedAll[j*len(sortedAll)/procs]
+	}
+	p.Compute(2 * procs)
+	return spl
+}
+
+// splittersOf merges the pool of every processor's sorted samples and
+// picks the splitters — what each process of the message-passing and
+// one-sided programs computes redundantly.
+func splittersOf(p *machine.Proc, pool []uint32, procs int) []uint32 {
+	mergeSamplesCharged(p, pool, procs)
+	return splittersFrom(p, pool, procs)
+}
+
+// boundariesOf computes, for the locally sorted run arr.Data[lo:lo+n]
+// and the given splitters, the procs+1 boundary offsets (relative to lo):
+// keys [b[j], b[j+1]) go to destination j. Runs of keys equal to a
+// repeated splitter are spread evenly across the tied destinations
+// (equal keys may legally land on any of them), which keeps heavily
+// duplicated inputs — the paper's zero distribution — load balanced.
+func boundariesOf(p *machine.Proc, arr *machine.Array[uint32], lo, n int, splitters []uint32) []int64 {
+	procs := len(splitters) + 1
+	b := make([]int64, procs+1)
+	b[procs] = int64(n)
+	for j, s := range splitters {
+		// Binary search for the first key >= s.
+		idx := sort.Search(n, func(i int) bool { return arr.Data[lo+i] >= s })
+		b[j+1] = int64(idx)
+		p.Compute(2 * ilog2(n+1))
+	}
+	// Spread equal-splitter runs: consecutive splitters js..je sharing
+	// value v pin boundaries b[js+1..je+1] to the same spot, funnelling
+	// every key == v to one destination; slice that run across the tied
+	// destinations instead.
+	for js := 0; js < len(splitters); {
+		je := js
+		for je+1 < len(splitters) && splitters[je+1] == splitters[js] {
+			je++
+		}
+		if m := je - js + 1; m > 1 {
+			v := splitters[js]
+			lb := int(b[js+1])
+			ub := lb + sort.Search(n-lb, func(i int) bool { return arr.Data[lo+lb+i] > v })
+			if run := ub - lb; run > 0 {
+				for i := 0; i < m; i++ {
+					b[js+1+i] = int64(lb + i*run/m)
+				}
+				p.Compute(m + 2*ilog2(n+1))
+			}
+		}
+		js = je + 1
+	}
+	return b
+}

@@ -1,7 +1,14 @@
 // Package sorts implements the paper's sorting programs on the simulated
 // DSM machine: a sequential radix sort (the speedup baseline, Table 1)
-// and parallel radix sort and sample sort under the CC-SAS (original and
-// locally-buffered "NEW"), MPI and SHMEM programming models.
+// and parallel radix sort, sample sort and PSRS (Parallel Sorting by
+// Regular Sampling) under the CC-SAS (original and locally-buffered
+// "NEW"), MPI and SHMEM programming models.
+//
+// Each algorithm is one program body (radix.go, sample.go, psrs.go)
+// written against the unexported backend interface (backend.go); the
+// three backends carry everything that differs between the models —
+// storage, small collectives, the planned all-to-all, barriers — so a
+// new algorithm is one file.
 //
 // Every program operates on real data — results are bitwise-verifiable
 // sorted permutations of the input — while charging simulated time
@@ -12,6 +19,7 @@ package sorts
 import (
 	"fmt"
 
+	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/shmem"
@@ -80,9 +88,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// resolved fills the defaults and validates: what every program does
+// with the Config it is handed.
+func (c Config) resolved() (Config, error) {
+	c = c.withDefaults()
+	return c, c.validate()
+}
+
 func (c Config) validate() error {
-	if c.Radix < 1 || c.Radix > 16 {
-		return fmt.Errorf("sorts: radix %d out of [1,16]", c.Radix)
+	if c.Radix < 1 || c.Radix > keys.MaxRadixBits {
+		return fmt.Errorf("sorts: radix %d out of [1,%d]", c.Radix, keys.MaxRadixBits)
 	}
 	if c.KeyBits < 1 || c.KeyBits > 32 {
 		return fmt.Errorf("sorts: key bits %d out of [1,32]", c.KeyBits)
@@ -110,23 +125,48 @@ func digit(k uint32, pass, r int) int {
 	return int(k>>(pass*r)) & ((1 << r) - 1)
 }
 
-// blockedCounts returns the receive counts of a blocked redistribution:
-// processor i receives its [i*n/P, (i+1)*n/P) slice of the global
-// array. Radix sort's key exchange writes into this layout every pass,
-// so its receive balance is flat by construction for any distribution.
-func blockedCounts(n, procs int) []int {
-	counts := make([]int, procs)
-	for i := range counts {
-		lo, hi := bounds(n, procs, i)
-		counts[i] = hi - lo
+// Variant is one algorithm × programming-model program. Variants is the
+// single table every front end and test looks programs up in.
+type Variant struct {
+	// Algorithm is "radix", "sample" or "psrs"; Model is the model's
+	// public name: "seq", "ccsas", "ccsas-new", "mpi", "mpi-sgi", "shmem".
+	Algorithm, Model string
+	// Engine is the MPI library the model names (Config.MPI's engine).
+	Engine mpi.Engine
+	Sort   func(m *machine.Machine, keys []uint32, cfg Config) (*Result, error)
+}
+
+// Variants lists every program, each algorithm's models in the order the
+// paper's figures use. The slice is shared: callers must not modify it.
+func Variants() []Variant { return variants }
+
+var variants = []Variant{
+	{"radix", "seq", mpi.Direct, SeqRadix},
+	{"radix", "ccsas", mpi.Direct, radixCCSAS(false)},
+	{"radix", "ccsas-new", mpi.Direct, radixCCSAS(true)},
+	{"radix", "mpi", mpi.Direct, RadixMPI},
+	{"radix", "mpi-sgi", mpi.Staged, RadixMPI},
+	{"radix", "shmem", mpi.Direct, RadixSHMEM},
+	{"sample", "ccsas", mpi.Direct, SampleCCSAS},
+	{"sample", "mpi", mpi.Direct, SampleMPI},
+	{"sample", "mpi-sgi", mpi.Staged, SampleMPI},
+	{"sample", "shmem", mpi.Direct, SampleSHMEM},
+	{"psrs", "ccsas", mpi.Direct, PsrsCCSAS},
+	{"psrs", "mpi", mpi.Direct, PsrsMPI},
+	{"psrs", "mpi-sgi", mpi.Staged, PsrsMPI},
+	{"psrs", "shmem", mpi.Direct, PsrsSHMEM},
+}
+
+func radixCCSAS(buffered bool) func(*machine.Machine, []uint32, Config) (*Result, error) {
+	return func(m *machine.Machine, keys []uint32, cfg Config) (*Result, error) {
+		return RadixCCSAS(m, keys, cfg, buffered)
 	}
-	return counts
 }
 
 // Result reports one sort run.
 type Result struct {
-	// Algorithm is "radix" or "sample"; Model names the programming model
-	// variant.
+	// Algorithm is "radix", "sample" or "psrs"; Model names the
+	// programming model variant.
 	Algorithm, Model string
 	// Sorted is the output permutation (ascending).
 	Sorted []uint32

@@ -62,13 +62,59 @@ const (
 	SHMEM Model = "shmem"
 )
 
-// Models lists the parallel models applicable to each algorithm.
+// Models lists the parallel models applicable to each algorithm, derived
+// from the sorts package's program table (sample sort and PSRS have no
+// buffered CC-SAS variant; the sequential baseline is not parallel).
 func Models(a Algorithm) []Model {
-	if a == Radix {
-		return []Model{CCSAS, CCSASNew, MPI, MPISGI, SHMEM}
+	var out []Model
+	for _, v := range sorts.Variants() {
+		if v.Algorithm == string(a) && v.Model != string(Seq) {
+			out = append(out, Model(v.Model))
+		}
 	}
-	// Sample sort and PSRS have no buffered CC-SAS variant.
-	return []Model{CCSAS, MPI, MPISGI, SHMEM}
+	return out
+}
+
+// Validate reports whether the experiment can run at all: every check
+// that depends only on the request, so front ends can reject a bad one
+// (simd with 400) before any simulation starts. Run applies it first.
+func (e Experiment) Validate() error {
+	_, err := e.program()
+	return err
+}
+
+// program validates the experiment and returns its entry in the sorts
+// package's program table.
+func (e Experiment) program() (sorts.Variant, error) {
+	var none sorts.Variant
+	// Radix 0 selects the default (8 bits).
+	if e.Radix < 0 || e.Radix > keys.MaxRadixBits {
+		return none, fmt.Errorf("repro: Radix must be in [1, %d] bits, got %d", keys.MaxRadixBits, e.Radix)
+	}
+	if e.N <= 0 {
+		return none, fmt.Errorf("repro: N must be positive, got %d", e.N)
+	}
+	if e.Procs <= 0 {
+		return none, fmt.Errorf("repro: Procs must be positive, got %d", e.Procs)
+	}
+	if e.Model == Seq && e.Procs != 1 {
+		return none, fmt.Errorf("repro: the sequential baseline needs Procs=1, got %d", e.Procs)
+	}
+	if (e.Model == CCSAS || e.Model == CCSASNew) && e.Procs&(e.Procs-1) != 0 {
+		// The SPLASH-2 binary prefix tree is structurally a complete
+		// binary tree over the processors.
+		return none, fmt.Errorf("repro: %s needs a power-of-two processor count, got %d", e.Model, e.Procs)
+	}
+	if e.SampleSize < 0 || e.SampleSize > 1<<20 {
+		return none, fmt.Errorf("repro: SampleSize must be in [0, 2^20], got %d", e.SampleSize)
+	}
+	for _, v := range sorts.Variants() {
+		if v.Algorithm == string(e.Algorithm) && v.Model == string(e.Model) {
+			return v, nil
+		}
+	}
+	return none, fmt.Errorf("repro: no program for algorithm %q under model %q (models: %v)",
+		e.Algorithm, e.Model, Models(e.Algorithm))
 }
 
 // ParseModel resolves a model name.
@@ -263,22 +309,9 @@ func Run(e Experiment) (*Outcome, error) {
 	if e.Radix == 0 {
 		e.Radix = 8
 	}
-	if e.Radix < 1 || e.Radix > 24 {
-		return nil, fmt.Errorf("repro: Radix must be in [1, 24] bits, got %d", e.Radix)
-	}
-	if e.N <= 0 {
-		return nil, fmt.Errorf("repro: N must be positive, got %d", e.N)
-	}
-	if e.Procs <= 0 {
-		return nil, fmt.Errorf("repro: Procs must be positive, got %d", e.Procs)
-	}
-	if (e.Model == CCSAS || e.Model == CCSASNew) && e.Procs&(e.Procs-1) != 0 {
-		// The SPLASH-2 binary prefix tree is structurally a complete
-		// binary tree over the processors.
-		return nil, fmt.Errorf("repro: %s needs a power-of-two processor count, got %d", e.Model, e.Procs)
-	}
-	if e.SampleSize < 0 || e.SampleSize > 1<<20 {
-		return nil, fmt.Errorf("repro: SampleSize must be in [0, 2^20], got %d", e.SampleSize)
+	prog, err := e.program()
+	if err != nil {
+		return nil, err
 	}
 	in, err := keys.Generate(e.Dist, keys.GenConfig{
 		N: e.N, Procs: e.Procs, RadixBits: e.Radix, Seed: e.Seed,
@@ -294,14 +327,9 @@ func Run(e Experiment) (*Outcome, error) {
 	if e.Trace {
 		m.EnableTracing()
 	}
-	cfg := sorts.Config{Radix: e.Radix, SampleSize: e.SampleSize}
-	switch e.Model {
-	case MPISGI:
-		cfg.MPI = mpi.DefaultStaged()
-	default:
-		cfg.MPI = mpi.DefaultDirect()
-	}
-	cfg.Shmem = shmem.DefaultConfig()
+	cfg := sorts.Config{Radix: e.Radix, SampleSize: e.SampleSize,
+		MPI: mpi.ConfigFor(prog.Engine), Shmem: shmem.DefaultConfig(),
+		MPIOneMessagePerDest: e.MPIOneMessagePerDest}
 	if !e.FullSize {
 		// Fixed software costs scale with the machine (DESIGN.md §1).
 		cfg.MPI = cfg.MPI.Scaled(float64(machine.ScaleFactor))
@@ -310,38 +338,8 @@ func Run(e Experiment) (*Outcome, error) {
 	if e.MPIBufDepth > 0 {
 		cfg.MPI.BufDepth = e.MPIBufDepth
 	}
-	cfg.MPIOneMessagePerDest = e.MPIOneMessagePerDest
 
-	var res *sorts.Result
-	switch {
-	case e.Model == Seq:
-		if e.Procs != 1 {
-			return nil, fmt.Errorf("repro: the sequential baseline needs Procs=1, got %d", e.Procs)
-		}
-		res, err = sorts.SeqRadix(m, in, cfg)
-	case e.Algorithm == Radix && e.Model == CCSAS:
-		res, err = sorts.RadixCCSAS(m, in, cfg, false)
-	case e.Algorithm == Radix && e.Model == CCSASNew:
-		res, err = sorts.RadixCCSAS(m, in, cfg, true)
-	case e.Algorithm == Radix && (e.Model == MPI || e.Model == MPISGI):
-		res, err = sorts.RadixMPI(m, in, cfg)
-	case e.Algorithm == Radix && e.Model == SHMEM:
-		res, err = sorts.RadixSHMEM(m, in, cfg)
-	case e.Algorithm == Sample && e.Model == CCSAS:
-		res, err = sorts.SampleCCSAS(m, in, cfg)
-	case e.Algorithm == Sample && (e.Model == MPI || e.Model == MPISGI):
-		res, err = sorts.SampleMPI(m, in, cfg)
-	case e.Algorithm == Sample && e.Model == SHMEM:
-		res, err = sorts.SampleSHMEM(m, in, cfg)
-	case e.Algorithm == Psrs && e.Model == CCSAS:
-		res, err = sorts.PsrsCCSAS(m, in, cfg)
-	case e.Algorithm == Psrs && (e.Model == MPI || e.Model == MPISGI):
-		res, err = sorts.PsrsMPI(m, in, cfg)
-	case e.Algorithm == Psrs && e.Model == SHMEM:
-		res, err = sorts.PsrsSHMEM(m, in, cfg)
-	default:
-		return nil, fmt.Errorf("repro: no program for algorithm %q under model %q", e.Algorithm, e.Model)
-	}
+	res, err := prog.Sort(m, in, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/keys"
@@ -57,6 +58,65 @@ func TestRunValidation(t *testing.T) {
 	for _, e := range bad {
 		if _, err := Run(e); err == nil {
 			t.Errorf("accepted invalid experiment %+v", e)
+		}
+	}
+}
+
+// TestExperimentValidate walks every shape Validate rejects — each with
+// the message a front end will show — and checks that Run refuses the
+// same experiments with the same error before doing any work.
+func TestExperimentValidate(t *testing.T) {
+	ok := Experiment{Algorithm: Radix, Model: SHMEM, N: 1 << 12, Procs: 4}
+	cases := []struct {
+		name string
+		edit func(*Experiment)
+		want string // "" = valid
+	}{
+		{"baseline", func(*Experiment) {}, ""},
+		{"radix default", func(e *Experiment) { e.Radix = 0 }, ""},
+		{"radix max", func(e *Experiment) { e.Radix = keys.MaxRadixBits }, ""},
+		{"radix 17", func(e *Experiment) { e.Radix = 17 }, "Radix must be in [1, 16]"},
+		{"radix 24", func(e *Experiment) { e.Radix = 24 }, "Radix must be in [1, 16]"},
+		{"radix negative", func(e *Experiment) { e.Radix = -2 }, "Radix must be in"},
+		{"zero n", func(e *Experiment) { e.N = 0 }, "N must be positive"},
+		{"zero procs", func(e *Experiment) { e.Procs = 0 }, "Procs must be positive"},
+		{"seq", func(e *Experiment) { e.Model, e.Procs = Seq, 1 }, ""},
+		{"seq procs 4", func(e *Experiment) { e.Model = Seq }, "needs Procs=1"},
+		{"seq sample", func(e *Experiment) { e.Algorithm, e.Model, e.Procs = Sample, Seq, 1 }, "no program"},
+		{"ccsas procs 6", func(e *Experiment) { e.Model, e.Procs = CCSAS, 6 }, "power-of-two"},
+		{"ccsas-new procs 12", func(e *Experiment) { e.Model, e.Procs = CCSASNew, 12 }, "power-of-two"},
+		{"psrs ccsas procs 3", func(e *Experiment) { e.Algorithm, e.Model, e.Procs = Psrs, CCSAS, 3 }, "power-of-two"},
+		{"mpi procs 6", func(e *Experiment) { e.Model, e.Procs = MPI, 6 }, ""},
+		{"sample ccsas-new", func(e *Experiment) { e.Algorithm, e.Model = Sample, CCSASNew }, "no program"},
+		{"unknown algorithm", func(e *Experiment) { e.Algorithm = "bogo" }, "no program"},
+		{"unknown model", func(e *Experiment) { e.Model = "openmp" }, "no program"},
+		{"sample size negative", func(e *Experiment) { e.SampleSize = -1 }, "SampleSize must be in"},
+		{"sample size huge", func(e *Experiment) { e.SampleSize = 1<<20 + 1 }, "SampleSize must be in"},
+	}
+	for _, tc := range cases {
+		e := ok
+		tc.edit(&e)
+		err := e.Validate()
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: Validate = %v, want nil", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", tc.name, err, tc.want)
+			continue
+		}
+		if _, rerr := Run(e); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%s: Run = %v, want Validate's error %v", tc.name, rerr, err)
+		}
+	}
+	// Every algorithm × model pair the table advertises validates.
+	for _, alg := range []Algorithm{Radix, Sample, Psrs} {
+		for _, mo := range Models(alg) {
+			if err := (Experiment{Algorithm: alg, Model: mo, N: 64, Procs: 8}).Validate(); err != nil {
+				t.Errorf("%s/%s: %v", alg, mo, err)
+			}
 		}
 	}
 }
