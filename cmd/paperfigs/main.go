@@ -39,11 +39,11 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
 	"repro"
+	"repro/internal/hostprof"
 	"repro/internal/trace"
 )
 
@@ -157,20 +157,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stopProfile, err := hostprof.Start(*cpuprof, "")
+	if err != nil {
+		return err
 	}
+	defer stopProfile()
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
@@ -191,7 +182,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			opts.Sizes = append(opts.Sizes, sc)
 		}
 	}
-	var err error
 	if *procs != "" {
 		if opts.Procs, err = parseInts("-procs", *procs); err != nil {
 			return err

@@ -7,6 +7,7 @@
 //	          -dist gauss [-seed N] [-seeds K] [-confidence 0.95] \
 //	          [-full] [-perproc] [-paranoid] \
 //	          [-trace out.json] [-metrics out.json]
+//	          [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
 // -seeds K (K >= 2) switches to ensemble mode: the experiment runs at K
 // consecutive seeds starting from -seed, and the output is each
@@ -27,8 +28,10 @@
 // -metrics writes the run's flat metrics map as JSON. Both outputs are
 // deterministic: the same experiment always produces identical bytes.
 //
-// Host-time measurement (ns per simulated access and the rest) is
-// cmd/bench's job, not this command's.
+// -cpuprofile and -memprofile write pprof CPU and allocation profiles of
+// the host process: where one cell's host time and memory go. Host-time
+// measurement (ns per simulated access and the rest) is cmd/bench's job,
+// not this command's.
 package main
 
 import (
@@ -38,6 +41,7 @@ import (
 	"os"
 
 	"repro"
+	"repro/internal/hostprof"
 	"repro/internal/keys"
 	"repro/internal/report"
 	"repro/internal/stats"
@@ -62,6 +66,8 @@ func main() {
 		perproc    = flag.Bool("perproc", false, "print the per-processor breakdown")
 		traceTo    = flag.String("trace", "", "write a Chrome trace_event JSON trace to this file")
 		metrics    = flag.String("metrics", "", "write the flat metrics map as JSON to this file")
+		cpuprof    = flag.String("cpuprofile", "", "write a host CPU profile to this file")
+		memprof    = flag.String("memprofile", "", "write a host allocation profile to this file")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -84,10 +90,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *seedsK != 0 {
-		if *traceTo != "" || *metrics != "" || *perproc {
-			fatal(fmt.Errorf("-seeds is incompatible with -trace, -metrics and -perproc"))
+	if *seedsK != 0 && (*traceTo != "" || *metrics != "" || *perproc) {
+		fatal(fmt.Errorf("-seeds is incompatible with -trace, -metrics and -perproc"))
+	}
+	stopProfiles, err := hostprof.Start(*cpuprof, *memprof)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
 		}
+	}()
+	if *seedsK != 0 {
 		if err := runEnsemble(a, m, d, tp, *n, *procs, *radix, *seed, *seedsK, *confidence, *full, *paranoid); err != nil {
 			fatal(err)
 		}

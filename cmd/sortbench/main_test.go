@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -82,6 +83,30 @@ func TestCLIRejectsBeforeRunning(t *testing.T) {
 		}
 		if !strings.Contains(stderr, tc.want) {
 			t.Errorf("sortbench %v: stderr %q, want it to contain %q", tc.args, stderr, tc.want)
+		}
+	}
+}
+
+// TestCLIProfiles: -cpuprofile and -memprofile leave non-empty pprof
+// files beside a normal run's output, and a profile path that cannot be
+// created fails the command before anything is simulated.
+func TestCLIProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	stdout, stderr, err := sortbench("-n", "65536", "-procs", "8", "-cpuprofile", cpu, "-memprofile", mem)
+	if err != nil || !strings.Contains(stdout, "verified sorted: true") {
+		t.Fatalf("profiled run: %v\n%s%s", err, stdout, stderr)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: missing or empty (%v)", path, err)
+		}
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		stdout, stderr, err := sortbench("-n", "65536", "-procs", "8", flag, filepath.Join(dir, "no-such-dir", "p.pprof"))
+		if err == nil || !strings.Contains(stderr, flag) || stdout != "" {
+			t.Errorf("%s to an unwritable path: err %v, stdout %q, stderr %q; want a failure naming the flag and no run",
+				flag, err, stdout, stderr)
 		}
 	}
 }

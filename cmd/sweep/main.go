@@ -7,10 +7,12 @@
 //
 //	sweep -kind radix|bufdepth|flatmem|nocontention
 //	      [-algo radix|sample|psrs] [-model shmem] [-n N] [-procs P] [-dist gauss]
-//	      [-j N]
+//	      [-j N] [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
 // Sweep points are independent deterministic simulations; -j runs them
 // concurrently (default GOMAXPROCS) without changing any reported number.
+// -cpuprofile and -memprofile write pprof CPU and allocation profiles of
+// the host process.
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 	"runtime"
 
 	"repro"
+	"repro/internal/hostprof"
 	"repro/internal/keys"
 	"repro/internal/report"
 )
@@ -35,6 +38,9 @@ func main() {
 		topo  = flag.String("topo", "", "interconnect kind (hypercube, fattree, torus, torus3d, dragonfly, numa2); default hypercube")
 		seed  = flag.Uint64("seed", 0, "seed")
 		par   = flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent experiment runs (>= 1)")
+
+		cpuprof = flag.String("cpuprofile", "", "write a host CPU profile to this file")
+		memprof = flag.String("memprofile", "", "write a host allocation profile to this file")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -69,6 +75,15 @@ func main() {
 	base := repro.Experiment{
 		Algorithm: a, Model: m, N: *n, Procs: *procs, Radix: 8, Dist: d, Topo: tp, Seed: *seed,
 	}
+	stopProfiles, err := hostprof.Start(*cpuprof, *memprof)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	switch *kind {
 	case "radix":

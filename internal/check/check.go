@@ -121,3 +121,20 @@ func (c *Checker) Err() error {
 	}
 	return fmt.Errorf("%d violations, first: %w", n, vs[0])
 }
+
+// KindReplicatedInput is reported when the sorting programs share one
+// host computation among a run's processors (a collective step whose
+// inputs every processor holds alike: an exchange plan, the merged
+// sample pool) and a processor's own inputs differ from the ones the
+// shared value was built from.
+const KindReplicatedInput = "replicated-input-mismatch"
+
+// ReplicatedInput builds that violation: step is the ordinal of the
+// shared step within the run, (row, col) the first differing entry —
+// contributing processor and bucket — with the value the shared result
+// was built from (Fast) and the reporting processor's own (Ref).
+func ReplicatedInput(proc int, phase string, step, row, col int, shared, own int64) Violation {
+	return Violation{Proc: proc, Phase: phase, Kind: KindReplicatedInput,
+		Fast: fmt.Sprintf("step=%d row=%d col=%d shared=%d", step, row, col, shared),
+		Ref:  fmt.Sprintf("own=%d", own)}
+}

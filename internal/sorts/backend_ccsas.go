@@ -22,6 +22,7 @@ type ccsasBackend struct {
 	m     *machine.Machine
 	world *ccsas.World
 	st    *store
+	memo  *runMemo
 	// groupSize is sample sort's processes-per-group for sample
 	// collection; perProc the sample slots each processor publishes.
 	groupSize, perProc int
@@ -66,6 +67,7 @@ func sharedParts(m *machine.Machine, name string, n int) *partitioned {
 func (b *ccsasBackend) alloc(m *machine.Machine, cfg Config, alg algorithm, n, perProc int) *store {
 	P := m.Procs()
 	b.m, b.world, b.groupSize, b.perProc = m, ccsas.NewWorld(m), min(cfg.GroupSize, P), perProc
+	b.memo = newRunMemo(m)
 	st := &store{hist: make([]*machine.Array[int32], P)}
 	b.st = st
 	st.keys = sharedParts(m, "cc.keys", n)
@@ -100,7 +102,9 @@ func (b *ccsasBackend) alloc(m *machine.Machine, cfg Config, alg algorithm, n, p
 
 // histograms accumulates the local histograms through the binary prefix
 // tree, which hands each processor only what the SPLASH-2 program needs:
-// its own rank within every bucket and the bucket totals.
+// its own rank within every bucket and the bucket totals. That one-row
+// plan is a per-processor view, not replicated work, so each processor
+// builds its own.
 func (b *ccsasBackend) histograms(p *machine.Proc, counts []int32) *chunkPlan {
 	rank, total := b.tree.Reduce(p, counts)
 	return newRankPlan(p.ID, b.m.Procs(), counts, rank, total, b.whole)
@@ -212,7 +216,8 @@ func (b *ccsasBackend) pivots(p *machine.Proc, _ []uint32) []uint32 {
 // reads what it needs. Sample sort pulls one chunk per source, so it
 // reads just the two boundary words around its own chunk in each
 // source's vector; PSRS reads every vector whole and builds the plan
-// redundantly.
+// redundantly — every processor is charged the reads and the counting,
+// and the host builds the one plan they all arrive at once.
 func (b *ccsasBackend) routes(p *machine.Proc, bnd []int64, placed bool) *chunkPlan {
 	me, P := p.ID, b.m.Procs()
 	w := P + 1
@@ -230,16 +235,24 @@ func (b *ccsasBackend) routes(p *machine.Proc, bnd []int64, placed bool) *chunkP
 		}
 		return &chunkPlan{buckets: P, bufPos: rows}
 	}
-	hists := make([][]int32, P)
 	for q := 0; q < P; q++ {
 		class := machine.RemoteProduced
 		if q == me {
 			class = machine.Private
 		}
 		b.bounds.LoadRange(p, q*w, (q+1)*w, class)
-		hists[q] = psrsDestCounts(p, rows[q])
+		p.Compute(P) // source q's per-destination counts
 	}
-	return newChunkPlan(hists, nil)
+	hists := func() [][]int32 {
+		h := make([][]int32, P)
+		for q := range h {
+			h[q] = destCounts(rows[q])
+		}
+		return h
+	}
+	return shared(b.memo, p,
+		func() *chunkPlan { return newChunkPlan(hists(), nil) },
+		func(pl *chunkPlan) *inputDiff { return pl.differs(hists()) })
 }
 
 // exchange moves keys with the processor's own loads and stores. A

@@ -18,9 +18,10 @@ type mpiBackend struct {
 	// faster on the Origin2000; this variant exists for that ablation.
 	oneMsg bool
 
-	m  *machine.Machine
-	c  *mpi.Comm
-	st *store
+	m    *machine.Machine
+	c    *mpi.Comm
+	st   *store
+	memo *runMemo
 	// parts is radix sort's blocked destination layout.
 	parts []int64
 }
@@ -38,7 +39,7 @@ func (b *mpiBackend) received() machine.Sharing { return machine.Private }
 
 func (b *mpiBackend) alloc(m *machine.Machine, cfg Config, alg algorithm, n, _ int) *store {
 	P := m.Procs()
-	b.m, b.c = m, mpi.New(m, cfg.MPI)
+	b.m, b.c, b.memo = m, mpi.New(m, cfg.MPI), newRunMemo(m)
 	st := &store{keys: newPartitioned(P), tmp: newPartitioned(P), hist: make([]*machine.Array[int32], P)}
 	b.st = st
 	if alg == algRadix {
@@ -61,8 +62,11 @@ func (b *mpiBackend) alloc(m *machine.Machine, cfg Config, alg algorithm, n, _ i
 	return st
 }
 
+// histograms allgathers the counts. Every process then holds every row
+// and, in the simulated program, computes the plan redundantly (the
+// caller charges each for it); the host builds it once.
 func (b *mpiBackend) histograms(p *machine.Proc, counts []int32) *chunkPlan {
-	return newChunkPlan(mpi.Allgather(b.c, p, counts), b.parts)
+	return b.memo.plan(p, mpi.Allgather(b.c, p, counts), b.parts)
 }
 
 func (b *mpiBackend) permuteTarget(p *machine.Proc, plan *chunkPlan, _ *partitioned) target {
@@ -70,14 +74,18 @@ func (b *mpiBackend) permuteTarget(p *machine.Proc, plan *chunkPlan, _ *partitio
 }
 
 // splitters allgathers the samples; every process then computes the
-// splitters redundantly, with no process groups.
+// splitters redundantly, with no process groups — each is charged the
+// merge of the pool, which the host sorts once.
 func (b *mpiBackend) splitters(p *machine.Proc, samples []uint32) []uint32 {
 	P := b.m.Procs()
-	all := make([]uint32, 0, P*len(samples))
-	for _, g := range mpi.Allgather(b.c, p, samples) {
-		all = append(all, g...)
-	}
-	return splittersOf(p, all, P)
+	rows := mpi.Allgather(b.c, p, samples)
+	return splittersOf(p, b.memo, P, func() []uint32 {
+		all := make([]uint32, 0, P*len(samples))
+		for _, g := range rows {
+			all = append(all, g...)
+		}
+		return all
+	})
 }
 
 func (b *mpiBackend) publishSamples(*machine.Proc, []uint32) {}
@@ -106,7 +114,7 @@ func (b *mpiBackend) pivots(p *machine.Proc, samples []uint32) []uint32 {
 // it sends, and sizes its receive buffer from the message lengths.
 func (b *mpiBackend) routes(p *machine.Proc, bnd []int64, placed bool) *chunkPlan {
 	if placed {
-		return newChunkPlan(mpi.Allgather(b.c, p, psrsDestCounts(p, bnd)), nil)
+		return b.memo.plan(p, mpi.Allgather(b.c, p, psrsDestCounts(p, bnd)), nil)
 	}
 	rows := make([][]int64, b.m.Procs())
 	rows[p.ID] = bnd

@@ -303,10 +303,87 @@ func TestBackendContract(t *testing.T) {
 	}
 }
 
+// checkPlan compares newChunkPlan for the given histograms and partition
+// starts (nil: splitter-directed) against the key-by-key oracle: each's
+// runs must tile every destination exactly as the oracle fills it, count
+// must agree with each, a blocked plan's enumeration must start at the
+// first bucket that reaches the partition, and neither may allocate.
+func checkPlan(t *testing.T, id string, hists [][]int32, parts []int64) {
+	t.Helper()
+	P := len(hists)
+	pl, o := newChunkPlan(hists, parts), newOracle(hists, parts)
+	for dst := range o.dest {
+		// [lo, hi) is the bucket range each walks for this destination.
+		lo, hi := 0, 0
+		if parts != nil {
+			lo = int(pl.first[dst])
+			for d := 0; d < lo; d++ {
+				if pl.gStart[d+1] > parts[dst] {
+					t.Fatalf("%s: partition %d starts its walk at bucket %d, but bucket %d reaches into it", id, dst, lo, d)
+				}
+			}
+			if lo < pl.buckets && pl.gStart[lo+1] <= parts[dst] {
+				t.Fatalf("%s: partition %d starts its walk at bucket %d, which ends before it begins", id, dst, lo)
+			}
+			for hi = lo; hi < pl.buckets && pl.gStart[hi] < parts[dst+1]; hi++ {
+			}
+		}
+		got := make([]uint32, len(o.dest[dst]))
+		filled := 0
+		for src := 0; src < P; src++ {
+			runs := 0
+			pl.each(src, dst, func(ch chunk) {
+				runs++
+				for k := 0; k < ch.count; k++ {
+					got[ch.dstOff+k] = keyID(src, ch.srcOff+k)
+				}
+				filled += ch.count
+			})
+			if runs != o.runs[src][dst] || pl.count(src, dst) != runs {
+				t.Fatalf("%s: %d->%d: each gave %d runs, count %d, oracle %d",
+					id, src, dst, runs, pl.count(src, dst), o.runs[src][dst])
+			}
+			// Of the buckets walked only the first and the last can hold
+			// keys of src that all fall outside the partition.
+			visited := 0
+			for d := lo; d < hi; d++ {
+				if pl.runLen(src, d) > 0 {
+					visited++
+				}
+			}
+			if visited > runs+2 {
+				t.Fatalf("%s: %d->%d: each visits %d of the source's buckets for %d runs", id, src, dst, visited, runs)
+			}
+		}
+		if filled != len(got) {
+			t.Fatalf("%s: destination %d received %d keys, oracle %d", id, dst, filled, len(got))
+		}
+		for k := range got {
+			if got[k] != o.dest[dst][k] {
+				t.Fatalf("%s: destination %d offset %d holds %#x, oracle %#x",
+					id, dst, k, got[k], o.dest[dst][k])
+			}
+		}
+		if parts == nil && pl.incoming(dst) != len(got) {
+			t.Fatalf("%s: incoming(%d) = %d, oracle %d", id, dst, pl.incoming(dst), len(got))
+		}
+	}
+	sink := 0
+	if a := testing.AllocsPerRun(10, func() {
+		for src := 0; src < P; src++ {
+			sink += pl.count(src, (src+1)%P)
+			pl.each(src, src, func(ch chunk) { sink += ch.count })
+		}
+	}); a != 0 {
+		t.Fatalf("%s: each/count allocate (%v allocs per run)", id, a)
+	}
+}
+
 // TestChunkPlanBruteForce checks newChunkPlan with explicit partition
 // starts — blocked and splitter-directed — against the key-by-key
-// oracle: each's runs must tile every destination exactly as the oracle
-// fills it, count must agree with each, and neither may allocate.
+// oracle: random small plans, then the shapes that bend the blocked
+// plan's partition → first-bucket index at machine sizes up to 256
+// processors × 2048 buckets.
 func TestChunkPlanBruteForce(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -327,45 +404,54 @@ func TestChunkPlanBruteForce(t *testing.T) {
 		if !direct {
 			parts = blockedParts(n, P)
 		}
-		pl, o := newChunkPlan(hists, parts), newOracle(hists, parts)
-		for dst := 0; dst < P; dst++ {
-			got := make([]uint32, len(o.dest[dst]))
-			filled := 0
-			for src := 0; src < P; src++ {
-				runs := 0
-				pl.each(src, dst, func(ch chunk) {
-					runs++
-					for k := 0; k < ch.count; k++ {
-						got[ch.dstOff+k] = keyID(src, ch.srcOff+k)
-					}
-					filled += ch.count
-				})
-				if runs != o.runs[src][dst] || pl.count(src, dst) != runs {
-					t.Fatalf("trial %d: %d->%d: each gave %d runs, count %d, oracle %d",
-						trial, src, dst, runs, pl.count(src, dst), o.runs[src][dst])
+		checkPlan(t, fmt.Sprintf("trial %d", trial), hists, parts)
+	}
+
+	// fill gives processor i's histogram over B buckets.
+	shapes := []struct {
+		name string
+		fill func(rng *rand.Rand, i, P, B int) []int32
+	}{
+		{"uniform", func(rng *rand.Rand, _, _, B int) []int32 { return randomRow(rng, 40, B, 0) }},
+		// n < P: most partitions are empty.
+		{"fewer keys than partitions", func(rng *rand.Rand, i, P, B int) []int32 {
+			row := make([]int32, B)
+			if i%3 == 0 && i < P-1 {
+				row[rng.Intn(B)] = 1
+			}
+			return row
+		}},
+		{"all-zero", func(_ *rand.Rand, _, _, B int) []int32 { return make([]int32, B) }},
+		// One bucket spans every partition.
+		{"one bucket", func(_ *rand.Rand, _, _, B int) []int32 {
+			row := make([]int32, B)
+			row[B/2] = 50
+			return row
+		}},
+		// Every source holds keys in every bucket, so with B > P each
+		// partition spans many buckets and every bucket walked must
+		// yield a run, bar the first and last.
+		{"dense", func(_ *rand.Rand, i, _, B int) []int32 {
+			row := make([]int32, B)
+			for d := range row {
+				row[d] = int32(1 + (i+d)%2)
+			}
+			return row
+		}},
+	}
+	for _, dim := range [][2]int{{1, 2}, {3, 8}, {9, 256}, {64, 256}, {256, 256}, {256, 2048}} {
+		P, B := dim[0], dim[1]
+		for _, sh := range shapes {
+			rng := rand.New(rand.NewSource(int64(P*B + len(sh.name))))
+			hists := make([][]int32, P)
+			n := 0
+			for i := range hists {
+				hists[i] = sh.fill(rng, i, P, B)
+				for _, c := range hists[i] {
+					n += int(c)
 				}
 			}
-			if filled != len(got) {
-				t.Fatalf("trial %d: destination %d received %d keys, oracle %d", trial, dst, filled, len(got))
-			}
-			for k := range got {
-				if got[k] != o.dest[dst][k] {
-					t.Fatalf("trial %d: destination %d offset %d holds %#x, oracle %#x",
-						trial, dst, k, got[k], o.dest[dst][k])
-				}
-			}
-			if direct && pl.incoming(dst) != len(got) {
-				t.Fatalf("trial %d: incoming(%d) = %d, oracle %d", trial, dst, pl.incoming(dst), len(got))
-			}
-		}
-		sink := 0
-		if a := testing.AllocsPerRun(10, func() {
-			for src := 0; src < P; src++ {
-				sink += pl.count(src, (src+1)%P)
-				pl.each(src, src, func(ch chunk) { sink += ch.count })
-			}
-		}); a != 0 {
-			t.Fatalf("trial %d: each/count allocate (%v allocs per run)", trial, a)
+			checkPlan(t, fmt.Sprintf("%dx%d %s", P, B, sh.name), hists, blockedParts(n, P))
 		}
 	}
 }

@@ -1,12 +1,20 @@
 package sorts
 
 // chunkPlan captures where every processor's bucket-major send buffer
-// scatters into the partitioned output of one all-to-all. Each processor
-// computes the plan locally and redundantly from the collected
-// histograms (as the paper's MPI and SHMEM programs do), so senders know
-// exactly what to send and receivers know exactly what to expect — one
-// of the simplifications the paper credits to having all histogram data
+// scatters into the partitioned output of one all-to-all. In the paper's
+// MPI and SHMEM programs each process computes the plan locally and
+// redundantly from the collected histograms, so senders know exactly
+// what to send and receivers know exactly what to expect — one of the
+// simplifications the paper credits to having all histogram data
 // locally.
+//
+// That redundancy is a simulated cost: every processor is charged
+// computeOps for the plan it uses. It is not a host cost: the collected
+// histograms are by construction the same on every processor, so a full
+// plan (newChunkPlan) is built once per collective step through the
+// run's memo (runmemo.go) and the same immutable value handed to all of
+// them. Only newRankPlan, the one-row view the CC-SAS prefix tree gives
+// each processor, is built per processor.
 //
 // All three algorithms exchange through it. Radix sort's buckets are
 // digits and its destination partitions the blocked slices of the global
@@ -18,7 +26,8 @@ type chunkPlan struct {
 	// (the CC-SAS radix sort learns only its own rank row from the prefix
 	// tree); the scan over them is what computeOps charges.
 	rows int
-	// gStart[d] is the global output index where bucket d begins.
+	// gStart[d] is the global output index where bucket d begins, with
+	// one trailing entry for the total.
 	gStart []int64
 	// rank[i][d] is processor i's key count rank within bucket d
 	// (exclusive prefix over processors). A nil rank marks an unplaced
@@ -37,6 +46,11 @@ type chunkPlan struct {
 	// (parts == gStart), every ordered pair of processors exchanges
 	// exactly one possibly-empty run, and no clipping is needed.
 	parts []int64
+	// first[j] is the first bucket whose keys can reach into partition j
+	// of a blocked plan (every earlier bucket ends at or before the
+	// partition's start), so a pair's enumeration starts there instead of
+	// rescanning from bucket 0. nil when parts is.
+	first []int32
 }
 
 // chunk is one contiguous run of keys moving from a source processor's
@@ -67,12 +81,33 @@ func matrix(rows, cols int) [][]int64 {
 	return m
 }
 
+// firstBuckets builds a blocked plan's partition → first-overlapping-
+// bucket index in one sweep of two cursors over the bucket and partition
+// starts, both ascending.
+func firstBuckets(gStart, parts []int64) []int32 {
+	if parts == nil {
+		return nil
+	}
+	first := make([]int32, len(parts)-1)
+	d, B := 0, len(gStart)-1
+	for j := range first {
+		for d < B && gStart[d+1] <= parts[j] {
+			d++
+		}
+		first[j] = int32(d)
+	}
+	return first
+}
+
 // newChunkPlan builds the placed plan over every processor's histogram
 // for the given destination partition starts (nil: splitter-directed).
+// It is pure host work that keeps no reference to hists, and the plan is
+// immutable once returned: the backends build it once per collective
+// step (runMemo.plan) and share it among all processors.
 func newChunkPlan(hists [][]int32, parts []int64) *chunkPlan {
 	P, B := len(hists), len(hists[0])
 	pl := &chunkPlan{buckets: B, rows: P, parts: parts,
-		gStart: make([]int64, B), rank: matrix(P, B), bufPos: matrix(P, B+1)}
+		gStart: make([]int64, B+1), rank: matrix(P, B), bufPos: matrix(P, B+1)}
 	// rank: exclusive scan over processors per bucket; gStart: exclusive
 	// scan over buckets of the per-bucket totals.
 	var start int64
@@ -85,9 +120,11 @@ func newChunkPlan(hists [][]int32, parts []int64) *chunkPlan {
 		}
 		start += run
 	}
+	pl.gStart[B] = start
 	for i := 0; i < P; i++ {
 		scanInto(pl.bufPos[i], hists[i])
 	}
+	pl.first = firstBuckets(pl.gStart, parts)
 	return pl
 }
 
@@ -98,9 +135,9 @@ func newRankPlan(me, procs int, counts, rank, total []int32, parts []int64) *chu
 	B := len(counts)
 	pl := &chunkPlan{buckets: B, rows: 1, parts: parts,
 		rank: make([][]int64, procs), bufPos: make([][]int64, procs)}
-	sums := make([]int64, B+1)
-	scanInto(sums, total)
-	pl.gStart = sums[:B]
+	pl.gStart = make([]int64, B+1)
+	scanInto(pl.gStart, total)
+	pl.first = firstBuckets(pl.gStart, parts)
 	pl.rank[me] = make([]int64, B)
 	for d, r := range rank {
 		pl.rank[me][d] = int64(r)
@@ -121,9 +158,10 @@ func scanInto(pos []int64, counts []int32) {
 	pos[len(counts)] = run
 }
 
-// computeOps returns the abstract operation count of building the plan
-// (charged to each processor, since each builds it redundantly): the
-// rank scan over the known processors' histograms dominates.
+// computeOps returns the abstract operation count of building the plan,
+// charged to each processor that uses it — in the simulated programs
+// each one builds it redundantly, whatever the host does: the rank scan
+// over the known processors' histograms dominates.
 func (pl *chunkPlan) computeOps() int {
 	return pl.rows*pl.buckets + 2*pl.buckets
 }
@@ -147,9 +185,9 @@ func (pl *chunkPlan) each(src, dst int, fn func(chunk)) {
 	}
 	plo, phi := pl.parts[dst], pl.parts[dst+1]
 	rank := pl.rank[src]
-	// Buckets lie in the output in order: none past the partition's end
-	// can reach back into it.
-	for d := 0; d < pl.buckets && pl.gStart[d] < phi; d++ {
+	// Buckets lie in the output in order: none before first[dst] reaches
+	// the partition, and none past its end can reach back into it.
+	for d := int(pl.first[dst]); d < pl.buckets && pl.gStart[d] < phi; d++ {
 		cnt := row[d+1] - row[d]
 		if cnt == 0 {
 			continue
@@ -201,4 +239,18 @@ func (pl *chunkPlan) runs(dst int) (starts, counts []int) {
 		counts[q] = pl.runLen(q, dst)
 	}
 	return starts, counts
+}
+
+// differs locates the first histogram entry that disagrees with what the
+// plan was built from — bufPos is the rows' prefix sums, so it still
+// holds them — or returns nil. The paranoid check of a shared plan.
+func (pl *chunkPlan) differs(hists [][]int32) *inputDiff {
+	for i, row := range hists {
+		for d, c := range row {
+			if built := pl.bufPos[i][d+1] - pl.bufPos[i][d]; built != int64(c) {
+				return &inputDiff{row: i, col: d, shared: built, own: int64(c)}
+			}
+		}
+	}
+	return nil
 }

@@ -147,11 +147,16 @@ func pivotsOf(p *machine.Proc, pool []uint32, procs int) []uint32 {
 // processor's "histogram" row of the chunk plan: destinations play the
 // role radix buckets play in the radix sorts' plans.
 func psrsDestCounts(p *machine.Proc, b []int64) []int32 {
+	p.Compute(len(b) - 1)
+	return destCounts(b)
+}
+
+// destCounts is psrsDestCounts' arithmetic without its charge.
+func destCounts(b []int64) []int32 {
 	counts := make([]int32, len(b)-1)
 	for d := range counts {
 		counts[d] = int32(b[d+1] - b[d])
 	}
-	p.Compute(len(counts))
 	return counts
 }
 

@@ -56,7 +56,9 @@ func radixSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Re
 			counts := countPass(p, mine.arr, mine.lo, mine.n, pass, cfg, hist, readClass)
 
 			// Every processor computes the plan locally (redundantly, as
-			// the paper notes) from what the collective delivered.
+			// the paper notes) from what the collective delivered, and is
+			// charged for it here; on the host the backend builds a plan
+			// all of them arrive at once and shares it.
 			p.SetPhase("histogram")
 			plan := be.histograms(p, counts)
 			p.Compute(plan.computeOps())

@@ -1,6 +1,7 @@
 package sorts
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/machine"
@@ -127,8 +128,12 @@ func selectSamples(p *machine.Proc, arr *machine.Array[uint32], lo, n, count int
 // process publishes are pre-sorted, so collectors merge rather than
 // re-sort.
 func mergeSamplesCharged(p *machine.Proc, s []uint32, ways int) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	n := len(s)
+	slices.Sort(s)
+	chargeMerge(p, len(s), ways)
+}
+
+// chargeMerge charges a ways-way merge of n keys.
+func chargeMerge(p *machine.Proc, n, ways int) {
 	if n > 1 && ways > 1 {
 		p.Compute(2 * n * ilog2(ways))
 	}
@@ -145,12 +150,16 @@ func splittersFrom(p *machine.Proc, sortedAll []uint32, procs int) []uint32 {
 	return spl
 }
 
-// splittersOf merges the pool of every processor's sorted samples and
-// picks the splitters — what each process of the message-passing and
-// one-sided programs computes redundantly.
-func splittersOf(p *machine.Proc, pool []uint32, procs int) []uint32 {
-	mergeSamplesCharged(p, pool, procs)
-	return splittersFrom(p, pool, procs)
+// splittersOf merges the pool of every processor's sorted samples (pool
+// returns a copy of the one this processor collected) and picks the
+// splitters — what each process of the message-passing and one-sided
+// programs computes redundantly. The redundancy is simulated: every
+// processor is charged the merge and the selection, while the host sorts
+// one pool for all of them.
+func splittersOf(p *machine.Proc, memo *runMemo, procs int, pool func() []uint32) []uint32 {
+	sorted := memo.mergedPool(p, pool)
+	chargeMerge(p, len(sorted), procs)
+	return splittersFrom(p, sorted, procs)
 }
 
 // boundariesOf computes, for the locally sorted run arr.Data[lo:lo+n]

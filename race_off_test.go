@@ -1,0 +1,6 @@
+//go:build !race
+
+package repro
+
+// raceEnabled reports whether the race detector is compiled in.
+const raceEnabled = false
