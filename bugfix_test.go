@@ -24,7 +24,7 @@ func TestBaselineErrorNotCached(t *testing.T) {
 	injected := errors.New("injected baseline failure")
 	h := NewHarness(Options{})
 	failures := 1
-	h.runBaseline = func(e Experiment) (*Outcome, error) {
+	h.simulate = func(e Experiment) (*Outcome, error) {
 		if failures > 0 {
 			failures--
 			return nil, injected
@@ -45,7 +45,7 @@ func TestBaselineErrorNotCached(t *testing.T) {
 		t.Fatalf("second BaselineTime = %v, want a positive time", v)
 	}
 	// And the success is cached normally: no further run.
-	h.runBaseline = func(Experiment) (*Outcome, error) {
+	h.simulate = func(Experiment) (*Outcome, error) {
 		t.Error("cached success was recomputed")
 		return nil, errors.New("unreachable")
 	}
@@ -61,7 +61,7 @@ func TestBaselineErrorConcurrentRetry(t *testing.T) {
 	h := NewHarness(Options{})
 	var mu sync.Mutex
 	failures := 1
-	h.runBaseline = func(e Experiment) (*Outcome, error) {
+	h.simulate = func(e Experiment) (*Outcome, error) {
 		mu.Lock()
 		fail := failures > 0
 		if fail {
@@ -161,12 +161,12 @@ func TestForEachIndexPanicNoDeadlock(t *testing.T) {
 }
 
 // TestRunGridPanicStructuredError: a panic inside a harness grid cell
-// (injected via the baseline hook) surfaces as that cell's error from
+// (injected via the simulate hook) surfaces as that cell's error from
 // the figure driver instead of hanging or unwinding, at -j 1 and -j 8.
 func TestRunGridPanicStructuredError(t *testing.T) {
 	for _, par := range []int{1, 8} {
 		h := NewHarness(Options{Sizes: SizeClasses[:1], Procs: []int{4}, Parallelism: par})
-		h.runBaseline = func(Experiment) (*Outcome, error) { panic("baseline exploded") }
+		h.simulate = func(Experiment) (*Outcome, error) { panic("baseline exploded") }
 		done := make(chan error, 1)
 		go func() {
 			_, _, err := h.Table1()
@@ -214,26 +214,50 @@ func TestRunEachPerCellErrors(t *testing.T) {
 	}
 }
 
-// TestGridEarliestCellOrderErrorWins pins runGrid's multi-error rule:
+// TestGridEarliestCellOrderErrorWins pins runCells' multi-error rule:
 // the earliest failing cell in CELL order wins even when a later cell's
 // failure completes first in wall-clock. Cell 0 is a baseline that
-// fails slowly (injected); cell 1 is an experiment cell that fails
-// validation instantly.
+// fails slowly, cell 1 an experiment cell that fails instantly, both
+// injected through the simulate hook.
 func TestGridEarliestCellOrderErrorWins(t *testing.T) {
-	errSlow := errors.New("slow early failure")
+	errSlow, errFast := errors.New("slow early failure"), errors.New("fast late failure")
 	for _, par := range []int{1, 8} {
 		h := NewHarness(Options{Parallelism: par})
-		h.runBaseline = func(Experiment) (*Outcome, error) {
+		h.simulate = func(e Experiment) (*Outcome, error) {
+			if e.Model != Seq {
+				return nil, errFast
+			}
 			time.Sleep(100 * time.Millisecond)
 			return nil, errSlow
 		}
-		cells := []gridCell{
-			baselineCell(1<<12, keys.Gauss),
-			expCell(Experiment{Algorithm: Radix, Model: SHMEM, N: -1, Procs: 4}),
-		}
-		_, err := h.runGrid(cells)
+		_, err := h.runCells([]Experiment{
+			{Algorithm: Radix, Model: Seq, N: 1 << 12, Procs: 1, Radix: 8},
+			{Algorithm: Radix, Model: SHMEM, N: 1 << 12, Procs: 4, Radix: 8},
+		})
 		if !errors.Is(err, errSlow) {
-			t.Errorf("par=%d: runGrid error = %v, want the slow cell-0 failure (cell order, not completion order)", par, err)
+			t.Errorf("par=%d: runCells error = %v, want the slow cell-0 failure (cell order, not completion order)", par, err)
+		}
+	}
+}
+
+// TestGridValidatesBeforeRunning: a figure with one impossible cell
+// fails with that cell's Validate error before any cell is simulated —
+// no run counted, no Progress line — instead of after the valid cells
+// have all run to completion.
+func TestGridValidatesBeforeRunning(t *testing.T) {
+	for _, par := range []int{1, 8} {
+		lines := 0
+		h := NewHarness(Options{
+			Procs: []int{4}, Sizes: SizeClasses[:2], RadixSweep: []int{6, 20}, Parallelism: par,
+			Progress: func(string, ...any) { lines++ },
+		})
+		_, err := h.Figure6()
+		want := Experiment{Algorithm: Radix, Model: SHMEM, N: 1 << 16, Procs: 4, Radix: 20}.Validate()
+		if want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("par=%d: Figure6 over radixes 6,20 = %v, want the Validate error %v", par, err, want)
+		}
+		if runs := h.Stats().Runs; runs != 0 || lines != 0 {
+			t.Errorf("par=%d: %d runs and %d Progress lines before the invalid cell was reported, want none", par, runs, lines)
 		}
 	}
 }
@@ -242,83 +266,64 @@ func TestGridEarliestCellOrderErrorWins(t *testing.T) {
 // interleave in exact submission order in the result slice, with equal
 // values at -j 1 and -j 8.
 func TestGridInterleaveDeterministic(t *testing.T) {
-	build := func() []gridCell {
-		return []gridCell{
-			baselineCell(1<<12, keys.Gauss),
-			expCell(Experiment{Algorithm: Radix, Model: SHMEM, N: 1 << 12, Procs: 4, Radix: 8}),
-			baselineCell(1<<13, keys.Gauss),
-			expCell(Experiment{Algorithm: Sample, Model: CCSAS, N: 1 << 13, Procs: 4, Radix: 8}),
-			baselineCell(1<<12, keys.Gauss), // repeat: singleflight, same value
-		}
+	seq := func(n int) Experiment {
+		return Experiment{Algorithm: Radix, Model: Seq, N: n, Procs: 1, Radix: 8}
 	}
-	type snap struct {
-		base float64
-		time float64
+	exps := []Experiment{
+		seq(1 << 12),
+		{Algorithm: Radix, Model: SHMEM, N: 1 << 12, Procs: 4, Radix: 8},
+		seq(1 << 13),
+		{Algorithm: Sample, Model: CCSAS, N: 1 << 13, Procs: 4, Radix: 8},
+		seq(1 << 12), // repeat: singleflight, same value
 	}
-	run := func(par int) []snap {
+	run := func(par int) []float64 {
 		h := NewHarness(Options{Parallelism: par})
-		res, err := h.runGrid(build())
+		cells, err := h.runCells(exps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out []snap
-		for i, r := range res {
-			s := snap{base: r.base}
-			if r.out != nil {
-				s.time = r.out.TimeNs
+		var times []float64
+		for i, c := range cells {
+			// Cell parity: even indexes are baselines (a time and nothing
+			// else), odd are experiments.
+			if c.timeNs <= 0 || (c.perProc != nil) != (i%2 == 1) {
+				t.Errorf("par=%d cell %d: got %d breakdowns and time %v", par, i, len(c.perProc), c.timeNs)
 			}
-			// Cell parity: even indexes are baselines, odd are experiments.
-			if i%2 == 0 && (r.base <= 0 || r.out != nil) {
-				t.Errorf("par=%d cell %d: want baseline result, got %+v", par, i, r)
-			}
-			if i%2 == 1 && (r.out == nil || r.base != 0) {
-				t.Errorf("par=%d cell %d: want experiment result, got %+v", par, i, r)
-			}
-			out = append(out, s)
+			times = append(times, c.timeNs)
 		}
-		if res[0].base != res[4].base {
-			t.Errorf("par=%d: repeated baseline cells disagree: %v vs %v", par, res[0].base, res[4].base)
+		if times[0] != times[4] {
+			t.Errorf("par=%d: repeated baseline cells disagree: %v vs %v", par, times[0], times[4])
 		}
-		return out
+		if runs := h.Stats().Runs; runs != 4 {
+			t.Errorf("par=%d: %d runs for 5 cells with one repeated baseline, want 4", par, runs)
+		}
+		return times
 	}
 	j1 := run(1)
 	j8 := run(8)
 	for i := range j1 {
 		if j1[i] != j8[i] {
-			t.Errorf("cell %d differs between -j 1 and -j 8: %+v vs %+v", i, j1[i], j8[i])
+			t.Errorf("cell %d differs between -j 1 and -j 8: %v vs %v", i, j1[i], j8[i])
 		}
 	}
 }
 
-// TestTakeTracesDrains pins the trace-buffer ownership rule: TakeTraces
-// hands each buffered trace out exactly once and clears the buffer, so
-// a long-lived process can run traced cells forever in bounded memory;
-// Traces keeps observing whatever is still buffered.
-func TestTakeTracesDrains(t *testing.T) {
+// TestRunExperimentKeepsNoTrace pins the trace ownership rule: a traced
+// RunExperiment hands the trace out on the Outcome and parks nothing on
+// the harness, so a long-lived process (cmd/simd) can run traced cells
+// forever in bounded memory. Only the figures collect into Traces.
+func TestRunExperimentKeepsNoTrace(t *testing.T) {
 	h := NewHarness(Options{})
 	e := Experiment{Algorithm: Radix, Model: SHMEM, N: 1 << 12, Procs: 4, Radix: 8, Trace: true}
-	if _, err := h.RunExperiment(e); err != nil {
+	out, err := h.RunExperiment(e)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(h.Traces()); got != 1 {
-		t.Fatalf("after one traced run, Traces() has %d entries, want 1", got)
-	}
-	taken := h.TakeTraces()
-	if len(taken) != 1 || taken[0] == nil {
-		t.Fatalf("TakeTraces returned %d traces, want 1", len(taken))
+	if out.Trace() == nil {
+		t.Error("traced RunExperiment returned an Outcome without its trace")
 	}
 	if got := len(h.Traces()); got != 0 {
-		t.Errorf("after drain, Traces() still sees %d entries", got)
-	}
-	if again := h.TakeTraces(); len(again) != 0 {
-		t.Errorf("second TakeTraces returned %d traces, want 0", len(again))
-	}
-	// New runs refill the (drained) buffer.
-	if _, err := h.RunExperiment(e); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(h.TakeTraces()); got != 1 {
-		t.Errorf("buffer did not refill after drain: %d", got)
+		t.Errorf("after one traced RunExperiment, Traces() has %d entries, want 0", got)
 	}
 }
 

@@ -47,88 +47,6 @@ import (
 	"repro/internal/trace"
 )
 
-// figureRun is one regenerable experiment: run returns the printable
-// output blocks (each printed with one trailing newline, like the serial
-// driver always did). extra marks beyond-paper experiments that -exp all
-// skips: the committed paper grid (and its golden file) stays exactly
-// the paper's figures, and the extras run only when named explicitly.
-type figureRun struct {
-	name  string
-	run   func(h *repro.Harness) ([]string, error)
-	extra bool
-}
-
-// runners lists every experiment in the order -exp all prints them.
-var runners = []figureRun{
-	{"table1", func(h *repro.Harness) ([]string, error) {
-		t, _, err := h.Table1()
-		if err != nil {
-			return nil, err
-		}
-		return []string{t.String()}, nil
-	}, false},
-	{"fig1", speedupRunner((*repro.Harness).Figure1), false},
-	{"fig2", speedupRunner((*repro.Harness).Figure2), false},
-	{"fig3", speedupRunner((*repro.Harness).Figure3), false},
-	{"fig7", speedupRunner((*repro.Harness).Figure7), false},
-	{"figpsrs", speedupRunner((*repro.Harness).FigurePSRS), false},
-	{"fig4", breakdownRunner((*repro.Harness).Figure4), false},
-	{"fig8", breakdownRunner((*repro.Harness).Figure8), false},
-	{"fig5", relativeRunner((*repro.Harness).Figure5), false},
-	{"fig6", relativeRunner((*repro.Harness).Figure6), false},
-	{"fig9", relativeRunner((*repro.Harness).Figure9), false},
-	{"fig10", relativeRunner((*repro.Harness).Figure10), false},
-	{"table23", func(h *repro.Harness) ([]string, error) {
-		bt, err := h.Tables23()
-		if err != nil {
-			return nil, err
-		}
-		return []string{bt.Table2().String(), bt.Table3().String()}, nil
-	}, false},
-	{"figtopo", func(h *repro.Harness) ([]string, error) {
-		figs, err := h.FigureTopo()
-		if err != nil {
-			return nil, err
-		}
-		var blocks []string
-		for _, f := range figs {
-			blocks = append(blocks, f.Table().String())
-		}
-		return blocks, nil
-	}, true},
-	{"figskew", relativeRunner((*repro.Harness).FigureSkew), true},
-}
-
-func speedupRunner(fn func(*repro.Harness) (*repro.SpeedupFigure, error)) func(*repro.Harness) ([]string, error) {
-	return func(h *repro.Harness) ([]string, error) {
-		f, err := fn(h)
-		if err != nil {
-			return nil, err
-		}
-		return []string{f.Table().String()}, nil
-	}
-}
-
-func breakdownRunner(fn func(*repro.Harness) (*repro.BreakdownFigure, error)) func(*repro.Harness) ([]string, error) {
-	return func(h *repro.Harness) ([]string, error) {
-		f, err := fn(h)
-		if err != nil {
-			return nil, err
-		}
-		return []string{f.Chart()}, nil
-	}
-}
-
-func relativeRunner(fn func(*repro.Harness) (*repro.RelativeFigure, error)) func(*repro.Harness) ([]string, error) {
-	return func(h *repro.Harness) ([]string, error) {
-		f, err := fn(h)
-		if err != nil {
-			return nil, err
-		}
-		return []string{f.Table().String()}, nil
-	}
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fatal(err)
@@ -168,7 +86,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *par < 1 {
 		return fmt.Errorf("-j must be >= 1, got %d", *par)
 	}
-	if !validExp(*exp) {
+	// repro.Figures is the list of experiments, in the order -exp all
+	// prints them; all skips the beyond-paper extras.
+	var selected []repro.Figure
+	for _, f := range repro.Figures {
+		if *exp == f.Name || (*exp == "all" && !f.Extra) {
+			selected = append(selected, f)
+		}
+	}
+	if len(selected) == 0 {
 		return fmt.Errorf("unknown experiment %q (want all, table1, fig1..fig10, figpsrs, table23, figtopo, or figskew)", *exp)
 	}
 
@@ -199,14 +125,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	h := repro.NewHarness(opts)
 
-	for _, r := range runners {
-		if *exp == "all" && r.extra {
-			continue
-		}
-		if *exp != "all" && *exp != r.name {
-			continue
-		}
-		blocks, err := r.run(h)
+	for _, f := range selected {
+		blocks, err := f.Run(h)
 		if err != nil {
 			return err
 		}
@@ -230,19 +150,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			*traceTo, len(h.Traces()))
 	}
 	return nil
-}
-
-// validExp reports whether name selects at least one runner.
-func validExp(name string) bool {
-	if name == "all" {
-		return true
-	}
-	for _, r := range runners {
-		if r.name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // parseInts parses a comma-separated list of positive ints.

@@ -246,20 +246,15 @@ func (s *server) parseRequest(req experimentRequest) (repro.Experiment, cacheCon
 }
 
 // runExperiment executes one simulation under the global concurrency
-// bound. Traced runs are drained from the harness buffer immediately
-// (the trace still rides on the Outcome): a long-lived server must
-// never let the per-request trace buffer accumulate.
+// bound. A traced run's trace rides on the Outcome only — the harness
+// keeps none of it, so trace memory is bounded by in-flight requests.
 func (s *server) runExperiment(e repro.Experiment) (*repro.Outcome, error) {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 	if s.cfg.Paranoid {
 		e.Paranoid = true
 	}
-	out, err := s.h.RunExperiment(e)
-	if e.Trace {
-		s.h.TakeTraces()
-	}
-	return out, err
+	return s.h.RunExperiment(e)
 }
 
 // computeCell simulates one validated cell and serializes its result

@@ -102,18 +102,21 @@ func main() {
 			fatal(err)
 		}
 	}()
-	if *seedsK != 0 {
-		if err := runEnsemble(a, m, d, tp, *n, *procs, *radix, *seed, *seedsK, *confidence, *full, *paranoid); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	out, err := repro.Run(repro.Experiment{
+	// One Experiment for both modes, so a flag one mode honors cannot be
+	// dropped by the other (-seeds forbids the flags behind Trace).
+	e := repro.Experiment{
 		Algorithm: a, Model: m, N: *n, Procs: *procs, Radix: *radix,
 		Dist: d, Topo: tp, Seed: *seed, FullSize: *full, Paranoid: *paranoid,
 		ParanoidSampleEvery: *paranoidN,
 		Trace:               *traceTo != "" || *metrics != "",
-	})
+	}
+	if *seedsK != 0 {
+		if err := runEnsemble(e, *seedsK, *confidence); err != nil {
+			fatal(err)
+		}
+		return
+	}
+	out, err := repro.Run(e)
 	if err != nil {
 		fatal(err)
 	}
@@ -162,22 +165,19 @@ func main() {
 	}
 }
 
-// runEnsemble is the -seeds mode: one experiment across K consecutive
-// seeds, reduced to per-metric mean/stddev/CI by internal/stats.
-func runEnsemble(a repro.Algorithm, m repro.Model, d keys.Dist, topo string,
-	n, procs, radix int, seed uint64, seedsK int, confidence float64, full, paranoid bool) error {
-	label := fmt.Sprintf("%s/%s", a, m)
+// runEnsemble is the -seeds mode: the experiment across K consecutive
+// seeds starting at its own, reduced to per-metric mean/stddev/CI by
+// internal/stats.
+func runEnsemble(e repro.Experiment, seedsK int, confidence float64) error {
+	label := fmt.Sprintf("%s/%s", e.Algorithm, e.Model)
 	ens, err := stats.RunEnsemble(
-		stats.Config{Seeds: seedsK, BaseSeed: seed, Confidence: confidence},
-		[]stats.Variant{{Label: label, Exp: repro.Experiment{
-			Algorithm: a, Model: m, N: n, Procs: procs, Radix: radix,
-			Dist: d, Topo: topo, FullSize: full, Paranoid: paranoid,
-		}}})
+		stats.Config{Seeds: seedsK, BaseSeed: e.Seed, Confidence: confidence},
+		[]stats.Variant{{Label: label, Exp: e}})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s  n=%d  procs=%d  radix=%d  dist=%s  seeds=%d..%d  confidence=%g\n",
-		label, n, procs, radix, d, seed, seed+uint64(seedsK)-1, ens.Confidence)
+		label, e.N, e.Procs, e.Radix, e.Dist, e.Seed, e.Seed+uint64(seedsK)-1, ens.Confidence)
 	t := &report.Table{
 		Title:  "Ensemble summary (ms, breakdown summed over processors)",
 		Header: []string{"metric", "mean", "stddev", "ci lo", "ci hi"},

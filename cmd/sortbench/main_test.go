@@ -110,3 +110,22 @@ func TestCLIProfiles(t *testing.T) {
 		}
 	}
 }
+
+// TestCLISeedsSameExperiment: -seeds runs the experiment the single-run
+// mode would, flag for flag. The ensemble used to rebuild it from loose
+// arguments and lost -paranoid-sample, so a value the single run
+// rejects printed a summary (and a valid one ran unchecked).
+func TestCLISeedsSameExperiment(t *testing.T) {
+	args := []string{"-n", "4096", "-procs", "4", "-paranoid-sample", "-1"}
+	for _, mode := range [][]string{nil, {"-seeds", "2"}} {
+		stdout, stderr, err := sortbench(append(args, mode...)...)
+		if err == nil || !strings.Contains(stderr, "ParanoidSampleEvery must be non-negative") {
+			t.Errorf("sortbench %v %v: err %v, stdout %q, stderr %q; want the machine's rejection of -paranoid-sample -1",
+				args, mode, err, stdout, stderr)
+		}
+	}
+	stdout, stderr, err := sortbench("-n", "4096", "-procs", "4", "-paranoid-sample", "13", "-seeds", "3")
+	if err != nil || !strings.Contains(stdout, "Ensemble summary") {
+		t.Errorf("sampled-paranoid ensemble: %v\n%s%s", err, stdout, stderr)
+	}
+}

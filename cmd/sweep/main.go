@@ -72,6 +72,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// An unknown -kind is refused here, before the profile files exist.
+	run, ok := sweeps[*kind]
+	if !ok {
+		fatal(fmt.Errorf("unknown sweep kind %q", *kind))
+	}
 	base := repro.Experiment{
 		Algorithm: a, Model: m, N: *n, Procs: *procs, Radix: 8, Dist: d, Topo: tp, Seed: *seed,
 	}
@@ -84,101 +89,115 @@ func main() {
 			fatal(err)
 		}
 	}()
-
-	switch *kind {
-	case "radix":
-		radixes := []int{6, 7, 8, 9, 10, 11, 12}
-		exps := make([]repro.Experiment, len(radixes))
-		for i, r := range radixes {
-			exps[i] = base
-			exps[i].Radix = r
-		}
-		outs, err := repro.RunAll(*par, exps)
-		if err != nil {
-			fatal(err)
-		}
-		ref := 0.0
-		for i, r := range radixes {
-			if r == 8 {
-				ref = outs[i].TimeNs
-			}
-		}
-		t := &report.Table{
-			Title:  fmt.Sprintf("Radix-size sweep: %s/%s n=%d procs=%d", a, m, *n, *procs),
-			Header: []string{"radix", "passes", "time", "vs r=8"},
-		}
-		for i, r := range radixes {
-			t.AddRow(fmt.Sprintf("%d", r), fmt.Sprintf("%d", (31+r-1)/r),
-				report.Ms(outs[i].TimeNs), report.F(outs[i].TimeNs/ref))
-		}
-		fmt.Println(t)
-
-	case "bufdepth":
-		// The paper §4.2: deeper per-pair buffers alleviate MPI's SYNC
-		// stalls but do not eliminate them (and cost O(p^2) memory).
-		depths := []int{1, 2, 4, 16, 64}
-		exps := make([]repro.Experiment, len(depths))
-		for i, depth := range depths {
-			exps[i] = base
-			exps[i].Model = repro.MPI
-			exps[i].MPIBufDepth = depth
-		}
-		outs, err := repro.RunAll(*par, exps)
-		if err != nil {
-			fatal(err)
-		}
-		t := &report.Table{
-			Title:  fmt.Sprintf("MPI window-depth ablation: %s n=%d procs=%d", a, *n, *procs),
-			Header: []string{"depth", "time", "sum SYNC (ms)"},
-		}
-		for i, depth := range depths {
-			var sync float64
-			for _, b := range outs[i].Breakdowns() {
-				sync += b.Sync
-			}
-			t.AddRow(fmt.Sprintf("%d", depth), report.Ms(outs[i].TimeNs), report.F(sync/1e6))
-		}
-		fmt.Println(t)
-
-	case "flatmem", "nocontention":
-		var models []repro.Model
-		for _, mo := range repro.Models(a) {
-			if mo != repro.MPISGI {
-				models = append(models, mo)
-			}
-		}
-		// Two cells per model: real then ablated.
-		exps := make([]repro.Experiment, 0, 2*len(models))
-		for _, mo := range models {
-			e := base
-			e.Model = mo
-			exps = append(exps, e)
-			if *kind == "flatmem" {
-				e.FlatMemory = true
-			} else {
-				e.NoContention = true
-			}
-			exps = append(exps, e)
-		}
-		outs, err := repro.RunAll(*par, exps)
-		if err != nil {
-			fatal(err)
-		}
-		t := &report.Table{
-			Title: fmt.Sprintf("%s ablation: %s n=%d procs=%d (all radix models)",
-				*kind, a, *n, *procs),
-			Header: []string{"model", "real", "ablated", "speedup lost"},
-		}
-		for i, mo := range models {
-			real, abl := outs[2*i], outs[2*i+1]
-			t.AddRow(string(mo), report.Ms(real.TimeNs), report.Ms(abl.TimeNs),
-				report.F(real.TimeNs/abl.TimeNs))
-		}
-		fmt.Println(t)
-
-	default:
-		fatal(fmt.Errorf("unknown sweep kind %q", *kind))
+	t, err := run(base, *par)
+	if err != nil {
+		fatal(err)
 	}
+	fmt.Println(t)
+}
+
+// sweeps maps each -kind to the sweep it runs over the base experiment
+// on par workers.
+var sweeps = map[string]func(base repro.Experiment, par int) (*report.Table, error){
+	"radix":    radixSweep,
+	"bufdepth": bufDepthSweep,
+	"flatmem": func(base repro.Experiment, par int) (*report.Table, error) {
+		return ablation("flatmem", func(e *repro.Experiment) { e.FlatMemory = true }, base, par)
+	},
+	"nocontention": func(base repro.Experiment, par int) (*report.Table, error) {
+		return ablation("nocontention", func(e *repro.Experiment) { e.NoContention = true }, base, par)
+	},
+}
+
+func radixSweep(base repro.Experiment, par int) (*report.Table, error) {
+	radixes := []int{6, 7, 8, 9, 10, 11, 12}
+	exps := make([]repro.Experiment, len(radixes))
+	for i, r := range radixes {
+		exps[i] = base
+		exps[i].Radix = r
+	}
+	outs, err := repro.RunAll(par, exps)
+	if err != nil {
+		return nil, err
+	}
+	ref := 0.0
+	for i, r := range radixes {
+		if r == 8 {
+			ref = outs[i].TimeNs
+		}
+	}
+	t := &report.Table{
+		Title:  fmt.Sprintf("Radix-size sweep: %s/%s n=%d procs=%d", base.Algorithm, base.Model, base.N, base.Procs),
+		Header: []string{"radix", "passes", "time", "vs r=8"},
+	}
+	for i, r := range radixes {
+		t.AddRow(fmt.Sprintf("%d", r), fmt.Sprintf("%d", (31+r-1)/r),
+			report.Ms(outs[i].TimeNs), report.F(outs[i].TimeNs/ref))
+	}
+	return t, nil
+}
+
+// bufDepthSweep is the paper's §4.2: deeper per-pair buffers alleviate
+// MPI's SYNC stalls but do not eliminate them (and cost O(p^2) memory).
+func bufDepthSweep(base repro.Experiment, par int) (*report.Table, error) {
+	depths := []int{1, 2, 4, 16, 64}
+	exps := make([]repro.Experiment, len(depths))
+	for i, depth := range depths {
+		exps[i] = base
+		exps[i].Model = repro.MPI
+		exps[i].MPIBufDepth = depth
+	}
+	outs, err := repro.RunAll(par, exps)
+	if err != nil {
+		return nil, err
+	}
+	t := &report.Table{
+		Title:  fmt.Sprintf("MPI window-depth ablation: %s n=%d procs=%d", base.Algorithm, base.N, base.Procs),
+		Header: []string{"depth", "time", "sum SYNC (ms)"},
+	}
+	for i, depth := range depths {
+		var sync float64
+		for _, b := range outs[i].Breakdowns() {
+			sync += b.Sync
+		}
+		t.AddRow(fmt.Sprintf("%d", depth), report.Ms(outs[i].TimeNs), report.F(sync/1e6))
+	}
+	return t, nil
+}
+
+// ablation runs every model of the base algorithm (the staged MPI
+// library aside) twice, as modeled and with one mechanism ablated.
+func ablation(kind string, ablate func(*repro.Experiment), base repro.Experiment, par int) (*report.Table, error) {
+	var models []repro.Model
+	for _, mo := range repro.Models(base.Algorithm) {
+		if mo != repro.MPISGI {
+			models = append(models, mo)
+		}
+	}
+	// Two cells per model: real then ablated.
+	exps := make([]repro.Experiment, 0, 2*len(models))
+	for _, mo := range models {
+		e := base
+		e.Model = mo
+		exps = append(exps, e)
+		ablate(&e)
+		exps = append(exps, e)
+	}
+	outs, err := repro.RunAll(par, exps)
+	if err != nil {
+		return nil, err
+	}
+	t := &report.Table{
+		Title: fmt.Sprintf("%s ablation: %s n=%d procs=%d (all %s models)",
+			kind, base.Algorithm, base.N, base.Procs, base.Algorithm),
+		Header: []string{"model", "real", "ablated", "speedup lost"},
+	}
+	for i, mo := range models {
+		real, abl := outs[2*i], outs[2*i+1]
+		t.AddRow(string(mo), report.Ms(real.TimeNs), report.Ms(abl.TimeNs),
+			report.F(real.TimeNs/abl.TimeNs))
+	}
+	return t, nil
 }
 
 func fatal(err error) {

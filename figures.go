@@ -44,7 +44,7 @@ type Options struct {
 	// Experiment.ParanoidSampleEvery); N > 1 implies Paranoid.
 	ParanoidSampleEvery int
 	// Trace records a virtual-time event trace for every experiment cell
-	// (baselines excluded — they are cached and shared across drivers).
+	// (baselines excluded — they are cached and shared across figures).
 	// Traces accumulate on the harness in deterministic submission order
 	// regardless of Parallelism; fetch them with Traces.
 	Trace bool
@@ -79,20 +79,21 @@ func (o Options) withDefaults() Options {
 // Harness regenerates the paper's tables and figures. It caches the
 // sequential baselines speedups are measured against.
 //
-// A Harness is safe for concurrent use: its figure/table drivers run
-// their experiment grids on a worker pool of opts.Parallelism goroutines
-// (see runGrid), the baseline cache is singleflight-guarded, and the
-// Progress callback is serialized. Everything else an experiment touches
-// (Machine, caches, key slices) is built per Run and shared with nothing.
+// A Harness is safe for concurrent use: its tables and figures run their
+// cells on a worker pool of opts.Parallelism goroutines (see runCells),
+// the baseline cache is singleflight-guarded, and the Progress callback
+// is serialized. Everything else an experiment touches (Machine, caches,
+// key slices) is built per Run and shared with nothing.
 type Harness struct {
 	opts Options
 
-	// mu guards baseline. Each entry is a singleflight slot: the map
-	// lookup is cheap under mu, the expensive sequential run happens in
-	// the entry's once — one goroutine computes it, others wait on the
-	// same entry without duplicating the run.
+	// mu guards baseline, the times of the sequential cells run so far,
+	// keyed by the whole experiment. Each entry is a singleflight slot:
+	// the map lookup is cheap under mu, the expensive sequential run
+	// happens in the entry's once — one goroutine computes it, others wait
+	// on the same entry without duplicating the run.
 	mu       sync.Mutex
-	baseline map[baselineKey]*baselineEntry
+	baseline map[Experiment]*baselineEntry
 
 	// progMu serializes the user's Progress callback.
 	progMu sync.Mutex
@@ -101,24 +102,16 @@ type Harness struct {
 	statMu sync.Mutex
 	stats  HarnessStats
 
-	// traceMu guards traces, the event traces collected when opts.Trace
-	// is set. runGrid appends each grid's traces in cell order after the
-	// grid completes, so the sequence is deterministic at any
-	// Parallelism.
+	// traceMu guards traces, the event traces of the figure cells run
+	// with opts.Trace set. runCells appends each grid's traces in cell
+	// order after the grid completes, so the sequence is deterministic at
+	// any Parallelism.
 	traceMu sync.Mutex
 	traces  []*trace.Trace
 
-	// runBaseline is the function BaselineTime uses to execute the
-	// sequential experiment (nil selects Run). Tests stub it to inject
-	// failures into the singleflight slots.
-	runBaseline func(Experiment) (*Outcome, error)
-}
-
-type baselineKey struct {
-	n     int
-	dist  keys.Dist
-	radix int
-	seed  uint64
+	// simulate executes one experiment: Run, except in tests, which stub
+	// it to inject failures and panics into cells and singleflight slots.
+	simulate func(Experiment) (*Outcome, error)
 }
 
 // baselineEntry is one singleflight slot of the baseline cache.
@@ -133,14 +126,14 @@ type baselineEntry struct {
 type HarnessStats struct {
 	// Runs is the number of completed experiment runs, including cached
 	// sequential baselines (each baseline counts once, however many
-	// drivers consume it).
+	// figures consume it).
 	Runs int `json:"runs"`
 	// SimNs is the total simulated virtual time across those runs.
 	SimNs float64 `json:"sim_ns"`
 }
 
 // Stats returns a snapshot of the harness's work counters. Diffing two
-// snapshots around a figure driver yields that figure's run count and
+// snapshots around a figure yields that figure's run count and
 // simulated time (cmd/bench's paper-grid workload does exactly this).
 func (h *Harness) Stats() HarnessStats {
 	h.statMu.Lock()
@@ -148,92 +141,110 @@ func (h *Harness) Stats() HarnessStats {
 	return h.stats
 }
 
-// note records one completed run in the stats counters.
-func (h *Harness) note(simNs float64) {
-	h.statMu.Lock()
-	h.stats.Runs++
-	h.stats.SimNs += simNs
-	h.statMu.Unlock()
+// NewHarness builds a harness.
+func NewHarness(opts Options) *Harness {
+	return &Harness{opts: opts.withDefaults(), baseline: make(map[Experiment]*baselineEntry), simulate: Run}
 }
 
-// progress emits one serialized Progress line.
-func (h *Harness) progress(format string, args ...any) {
+// RunExperiment executes one fully-specified experiment exactly as given
+// — its own Seed, FullSize, Trace and Paranoid fields, not the harness
+// options — counting it in the harness's stats and progress stream. It
+// is the entry point for callers (cmd/simd) whose requests carry those
+// settings per cell, and the one place the harness itself simulates:
+// every figure cell ends up here. A traced run's trace rides on the
+// Outcome only; the harness keeps none of it.
+func (h *Harness) RunExperiment(e Experiment) (*Outcome, error) {
+	out, err := h.simulate(e)
+	if err != nil {
+		return nil, err
+	}
+	h.statMu.Lock()
+	h.stats.Runs++
+	h.stats.SimNs += out.TimeNs
+	h.statMu.Unlock()
+	format, args := e.progressLine(out.TimeNs)
 	h.progMu.Lock()
 	defer h.progMu.Unlock()
 	h.opts.Progress(format, args...)
+	return out, nil
 }
 
-// NewHarness builds a harness.
-func NewHarness(opts Options) *Harness {
-	return &Harness{opts: opts.withDefaults(), baseline: make(map[baselineKey]*baselineEntry)}
-}
-
-// sizeN returns the key count used for a size class.
-func (h *Harness) sizeN(s SizeClass) int {
-	if h.opts.FullSize {
-		return s.PaperN
-	}
-	return s.ScaledN
-}
-
-// BaselineTime returns (computing and caching on first use) the
-// sequential radix sort time for n keys of the given distribution — the
-// paper measures every speedup against this same baseline (radix 8).
-//
-// BaselineTime is safe for concurrent use and singleflight-deduplicated:
-// when several grid cells need the same baseline at once, exactly one
-// goroutine runs the sequential experiment and the rest wait for it.
+// sequential returns the time of one sequential cell, running it on
+// first use. It is singleflight-deduplicated: when several cells need
+// the same baseline at once, exactly one goroutine runs the experiment
+// and the rest wait for it.
 //
 // Only successes are cached. A failed run's entry is dropped before
-// BaselineTime returns, so the next caller retries instead of being
-// served the stale error forever (internal/resultcache applies the same
+// sequential returns, so the next caller retries instead of being served
+// the stale error forever (internal/resultcache applies the same
 // errors-are-never-cached rule to its content-addressed store).
-func (h *Harness) BaselineTime(n int, dist keys.Dist) (float64, error) {
-	k := baselineKey{n: n, dist: dist, radix: 8, seed: h.opts.Seed}
+func (h *Harness) sequential(e Experiment) (float64, error) {
 	h.mu.Lock()
-	e, ok := h.baseline[k]
+	slot, ok := h.baseline[e]
 	if !ok {
-		e = &baselineEntry{}
-		h.baseline[k] = e
+		slot = &baselineEntry{}
+		h.baseline[e] = slot
 	}
 	h.mu.Unlock()
-	e.once.Do(func() {
-		runFn := h.runBaseline
-		if runFn == nil {
-			runFn = Run
-		}
-		out, err := runFn(Experiment{
-			Algorithm: Radix, Model: Seq, N: n, Procs: 1, Radix: 8,
-			Dist: dist, Seed: h.opts.Seed, FullSize: h.opts.FullSize,
-			Paranoid: h.opts.Paranoid, ParanoidSampleEvery: h.opts.ParanoidSampleEvery,
-		})
+	slot.once.Do(func() {
+		out, err := h.RunExperiment(e)
 		if err != nil {
-			e.err = err
+			slot.err = err
 			return
 		}
-		h.note(out.TimeNs)
-		h.progress("baseline n=%d dist=%v: %s", n, dist, report.Ms(out.TimeNs))
-		e.timeNs = out.TimeNs
+		slot.timeNs = out.TimeNs
 	})
-	if e.err != nil {
+	if slot.err != nil {
 		// Drop the poisoned entry so the next caller retries; the map may
 		// already hold a fresh entry from a later caller, so only delete
 		// our own.
 		h.mu.Lock()
-		if h.baseline[k] == e {
-			delete(h.baseline, k)
+		if h.baseline[e] == slot {
+			delete(h.baseline, e)
 		}
 		h.mu.Unlock()
 	}
-	return e.timeNs, e.err
+	return slot.timeNs, slot.err
 }
 
-// Traces returns a copy of the event traces collected so far
-// (opts.Trace must be set), in the deterministic order the drivers
-// submitted their cells. The harness keeps its buffer: Traces is for
-// one-shot drivers (cmd/paperfigs) that inspect the full set after a
-// run. Long-lived processes should drain with TakeTraces instead, or
-// the buffer grows without bound.
+// program is the experiment template of one figure series: a sorting
+// program on procs processors at the paper's defaults (radix 8, Gauss
+// keys), for runGrid to complete per size class.
+func program(alg Algorithm, model Model, procs int) Experiment {
+	return Experiment{Algorithm: alg, Model: model, Procs: procs, Radix: 8, Dist: keys.Gauss}
+}
+
+// experiment completes a figure's template into the cell the harness
+// runs: the size class's key count for this machine scale plus the
+// harness-wide seed and checking. It is the only place Options reach an
+// Experiment.
+func (h *Harness) experiment(s SizeClass, e Experiment) Experiment {
+	e.N = s.ScaledN
+	if h.opts.FullSize {
+		e.N = s.PaperN
+	}
+	e.Seed, e.FullSize = h.opts.Seed, h.opts.FullSize
+	e.Paranoid, e.ParanoidSampleEvery = h.opts.Paranoid, h.opts.ParanoidSampleEvery
+	// A baseline is computed once and shared by every figure that divides
+	// by it, so whose trace list it would land in depends on what ran
+	// before: sequential cells are never traced.
+	e.Trace = h.opts.Trace && e.Model != Seq
+	return e
+}
+
+// BaselineTime returns (computing and caching on first use) the
+// sequential radix sort time for n keys of the given distribution — the
+// paper measures every speedup against this same baseline (radix 8). It
+// is safe for concurrent use; see sequential.
+func (h *Harness) BaselineTime(n int, dist keys.Dist) (float64, error) {
+	e := program(Radix, Seq, 1)
+	e.Dist = dist
+	return h.sequential(h.experiment(SizeClass{PaperN: n, ScaledN: n}, e))
+}
+
+// Traces returns a copy of the event traces the tables and figures
+// collected so far (opts.Trace must be set), in the deterministic order
+// their cells were submitted.
 func (h *Harness) Traces() []*trace.Trace {
 	h.traceMu.Lock()
 	defer h.traceMu.Unlock()
@@ -242,56 +253,17 @@ func (h *Harness) Traces() []*trace.Trace {
 	return out
 }
 
-// TakeTraces drains the collected traces, transferring ownership to the
-// caller and leaving the harness's buffer empty. Long-lived processes
-// (cmd/simd) call this after each traced run so trace memory is bounded
-// by in-flight work, not process lifetime.
-func (h *Harness) TakeTraces() []*trace.Trace {
-	h.traceMu.Lock()
-	defer h.traceMu.Unlock()
-	out := h.traces
-	h.traces = nil
-	return out
-}
+// maxProcs is the largest processor count of the grid, where the
+// single-configuration figures (4–6, 8–10, figskew) run.
+func (h *Harness) maxProcs() int { return h.opts.Procs[len(h.opts.Procs)-1] }
 
-// RunExperiment executes one fully-specified experiment, counting it in
-// the harness's stats and progress stream. Unlike the figure drivers, it
-// honors the experiment's own Seed, FullSize, Trace and Paranoid fields
-// rather than folding in harness options — it is the entry point for
-// callers (cmd/simd) whose requests carry those settings per cell. When
-// e.Trace is set the trace is retained on the harness; long-lived
-// callers should drain it with TakeTraces.
-func (h *Harness) RunExperiment(e Experiment) (*Outcome, error) {
-	out, err := Run(e)
-	if err != nil {
-		return nil, err
+// sizeLabels returns the size classes' labels.
+func sizeLabels(sizes []SizeClass) []string {
+	labels := make([]string, len(sizes))
+	for i, s := range sizes {
+		labels[i] = s.Label
 	}
-	h.note(out.TimeNs)
-	h.progress("%-6s %-9s n=%-8d p=%-2d r=%-2d %-7v  %s",
-		e.Algorithm, e.Model, e.N, e.Procs, e.Radix, e.Dist, report.Ms(out.TimeNs))
-	if tr := out.Trace(); tr != nil {
-		h.traceMu.Lock()
-		h.traces = append(h.traces, tr)
-		h.traceMu.Unlock()
-	}
-	return out, nil
-}
-
-// run executes one experiment with harness-wide settings folded in.
-func (h *Harness) run(e Experiment) (*Outcome, error) {
-	e.Seed = h.opts.Seed
-	e.FullSize = h.opts.FullSize
-	e.Trace = h.opts.Trace
-	e.Paranoid = h.opts.Paranoid
-	e.ParanoidSampleEvery = h.opts.ParanoidSampleEvery
-	out, err := Run(e)
-	if err != nil {
-		return nil, err
-	}
-	h.note(out.TimeNs)
-	h.progress("%-6s %-9s n=%-8d p=%-2d r=%-2d %-7v  %s",
-		e.Algorithm, e.Model, e.N, e.Procs, e.Radix, e.Dist, report.Ms(out.TimeNs))
-	return out, nil
+	return labels
 }
 
 // gridKey labels one (size, procs) cell.
@@ -328,94 +300,67 @@ func (f *SpeedupFigure) Table() *report.Table {
 	return t
 }
 
-// speedupVariant is one series of a speedup figure: a label and the
-// (algorithm, model) pair it runs. Allowing the algorithm to vary per
-// series is what lets FigurePSRS put PSRS and sample sort on one grid;
-// Topo additionally reshapes the series' interconnect, which is what
-// lets FigureTopo sweep the same sorts across every network kind.
-type speedupVariant struct {
-	Label string
-	Alg   Algorithm
-	Model Model
-	Topo  string
+// series is one line of a speedup figure: a label and the template of
+// the program it runs. The algorithm may differ per series, which is what
+// lets FigurePSRS put PSRS and sample sort on one grid; the template's
+// Topo reshapes the series' interconnect, which is what lets FigureTopo
+// sweep the same sorts across every network kind.
+type series struct {
+	label string
+	exp   Experiment
 }
 
-// speedupFigureVariants sweeps arbitrary (algorithm, model) series over
-// the sizes × processor-counts grid, all against the shared sequential
-// radix baseline.
-func (h *Harness) speedupFigureVariants(title string, variants []speedupVariant) (*SpeedupFigure, error) {
-	f := &SpeedupFigure{
-		Title:   title,
-		Procs:   h.opts.Procs,
-		Speedup: make(map[string]map[string]float64),
-	}
-	for _, v := range variants {
-		f.Variants = append(f.Variants, v.Label)
-		f.Speedup[v.Label] = make(map[string]float64)
-	}
-	var cells []gridCell
-	for _, s := range h.opts.Sizes {
-		f.Sizes = append(f.Sizes, s.Label)
-		n := h.sizeN(s)
-		cells = append(cells, baselineCell(n, keys.Gauss))
-		for _, p := range h.opts.Procs {
-			for _, v := range variants {
-				cells = append(cells, expCell(Experiment{
-					Algorithm: v.Alg, Model: v.Model, N: n, Procs: p, Radix: 8, Dist: keys.Gauss,
-					Topo: v.Topo,
-				}))
-			}
+func line(label string, alg Algorithm, model Model) series {
+	return series{label, program(alg, model, 0)}
+}
+
+// speedup sweeps the series over the sizes × processor-counts
+// grid, all against the shared sequential radix baseline.
+func (h *Harness) speedup(title string, lines ...series) (*SpeedupFigure, error) {
+	var rows []Experiment
+	for _, p := range h.opts.Procs {
+		for _, l := range lines {
+			l.exp.Procs = p
+			rows = append(rows, l.exp)
 		}
 	}
-	res, err := h.runGrid(cells)
+	g, err := h.runGrid(h.opts.Sizes, true, rows)
 	if err != nil {
 		return nil, err
 	}
-	cur := &gridCursor{res: res}
-	for _, s := range h.opts.Sizes {
-		base := cur.take().base
-		for _, p := range h.opts.Procs {
-			for _, v := range variants {
-				f.Speedup[v.Label][gridKey(s.Label, p)] = base / cur.take().out.TimeNs
+	f := &SpeedupFigure{
+		Title:   title,
+		Procs:   h.opts.Procs,
+		Sizes:   sizeLabels(h.opts.Sizes),
+		Speedup: make(map[string]map[string]float64),
+	}
+	for li, l := range lines {
+		f.Variants = append(f.Variants, l.label)
+		f.Speedup[l.label] = make(map[string]float64)
+		for si, s := range f.Sizes {
+			for pi, p := range f.Procs {
+				f.Speedup[l.label][gridKey(s, p)] = g.base(si) / g.at(si, pi*len(lines)+li).timeNs
 			}
 		}
 	}
 	return f, nil
 }
 
-// speedupFigure sweeps a set of models of a single algorithm.
-func (h *Harness) speedupFigure(title string, alg Algorithm,
-	variants []struct {
-		Label string
-		Model Model
-	}) (*SpeedupFigure, error) {
-	vs := make([]speedupVariant, len(variants))
-	for i, v := range variants {
-		vs[i] = speedupVariant{Label: v.Label, Alg: alg, Model: v.Model}
-	}
-	return h.speedupFigureVariants(title, vs)
-}
-
 // Table1 reproduces the sequential radix sort times for the Gauss
 // distribution (paper Table 1).
 func (h *Harness) Table1() (*report.Table, []float64, error) {
+	g, err := h.runGrid(h.opts.Sizes, true, nil)
+	if err != nil {
+		return nil, nil, err
+	}
 	t := &report.Table{
 		Title:  "Table 1: sequential radix sort time, Gauss keys (simulated)",
 		Header: []string{"size", "keys", "time"},
 	}
-	var cells []gridCell
-	for _, s := range h.opts.Sizes {
-		cells = append(cells, baselineCell(h.sizeN(s), keys.Gauss))
-	}
-	res, err := h.runGrid(cells)
-	if err != nil {
-		return nil, nil, err
-	}
 	var times []float64
 	for i, s := range h.opts.Sizes {
-		base := res[i].base
-		times = append(times, base)
-		t.AddRow(s.Label, fmt.Sprintf("%d", h.sizeN(s)), report.Ms(base))
+		times = append(times, g.base(i))
+		t.AddRow(s.Label, fmt.Sprintf("%d", g.exps[i].N), report.Ms(g.base(i)))
 	}
 	return t, times, nil
 }
@@ -423,39 +368,28 @@ func (h *Harness) Table1() (*report.Table, []float64, error) {
 // Figure1 compares radix sort under the two MPI implementations
 // (SGI-style staged vs the authors' direct "NEW").
 func (h *Harness) Figure1() (*SpeedupFigure, error) {
-	return h.speedupFigure("Figure 1: radix sort speedups, SGI vs NEW MPI", Radix,
-		[]struct {
-			Label string
-			Model Model
-		}{{"SGI", MPISGI}, {"NEW", MPI}})
+	return h.speedup("Figure 1: radix sort speedups, SGI vs NEW MPI",
+		line("SGI", Radix, MPISGI), line("NEW", Radix, MPI))
 }
 
 // Figure2 is Figure1 for sample sort.
 func (h *Harness) Figure2() (*SpeedupFigure, error) {
-	return h.speedupFigure("Figure 2: sample sort speedups, SGI vs NEW MPI", Sample,
-		[]struct {
-			Label string
-			Model Model
-		}{{"SGI", MPISGI}, {"NEW", MPI}})
+	return h.speedup("Figure 2: sample sort speedups, SGI vs NEW MPI",
+		line("SGI", Sample, MPISGI), line("NEW", Sample, MPI))
 }
 
 // Figure3 compares radix sort across programming models, including the
 // improved CC-SAS-NEW.
 func (h *Harness) Figure3() (*SpeedupFigure, error) {
-	return h.speedupFigure("Figure 3: radix sort speedups across models", Radix,
-		[]struct {
-			Label string
-			Model Model
-		}{{"SHMEM", SHMEM}, {"CC-SAS", CCSAS}, {"MPI", MPI}, {"CC-SAS-NEW", CCSASNew}})
+	return h.speedup("Figure 3: radix sort speedups across models",
+		line("SHMEM", Radix, SHMEM), line("CC-SAS", Radix, CCSAS),
+		line("MPI", Radix, MPI), line("CC-SAS-NEW", Radix, CCSASNew))
 }
 
 // Figure7 compares sample sort across programming models.
 func (h *Harness) Figure7() (*SpeedupFigure, error) {
-	return h.speedupFigure("Figure 7: sample sort speedups across models", Sample,
-		[]struct {
-			Label string
-			Model Model
-		}{{"SHMEM", SHMEM}, {"CC-SAS", CCSAS}, {"MPI", MPI}})
+	return h.speedup("Figure 7: sample sort speedups across models",
+		line("SHMEM", Sample, SHMEM), line("CC-SAS", Sample, CCSAS), line("MPI", Sample, MPI))
 }
 
 // FigurePSRS puts PSRS and the splitter-based sample sort on one
@@ -465,15 +399,10 @@ func (h *Harness) Figure7() (*SpeedupFigure, error) {
 // election) and the finish (multiway merge vs second local radix sort),
 // so the grid isolates exactly those two communication shapes.
 func (h *Harness) FigurePSRS() (*SpeedupFigure, error) {
-	return h.speedupFigureVariants("Figure P: PSRS vs sample sort speedups across models",
-		[]speedupVariant{
-			{Label: "PSRS-SHMEM", Alg: Psrs, Model: SHMEM},
-			{Label: "PSRS-CC-SAS", Alg: Psrs, Model: CCSAS},
-			{Label: "PSRS-MPI", Alg: Psrs, Model: MPI},
-			{Label: "SMPL-SHMEM", Alg: Sample, Model: SHMEM},
-			{Label: "SMPL-CC-SAS", Alg: Sample, Model: CCSAS},
-			{Label: "SMPL-MPI", Alg: Sample, Model: MPI},
-		})
+	return h.speedup("Figure P: PSRS vs sample sort speedups across models",
+		line("PSRS-SHMEM", Psrs, SHMEM), line("PSRS-CC-SAS", Psrs, CCSAS),
+		line("PSRS-MPI", Psrs, MPI), line("SMPL-SHMEM", Sample, SHMEM),
+		line("SMPL-CC-SAS", Sample, CCSAS), line("SMPL-MPI", Sample, MPI))
 }
 
 // FigureTopoKinds is the fixed interconnect order of FigureTopo: the
@@ -494,25 +423,20 @@ var FigureTopoKinds = []string{
 // vs MPI ranking survive when the Origin2000 hypercube is replaced by a
 // modern fat-tree, torus, dragonfly, or two-tier chiplet NUMA?
 func (h *Harness) FigureTopo() ([]*SpeedupFigure, error) {
+	algTag := map[Algorithm]string{Radix: "RDX", Sample: "SMPL", Psrs: "PSRS"}
+	modelTag := map[Model]string{SHMEM: "SHMEM", CCSAS: "CC-SAS", MPI: "MPI"}
 	var figs []*SpeedupFigure
 	for _, kind := range FigureTopoKinds {
-		vs := make([]speedupVariant, 0, 9)
-		for _, av := range []struct {
-			tag string
-			alg Algorithm
-		}{{"RDX", Radix}, {"SMPL", Sample}, {"PSRS", Psrs}} {
-			for _, mv := range []struct {
-				tag string
-				mo  Model
-			}{{"SHMEM", SHMEM}, {"CC-SAS", CCSAS}, {"MPI", MPI}} {
-				vs = append(vs, speedupVariant{
-					Label: av.tag + "-" + mv.tag,
-					Alg:   av.alg, Model: mv.mo, Topo: kind,
-				})
+		var lines []series
+		for _, a := range []Algorithm{Radix, Sample, Psrs} {
+			for _, m := range []Model{SHMEM, CCSAS, MPI} {
+				l := line(algTag[a]+"-"+modelTag[m], a, m)
+				l.exp.Topo = kind
+				lines = append(lines, l)
 			}
 		}
-		f, err := h.speedupFigureVariants(
-			fmt.Sprintf("Figure T (%s): radix/sample/PSRS speedups across models", kind), vs)
+		f, err := h.speedup(
+			fmt.Sprintf("Figure T (%s): radix/sample/PSRS speedups across models", kind), lines...)
 		if err != nil {
 			return nil, err
 		}
@@ -561,41 +485,34 @@ func (f *BreakdownFigure) Chart() string {
 	return sb.String()
 }
 
-// breakdownFigure runs the given variants at the paper's breakdown
+// breakdown runs the given models at the paper's breakdown
 // configuration: the 64M-size class on the largest processor count.
-func (h *Harness) breakdownFigure(title string, alg Algorithm, models []Model) (*BreakdownFigure, error) {
-	size, err := SizeByLabel("64M")
-	if err != nil {
-		return nil, err
-	}
-	procs := h.opts.Procs[len(h.opts.Procs)-1]
-	f := &BreakdownFigure{Title: title}
-	var cells []gridCell
+func (h *Harness) breakdown(title string, alg Algorithm, models ...Model) (*BreakdownFigure, error) {
+	var rows []Experiment
 	for _, mo := range models {
-		cells = append(cells, expCell(Experiment{
-			Algorithm: alg, Model: mo, N: h.sizeN(size), Procs: procs, Radix: 8, Dist: keys.Gauss,
-		}))
+		rows = append(rows, program(alg, mo, h.maxProcs()))
 	}
-	res, err := h.runGrid(cells)
+	g, err := h.runGrid(SizeClasses[3:4], false, rows)
 	if err != nil {
 		return nil, err
 	}
+	f := &BreakdownFigure{Title: title}
 	for i, mo := range models {
-		f.Panels = append(f.Panels, BreakdownPanel{Name: string(mo), PerProc: res[i].out.Breakdowns()})
+		f.Panels = append(f.Panels, BreakdownPanel{Name: string(mo), PerProc: g.at(0, i).perProc})
 	}
 	return f, nil
 }
 
 // Figure4 reproduces the radix sort per-processor time breakdowns.
 func (h *Harness) Figure4() (*BreakdownFigure, error) {
-	return h.breakdownFigure("Figure 4: radix sort time breakdown (64M class)",
-		Radix, []Model{CCSAS, CCSASNew, MPI, SHMEM})
+	return h.breakdown("Figure 4: radix sort time breakdown (64M class)",
+		Radix, CCSAS, CCSASNew, MPI, SHMEM)
 }
 
 // Figure8 reproduces the sample sort per-processor time breakdowns.
 func (h *Harness) Figure8() (*BreakdownFigure, error) {
-	return h.breakdownFigure("Figure 8: sample sort time breakdown (64M class)",
-		Sample, []Model{CCSAS, MPI, SHMEM})
+	return h.breakdown("Figure 8: sample sort time breakdown (64M class)",
+		Sample, CCSAS, MPI, SHMEM)
 }
 
 // RelativeFigure holds execution times relative to a reference variant
@@ -627,61 +544,96 @@ func (f *RelativeFigure) Table() *report.Table {
 	return t
 }
 
-// distFigure sweeps key distributions for one algorithm/model at the
-// largest processor count, reporting times relative to Gauss.
-func (h *Harness) distFigure(title string, alg Algorithm, model Model) (*RelativeFigure, error) {
-	procs := h.opts.Procs[len(h.opts.Procs)-1]
+// relative divides every column of a variants × columns block of times
+// by the column's entry for variant ref; timeNs(col, variant) reads one
+// cell out of the executed grid.
+func relative(title, reference string, variants, cols []string, ref int, timeNs func(col, variant int) float64) *RelativeFigure {
 	f := &RelativeFigure{
-		Title:     title,
-		Reference: keys.Gauss.String(),
-		Relative:  make(map[string]map[string]float64),
+		Title: title, Reference: reference, Variants: variants, Sizes: cols,
+		Relative: make(map[string]map[string]float64),
 	}
-	for _, d := range keys.AllDists {
-		f.Variants = append(f.Variants, d.String())
-		f.Relative[d.String()] = make(map[string]float64)
-	}
-	var cells []gridCell
-	for _, s := range h.opts.Sizes {
-		f.Sizes = append(f.Sizes, s.Label)
-		n := h.sizeN(s)
-		for _, d := range keys.AllDists {
-			cells = append(cells, expCell(Experiment{
-				Algorithm: alg, Model: model, N: n, Procs: procs, Radix: 8, Dist: d,
-			}))
+	for vi, v := range variants {
+		f.Relative[v] = make(map[string]float64)
+		for ci, c := range cols {
+			f.Relative[v][c] = timeNs(ci, vi) / timeNs(ci, ref)
 		}
 	}
-	res, err := h.runGrid(cells)
+	return f
+}
+
+// sweep runs the rows — one program under every variant of one setting —
+// at each size class and reports times relative to variant ref.
+func (h *Harness) sweep(title, reference string, variants []string, ref int, rows []Experiment) (*RelativeFigure, error) {
+	g, err := h.runGrid(h.opts.Sizes, false, rows)
 	if err != nil {
 		return nil, err
 	}
-	cur := &gridCursor{res: res}
-	for _, s := range h.opts.Sizes {
-		ref := 0.0
-		for _, d := range keys.AllDists {
-			t := cur.take().out.TimeNs
-			if d == keys.Gauss {
-				ref = t
-			}
-			f.Relative[d.String()][s.Label] = t
-		}
-		for _, d := range keys.AllDists {
-			f.Relative[d.String()][s.Label] /= ref
+	return relative(title, reference, variants, sizeLabels(h.opts.Sizes), ref,
+		func(col, variant int) float64 { return g.at(col, variant).timeNs }), nil
+}
+
+// distNames names the distributions and finds Gauss, the reference,
+// among them.
+func distNames(dists []keys.Dist) (names []string, gauss int) {
+	for i, d := range dists {
+		names = append(names, d.String())
+		if d == keys.Gauss {
+			gauss = i
 		}
 	}
-	return f, nil
+	return names, gauss
+}
+
+// byDist sweeps the paper's key distributions at the largest processor
+// count, relative to Gauss.
+func (h *Harness) byDist(title string, alg Algorithm, model Model) (*RelativeFigure, error) {
+	e := program(alg, model, h.maxProcs())
+	var rows []Experiment
+	for _, d := range keys.AllDists {
+		e.Dist = d
+		rows = append(rows, e)
+	}
+	names, gauss := distNames(keys.AllDists)
+	return h.sweep(title, keys.Gauss.String(), names, gauss, rows)
+}
+
+// byRadix sweeps Options.RadixSweep at the largest processor count,
+// relative to radix 8 — or to the first swept radix when 8 is not in the
+// sweep.
+func (h *Harness) byRadix(title string, alg Algorithm, model Model) (*RelativeFigure, error) {
+	e := program(alg, model, h.maxProcs())
+	var rows []Experiment
+	var names []string
+	ref := 0
+	for i, r := range h.opts.RadixSweep {
+		e.Radix = r
+		rows, names = append(rows, e), append(names, fmt.Sprintf("r=%d", r))
+		if r == 8 {
+			ref = i
+		}
+	}
+	return h.sweep(title, "radix 8", names, ref, rows)
 }
 
 // Figure5 reproduces the radix sort key-distribution study (SHMEM, max
 // processor count).
 func (h *Harness) Figure5() (*RelativeFigure, error) {
-	return h.distFigure("Figure 5: radix sort time by key distribution (SHMEM), relative to Gauss",
-		Radix, SHMEM)
+	return h.byDist("Figure 5: radix sort time by key distribution (SHMEM), relative to Gauss", Radix, SHMEM)
 }
 
 // Figure9 reproduces the sample sort key-distribution study (CC-SAS).
 func (h *Harness) Figure9() (*RelativeFigure, error) {
-	return h.distFigure("Figure 9: sample sort time by key distribution (CC-SAS), relative to Gauss",
-		Sample, CCSAS)
+	return h.byDist("Figure 9: sample sort time by key distribution (CC-SAS), relative to Gauss", Sample, CCSAS)
+}
+
+// Figure6 reproduces the radix-size study for radix sort (SHMEM).
+func (h *Harness) Figure6() (*RelativeFigure, error) {
+	return h.byRadix("Figure 6: radix sort time by radix size (SHMEM), relative to radix 8", Radix, SHMEM)
+}
+
+// Figure10 reproduces the radix-size study for sample sort (CC-SAS).
+func (h *Harness) Figure10() (*RelativeFigure, error) {
+	return h.byRadix("Figure 10: sample sort time by radix size (CC-SAS), relative to radix 8", Sample, CCSAS)
 }
 
 // FigureSkew is the beyond-paper skewed-workload study (DESIGN.md §14,
@@ -693,115 +645,30 @@ func (h *Harness) Figure9() (*RelativeFigure, error) {
 // this algorithm" — the splitter-sensitivity story the paper's eight
 // benign distributions cannot show.
 func (h *Harness) FigureSkew() (*RelativeFigure, error) {
-	procs := h.opts.Procs[len(h.opts.Procs)-1]
 	size := h.opts.Sizes[len(h.opts.Sizes)-1]
-	n := h.sizeN(size)
-	programs := []struct {
-		name  string
-		alg   Algorithm
-		model Model
-	}{
-		{"radix/shmem", Radix, SHMEM},
-		{"sample/ccsas", Sample, CCSAS},
-		{"psrs/ccsas", Psrs, CCSAS},
-	}
 	dists := append([]keys.Dist{keys.Gauss}, keys.SkewDists...)
-	f := &RelativeFigure{
-		Title: fmt.Sprintf("figskew: skewed workloads at the %s class, %dP, relative to each program's Gauss time",
-			size.Label, procs),
-		Reference: keys.Gauss.String(),
-		Relative:  make(map[string]map[string]float64),
-	}
-	for _, d := range dists {
-		f.Variants = append(f.Variants, d.String())
-		f.Relative[d.String()] = make(map[string]float64)
-	}
-	var cells []gridCell
-	for _, p := range programs {
-		f.Sizes = append(f.Sizes, p.name)
+	var cols []string
+	var rows []Experiment
+	for _, p := range []series{
+		line("radix/shmem", Radix, SHMEM), line("sample/ccsas", Sample, CCSAS), line("psrs/ccsas", Psrs, CCSAS),
+	} {
+		cols = append(cols, p.label)
+		p.exp.Procs = h.maxProcs()
 		for _, d := range dists {
-			cells = append(cells, expCell(Experiment{
-				Algorithm: p.alg, Model: p.model, N: n, Procs: procs, Radix: 8, Dist: d,
-			}))
+			p.exp.Dist = d
+			rows = append(rows, p.exp)
 		}
 	}
-	res, err := h.runGrid(cells)
+	g, err := h.runGrid([]SizeClass{size}, false, rows)
 	if err != nil {
 		return nil, err
 	}
-	cur := &gridCursor{res: res}
-	for _, p := range programs {
-		ref := 0.0
-		for _, d := range dists {
-			t := cur.take().out.TimeNs
-			if d == keys.Gauss {
-				ref = t
-			}
-			f.Relative[d.String()][p.name] = t
-		}
-		for _, d := range dists {
-			f.Relative[d.String()][p.name] /= ref
-		}
-	}
-	return f, nil
-}
-
-// radixFigure sweeps radix sizes relative to radix 8 at the largest
-// processor count.
-func (h *Harness) radixFigure(title string, alg Algorithm, model Model) (*RelativeFigure, error) {
-	procs := h.opts.Procs[len(h.opts.Procs)-1]
-	f := &RelativeFigure{
-		Title:     title,
-		Reference: "radix 8",
-		Relative:  make(map[string]map[string]float64),
-	}
-	for _, r := range h.opts.RadixSweep {
-		name := fmt.Sprintf("r=%d", r)
-		f.Variants = append(f.Variants, name)
-		f.Relative[name] = make(map[string]float64)
-	}
-	var cells []gridCell
-	for _, s := range h.opts.Sizes {
-		f.Sizes = append(f.Sizes, s.Label)
-		n := h.sizeN(s)
-		for _, r := range h.opts.RadixSweep {
-			cells = append(cells, expCell(Experiment{
-				Algorithm: alg, Model: model, N: n, Procs: procs, Radix: r, Dist: keys.Gauss,
-			}))
-		}
-	}
-	res, err := h.runGrid(cells)
-	if err != nil {
-		return nil, err
-	}
-	cur := &gridCursor{res: res}
-	for _, s := range h.opts.Sizes {
-		times := make(map[int]float64)
-		for _, r := range h.opts.RadixSweep {
-			times[r] = cur.take().out.TimeNs
-		}
-		ref, ok := times[8]
-		if !ok {
-			// Normalize to the first swept radix when 8 is not in the sweep.
-			ref = times[h.opts.RadixSweep[0]]
-		}
-		for _, r := range h.opts.RadixSweep {
-			f.Relative[fmt.Sprintf("r=%d", r)][s.Label] = times[r] / ref
-		}
-	}
-	return f, nil
-}
-
-// Figure6 reproduces the radix-size study for radix sort (SHMEM).
-func (h *Harness) Figure6() (*RelativeFigure, error) {
-	return h.radixFigure("Figure 6: radix sort time by radix size (SHMEM), relative to radix 8",
-		Radix, SHMEM)
-}
-
-// Figure10 reproduces the radix-size study for sample sort (CC-SAS).
-func (h *Harness) Figure10() (*RelativeFigure, error) {
-	return h.radixFigure("Figure 10: sample sort time by radix size (CC-SAS), relative to radix 8",
-		Sample, CCSAS)
+	names, gauss := distNames(dists)
+	return relative(
+		fmt.Sprintf("figskew: skewed workloads at the %s class, %dP, relative to each program's Gauss time",
+			size.Label, h.maxProcs()),
+		keys.Gauss.String(), names, cols, gauss,
+		func(col, variant int) float64 { return g.at(0, col*len(dists)+variant).timeNs }), nil
 }
 
 // BestCell is one Table 2/3 entry: the best time over models and radix
@@ -819,80 +686,78 @@ type BestTables struct {
 	Best  map[Algorithm]map[string]map[int]BestCell
 }
 
+// bestAlgorithms are the algorithms of Tables 2 and 3, in column order.
+var bestAlgorithms = []Algorithm{Radix, Sample}
+
 // Tables23 sweeps models × radix candidates to find the best combination
 // per cell, reproducing Tables 2 and 3 together.
 func (h *Harness) Tables23() (*BestTables, error) {
-	bt := &BestTables{
-		Procs: h.opts.Procs,
-		Best:  map[Algorithm]map[string]map[int]BestCell{Radix: {}, Sample: {}},
-	}
 	// The paper's Table 2 picks the best over the three programming
 	// models (CC-SAS there means the better of original and NEW).
-	variants := map[Algorithm][]Model{
+	models := map[Algorithm][]Model{
 		Radix:  {CCSAS, CCSASNew, MPI, SHMEM},
 		Sample: {CCSAS, MPI, SHMEM},
 	}
-	var cells []gridCell
-	for _, s := range h.opts.Sizes {
-		bt.Sizes = append(bt.Sizes, s.Label)
-		n := h.sizeN(s)
-		for _, alg := range []Algorithm{Radix, Sample} {
-			for _, p := range h.opts.Procs {
-				for _, mo := range variants[alg] {
-					for _, r := range h.opts.TableRadixes {
-						cells = append(cells, expCell(Experiment{
-							Algorithm: alg, Model: mo, N: n, Procs: p, Radix: r, Dist: keys.Gauss,
-						}))
-					}
+	radixes := h.opts.TableRadixes
+	var rows []Experiment
+	for _, alg := range bestAlgorithms {
+		for _, p := range h.opts.Procs {
+			for _, mo := range models[alg] {
+				for _, r := range radixes {
+					e := program(alg, mo, p)
+					e.Radix = r
+					rows = append(rows, e)
 				}
 			}
 		}
 	}
-	res, err := h.runGrid(cells)
+	g, err := h.runGrid(h.opts.Sizes, false, rows)
 	if err != nil {
 		return nil, err
 	}
-	cur := &gridCursor{res: res}
-	for _, s := range h.opts.Sizes {
-		for _, alg := range []Algorithm{Radix, Sample} {
-			if bt.Best[alg][s.Label] == nil {
-				bt.Best[alg][s.Label] = make(map[int]BestCell)
-			}
-			for _, p := range h.opts.Procs {
-				// Ties resolve to the earliest candidate in sweep order,
-				// exactly as the serial loop did.
+	bt := &BestTables{
+		Sizes: sizeLabels(h.opts.Sizes),
+		Procs: h.opts.Procs,
+		Best:  make(map[Algorithm]map[string]map[int]BestCell),
+	}
+	first := 0 // row of the algorithm's first candidate
+	for _, alg := range bestAlgorithms {
+		bt.Best[alg] = make(map[string]map[int]BestCell)
+		candidates := len(models[alg]) * len(radixes)
+		for si, s := range bt.Sizes {
+			bt.Best[alg][s] = make(map[int]BestCell)
+			for pi, p := range bt.Procs {
+				// Ties resolve to the earliest candidate in sweep order
+				// (model-major, then radix).
 				best := BestCell{TimeNs: -1}
-				for _, mo := range variants[alg] {
-					for _, r := range h.opts.TableRadixes {
-						out := cur.take().out
-						if best.TimeNs < 0 || out.TimeNs < best.TimeNs {
-							best = BestCell{TimeNs: out.TimeNs, Model: mo, Radix: r}
-						}
+				for c := 0; c < candidates; c++ {
+					t := g.at(si, first+pi*candidates+c).timeNs
+					if best.TimeNs < 0 || t < best.TimeNs {
+						best = BestCell{TimeNs: t, Model: models[alg][c/len(radixes)], Radix: radixes[c%len(radixes)]}
 					}
 				}
-				bt.Best[alg][s.Label][p] = best
+				bt.Best[alg][s][p] = best
 			}
 		}
+		first += len(bt.Procs) * candidates
 	}
 	return bt, nil
 }
 
-// Table2 renders the best execution times (paper Table 2).
-func (bt *BestTables) Table2() *report.Table {
-	t := &report.Table{
-		Title:  "Table 2: best execution time (simulated), Gauss keys",
-		Header: []string{"size"},
-	}
-	for _, alg := range []Algorithm{Radix, Sample} {
+// table renders one string per best cell, sizes down and algorithm ×
+// processor count across.
+func (bt *BestTables) table(title string, render func(BestCell) string) *report.Table {
+	t := &report.Table{Title: title, Header: []string{"size"}}
+	for _, alg := range bestAlgorithms {
 		for _, p := range bt.Procs {
 			t.Header = append(t.Header, fmt.Sprintf("%s %dP", alg, p))
 		}
 	}
 	for _, s := range bt.Sizes {
 		row := []string{s}
-		for _, alg := range []Algorithm{Radix, Sample} {
+		for _, alg := range bestAlgorithms {
 			for _, p := range bt.Procs {
-				row = append(row, report.Ms(bt.Best[alg][s][p].TimeNs))
+				row = append(row, render(bt.Best[alg][s][p]))
 			}
 		}
 		t.AddRow(row...)
@@ -900,26 +765,14 @@ func (bt *BestTables) Table2() *report.Table {
 	return t
 }
 
+// Table2 renders the best execution times (paper Table 2).
+func (bt *BestTables) Table2() *report.Table {
+	return bt.table("Table 2: best execution time (simulated), Gauss keys",
+		func(c BestCell) string { return report.Ms(c.TimeNs) })
+}
+
 // Table3 renders the winning model and radix per cell (paper Table 3).
 func (bt *BestTables) Table3() *report.Table {
-	t := &report.Table{
-		Title:  "Table 3: best model and radix size per configuration",
-		Header: []string{"size"},
-	}
-	for _, alg := range []Algorithm{Radix, Sample} {
-		for _, p := range bt.Procs {
-			t.Header = append(t.Header, fmt.Sprintf("%s %dP", alg, p))
-		}
-	}
-	for _, s := range bt.Sizes {
-		row := []string{s}
-		for _, alg := range []Algorithm{Radix, Sample} {
-			for _, p := range bt.Procs {
-				c := bt.Best[alg][s][p]
-				row = append(row, fmt.Sprintf("%s %d", c.Model, c.Radix))
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return bt.table("Table 3: best model and radix size per configuration",
+		func(c BestCell) string { return fmt.Sprintf("%s %d", c.Model, c.Radix) })
 }

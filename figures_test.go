@@ -1,10 +1,17 @@
 package repro
 
 import (
+	"bytes"
+	"os"
+	"reflect"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/keys"
+	"repro/internal/machine"
+	"repro/internal/sorts"
 )
 
 // tinyOpts keeps harness tests fast: two small classes, two processor
@@ -234,5 +241,77 @@ func TestHarnessFigureSkew(t *testing.T) {
 	// (splitter-directed exchange vs blocked redistribution).
 	if zr, zs := f.Get("zipf", "radix/shmem"), f.Get("zipf", "sample/ccsas"); zs <= zr {
 		t.Errorf("zipf: sample relative cost %v <= radix %v", zs, zr)
+	}
+}
+
+// TestFiguresRegistry pins repro.Figures as the one list of tables and
+// figures: names are unique, the paper entries come in the order the
+// paperfigs golden file prints their blocks, and every exported Table*
+// and Figure* method of *Harness is reached from exactly one entry — so
+// a figure added without registering it fails here by name. Each entry
+// runs over a stub simulation that notes which Harness methods are on
+// its call stack (Parallelism 1 keeps the cells on the caller's
+// goroutine).
+func TestFiguresRegistry(t *testing.T) {
+	golden, err := os.ReadFile("cmd/paperfigs/testdata/paperfigs_tiny.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	method := regexp.MustCompile(`\(\*Harness\)\.((?:Table|Figure)\w*)$`)
+	reachedFrom := map[string]string{} // Harness method → the entry that reaches it
+	names := map[string]bool{}
+	for _, f := range Figures {
+		if names[f.Name] {
+			t.Errorf("registry lists %q twice", f.Name)
+		}
+		names[f.Name] = true
+		h := NewHarness(Options{
+			Procs: []int{4}, Sizes: SizeClasses[:1], RadixSweep: []int{8}, TableRadixes: []int{8}, Parallelism: 1,
+		})
+		reached := map[string]bool{}
+		h.simulate = func(e Experiment) (*Outcome, error) {
+			pcs := make([]uintptr, 64)
+			frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+			for more := true; more; {
+				var fr runtime.Frame
+				fr, more = frames.Next()
+				if m := method.FindStringSubmatch(fr.Function); m != nil {
+					reached[m[1]] = true
+				}
+			}
+			run := &machine.Result{TimeNs: 1, PerProc: make([]machine.ProcStats, e.Procs)}
+			return &Outcome{Experiment: e, Result: &sorts.Result{Run: run}, TimeNs: 1}, nil
+		}
+		blocks, err := f.Run(h)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if len(reached) == 0 {
+			t.Errorf("%s reaches no Table*/Figure* method of *Harness", f.Name)
+		}
+		for m := range reached {
+			if other, dup := reachedFrom[m]; dup {
+				t.Errorf("Harness.%s is reached from both %s and %s", m, other, f.Name)
+			}
+			reachedFrom[m] = f.Name
+		}
+		if f.Extra {
+			continue
+		}
+		for _, b := range blocks {
+			title, _, _ := strings.Cut(b, "\n")
+			i := bytes.Index(golden, []byte(title+"\n"))
+			if i < 0 {
+				t.Fatalf("%s: block %q is missing from the golden file, or printed before an earlier entry's", f.Name, title)
+			}
+			golden = golden[i+len(title):]
+		}
+	}
+	typ := reflect.TypeOf(&Harness{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i).Name
+		if (strings.HasPrefix(m, "Table") || strings.HasPrefix(m, "Figure")) && reachedFrom[m] == "" {
+			t.Errorf("Harness.%s is not reachable from any entry of repro.Figures", m)
+		}
 	}
 }

@@ -9,13 +9,14 @@ package repro
 // worker pool and results are gathered in submission order, so every
 // rendered table and figure is byte-identical to a serial run.
 //
-// Safety argument (audited; see DESIGN.md §6): each Run builds its own
+// Safety argument (audited; see DESIGN.md §5): each Run builds its own
 // Machine, address space, caches and key slices; the internal packages
 // hold no package-level mutable state (only read-only tables such as
 // keys.AllDists), and every library config (mpi.Config, shmem.Config,
 // machine.Config) has value semantics. The only state shared across
 // concurrent cells lives in the Harness: the baseline cache (guarded by
-// singleflight entries below) and the Progress callback (serialized).
+// singleflight entries), the work counters, the trace list and the
+// Progress callback (serialized).
 
 import (
 	"fmt"
@@ -24,7 +25,8 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/keys"
+	"repro/internal/machine"
+	"repro/internal/trace"
 )
 
 // PanicError is a panic recovered from one scheduled cell body,
@@ -111,6 +113,28 @@ func ForEachIndex(par, n int, fn func(i int)) []*PanicError {
 	return panics
 }
 
+// forEachCell runs fn(i) for every i in [0, n) on the scheduler and
+// returns each cell's error in cell order; a panicking cell's error is
+// its *PanicError. Callers that want one error take firstError of the
+// result: the earliest failing cell in cell order, whichever finished
+// first in wall-clock.
+func forEachCell(par, n int, fn func(i int) error) []error {
+	errs := make([]error, n)
+	for _, pe := range ForEachIndex(par, n, func(i int) { errs[i] = fn(i) }) {
+		errs[pe.Index] = pe
+	}
+	return errs
+}
+
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RunAll executes the experiments concurrently on at most parallelism
 // worker goroutines (parallelism < 1 selects runtime.GOMAXPROCS(0)) and
 // returns the outcomes in input order. The simulator's virtual time is a
@@ -121,10 +145,8 @@ func ForEachIndex(par, n int, fn func(i int)) []*PanicError {
 // cell's individual error matters.
 func RunAll(parallelism int, exps []Experiment) ([]*Outcome, error) {
 	outs, errs := RunEach(parallelism, exps)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 	return outs, nil
 }
@@ -136,91 +158,98 @@ func RunAll(parallelism int, exps []Experiment) ([]*Outcome, error) {
 // the first bad cell. A panicking cell yields a *PanicError in its slot.
 func RunEach(parallelism int, exps []Experiment) (outs []*Outcome, errs []error) {
 	outs = make([]*Outcome, len(exps))
-	errs = make([]error, len(exps))
-	for _, pe := range ForEachIndex(parallelism, len(exps), func(i int) {
-		outs[i], errs[i] = Run(exps[i])
-	}) {
-		outs[pe.Index], errs[pe.Index] = nil, pe
-	}
+	errs = forEachCell(parallelism, len(exps), func(i int) (err error) {
+		outs[i], err = Run(exps[i])
+		return err
+	})
 	return outs, errs
 }
 
-// gridCell is one unit of work submitted to the harness scheduler:
-// either one experiment run or one cached sequential-baseline lookup.
-type gridCell struct {
-	exp      Experiment
-	baseline bool // route exp.N/exp.Dist through BaselineTime
+// cell is what the harness keeps of one executed experiment: what the
+// figures consume, not the Outcome with its sorted key array.
+type cell struct {
+	timeNs  float64
+	perProc []machine.Breakdown
+	trace   *trace.Trace
 }
 
-// expCell submits one experiment.
-func expCell(e Experiment) gridCell { return gridCell{exp: e} }
-
-// baselineCell submits one sequential-baseline lookup (deduplicated via
-// the harness's singleflight cache).
-func baselineCell(n int, dist keys.Dist) gridCell {
-	return gridCell{exp: Experiment{N: n, Dist: dist}, baseline: true}
-}
-
-// gridResult is the result of one gridCell: out for experiment cells,
-// base for baseline cells.
-type gridResult struct {
-	out  *Outcome
-	base float64
-}
-
-// runGrid executes the cells through a worker pool of
-// h.opts.Parallelism goroutines and returns the results in cell order.
-// Every figure/table driver submits its grid here and consumes the
-// results in the same deterministic order it submitted them, so the
-// rendered output never depends on scheduling. On failure the earliest
-// failing cell's error (in cell order, not completion order) is
-// returned; a panicking cell counts as failing with a *PanicError.
-func (h *Harness) runGrid(cells []gridCell) ([]gridResult, error) {
-	results := make([]gridResult, len(cells))
-	errs := make([]error, len(cells))
-	for _, pe := range ForEachIndex(h.opts.Parallelism, len(cells), func(i int) {
-		c := cells[i]
-		if c.baseline {
-			t, err := h.BaselineTime(c.exp.N, c.exp.Dist)
-			results[i], errs[i] = gridResult{base: t}, err
-			return
-		}
-		out, err := h.run(c.exp)
-		results[i], errs[i] = gridResult{out: out}, err
-	}) {
-		results[pe.Index], errs[pe.Index] = gridResult{}, pe
-	}
-	for _, err := range errs {
-		if err != nil {
+// runCells is the harness's one cell path: every table and figure hands
+// its expanded experiments here and reduces the results, which come back
+// in the order submitted, so no rendered byte depends on scheduling.
+//
+// Every cell is validated before the first is scheduled: a figure with
+// one impossible cell fails at once instead of after simulating the
+// rest. Cells then run on h.opts.Parallelism workers. A sequential
+// (Model == Seq) cell goes through the singleflight baseline cache, every
+// other cell through RunExperiment. On failure the earliest failing
+// cell's error (in cell order) is returned. Traces are appended to the
+// harness in cell order once the whole grid has completed.
+func (h *Harness) runCells(exps []Experiment) ([]cell, error) {
+	for _, e := range exps {
+		if err := e.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	if h.opts.Trace {
-		// Gather traces in cell order, after the whole grid completed, so
-		// the harness's trace sequence is deterministic at any
-		// Parallelism.
-		h.traceMu.Lock()
-		for _, r := range results {
-			if r.out != nil {
-				if tr := r.out.Trace(); tr != nil {
-					h.traces = append(h.traces, tr)
-				}
-			}
+	cells := make([]cell, len(exps))
+	errs := forEachCell(h.opts.Parallelism, len(exps), func(i int) (err error) {
+		if exps[i].Model == Seq {
+			cells[i].timeNs, err = h.sequential(exps[i])
+			return err
 		}
-		h.traceMu.Unlock()
+		out, err := h.RunExperiment(exps[i])
+		if err == nil {
+			cells[i] = cell{out.TimeNs, out.Breakdowns(), out.Trace()}
+		}
+		return err
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
-	return results, nil
+	h.traceMu.Lock()
+	for _, c := range cells {
+		if c.trace != nil {
+			h.traces = append(h.traces, c.trace)
+		}
+	}
+	h.traceMu.Unlock()
+	return cells, nil
 }
 
-// gridCursor walks a runGrid result slice in submission order; drivers
-// replay their submission loops and take one result per cell.
-type gridCursor struct {
-	res  []gridResult
-	next int
+// grid is one figure's cells laid out as sizes × rows: for each size
+// class, its sequential baseline (when the figure divides by one) and
+// then one cell per row, the rows being the same experiment templates
+// under every size. Reductions address results by (size, row) instead of
+// replaying the loops that submitted them.
+type grid struct {
+	exps   []Experiment
+	cells  []cell
+	stride int // cells per size class
+	lead   int // 1 when each size class starts with its baseline
 }
 
-func (c *gridCursor) take() gridResult {
-	r := c.res[c.next]
-	c.next++
-	return r
+// at returns the result of one row's cell under one size class.
+func (g *grid) at(size, row int) cell { return g.cells[size*g.stride+g.lead+row] }
+
+// base returns a size class's sequential baseline time.
+func (g *grid) base(size int) float64 { return g.cells[size*g.stride].timeNs }
+
+// runGrid expands sizes × rows into experiments (each completed by
+// h.experiment) and executes them through runCells.
+func (h *Harness) runGrid(sizes []SizeClass, baseline bool, rows []Experiment) (*grid, error) {
+	g := &grid{stride: len(rows)}
+	if baseline {
+		g.lead = 1
+		g.stride++
+	}
+	for _, s := range sizes {
+		if baseline {
+			g.exps = append(g.exps, h.experiment(s, program(Radix, Seq, 1)))
+		}
+		for _, r := range rows {
+			g.exps = append(g.exps, h.experiment(s, r))
+		}
+	}
+	var err error
+	g.cells, err = h.runCells(g.exps)
+	return g, err
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/mpi"
+	"repro/internal/report"
 	"repro/internal/shmem"
 	"repro/internal/sorts"
 	"repro/internal/topology"
@@ -239,11 +240,34 @@ type Experiment struct {
 // Label is the canonical human-readable name of the experiment, used to
 // label traces and figure rows.
 func (e Experiment) Label() string {
-	l := fmt.Sprintf("%s/%s n=%d p=%d r=%d", e.Algorithm, e.Model, e.N, e.Procs, e.Radix)
-	if e.Topo != "" && e.Topo != topology.KindHypercube {
-		l += " topo=" + e.Topo
+	l := fmt.Sprintf("%s/%s n=%d p=%d r=%d", e.Algorithm, e.Model, e.N, e.Procs, e.Radix) + e.topoTag()
+	if e.Dist != keys.Gauss {
+		l += " dist=" + e.Dist.String()
 	}
 	return l
+}
+
+// topoTag names a non-default interconnect. Like Label's dist=, it
+// appears only when the setting departs from the paper's, so the name of
+// a paper-default experiment never changes.
+func (e Experiment) topoTag() string {
+	if e.Topo == "" || e.Topo == topology.KindHypercube {
+		return ""
+	}
+	return " topo=" + e.Topo
+}
+
+// progressLine is the Harness Progress line of one completed run, with
+// simulated time timeNs. The argument lists are an interface: cmd/bench
+// rebuilds the cells a figure ran from them (seven arguments for a
+// parallel run, three for a sequential baseline), so what Label adds
+// beyond them — topoTag, which has no '%' in it — rides in the format.
+func (e Experiment) progressLine(timeNs float64) (format string, args []any) {
+	if e.Model == Seq {
+		return "baseline n=%d dist=%v: %s", []any{e.N, e.Dist, report.Ms(timeNs)}
+	}
+	return "%-6s %-9s n=%-8d p=%-2d r=%-2d %-7v  %s" + e.topoTag(),
+		[]any{e.Algorithm, e.Model, e.N, e.Procs, e.Radix, e.Dist, report.Ms(timeNs)}
 }
 
 // MachineConfigFor returns the machine configuration the harness uses
@@ -252,24 +276,14 @@ func (e Experiment) Label() string {
 // 256 KB pages at 256M; scaled, that is 1 KB up to the 64M class and
 // 4 KB for the 256M class).
 func MachineConfigFor(e Experiment) machine.Config {
+	cfg, scale, bigN := machine.Origin2000Scaled(e.Procs), machine.ScaleFactor, SizeClasses[4].ScaledN
 	if e.FullSize {
-		cfg := machine.Origin2000(e.Procs)
-		cfg.Topology.Kind = e.Topo
-		cfg.TLB.PageSize = 64 << 10
-		if e.N >= SizeClasses[4].PaperN {
-			cfg.TLB.PageSize = 256 << 10
-		}
-		cfg.FlatMemory = e.FlatMemory
-		cfg.NoContention = e.NoContention
-		cfg.Paranoid = e.Paranoid
-		cfg.ParanoidSampleEvery = e.ParanoidSampleEvery
-		return cfg
+		cfg, scale, bigN = machine.Origin2000(e.Procs), 1, SizeClasses[4].PaperN
 	}
-	cfg := machine.Origin2000Scaled(e.Procs)
 	cfg.Topology.Kind = e.Topo
-	cfg.TLB.PageSize = (64 << 10) / machine.ScaleFactor
-	if e.N >= SizeClasses[4].ScaledN {
-		cfg.TLB.PageSize = (256 << 10) / machine.ScaleFactor
+	cfg.TLB.PageSize = (64 << 10) / scale
+	if e.N >= bigN {
+		cfg.TLB.PageSize = (256 << 10) / scale
 	}
 	cfg.FlatMemory = e.FlatMemory
 	cfg.NoContention = e.NoContention

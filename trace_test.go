@@ -190,3 +190,28 @@ func TestTracePhaseMetricsCoverTotal(t *testing.T) {
 		}
 	}
 }
+
+// TestFigureTraceLabelsDistinct: the cells of a key-distribution figure
+// differ only in Dist, so their trace labels (the Perfetto process
+// names) must say so — before Label carried dist=, fig5 wrote eight
+// identically named processes per size.
+func TestFigureTraceLabelsDistinct(t *testing.T) {
+	h := NewHarness(Options{Procs: []int{4}, Sizes: SizeClasses[:1], Trace: true})
+	if _, err := h.Figure5(); err != nil {
+		t.Fatal(err)
+	}
+	traces := h.Traces()
+	if len(traces) != len(keys.AllDists) {
+		t.Fatalf("fig5 on one size collected %d traces, want one per distribution (%d)", len(traces), len(keys.AllDists))
+	}
+	seen := map[string]bool{}
+	for _, tr := range traces {
+		if seen[tr.Label] {
+			t.Errorf("two fig5 cells share the trace label %q", tr.Label)
+		}
+		seen[tr.Label] = true
+	}
+	if gauss := "radix/shmem n=65536 p=4 r=8"; !seen[gauss] {
+		t.Errorf("the Gauss cell's label changed: want %q among %v", gauss, seen)
+	}
+}
