@@ -99,6 +99,41 @@ func TestBaselineErrorConcurrentRetry(t *testing.T) {
 	}
 }
 
+// TestBaselinePanicNotCached: a panicking sequential baseline must fail
+// its singleflight slot like an error does. The panic used to escape the
+// sync.Once unrecorded, marking it done with a zero time and no error:
+// the cell that panicked reported it, and every later figure dividing by
+// that baseline silently got 0.
+func TestBaselinePanicNotCached(t *testing.T) {
+	h := NewHarness(Options{})
+	panics := 1
+	h.simulate = func(e Experiment) (*Outcome, error) {
+		if panics > 0 {
+			panics--
+			panic("injected baseline panic")
+		}
+		return Run(e)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "injected baseline panic" {
+				t.Fatalf("first BaselineTime recovered %v, want the injected panic", r)
+			}
+		}()
+		h.BaselineTime(1<<12, keys.Gauss)
+	}()
+	if len(h.baseline) != 0 {
+		t.Fatalf("panicked baseline left %d poisoned cache entries", len(h.baseline))
+	}
+	v, err := h.BaselineTime(1<<12, keys.Gauss)
+	if err != nil || v <= 0 {
+		t.Fatalf("second BaselineTime = %v, %v; want the real time (the panic was cached as a zero)", v, err)
+	}
+	if runs := h.Stats().Runs; runs != 1 {
+		t.Errorf("Stats().Runs = %d, want 1 (the panicked attempt is not a run)", runs)
+	}
+}
+
 // panicErrorFrom digs the *PanicError out of an error.
 func panicErrorFrom(t *testing.T, err error) *PanicError {
 	t.Helper()
@@ -192,7 +227,7 @@ func TestRunGridPanicStructuredError(t *testing.T) {
 func TestRunEachPerCellErrors(t *testing.T) {
 	exps := []Experiment{
 		{Algorithm: Radix, Model: SHMEM, N: 1 << 12, Procs: 4},
-		{Algorithm: Radix, Model: SHMEM, N: -1, Procs: 4},       // invalid N
+		{Algorithm: Radix, Model: SHMEM, N: -1, Procs: 4}, // invalid N
 		{Algorithm: Radix, Model: SHMEM, N: 1 << 12, Procs: 2},
 		{Algorithm: Radix, Model: SHMEM, N: 1 << 12, Procs: 4, Radix: 30}, // invalid radix
 	}

@@ -13,9 +13,7 @@
 // host time grows severalfold, and the command fails on the first cell
 // whose fast path disagrees with the reference models.
 //
-// -cpuprofile writes a pprof CPU profile of the run; refreshing
-// default.pgo from a representative grid keeps the committed PGO profile
-// honest (see DESIGN.md §8).
+// -cpuprofile writes a pprof CPU profile of the host process.
 //
 // -trace records a virtual-time event trace of every experiment cell and
 // writes them all to one Chrome trace_event JSON file (one Perfetto
@@ -56,7 +54,7 @@ func main() {
 // run is the command body, parameterized over arguments and output
 // streams so the golden-file test can drive it in-process. Figure/table
 // blocks go to stdout; progress goes to stderr.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("paperfigs", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -69,17 +67,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		paranoid  = fs.Bool("paranoid", false, "shadow every access with the reference models and invariant checks (slow; fails on any violation)")
 		paranoidN = fs.Int("paranoid-sample", 0, "spot-sample the paranoid checks every N priced events (0/1 = full per-access checks; N>1 implies -paranoid and keeps the fast kernels)")
 		traceTo   = fs.String("trace", "", "write every cell's event trace to this Chrome trace_event JSON file")
-		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile to this file (feeds the default.pgo PGO profile)")
+		cpuprof   = fs.String("cpuprofile", "", "write a host CPU profile to this file")
 		verbose   = fs.Bool("v", false, "print one line per completed run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stopProfile, err := hostprof.Start(*cpuprof, "")
-	if err != nil {
-		return err
-	}
-	defer stopProfile()
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
@@ -125,6 +118,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	h := repro.NewHarness(opts)
 
+	// The profile starts last, so a rejected command line leaves no
+	// profile file behind, and a failure to finish it fails the command.
+	stopProfile, err := hostprof.Start(*cpuprof, "")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if serr := stopProfile(); err == nil {
+			err = serr
+		}
+	}()
 	for _, f := range selected {
 		blocks, err := f.Run(h)
 		if err != nil {

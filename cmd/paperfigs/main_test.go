@@ -110,18 +110,26 @@ func TestFigTopoDeterministic(t *testing.T) {
 }
 
 // TestRunRejectsBadFlags covers the error paths of the in-process
-// entrypoint: unknown experiment, bad -j, stray arguments.
+// entrypoint: unknown experiment, bad -j, stray arguments, bad lists.
+// None of them may leave a profile file behind (the profile used to
+// start before the checks, so `-exp fig99 -cpuprofile x` truncated x).
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out bytes.Buffer
+	cpu := filepath.Join(t.TempDir(), "cpu.pprof")
 	for _, args := range [][]string{
 		{"-exp", "fig99"},
 		{"-j", "0"},
 		{"stray"},
 		{"-sizes", "3M"},
 		{"-procs", "0"},
+		{"-radixes", "x"},
 	} {
-		if err := run(args, &out, &out); err == nil {
+		if err := run(append([]string{"-cpuprofile", cpu}, args...), &out, &out); err == nil {
 			t.Errorf("run(%v) = nil error, want failure", args)
+		}
+		if _, err := os.Stat(cpu); !os.IsNotExist(err) {
+			t.Errorf("run(%v): %s exists after a rejected command line (stat: %v)", args, cpu, err)
+			os.Remove(cpu)
 		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"repro"
 )
 
 // TestSimdLoad is the CI load test (vegeta-free, run under -race): it
@@ -34,12 +36,12 @@ func TestSimdLoad(t *testing.T) {
 	// 16 unique tiny configs; 1000 requests round-robin over them, all
 	// in flight at once (driven straight through ServeHTTP so host fd
 	// limits can't cap the concurrency).
-	var configs []experimentRequest
+	var configs []repro.Request
 	for _, model := range []string{"shmem", "mpi"} {
 		for _, procs := range []int{2, 4} {
 			for _, seed := range []uint64{0, 1} {
 				for _, n := range []int{1 << 12, 1 << 13} {
-					configs = append(configs, experimentRequest{
+					configs = append(configs, repro.Request{
 						Algorithm: "radix", Model: model, N: n, Procs: procs, Seed: seed,
 					})
 				}
@@ -139,7 +141,7 @@ func BenchmarkWarmRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	handler := s.handler()
-	body, _ := json.Marshal(experimentRequest{Algorithm: "radix", Model: "shmem", N: 1 << 12, Procs: 4})
+	body, _ := json.Marshal(repro.Request{Algorithm: "radix", Model: "shmem", N: 1 << 12, Procs: 4})
 	warm := func() int {
 		req := httptest.NewRequest("POST", "/v1/run", bytes.NewReader(body))
 		rec := httptest.NewRecorder()

@@ -10,60 +10,16 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/keys"
 	"repro/internal/resultcache"
-	"repro/internal/topology"
 )
 
-// experimentRequest is the wire form of one experiment cell, shared by
-// POST /v1/run (one cell) and POST /v1/grid (a batch). All names are
-// the lowercase strings the CLI tools use (ParseAlgorithm / ParseModel
-// / keys.ParseDist).
-type experimentRequest struct {
-	Algorithm string `json:"algorithm"`
-	Model     string `json:"model"`
-	N         int    `json:"n"`
-	Procs     int    `json:"procs"`
-	// Radix defaults to 8, the paper's baseline digit size.
-	Radix int `json:"radix,omitempty"`
-	// Dist defaults to gauss, the paper's default distribution.
-	Dist string `json:"dist,omitempty"`
-	// Topo selects the machine interconnect by registered network kind
-	// (hypercube, fattree, torus, torus3d, dragonfly, numa2); defaults
-	// to the paper's Origin2000 hypercube.
-	Topo     string `json:"topo,omitempty"`
-	Seed     uint64 `json:"seed,omitempty"`
-	FullSize bool   `json:"full_size,omitempty"`
-	// Trace embeds the run's deterministic flat trace metrics in the
-	// result document (breakdown.*, phase.*, tx.*, traffic.*, …).
-	Trace bool `json:"trace,omitempty"`
-}
-
-// cacheConfig is the canonical, fully-defaulted form of a request. Its
-// JSON encoding (struct fields in declaration order, every field
-// present) is the config half of the cache key, so two requests that
-// normalize to the same cacheConfig are the same experiment — the cache
-// key definition documented in the README.
-type cacheConfig struct {
-	Algorithm string `json:"algorithm"`
-	Model     string `json:"model"`
-	N         int    `json:"n"`
-	Procs     int    `json:"procs"`
-	Radix     int    `json:"radix"`
-	Dist      string `json:"dist"`
-	Topo      string `json:"topo"`
-	Seed      uint64 `json:"seed"`
-	FullSize  bool   `json:"full_size"`
-	Trace     bool   `json:"trace"`
-}
-
-// runResult is the cached result document: a pure function of
-// (cacheConfig, code version), serialized once at compute time and
-// served byte-identically from every tier forever after.
+// runResult is the cached result document: a pure function of (the
+// canonical repro.Request, code version), serialized once at compute
+// time and served byte-identically from every tier forever after.
 type runResult struct {
 	Key         string             `json:"key"`
 	CodeVersion string             `json:"code_version"`
-	Config      cacheConfig        `json:"config"`
+	Config      repro.Request      `json:"config"`
 	TimeNs      float64            `json:"time_ns"`
 	Verified    bool               `json:"verified"`
 	Breakdowns  []breakdownJSON    `json:"breakdowns"`
@@ -79,9 +35,10 @@ type breakdownJSON struct {
 	Sync float64 `json:"sync_ns"`
 }
 
-// gridRequest is the POST /v1/grid body.
+// gridRequest is the POST /v1/grid body; a cell is the POST /v1/run
+// body.
 type gridRequest struct {
-	Cells []experimentRequest `json:"cells"`
+	Cells []repro.Request `json:"cells"`
 }
 
 // gridCellStatus is one NDJSON progress line of a /v1/grid response:
@@ -188,61 +145,18 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// parseRequest validates one wire cell and returns the experiment to
-// run plus its canonical cache form. Every failure here is the client's
-// fault and maps to 400.
-func (s *server) parseRequest(req experimentRequest) (repro.Experiment, cacheConfig, error) {
-	var zero repro.Experiment
-	alg, err := repro.ParseAlgorithm(req.Algorithm)
-	if err != nil {
-		return zero, cacheConfig{}, err
-	}
-	model, err := repro.ParseModel(req.Model)
-	if err != nil {
-		return zero, cacheConfig{}, err
-	}
-	dist := keys.Gauss
-	if req.Dist != "" {
-		if dist, err = keys.ParseDist(req.Dist); err != nil {
-			return zero, cacheConfig{}, err
-		}
-	}
-	topo, err := repro.ParseTopology(req.Topo)
-	if err != nil {
-		return zero, cacheConfig{}, err
-	}
-	radix := req.Radix
-	if radix == 0 {
-		radix = 8
-	}
+// admit applies the service's own bounds to one wire cell, then hands
+// it to Request.Experiment: the experiment to run plus the canonical
+// request that is its cache-key config. Every failure here is the
+// client's fault and maps to 400.
+func (s *server) admit(req repro.Request) (repro.Experiment, repro.Request, error) {
 	if req.N > s.cfg.MaxN {
-		return zero, cacheConfig{}, fmt.Errorf("n must be in [1, %d], got %d", s.cfg.MaxN, req.N)
+		return repro.Experiment{}, repro.Request{}, fmt.Errorf("n must be in [1, %d], got %d", s.cfg.MaxN, req.N)
 	}
 	if req.Procs > 1024 {
-		return zero, cacheConfig{}, fmt.Errorf("procs must be in [1, 1024], got %d", req.Procs)
+		return repro.Experiment{}, repro.Request{}, fmt.Errorf("procs must be in [1, 1024], got %d", req.Procs)
 	}
-	exp := repro.Experiment{
-		Algorithm: alg, Model: model, N: req.N, Procs: req.Procs, Radix: radix,
-		Dist: dist, Topo: topo, Seed: req.Seed, FullSize: req.FullSize, Trace: req.Trace,
-	}
-	// Everything Run would refuse without simulating is the client's
-	// fault too: radix range, algorithm × model support, power-of-two
-	// CC-SAS machines, the sequential baseline's single processor.
-	if err := exp.Validate(); err != nil {
-		return zero, cacheConfig{}, err
-	}
-	// Canonical topo: an empty request field IS the hypercube, and the
-	// two spellings must hit the same cache entry.
-	canonTopo := topo
-	if canonTopo == "" {
-		canonTopo = topology.KindHypercube
-	}
-	canon := cacheConfig{
-		Algorithm: string(alg), Model: string(model), N: req.N, Procs: req.Procs,
-		Radix: radix, Dist: dist.String(), Topo: canonTopo, Seed: req.Seed,
-		FullSize: req.FullSize, Trace: req.Trace,
-	}
-	return exp, canon, nil
+	return req.Experiment()
 }
 
 // runExperiment executes one simulation under the global concurrency
@@ -259,7 +173,7 @@ func (s *server) runExperiment(e repro.Experiment) (*repro.Outcome, error) {
 
 // computeCell simulates one validated cell and serializes its result
 // document — the bytes that the cache will serve verbatim forever.
-func (s *server) computeCell(e repro.Experiment, canon cacheConfig, key string) ([]byte, error) {
+func (s *server) computeCell(e repro.Experiment, canon repro.Request, key string) ([]byte, error) {
 	out, err := s.simulate(e)
 	if err != nil {
 		return nil, err
@@ -289,7 +203,7 @@ func (s *server) computeCell(e repro.Experiment, canon cacheConfig, key string) 
 
 // runCell resolves one validated cell through the cache: memory, disk,
 // a shared in-flight compute, or a fresh simulation.
-func (s *server) runCell(e repro.Experiment, canon cacheConfig) (val []byte, key string, src resultcache.Source, err error) {
+func (s *server) runCell(e repro.Experiment, canon repro.Request) (val []byte, key string, src resultcache.Source, err error) {
 	key, err = resultcache.Key(s.version, canon)
 	if err != nil {
 		return nil, "", "", err
@@ -301,12 +215,12 @@ func (s *server) runCell(e repro.Experiment, canon cacheConfig) (val []byte, key
 }
 
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req experimentRequest
+	var req repro.Request
 	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	exp, canon, err := s.parseRequest(req)
+	exp, canon, err := s.admit(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -346,9 +260,9 @@ func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	// Validation is all-or-nothing and 4xx: a malformed batch is the
 	// client's bug. Runtime failures below are per-cell.
 	exps := make([]repro.Experiment, len(req.Cells))
-	canons := make([]cacheConfig, len(req.Cells))
+	canons := make([]repro.Request, len(req.Cells))
 	for i, cell := range req.Cells {
-		exp, canon, err := s.parseRequest(cell)
+		exp, canon, err := s.admit(cell)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("cell %d: %w", i, err))
 			return
@@ -433,11 +347,11 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // statszResponse is the GET /statsz schema.
 type statszResponse struct {
-	UptimeS     float64           `json:"uptime_s"`
-	CodeVersion string            `json:"code_version"`
-	Jobs        int               `json:"jobs"`
+	UptimeS     float64            `json:"uptime_s"`
+	CodeVersion string             `json:"code_version"`
+	Jobs        int                `json:"jobs"`
 	Harness     repro.HarnessStats `json:"harness"`
-	Cache       resultcache.Stats `json:"cache"`
+	Cache       resultcache.Stats  `json:"cache"`
 }
 
 func (s *server) handleStatsz(w http.ResponseWriter, r *http.Request) {

@@ -26,8 +26,8 @@ func newTestServer(t *testing.T, cfg serverConfig) (*server, *httptest.Server) {
 }
 
 // tinyRun is a request small enough to simulate in milliseconds.
-func tinyRun(seed uint64) experimentRequest {
-	return experimentRequest{Algorithm: "radix", Model: "shmem", N: 1 << 12, Procs: 4, Seed: seed}
+func tinyRun(seed uint64) repro.Request {
+	return repro.Request{Algorithm: "radix", Model: "shmem", N: 1 << 12, Procs: 4, Seed: seed}
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -155,7 +155,7 @@ func TestRunValidation(t *testing.T) {
 func TestRunTopo(t *testing.T) {
 	s, ts := newTestServer(t, serverConfig{})
 
-	resp := postJSON(t, ts.URL+"/v1/run", experimentRequest{
+	resp := postJSON(t, ts.URL+"/v1/run", repro.Request{
 		Algorithm: "radix", Model: "shmem", N: 1 << 12, Procs: 4, Topo: "mesh"})
 	if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown topo: status %d, want 400 (body %s)", resp.StatusCode, body)
@@ -206,7 +206,7 @@ func TestRunTopo(t *testing.T) {
 func TestRunPsrs(t *testing.T) {
 	_, ts := newTestServer(t, serverConfig{})
 	for _, model := range []string{"ccsas", "mpi", "shmem"} {
-		resp := postJSON(t, ts.URL+"/v1/run", experimentRequest{
+		resp := postJSON(t, ts.URL+"/v1/run", repro.Request{
 			Algorithm: "psrs", Model: model, N: 1 << 12, Procs: 4, Seed: 1,
 		})
 		if resp.StatusCode != http.StatusOK {
@@ -294,7 +294,7 @@ func TestResultEndpoint(t *testing.T) {
 // duplicates. Every cell reports exactly once; failures stay per-cell.
 func TestGridPerCellErrors(t *testing.T) {
 	s, ts := newTestServer(t, serverConfig{Jobs: 4})
-	grid := gridRequest{Cells: []experimentRequest{
+	grid := gridRequest{Cells: []repro.Request{
 		tinyRun(1),
 		{Algorithm: "radix", Model: "shmem", N: 1 << 12, Procs: 3}, // topology rejects procs=3
 		tinyRun(2),
@@ -403,7 +403,7 @@ func TestPanicContainment(t *testing.T) {
 		}
 		return real(e)
 	}
-	gresp := postJSON(t, ts.URL+"/v1/grid", gridRequest{Cells: []experimentRequest{tinyRun(77), tinyRun(78)}})
+	gresp := postJSON(t, ts.URL+"/v1/grid", gridRequest{Cells: []repro.Request{tinyRun(77), tinyRun(78)}})
 	glines := readAll(t, gresp)
 	if gresp.StatusCode != http.StatusOK {
 		t.Fatalf("grid with panicking cell: status %d", gresp.StatusCode)
@@ -504,7 +504,7 @@ func TestRunSkewDists(t *testing.T) {
 // anything simulates.
 func TestGridSkewCells(t *testing.T) {
 	s, ts := newTestServer(t, serverConfig{})
-	grid := gridRequest{Cells: []experimentRequest{
+	grid := gridRequest{Cells: []repro.Request{
 		{Algorithm: "sample", Model: "ccsas", N: 1 << 12, Procs: 4, Dist: "zipf"},
 		{Algorithm: "radix", Model: "shmem", N: 1 << 12, Procs: 4, Dist: "adversarial"},
 		{Algorithm: "radix", Model: "shmem", N: 1 << 12, Procs: 4, Dist: "gauss"},
@@ -549,12 +549,62 @@ func TestGridSkewCells(t *testing.T) {
 		t.Errorf("harness ran %d simulations, want 3 (all cells distinct)", runs)
 	}
 	// Unknown dist in any cell: the whole batch is rejected upfront.
-	bad := gridRequest{Cells: []experimentRequest{
+	bad := gridRequest{Cells: []repro.Request{
 		{Algorithm: "radix", Model: "shmem", N: 1 << 12, Procs: 4, Dist: "weird"},
 	}}
 	resp = postJSON(t, ts.URL+"/v1/grid", bad)
 	body := readAll(t, resp)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad-dist batch: status %d, want 400 (body %s)", resp.StatusCode, body)
+	}
+}
+
+// TestWireContract pins the service's wire contract at a fixed code
+// version: the literal sha256: key of each request body (captured from
+// the commit before repro.Request replaced the service's own request and
+// cache-config structs), the spellings that must land on one key — an
+// omitted radix is 8, an empty topo is the hypercube, names are
+// case-insensitive — and one full result document, byte for byte. A
+// changed field, tag, order or default of repro.Request fails here
+// before it silently orphans every cached result.
+func TestWireContract(t *testing.T) {
+	s, ts := newTestServer(t, serverConfig{})
+	s.version = "wire-contract-v1"
+	const base = "sha256:e8a009e12368f3dd92a23c76e4b04a2ad133263af63e01d3b023e53414b02dab"
+	for _, tc := range []struct{ body, key string }{
+		{`{"algorithm":"radix","model":"shmem","n":4096,"procs":4}`, base},
+		{`{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"radix":8}`, base},
+		{`{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"radix":0,"dist":"","seed":0,"full_size":false,"trace":false}`, base},
+		{`{"algorithm":"RADIX","model":"Shmem","n":4096,"procs":4,"dist":"GAUSS","topo":"HyperCube"}`, base},
+		{`{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"topo":""}`, base},
+		{`{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"topo":"hypercube"}`, base},
+		{`{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"seed":7}`, "sha256:6ba7e27563ef5070591b250561b7164a8abece8bf2bf645560078df7f32b2f70"},
+		{`{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"radix":11}`, "sha256:311307045b182c35d8a39b86013e970c38f2399f6d09e36a22d4bc0aa73c9264"},
+		{`{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"dist":"zipf"}`, "sha256:d13b04d6823e6309041ae1c57e04c547d4326a53f2044dabd260e5ed450cf149"},
+		{`{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"topo":"torus3d"}`, "sha256:3ee2072d074db310ec8a0bc02e7d461cbf40302348c77228fb3de57a77ad3a32"},
+		{`{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"full_size":true}`, "sha256:8c6bdee06edab9ffc60c485da273ca2e7fe7e6bf82f95ab91db2b9a7d7a61829"},
+		{`{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"trace":true}`, "sha256:0023b9a2118fbaa0f3bf51cb979bb12cb6c92f0613fa5a6d463150c868b8c6ae"},
+		{`{"algorithm":"sample","model":"mpi-sgi","n":4096,"procs":4}`, "sha256:13064927b4e724c511705c95ccdac0afd6ccc23b887cf64b214d0e351f8029a0"},
+		{`{"algorithm":"psrs","model":"ccsas","n":4096,"procs":4}`, "sha256:36b9f8058c693b5cc3c762982751b6b793e0f70ab2250a967cabc9bc33ffb772"},
+		{`{"algorithm":"radix","model":"seq","n":4096,"procs":1}`, "sha256:9b62712246931946293652c03a5caef958673d53c0d3cac96adfd192f2cdc03d"},
+		{`{"algorithm":"radix","model":"ccsas-new","n":4096,"procs":4}`, "sha256:7ce5a1631c865498733b1ad9ab2a47d196f0987adbfc7cbc53442a12dc554788"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		if got := resp.Header.Get("X-Simd-Key"); resp.StatusCode != http.StatusOK || got != tc.key {
+			t.Errorf("%s\n status %d key %s\n want 200 key %s (%s)", tc.body, resp.StatusCode, got, tc.key, body)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json",
+		strings.NewReader(`{"algorithm":"Sample","model":"MPI","n":4096,"procs":4,"dist":"zipf","topo":"torus3d","seed":7}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantDoc = `{"key":"sha256:24d8432f2ae3e1abcaa06001d0886cfef183334757ec61c7c856b1e14421cb43","code_version":"wire-contract-v1","config":{"algorithm":"sample","model":"mpi","n":4096,"procs":4,"radix":8,"dist":"zipf","topo":"torus3d","seed":7,"full_size":false,"trace":false},"time_ns":1039714.4449998648,"verified":true,"breakdowns":[{"busy_ns":936857.6799998608,"lmem_ns":23732.75,"rmem_ns":5838.5,"sync_ns":1046.4649999999674},{"busy_ns":923971.1199998658,"lmem_ns":23006.25,"rmem_ns":5645.65,"sync_ns":698.4749999999767},{"busy_ns":854300.5899998932,"lmem_ns":21773.75,"rmem_ns":5782.674999999999,"sync_ns":949.1099999999278},{"busy_ns":1008205.7199998361,"lmem_ns":25020.25,"rmem_ns":5691.325,"sync_ns":797.1500000000233}]}` + "\n"
+	if got := string(readAll(t, resp)); got != wantDoc {
+		t.Errorf("result document:\n%swant:\n%s", got, wantDoc)
 	}
 }

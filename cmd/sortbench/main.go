@@ -8,6 +8,8 @@
 //	          [-full] [-perproc] [-paranoid] \
 //	          [-trace out.json] [-metrics out.json]
 //	          [-cpuprofile out.pprof] [-memprofile out.pprof]
+//	sortbench -predict [-validate] [-j N] -n 1048576 -procs 16 -radix 8 \
+//	          [-topo numa2] [-full]
 //
 // -seeds K (K >= 2) switches to ensemble mode: the experiment runs at K
 // consecutive seeds starting from -seed, and the output is each
@@ -16,6 +18,16 @@
 // single point estimate. Ensemble mode is about the statistics of the
 // simulated metrics, so it excludes the single-run outputs -trace,
 // -metrics and -perproc.
+//
+// -predict runs the analytic performance model (the paper's stated
+// future work; internal/perfmodel) instead of the simulator: for the
+// experiment's machine and workload shape it prints each programming
+// model's predicted radix-sort time, fastest first, and the predicted
+// winner's phase breakdown. The analytic model covers radix sort only.
+// With -validate every predicted model is also simulated — independent
+// runs, concurrent on -j workers (default GOMAXPROCS), identical numbers
+// at any -j — and the table gains the simulated time and the
+// predicted/simulated ratio.
 //
 // -paranoid shadows every simulated access with the slow reference
 // models and invariant checks of internal/check (DESIGN.md §9). Output
@@ -39,105 +51,124 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"sort"
 
 	"repro"
 	"repro/internal/hostprof"
-	"repro/internal/keys"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
 func main() {
-	var (
-		algo       = flag.String("algo", "radix", "algorithm: radix, sample, or psrs")
-		model      = flag.String("model", "shmem", "model: seq, ccsas, ccsas-new, mpi, mpi-sgi, shmem")
-		n          = flag.Int("n", 1<<18, "key count")
-		procs      = flag.Int("procs", 16, "processor count (power of two)")
-		radix      = flag.Int("radix", 8, "radix size in bits")
-		dist       = flag.String("dist", "gauss", "key distribution")
-		topo       = flag.String("topo", "", "interconnect kind (hypercube, fattree, torus, torus3d, dragonfly, numa2); default hypercube")
-		seed       = flag.Uint64("seed", 0, "key generation seed")
-		seedsK     = flag.Int("seeds", 0, "ensemble mode: run K >= 2 consecutive seeds starting at -seed and print mean/stddev/CI per metric")
-		confidence = flag.Float64("confidence", 0.95, "ensemble confidence level: 0.95 or 0.99")
-		full       = flag.Bool("full", false, "use the full-size (unscaled) Origin2000 parameters")
-		paranoid   = flag.Bool("paranoid", false, "shadow every access with the reference models and invariant checks (slow; fails on any violation)")
-		paranoidN  = flag.Int("paranoid-sample", 0, "spot-sample the paranoid checks every N priced events (0/1 = full per-access checks; N>1 implies -paranoid and keeps the fast kernels)")
-		perproc    = flag.Bool("perproc", false, "print the per-processor breakdown")
-		traceTo    = flag.String("trace", "", "write a Chrome trace_event JSON trace to this file")
-		metrics    = flag.String("metrics", "", "write the flat metrics map as JSON to this file")
-		cpuprof    = flag.String("cpuprofile", "", "write a host CPU profile to this file")
-		memprof    = flag.String("memprofile", "", "write a host allocation profile to this file")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fatal(fmt.Errorf("unexpected arguments: %v", flag.Args()))
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "sortbench:", err)
+		os.Exit(1)
 	}
+}
 
-	a, err := repro.ParseAlgorithm(*algo)
+// run is the command body, parameterized over arguments and output
+// streams so the tests drive it in-process.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("sortbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		algo       = fs.String("algo", "radix", "algorithm: radix, sample, or psrs")
+		model      = fs.String("model", "shmem", "model: seq, ccsas, ccsas-new, mpi, mpi-sgi, shmem")
+		n          = fs.Int("n", 1<<18, "key count")
+		procs      = fs.Int("procs", 16, "processor count (power of two)")
+		radix      = fs.Int("radix", 8, "radix size in bits")
+		dist       = fs.String("dist", "gauss", "key distribution")
+		topo       = fs.String("topo", "", "interconnect kind (hypercube, fattree, torus, torus3d, dragonfly, numa2); default hypercube")
+		seed       = fs.Uint64("seed", 0, "key generation seed")
+		seedsK     = fs.Int("seeds", 0, "ensemble mode: run K >= 2 consecutive seeds starting at -seed and print mean/stddev/CI per metric")
+		confidence = fs.Float64("confidence", 0.95, "ensemble confidence level: 0.95 or 0.99")
+		full       = fs.Bool("full", false, "use the full-size (unscaled) Origin2000 parameters")
+		paranoid   = fs.Bool("paranoid", false, "shadow every access with the reference models and invariant checks (slow; fails on any violation)")
+		paranoidN  = fs.Int("paranoid-sample", 0, "spot-sample the paranoid checks every N priced events (0/1 = full per-access checks; N>1 implies -paranoid and keeps the fast kernels)")
+		perproc    = fs.Bool("perproc", false, "print the per-processor breakdown")
+		traceTo    = fs.String("trace", "", "write a Chrome trace_event JSON trace to this file")
+		metrics    = fs.String("metrics", "", "write the flat metrics map as JSON to this file")
+		predict    = fs.Bool("predict", false, "predict every programming model's radix-sort time analytically instead of simulating")
+		validate   = fs.Bool("validate", false, "with -predict: also simulate every predicted model and report the prediction error")
+		par        = fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulator runs of -predict -validate and -seeds (>= 1)")
+		cpuprof    = fs.String("cpuprofile", "", "write a host CPU profile to this file")
+		memprof    = fs.String("memprofile", "", "write a host allocation profile to this file")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	if *par < 1 {
+		return fmt.Errorf("-j must be >= 1, got %d", *par)
+	}
+	singleRunOutputs := *traceTo != "" || *metrics != "" || *perproc
+	switch {
+	case *seedsK != 0 && singleRunOutputs:
+		return fmt.Errorf("-seeds is incompatible with -trace, -metrics and -perproc")
+	case *predict && (singleRunOutputs || *seedsK != 0):
+		return fmt.Errorf("-predict is incompatible with -seeds, -trace, -metrics and -perproc")
+	case *validate && !*predict:
+		return fmt.Errorf("-validate needs -predict")
+	}
+	// One Experiment for every mode, so a flag one mode honors cannot be
+	// dropped by another (-seeds and -predict forbid the flags behind
+	// Trace).
+	e, _, err := repro.Request{
+		Algorithm: *algo, Model: *model, N: *n, Procs: *procs, Radix: *radix,
+		Dist: *dist, Topo: *topo, Seed: *seed, FullSize: *full,
+		Trace: *traceTo != "" || *metrics != "",
+	}.Experiment()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	m, err := repro.ParseModel(*model)
-	if err != nil {
-		fatal(err)
+	e.Paranoid, e.ParanoidSampleEvery = *paranoid, *paranoidN
+	if *predict && e.Algorithm != repro.Radix {
+		return fmt.Errorf("-predict: the analytic model covers radix sort only, got -algo %s", e.Algorithm)
 	}
-	d, err := keys.ParseDist(*dist)
-	if err != nil {
-		fatal(err)
-	}
-	tp, err := repro.ParseTopology(*topo)
-	if err != nil {
-		fatal(err)
-	}
-	if *seedsK != 0 && (*traceTo != "" || *metrics != "" || *perproc) {
-		fatal(fmt.Errorf("-seeds is incompatible with -trace, -metrics and -perproc"))
-	}
+	// Profiles start last, so a rejected command line leaves no profile
+	// file behind, and stop on every return, so a failed run still leaves
+	// complete ones.
 	stopProfiles, err := hostprof.Start(*cpuprof, *memprof)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer func() {
-		if err := stopProfiles(); err != nil {
-			fatal(err)
+		if serr := stopProfiles(); err == nil {
+			err = serr
 		}
 	}()
-	// One Experiment for both modes, so a flag one mode honors cannot be
-	// dropped by the other (-seeds forbids the flags behind Trace).
-	e := repro.Experiment{
-		Algorithm: a, Model: m, N: *n, Procs: *procs, Radix: *radix,
-		Dist: d, Topo: tp, Seed: *seed, FullSize: *full, Paranoid: *paranoid,
-		ParanoidSampleEvery: *paranoidN,
-		Trace:               *traceTo != "" || *metrics != "",
-	}
-	if *seedsK != 0 {
-		if err := runEnsemble(e, *seedsK, *confidence); err != nil {
-			fatal(err)
-		}
-		return
+	switch {
+	case *predict:
+		return runPredict(stdout, e, *validate, *par)
+	case *seedsK != 0:
+		return runEnsemble(stdout, e, *seedsK, *confidence, *par)
 	}
 	out, err := repro.Run(e)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *traceTo != "" {
 		if err := writeFile(*traceTo, func(w io.Writer) error {
 			return trace.WriteChrome(w, out.Trace())
 		}); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("trace: wrote %s (Chrome trace_event JSON; open in Perfetto)\n", *traceTo)
+		fmt.Fprintf(stdout, "trace: wrote %s (Chrome trace_event JSON; open in Perfetto)\n", *traceTo)
 	}
 	if *metrics != "" {
 		if err := writeFile(*metrics, out.Trace().WriteMetrics); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("metrics: wrote %s\n", *metrics)
+		fmt.Fprintf(stdout, "metrics: wrote %s\n", *metrics)
 	}
 
-	fmt.Printf("%s/%s  n=%d  procs=%d  radix=%d  dist=%s\n",
-		a, m, *n, *procs, *radix, d)
-	fmt.Printf("simulated time: %s  (verified sorted: %v)\n",
+	fmt.Fprintf(stdout, "%s/%s  n=%d  procs=%d  radix=%d  dist=%s\n",
+		e.Algorithm, e.Model, e.N, e.Procs, e.Radix, e.Dist)
+	fmt.Fprintf(stdout, "simulated time: %s  (verified sorted: %v)\n",
 		report.Ms(out.TimeNs), out.Verified)
 
 	bds := out.Breakdowns()
@@ -149,7 +180,7 @@ func main() {
 		}
 	}
 	mean := sum / float64(len(bds))
-	fmt.Printf("per-proc mean: %s  max: %s\n", report.Ms(mean), report.Ms(maxTotal))
+	fmt.Fprintf(stdout, "per-proc mean: %s  max: %s\n", report.Ms(mean), report.Ms(maxTotal))
 
 	if *perproc {
 		t := &report.Table{
@@ -161,22 +192,78 @@ func main() {
 				report.F(b.Busy/1e6), report.F(b.LMem/1e6),
 				report.F(b.RMem/1e6), report.F(b.Sync/1e6), report.F(b.Total()/1e6))
 		}
-		fmt.Println(t)
+		fmt.Fprintln(stdout, t)
 	}
+	return nil
+}
+
+// runPredict is the -predict mode: the analytic model's ranking of the
+// programming models on the experiment's platform and workload shape,
+// then the predicted winner's phases. With validate, the experiment is
+// also simulated under every predicted model, concurrently on par
+// workers before anything is rendered.
+func runPredict(stdout io.Writer, e repro.Experiment, validate bool, par int) error {
+	ranked, err := repro.Predict(e)
+	if err != nil {
+		return err
+	}
+	var sims []*repro.Outcome
+	if validate {
+		exps := make([]repro.Experiment, len(ranked))
+		for i, p := range ranked {
+			exps[i] = e
+			exps[i].Model = repro.Model(p.Model)
+		}
+		if sims, err = repro.RunAll(par, exps); err != nil {
+			return err
+		}
+	}
+
+	t := &report.Table{
+		Title:  fmt.Sprintf("Predicted radix sort times: n=%d procs=%d radix=%d", e.N, e.Procs, e.Radix),
+		Header: []string{"rank", "model", "predicted"},
+	}
+	if validate {
+		t.Header = append(t.Header, "simulated", "pred/sim")
+	}
+	for i, p := range ranked {
+		row := []string{fmt.Sprintf("%d", i+1), string(p.Model), report.Ms(p.TimeNs)}
+		if validate {
+			row = append(row, report.Ms(sims[i].TimeNs), report.F(p.TimeNs/sims[i].TimeNs))
+		}
+		t.AddRow(row...)
+	}
+	fmt.Fprintln(stdout, t)
+
+	best := ranked[0]
+	pt := &report.Table{
+		Title:  fmt.Sprintf("Predicted phases for %s", best.Model),
+		Header: []string{"phase", "time"},
+	}
+	names := make([]string, 0, len(best.Phases))
+	for name := range best.Phases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		pt.AddRow(name, report.Ms(best.Phases[name]))
+	}
+	fmt.Fprintln(stdout, pt)
+	return nil
 }
 
 // runEnsemble is the -seeds mode: the experiment across K consecutive
 // seeds starting at its own, reduced to per-metric mean/stddev/CI by
 // internal/stats.
-func runEnsemble(e repro.Experiment, seedsK int, confidence float64) error {
+func runEnsemble(stdout io.Writer, e repro.Experiment, seedsK int, confidence float64, par int) error {
 	label := fmt.Sprintf("%s/%s", e.Algorithm, e.Model)
 	ens, err := stats.RunEnsemble(
-		stats.Config{Seeds: seedsK, BaseSeed: e.Seed, Confidence: confidence},
+		stats.Config{Seeds: seedsK, BaseSeed: e.Seed, Confidence: confidence, Parallelism: par},
 		[]stats.Variant{{Label: label, Exp: e}})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s  n=%d  procs=%d  radix=%d  dist=%s  seeds=%d..%d  confidence=%g\n",
+	fmt.Fprintf(stdout, "%s  n=%d  procs=%d  radix=%d  dist=%s  seeds=%d..%d  confidence=%g\n",
 		label, e.N, e.Procs, e.Radix, e.Dist, e.Seed, e.Seed+uint64(seedsK)-1, ens.Confidence)
 	t := &report.Table{
 		Title:  "Ensemble summary (ms, breakdown summed over processors)",
@@ -186,7 +273,7 @@ func runEnsemble(e repro.Experiment, seedsK int, confidence float64) error {
 		t.AddRow(mt.Name, report.F(mt.Mean/1e6), report.F(mt.Std/1e6),
 			report.F(mt.CILo/1e6), report.F(mt.CIHi/1e6))
 	}
-	fmt.Println(t)
+	fmt.Fprintln(stdout, t)
 	return nil
 }
 
@@ -201,9 +288,4 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sortbench:", err)
-	os.Exit(1)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,24 +11,13 @@ import (
 	"repro"
 )
 
-// TestMain lets the test binary stand in for the sortbench command: with
-// SORTBENCH_BE_MAIN set it runs main() on its arguments, so the tests
-// below drive the real CLI — flag parsing, repro.Run, printing, exit
-// status — as a subprocess without a separate build step.
-func TestMain(m *testing.M) {
-	if os.Getenv("SORTBENCH_BE_MAIN") != "" {
-		main()
-		return
-	}
-	os.Exit(m.Run())
-}
-
+// sortbench drives the command body in-process on the given arguments.
 func sortbench(args ...string) (stdout, stderr string, err error) {
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "SORTBENCH_BE_MAIN=1")
 	var out, errb bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	err = cmd.Run()
+	err = run(args, &out, &errb)
+	if err != nil {
+		fmt.Fprintln(&errb, "sortbench:", err)
+	}
 	return out.String(), errb.String(), err
 }
 
@@ -65,10 +53,15 @@ func TestCLIEveryVariant(t *testing.T) {
 	}
 }
 
-// TestCLIRejectsBeforeRunning: what Experiment.Validate refuses exits
-// non-zero with Validate's message, not a late error out of key
-// generation or the prefix tree.
+// TestCLIRejectsBeforeRunning: what Request.Experiment refuses — a name
+// it cannot parse, anything Experiment.Validate lists — and a flag
+// combination no mode accepts fail with that message, not a late error
+// out of key generation or the prefix tree, and before the profile
+// files exist: a rejected command line used to leave a truncated CPU
+// profile and an empty heap profile behind.
 func TestCLIRejectsBeforeRunning(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
 	for _, tc := range []struct {
 		args []string
 		want string
@@ -76,20 +69,63 @@ func TestCLIRejectsBeforeRunning(t *testing.T) {
 		{[]string{"-radix", "20"}, "Radix must be in [1, 16] bits, got 20"},
 		{[]string{"-model", "ccsas", "-procs", "12", "-topo", "fattree"}, "needs a power-of-two processor count"},
 		{[]string{"-algo", "sample", "-model", "ccsas-new"}, "no program for algorithm"},
+		{[]string{"-algo", "bogo"}, `unknown algorithm "bogo"`},
+		{[]string{"-dist", "weird"}, "weird"},
+		{[]string{"-topo", "moebius"}, `unknown topology "moebius"`},
+		{[]string{"-seeds", "3", "-perproc"}, "-seeds is incompatible"},
+		{[]string{"-predict", "-seeds", "3"}, "-predict is incompatible"},
+		{[]string{"-predict", "-algo", "sample"}, "covers radix sort only"},
+		{[]string{"-validate"}, "-validate needs -predict"},
+		{[]string{"-j", "0"}, "-j must be >= 1"},
+		{[]string{"stray"}, "unexpected arguments"},
 	} {
-		_, stderr, err := sortbench(tc.args...)
-		if err == nil {
-			t.Errorf("sortbench %v: exit 0, want failure", tc.args)
+		args := append([]string{"-cpuprofile", cpu, "-memprofile", mem}, tc.args...)
+		stdout, stderr, err := sortbench(args...)
+		if err == nil || stdout != "" {
+			t.Errorf("sortbench %v: err %v, stdout %q; want a failure and no run", args, err, stdout)
 		}
 		if !strings.Contains(stderr, tc.want) {
-			t.Errorf("sortbench %v: stderr %q, want it to contain %q", tc.args, stderr, tc.want)
+			t.Errorf("sortbench %v: stderr %q, want it to contain %q", args, stderr, tc.want)
+		}
+		for _, path := range []string{cpu, mem} {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("sortbench %v: %s exists after a rejected command line (stat: %v)", args, path, err)
+				os.Remove(path)
+			}
+		}
+	}
+}
+
+// TestCLIPredict: -predict -validate prints, byte for byte, the two
+// tables the former cmd/predict printed for the same cell (captured from
+// its last commit) — one cell on a non-default interconnect, one on the
+// unscaled machine — at any -j.
+func TestCLIPredict(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		golden string
+	}{
+		{[]string{"-n", "65536", "-procs", "8", "-topo", "numa2"}, "predict_numa2.golden"},
+		{[]string{"-n", "65536", "-procs", "8", "-full"}, "predict_full.golden"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range []string{"1", "4"} {
+			args := append([]string{"-predict", "-validate", "-j", j}, tc.args...)
+			stdout, stderr, err := sortbench(args...)
+			if err != nil || stdout != string(want) {
+				t.Errorf("sortbench %v: err %v\n%s--- stdout ---\n%s--- want (%s) ---\n%s", args, err, stderr, stdout, tc.golden, want)
+			}
 		}
 	}
 }
 
 // TestCLIProfiles: -cpuprofile and -memprofile leave non-empty pprof
-// files beside a normal run's output, and a profile path that cannot be
-// created fails the command before anything is simulated.
+// files beside a normal run's output and after a failed run, and a
+// profile path that cannot be created fails the command before anything
+// is simulated.
 func TestCLIProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
@@ -101,6 +137,15 @@ func TestCLIProfiles(t *testing.T) {
 		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 			t.Errorf("%s: missing or empty (%v)", path, err)
 		}
+	}
+	// A run that fails after the profiles started still stops them: the
+	// error used to exit the process past the deferred stop.
+	failed := filepath.Join(dir, "failed.pprof")
+	if _, _, err := sortbench("-n", "4096", "-procs", "4", "-paranoid-sample", "-1", "-memprofile", failed); err == nil {
+		t.Error("-paranoid-sample -1: exit 0, want the machine's rejection")
+	}
+	if fi, err := os.Stat(failed); err != nil || fi.Size() == 0 {
+		t.Errorf("%s: missing or empty after a failed run (%v)", failed, err)
 	}
 	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
 		stdout, stderr, err := sortbench("-n", "65536", "-procs", "8", flag, filepath.Join(dir, "no-such-dir", "p.pprof"))

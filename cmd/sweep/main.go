@@ -18,82 +18,78 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
 	"repro"
 	"repro/internal/hostprof"
-	"repro/internal/keys"
 	"repro/internal/report"
 )
 
 func main() {
-	var (
-		kind  = flag.String("kind", "radix", "sweep kind: radix, bufdepth, flatmem, nocontention")
-		algo  = flag.String("algo", "radix", "algorithm: radix, sample, or psrs")
-		model = flag.String("model", "shmem", "model")
-		n     = flag.Int("n", 1<<18, "key count")
-		procs = flag.Int("procs", 16, "processor count")
-		dist  = flag.String("dist", "gauss", "key distribution")
-		topo  = flag.String("topo", "", "interconnect kind (hypercube, fattree, torus, torus3d, dragonfly, numa2); default hypercube")
-		seed  = flag.Uint64("seed", 0, "seed")
-		par   = flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent experiment runs (>= 1)")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		os.Exit(1)
+	}
+}
 
-		cpuprof = flag.String("cpuprofile", "", "write a host CPU profile to this file")
-		memprof = flag.String("memprofile", "", "write a host allocation profile to this file")
+// run is the command body, parameterized over arguments and output
+// streams so the tests drive it in-process.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		kind  = fs.String("kind", "radix", "sweep kind: radix, bufdepth, flatmem, nocontention")
+		algo  = fs.String("algo", "radix", "algorithm: radix, sample, or psrs")
+		model = fs.String("model", "shmem", "model")
+		n     = fs.Int("n", 1<<18, "key count")
+		procs = fs.Int("procs", 16, "processor count")
+		dist  = fs.String("dist", "gauss", "key distribution")
+		topo  = fs.String("topo", "", "interconnect kind (hypercube, fattree, torus, torus3d, dragonfly, numa2); default hypercube")
+		seed  = fs.Uint64("seed", 0, "seed")
+		par   = fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent experiment runs (>= 1)")
+
+		cpuprof = fs.String("cpuprofile", "", "write a host CPU profile to this file")
+		memprof = fs.String("memprofile", "", "write a host allocation profile to this file")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fatal(fmt.Errorf("unexpected arguments: %v", flag.Args()))
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 	if *par < 1 {
-		fatal(fmt.Errorf("-j must be >= 1, got %d", *par))
+		return fmt.Errorf("-j must be >= 1, got %d", *par)
 	}
-	if *n < 1 {
-		fatal(fmt.Errorf("-n must be >= 1, got %d", *n))
-	}
-	if *procs < 1 {
-		fatal(fmt.Errorf("-procs must be >= 1, got %d", *procs))
-	}
-
-	a, err := repro.ParseAlgorithm(*algo)
-	if err != nil {
-		fatal(err)
-	}
-	m, err := repro.ParseModel(*model)
-	if err != nil {
-		fatal(err)
-	}
-	d, err := keys.ParseDist(*dist)
-	if err != nil {
-		fatal(err)
-	}
-	tp, err := repro.ParseTopology(*topo)
-	if err != nil {
-		fatal(err)
-	}
-	// An unknown -kind is refused here, before the profile files exist.
-	run, ok := sweeps[*kind]
+	sweep, ok := sweeps[*kind]
 	if !ok {
-		fatal(fmt.Errorf("unknown sweep kind %q", *kind))
+		return fmt.Errorf("unknown sweep kind %q", *kind)
 	}
-	base := repro.Experiment{
-		Algorithm: a, Model: m, N: *n, Procs: *procs, Radix: 8, Dist: d, Topo: tp, Seed: *seed,
+	base, _, err := repro.Request{
+		Algorithm: *algo, Model: *model, N: *n, Procs: *procs, Dist: *dist, Topo: *topo, Seed: *seed,
+	}.Experiment()
+	if err != nil {
+		return err
 	}
+	// Profiles start last, so a rejected command line leaves no profile
+	// file behind, and stop on every return, so a failed sweep still
+	// leaves complete ones.
 	stopProfiles, err := hostprof.Start(*cpuprof, *memprof)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer func() {
-		if err := stopProfiles(); err != nil {
-			fatal(err)
+		if serr := stopProfiles(); err == nil {
+			err = serr
 		}
 	}()
-	t, err := run(base, *par)
+	t, err := sweep(base, *par)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println(t)
+	fmt.Fprintln(stdout, t)
+	return nil
 }
 
 // sweeps maps each -kind to the sweep it runs over the base experiment
@@ -198,9 +194,4 @@ func ablation(kind string, ablate func(*repro.Experiment), base repro.Experiment
 			report.F(real.TimeNs/abl.TimeNs))
 	}
 	return t, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
 }

@@ -2,30 +2,20 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestMain lets the test binary stand in for the sweep command, as
-// cmd/sortbench's does: with SWEEP_BE_MAIN set it runs main() on its
-// arguments, so the tests drive the real CLI as a subprocess.
-func TestMain(m *testing.M) {
-	if os.Getenv("SWEEP_BE_MAIN") != "" {
-		main()
-		return
-	}
-	os.Exit(m.Run())
-}
-
+// sweep drives the command body in-process on the given arguments.
 func sweep(args ...string) (stdout, stderr string, err error) {
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "SWEEP_BE_MAIN=1")
 	var out, errb bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	err = cmd.Run()
+	err = run(args, &out, &errb)
+	if err != nil {
+		fmt.Fprintln(&errb, "sweep:", err)
+	}
 	return out.String(), errb.String(), err
 }
 
@@ -57,17 +47,48 @@ func TestCLIEveryKind(t *testing.T) {
 	}
 }
 
-// TestCLIRejectsUnknownKind: a misspelled -kind fails before the profile
-// files are created, not after leaving empty ones behind.
+// TestCLIRejectsUnknownKind: a misspelled -kind — like everything else
+// the command line can get wrong before a sweep starts — fails before
+// the profile files are created, not after leaving empty ones behind.
 func TestCLIRejectsUnknownKind(t *testing.T) {
 	cpu, mem := filepath.Join(t.TempDir(), "cpu.pprof"), filepath.Join(t.TempDir(), "mem.pprof")
-	stdout, stderr, err := sweep("-kind", "radixx", "-n", "4096", "-procs", "4", "-cpuprofile", cpu, "-memprofile", mem)
-	if err == nil || !strings.Contains(stderr, `unknown sweep kind "radixx"`) || stdout != "" {
-		t.Errorf("sweep -kind radixx: err %v, stdout %q, stderr %q; want a failure naming the kind", err, stdout, stderr)
-	}
-	for _, path := range []string{cpu, mem} {
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("%s exists after a rejected -kind (stat: %v)", path, err)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-kind", "radixx", "-n", "4096", "-procs", "4"}, `unknown sweep kind "radixx"`},
+		{[]string{"-n", "0"}, "N must be positive"},
+		{[]string{"-model", "openmp"}, `unknown model "openmp"`},
+		{[]string{"-algo", "sample", "-model", "ccsas-new"}, "no program for algorithm"},
+		{[]string{"-j", "0"}, "-j must be >= 1"},
+		{[]string{"stray"}, "unexpected arguments"},
+	} {
+		args := append([]string{"-cpuprofile", cpu, "-memprofile", mem}, tc.args...)
+		stdout, stderr, err := sweep(args...)
+		if err == nil || !strings.Contains(stderr, tc.want) || stdout != "" {
+			t.Errorf("sweep %v: err %v, stdout %q, stderr %q; want a failure containing %q", args, err, stdout, stderr, tc.want)
 		}
+		for _, path := range []string{cpu, mem} {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("sweep %v: %s exists after a rejected command line (stat: %v)", args, path, err)
+				os.Remove(path)
+			}
+		}
+	}
+}
+
+// TestCLIFailedSweepKeepsProfiles: a sweep that fails after the profiles
+// started (here the flatmem ablation's CC-SAS cell on 12 processors)
+// still stops them — the error used to exit the process past the
+// deferred stop, leaving a truncated CPU profile and an empty heap
+// profile.
+func TestCLIFailedSweepKeepsProfiles(t *testing.T) {
+	mem := filepath.Join(t.TempDir(), "mem.pprof")
+	_, stderr, err := sweep("-kind", "flatmem", "-n", "4096", "-procs", "12", "-topo", "torus", "-memprofile", mem)
+	if err == nil || !strings.Contains(stderr, "power-of-two") {
+		t.Fatalf("sweep on 12 processors: err %v, stderr %q; want the CC-SAS cell's rejection", err, stderr)
+	}
+	if fi, err := os.Stat(mem); err != nil || fi.Size() == 0 {
+		t.Errorf("%s: missing or empty after a failed sweep (%v)", mem, err)
 	}
 }

@@ -174,10 +174,11 @@ func (h *Harness) RunExperiment(e Experiment) (*Outcome, error) {
 // the same baseline at once, exactly one goroutine runs the experiment
 // and the rest wait for it.
 //
-// Only successes are cached. A failed run's entry is dropped before
-// sequential returns, so the next caller retries instead of being served
-// the stale error forever (internal/resultcache applies the same
-// errors-are-never-cached rule to its content-addressed store).
+// Only successes are cached. A failed or panicking run's entry is
+// dropped before sequential returns, so the next caller retries instead
+// of being served the stale error (or a zero time) forever
+// (internal/resultcache applies the same errors-are-never-cached rule to
+// its content-addressed store).
 func (h *Harness) sequential(e Experiment) (float64, error) {
 	h.mu.Lock()
 	slot, ok := h.baseline[e]
@@ -186,7 +187,29 @@ func (h *Harness) sequential(e Experiment) (float64, error) {
 		h.baseline[e] = slot
 	}
 	h.mu.Unlock()
+	// Drop a failed entry so the next caller retries; the map may already
+	// hold a fresh entry from a later caller, so only delete our own.
+	// Deferred, so the caller a panicking run unwinds through drops it too.
+	defer func() {
+		if slot.err != nil {
+			h.mu.Lock()
+			if h.baseline[e] == slot {
+				delete(h.baseline, e)
+			}
+			h.mu.Unlock()
+		}
+	}()
 	slot.once.Do(func() {
+		// A panicking run fails the slot like any other error before the
+		// panic goes on to fail its own cell. A panic that escapes Do
+		// unrecorded leaves the once done with a zero time and no error,
+		// which every later figure dividing by this baseline would get.
+		defer func() {
+			if r := recover(); r != nil {
+				slot.err = fmt.Errorf("repro: baseline %s panicked: %v", e.Label(), r)
+				panic(r)
+			}
+		}()
 		out, err := h.RunExperiment(e)
 		if err != nil {
 			slot.err = err
@@ -194,16 +217,6 @@ func (h *Harness) sequential(e Experiment) (float64, error) {
 		}
 		slot.timeNs = out.TimeNs
 	})
-	if slot.err != nil {
-		// Drop the poisoned entry so the next caller retries; the map may
-		// already hold a fresh entry from a later caller, so only delete
-		// our own.
-		h.mu.Lock()
-		if h.baseline[e] == slot {
-			delete(h.baseline, e)
-		}
-		h.mu.Unlock()
-	}
 	return slot.timeNs, slot.err
 }
 

@@ -66,7 +66,7 @@ func sharedParts(m *machine.Machine, name string, n int) *partitioned {
 
 func (b *ccsasBackend) alloc(m *machine.Machine, cfg Config, alg algorithm, n, perProc int) *store {
 	P := m.Procs()
-	b.m, b.world, b.groupSize, b.perProc = m, ccsas.NewWorld(m), min(cfg.GroupSize, P), perProc
+	b.m, b.world, b.groupSize, b.perProc = m, ccsas.NewWorld(m), min(groupSize, P), perProc
 	b.memo = newRunMemo(m)
 	st := &store{hist: make([]*machine.Array[int32], P)}
 	b.st = st
@@ -153,7 +153,7 @@ func (b *ccsasBackend) readChosen(p *machine.Proc) []uint32 {
 	return pv
 }
 
-// splitters is the paper's group-based selection: every set of GroupSize
+// splitters is the paper's group-based selection: every set of groupSize
 // processes elects a collector that merges its group's samples, and the
 // lead collector merges the group results and selects the splitters.
 func (b *ccsasBackend) splitters(p *machine.Proc, samples []uint32) []uint32 {

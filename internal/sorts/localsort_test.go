@@ -51,7 +51,7 @@ func TestConfigPasses(t *testing.T) {
 		{8, 4}, {11, 3}, {12, 3}, {7, 5}, {6, 6}, {16, 2},
 	}
 	for _, c := range cases {
-		cfg := Config{Radix: c.radix, KeyBits: 31}
+		cfg := Config{Radix: c.radix}
 		if got := cfg.Passes(); got != c.passes {
 			t.Errorf("radix %d: passes = %d, want %d", c.radix, got, c.passes)
 		}

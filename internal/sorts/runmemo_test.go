@@ -49,7 +49,7 @@ func TestPlanBuiltOncePerStep(t *testing.T) {
 	defer func() { memoObserver = nil }()
 
 	const radix = 8
-	passes := Config{Radix: radix, KeyBits: 31}.Passes()
+	passes := Config{Radix: radix}.Passes()
 	for _, mc := range []struct {
 		procs   int
 		machine func(*testing.T, int) *machine.Machine

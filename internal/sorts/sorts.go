@@ -25,20 +25,21 @@ import (
 	"repro/internal/shmem"
 )
 
+// The paper's fixed parameters: keys are < 2^31, and CC-SAS sample sort
+// collects samples in groups of 32 processes.
+const (
+	keyBits   = 31
+	groupSize = 32
+)
+
 // Config parameterizes a sort.
 type Config struct {
 	// Radix is the digit size r in bits. The paper studies 6..12 (and up
 	// to 14 in Table 3).
 	Radix int
-	// KeyBits is the significant key width; keys are < 2^31 as in the
-	// paper.
-	KeyBits int
 	// SampleSize is sample sort's per-processor sample count (128 in the
 	// paper).
 	SampleSize int
-	// GroupSize is sample sort CC-SAS's processes-per-group for sample
-	// collection (32 in the paper).
-	GroupSize int
 	// MPI configures the message-passing library for the MPI variants.
 	MPI mpi.Config
 	// MPIOneMessagePerDest switches the radix MPI permutation to the
@@ -51,14 +52,12 @@ type Config struct {
 	Shmem shmem.Config
 }
 
-// DefaultConfig returns the paper's defaults: radix 8, 31-bit keys, 128
-// samples per processor, groups of 32, the improved (Direct/NEW) MPI.
+// DefaultConfig returns the paper's defaults: radix 8, 128 samples per
+// processor, the improved (Direct/NEW) MPI.
 func DefaultConfig() Config {
 	return Config{
 		Radix:      8,
-		KeyBits:    31,
 		SampleSize: 128,
-		GroupSize:  32,
 		MPI:        mpi.DefaultDirect(),
 		Shmem:      shmem.DefaultConfig(),
 	}
@@ -70,14 +69,8 @@ func (c Config) withDefaults() Config {
 	if c.Radix == 0 {
 		c.Radix = d.Radix
 	}
-	if c.KeyBits == 0 {
-		c.KeyBits = d.KeyBits
-	}
 	if c.SampleSize == 0 {
 		c.SampleSize = d.SampleSize
-	}
-	if c.GroupSize == 0 {
-		c.GroupSize = d.GroupSize
 	}
 	if c.MPI == (mpi.Config{}) {
 		c.MPI = d.MPI
@@ -99,22 +92,16 @@ func (c Config) validate() error {
 	if c.Radix < 1 || c.Radix > keys.MaxRadixBits {
 		return fmt.Errorf("sorts: radix %d out of [1,%d]", c.Radix, keys.MaxRadixBits)
 	}
-	if c.KeyBits < 1 || c.KeyBits > 32 {
-		return fmt.Errorf("sorts: key bits %d out of [1,32]", c.KeyBits)
-	}
 	if c.SampleSize < 1 {
 		return fmt.Errorf("sorts: sample size %d must be positive", c.SampleSize)
-	}
-	if c.GroupSize < 1 {
-		return fmt.Errorf("sorts: group size %d must be positive", c.GroupSize)
 	}
 	return nil
 }
 
-// Passes returns the number of radix passes: ceil(KeyBits / Radix), the
+// Passes returns the number of radix passes: ceil(keyBits / Radix), the
 // paper's 32/r with 31-bit keys.
 func (c Config) Passes() int {
-	return (c.KeyBits + c.Radix - 1) / c.Radix
+	return (keyBits + c.Radix - 1) / c.Radix
 }
 
 // Buckets returns 2^Radix.

@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"repro"
-	"repro/internal/keys"
 )
 
 // Baseline is the committed ordering document
@@ -65,14 +64,13 @@ func (b *Baseline) Save(path string) error {
 
 // Variants resolves the cell's programs into ensemble variants.
 func (c BaselineCell) Variants() ([]Variant, error) {
-	d, err := keys.ParseDist(c.Dist)
-	if err != nil {
-		return nil, fmt.Errorf("stats: cell %s: %w", c.Name, err)
-	}
-	base := repro.Experiment{N: c.N, Procs: c.Procs, Radix: 8, Dist: d}
-	vs, err := Programs(base, c.Programs)
-	if err != nil {
-		return nil, fmt.Errorf("stats: cell %s: %w", c.Name, err)
+	var vs []Variant
+	for _, p := range c.Programs {
+		e, err := program(p, repro.Request{N: c.N, Procs: c.Procs, Dist: c.Dist})
+		if err != nil {
+			return nil, fmt.Errorf("stats: cell %s: %w", c.Name, err)
+		}
+		vs = append(vs, Variant{Label: p, Exp: e})
 	}
 	return vs, nil
 }

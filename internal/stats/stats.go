@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 
 	"repro"
 )
@@ -74,36 +75,29 @@ type Variant struct {
 // "radix/shmem"), applying each to the base experiment. This is the
 // common case of comparing programs on identical inputs.
 func Programs(base repro.Experiment, progs []string) ([]Variant, error) {
+	req := repro.Request{N: base.N, Procs: base.Procs, Radix: base.Radix, Dist: base.Dist.String(), Topo: base.Topo}
 	var vs []Variant
 	for _, p := range progs {
-		var alg, model string
-		if i := indexByte(p, '/'); i < 0 {
-			return nil, fmt.Errorf("stats: program %q is not algorithm/model", p)
-		} else {
-			alg, model = p[:i], p[i+1:]
-		}
-		a, err := repro.ParseAlgorithm(alg)
-		if err != nil {
-			return nil, err
-		}
-		m, err := repro.ParseModel(model)
+		named, err := program(p, req)
 		if err != nil {
 			return nil, err
 		}
 		e := base
-		e.Algorithm, e.Model = a, m
+		e.Algorithm, e.Model = named.Algorithm, named.Model
 		vs = append(vs, Variant{Label: p, Exp: e})
 	}
 	return vs, nil
 }
 
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
+// program resolves one "algorithm/model" string over a request that
+// carries everything else.
+func program(p string, req repro.Request) (repro.Experiment, error) {
+	var ok bool
+	if req.Algorithm, req.Model, ok = strings.Cut(p, "/"); !ok {
+		return repro.Experiment{}, fmt.Errorf("stats: program %q is not algorithm/model", p)
 	}
-	return -1
+	e, _, err := req.Experiment()
+	return e, err
 }
 
 // Metric is one metric summarized over the ensemble.

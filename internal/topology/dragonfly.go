@@ -12,9 +12,10 @@ import (
 // attaches at local router index g2 mod size(g1) inside g1 and
 // g1 mod size(g2) inside g2 — a deterministic symmetric assignment.
 //
-// Routing is minimal-latency over the actual link graph: each local hop
-// costs HopLatency, each global hop costs GlobalHopLatency (default
-// 3×HopLatency), and the route between two routers is the cheapest path
+// Groups hold ⌈√routers⌉ routers (the last may be partial). Routing is
+// minimal-latency over the actual link graph: each local hop costs
+// HopLatency, each global hop 3×HopLatency, and the route between two
+// routers is the cheapest path
 // (ties broken toward fewer links, then fewer global links). Hops() is
 // the plain shortest-path link count, which makes it a genuine graph
 // metric — gateway placement can make an indirect two-global route
@@ -41,32 +42,12 @@ func newDragonfly(cfg Config) (Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.GlobalHopLatency < 0 {
-		return nil, fmt.Errorf("topology: global hop latency must be non-negative, got %g", cfg.GlobalHopLatency)
-	}
-	if cfg.GlobalHopLatency != 0 && cfg.GlobalHopLatency < cfg.HopLatency {
-		// A global link cheaper than a local link would make remote reads
-		// faster than nearer ones (latency no longer monotone in hops).
-		return nil, fmt.Errorf("topology: dragonfly global hop latency %g below local hop latency %g",
-			cfg.GlobalHopLatency, cfg.HopLatency)
-	}
-	gr := cfg.DragonflyGroupRouters
-	if gr == 0 {
-		gr = int(math.Ceil(math.Sqrt(float64(routers))))
-	}
-	if gr < 1 || gr > routers {
-		return nil, fmt.Errorf("topology: dragonfly group size %d out of range [1,%d] for %d routers",
-			cfg.DragonflyGroupRouters, routers, routers)
-	}
-	globalNs := cfg.GlobalHopLatency
-	if globalNs == 0 {
-		globalNs = 3 * cfg.HopLatency
-	}
+	gr := int(math.Ceil(math.Sqrt(float64(routers))))
 	t := &dragonfly{
 		base:         base{cfg: cfg, kind: KindDragonfly, nodes: nodes, routers: routers},
 		groupRouters: gr,
 		groups:       (routers + gr - 1) / gr,
-		globalNs:     globalNs,
+		globalNs:     3 * cfg.HopLatency,
 	}
 	t.computeRoutes()
 	t.finalize(t)

@@ -6,7 +6,7 @@ import (
 )
 
 // fatTree is a k-ary fat-tree (folded Clos): each router is a leaf
-// switch, leaves are grouped into pods of FatTreeArity under an
+// switch, leaves are grouped into pods of ⌈√leaves⌉ under an
 // aggregation layer, and pods meet at a core layer. With full bisection
 // bandwidth the route between two leaves is the canonical up*/down*
 // path, so the hop count depends only on how much of the tree the pair
@@ -26,14 +26,7 @@ func newFatTree(cfg Config) (Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	arity := cfg.FatTreeArity
-	if arity == 0 {
-		arity = int(math.Ceil(math.Sqrt(float64(routers))))
-	}
-	if arity < 1 || arity > routers {
-		return nil, fmt.Errorf("topology: fat-tree arity %d out of range [1,%d] for %d leaf switches",
-			cfg.FatTreeArity, routers, routers)
-	}
+	arity := int(math.Ceil(math.Sqrt(float64(routers))))
 	t := &fatTree{
 		base:  base{cfg: cfg, kind: KindFatTree, nodes: nodes, routers: routers},
 		arity: arity,

@@ -5,15 +5,18 @@ import "fmt"
 // Topology is the Origin2000 binary hypercube: nodes paired onto
 // routers, routers wired as a hypercube whose hop count is the Hamming
 // distance between router ids. It is the default network (Config.Kind
-// "" or KindHypercube) and the machine the paper measured; its latency
-// arithmetic is preserved bit-for-bit across the subsystem refactor
-// (internal/topology/paper_test.go pins the published shape).
+// "" or KindHypercube) and the machine the paper measured; paper_test.go
+// pins its published shape, down to the exact mean read latency every
+// remote access is priced on (791.03125 ns for the 64-proc Origin). That
+// mean is finalize's all-pairs mean like every other kind's: with
+// whole-nanosecond latencies, as both machine presets have, every sum is
+// exact, so it is bit for bit the one-row mean the vertex-transitive
+// full-complement hypercube used to take as a shortcut — and it is
+// right on a ragged last router, where the shortcut was not (see
+// TestAverageReadLatencyAsymmetric).
 type Topology struct {
-	cfg       Config
-	nodes     int
-	routers   int
+	base
 	dimension int // hypercube dimension over routers
-	average   float64
 }
 
 // NewHypercube validates cfg and builds the hypercube. Unlike the other
@@ -32,66 +35,16 @@ func NewHypercube(cfg Config) (*Topology, error) {
 	if 1<<dim != routers {
 		return nil, fmt.Errorf("topology: hypercube router count %d is not a power of two", routers)
 	}
-	t := &Topology{cfg: cfg, nodes: nodes, routers: routers, dimension: dim}
-	t.average = t.meanReadLatency()
+	t := &Topology{
+		base:      base{cfg: cfg, kind: KindHypercube, nodes: nodes, routers: routers},
+		dimension: dim,
+	}
+	t.finalize(t)
 	return t, nil
 }
 
-// meanReadLatency computes the exact mean uncontended read latency over
-// all ordered node pairs.
-//
-// When every router carries the full NodesPerRouter complement the
-// hypercube is vertex-transitive over nodes, so every row of the latency
-// matrix is a permutation of node 0's row and the node-0 mean IS the
-// all-pairs mean. That fast path keeps the historical addition order
-// (and hence the exact float the paper tests pin, 791.03125 ns for the
-// 64-proc Origin). A ragged last router breaks the symmetry, so the
-// general path takes the exact all-pairs mean instead — the node-0
-// shortcut is measurably wrong there (see TestAverageReadLatencyAsymmetric).
-func (t *Topology) meanReadLatency() float64 {
-	if t.nodes%t.cfg.NodesPerRouter == 0 {
-		sum := 0.0
-		for n := 0; n < t.nodes; n++ {
-			sum += t.ReadLatency(0, n)
-		}
-		return sum / float64(t.nodes)
-	}
-	total := 0.0
-	for a := 0; a < t.nodes; a++ {
-		row := 0.0
-		for b := 0; b < t.nodes; b++ {
-			row += t.ReadLatency(a, b)
-		}
-		total += row
-	}
-	return total / float64(t.nodes*t.nodes)
-}
-
-// Kind returns KindHypercube.
-func (t *Topology) Kind() string { return KindHypercube }
-
-// Config returns the configuration the topology was built from.
-func (t *Topology) Config() Config { return t.cfg }
-
-// Processors returns the total processor count.
-func (t *Topology) Processors() int { return t.cfg.Processors }
-
-// Nodes returns the number of memory nodes.
-func (t *Topology) Nodes() int { return t.nodes }
-
-// Routers returns the number of routers.
-func (t *Topology) Routers() int { return t.routers }
-
 // Dimension returns the hypercube dimension across routers.
 func (t *Topology) Dimension() int { return t.dimension }
-
-// NodeOf returns the node housing processor p.
-func (t *Topology) NodeOf(p int) int {
-	if p < 0 || p >= t.cfg.Processors {
-		panic(fmt.Sprintf("topology: processor %d out of range [0,%d)", p, t.cfg.Processors))
-	}
-	return p / t.cfg.ProcsPerNode
-}
 
 // RouterOf returns the router to which node n attaches.
 func (t *Topology) RouterOf(n int) int {
@@ -115,10 +68,6 @@ func (t *Topology) Hops(a, b int) int {
 	return hops
 }
 
-// LocalLatency returns the uncontended latency (ns) of a read satisfied
-// by the local node's memory.
-func (t *Topology) LocalLatency() float64 { return t.cfg.LocalLatency }
-
 // ReadLatency returns the uncontended latency (ns) for a processor on
 // node from to read the first word of a line homed on node to.
 func (t *Topology) ReadLatency(from, to int) float64 {
@@ -126,35 +75,6 @@ func (t *Topology) ReadLatency(from, to int) float64 {
 		return t.cfg.LocalLatency
 	}
 	return t.cfg.RemoteBaseLatency + t.cfg.HopLatency*float64(t.Hops(from, to))
-}
-
-// MaxHops returns the largest hop count between any two nodes, i.e. the
-// hypercube dimension.
-func (t *Topology) MaxHops() int { return t.dimension }
-
-// FurthestReadLatency returns the uncontended latency to the furthest
-// remote memory.
-func (t *Topology) FurthestReadLatency() float64 {
-	if t.nodes == 1 {
-		return t.cfg.LocalLatency
-	}
-	return t.cfg.RemoteBaseLatency + t.cfg.HopLatency*float64(t.dimension)
-}
-
-// AverageReadLatency returns the exact mean uncontended read latency
-// over all ordered (from, to) node pairs — the figure the Origin2000
-// documentation quotes as the "average of local and all remote
-// memories". Precomputed at construction (see meanReadLatency).
-func (t *Topology) AverageReadLatency() float64 { return t.average }
-
-// TransferTime returns the time (ns) to stream size bytes across one
-// link at peak bandwidth. Latency is not included; callers add the
-// appropriate per-transaction latency separately.
-func (t *Topology) TransferTime(size int) float64 {
-	if size <= 0 {
-		return 0
-	}
-	return float64(size) / t.cfg.LinkBandwidth
 }
 
 // DistanceClass returns 0 for local pairs and 1+hops otherwise. Remote

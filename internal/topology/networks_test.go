@@ -148,12 +148,7 @@ func checkMetricAxioms(t *testing.T, net Network) {
 		t.Errorf("FurthestReadLatency() = %v, want observed %v", got, furthest)
 	}
 	if got, want := net.AverageReadLatency(), total/float64(n*n); got != want {
-		// The symmetric hypercube fast path sums a single row in the
-		// historical order, which is an exact mean but a different
-		// addition order; allow only that rounding-level slack.
-		if diff := got - want; diff > 1e-9*want || diff < -1e-9*want {
-			t.Errorf("AverageReadLatency() = %v, want all-pairs mean %v", got, want)
-		}
+		t.Errorf("AverageReadLatency() = %v, want all-pairs mean %v", got, want)
 	}
 
 	// Triangle inequality over routers: exhaustive on small machines,
@@ -238,6 +233,8 @@ func TestAverageReadLatencyAsymmetric(t *testing.T) {
 
 // TestPerKindValidation checks that each network kind rejects exactly
 // its own malformed configurations, with errors that name the problem.
+// Only the hypercube constrains the machine's shape; every other kind
+// derives its grid, pods, groups and packages from the router count.
 func TestPerKindValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -246,20 +243,6 @@ func TestPerKindValidation(t *testing.T) {
 	}{
 		{"unknown kind", func(c *Config) { c.Kind = "moebius" }, "unknown kind"},
 		{"hypercube non-power-of-two routers", func(c *Config) { c.Kind = KindHypercube; c.Processors = 24 }, "power of two"},
-		{"fattree arity too large", func(c *Config) { c.Kind = KindFatTree; c.FatTreeArity = 99 }, "arity"},
-		{"fattree negative arity", func(c *Config) { c.Kind = KindFatTree; c.FatTreeArity = -1 }, "arity"},
-		{"torus grid mismatch", func(c *Config) { c.Kind = KindTorus; c.TorusWidth = 3; c.TorusHeight = 3 }, "routers"},
-		{"torus partial grid", func(c *Config) { c.Kind = KindTorus; c.TorusWidth = 4 }, "dimensions"},
-		{"torus depth on 2D", func(c *Config) { c.Kind = KindTorus; c.TorusDepth = 2 }, "depth"},
-		{"torus3d grid mismatch", func(c *Config) {
-			c.Kind = KindTorus3D
-			c.TorusWidth, c.TorusHeight, c.TorusDepth = 3, 2, 2
-		}, "routers"},
-		{"dragonfly group too large", func(c *Config) { c.Kind = KindDragonfly; c.DragonflyGroupRouters = 99 }, "group size"},
-		{"dragonfly cheap global link", func(c *Config) { c.Kind = KindDragonfly; c.GlobalHopLatency = 50 }, "below local hop latency"},
-		{"dragonfly negative global", func(c *Config) { c.Kind = KindDragonfly; c.GlobalHopLatency = -1 }, "non-negative"},
-		{"numa2 package too large", func(c *Config) { c.Kind = KindNUMA2; c.PackageNodes = 99 }, "package size"},
-		{"numa2 negative package", func(c *Config) { c.Kind = KindNUMA2; c.PackageNodes = -2 }, "package size"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -2,12 +2,12 @@ package topology
 
 import "fmt"
 
-// numa2 is a two-tier chiplet NUMA: nodes are grouped into packages, a
-// read inside a package pays only the cheap on-package interconnect
-// (RemoteBaseLatency), and a read crossing packages additionally pays
-// one expensive off-package link (GlobalHopLatency, default
-// 6×HopLatency). The "routers" of this shape are the packages
-// themselves; HopLatency only sets the inter-package default.
+// numa2 is a two-tier chiplet NUMA: nodes are grouped into packages of
+// ⌈nodes/4⌉ (four chiplet packages), a read inside a package pays only the cheap
+// on-package interconnect (RemoteBaseLatency), and a read crossing
+// packages additionally pays one expensive off-package link
+// (6×HopLatency). The "routers" of this shape are the packages
+// themselves; HopLatency only sets the inter-package cost.
 type numa2 struct {
 	base
 	pkgNodes int // nodes per package
@@ -19,26 +19,12 @@ func newNUMA2(cfg Config) (Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.GlobalHopLatency < 0 {
-		return nil, fmt.Errorf("topology: global hop latency must be non-negative, got %g", cfg.GlobalHopLatency)
-	}
-	pn := cfg.PackageNodes
-	if pn == 0 {
-		pn = (nodes + 3) / 4
-	}
-	if pn < 1 || pn > nodes {
-		return nil, fmt.Errorf("topology: numa2 package size %d out of range [1,%d] for %d nodes",
-			cfg.PackageNodes, nodes, nodes)
-	}
-	globalNs := cfg.GlobalHopLatency
-	if globalNs == 0 {
-		globalNs = 6 * cfg.HopLatency
-	}
+	pn := (nodes + 3) / 4
 	packages := (nodes + pn - 1) / pn
 	t := &numa2{
 		base:     base{cfg: cfg, kind: KindNUMA2, nodes: nodes, routers: packages},
 		pkgNodes: pn,
-		globalNs: globalNs,
+		globalNs: 6 * cfg.HopLatency,
 	}
 	t.finalize(t)
 	return t, nil

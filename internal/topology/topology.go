@@ -38,10 +38,13 @@ const (
 
 // Config describes the physical organization of the machine. It is a
 // pure value (no slices or maps), so machine configurations built from
-// it stay comparable and JSON-canonical.
+// it stay comparable and JSON-canonical. Everything else about a shape —
+// fat-tree pod arity, torus grid, dragonfly group size and global-link
+// latency, numa2 package size — is derived from these fields by the
+// kind's constructor (DESIGN.md §12).
 type Config struct {
-	// Kind selects the network shape by registered name ("" selects
-	// KindHypercube). See New.
+	// Kind selects the network shape by name ("" selects KindHypercube).
+	// See New.
 	Kind string
 
 	// Processors is the total processor count. It must be a positive
@@ -70,28 +73,6 @@ type Config struct {
 	// bytes per nanosecond (1.6 GB/s total both directions on the
 	// Origin2000, i.e. 0.8 GB/s per direction = 0.8 bytes/ns).
 	LinkBandwidth float64
-
-	// GlobalHopLatency is the extra latency of one long link: a dragonfly
-	// global link, or a two-tier NUMA inter-package link (nanoseconds).
-	// Zero selects the kind's default (3×HopLatency for the dragonfly,
-	// 6×HopLatency for numa2). Ignored by the other kinds.
-	GlobalHopLatency float64
-	// FatTreeArity is the number of leaf switches per fat-tree pod.
-	// Zero derives ⌈√leaves⌉. Ignored by the other kinds.
-	FatTreeArity int
-	// TorusWidth/TorusHeight/TorusDepth give the router grid of a torus.
-	// For KindTorus, Width×Height must equal the router count (Depth must
-	// be zero); for KindTorus3D, Width×Height×Depth must. Zeros derive a
-	// near-square (near-cubic) factorization. Ignored by the other kinds.
-	TorusWidth  int
-	TorusHeight int
-	TorusDepth  int
-	// DragonflyGroupRouters is the number of routers per dragonfly group.
-	// Zero derives ⌈√routers⌉. Ignored by the other kinds.
-	DragonflyGroupRouters int
-	// PackageNodes is the number of nodes per numa2 package. Zero derives
-	// ⌈nodes/4⌉ (four chiplet packages). Ignored by the other kinds.
-	PackageNodes int
 }
 
 // Network is an immutable view of one machine interconnect. All
@@ -108,7 +89,7 @@ type Config struct {
 //
 // TestDistanceClassInvariants enforces both across every registered kind.
 type Network interface {
-	// Kind is the registered name of the network's shape.
+	// Kind is the name of the network's shape.
 	Kind() string
 	// Config returns the configuration the network was built from.
 	Config() Config
@@ -151,12 +132,8 @@ type Network interface {
 	NumDistanceClasses() int
 }
 
-// Builder constructs one network kind from a configuration.
-type Builder func(Config) (Network, error)
-
-// builders is the kind registry. Built-in kinds register here; Register
-// adds external ones.
-var builders = map[string]Builder{
+// builders maps each kind name to its constructor.
+var builders = map[string]func(Config) (Network, error){
 	KindHypercube: func(cfg Config) (Network, error) { return NewHypercube(cfg) },
 	KindFatTree:   newFatTree,
 	KindTorus:     newTorus2D,
@@ -165,20 +142,7 @@ var builders = map[string]Builder{
 	KindNUMA2:     newNUMA2,
 }
 
-// Register adds a network kind under a name. It panics on an empty name
-// or a duplicate: registration races are programming errors, caught at
-// init time.
-func Register(kind string, build Builder) {
-	if kind == "" || build == nil {
-		panic("topology: Register needs a non-empty kind and a builder")
-	}
-	if _, dup := builders[kind]; dup {
-		panic(fmt.Sprintf("topology: kind %q registered twice", kind))
-	}
-	builders[kind] = build
-}
-
-// Kinds returns the registered kind names, sorted.
+// Kinds returns the kind names, sorted.
 func Kinds() []string {
 	out := make([]string, 0, len(builders))
 	for k := range builders {

@@ -5,9 +5,10 @@ import (
 	"math"
 )
 
-// torus is a 2D or 3D torus: routers sit on a wrap-around grid and the
-// hop count between two routers is the Manhattan distance with ring
-// wrap-around in each dimension (dimension-ordered routing).
+// torus is a 2D or 3D torus: routers sit on a wrap-around grid — the
+// most balanced factorization of the router count — and the hop count
+// between two routers is the Manhattan distance with ring wrap-around in
+// each dimension (dimension-ordered routing).
 type torus struct {
 	base
 	dims []int // router grid, [W,H] or [W,H,D]
@@ -25,53 +26,12 @@ func newTorus(cfg Config, want int) (Network, error) {
 	if want == 3 {
 		kind = KindTorus3D
 	}
-	dims, err := torusDims(cfg, kind, want, routers)
-	if err != nil {
-		return nil, err
-	}
 	t := &torus{
 		base: base{cfg: cfg, kind: kind, nodes: nodes, routers: routers},
-		dims: dims,
+		dims: deriveTorusDims(want, routers),
 	}
 	t.finalize(t)
 	return t, nil
-}
-
-// torusDims resolves the router grid: explicit dimensions must multiply
-// to the router count exactly, all-zero dimensions derive the most
-// balanced (near-square or near-cubic) factorization.
-func torusDims(cfg Config, kind string, want, routers int) ([]int, error) {
-	given := []int{cfg.TorusWidth, cfg.TorusHeight, cfg.TorusDepth}[:3]
-	set := 0
-	for _, d := range given[:want] {
-		if d != 0 {
-			set++
-		}
-	}
-	if kind == KindTorus && cfg.TorusDepth != 0 {
-		return nil, fmt.Errorf("topology: torus depth %d set on a 2D torus (use kind %q)", cfg.TorusDepth, KindTorus3D)
-	}
-	if set == 0 {
-		return deriveTorusDims(want, routers), nil
-	}
-	if set != want {
-		return nil, fmt.Errorf("topology: %s needs all %d grid dimensions set (or none), got width=%d height=%d depth=%d",
-			kind, want, cfg.TorusWidth, cfg.TorusHeight, cfg.TorusDepth)
-	}
-	dims := make([]int, want)
-	prod := 1
-	for i := range dims {
-		dims[i] = given[i]
-		if dims[i] < 1 {
-			return nil, fmt.Errorf("topology: %s grid dimension %d must be positive", kind, dims[i])
-		}
-		prod *= dims[i]
-	}
-	if prod != routers {
-		return nil, fmt.Errorf("topology: %s grid %v holds %d routers, machine has %d",
-			kind, dims, prod, routers)
-	}
-	return dims, nil
 }
 
 // deriveTorusDims factors routers into the most balanced grid: the

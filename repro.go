@@ -8,6 +8,9 @@
 //
 //   - Run executes one Experiment (algorithm × model × size × processors
 //     × radix × key distribution) and returns a verified, timed Outcome.
+//     A Request is that tuple as command lines and simd's JSON spell it;
+//     Request.Experiment is the one front door from names to an
+//     Experiment.
 //
 //   - Harness drives the paper's full evaluation: Table1 through Table3
 //     and Figure1 through Figure10 regenerate the same rows and series
@@ -22,6 +25,7 @@ import (
 	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/mpi"
+	"repro/internal/perfmodel"
 	"repro/internal/report"
 	"repro/internal/shmem"
 	"repro/internal/sorts"
@@ -154,6 +158,77 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return "", fmt.Errorf("repro: unknown algorithm %q", s)
 }
 
+// Request is the wire form of one experiment: the tuple every number of
+// the evaluation is named by, spelled as the command-line flags and
+// simd's JSON bodies spell it — names as case-insensitive strings, zero
+// values for the defaults. Its Experiment method is the only place a
+// front end turns names into an Experiment.
+type Request struct {
+	Algorithm string `json:"algorithm"`
+	Model     string `json:"model"`
+	N         int    `json:"n"`
+	Procs     int    `json:"procs"`
+	// Radix 0 selects 8 bits, the paper's baseline digit size.
+	Radix int `json:"radix"`
+	// Dist "" selects gauss, the paper's default distribution.
+	Dist string `json:"dist"`
+	// Topo "" selects the Origin2000 hypercube (see topology.Kinds).
+	Topo     string `json:"topo"`
+	Seed     uint64 `json:"seed"`
+	FullSize bool   `json:"full_size"`
+	// Trace records the run's virtual-time event trace.
+	Trace bool `json:"trace"`
+}
+
+// Experiment parses, defaults and validates the request. It returns the
+// experiment to run — carrying everything Validate accepts, so nothing
+// Run would refuse without simulating gets past it — and the request's
+// canonical spelling: lowercase names, every default written out. Two
+// requests with the same canonical form are the same experiment; its
+// JSON encoding (fields in declaration order, every field present) is
+// the config half of simd's cache key and the "config" of its result
+// documents, so neither the fields nor their order may change.
+func (r Request) Experiment() (Experiment, Request, error) {
+	alg, err := ParseAlgorithm(r.Algorithm)
+	if err != nil {
+		return Experiment{}, Request{}, err
+	}
+	model, err := ParseModel(r.Model)
+	if err != nil {
+		return Experiment{}, Request{}, err
+	}
+	dist := keys.Gauss
+	if r.Dist != "" {
+		if dist, err = keys.ParseDist(r.Dist); err != nil {
+			return Experiment{}, Request{}, err
+		}
+	}
+	topo, err := ParseTopology(r.Topo)
+	if err != nil {
+		return Experiment{}, Request{}, err
+	}
+	e := Experiment{
+		Algorithm: alg, Model: model, N: r.N, Procs: r.Procs, Radix: r.Radix,
+		Dist: dist, Topo: topo, Seed: r.Seed, FullSize: r.FullSize, Trace: r.Trace,
+	}
+	if e.Radix == 0 {
+		e.Radix = 8
+	}
+	if err := e.Validate(); err != nil {
+		return Experiment{}, Request{}, err
+	}
+	canon := Request{
+		Algorithm: string(alg), Model: string(model), N: e.N, Procs: e.Procs, Radix: e.Radix,
+		Dist: dist.String(), Topo: topo, Seed: e.Seed, FullSize: e.FullSize, Trace: e.Trace,
+	}
+	// An empty topo IS the hypercube, and the two spellings must be one
+	// cache entry. The Experiment keeps the spelling it was given.
+	if canon.Topo == "" {
+		canon.Topo = topology.KindHypercube
+	}
+	return e, canon, nil
+}
+
 // SizeClass maps a paper data-set label to its key counts: the paper's
 // count and the scaled count used on the scaled machine (÷16, matching
 // the cache scaled ÷16 by machine.ScaleFactor; every capacity crossover
@@ -270,17 +345,36 @@ func (e Experiment) progressLine(timeNs float64) (format string, args []any) {
 		[]any{e.Algorithm, e.Model, e.N, e.Procs, e.Radix, e.Dist, report.Ms(timeNs)}
 }
 
-// MachineConfigFor returns the machine configuration the harness uses
-// for an experiment: the scaled Origin2000 by default, with the paper's
-// page-size policy (the authors used 64 KB pages up to 64M keys and
-// 256 KB pages at 256M; scaled, that is 1 KB up to the 64M class and
-// 4 KB for the 256M class).
-func MachineConfigFor(e Experiment) machine.Config {
-	cfg, scale, bigN := machine.Origin2000Scaled(e.Procs), machine.ScaleFactor, SizeClasses[4].ScaledN
-	if e.FullSize {
-		cfg, scale, bigN = machine.Origin2000(e.Procs), 1, SizeClasses[4].PaperN
+// platform is the one decision "which machine and which communication
+// libraries does this experiment run on": the Origin2000 preset wired as
+// e.Topo — scaled ÷16 unless FullSize, with the libraries' fixed
+// software costs scaled to match (DESIGN.md §1) — and the MPI library
+// the model names, at e.MPIBufDepth when that is set. Run (through
+// MachineConfigFor) and Predict both start here.
+func (e Experiment) platform(engine mpi.Engine) (machine.Config, mpi.Config, shmem.Config) {
+	mc, mp, sh := machine.Origin2000(e.Procs), mpi.ConfigFor(engine), shmem.DefaultConfig()
+	if !e.FullSize {
+		mc = machine.Origin2000Scaled(e.Procs)
+		mp, sh = mp.Scaled(float64(machine.ScaleFactor)), sh.Scaled(float64(machine.ScaleFactor))
 	}
-	cfg.Topology.Kind = e.Topo
+	mc.Topology.Kind = e.Topo
+	if e.MPIBufDepth > 0 {
+		mp.BufDepth = e.MPIBufDepth
+	}
+	return mc, mp, sh
+}
+
+// MachineConfigFor returns the machine configuration the harness uses
+// for an experiment: its platform with the paper's page-size policy (the
+// authors used 64 KB pages up to 64M keys and 256 KB pages at 256M, both
+// divided by the scale factor on the scaled machine) and the
+// experiment's ablation and paranoid switches.
+func MachineConfigFor(e Experiment) machine.Config {
+	cfg, _, _ := e.platform(mpi.Direct)
+	scale, bigN := machine.ScaleFactor, SizeClasses[4].ScaledN
+	if e.FullSize {
+		scale, bigN = 1, SizeClasses[4].PaperN
+	}
 	cfg.TLB.PageSize = (64 << 10) / scale
 	if e.N >= bigN {
 		cfg.TLB.PageSize = (256 << 10) / scale
@@ -290,6 +384,27 @@ func MachineConfigFor(e Experiment) machine.Config {
 	cfg.Paranoid = e.Paranoid
 	cfg.ParanoidSampleEvery = e.ParanoidSampleEvery
 	return cfg
+}
+
+// Predict runs the analytic performance model (internal/perfmodel, the
+// paper's stated future work) on the experiment's platform and workload
+// shape (N, Procs, Radix) and returns every predicted programming
+// model's radix-sort estimate, fastest first. The model prices the
+// preset's own page size, not MachineConfigFor's per-size page policy;
+// its calibration against the simulator (perfmodel's tests) was made
+// there.
+func Predict(e Experiment) ([]*perfmodel.Prediction, error) {
+	if e.Radix == 0 {
+		e.Radix = 8
+	}
+	if err := e.Validate(); err != nil {
+		return nil, err
+	}
+	pr, err := perfmodel.New(e.platform(mpi.Direct))
+	if err != nil {
+		return nil, err
+	}
+	return pr.PredictAll(perfmodel.Workload{N: e.N, Procs: e.Procs, Radix: e.Radix})
 }
 
 // Outcome is one executed experiment.
@@ -341,17 +456,9 @@ func Run(e Experiment) (*Outcome, error) {
 	if e.Trace {
 		m.EnableTracing()
 	}
-	cfg := sorts.Config{Radix: e.Radix, SampleSize: e.SampleSize,
-		MPI: mpi.ConfigFor(prog.Engine), Shmem: shmem.DefaultConfig(),
+	_, mpiCfg, shmemCfg := e.platform(prog.Engine)
+	cfg := sorts.Config{Radix: e.Radix, SampleSize: e.SampleSize, MPI: mpiCfg, Shmem: shmemCfg,
 		MPIOneMessagePerDest: e.MPIOneMessagePerDest}
-	if !e.FullSize {
-		// Fixed software costs scale with the machine (DESIGN.md §1).
-		cfg.MPI = cfg.MPI.Scaled(float64(machine.ScaleFactor))
-		cfg.Shmem = cfg.Shmem.Scaled(float64(machine.ScaleFactor))
-	}
-	if e.MPIBufDepth > 0 {
-		cfg.MPI.BufDepth = e.MPIBufDepth
-	}
 
 	res, err := prog.Sort(m, in, cfg)
 	if err != nil {

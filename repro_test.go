@@ -49,8 +49,8 @@ func TestRunValidation(t *testing.T) {
 		{Algorithm: Radix, Model: SHMEM, N: 0, Procs: 8},
 		{Algorithm: Radix, Model: SHMEM, N: 100, Procs: 0},
 		{Algorithm: "bogus", Model: SHMEM, N: 100, Procs: 8},
-		{Algorithm: Sample, Model: CCSASNew, N: 100, Procs: 8}, // no buffered sample variant
-		{Algorithm: Psrs, Model: CCSASNew, N: 100, Procs: 8},   // no buffered PSRS variant either
+		{Algorithm: Sample, Model: CCSASNew, N: 100, Procs: 8},                  // no buffered sample variant
+		{Algorithm: Psrs, Model: CCSASNew, N: 100, Procs: 8},                    // no buffered PSRS variant either
 		{Algorithm: Radix, Model: SHMEM, N: 100, Procs: 8, Topo: "mesh"},        // unknown interconnect
 		{Algorithm: Radix, Model: CCSAS, N: 100, Procs: 24, Topo: "torus"},      // prefix tree needs 2^k procs
 		{Algorithm: Radix, Model: CCSASNew, N: 100, Procs: 24, Topo: "fattree"}, // same for the buffered variant
