@@ -27,7 +27,7 @@ func testNetConfig(kind string, procs int) Config {
 // exercised on ragged sizes too (including ≥128 simulated procs).
 func axiomSizes(kind string) []int {
 	if kind == KindHypercube {
-		return []int{2, 4, 8, 64, 128, 256}
+		return []int{2, 4, 8, 64, 128, 256, 1024}
 	}
 	return []int{2, 6, 24, 52, 64, 128, 250, 1024}
 }
