@@ -159,9 +159,6 @@ func New(cfg Config) *Cache {
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Stats returns a snapshot of the event counters.
 func (c *Cache) Stats() Stats {
 	s := c.stats

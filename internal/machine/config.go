@@ -80,7 +80,7 @@ type Config struct {
 
 // Validate fills defaults and checks the configuration.
 func (c *Config) Validate() error {
-	if _, err := topology.New(c.Topology); err != nil {
+	if err := c.Topology.Validate(); err != nil {
 		return err
 	}
 	if err := c.Cache.Validate(); err != nil {

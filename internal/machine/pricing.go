@@ -47,15 +47,10 @@ func priceClass(sh Sharing, write bool) int {
 // contract guarantees are constant within a distance class (ReadLatency,
 // the remote/local split, and run-constant scalars), so one entry per
 // class is exact and the memo stays O(classes) — not O(nodes²) — on
-// 128–1024-proc machines. classOf carries the pair→class map the hot
-// path indexes through. Immutable after construction and shared by all
-// processors.
+// 128–1024-proc machines. The pair→class map the hot path indexes
+// through is the network's own (topology.Network.ClassRow). Immutable
+// after construction and shared by all processors.
 type priceTable struct {
-	nodes   int
-	classes int
-	// classOf[requester*nodes+home] is the topology distance class of
-	// the node pair (class 0 = local).
-	classOf []int32
 	// miss[class][distanceClass] prices one cache miss.
 	miss [numPriceClasses][]priceEntry
 	// writeback[distanceClass] prices one dirty-line eviction
@@ -139,18 +134,14 @@ func wbPriceFor(top topology.Network, proto *coherence.Protocol, params coherenc
 // what the legacy per-pair computation produced for every pair of the
 // class (the charges are class-constant; see priceTable).
 func newPriceTable(top topology.Network, proto *coherence.Protocol, params coherence.Params) *priceTable {
-	n := top.Nodes()
 	classes := top.NumDistanceClasses()
-	pt := &priceTable{nodes: n, classes: classes, classOf: make([]int32, n*n)}
+	pt := &priceTable{writeback: make([]priceEntry, classes)}
 	for c := range pt.miss {
 		pt.miss[c] = make([]priceEntry, classes)
 	}
-	pt.writeback = make([]priceEntry, classes)
 	filled := make([]bool, classes)
-	for req := 0; req < n; req++ {
-		for home := 0; home < n; home++ {
-			dc := top.DistanceClass(req, home)
-			pt.classOf[req*n+home] = int32(dc)
+	for req := 0; req < top.Nodes(); req++ {
+		for home, dc := range top.ClassRow(req) {
 			if filled[dc] {
 				continue
 			}
@@ -166,22 +157,10 @@ func newPriceTable(top topology.Network, proto *coherence.Protocol, params coher
 	return pt
 }
 
-// missEntry returns the charge for one miss (test/inspection accessor;
-// the hot path indexes the rows directly).
-func (pt *priceTable) missEntry(sh Sharing, write bool, requester, home int) priceEntry {
-	return pt.miss[priceClass(sh, write)][pt.classOf[requester*pt.nodes+home]]
-}
-
-// writebackEntry returns the charge for one dirty eviction.
-func (pt *priceTable) writebackEntry(owner, home int) priceEntry {
-	return pt.writeback[pt.classOf[owner*pt.nodes+home]]
-}
-
 // CorruptPriceEntryForTest adds deltaNs to the memoized latency of one
 // miss entry, leaving the live protocol untouched. The paranoid mutation
 // tests use it to prove the differential oracle detects a fast-path
 // pricing corruption; it must never be called outside tests.
 func (m *Machine) CorruptPriceEntryForTest(sh Sharing, write bool, requesterNode, home int, deltaNs float64) {
-	pt := m.prices
-	pt.miss[priceClass(sh, write)][pt.classOf[requesterNode*pt.nodes+home]].latencyNs += deltaNs
+	m.prices.miss[priceClass(sh, write)][m.top.DistanceClass(requesterNode, home)].latencyNs += deltaNs
 }

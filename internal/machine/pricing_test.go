@@ -70,7 +70,7 @@ func TestPriceTableMatchesProtocol(t *testing.T) {
 							}
 						}
 						wantRemote := remote || sh == DirtyElsewhere
-						e := m.prices.missEntry(sh, write, req, home)
+						e := m.missEntry(sh, write, req, home)
 						if e.latencyNs != res.Latency {
 							t.Fatalf("procs=%d %v write=%v req=%d home=%d: latency %v, protocol %v",
 								procs, sh, write, req, home, e.latencyNs, res.Latency)
@@ -86,7 +86,7 @@ func TestPriceTableMatchesProtocol(t *testing.T) {
 					}
 				}
 				// Writeback row: legacy chargeWriteback arithmetic.
-				wbe := m.prices.writebackEntry(req, home)
+				wbe := m.writebackEntry(req, home)
 				if !remote {
 					if wbe.latencyNs != params.DirOccupancy || wbe.remote {
 						t.Fatalf("procs=%d writeback req=%d home=%d: got %+v, want local DirOccupancy",
@@ -103,4 +103,15 @@ func TestPriceTableMatchesProtocol(t *testing.T) {
 			}
 		}
 	}
+}
+
+// missEntry returns the memoized charge for one miss (the hot path
+// indexes the rows through Proc.classRow).
+func (m *Machine) missEntry(sh Sharing, write bool, requester, home int) priceEntry {
+	return m.prices.miss[priceClass(sh, write)][m.top.DistanceClass(requester, home)]
+}
+
+// writebackEntry returns the memoized charge for one dirty eviction.
+func (m *Machine) writebackEntry(owner, home int) priceEntry {
+	return m.prices.writeback[m.top.DistanceClass(owner, home)]
 }

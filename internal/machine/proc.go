@@ -48,9 +48,9 @@ type Proc struct {
 	cache *cache.Cache
 	tlb   *cache.TLB
 
-	// classRow is this processor's row of the pricing table's pair→
-	// distance-class map: classRow[home] is the class of (Node, home).
-	// Immutable after construction (see pricing.go).
+	// classRow is this processor's row of the network's pair→
+	// distance-class table: classRow[home] is the class of (Node, home),
+	// the index into the pricing table's rows. Immutable (see pricing.go).
 	classRow []int32
 
 	clock float64 // virtual time, ns
@@ -90,14 +90,13 @@ type Proc struct {
 
 func newProc(m *Machine, id int) *Proc {
 	node := m.top.NodeOf(id)
-	n := m.prices.nodes
 	p := &Proc{
 		ID:         id,
 		Node:       node,
 		m:          m,
 		cache:      cache.New(m.cfg.Cache),
 		tlb:        cache.NewTLB(m.cfg.TLB),
-		classRow:   m.prices.classOf[node*n : (node+1)*n],
+		classRow:   m.top.ClassRow(node),
 		contention: 1,
 	}
 	if m.checker != nil {
@@ -189,9 +188,6 @@ func (p *Proc) Now() float64 { return p.clock }
 
 // Stats returns a snapshot of the processor's accumulated statistics.
 func (p *Proc) Stats() ProcStats { return p.snapshot() }
-
-// Tracing reports whether this processor currently records a trace.
-func (p *Proc) Tracing() bool { return p.tr != nil }
 
 // TraceEvent records a typed communication event ending at the current
 // virtual time: the event covers [Now-durNs, Now]. peer is the other

@@ -45,7 +45,7 @@ func TestPriceTableAcrossTopologies(t *testing.T) {
 					for _, sh := range allSharings {
 						for _, write := range []bool{false, true} {
 							want := priceFor(m.top, m.proto, params, sh, write, req, home)
-							got := m.prices.missEntry(sh, write, req, home)
+							got := m.missEntry(sh, write, req, home)
 							if got != want {
 								t.Fatalf("%s: missEntry(%v, write=%v, req=%d, home=%d) = %+v, want %+v",
 									kind, sh, write, req, home, got, want)
@@ -53,7 +53,7 @@ func TestPriceTableAcrossTopologies(t *testing.T) {
 						}
 					}
 					want := wbPriceFor(m.top, m.proto, params, req, home)
-					if got := m.prices.writebackEntry(req, home); got != want {
+					if got := m.writebackEntry(req, home); got != want {
 						t.Fatalf("%s: writebackEntry(%d, %d) = %+v, want %+v", kind, req, home, got, want)
 					}
 				}

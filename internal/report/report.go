@@ -75,24 +75,6 @@ func F(v float64) string {
 // Ms formats nanoseconds as milliseconds.
 func Ms(ns float64) string { return F(ns/1e6) + "ms" }
 
-// Us formats nanoseconds as microseconds (the paper's tables use µs).
-func Us(ns float64) string { return fmt.Sprintf("%.0f", ns/1e3) }
-
-// Bar renders v as a proportional bar of width w relative to maxV.
-func Bar(v, maxV float64, w int) string {
-	if maxV <= 0 {
-		return ""
-	}
-	n := int(v / maxV * float64(w))
-	if n > w {
-		n = w
-	}
-	if n < 0 {
-		n = 0
-	}
-	return strings.Repeat("#", n)
-}
-
 // StackedBreakdown renders per-category magnitudes (e.g. BUSY, LMEM,
 // RMEM, SYNC) as a labeled stacked text chart, one row per item.
 type StackedBreakdown struct {

@@ -55,24 +55,6 @@ func TestMsUs(t *testing.T) {
 	if got := Ms(1.5e6); got != "1.5ms" {
 		t.Errorf("Ms = %q", got)
 	}
-	if got := Us(1500); got != "2" {
-		t.Errorf("Us = %q", got)
-	}
-}
-
-func TestBar(t *testing.T) {
-	if got := Bar(5, 10, 10); got != "#####" {
-		t.Errorf("Bar = %q", got)
-	}
-	if got := Bar(20, 10, 10); got != "##########" {
-		t.Errorf("overflow Bar = %q", got)
-	}
-	if got := Bar(1, 0, 10); got != "" {
-		t.Errorf("zero-max Bar = %q", got)
-	}
-	if got := Bar(-5, 10, 10); got != "" {
-		t.Errorf("negative Bar = %q", got)
-	}
 }
 
 func TestStackedBreakdown(t *testing.T) {

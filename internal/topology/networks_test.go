@@ -203,9 +203,9 @@ func checkMetricAxioms(t *testing.T, net Network) {
 // 2 routers (a legal power-of-two hypercube): node 0 shares its router
 // with node 1 only, node 2 sits alone, and the two row means disagree.
 func TestAverageReadLatencyAsymmetric(t *testing.T) {
-	top, err := NewHypercube(testNetConfig(KindHypercube, 6))
+	top, err := New(testNetConfig(KindHypercube, 6))
 	if err != nil {
-		t.Fatalf("NewHypercube: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	if top.Nodes() != 3 || top.Routers() != 2 {
 		t.Fatalf("unexpected shape: %d nodes on %d routers", top.Nodes(), top.Routers())
@@ -289,7 +289,9 @@ func TestDefaultKindIsHypercube(t *testing.T) {
 	if net.Kind() != KindHypercube {
 		t.Fatalf("default kind = %q, want %q", net.Kind(), KindHypercube)
 	}
-	if _, ok := net.(*Topology); !ok {
-		t.Fatalf("default network is %T, want *Topology", net)
+	got, want := fingerprintOf(t, "", 64), fingerprintOf(t, KindHypercube, 64)
+	got.Kind = want.Kind
+	if got != want {
+		t.Fatalf("default network %+v, want the hypercube's %+v", got, want)
 	}
 }

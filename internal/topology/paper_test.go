@@ -16,9 +16,9 @@ func TestPaperLatencyNumbers(t *testing.T) {
 	top := origin64(t)
 
 	// 64 procs → 32 nodes → 16 routers → dimension-4 hypercube.
-	if top.Nodes() != 32 || top.Routers() != 16 || top.Dimension() != 4 {
+	if top.Nodes() != 32 || top.Routers() != 16 || top.MaxHops() != 4 {
 		t.Fatalf("machine shape: nodes=%d routers=%d dim=%d, want 32/16/4",
-			top.Nodes(), top.Routers(), top.Dimension())
+			top.Nodes(), top.Routers(), top.MaxHops())
 	}
 
 	cases := []struct {

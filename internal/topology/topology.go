@@ -41,10 +41,9 @@ const (
 // it stay comparable and JSON-canonical. Everything else about a shape —
 // fat-tree pod arity, torus grid, dragonfly group size and global-link
 // latency, numa2 package size — is derived from these fields by the
-// kind's constructor (DESIGN.md §12).
+// kind's shape function (kinds.go, DESIGN.md §12).
 type Config struct {
 	// Kind selects the network shape by name ("" selects KindHypercube).
-	// See New.
 	Kind string
 
 	// Processors is the total processor count. It must be a positive
@@ -75,11 +74,88 @@ type Config struct {
 	LinkBandwidth float64
 }
 
-// Network is an immutable view of one machine interconnect. All
-// implementations are deterministic pure functions of their Config.
+// kind returns the shape name, with "" resolved to the hypercube.
+func (c Config) kind() string {
+	if c.Kind == "" {
+		return KindHypercube
+	}
+	return c.Kind
+}
+
+// shape validates c and returns the node count, how many consecutive
+// nodes share a router, and the router count. Validation is per kind:
+// only the hypercube constrains the machine's shape — Hamming-distance
+// routing is undefined unless the router count is a power of two — and
+// every other kind derives its grid, pods, groups or packages from the
+// counts.
+func (c Config) shape() (nodes, perRouter, routers int, err error) {
+	fail := func(format string, args ...any) (int, int, int, error) {
+		return 0, 0, 0, fmt.Errorf("topology: "+format, args...)
+	}
+	if _, ok := kinds[c.kind()]; !ok {
+		return fail("unknown kind %q (known: %s)", c.Kind, strings.Join(Kinds(), ", "))
+	}
+	if c.Processors <= 0 {
+		return fail("processors must be positive, got %d", c.Processors)
+	}
+	if c.ProcsPerNode <= 0 {
+		return fail("procs per node must be positive, got %d", c.ProcsPerNode)
+	}
+	if c.NodesPerRouter <= 0 {
+		return fail("nodes per router must be positive, got %d", c.NodesPerRouter)
+	}
+	if c.Processors%c.ProcsPerNode != 0 {
+		return fail("processors (%d) not a multiple of procs per node (%d)", c.Processors, c.ProcsPerNode)
+	}
+	nodes = c.Processors / c.ProcsPerNode
+	perRouter = c.NodesPerRouter
+	if c.kind() == KindNUMA2 {
+		// The routers of the two-tier NUMA are its four packages.
+		perRouter = (nodes + 3) / 4
+	}
+	routers = (nodes + perRouter - 1) / perRouter
+	if c.kind() == KindHypercube && routers&(routers-1) != 0 {
+		return fail("hypercube router count %d is not a power of two", routers)
+	}
+	return nodes, perRouter, routers, nil
+}
+
+// Validate reports whether New would accept c, without routing
+// anything: it costs a few comparisons at any machine size.
+func (c Config) Validate() error {
+	_, _, _, err := c.shape()
+	return err
+}
+
+// Kinds returns the kind names, sorted.
+func Kinds() []string {
+	out := make([]string, 0, len(kinds))
+	for k := range kinds {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// distance is what every node pair of one distance class shares.
+type distance struct {
+	hops int     // router-to-router links
+	ns   float64 // uncontended read latency
+}
+
+// Network is an immutable view of one machine interconnect: a
+// deterministic pure function of its Config, built once by New and read
+// as tables afterwards. It is a handle — copies share the tables — and
+// only New makes a usable one.
+//
+// Every kind is the same value. A kind only says what the route between
+// two routers costs (kinds.go); New turns that into one distance class
+// per node pair and one (hops, latency) per class, and every method
+// below is a read of those.
 //
 // Two properties are contracts the pricing layer depends on
-// (DESIGN.md §12):
+// (DESIGN.md §12), enforced across every kind by TestNetworkMetricAxioms
+// and FuzzNetworkMetrics:
 //
 //   - ReadLatency is symmetric: ReadLatency(a, b) == ReadLatency(b, a)
 //     bit-for-bit, for every node pair.
@@ -87,187 +163,161 @@ type Config struct {
 //     node pair in one distance class has bit-identical latency and
 //     equal hop count, and class 0 is exactly the local (a == a) pairs.
 //
-// TestDistanceClassInvariants enforces both across every registered kind.
-type Network interface {
-	// Kind is the name of the network's shape.
-	Kind() string
-	// Config returns the configuration the network was built from.
-	Config() Config
-	// Processors returns the total processor count.
-	Processors() int
-	// Nodes returns the number of memory nodes.
-	Nodes() int
-	// Routers returns the number of routers (switches).
-	Routers() int
-	// NodeOf returns the node housing processor p.
-	NodeOf(p int) int
-	// Hops returns the number of router-to-router hops between the
-	// routers of nodes a and b (0 for nodes sharing a router).
-	Hops(a, b int) int
-	// MaxHops returns the largest hop count between any two nodes.
-	MaxHops() int
-	// LocalLatency returns the uncontended latency (ns) of a read
-	// satisfied by the local node's memory.
-	LocalLatency() float64
-	// ReadLatency returns the uncontended latency (ns) for a processor on
-	// node from to read the first word of a line homed on node to.
-	ReadLatency(from, to int) float64
-	// FurthestReadLatency returns the uncontended latency to the furthest
-	// memory.
-	FurthestReadLatency() float64
-	// AverageReadLatency returns the exact mean uncontended read latency
-	// over all ordered (from, to) node pairs, local pairs included.
-	AverageReadLatency() float64
-	// TransferTime returns the time (ns) to stream size bytes across one
-	// link at peak bandwidth, excluding per-transaction latency.
-	TransferTime(size int) float64
-	// DistanceClass maps a node pair to its distance class in
-	// [0, NumDistanceClasses): an index such that every pair of the class
-	// has bit-identical ReadLatency. Class 0 is the local (from == to)
-	// pairs. The pricing tables are memoized per class, not per pair, so
-	// the memo stays O(classes) at any machine size.
-	DistanceClass(from, to int) int
-	// NumDistanceClasses returns the number of distance classes. Not
-	// every class below the bound need be inhabited.
-	NumDistanceClasses() int
-}
+// How the remaining classes are numbered is not a contract.
+type Network struct{ t *tables }
 
-// builders maps each kind name to its constructor.
-var builders = map[string]func(Config) (Network, error){
-	KindHypercube: func(cfg Config) (Network, error) { return NewHypercube(cfg) },
-	KindFatTree:   newFatTree,
-	KindTorus:     newTorus2D,
-	KindTorus3D:   newTorus3D,
-	KindDragonfly: newDragonfly,
-	KindNUMA2:     newNUMA2,
-}
-
-// Kinds returns the kind names, sorted.
-func Kinds() []string {
-	out := make([]string, 0, len(builders))
-	for k := range builders {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// New validates cfg and builds the network of cfg.Kind ("" selects the
-// hypercube). Validation is per kind: only the hypercube requires a
-// power-of-two router count, each other shape checks exactly the
-// constraints it needs.
-func New(cfg Config) (Network, error) {
-	kind := cfg.Kind
-	if kind == "" {
-		kind = KindHypercube
-	}
-	build, ok := builders[kind]
-	if !ok {
-		return nil, fmt.Errorf("topology: unknown kind %q (known: %s)",
-			cfg.Kind, strings.Join(Kinds(), ", "))
-	}
-	return build(cfg)
-}
-
-// MustNew is New but panics on configuration errors. It is intended for
-// the package-level machine presets, whose parameters are static.
-func MustNew(cfg Config) Network {
-	t, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// shapeOf validates the generic fields every kind shares and returns the
-// node and router counts.
-func shapeOf(cfg Config) (nodes, routers int, err error) {
-	if cfg.Processors <= 0 {
-		return 0, 0, fmt.Errorf("topology: processors must be positive, got %d", cfg.Processors)
-	}
-	if cfg.ProcsPerNode <= 0 {
-		return 0, 0, fmt.Errorf("topology: procs per node must be positive, got %d", cfg.ProcsPerNode)
-	}
-	if cfg.NodesPerRouter <= 0 {
-		return 0, 0, fmt.Errorf("topology: nodes per router must be positive, got %d", cfg.NodesPerRouter)
-	}
-	if cfg.Processors%cfg.ProcsPerNode != 0 {
-		return 0, 0, fmt.Errorf("topology: processors (%d) not a multiple of procs per node (%d)",
-			cfg.Processors, cfg.ProcsPerNode)
-	}
-	nodes = cfg.Processors / cfg.ProcsPerNode
-	routers = (nodes + cfg.NodesPerRouter - 1) / cfg.NodesPerRouter
-	return nodes, routers, nil
-}
-
-// base carries the state and methods every Network implementation
-// shares: the configuration, node mapping, link arithmetic, and the
-// distance statistics computed once at construction by finalize.
-type base struct {
+// tables is everything New computes.
+type tables struct {
 	cfg     Config
-	kind    string
 	nodes   int
 	routers int
+
+	// class[a*nodes+b] is the distance class of node pair (a, b);
+	// classes[c] is what the pairs of class c share.
+	class   []int32
+	classes []distance
 
 	maxHops  int
 	furthest float64
 	average  float64
 }
 
-func (b *base) Kind() string          { return b.kind }
-func (b *base) Config() Config        { return b.cfg }
-func (b *base) Processors() int       { return b.cfg.Processors }
-func (b *base) Nodes() int            { return b.nodes }
-func (b *base) Routers() int          { return b.routers }
-func (b *base) LocalLatency() float64 { return b.cfg.LocalLatency }
-func (b *base) MaxHops() int          { return b.maxHops }
+// New validates cfg and builds the network of cfg.Kind ("" selects the
+// hypercube).
+func New(cfg Config) (Network, error) {
+	nodes, perRouter, routers, err := cfg.shape()
+	if err != nil {
+		return Network{}, err
+	}
+	route := kinds[cfg.kind()](cfg, routers)
+	t := &tables{
+		cfg:     cfg,
+		nodes:   nodes,
+		routers: routers,
+		class:   make([]int32, nodes*nodes),
+		classes: []distance{{0, cfg.LocalLatency}},
+	}
+
+	// One class per distinct (hops, latency) among the router pairs, in
+	// row-major encounter order after the local class 0. A remote pair
+	// never joins class 0, whatever its latency: the pricing layer
+	// charges local and remote misses differently.
+	ofRouters := make([]int32, routers*routers)
+	for ra := 0; ra < routers; ra++ {
+		for rb := 0; rb < routers; rb++ {
+			hops, ns := route(ra, rb)
+			d := distance{hops, ns}
+			c := 1
+			for c < len(t.classes) && t.classes[c] != d {
+				c++
+			}
+			if c == len(t.classes) {
+				t.classes = append(t.classes, d)
+			}
+			ofRouters[ra*routers+rb] = int32(c)
+			if hops > t.maxHops {
+				t.maxHops = hops
+			}
+		}
+	}
+
+	// The node-pair table, and the furthest and mean latency over the
+	// pairs that exist (a router-pair class is uninhabited when, say, the
+	// only router pair of its distance is one single-node router with
+	// itself). Row sums accumulate before the total so the addition
+	// order, and hence the stored mean, is a function of the shape alone
+	// — the same order the simulated results were produced with.
+	total := 0.0
+	for a := 0; a < nodes; a++ {
+		row := 0.0
+		classRow := t.class[a*nodes : (a+1)*nodes]
+		fromRouter := ofRouters[a/perRouter*routers:]
+		for b := range classRow {
+			if a != b {
+				classRow[b] = fromRouter[b/perRouter]
+			}
+			ns := t.classes[classRow[b]].ns
+			if ns > t.furthest {
+				t.furthest = ns
+			}
+			row += ns
+		}
+		total += row
+	}
+	t.average = total / float64(nodes*nodes)
+	return Network{t}, nil
+}
+
+// Kind is the name of the network's shape.
+func (n Network) Kind() string { return n.t.cfg.kind() }
+
+// Config returns the configuration the network was built from.
+func (n Network) Config() Config { return n.t.cfg }
+
+// Processors returns the total processor count.
+func (n Network) Processors() int { return n.t.cfg.Processors }
+
+// Nodes returns the number of memory nodes.
+func (n Network) Nodes() int { return n.t.nodes }
+
+// Routers returns the number of routers (switches).
+func (n Network) Routers() int { return n.t.routers }
 
 // NodeOf returns the node housing processor p.
-func (b *base) NodeOf(p int) int {
-	if p < 0 || p >= b.cfg.Processors {
-		panic(fmt.Sprintf("topology: processor %d out of range [0,%d)", p, b.cfg.Processors))
+func (n Network) NodeOf(p int) int {
+	if p < 0 || p >= n.t.cfg.Processors {
+		panic(fmt.Sprintf("topology: processor %d out of range [0,%d)", p, n.t.cfg.Processors))
 	}
-	return p / b.cfg.ProcsPerNode
+	return p / n.t.cfg.ProcsPerNode
 }
+
+// ClassRow returns DistanceClass(from, ·) for every node: the row a
+// processor on node from indexes by home node on every miss. The caller
+// must not modify it.
+func (n Network) ClassRow(from int) []int32 {
+	return n.t.class[from*n.t.nodes : (from+1)*n.t.nodes]
+}
+
+// DistanceClass maps a node pair to its distance class in
+// [0, NumDistanceClasses): an index such that every pair of the class
+// has bit-identical ReadLatency and equal Hops. Class 0 is the local
+// (from == to) pairs. The pricing tables are memoized per class, not per
+// pair, so the memo stays O(classes) at any machine size.
+func (n Network) DistanceClass(from, to int) int { return int(n.ClassRow(from)[to]) }
+
+// NumDistanceClasses returns the number of distance classes. Not every
+// class below the bound need be inhabited.
+func (n Network) NumDistanceClasses() int { return len(n.t.classes) }
+
+// Hops returns the number of router-to-router hops between the routers
+// of nodes a and b (0 for nodes sharing a router).
+func (n Network) Hops(a, b int) int { return n.t.classes[n.DistanceClass(a, b)].hops }
+
+// MaxHops returns the largest hop count between any two nodes.
+func (n Network) MaxHops() int { return n.t.maxHops }
+
+// LocalLatency returns the uncontended latency (ns) of a read satisfied
+// by the local node's memory.
+func (n Network) LocalLatency() float64 { return n.t.cfg.LocalLatency }
+
+// ReadLatency returns the uncontended latency (ns) for a processor on
+// node from to read the first word of a line homed on node to.
+func (n Network) ReadLatency(from, to int) float64 { return n.t.classes[n.DistanceClass(from, to)].ns }
 
 // FurthestReadLatency returns the uncontended latency to the furthest
 // memory.
-func (b *base) FurthestReadLatency() float64 { return b.furthest }
+func (n Network) FurthestReadLatency() float64 { return n.t.furthest }
 
-// AverageReadLatency returns the exact all-pairs mean uncontended read
-// latency, precomputed at construction.
-func (b *base) AverageReadLatency() float64 { return b.average }
+// AverageReadLatency returns the exact mean uncontended read latency
+// over all ordered (from, to) node pairs, local pairs included.
+func (n Network) AverageReadLatency() float64 { return n.t.average }
 
 // TransferTime returns the time (ns) to stream size bytes across one
 // link at peak bandwidth. Latency is not included; callers add the
 // appropriate per-transaction latency separately.
-func (b *base) TransferTime(size int) float64 {
+func (n Network) TransferTime(size int) float64 {
 	if size <= 0 {
 		return 0
 	}
-	return float64(size) / b.cfg.LinkBandwidth
-}
-
-// finalize computes the distance statistics — max hops, furthest read
-// latency, and the exact all-pairs mean read latency — by scanning every
-// ordered node pair of the finished network. Row sums accumulate before
-// the total so the addition order (and hence the stored float) is a
-// deterministic function of the shape alone.
-func (b *base) finalize(n Network) {
-	total := 0.0
-	for a := 0; a < b.nodes; a++ {
-		row := 0.0
-		for v := 0; v < b.nodes; v++ {
-			if h := n.Hops(a, v); h > b.maxHops {
-				b.maxHops = h
-			}
-			lat := n.ReadLatency(a, v)
-			if lat > b.furthest {
-				b.furthest = lat
-			}
-			row += lat
-		}
-		total += row
-	}
-	b.average = total / float64(b.nodes*b.nodes)
+	return float64(size) / n.t.cfg.LinkBandwidth
 }

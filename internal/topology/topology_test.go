@@ -9,9 +9,9 @@ import (
 // origin64 is the full-size Origin2000 configuration used throughout the
 // tests: 64 processors, 2 per node, node pairs on routers, 16-router
 // hypercube.
-func origin64(t *testing.T) *Topology {
+func origin64(t *testing.T) Network {
 	t.Helper()
-	top, err := NewHypercube(Config{
+	top, err := New(Config{
 		Processors:        64,
 		ProcsPerNode:      2,
 		NodesPerRouter:    2,
@@ -21,7 +21,7 @@ func origin64(t *testing.T) *Topology {
 		LinkBandwidth:     0.8,
 	})
 	if err != nil {
-		t.Fatalf("NewHypercube: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	return top
 }
@@ -34,8 +34,8 @@ func TestOriginShape(t *testing.T) {
 	if got := top.Routers(); got != 16 {
 		t.Errorf("Routers() = %d, want 16", got)
 	}
-	if got := top.Dimension(); got != 4 {
-		t.Errorf("Dimension() = %d, want 4", got)
+	if got := top.MaxHops(); got != 4 {
+		t.Errorf("MaxHops() = %d, want 4", got)
 	}
 	if got := top.Processors(); got != 64 {
 		t.Errorf("Processors() = %d, want 64", got)
@@ -50,18 +50,6 @@ func TestNodeOf(t *testing.T) {
 	for _, c := range cases {
 		if got := top.NodeOf(c.proc); got != c.node {
 			t.Errorf("NodeOf(%d) = %d, want %d", c.proc, got, c.node)
-		}
-	}
-}
-
-func TestRouterOf(t *testing.T) {
-	top := origin64(t)
-	cases := []struct{ node, router int }{
-		{0, 0}, {1, 0}, {2, 1}, {3, 1}, {30, 15}, {31, 15},
-	}
-	for _, c := range cases {
-		if got := top.RouterOf(c.node); got != c.router {
-			t.Errorf("RouterOf(%d) = %d, want %d", c.node, got, c.router)
 		}
 	}
 }
@@ -117,8 +105,8 @@ func TestHopsBoundedByDimension(t *testing.T) {
 	top := origin64(t)
 	for a := 0; a < top.Nodes(); a++ {
 		for b := 0; b < top.Nodes(); b++ {
-			if h := top.Hops(a, b); h < 0 || h > top.Dimension() {
-				t.Fatalf("Hops(%d,%d) = %d outside [0,%d]", a, b, h, top.Dimension())
+			if h := top.Hops(a, b); h < 0 || h > top.MaxHops() {
+				t.Fatalf("Hops(%d,%d) = %d outside [0,%d]", a, b, h, top.MaxHops())
 			}
 		}
 	}
@@ -217,16 +205,16 @@ func TestNewValidation(t *testing.T) {
 
 func TestSmallMachines(t *testing.T) {
 	// Single node machine: everything is local, zero hops.
-	top, err := NewHypercube(Config{
+	top, err := New(Config{
 		Processors: 2, ProcsPerNode: 2, NodesPerRouter: 2,
 		LocalLatency: 313, HopLatency: 100, RemoteBaseLatency: 600, LinkBandwidth: 0.8,
 	})
 	if err != nil {
-		t.Fatalf("NewHypercube: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	if top.Nodes() != 1 || top.Routers() != 1 || top.Dimension() != 0 {
+	if top.Nodes() != 1 || top.Routers() != 1 || top.MaxHops() != 0 {
 		t.Errorf("single-node shape wrong: nodes=%d routers=%d dim=%d",
-			top.Nodes(), top.Routers(), top.Dimension())
+			top.Nodes(), top.Routers(), top.MaxHops())
 	}
 	if got := top.FurthestReadLatency(); got != 313 {
 		t.Errorf("single-node furthest latency = %v, want local 313", got)
@@ -247,11 +235,24 @@ func TestNodeOfPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestMustNewPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew did not panic on invalid config")
+// TestNodePairPanicsOutOfRange: a node id outside [0, Nodes()) must
+// never read another pair's table entry.
+func TestNodePairPanicsOutOfRange(t *testing.T) {
+	top := origin64(t)
+	for _, pair := range [][2]int{{-1, 0}, {0, -1}, {32, 0}, {0, 32}, {31, 33}} {
+		for name, read := range map[string]func(a, b int){
+			"Hops":          func(a, b int) { top.Hops(a, b) },
+			"ReadLatency":   func(a, b int) { top.ReadLatency(a, b) },
+			"DistanceClass": func(a, b int) { top.DistanceClass(a, b) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d,%d) did not panic", name, pair[0], pair[1])
+					}
+				}()
+				read(pair[0], pair[1])
+			}()
 		}
-	}()
-	MustNew(Config{})
+	}
 }

@@ -506,8 +506,13 @@ func Run(e Experiment) (*Outcome, error) {
 	return &Outcome{Experiment: e, Result: res, TimeNs: res.TimeNs(), Verified: true}, nil
 }
 
-// verifySorted checks out is an ascending permutation of in, in O(n)
-// using a counting comparison over 16-bit halves.
+// verifySorted checks in O(n) that out has in's length, is ascending,
+// and has the same multiset fingerprint as in: the 64-bit sum of the
+// keys and the XOR of each key times a fixed odd constant. It decides
+// every Outcome.Verified. The fingerprint is not a proof of permutation
+// — two different multisets can collide on both — but a lost, duplicated
+// or overwritten key moves the sum, which is what a broken exchange
+// produces.
 func verifySorted(in, out []uint32) error {
 	if len(in) != len(out) {
 		return fmt.Errorf("length %d, want %d", len(out), len(in))
@@ -517,7 +522,6 @@ func verifySorted(in, out []uint32) error {
 			return fmt.Errorf("not ascending at index %d: %d > %d", i, out[i-1], out[i])
 		}
 	}
-	// Permutation check: XOR/sum fingerprints over the multiset.
 	var sumIn, sumOut uint64
 	var xorIn, xorOut uint32
 	for i := range in {

@@ -362,3 +362,33 @@ func TestOneMessagePerDestExperiment(t *testing.T) {
 		t.Errorf("model label = %q", out.Result.Model)
 	}
 }
+
+// TestVerifySorted drives the gate behind every Outcome.Verified
+// directly: each way a broken sort can hand back the wrong keys must be
+// refused, and the degenerate inputs accepted.
+func TestVerifySorted(t *testing.T) {
+	cases := []struct {
+		name    string
+		in, out []uint32
+		wantErr string // "" = accepted
+	}{
+		{"empty", nil, nil, ""},
+		{"single key", []uint32{7}, []uint32{7}, ""},
+		{"sorted permutation with duplicates", []uint32{5, 1, 5, 0, 9}, []uint32{0, 1, 5, 5, 9}, ""},
+		{"wrong length", []uint32{3, 1, 2}, []uint32{1, 2}, "length 2, want 3"},
+		{"one descending pair", []uint32{1, 2, 3, 4}, []uint32{1, 3, 2, 4}, "not ascending at index 2"},
+		{"key overwritten by its neighbour", []uint32{4, 1, 3, 2}, []uint32{1, 2, 2, 4}, "not a permutation"},
+		{"single key replaced", []uint32{7}, []uint32{8}, "not a permutation"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := verifySorted(c.in, c.out)
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Fatalf("verifySorted(%v, %v) = %v, want nil", c.in, c.out, err)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Fatalf("verifySorted(%v, %v) = %v, want an error containing %q", c.in, c.out, err, c.wantErr)
+			}
+		})
+	}
+}
