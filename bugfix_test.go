@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"repro/internal/keys"
+	"repro/internal/machine"
+	"repro/internal/mpi"
 )
 
 // TestBaselineErrorNotCached: a failed sequential baseline must not
@@ -219,6 +221,28 @@ func TestRunGridPanicStructuredError(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("par=%d: Table1 deadlocked on a panicking cell", par)
 		}
+	}
+}
+
+// TestRunGridDeadlockTypedError: an MPI program that deadlocks inside a
+// cell is that cell's error, and still a *mpi.DeadlockError naming the
+// stuck ranks when it comes out of the figure driver.
+func TestRunGridDeadlockTypedError(t *testing.T) {
+	h := NewHarness(Options{Sizes: SizeClasses[:1], Procs: []int{4}, Parallelism: 2})
+	h.simulate = func(Experiment) (*Outcome, error) {
+		m := machine.MustNew(machine.Origin2000Scaled(4))
+		c := mpi.New(m, mpi.DefaultDirect())
+		// Everyone sends one rank up and waits for the rank two up.
+		m.Run(func(p *machine.Proc) { c.SendRecv(p, (p.ID+1)%4, 0, nil, 8, (p.ID+2)%4, 0, 0) })
+		return nil, errors.New("the run returned")
+	}
+	_, _, err := h.Table1()
+	var dl *mpi.DeadlockError
+	if !errors.As(err, &dl) || len(dl.Stuck) != 4 || dl.Stuck[1] != (mpi.StuckRank{Rank: 1, Recv: true, Peer: 3}) {
+		t.Fatalf("Table1 returned %v, want a *mpi.DeadlockError naming four ranks inside", err)
+	}
+	if pe := panicErrorFrom(t, err); pe.Index != 0 {
+		t.Errorf("deadlock reported for cell %d, want 0", pe.Index)
 	}
 }
 

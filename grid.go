@@ -46,6 +46,14 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("repro: cell %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
+// Unwrap returns Value when it is an error, so a typed failure a cell
+// panicked with — an *mpi.DeadlockError inside Machine.Run's
+// *machine.ProcPanic — is still there for errors.As.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
 // ForEachIndex runs fn(i) for every i in [0, n) on at most par worker
 // goroutines and returns when all calls completed. par < 1 selects
 // runtime.GOMAXPROCS(0).

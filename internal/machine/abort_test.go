@@ -1,0 +1,116 @@
+package machine
+
+import (
+	"errors"
+	"testing"
+	"time"
+)
+
+// runPanic runs body on m and returns what Run panicked with, failing
+// the test if Run has not returned within the timeout — which is what a
+// processor parked at a meeting point nobody else will reach used to do.
+func runPanic(t *testing.T, m *Machine, body func(p *Proc)) any {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		m.Run(body)
+	}()
+	select {
+	case r := <-done:
+		return r
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return: processors are still parked")
+		return nil
+	}
+}
+
+func wantProcPanic(t *testing.T, r any, proc int, value any) {
+	t.Helper()
+	pp, ok := r.(*ProcPanic)
+	if !ok {
+		t.Fatalf("Run panicked with %T %v, want *ProcPanic", r, r)
+	}
+	if pp.Proc != proc || pp.Value != value {
+		t.Errorf("Run reported processor %d: %v, want processor %d: %v", pp.Proc, pp.Value, proc, value)
+	}
+}
+
+// A processor that panics before a barrier must not leave the others
+// parked in it: Run promises to re-raise the panic.
+func TestRunPanicBeforeBarrier(t *testing.T) {
+	m := testMachine(t, 4)
+	r := runPanic(t, m, func(p *Proc) {
+		if p.ID == 2 {
+			panic("boom")
+		}
+		m.Barrier(p)
+		m.Barrier(p) // one reached after the abort unwinds as well
+	})
+	wantProcPanic(t, r, 2, "boom")
+
+	// The abort does not outlive the run.
+	res := m.Run(func(p *Proc) { m.Barrier(p) })
+	if res.TimeNs == 0 {
+		t.Error("the machine's barrier stayed aborted")
+	}
+}
+
+func TestRunPanicBeforeRendezvous(t *testing.T) {
+	m := testMachine(t, 4)
+	r := runPanic(t, m, func(p *Proc) {
+		if p.ID == 1 {
+			panic("boom")
+		}
+		m.Rendezvous(p, func() { t.Error("the rendezvous completed without processor 1") })
+	})
+	wantProcPanic(t, r, 1, "boom")
+}
+
+// The last arrival runs alone and may blame the processor whose step it
+// was driving; an error value stays reachable through Run's panic.
+func TestRendezvousLastArrival(t *testing.T) {
+	m := testMachine(t, 4)
+	calls := 0
+	m.Run(func(p *Proc) {
+		m.Rendezvous(p, func() {
+			calls++
+			for i := 0; i < m.Procs(); i++ {
+				m.Proc(i).ComputeNs(float64(i))
+			}
+		})
+		if p.Now() != float64(p.ID) {
+			t.Errorf("processor %d: clock %v after the rendezvous", p.ID, p.Now())
+		}
+	})
+	if calls != 1 {
+		t.Errorf("last ran %d times", calls)
+	}
+
+	cause := errors.New("step failed")
+	r := runPanic(t, m, func(p *Proc) {
+		m.Rendezvous(p, func() { panic(Blame{Proc: 3, Value: cause}) })
+	})
+	wantProcPanic(t, r, 3, cause)
+	if err, ok := r.(error); !ok || !errors.Is(err, cause) {
+		t.Errorf("errors.Is cannot see %v through %v", cause, r)
+	}
+}
+
+func TestRendezvousForcedArrivalOrder(t *testing.T) {
+	m := testMachine(t, 8)
+	defer m.SetArrivalOrderForTest(nil)
+	// Reversed: processor 0 arrives last, so it runs last.
+	m.SetArrivalOrderForTest(func(proc, arrived int) bool { return proc == m.Procs()-1-arrived })
+	for i := 0; i < 3; i++ {
+		ran := -1
+		var order []int
+		m.Run(func(p *Proc) {
+			m.Rendezvous(p, func() { ran = p.ID })
+			m.Rendezvous(p, func() { order = append(order, p.ID) })
+		})
+		if ran != 0 || len(order) != 1 || order[0] != 0 {
+			t.Errorf("last arrivals %d, %v; want processor 0 both times", ran, order)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/internal/trace"
@@ -27,6 +28,13 @@ type Barrier struct {
 	// generation has read it, because overwriting requires all members to
 	// arrive at the next episode, and a member still reading has not.
 	release float64
+	// aborted wakes the waiters of a run in which some member panicked;
+	// they unwind instead of waiting for an arrival that cannot come.
+	aborted bool
+	// admit, when a test sets it, says whether member id may arrive now
+	// that arrived members are waiting; a refused member yields and asks
+	// again, which lets a test force any arrival order.
+	admit func(id, arrived int) bool
 }
 
 // NewBarrier builds a barrier for the given member count and per-episode
@@ -48,32 +56,76 @@ func (b *Barrier) Reset() {
 	b.waiting = 0
 	b.maxClock = 0
 	b.release = 0
+	b.aborted = false
 }
 
-// Wait blocks p until all members arrive and then advances p's clock to
-// the common release time.
-func (b *Barrier) Wait(p *Proc) {
-	arrival := p.clock
+// abort releases every current and future waiter, which unwind by
+// panicking with runAborted.
+func (b *Barrier) abort() {
 	b.mu.Lock()
+	b.aborted = true
+	b.mu.Unlock()
+	b.cond.Broadcast()
+}
+
+// runAborted is the panic value that unwinds a processor parked at a
+// meeting point of a run another processor's panic has aborted; Run does
+// not report it.
+type runAborted struct{}
+
+// meet parks member id, arriving at virtual time clock, until all
+// members have arrived and returns the common release time. The last
+// member to arrive first runs last, if not nil, while the others stay
+// parked and the lock is free.
+func (b *Barrier) meet(id int, clock float64, last func()) float64 {
+	b.mu.Lock()
+	for b.admit != nil && !b.aborted && !b.admit(id, b.waiting) {
+		b.mu.Unlock()
+		runtime.Gosched()
+		b.mu.Lock()
+	}
+	if b.aborted {
+		b.mu.Unlock()
+		panic(runAborted{})
+	}
 	myGen := b.gen
-	if p.clock > b.maxClock {
-		b.maxClock = p.clock
+	if clock > b.maxClock {
+		b.maxClock = clock
 	}
 	b.waiting++
 	if b.waiting == b.members {
+		if last != nil {
+			// Nobody can arrive or leave until gen moves, so the state
+			// survives the unlocked call; if it panics, Run aborts the
+			// parked members.
+			b.mu.Unlock()
+			last()
+			b.mu.Lock()
+		}
 		b.release = b.maxClock + b.cost
 		b.waiting = 0
 		b.maxClock = 0
 		b.gen++
 		b.cond.Broadcast()
 	} else {
-		for myGen == b.gen {
+		for myGen == b.gen && !b.aborted {
 			b.cond.Wait()
+		}
+		if myGen == b.gen {
+			b.mu.Unlock()
+			panic(runAborted{})
 		}
 	}
 	rel := b.release
 	b.mu.Unlock()
+	return rel
+}
 
+// Wait blocks p until all members arrive and then advances p's clock to
+// the common release time.
+func (b *Barrier) Wait(p *Proc) {
+	arrival := p.clock
+	rel := b.meet(p.ID, arrival, nil)
 	p.WaitUntil(rel)
 	if p.tr != nil {
 		p.tr.Emit(trace.EvBarrier, arrival, rel-arrival, -1, 0)

@@ -33,6 +33,9 @@ type Machine struct {
 	procs  []*Proc
 
 	barrier *Barrier
+	// gate is the host-only meeting point behind Rendezvous: the barrier
+	// mechanism with no cost, and its release time ignored.
+	gate *Barrier
 
 	// tracing makes the next Run record a virtual-time event trace.
 	tracing bool
@@ -83,6 +86,7 @@ func New(cfg Config) (*Machine, error) {
 		m.procs[i] = newProc(m, i)
 	}
 	m.barrier = NewBarrier(n, m.barrierCost())
+	m.gate = NewBarrier(n, 0)
 	return m, nil
 }
 
@@ -166,14 +170,45 @@ func (r *Result) TotalBreakdown() Breakdown {
 	return sum
 }
 
+// ProcPanic is the value Run panics with when a processor's body
+// panicked.
+type ProcPanic struct {
+	// Proc is the processor whose program failed.
+	Proc int
+	// Value is what it panicked with.
+	Value any
+}
+
+func (e *ProcPanic) Error() string {
+	return fmt.Sprintf("machine: processor %d panicked: %v", e.Proc, e.Value)
+}
+
+// Unwrap returns Value when it is an error, so a typed failure raised
+// inside a processor body survives Run (errors.As).
+func (e *ProcPanic) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
+// Blame is a panic value that names the processor a failure belongs to
+// when that is not the one whose goroutine panicked: the last arrival of
+// a Rendezvous that drives another processor's step wraps the step's
+// panic in it, and Run reports Proc.
+type Blame struct {
+	Proc  int
+	Value any
+}
+
 // Run executes body once per processor, each on its own goroutine, and
 // returns the collected result. Virtual clocks and stats are reset
 // first, so a machine can host several runs; caches and TLBs are NOT
 // reset between runs unless ResetMemory is called (warm caches across
 // phases of one experiment are intentional).
 //
-// A panic in any processor body is re-raised on the caller's goroutine
-// after all other processors finish.
+// A panic in any processor body aborts the run: processors parked at a
+// Barrier or a Rendezvous, and those that reach one later, unwind, and
+// once every goroutine has returned Run panics on the caller's goroutine
+// with a *ProcPanic for the lowest-numbered processor that failed.
 func (m *Machine) Run(body func(p *Proc)) *Result {
 	var tr *trace.Trace
 	if m.tracing {
@@ -186,16 +221,32 @@ func (m *Machine) Run(body func(p *Proc)) *Result {
 		}
 	}
 	m.barrier.Reset()
+	m.gate.Reset()
 	var wg sync.WaitGroup
+	var panicMu sync.Mutex
 	panics := make([]any, len(m.procs))
 	for _, p := range m.procs {
 		wg.Add(1)
 		go func(p *Proc) {
 			defer wg.Done()
 			defer func() {
-				if r := recover(); r != nil {
-					panics[p.ID] = r
+				r := recover()
+				if r == nil {
+					return
 				}
+				if _, unwound := r.(runAborted); !unwound {
+					id := p.ID
+					if b, ok := r.(Blame); ok {
+						id, r = b.Proc, b.Value
+					}
+					panicMu.Lock()
+					if panics[id] == nil {
+						panics[id] = r
+					}
+					panicMu.Unlock()
+				}
+				m.barrier.abort()
+				m.gate.abort()
 			}()
 			body(p)
 		}(p)
@@ -203,7 +254,7 @@ func (m *Machine) Run(body func(p *Proc)) *Result {
 	wg.Wait()
 	for i, pv := range panics {
 		if pv != nil {
-			panic(fmt.Sprintf("machine: processor %d panicked: %v", i, pv))
+			panic(&ProcPanic{Proc: i, Value: pv})
 		}
 	}
 	res := &Result{PerProc: make([]ProcStats, len(m.procs))}
@@ -304,4 +355,23 @@ func (m *Machine) ResetMemory() {
 // each processor's wait to SYNC.
 func (m *Machine) Barrier(p *Proc) {
 	m.barrier.Wait(p)
+}
+
+// Rendezvous is a host-only meeting point: no virtual time passes and no
+// trace event is recorded. It parks p until every processor of the
+// machine has called it; the last to arrive then runs last on its own
+// goroutine while all the others are parked — so last, and only last,
+// may drive any processor's Proc (DESIGN.md §5) — and when it returns
+// every processor continues. What the others wrote before calling is
+// visible to last, and what last wrote is visible to them afterwards.
+func (m *Machine) Rendezvous(p *Proc, last func()) {
+	m.gate.meet(p.ID, 0, last)
+}
+
+// SetArrivalOrderForTest makes every Rendezvous admit processors in the
+// order admit dictates: processor proc, asking while arrived others are
+// parked, yields until admit says yes. nil removes the hook. Not safe to
+// call while a run is in flight.
+func (m *Machine) SetArrivalOrderForTest(admit func(proc, arrived int) bool) {
+	m.gate.admit = admit
 }

@@ -37,7 +37,8 @@ const (
 )
 
 // Proc is one simulated processor. All methods must be called only from
-// the goroutine running this processor's body.
+// the goroutine running this processor's body — or, while every
+// processor is parked in Machine.Rendezvous, from the last arrival's.
 type Proc struct {
 	// ID is the processor number, in [0, Machine.Procs()).
 	ID int

@@ -1,8 +1,10 @@
 package mpi
 
-import "reflect"
+import (
+	"reflect"
 
-import "repro/internal/machine"
+	"repro/internal/machine"
+)
 
 // sizeOf returns the in-memory size of T.
 func sizeOf[T any]() int {
@@ -10,10 +12,52 @@ func sizeOf[T any]() int {
 	return int(reflect.TypeOf(zero).Size())
 }
 
-// agBlock carries one rank's contribution inside an allgather payload.
-type agBlock[T any] struct {
-	idx  int
-	data []T
+// allgather is one rank's program of Allgather: a send and a receive per
+// round.
+type allgather[T any] struct {
+	me, ranks, elemSize int
+	out                 [][]T
+	// have lists the ranks whose blocks this rank holds, in the order it
+	// got them. A message is the sender itself, tagged with how many
+	// blocks it held at the time: that prefix of have, and the entries of
+	// out it names, never change afterwards.
+	have []int32
+	// step is the round's distance; recv says the round's send is done.
+	step int
+	recv bool
+}
+
+func (a *allgather[T]) Next(_ *machine.Proc, st *Step) bool {
+	if a.step >= a.ranks {
+		return false
+	}
+	sendTo, recvFrom := a.me^a.step, a.me^a.step
+	if a.ranks&(a.ranks-1) != 0 {
+		sendTo = (a.me + a.ranks - a.step) % a.ranks
+		recvFrom = (a.me + a.step) % a.ranks
+	}
+	if a.recv {
+		*st = Step{Recv: true, Peer: recvFrom}
+		a.step <<= 1
+	} else {
+		bytes := 0
+		for _, r := range a.have {
+			bytes += len(a.out[r]) * a.elemSize
+		}
+		*st = Step{Peer: sendTo, Tag: len(a.have), Payload: a, Bytes: bytes}
+	}
+	a.recv = !a.recv
+	return true
+}
+
+func (a *allgather[T]) Deliver(_ *machine.Proc, msg *Message) {
+	from := msg.Payload.(*allgather[T])
+	for _, r := range from.have[:msg.Tag] {
+		if a.out[r] == nil {
+			a.out[r] = from.out[r]
+			a.have = append(a.have, r)
+		}
+	}
 }
 
 // Allgather collects each rank's mine slice on every rank, returning
@@ -30,36 +74,14 @@ type agBlock[T any] struct {
 // fixed costs on small data sets. All ranks must call it collectively.
 func Allgather[T any](c *Comm, p *machine.Proc, mine []T) [][]T {
 	ranks := c.Ranks()
-	me := p.ID
-	out := make([][]T, ranks)
+	a := &allgather[T]{me: p.ID, ranks: ranks, elemSize: sizeOf[T](), step: 1,
+		out: make([][]T, ranks), have: append(make([]int32, 0, ranks), int32(p.ID))}
 	// Decouple from the caller's buffer, as MPI semantics require.
 	own := make([]T, len(mine))
 	copy(own, mine)
-	out[me] = own
-	if ranks == 1 {
-		return out
+	a.out[a.me] = own
+	if ranks > 1 {
+		c.Run(p, a)
 	}
-	pow2 := ranks&(ranks-1) == 0
-	es := sizeOf[T]()
-	for step := 1; step < ranks; step <<= 1 {
-		sendTo, recvFrom := me^step, me^step
-		if !pow2 {
-			sendTo = (me + ranks - step) % ranks
-			recvFrom = (me + step) % ranks
-		}
-		var blocks []agBlock[T]
-		bytes := 0
-		for i, b := range out {
-			if b != nil {
-				blocks = append(blocks, agBlock[T]{idx: i, data: b})
-				bytes += len(b) * es
-			}
-		}
-		c.Send(p, sendTo, step, blocks, bytes)
-		msg := c.Recv(p, recvFrom, 0, 0)
-		for _, b := range msg.Payload.([]agBlock[T]) {
-			out[b.idx] = b.data
-		}
-	}
-	return out
+	return a.out
 }

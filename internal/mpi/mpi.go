@@ -11,15 +11,27 @@
 //     at each end and a higher per-message overhead, but with deep
 //     buffering (fully asynchronous sends).
 //
-// Collectives (Barrier, Allgather) are built from the point-to-point
-// primitives so their costs emerge from the same model.
+// Every call into the library is a collective over all ranks. A rank
+// describes what it would do between two such calls — its ordered sends
+// and receives, a Program — and hands that to Comm.Run; a host-only gate
+// (machine.Rendezvous: no virtual time, no trace event) parks the ranks,
+// and the last to arrive replays all the programs on its own goroutine
+// (replay.go), executing on each rank's Proc exactly the statements the
+// rank's blocking sends and receives would have executed, in the rank's
+// program order. A rank's clock, breakdown, traffic counters and trace
+// track depend only on its own program and on the times carried by the
+// messages it exchanges, so the simulated result is what P independently
+// scheduled processes would produce, while the host pays straight-line
+// code per message instead of a goroutine hand-off. SendRecv and
+// Allgather are programs over the same replay, so their costs emerge
+// from the same model.
 package mpi
 
 import (
 	"fmt"
 
 	"repro/internal/machine"
-	"repro/internal/trace"
+	"repro/internal/topology"
 )
 
 // Engine selects the library implementation.
@@ -108,34 +120,76 @@ func (c Config) Scaled(f float64) Config {
 	return c
 }
 
-// Message is one received message.
+// Message is one message as its receiver sees it.
 type Message struct {
 	// Src is the sending rank.
 	Src int
 	// Tag is the sender-supplied tag (not matched on; delivered FIFO per
 	// pair).
 	Tag int
-	// Payload is the sender's payload value.
+	// Payload is the sender's payload value. It is not copied: a payload
+	// that refers to the sender's buffers is read where it lies, which is
+	// safe because no rank leaves the phase before every message of the
+	// phase is delivered.
 	Payload any
 	// Bytes is the payload's size for costing purposes.
 	Bytes int
-
-	availAt float64
-	done    chan float64
 }
 
-type pairState struct {
-	ch chan *Message
-	// outstanding is the sender-side FIFO of messages not yet consumed;
-	// only the sending processor's goroutine touches it.
-	outstanding []*Message
+// Step is one point-to-point operation of a rank's program.
+type Step struct {
+	// Recv makes the step a receive of the next message from Peer;
+	// otherwise it is a send to Peer.
+	Recv bool
+	Peer int
+
+	// Tag, Payload and Bytes describe a send. The step completes when the
+	// library no longer needs the application buffer: after the remote
+	// copy for Direct, after the staging copy (plus any window stall) for
+	// Staged.
+	Tag     int
+	Payload any
+	Bytes   int
+
+	// Addr and DstBytes say where the application will place a received
+	// message, so stale cached lines are dropped; 0, 0 when the payload is
+	// metadata only.
+	Addr     machine.Addr
+	DstBytes int
+}
+
+// Program is one rank's part in a communication phase: its sends and
+// receives in program order, produced one at a time so that an all-to-all
+// of P² runs is never laid out in memory. Both methods run on the rank's
+// processor p, possibly on another rank's goroutine, while every rank is
+// parked in the gate (DESIGN.md §5): they may charge p and touch the
+// buffers of the phase, and must not synchronize.
+type Program interface {
+	// Next is called once the rank's previous step has completed. It
+	// charges whatever the rank does before its next call into the
+	// library (evaluating a payload), describes that call in st and
+	// reports true; false ends the rank's phase.
+	Next(p *machine.Proc, st *Step) bool
+	// Deliver hands over the message a receive step just completed for
+	// the rank to place. msg is valid during the call only.
+	Deliver(p *machine.Proc, msg *Message)
 }
 
 // Comm is one MPI communicator over all the machine's processors.
 type Comm struct {
-	m    *machine.Machine
-	cfg  Config
-	mail [][]*pairState // [src][dst]
+	m   *machine.Machine
+	top topology.Network
+	cfg Config
+
+	// ranks and mail are the replay's state (replay.go). A rank writes
+	// its own entry of ranks before the gate; everything else belongs to
+	// whichever rank the gate lets replay.
+	ranks []rankState
+	mail  [][]pairState // [src][dst]; row src is made by src's first send
+	// unreceived counts messages sent and not yet received.
+	unreceived int
+	// replayFn is c.replay, bound once so that Run allocates nothing.
+	replayFn func()
 }
 
 // New builds a communicator. cfg.BufDepth of 0 is replaced by 1.
@@ -144,17 +198,10 @@ func New(m *machine.Machine, cfg Config) *Comm {
 		cfg.BufDepth = 1
 	}
 	n := m.Procs()
-	mail := make([][]*pairState, n)
-	for s := 0; s < n; s++ {
-		mail[s] = make([]*pairState, n)
-		for d := 0; d < n; d++ {
-			// The Go channel is sized generously; logical flow control is
-			// enforced via the outstanding window so that the stall time
-			// is modeled in virtual time, not host scheduling.
-			mail[s][d] = &pairState{ch: make(chan *Message, 4*cfg.BufDepth+4)}
-		}
-	}
-	return &Comm{m: m, cfg: cfg, mail: mail}
+	c := &Comm{m: m, top: m.Topology(), cfg: cfg,
+		ranks: make([]rankState, n), mail: make([][]pairState, n)}
+	c.replayFn = c.replay
+	return c
 }
 
 // Machine returns the underlying machine.
@@ -169,93 +216,47 @@ func (c *Comm) Ranks() int { return c.m.Procs() }
 // Barrier joins the machine-wide barrier.
 func (c *Comm) Barrier(p *machine.Proc) { c.m.Barrier(p) }
 
-// Send transmits payload (costed as bytes) from p to rank dst. The call
-// returns when the library no longer needs the application buffer:
-// after the remote copy for Direct, after the staging copy (plus any
-// window stall) for Staged.
-func (c *Comm) Send(p *machine.Proc, dst, tag int, payload any, bytes int) {
-	if dst == p.ID {
-		panic(fmt.Sprintf("mpi: rank %d sending to itself", dst))
+// Run executes one communication phase: rank p's part of it is prog.
+// All ranks must call it collectively — one with nothing to send or
+// receive passes a program that ends at once — and every message sent in
+// the phase must be received in it. Run returns when every rank's
+// program has finished; a phase that cannot finish panics with a
+// *DeadlockError.
+func (c *Comm) Run(p *machine.Proc, prog Program) {
+	if prog == nil {
+		panic(fmt.Sprintf("mpi: rank %d has no program", p.ID))
 	}
-	ps := c.mail[p.ID][dst]
-	sendStart := p.Now()
-	p.ComputeNs(c.cfg.SendOverheadNs)
-
-	// Flow control: wait for the window's oldest message to be consumed.
-	stallStart := p.Now()
-	for len(ps.outstanding) >= c.cfg.BufDepth {
-		oldest := ps.outstanding[0]
-		ps.outstanding = ps.outstanding[1:]
-		t := <-oldest.done
-		p.WaitUntil(t)
-	}
-	if stalled := p.Now() - stallStart; stalled > 0 {
-		p.TraceEvent(trace.EvFlowStall, dst, bytes, stalled)
-	}
-
-	msg := &Message{Src: p.ID, Tag: tag, Payload: payload, Bytes: bytes,
-		done: make(chan float64, 1)}
-	top := c.m.Topology()
-	dstNode := top.NodeOf(dst)
-	if bytes > 0 {
-		// Direct: the sender itself streams the data into the receiver's
-		// memory at wire speed. Staged: the sender copies into a staging
-		// buffer in the shared address space near the receiver — an
-		// uncached PIO-rate copy across the network, which is exactly the
-		// overhead the paper blames for the vendor MPI's performance (the
-		// receiver copies out again in Recv).
-		xfer := top.TransferTime(bytes)
-		if c.cfg.Engine == Staged {
-			xfer = float64(bytes) * c.cfg.CopyNsPerByte
-		}
-		if dstNode == p.Node {
-			p.LocalMemNs(top.Config().LocalLatency + xfer)
-		} else {
-			p.RemoteMemNs(top.ReadLatency(p.Node, dstNode) + xfer)
-		}
-	}
-	msg.availAt = p.Now() + c.cfg.DeliveryNs
-	remoteBytes := 0
-	if dstNode != p.Node {
-		remoteBytes = bytes
-	}
-	p.AddMessageTraffic(remoteBytes, 1)
-	p.TraceEvent(trace.EvSend, dst, bytes, p.Now()-sendStart)
-	ps.outstanding = append(ps.outstanding, msg)
-	ps.ch <- msg
+	c.ranks[p.ID] = rankState{prog: prog}
+	c.m.Rendezvous(p, c.replayFn)
 }
 
-// Recv receives the next message from rank src, blocking (in virtual
-// time) until it is available. dstAddr/dstBytes describe where the
-// application will place the data, so stale cached lines are dropped;
-// pass 0,0 when the payload is metadata only.
-func (c *Comm) Recv(p *machine.Proc, src int, dstAddr machine.Addr, dstBytes int) *Message {
-	if src == p.ID {
-		panic(fmt.Sprintf("mpi: rank %d receiving from itself", src))
-	}
-	msg := <-c.mail[src][p.ID].ch
-	recvStart := p.Now()
-	p.WaitUntil(msg.availAt)
-	if waited := p.Now() - recvStart; waited > 0 {
-		p.TraceEvent(trace.EvMsgWait, src, msg.Bytes, waited)
-	}
-	p.ComputeNs(c.cfg.RecvOverheadNs)
-	if c.cfg.Engine == Staged && msg.Bytes > 0 {
-		// Copy out of the library buffer into the application buffer.
-		p.LocalMemNs(float64(msg.Bytes) * c.cfg.CopyNsPerByte)
-	}
-	if dstBytes > 0 {
-		p.InvalidateRange(dstAddr, dstBytes)
-	}
-	p.TraceEvent(trace.EvRecv, src, msg.Bytes, p.Now()-recvStart)
-	msg.done <- p.Now()
-	return msg
+// sendRecv is the two-step program of SendRecv.
+type sendRecv struct {
+	steps [2]Step
+	next  int
+	got   Message
 }
+
+func (s *sendRecv) Next(_ *machine.Proc, st *Step) bool {
+	if s.next == len(s.steps) {
+		return false
+	}
+	*st = s.steps[s.next]
+	s.next++
+	return true
+}
+
+func (s *sendRecv) Deliver(_ *machine.Proc, msg *Message) { s.got = *msg }
 
 // SendRecv sends to dst and then receives from src; the send is
-// initiated first so symmetric exchanges cannot deadlock.
+// initiated first so symmetric exchanges cannot deadlock. All ranks must
+// call it collectively.
 func (c *Comm) SendRecv(p *machine.Proc, dst, tag int, payload any, bytes int,
 	src int, dstAddr machine.Addr, dstBytes int) *Message {
-	c.Send(p, dst, tag, payload, bytes)
-	return c.Recv(p, src, dstAddr, dstBytes)
+	s := &sendRecv{steps: [2]Step{
+		{Peer: dst, Tag: tag, Payload: payload, Bytes: bytes},
+		{Recv: true, Peer: src, Addr: dstAddr, DstBytes: dstBytes},
+	}}
+	c.Run(p, s)
+	return &s.got
 }

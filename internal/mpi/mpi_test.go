@@ -6,7 +6,7 @@ import (
 	"repro/internal/machine"
 )
 
-func comm(t *testing.T, procs int, cfg Config) *Comm {
+func comm(t testing.TB, procs int, cfg Config) *Comm {
 	t.Helper()
 	m, err := machine.New(machine.Origin2000Scaled(procs))
 	if err != nil {
@@ -15,20 +15,87 @@ func comm(t *testing.T, procs int, cfg Config) *Comm {
 	return New(m, cfg)
 }
 
+// op is one entry of a script: a step, what the rank does on reaching
+// it, and what it does with the message a receive delivers.
+type op struct {
+	Step
+	before func(p *machine.Proc)
+	got    func(p *machine.Proc, msg *Message)
+}
+
+// script is a Program written out as a list.
+type script struct {
+	ops  []op
+	next int
+}
+
+func (s *script) Next(p *machine.Proc, st *Step) bool {
+	if s.next == len(s.ops) {
+		return false
+	}
+	o := &s.ops[s.next]
+	s.next++
+	if o.before != nil {
+		o.before(p)
+	}
+	*st = o.Step
+	return true
+}
+
+func (s *script) Deliver(p *machine.Proc, msg *Message) {
+	if got := s.ops[s.next-1].got; got != nil {
+		got(p, msg)
+	}
+}
+
+func send(dst, tag int, payload any, bytes int) op {
+	return op{Step: Step{Peer: dst, Tag: tag, Payload: payload, Bytes: bytes}}
+}
+
+func recv(src int, addr machine.Addr, bytes int, got func(p *machine.Proc, msg *Message)) op {
+	return op{Step: Step{Recv: true, Peer: src, Addr: addr, DstBytes: bytes}, got: got}
+}
+
+// after makes the rank run f when it reaches o.
+func after(f func(p *machine.Proc), o op) op {
+	o.before = f
+	return o
+}
+
+// run is rank p's part of one phase; a rank with no part passes no ops.
+func run(c *Comm, p *machine.Proc, ops ...op) {
+	c.Run(p, &script{ops: ops})
+}
+
+// repeat is n ops, the i-th built by mk(i).
+func repeat(n int, mk func(i int) op) []op {
+	ops := make([]op, n)
+	for i := range ops {
+		ops[i] = mk(i)
+	}
+	return ops
+}
+
 func TestSendRecvDelivers(t *testing.T) {
 	for _, cfg := range []Config{DefaultDirect(), DefaultStaged()} {
 		c := comm(t, 2, cfg)
 		c.Machine().Run(func(p *machine.Proc) {
 			if p.ID == 0 {
-				c.Send(p, 1, 7, []uint32{1, 2, 3}, 12)
+				run(c, p, send(1, 7, []uint32{1, 2, 3}, 12))
 			} else {
-				msg := c.Recv(p, 0, 0, 0)
-				if msg.Src != 0 || msg.Tag != 7 {
-					t.Errorf("%v: msg meta = src %d tag %d", cfg.Engine, msg.Src, msg.Tag)
-				}
-				data := msg.Payload.([]uint32)
-				if len(data) != 3 || data[2] != 3 {
-					t.Errorf("%v: payload = %v", cfg.Engine, data)
+				delivered := false
+				run(c, p, recv(0, 0, 0, func(_ *machine.Proc, msg *Message) {
+					delivered = true
+					if msg.Src != 0 || msg.Tag != 7 {
+						t.Errorf("%v: msg meta = src %d tag %d", cfg.Engine, msg.Src, msg.Tag)
+					}
+					data := msg.Payload.([]uint32)
+					if len(data) != 3 || data[2] != 3 {
+						t.Errorf("%v: payload = %v", cfg.Engine, data)
+					}
+				}))
+				if !delivered {
+					t.Errorf("%v: nothing delivered", cfg.Engine)
 				}
 			}
 		})
@@ -40,9 +107,9 @@ func TestRecvWaitsForSender(t *testing.T) {
 	c.Machine().Run(func(p *machine.Proc) {
 		if p.ID == 0 {
 			p.Compute(100000) // sender is slow
-			c.Send(p, 1, 0, nil, 4096)
+			run(c, p, send(1, 0, nil, 4096))
 		} else {
-			c.Recv(p, 0, 0, 0)
+			run(c, p, recv(0, 0, 0, nil))
 			if p.Now() < 100000*c.Machine().Config().OpNs {
 				t.Errorf("receiver finished at %v, before the send", p.Now())
 			}
@@ -65,15 +132,11 @@ func TestOneDeepWindowStallsSender(t *testing.T) {
 		var sync float64
 		c.Machine().Run(func(p *machine.Proc) {
 			if p.ID == 0 {
-				for i := 0; i < 16; i++ {
-					c.Send(p, 1, i, nil, 1024)
-				}
+				run(c, p, repeat(16, func(i int) op { return send(1, i, nil, 1024) })...)
 				sync = p.Stats().Breakdown.Sync
 			} else {
-				for i := 0; i < 16; i++ {
-					p.Compute(20000) // slow consumer
-					c.Recv(p, 0, 0, 0)
-				}
+				slow := func(p *machine.Proc) { p.Compute(20000) } // slow consumer
+				run(c, p, repeat(16, func(int) op { return after(slow, recv(0, 0, 0, nil)) })...)
 			}
 		})
 		return sync
@@ -96,13 +159,9 @@ func TestStagedCostsMoreThanDirect(t *testing.T) {
 		res := c.Machine().Run(func(p *machine.Proc) {
 			const msgs = 8
 			if p.ID == 0 {
-				for i := 0; i < msgs; i++ {
-					c.Send(p, 1, i, nil, 64<<10)
-				}
+				run(c, p, repeat(msgs, func(i int) op { return send(1, i, nil, 64<<10) })...)
 			} else {
-				for i := 0; i < msgs; i++ {
-					c.Recv(p, 0, 0, 0)
-				}
+				run(c, p, repeat(msgs, func(int) op { return recv(0, 0, 0, nil) })...)
 			}
 		})
 		return res.TimeNs
@@ -118,15 +177,19 @@ func TestFIFOPerPair(t *testing.T) {
 	c := comm(t, 2, DefaultDirect())
 	c.Machine().Run(func(p *machine.Proc) {
 		if p.ID == 0 {
-			for i := 0; i < 10; i++ {
-				c.Send(p, 1, i, i, 8)
-			}
+			run(c, p, repeat(10, func(i int) op { return send(1, i, i, 8) })...)
 		} else {
-			for i := 0; i < 10; i++ {
-				msg := c.Recv(p, 0, 0, 0)
-				if msg.Tag != i {
-					t.Errorf("message %d arrived with tag %d", i, msg.Tag)
-				}
+			arrived := 0
+			run(c, p, repeat(10, func(i int) op {
+				return recv(0, 0, 0, func(_ *machine.Proc, msg *Message) {
+					arrived++
+					if msg.Tag != i || msg.Payload.(int) != i {
+						t.Errorf("message %d arrived with tag %d, payload %v", i, msg.Tag, msg.Payload)
+					}
+				})
+			})...)
+			if arrived != 10 {
+				t.Errorf("%d of 10 messages arrived", arrived)
 			}
 		}
 	})
@@ -145,9 +208,9 @@ func TestRecvInvalidatesDestination(t *testing.T) {
 		}
 		c.Barrier(p)
 		if p.ID == 0 {
-			c.Send(p, 1, 0, nil, buf.Bytes(256))
+			run(c, p, send(1, 0, nil, buf.Bytes(256)))
 		} else {
-			c.Recv(p, 0, buf.Addr(0), buf.Bytes(256))
+			run(c, p, recv(0, buf.Addr(0), buf.Bytes(256), nil))
 			if p.CacheContains(buf.Addr(0)) {
 				t.Error("stale lines survived message arrival")
 			}
@@ -164,7 +227,9 @@ func TestSelfSendPanics(t *testing.T) {
 	}()
 	c.Machine().Run(func(p *machine.Proc) {
 		if p.ID == 0 {
-			c.Send(p, 0, 0, nil, 8)
+			run(c, p, send(0, 0, nil, 8))
+		} else {
+			run(c, p)
 		}
 	})
 }
@@ -282,10 +347,10 @@ func TestStagedReceiverPaysCopy(t *testing.T) {
 	c := comm(t, 2, DefaultStaged())
 	c.Machine().Run(func(p *machine.Proc) {
 		if p.ID == 0 {
-			c.Send(p, 1, 0, nil, 64<<10)
+			run(c, p, send(1, 0, nil, 64<<10))
 		} else {
 			before := p.Stats().Breakdown.LMem
-			c.Recv(p, 0, 0, 0)
+			run(c, p, recv(0, 0, 0, nil))
 			copied := p.Stats().Breakdown.LMem - before
 			want := float64(64<<10) * DefaultStaged().CopyNsPerByte
 			if copied < want*0.99 {
@@ -298,13 +363,16 @@ func TestStagedReceiverPaysCopy(t *testing.T) {
 func TestDirectSenderPaysTransfer(t *testing.T) {
 	c := comm(t, 4, DefaultDirect())
 	c.Machine().Run(func(p *machine.Proc) {
-		if p.ID == 0 {
-			c.Send(p, 3, 0, nil, 64<<10) // rank 3 is on the other node
+		switch p.ID {
+		case 0:
+			run(c, p, send(3, 0, nil, 64<<10)) // rank 3 is on the other node
 			if p.Stats().Breakdown.RMem == 0 {
 				t.Error("direct sender to a remote node charged no RMem")
 			}
-		} else if p.ID == 3 {
-			c.Recv(p, 0, 0, 0)
+		case 3:
+			run(c, p, recv(0, 0, 0, nil))
+		default:
+			run(c, p)
 		}
 	})
 }

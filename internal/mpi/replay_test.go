@@ -1,0 +1,233 @@
+package mpi
+
+import (
+	"errors"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/machine"
+)
+
+// runPanic returns what Machine.Run panicked with, or fails the test if
+// Run is still parked after the timeout.
+func runPanic(t *testing.T, c *Comm, body func(p *machine.Proc)) any {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		c.Machine().Run(body)
+	}()
+	select {
+	case r := <-done:
+		return r
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return: ranks are still parked in the gate")
+		return nil
+	}
+}
+
+// A rank that panics before the phase must not leave the others parked
+// in the gate.
+func TestPanicBeforeGate(t *testing.T) {
+	c := comm(t, 4, DefaultDirect())
+	r := runPanic(t, c, func(p *machine.Proc) {
+		if p.ID == 2 {
+			panic("boom")
+		}
+		run(c, p)
+	})
+	pp, ok := r.(*machine.ProcPanic)
+	if !ok || pp.Proc != 2 || pp.Value != "boom" {
+		t.Errorf("Run panicked with %v, want processor 2: boom", r)
+	}
+}
+
+// A step that panics is reported against the rank whose step it was,
+// whichever rank's goroutine replayed it.
+func TestStepPanicNamesItsRank(t *testing.T) {
+	c := comm(t, 4, DefaultDirect())
+	defer c.Machine().SetArrivalOrderForTest(nil)
+	// Rank 0 arrives first: the replay runs on rank 3's goroutine.
+	c.Machine().SetArrivalOrderForTest(func(proc, arrived int) bool { return proc == arrived })
+	r := runPanic(t, c, func(p *machine.Proc) {
+		if p.ID == 0 {
+			run(c, p, recv(0, 0, 0, nil))
+		} else {
+			run(c, p)
+		}
+	})
+	pp, ok := r.(*machine.ProcPanic)
+	if !ok || pp.Proc != 0 || !strings.Contains(pp.Error(), "rank 0 receiving from itself") {
+		t.Errorf("Run panicked with %v, want processor 0's self-receive", r)
+	}
+}
+
+func wantDeadlock(t *testing.T, r any, want ...StuckRank) {
+	t.Helper()
+	err, ok := r.(error)
+	var dl *DeadlockError
+	if !ok || !errors.As(err, &dl) {
+		t.Fatalf("Run panicked with %T %v, want a *DeadlockError inside", r, r)
+	}
+	if len(dl.Stuck) != len(want) {
+		t.Fatalf("stuck ranks %+v, want %+v", dl.Stuck, want)
+	}
+	for i, w := range want {
+		if dl.Stuck[i] != w {
+			t.Errorf("stuck[%d] = %+v, want %+v", i, dl.Stuck[i], w)
+		}
+	}
+}
+
+func TestDeadlockBothReceiveFirst(t *testing.T) {
+	c := comm(t, 2, DefaultDirect())
+	r := runPanic(t, c, func(p *machine.Proc) {
+		p.SetPhase("swap")
+		run(c, p, recv(1-p.ID, 0, 0, nil), send(1-p.ID, 0, nil, 8))
+	})
+	wantDeadlock(t, r,
+		StuckRank{Rank: 0, Recv: true, Peer: 1, Phase: "swap"},
+		StuckRank{Rank: 1, Recv: true, Peer: 0, Phase: "swap"})
+	if msg := r.(error).Error(); !strings.Contains(msg, `rank 0 recv←1 in "swap"`) {
+		t.Errorf("message %q does not describe rank 0's step", msg)
+	}
+}
+
+func TestDeadlockWindowFullNoReceive(t *testing.T) {
+	c := comm(t, 2, DefaultDirect()) // 1-deep window
+	r := runPanic(t, c, func(p *machine.Proc) {
+		if p.ID == 0 {
+			run(c, p, send(1, 0, nil, 8), send(1, 1, nil, 8))
+		} else {
+			run(c, p)
+		}
+	})
+	wantDeadlock(t, r, StuckRank{Rank: 0, Peer: 1})
+	if msg := r.(error).Error(); !strings.Contains(msg, "rank 0 send→1 (window full)") {
+		t.Errorf("message %q does not describe rank 0's step", msg)
+	}
+}
+
+// A message nobody receives in its phase would be read later, when the
+// buffers its payload refers to have moved on.
+func TestUnreceivedMessagePanics(t *testing.T) {
+	c := comm(t, 2, DefaultDirect())
+	r := runPanic(t, c, func(p *machine.Proc) {
+		if p.ID == 0 {
+			run(c, p, send(1, 0, nil, 8))
+		} else {
+			run(c, p)
+		}
+	})
+	if r == nil || !strings.Contains(r.(error).Error(), "from rank 0 to rank 1") {
+		t.Errorf("Run panicked with %v, want the unreceived message named", r)
+	}
+}
+
+// A window filled in one phase stalls the first send of the next: the
+// per-pair state outlives the phase.
+func TestWindowSpansPhases(t *testing.T) {
+	c := comm(t, 2, DefaultDirect())
+	c.Machine().Run(func(p *machine.Proc) {
+		if p.ID == 0 {
+			run(c, p, send(1, 0, nil, 8))
+			before := p.Stats().Breakdown.Sync
+			run(c, p, send(1, 1, nil, 8))
+			if p.Stats().Breakdown.Sync == before {
+				t.Error("the second phase's send did not wait for the first phase's message to be consumed")
+			}
+		} else {
+			slow := func(p *machine.Proc) { p.Compute(100000) }
+			run(c, p, after(slow, recv(0, 0, 0, nil)))
+			run(c, p, recv(0, 0, 0, nil))
+		}
+	})
+}
+
+// New must not pay for P² pairs up front: simd admits 1 024 ranks.
+func TestNewIsCheapAt1024Ranks(t *testing.T) {
+	cfg := machine.Origin2000Scaled(1024)
+	cfg.Topology.Kind = "dragonfly"
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	for _, lib := range []Config{DefaultDirect(), DefaultStaged()} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := New(m, lib)
+		runtime.ReadMemStats(&after)
+		if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 32 {
+			t.Errorf("%v: New allocated %.1f MB at %d ranks, want < 32 MB", lib.Engine, mb, c.Ranks())
+		}
+	}
+}
+
+// allToAll is the sorting programs' interleaved exchange with nothing in
+// the messages: in round k, chunks sends to me+k alternate with chunks
+// receives from me-k.
+type allToAll struct {
+	me, procs, chunks int
+	round, step       int
+}
+
+func (a *allToAll) reset(me int) { a.me, a.round, a.step = me, 1, 0 }
+
+func (a *allToAll) messages() int { return (a.procs - 1) * a.chunks }
+
+func (a *allToAll) Next(_ *machine.Proc, st *Step) bool {
+	if a.step == 2*a.chunks {
+		a.round, a.step = a.round+1, 0
+	}
+	if a.round >= a.procs {
+		return false
+	}
+	if a.step%2 == 0 {
+		*st = Step{Peer: (a.me + a.round) % a.procs, Tag: a.step, Bytes: 256}
+	} else {
+		*st = Step{Recv: true, Peer: (a.me - a.round + a.procs) % a.procs}
+	}
+	a.step++
+	return true
+}
+
+func (a *allToAll) Deliver(*machine.Proc, *Message) {}
+
+// exchangeRun makes a function that runs phases all-to-all exchanges in
+// one Machine.Run.
+func exchangeRun(c *Comm, chunks int) (run func(phases int), messages int) {
+	progs := make([]allToAll, c.Ranks())
+	for i := range progs {
+		progs[i] = allToAll{procs: c.Ranks(), chunks: chunks}
+	}
+	body := func(phases int) func(p *machine.Proc) {
+		return func(p *machine.Proc) {
+			for i := 0; i < phases; i++ {
+				progs[p.ID].reset(p.ID)
+				c.Run(p, &progs[p.ID])
+			}
+		}
+	}
+	return func(phases int) { c.Machine().Run(body(phases)) }, c.Ranks() * progs[0].messages()
+}
+
+// TestExchangeAllocatesNothingPerMessage: once the pairs' windows exist,
+// a run's allocations do not depend on how many messages it moves.
+func TestExchangeAllocatesNothingPerMessage(t *testing.T) {
+	for _, lib := range []Config{DefaultDirect(), DefaultStaged()} {
+		c := comm(t, 8, lib)
+		run, messages := exchangeRun(c, 20)
+		if messages < 1000 {
+			t.Fatalf("only %d messages a phase", messages)
+		}
+		run(1) // warm: rows and rings
+		idle := testing.AllocsPerRun(5, func() { run(0) })
+		busy := testing.AllocsPerRun(5, func() { run(3) })
+		if busy > idle {
+			t.Errorf("%v: %.0f allocations with %d messages, %.0f with none", lib.Engine, busy, 3*messages, idle)
+		}
+	}
+}

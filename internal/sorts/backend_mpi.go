@@ -95,18 +95,42 @@ func (b *mpiBackend) publishSamples(*machine.Proc, []uint32) {}
 func (b *mpiBackend) pivots(p *machine.Proc, samples []uint32) []uint32 {
 	P := b.m.Procs()
 	if p.ID != 0 {
-		b.c.Send(p, 0, 0, samples, 4*len(samples))
-		return b.c.Recv(p, 0, 0, 0).Payload.([]uint32)
+		return b.c.SendRecv(p, 0, 0, samples, 4*len(samples), 0, 0, 0).Payload.([]uint32)
 	}
-	pool := append(make([]uint32, 0, P*P), samples...)
-	for q := 1; q < P; q++ {
-		pool = append(pool, b.c.Recv(p, q, 0, 0).Payload.([]uint32)...)
+	root := &pivotRoot{procs: P, pool: append(make([]uint32, 0, P*P), samples...)}
+	b.c.Run(p, root)
+	return root.pivots
+}
+
+// pivotRoot is rank 0's program of the pivot step: a receive from every
+// other rank in rank order, the selection, a send to every other rank.
+type pivotRoot struct {
+	procs  int
+	pool   []uint32
+	pivots []uint32
+	// done counts the steps taken.
+	done int
+}
+
+func (r *pivotRoot) Next(p *machine.Proc, st *mpi.Step) bool {
+	others := r.procs - 1
+	switch {
+	case r.done < others:
+		*st = mpi.Step{Recv: true, Peer: r.done + 1}
+	case r.done < 2*others:
+		if r.done == others {
+			r.pivots = pivotsOf(p, r.pool, r.procs)
+		}
+		*st = mpi.Step{Peer: r.done - others + 1, Tag: 1, Payload: r.pivots, Bytes: 4 * len(r.pivots)}
+	default:
+		return false
 	}
-	pivots := pivotsOf(p, pool, P)
-	for q := 1; q < P; q++ {
-		b.c.Send(p, q, 1, pivots, 4*len(pivots))
-	}
-	return pivots
+	r.done++
+	return true
+}
+
+func (r *pivotRoot) Deliver(_ *machine.Proc, msg *mpi.Message) {
+	r.pool = append(r.pool, msg.Payload.([]uint32)...)
 }
 
 // routes allgathers the per-destination counts when the plan must be
@@ -121,13 +145,6 @@ func (b *mpiBackend) routes(p *machine.Proc, bnd []int64, placed bool) *chunkPla
 	return &chunkPlan{buckets: len(rows), bufPos: rows}
 }
 
-// chunkMsg is the payload of one exchange message: a contiguous run of
-// keys plus its offset within the receiver's partition.
-type chunkMsg struct {
-	dstOff int
-	data   []uint32
-}
-
 // exchange keeps local keys local and moves the rest in an interleaved
 // all-to-all: in round k, send to me+k and receive from me-k,
 // alternating one-for-one so the shallow per-pair windows cannot
@@ -135,54 +152,113 @@ type chunkMsg struct {
 // receiver places directly.
 func (b *mpiBackend) exchange(p *machine.Proc, plan *chunkPlan, from, to *partitioned, x xfer) int {
 	me, P := p.ID, b.m.Procs()
-	src := from.part[me]
 	rcv := newReceiver(plan, to.part[me], me)
 	label(p, x.transfer)
 	plan.each(me, me, func(ch chunk) {
-		copyRun(p, src, ch.srcOff, rcv.dst, rcv.place(ch), ch.count, machine.Private, machine.Private)
+		copyRun(p, from.part[me], ch.srcOff, rcv.dst, rcv.place(ch), ch.count, machine.Private, machine.Private)
 	})
 	p.SetContention(p.ContentionFactor(P, false))
-	var sends []chunk
-	for k := 1; k < P; k++ {
-		dst, peer := (me+k)%P, (me-k+P)%P
-		sends = sends[:0]
-		plan.each(me, dst, func(ch chunk) { sends = append(sends, ch) })
-		if b.oneMsg {
-			b.sendRecvOneMsg(p, sends, src, rcv.dst.arr, dst, peer, x.tag)
-			continue
-		}
-		recvs := 1
-		if plan.parts != nil {
-			recvs = plan.count(peer, me)
-		} else if len(sends) == 0 {
-			// A splitter-directed exchange is exactly one message per
-			// process pair, sent even when empty: nobody need know how
-			// many messages to expect.
-			sends = append(sends, chunk{})
-		}
-		for si, ri := 0, 0; si < len(sends) || ri < recvs; {
-			if si < len(sends) {
-				ch := sends[si]
-				si++
-				data := make([]uint32, ch.count)
-				if ch.count > 0 {
-					src.arr.LoadRange(p, ch.srcOff, ch.srcOff+ch.count, machine.Private)
-					copy(data, src.arr.Data[ch.srcOff:ch.srcOff+ch.count])
-				}
-				b.c.Send(p, dst, x.tag, chunkMsg{dstOff: ch.dstOff, data: data}, src.arr.Bytes(ch.count))
-			}
-			if ri < recvs {
-				pay := b.c.Recv(p, peer, 0, 0).Payload.(chunkMsg)
-				ri++
-				off := rcv.place(chunk{dstOff: pay.dstOff, count: len(pay.data)})
-				copy(rcv.dst.arr.Data[off:], pay.data)
-				p.InvalidateRange(rcv.dst.arr.Addr(off), rcv.dst.arr.Bytes(len(pay.data)))
-				p.Compute(8) // placement bookkeeping
-			}
-		}
+	rounds := exchangeRounds{plan: plan, from: from, rcv: rcv, tag: x.tag, me: me, procs: P}
+	if b.oneMsg {
+		b.c.Run(p, &destExchange{exchangeRounds: rounds})
+	} else {
+		b.c.Run(p, &chunkExchange{exchangeRounds: rounds})
 	}
 	p.SetContention(1)
 	return rcv.held
+}
+
+// exchangeRounds is what both forms of the all-to-all share: one rank's
+// position in the rounds. A message carries no keys. Its payload is the
+// sender's plan, from which the receiver enumerates the runs the message
+// stands for and copies them straight out of the sender's buffer, which
+// the phase only reads.
+type exchangeRounds struct {
+	plan      *chunkPlan
+	from      *partitioned
+	rcv       *receiver
+	tag       int
+	me, procs int
+
+	// round is k; dst and peer are its partners.
+	round, dst, peer int
+}
+
+// nextRound moves to the next round, or reports that there is none.
+func (e *exchangeRounds) nextRound() bool {
+	if e.round++; e.round >= e.procs {
+		return false
+	}
+	e.dst, e.peer = (e.me+e.round)%e.procs, (e.me-e.round+e.procs)%e.procs
+	return true
+}
+
+func (e *exchangeRounds) send(st *mpi.Step, bytes int) {
+	*st = mpi.Step{Peer: e.dst, Tag: e.tag, Payload: e.plan, Bytes: bytes}
+}
+
+// chunkExchange is the paper's exchange: the k-th message of a pair is
+// the pair's k-th run.
+type chunkExchange struct {
+	exchangeRounds
+	// out and in enumerate the round's runs to send and — under a blocked
+	// plan, where a pair has as many messages as runs — to receive;
+	// outRun and inRun are the next of each while haveOut and haveIn, and
+	// sendNext says whose turn it is while both remain.
+	out, in         chunkCursor
+	outRun, inRun   chunk
+	haveOut, haveIn bool
+	sendNext        bool
+}
+
+func (e *chunkExchange) Next(p *machine.Proc, st *mpi.Step) bool {
+	for !e.haveOut && !e.haveIn {
+		if !e.nextRound() {
+			return false
+		}
+		e.sendNext = true
+		e.out = e.plan.cursor(e.me, e.dst)
+		e.outRun, e.haveOut = e.out.next()
+		if e.plan.parts != nil {
+			e.in = e.plan.cursor(e.peer, e.me)
+			e.inRun, e.haveIn = e.in.next()
+		} else {
+			// A splitter-directed exchange is exactly one message per
+			// process pair, sent even when empty: nobody need know how
+			// many messages to expect.
+			e.haveOut, e.haveIn = true, true
+		}
+	}
+	if !e.haveIn || e.sendNext && e.haveOut {
+		e.sendNext = false
+		ch, src := e.outRun, e.from.part[e.me].arr
+		e.outRun, e.haveOut = e.out.next()
+		if ch.count > 0 {
+			src.LoadRange(p, ch.srcOff, ch.srcOff+ch.count, machine.Private)
+		}
+		e.send(st, src.Bytes(ch.count))
+	} else {
+		e.sendNext = true
+		*st = mpi.Step{Recv: true, Peer: e.peer}
+	}
+	return true
+}
+
+func (e *chunkExchange) Deliver(p *machine.Proc, msg *mpi.Message) {
+	ch := e.inRun
+	if e.plan.parts != nil {
+		e.inRun, e.haveIn = e.in.next()
+	} else {
+		// Only the sender need know how long its run is.
+		in := msg.Payload.(*chunkPlan).cursor(msg.Src, e.me)
+		ch, _ = in.next()
+		e.haveIn = false
+	}
+	to := e.rcv.dst.arr
+	off := e.rcv.place(ch)
+	copy(to.Data[off:], e.from.part[msg.Src].arr.Data[ch.srcOff:ch.srcOff+ch.count])
+	p.InvalidateRange(to.Addr(off), to.Bytes(ch.count))
+	p.Compute(8) // placement bookkeeping
 }
 
 // stagingNsPerByte prices the extra memory-speed pass the one-message
@@ -190,40 +266,49 @@ func (b *mpiBackend) exchange(p *machine.Proc, plan *chunkPlan, from, to *partit
 // buffer, stream back out of the arrival buffer).
 const stagingNsPerByte = 1.0
 
-// destMsg is the NAS-IS-style payload: every chunk for one destination
-// in a single message; the receiver places each run.
-type destMsg struct {
-	runs []chunk
-	data []uint32
+// destExchange is the NAS-IS-style exchange: every chunk for one
+// destination in a single message; the receiver places each run.
+type destExchange struct {
+	exchangeRounds
+	// sent says the round's message is out and its receive comes next.
+	sent bool
 }
 
-// sendRecvOneMsg is one round of the NAS-IS-style exchange: the sender
-// gathers the destination's chunks into one contiguous buffer (an extra
-// local copy), and the receiver reorganizes the arriving runs into their
-// final positions (extra local stores).
-func (b *mpiBackend) sendRecvOneMsg(p *machine.Proc, sends []chunk, src part,
-	to *machine.Array[uint32], dst, peer, tag int) {
-	out := destMsg{runs: append([]chunk(nil), sends...)}
-	for _, ch := range sends {
-		src.arr.LoadRange(p, ch.srcOff, ch.srcOff+ch.count, machine.Private)
-		out.data = append(out.data, src.arr.Data[ch.srcOff:ch.srcOff+ch.count]...)
-		p.Compute(ch.count) // the gather copy's ALU work
+// Next is one round a pair of calls: the sender gathers the destination's
+// chunks into one contiguous buffer (an extra local copy), then receives.
+func (e *destExchange) Next(p *machine.Proc, st *mpi.Step) bool {
+	if e.sent {
+		e.sent = false
+		*st = mpi.Step{Recv: true, Peer: e.peer}
+		return true
 	}
+	if !e.nextRound() {
+		return false
+	}
+	e.sent = true
+	src, keys := e.from.part[e.me].arr, 0
+	e.plan.each(e.me, e.dst, func(ch chunk) {
+		src.LoadRange(p, ch.srcOff, ch.srcOff+ch.count, machine.Private)
+		p.Compute(ch.count) // the gather copy's ALU work
+		keys += ch.count
+	})
 	// The gather writes a staging buffer the wire reads back: one
 	// memory-speed pass over the payload.
-	p.LocalMemNs(float64(4*len(out.data)) * stagingNsPerByte)
-	b.c.Send(p, dst, tag, out, 4*len(out.data))
+	p.LocalMemNs(float64(4*keys) * stagingNsPerByte)
+	e.send(st, 4*keys)
+	return true
+}
 
-	msg := b.c.Recv(p, peer, 0, 0)
-	in := msg.Payload.(destMsg)
+// Deliver reorganizes the arriving runs into their final positions
+// (extra local stores).
+func (e *destExchange) Deliver(p *machine.Proc, msg *mpi.Message) {
 	// Stream the arrived (uncached) payload back in before scattering.
 	p.LocalMemNs(float64(msg.Bytes) * stagingNsPerByte)
-	at := 0
-	for _, ch := range in.runs {
-		copy(to.Data[ch.dstOff:ch.dstOff+ch.count], in.data[at:at+ch.count])
+	src, to := e.from.part[msg.Src].arr, e.rcv.dst.arr
+	msg.Payload.(*chunkPlan).each(msg.Src, e.me, func(ch chunk) {
+		copy(to.Data[ch.dstOff:ch.dstOff+ch.count], src.Data[ch.srcOff:ch.srcOff+ch.count])
 		p.InvalidateRange(to.Addr(ch.dstOff), to.Bytes(ch.count))
 		to.StoreRange(p, ch.dstOff, ch.dstOff+ch.count, machine.Private)
 		p.Compute(ch.count + 8) // reorganization copy
-		at += ch.count
-	}
+	})
 }

@@ -339,9 +339,8 @@ func checkPlan(t *testing.T, id string, hists [][]int32, parts []int64) {
 				}
 				filled += ch.count
 			})
-			if runs != o.runs[src][dst] || pl.count(src, dst) != runs {
-				t.Fatalf("%s: %d->%d: each gave %d runs, count %d, oracle %d",
-					id, src, dst, runs, pl.count(src, dst), o.runs[src][dst])
+			if runs != o.runs[src][dst] {
+				t.Fatalf("%s: %d->%d: each gave %d runs, oracle %d", id, src, dst, runs, o.runs[src][dst])
 			}
 			// Of the buckets walked only the first and the last can hold
 			// keys of src that all fall outside the partition.
@@ -371,11 +370,14 @@ func checkPlan(t *testing.T, id string, hists [][]int32, parts []int64) {
 	sink := 0
 	if a := testing.AllocsPerRun(10, func() {
 		for src := 0; src < P; src++ {
-			sink += pl.count(src, (src+1)%P)
+			c := pl.cursor(src, (src+1)%P)
+			for ch, ok := c.next(); ok; ch, ok = c.next() {
+				sink += ch.count
+			}
 			pl.each(src, src, func(ch chunk) { sink += ch.count })
 		}
 	}); a != 0 {
-		t.Fatalf("%s: each/count allocate (%v allocs per run)", id, a)
+		t.Fatalf("%s: each/cursor allocate (%v allocs per run)", id, a)
 	}
 }
 

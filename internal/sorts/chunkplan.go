@@ -169,43 +169,77 @@ func (pl *chunkPlan) computeOps() int {
 // placed reports whether runs have plan-assigned destination offsets.
 func (pl *chunkPlan) placed() bool { return pl.rank != nil }
 
-// each calls fn for every contiguous run processor src contributes to
-// destination partition dst, in bucket order. It allocates nothing.
-func (pl *chunkPlan) each(src, dst int, fn func(chunk)) {
-	row := pl.bufPos[src]
-	if pl.parts == nil {
-		if cnt := row[dst+1] - row[dst]; cnt > 0 {
-			ch := chunk{srcOff: int(row[dst]), count: int(cnt)}
-			if pl.rank != nil {
-				ch.dstOff = int(pl.rank[src][dst])
-			}
-			fn(ch)
-		}
-		return
+// chunkCursor enumerates the contiguous runs one processor contributes
+// to one destination partition, in bucket order, one per call of next.
+type chunkCursor struct {
+	pl *chunkPlan
+	// row and rank are the source's bufPos and rank rows; the partition
+	// is [plo, phi) of the output (blocked plans).
+	row, rank []int64
+	plo, phi  int64
+	// d is the next bucket to look at: the destination itself under a
+	// splitter-directed plan, and past the last once its run is out.
+	d int
+}
+
+// cursor starts the enumeration of src's runs for partition dst.
+func (pl *chunkPlan) cursor(src, dst int) chunkCursor {
+	c := chunkCursor{pl: pl, row: pl.bufPos[src], d: dst}
+	if pl.rank != nil {
+		c.rank = pl.rank[src]
 	}
-	plo, phi := pl.parts[dst], pl.parts[dst+1]
-	rank := pl.rank[src]
+	if pl.parts != nil {
+		c.plo, c.phi, c.d = pl.parts[dst], pl.parts[dst+1], int(pl.first[dst])
+	}
+	return c
+}
+
+// next returns the next run, or false when there is none. It allocates
+// nothing.
+func (c *chunkCursor) next() (chunk, bool) {
+	pl := c.pl
+	if pl.parts == nil {
+		if c.d >= pl.buckets {
+			return chunk{}, false
+		}
+		d := c.d
+		c.d = pl.buckets
+		cnt := c.row[d+1] - c.row[d]
+		if cnt <= 0 {
+			return chunk{}, false
+		}
+		ch := chunk{srcOff: int(c.row[d]), count: int(cnt)}
+		if c.rank != nil {
+			ch.dstOff = int(c.rank[d])
+		}
+		return ch, true
+	}
 	// Buckets lie in the output in order: none before first[dst] reaches
 	// the partition, and none past its end can reach back into it.
-	for d := int(pl.first[dst]); d < pl.buckets && pl.gStart[d] < phi; d++ {
-		cnt := row[d+1] - row[d]
+	for c.d < pl.buckets && pl.gStart[c.d] < c.phi {
+		d := c.d
+		c.d++
+		cnt := c.row[d+1] - c.row[d]
 		if cnt == 0 {
 			continue
 		}
-		cs := pl.gStart[d] + rank[d]
-		s, e := max(cs, plo), min(cs+cnt, phi)
+		cs := pl.gStart[d] + c.rank[d]
+		s, e := max(cs, c.plo), min(cs+cnt, c.phi)
 		if e <= s {
 			continue
 		}
-		fn(chunk{srcOff: int(row[d] + (s - cs)), dstOff: int(s - plo), count: int(e - s)})
+		return chunk{srcOff: int(c.row[d] + (s - cs)), dstOff: int(s - c.plo), count: int(e - s)}, true
 	}
+	return chunk{}, false
 }
 
-// count returns how many runs src contributes to partition dst.
-func (pl *chunkPlan) count(src, dst int) int {
-	n := 0
-	pl.each(src, dst, func(chunk) { n++ })
-	return n
+// each calls fn for every contiguous run processor src contributes to
+// destination partition dst, in bucket order. It allocates nothing.
+func (pl *chunkPlan) each(src, dst int, fn func(chunk)) {
+	c := pl.cursor(src, dst)
+	for ch, ok := c.next(); ok; ch, ok = c.next() {
+		fn(ch)
+	}
 }
 
 // runLen returns how many keys src holds for bucket d.
