@@ -166,6 +166,17 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
+// LineShift returns log2 of the line size: a>>LineShift is the line
+// number Lane.Hit takes.
+func (c *Cache) LineShift() uint { return c.lineShift }
+
+// Accesses returns the access counter (which is also the LRU clock), and
+// SetAccesses stores it back: a kernel loop carries the counter in a
+// register between its slow steps, passing each Lane.Hit the value the
+// access it tests would be counted as.
+func (c *Cache) Accesses() uint64     { return c.stats.Accesses }
+func (c *Cache) SetAccesses(n uint64) { c.stats.Accesses = n }
+
 // LineAddr returns the line-aligned address containing a.
 func (c *Cache) LineAddr(a Addr) Addr {
 	return a &^ Addr(c.cfg.LineSize-1)
@@ -294,9 +305,17 @@ func (c *Cache) AccessLane(l *Lane, a Addr, write bool) AccessResult {
 // function call.
 func (c *Cache) LaneHit(l *Lane, a Addr, write bool) bool {
 	c.stats.Accesses++
-	if uint64(a)>>c.lineShift == l.lineNum && l.ln.meta&^uint64(lineDirty) == l.want {
+	return l.Hit(uint64(a)>>c.lineShift, c.stats.Accesses, write)
+}
+
+// Hit is the lane test itself, for a caller that counts accesses in a
+// register (see Cache.Accesses): if lineNum is the lane's line and the
+// slot still holds it, the access numbered tick is completed (LRU stamp,
+// dirty bit) and Hit reports true; otherwise nothing changes.
+func (l *Lane) Hit(lineNum, tick uint64, write bool) bool {
+	if lineNum == l.lineNum && l.ln.meta&^uint64(lineDirty) == l.want {
 		ln := l.ln
-		ln.lru = c.stats.Accesses
+		ln.lru = tick
 		if write {
 			ln.meta |= lineDirty
 		}
@@ -304,6 +323,12 @@ func (c *Cache) LaneHit(l *Lane, a Addr, write bool) bool {
 	}
 	return false
 }
+
+// Stamp completes access number tick to the lane's line without testing
+// anything. The caller must know the test would pass — nothing that can
+// evict or invalidate a line ran since a Hit of the same line passed —
+// and, for a write stream, that that Hit already marked the line dirty.
+func (l *Lane) Stamp(tick uint64) { l.ln.lru = tick }
 
 // AccessLaneMiss completes an access whose LaneHit returned false: the
 // plain probe, after which the lane names the line just touched.

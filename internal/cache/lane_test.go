@@ -93,10 +93,6 @@ func TestLaneEquivalence(t *testing.T) {
 		if rs, fs := refTLB.Stats(), fastTLB.Stats(); rs != fs {
 			t.Fatalf("cfg %+v: tlb stats diverged: ref=%+v fast=%+v", cfg, rs, fs)
 		}
-		fastTLB.DetachLanes()
-		if len(fastTLB.lanes) != 0 {
-			t.Fatalf("DetachLanes left %d lanes registered", len(fastTLB.lanes))
-		}
 	}
 }
 
@@ -124,5 +120,88 @@ func TestTLBLaneEvictionClears(t *testing.T) {
 	tl.Flush()
 	if miss := tl.AccessLane(&lane, 0); !miss {
 		t.Fatal("lane returned a hit after Flush")
+	}
+}
+
+// TestTLBLaneSurvivesBackwardShift moves the lane's page to another slot
+// by evicting a page earlier in its probe chain: the lane's slot test
+// fails (the slot now holds another page or nothing), the access falls
+// through to the probe and must report the hit the page's residency
+// demands — no miss counted, and the lane hits again afterwards.
+func TestTLBLaneSurvivesBackwardShift(t *testing.T) {
+	tl := NewTLB(TLBConfig{Entries: 2, PageSize: 1024})
+	// Two pages with the same home slot: the second sits one past the
+	// first in the probe chain, and shifts back when the first leaves.
+	first := uint64(1)
+	second := first + 1
+	for tl.home(second) != tl.home(first) {
+		second++
+	}
+	// The evicting page must land clear of those two slots.
+	third := second + 1
+	for (tl.home(third)-tl.home(first))&tl.slotMask < 2 {
+		third++
+	}
+	addr := func(page uint64) Addr { return Addr(page << tl.pageShift) }
+
+	var lane TLBLane
+	tl.AttachLane(&lane)
+	tl.Access(addr(first))
+	if !tl.AccessLane(&lane, addr(second)) {
+		t.Fatal("first touch of the lane's page should miss")
+	}
+	was := lane.slot
+	tl.Access(addr(third)) // FIFO evicts first; second shifts into its slot
+	if *was == second {
+		t.Fatal("setup: the lane's page did not move")
+	}
+	misses := tl.Stats().Misses
+	if tl.AccessLane(&lane, addr(second)) {
+		t.Fatal("lane reported a miss for a resident page that changed slots")
+	}
+	if got := tl.Stats().Misses; got != misses {
+		t.Fatalf("misses moved %d -> %d on a resident page", misses, got)
+	}
+	if lane.slot == was || !lane.Hit(second) {
+		t.Fatal("lane did not recapture the page's new slot")
+	}
+}
+
+// TestTLBManyLanes drives 256 lanes — the radix kernels' one lane per
+// scatter bucket — over an 8-entry TLB, so most lanes point at slots
+// whose page has long been evicted or replaced, against plain Access.
+func TestTLBManyLanes(t *testing.T) {
+	cfg := TLBConfig{Entries: 8, PageSize: 1024}
+	ref, fast := NewTLB(cfg), NewTLB(cfg)
+	lanes := make([]TLBLane, 256)
+	for i := range lanes {
+		fast.AttachLane(&lanes[i])
+	}
+	rng := rand.New(rand.NewSource(5))
+	next := make([]Addr, len(lanes)) // each lane walks its own region
+	for i := range next {
+		next[i] = Addr(i * 8192)
+	}
+	for i := 0; i < 200000; i++ {
+		ln := rng.Intn(len(lanes))
+		if rng.Intn(8) == 0 {
+			ln = rng.Intn(4) // a few hot lanes whose pages stay resident
+		}
+		a := next[ln]
+		next[ln] = Addr(ln*8192) + (a+Addr(4*rng.Intn(64)))%8192
+		if want, got := ref.Access(a), fast.AccessLane(&lanes[ln], a); want != got {
+			t.Fatalf("step %d lane %d addr %#x: miss ref=%v lane=%v", i, ln, a, want, got)
+		}
+		if rng.Intn(20000) == 0 {
+			ref.Flush()
+			fast.Flush()
+		}
+	}
+	rs, fs := ref.Stats(), fast.Stats()
+	if rs != fs {
+		t.Fatalf("stats diverged: ref=%+v lanes=%+v", rs, fs)
+	}
+	if rs.Misses == 0 || rs.Misses == rs.Accesses {
+		t.Fatalf("vacuous run: %+v", rs)
 	}
 }

@@ -69,11 +69,9 @@ type TLB struct {
 	// Stats assembles the exported view.
 	accesses uint64
 	misses   uint64
-	// lanes are the attached per-stream page memos (see TLBLane). Unlike
-	// cache lanes they need a registry: a TLB hit has no per-line state
-	// to re-validate against, so eviction and Flush must clear any lane
-	// naming a page that left the resident set.
-	lanes []*TLBLane
+	// none is the slot an empty lane points at: it always holds memoNone,
+	// which no page number equals.
+	none uint64
 }
 
 // A TLBLane is a per-stream page memo for the batched access kernels:
@@ -82,35 +80,30 @@ type TLB struct {
 // nothing else — exactly what a plain Access of a resident page does
 // (hits do not mutate FIFO state) — so behavior is bit-identical.
 //
-// Lanes must be attached (AttachLane) before use and detached
-// (DetachLanes) when the kernel finishes; while attached, eviction and
-// Flush clear any lane naming the dropped page, preserving the invariant
-// that a lane never names a non-resident page.
+// Like a cache Lane, a TLBLane is self-validating and needs no registry:
+// it points at the resident-set slot that held its page when the probe
+// last resolved it, and a hit is "that slot holds the page being
+// translated". Slots hold resident pages only, so a passing test proves
+// the page is resident whatever happened to the table since; eviction,
+// backward-shift deletion and Flush can only make the test fail, which
+// sends the access to the probe. A lane must be emptied with AttachLane
+// before its first use (the zero value points nowhere).
 type TLBLane struct {
-	page uint64
+	slot *uint64
 }
 
-// Reset empties the lane; the next access through it takes the probe and
-// recaptures.
-func (l *TLBLane) Reset() { l.page = memoNone }
+// Hit reports whether the lane's slot holds page, which proves page
+// resident. It counts nothing: kernels that carry the access counter in
+// a register (see Accesses) pair it with their own increment.
+func (l *TLBLane) Hit(page uint64) bool { return *l.slot == page }
 
-// AttachLane registers l with the TLB's eviction bookkeeping and empties
-// it. Attach a lane once per kernel invocation; lanes are not reentrant.
-func (t *TLB) AttachLane(l *TLBLane) {
-	l.Reset()
-	t.lanes = append(t.lanes, l)
-}
+// AttachLane empties l for use with this TLB; the next access through it
+// takes the probe and captures its slot.
+func (t *TLB) AttachLane(l *TLBLane) { l.slot = &t.none }
 
-// DetachLanes unregisters every attached lane (kernels attach and detach
-// in a strict bracket; lanes never stay registered across kernel calls).
-// The registry's backing array is retained, so a detach/attach cycle
-// does not allocate.
-func (t *TLB) DetachLanes() {
-	for i := range t.lanes {
-		t.lanes[i] = nil
-	}
-	t.lanes = t.lanes[:0]
-}
+// DetachLanes does nothing: lanes hold no registration to undo. It
+// remains for the frozen cmd/bench probes, its only caller.
+func (t *TLB) DetachLanes() {}
 
 // AccessLane is Access with the lane as a private memo: identical
 // counters and miss decisions, but a repeat touch of the lane's page
@@ -129,16 +122,17 @@ func (t *TLB) AccessLane(l *TLBLane, a Addr) bool {
 // loop resolve lane hits without any function call.
 func (t *TLB) LaneHit(l *TLBLane, a Addr) bool {
 	t.accesses++
-	return uint64(a)>>t.pageShift == l.page
+	return l.Hit(uint64(a) >> t.pageShift)
 }
 
 // LaneRefill completes a translation whose LaneHit returned false: the
-// plain probe, after which the lane names the page just translated. It
-// reports whether the translation missed the TLB.
+// plain probe, after which the lane points at the slot the probe ended
+// on. It reports whether the translation missed the TLB. (When the miss's
+// eviction backward-shifts the new page out of that slot the lane is
+// merely stale: its next test fails into the probe again.)
 func (t *TLB) LaneRefill(l *TLBLane, a Addr) bool {
-	page := uint64(a) >> t.pageShift
-	miss := t.translate(page)
-	l.page = page
+	i, miss := t.translate(uint64(a) >> t.pageShift)
+	l.slot = &t.slots[i]
 	return miss
 }
 
@@ -169,6 +163,7 @@ func NewTLB(cfg TLBConfig) *TLB {
 		slotMask:  uint64(1<<bits - 1),
 		slotBits:  bits,
 		ring:      make([]uint64, 0, cfg.Entries),
+		none:      memoNone,
 	}
 }
 
@@ -179,6 +174,16 @@ func (t *TLB) Config() TLBConfig { return t.cfg }
 func (t *TLB) Stats() TLBStats {
 	return TLBStats{Accesses: t.accesses, Misses: t.misses}
 }
+
+// PageShift returns log2 of the page size: a>>PageShift is the page
+// number TLBLane.Hit takes.
+func (t *TLB) PageShift() uint { return t.pageShift }
+
+// Accesses returns the access counter, and SetAccesses stores it back:
+// a kernel loop carries the counter in a register between its slow
+// steps, pairing each TLBLane.Hit with its own increment.
+func (t *TLB) Accesses() uint64     { return t.accesses }
+func (t *TLB) SetAccesses(n uint64) { t.accesses = n }
 
 // home returns page's preferred slot index (Fibonacci hashing).
 func (t *TLB) home(page uint64) uint64 {
@@ -212,16 +217,17 @@ func (t *TLB) remove(page uint64) {
 	t.slots[i] = memoNone
 }
 
-// translate looks page up, refilling on a miss, and reports whether the
-// translation missed. It does not touch the access counter.
-func (t *TLB) translate(page uint64) (miss bool) {
+// translate looks page up, refilling on a miss, and returns the index of
+// the slot the probe ended on plus whether the translation missed. It
+// does not touch the access counter.
+func (t *TLB) translate(page uint64) (slot uint64, miss bool) {
 	// One probe serves both outcomes: it either finds the page (hit) or
 	// ends on the empty slot where the page belongs (miss refill site).
 	i := t.home(page)
 	for {
 		pg := t.slots[i]
 		if pg == page {
-			return false
+			return i, false
 		}
 		if pg == memoNone {
 			break
@@ -239,25 +245,21 @@ func (t *TLB) translate(page uint64) (miss bool) {
 	} else {
 		evicted := t.ring[t.head]
 		t.remove(evicted)
-		for _, ln := range t.lanes {
-			if ln.page == evicted {
-				ln.page = memoNone
-			}
-		}
 		t.ring[t.head] = page
 		t.head++
 		if t.head == t.cfg.Entries {
 			t.head = 0
 		}
 	}
-	return true
+	return i, true
 }
 
 // Access simulates a translation of address a and reports whether it
 // missed.
 func (t *TLB) Access(a Addr) bool {
 	t.accesses++
-	return t.translate(uint64(a) >> t.pageShift)
+	_, miss := t.translate(uint64(a) >> t.pageShift)
+	return miss
 }
 
 // Flush drops all translations.
@@ -267,7 +269,4 @@ func (t *TLB) Flush() {
 	}
 	t.ring = t.ring[:0]
 	t.head = 0
-	for _, ln := range t.lanes {
-		ln.page = memoNone
-	}
 }

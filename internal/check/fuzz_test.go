@@ -17,10 +17,11 @@ import (
 // the batched kernels inline, so the lane machinery faces the same
 // oracle as the probe it accelerates.
 //
-// Two cache geometries run the same stream: the Origin-style 2-way
-// shape exercises the unrolled probe, a 4-way shape exercises the
-// general probe loop. The address space is kept to 16
-// bits over a tiny cache/TLB so conflict evictions, writebacks and TLB
+// Two geometries run the same stream: the Origin-style 2-way cache
+// exercises the unrolled probe beside an 8-entry TLB, a 4-way cache the
+// general probe loop beside a 2-entry TLB, where nearly every refill
+// evicts a page some lane still points at. The address space is kept to
+// 16 bits over a tiny cache/TLB so conflict evictions, writebacks and TLB
 // FIFO churn all happen within a short input.
 func FuzzAccessOracle(f *testing.F) {
 	// Seed corpus: a sequential sweep, a write-heavy strided pass, an
@@ -32,38 +33,50 @@ func FuzzAccessOracle(f *testing.F) {
 	f.Add([]byte{0x03, 0x00, 0x02, 0x06, 0x00, 0x02, 0x07, 0x00, 0x00, 0x00, 0x00, 0x02})
 	f.Add([]byte{0x2D, 0xF0, 0x03, 0x5D, 0x10, 0x04, 0x00, 0xFF, 0xFF})
 	// Stream-shaped seeds for the lane paths (op bits 3-4 select plain /
-	// lane0 / lane1 / the inlined LaneHit+miss split): a gather/scatter
-	// mix on lane 0, a same-line run through the split path, interleaved
-	// two-lane streams, and a page-straddling run (1 KB pages, so
-	// 0x0400 is a page boundary).
+	// lane0 / lane1 / the inlined LaneHit+miss split, bits 5-7 one of
+	// eight TLB lanes): a gather/scatter mix on lane 0, a same-line run
+	// through the split path, interleaved two-lane streams, and a
+	// page-straddling run (1 KB pages, so 0x0400 is a page boundary).
 	f.Add([]byte{0x0B, 0x40, 0x01, 0x08, 0x90, 0x00, 0x0B, 0x00, 0x3C, 0x08, 0x44, 0x01})
 	f.Add([]byte{0x18, 0x00, 0x02, 0x18, 0x04, 0x02, 0x18, 0x08, 0x02, 0x1B, 0x0C, 0x02})
 	f.Add([]byte{0x08, 0x00, 0x10, 0x13, 0x00, 0x80, 0x08, 0x40, 0x10, 0x13, 0x40, 0x80})
 	f.Add([]byte{0x3B, 0xFC, 0x03, 0x3B, 0x00, 0x04, 0x18, 0xF8, 0x03, 0x18, 0x04, 0x04, 0x07, 0x00, 0x00})
+	// Three pages through three TLB lanes, twice round: on the 2-entry
+	// TLB every refill evicts the page the next lane points at, so each
+	// lane test must fail into a probe that misses; then a lane hit, a
+	// flush, and the same lane again.
+	f.Add([]byte{0x08, 0x00, 0x00, 0x28, 0x00, 0x04, 0x48, 0x00, 0x08,
+		0x08, 0x10, 0x00, 0x38, 0x10, 0x04, 0x58, 0x10, 0x08,
+		0x58, 0x20, 0x08, 0x07, 0x00, 0x00, 0x58, 0x30, 0x08})
 
-	ccfgs := []cache.Config{
-		{Size: 4096, LineSize: 64, Ways: 2}, // unrolled 2-way probe
-		{Size: 8192, LineSize: 32, Ways: 4}, // general probe loop
+	geoms := []struct {
+		cache cache.Config
+		tlb   cache.TLBConfig
+	}{
+		{cache.Config{Size: 4096, LineSize: 64, Ways: 2}, cache.TLBConfig{Entries: 8, PageSize: 1 << 10}},
+		{cache.Config{Size: 8192, LineSize: 32, Ways: 4}, cache.TLBConfig{Entries: 2, PageSize: 1 << 10}},
 	}
-	tcfg := cache.TLBConfig{Entries: 8, PageSize: 1 << 10}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, ccfg := range ccfgs {
+		for _, g := range geoms {
+			ccfg, tcfg := g.cache, g.tlb
 			fast := cache.New(ccfg)
 			ref := check.NewRefCache(ccfg)
 			ftlb := cache.NewTLB(tcfg)
 			rtlb := check.NewRefTLB(tcfg)
 
-			// Two cache lanes and two attached TLB lanes on the fast side
-			// model a stream kernel's per-stream memos; the reference side
-			// always uses the plain path, so any lane-vs-plain divergence
-			// (results, counters, replacement) fails the oracle.
+			// Two cache lanes and eight TLB lanes on the fast side model a
+			// stream kernel's per-stream and per-bucket memos; the
+			// reference side always uses the plain path, so any
+			// lane-vs-plain divergence (results, counters, replacement)
+			// fails the oracle.
 			var lanes [2]cache.Lane
-			var tlanes [2]cache.TLBLane
+			var tlanes [8]cache.TLBLane
 			lanes[0].Reset()
 			lanes[1].Reset()
-			ftlb.AttachLane(&tlanes[0])
-			ftlb.AttachLane(&tlanes[1])
+			for i := range tlanes {
+				ftlb.AttachLane(&tlanes[i])
+			}
 
 			for i := 0; i+3 <= len(data); i += 3 {
 				op := data[i]
@@ -71,6 +84,7 @@ func FuzzAccessOracle(f *testing.F) {
 				switch op & 7 {
 				case 0, 1, 2, 3, 4, 5: // access; ops 3-5 write
 					write := op&7 >= 3
+					tl := &tlanes[op>>5]
 					var fm bool
 					var fr cache.AccessResult
 					switch (op >> 3) & 3 {
@@ -79,13 +93,13 @@ func FuzzAccessOracle(f *testing.F) {
 						fr = fast.Access(a, write)
 					case 1, 2: // lane path, one of two interleaved streams
 						li := int((op>>3)&3) - 1
-						fm = ftlb.AccessLane(&tlanes[li], a)
+						fm = ftlb.AccessLane(tl, a)
 						fr = fast.AccessLane(&lanes[li], a, write)
 					case 3: // the split the kernels inline
 						li := int(op>>5) & 1
 						fm = false
-						if !ftlb.LaneHit(&tlanes[li], a) {
-							fm = ftlb.LaneRefill(&tlanes[li], a)
+						if !ftlb.LaneHit(tl, a) {
+							fm = ftlb.LaneRefill(tl, a)
 						}
 						if fast.LaneHit(&lanes[li], a, write) {
 							fr = cache.AccessResult{Hit: true}

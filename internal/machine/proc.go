@@ -81,12 +81,12 @@ type Proc struct {
 
 	// Stream-kernel scratch (stream.go): private cache/TLB lanes for the
 	// kernels' source and table streams, plus a growable per-bucket lane
-	// set for scatter targets. Persistent on the Proc so steady-state
-	// kernel calls are allocation-free (TestStreamKernelsZeroAlloc).
-	sTLB   [2]cache.TLBLane
-	sLane  cache.Lane
-	bLanes []cache.Lane
-	tLanes []cache.Lane
+	// set for histogram and scatter targets. Persistent on the Proc so
+	// steady-state kernel calls are allocation-free
+	// (TestStreamKernelsZeroAlloc).
+	sTLB    [2]cache.TLBLane
+	sLane   cache.Lane
+	buckets []bucketLanes
 }
 
 func newProc(m *Machine, id int) *Proc {

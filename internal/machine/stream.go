@@ -6,17 +6,18 @@ import "repro/internal/cache"
 // that charge an entire inner loop — a sequential source sweep, a
 // per-element gather/scatter target, and the interleaved Compute cost —
 // in one call instead of three wrapper calls per element. The kernels
-// hoist everything the per-element path re-derives each iteration (cfg
-// fields, phase accumulator) and give each access stream a private
-// cache/TLB lane (cache.Lane, cache.TLBLane), the simulator's only memo
-// mechanism: a stream's same-line and same-page runs resolve in one
-// inlined compare, the LaneHit fast path.
+// give each access stream a private cache/TLB lane (cache.Lane,
+// cache.TLBLane), the simulator's only memo mechanism, and touch on
+// their fast path only what can have changed since the last slow step.
 //
-// Every reference of every kernel is the same step: two inlined LaneHit
-// tests, and on a lane miss one out-of-line slow step each (tlbSlow,
-// cacheSlow) that runs the plain probe, recaptures the lane and ends in
-// the same translated/accessed helpers as the per-element path. Block
-// walks (LoadRange/StoreRange) are the sequential kernel over whole
+// Every reference of every kernel is the same step: count the access,
+// test the TLB lane, on failure tlbSlow; test the cache lane, on failure
+// cacheSlow. The slow steps run the plain probe, recapture the lane and
+// end in the same translated/accessed helpers as the per-element path. A
+// kernel loop carries what every access bumps — the two access counters,
+// the clock, the busy totals — in registers (counters, clocks), so an
+// access that hits both lanes stores nothing but its line's LRU word.
+// Block walks (LoadRange/StoreRange) are the sequential kernel over whole
 // lines.
 //
 // Equivalence contract: every kernel charges exactly what the equivalent
@@ -29,42 +30,137 @@ import "repro/internal/cache"
 // there. Spot-sampled paranoid mode (Config.ParanoidSampleEvery > 1)
 // keeps the lanes live; its oracles sit in missCharge/chargeWriteback.
 
-// tlbSlow completes a translation whose TLB LaneHit returned false.
-func (p *Proc) tlbSlow(l *cache.TLBLane, a Addr) {
-	miss := p.tlb.LaneRefill(l, a)
-	if p.pc != nil && p.pc.perAccess() {
-		l.Reset()
-	}
-	p.translated(a, miss)
+// counters and clocks are what a kernel loop keeps in registers instead
+// of bumping through p, p.cache and p.tlb on every access (at most four
+// fields each, so the compiler keeps them in registers across the loop).
+// regs loads them when a kernel starts and settle stores them when it
+// ends. In between only the slow steps look at the processor's state,
+// and of these values they use two: the clock, which their charges
+// advance, and the cache's access count, the LRU stamp of the line they
+// fill. They neither count accesses nor charge busy time — that is the
+// kernel loop's side of the step — so those two are all a slow step is
+// handed.
+type counters struct {
+	tick uint64 // cache accesses so far, which is also the LRU clock
+	// xlat is the TLB's access count minus tick: a constant, since every
+	// step of a kernel counts one translation and one cache access.
+	xlat uint64
+	// coast is the end of the source sweep's run: source elements below
+	// this address lie on the line and page the sweep's last full lane
+	// test found resident. Inside a kernel call only a slow step can
+	// evict a line or a page, so those elements need no test, only the
+	// line's LRU stamp (Lane.Stamp) — and every slow step, on whichever
+	// stream of the kernel, returns a coast of 0, which sends the next
+	// source element back to the full test.
+	coast Addr
 }
 
-// cacheSlow completes a cache access whose LaneHit returned false.
-func (p *Proc) cacheSlow(l *cache.Lane, a Addr, write bool, sh Sharing, overlap float64) {
+type clocks struct {
+	clock, busy float64 // p.clock, p.stats.Breakdown.Busy
+	phase       float64 // p.phaseAcc.Busy when a phase is open
+}
+
+// regs loads a kernel's registers from the processor's state.
+func (p *Proc) regs() (counters, clocks) {
+	k := clocks{clock: p.clock, busy: p.stats.Breakdown.Busy}
+	if p.phaseAcc != nil {
+		k.phase = p.phaseAcc.Busy
+	}
+	tick := p.cache.Accesses()
+	return counters{tick: tick, xlat: p.tlb.Accesses() - tick}, k
+}
+
+// settle stores a kernel's registers back. Each float is the sum of the
+// same additions in the same order as if it had been updated in place.
+func (p *Proc) settle(c counters, k clocks) {
+	p.cache.SetAccesses(c.tick)
+	p.tlb.SetAccesses(c.tick + c.xlat)
+	p.clock = k.clock
+	p.stats.Breakdown.Busy = k.busy
+	if p.phaseAcc != nil {
+		p.phaseAcc.Busy = k.phase
+	}
+}
+
+// tlbSlow completes a translation, already counted, whose lane test
+// failed. clock is the caller's clock; the results are the clock after
+// any refill charge and the caller's new counters.coast (none).
+func (p *Proc) tlbSlow(clock float64, l *cache.TLBLane, a Addr) (now float64, coast Addr) {
+	p.clock = clock
+	miss := p.tlb.LaneRefill(l, a)
+	if p.pc != nil && p.pc.perAccess() {
+		p.tlb.AttachLane(l)
+	}
+	p.translated(a, miss)
+	return p.clock, 0
+}
+
+// cacheSlow completes the cache access numbered tick whose lane test
+// failed. clock is the caller's clock; the results are the clock after
+// any miss and writeback charges and the caller's new counters.coast
+// (none).
+func (p *Proc) cacheSlow(clock float64, tick uint64, l *cache.Lane, a Addr, write bool, sh Sharing, overlap float64) (now float64, coast Addr) {
+	p.clock = clock
+	p.cache.SetAccesses(tick)
 	res := p.cache.AccessLaneMiss(l, a, write)
 	if p.pc != nil && p.pc.perAccess() {
 		l.Reset()
 	}
 	p.accessed(a, write, sh, overlap, res)
+	return p.clock, 0
 }
 
-// grownLanes returns a reset lane scratch of b lanes backed by *store.
-// The backing array is retained across calls, so steady-state kernels
-// allocate nothing. Kernels use one scratch per per-bucket stream (the
-// histogram gather, the scatter target): indexing lanes by bucket turns
-// an access pattern that defeats any single memo — consecutive elements
-// land in different buckets — back into per-bucket same-line runs that
-// resolve on the inlined LaneHit path.
-func grownLanes(store *[]cache.Lane, b int) []cache.Lane {
-	ls := *store
-	if cap(ls) < b {
-		ls = make([]cache.Lane, b)
-		*store = ls
+// geom is the cache and TLB geometry a kernel loop's inlined lane tests
+// need.
+type geom struct {
+	pageShift, lineShift uint
+	// unit is the smaller of the line and page sizes, minus one.
+	unit Addr
+}
+
+func (p *Proc) geom() geom {
+	cfg := &p.m.cfg
+	return geom{
+		pageShift: p.tlb.PageShift(),
+		lineShift: p.cache.LineShift(),
+		unit:      Addr(min(cfg.Cache.LineSize, cfg.TLB.PageSize) - 1),
 	}
-	ls = ls[:b]
-	for i := range ls {
-		ls[i].Reset()
+}
+
+// page and line are the numbers a's lane tests compare. (Masking the
+// shift count tells the compiler it is below 64, which spares each test
+// the oversized-shift check.)
+func (g geom) page(a Addr) uint64 { return uint64(a) >> (g.pageShift & 63) }
+func (g geom) line(a Addr) uint64 { return uint64(a) >> (g.lineShift & 63) }
+
+// runEnd is the first address past a that is on another line or page.
+func (g geom) runEnd(a Addr) Addr { return (a | g.unit) + 1 }
+
+// bucketLanes are one digit bucket's lanes in the radix kernels. The
+// histogram and the scatter target are indexed by a near-random digit,
+// which defeats any single memo; per bucket, the histogram entry never
+// moves and the scatter target walks its output run sequentially, so one
+// lane set per bucket turns both streams back into same-line, same-page
+// runs that resolve on the inlined tests.
+type bucketLanes struct {
+	tbl  cache.Lane
+	dst  cache.Lane
+	dstT cache.TLBLane
+}
+
+// bucketScratch returns b emptied lane sets. The backing array is
+// retained on the Proc, so steady-state kernels allocate nothing.
+func (p *Proc) bucketScratch(b int) []bucketLanes {
+	if cap(p.buckets) < b {
+		p.buckets = make([]bucketLanes, b)
 	}
-	return ls
+	bk := p.buckets[:b]
+	for i := range bk {
+		bk[i].tbl.Reset()
+		bk[i].dst.Reset()
+		p.tlb.AttachLane(&bk[i].dstT)
+	}
+	return bk
 }
 
 // seqStream charges a sequential sweep of n elemSize-byte elements
@@ -77,27 +173,31 @@ func (p *Proc) seqStream(a Addr, elemSize, n int, write bool, sh Sharing, ops in
 	cfg := &p.m.cfg
 	opNs := float64(ops) * cfg.OpNs
 	es := Addr(elemSize)
-	t, c := p.tlb, p.cache
 	tl, cl := &p.sTLB[0], &p.sLane
-	t.AttachLane(tl)
+	p.tlb.AttachLane(tl)
 	cl.Reset()
 	ov := cfg.MissOverlap
-	acc := p.phaseAcc
+	g := p.geom()
+	c, k := p.regs()
 	for i := 0; i < n; i++ {
-		if !t.LaneHit(tl, a) {
-			p.tlbSlow(tl, a)
+		c.tick++
+		if a < c.coast {
+			cl.Stamp(c.tick)
+		} else {
+			c.coast = g.runEnd(a)
+			if !tl.Hit(g.page(a)) {
+				k.clock, c.coast = p.tlbSlow(k.clock, tl, a)
+			}
+			if !cl.Hit(g.line(a), c.tick, write) {
+				k.clock, c.coast = p.cacheSlow(k.clock, c.tick, cl, a, write, sh, ov)
+			}
 		}
-		if !c.LaneHit(cl, a, write) {
-			p.cacheSlow(cl, a, write, sh, ov)
-		}
-		p.clock += opNs
-		p.stats.Breakdown.Busy += opNs
-		if acc != nil {
-			acc.Busy += opNs
-		}
+		k.clock += opNs
+		k.busy += opNs
+		k.phase += opNs
 		a += es
 	}
-	t.DetachLanes()
+	p.settle(c, k)
 }
 
 // walkBlock touches each cache line of [a, a+bytes) once with stream
@@ -121,27 +221,30 @@ func (p *Proc) idxStream(base Addr, elemSize int, idx []int64, write bool, overl
 		return
 	}
 	opNs := float64(ops) * p.m.cfg.OpNs
-	t, c := p.tlb, p.cache
 	tl, cl := &p.sTLB[0], &p.sLane
-	t.AttachLane(tl)
+	p.tlb.AttachLane(tl)
 	cl.Reset()
-	acc := p.phaseAcc
+	g := p.geom()
+	c, k := p.regs()
 	for _, ix := range idx {
 		a := base + Addr(int(ix)*elemSize)
-		if !t.LaneHit(tl, a) {
-			p.tlbSlow(tl, a)
+		c.tick++
+		if !tl.Hit(g.page(a)) {
+			k.clock, _ = p.tlbSlow(k.clock, tl, a)
 		}
-		if !c.LaneHit(cl, a, write) {
-			p.cacheSlow(cl, a, write, sh, overlap)
+		if !cl.Hit(g.line(a), c.tick, write) {
+			k.clock, _ = p.cacheSlow(k.clock, c.tick, cl, a, write, sh, overlap)
 		}
-		p.clock += opNs
-		p.stats.Breakdown.Busy += opNs
-		if acc != nil {
-			acc.Busy += opNs
-		}
+		k.clock += opNs
+		k.busy += opNs
+		k.phase += opNs
 	}
-	t.DetachLanes()
+	p.settle(c, k)
 }
+
+// wordBytes is the element size of the radix kernels' arrays: uint32
+// keys, int32 histogram entries.
+const wordBytes = 4
 
 // CountStream charges a radix counting pass over src.Data[lo:lo+n]: per
 // element, one sequential key read (srcSh), the digit extraction
@@ -155,47 +258,46 @@ func (p *Proc) CountStream(src *Array[uint32], lo, n int, srcSh Sharing,
 	}
 	cfg := &p.m.cfg
 	opNs := float64(opsPerElem) * cfg.OpNs
-	sd := src.Data[lo : lo+n]
 	td := tbl.Data
-	srcA := src.base + Addr(lo*src.elemSize)
-	srcES := Addr(src.elemSize)
-	tblBase, tblES := tbl.base, tbl.elemSize
-	t, c := p.tlb, p.cache
+	srcA, tblBase := src.base+Addr(lo*wordBytes), tbl.base
 	sT, tT := &p.sTLB[0], &p.sTLB[1]
 	sL := &p.sLane
-	t.AttachLane(sT)
-	t.AttachLane(tT)
+	p.tlb.AttachLane(sT)
+	p.tlb.AttachLane(tT)
 	sL.Reset()
-	// The histogram is indexed by a near-random digit, which defeats any
-	// single memo; one lane per bucket pins each bucket's (shared) line so
-	// steady-state table reads resolve on the inlined hit path.
-	tl := grownLanes(&p.tLanes, int(mask)+1)
+	bk := p.bucketScratch(int(mask) + 1)
 	ov := cfg.MissOverlap
-	acc := p.phaseAcc
-	for i := range sd {
-		if !t.LaneHit(sT, srcA) {
-			p.tlbSlow(sT, srcA)
+	g := p.geom()
+	c, k := p.regs()
+	for _, key := range src.Data[lo : lo+n] {
+		c.tick++
+		if srcA < c.coast {
+			sL.Stamp(c.tick)
+		} else {
+			c.coast = g.runEnd(srcA)
+			if !sT.Hit(g.page(srcA)) {
+				k.clock, c.coast = p.tlbSlow(k.clock, sT, srcA)
+			}
+			if !sL.Hit(g.line(srcA), c.tick, false) {
+				k.clock, c.coast = p.cacheSlow(k.clock, c.tick, sL, srcA, false, srcSh, ov)
+			}
 		}
-		if !c.LaneHit(sL, srcA, false) {
-			p.cacheSlow(sL, srcA, false, srcSh, ov)
+		d := int(key >> shift & mask)
+		ta := tblBase + Addr(d*wordBytes)
+		c.tick++
+		if !tT.Hit(g.page(ta)) {
+			k.clock, c.coast = p.tlbSlow(k.clock, tT, ta)
 		}
-		d := int(sd[i] >> shift & mask)
-		ta := tblBase + Addr(d*tblES)
-		if !t.LaneHit(tT, ta) {
-			p.tlbSlow(tT, ta)
-		}
-		if !c.LaneHit(&tl[d], ta, false) {
-			p.cacheSlow(&tl[d], ta, false, tblSh, 1)
+		if !bk[d].tbl.Hit(g.line(ta), c.tick, false) {
+			k.clock, c.coast = p.cacheSlow(k.clock, c.tick, &bk[d].tbl, ta, false, tblSh, 1)
 		}
 		td[d]++
-		p.clock += opNs
-		p.stats.Breakdown.Busy += opNs
-		if acc != nil {
-			acc.Busy += opNs
-		}
-		srcA += srcES
+		k.clock += opNs
+		k.busy += opNs
+		k.phase += opNs
+		srcA += wordBytes
 	}
-	t.DetachLanes()
+	p.settle(c, k)
 }
 
 // PermuteStream charges a radix permutation pass: per element, one
@@ -204,13 +306,6 @@ func (p *Proc) CountStream(src *Array[uint32], lo, n int, srcSh Sharing,
 // position bump pos[digit]++, the key's scattered write to
 // dst[pos] (dstSh), and opsPerElem busy operations. It is the batched
 // equivalent of sorts' permutePass inner loop.
-//
-// The scatter target gets one cache lane per digit bucket: each bucket's
-// writes walk its output run sequentially, so per-bucket lanes turn the
-// scatter — which defeats a single lane — back into mask+1 independent
-// same-line runs. The scatter stream's translations take the plain TLB
-// probe; per-bucket TLB lanes would make every TLB eviction scan mask+1
-// registry entries.
 func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 	shift uint, mask uint32, tbl *Array[int32], pos []int64,
 	srcSh, tblSh, dstSh Sharing, opsPerElem int) {
@@ -219,54 +314,57 @@ func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 	}
 	cfg := &p.m.cfg
 	opNs := float64(opsPerElem) * cfg.OpNs
-	sd := src.Data[lo : lo+n]
 	dd := dst.Data
-	srcA := src.base + Addr(lo*src.elemSize)
-	srcES := Addr(src.elemSize)
-	tblBase, tblES := tbl.base, tbl.elemSize
-	dstBase, dstES := dst.base, dst.elemSize
+	srcA, tblBase, dstBase := src.base+Addr(lo*wordBytes), tbl.base, dst.base
 	ov := cfg.MissOverlap
-	t, c := p.tlb, p.cache
 	sT, tT := &p.sTLB[0], &p.sTLB[1]
 	sL := &p.sLane
-	t.AttachLane(sT)
-	t.AttachLane(tT)
+	p.tlb.AttachLane(sT)
+	p.tlb.AttachLane(tT)
 	sL.Reset()
-	tl := grownLanes(&p.tLanes, int(mask)+1)
-	bl := grownLanes(&p.bLanes, int(mask)+1)
-	acc := p.phaseAcc
-	for i := range sd {
-		if !t.LaneHit(sT, srcA) {
-			p.tlbSlow(sT, srcA)
+	bk := p.bucketScratch(int(mask) + 1)
+	g := p.geom()
+	c, k := p.regs()
+	for _, key := range src.Data[lo : lo+n] {
+		c.tick++
+		if srcA < c.coast {
+			sL.Stamp(c.tick)
+		} else {
+			c.coast = g.runEnd(srcA)
+			if !sT.Hit(g.page(srcA)) {
+				k.clock, c.coast = p.tlbSlow(k.clock, sT, srcA)
+			}
+			if !sL.Hit(g.line(srcA), c.tick, false) {
+				k.clock, c.coast = p.cacheSlow(k.clock, c.tick, sL, srcA, false, srcSh, ov)
+			}
 		}
-		if !c.LaneHit(sL, srcA, false) {
-			p.cacheSlow(sL, srcA, false, srcSh, ov)
+		d := int(key >> shift & mask)
+		b := &bk[d]
+		ta := tblBase + Addr(d*wordBytes)
+		c.tick++
+		if !tT.Hit(g.page(ta)) {
+			k.clock, c.coast = p.tlbSlow(k.clock, tT, ta)
 		}
-		k := sd[i]
-		d := int(k >> shift & mask)
-		ta := tblBase + Addr(d*tblES)
-		if !t.LaneHit(tT, ta) {
-			p.tlbSlow(tT, ta)
-		}
-		if !c.LaneHit(&tl[d], ta, false) {
-			p.cacheSlow(&tl[d], ta, false, tblSh, 1)
+		if !b.tbl.Hit(g.line(ta), c.tick, false) {
+			k.clock, c.coast = p.cacheSlow(k.clock, c.tick, &b.tbl, ta, false, tblSh, 1)
 		}
 		at := pos[d]
 		pos[d]++
-		dd[at] = k
-		da := dstBase + Addr(int(at)*dstES)
-		p.translated(da, t.Access(da))
-		if !c.LaneHit(&bl[d], da, true) {
-			p.cacheSlow(&bl[d], da, true, dstSh, ov)
+		dd[at] = key
+		da := dstBase + Addr(at*wordBytes)
+		c.tick++
+		if !b.dstT.Hit(g.page(da)) {
+			k.clock, c.coast = p.tlbSlow(k.clock, &b.dstT, da)
 		}
-		p.clock += opNs
-		p.stats.Breakdown.Busy += opNs
-		if acc != nil {
-			acc.Busy += opNs
+		if !b.dst.Hit(g.line(da), c.tick, true) {
+			k.clock, c.coast = p.cacheSlow(k.clock, c.tick, &b.dst, da, true, dstSh, ov)
 		}
-		srcA += srcES
+		k.clock += opNs
+		k.busy += opNs
+		k.phase += opNs
+		srcA += wordBytes
 	}
-	t.DetachLanes()
+	p.settle(c, k)
 }
 
 // A SeqCursor charges the accesses of one sequential stream whose
@@ -274,9 +372,7 @@ func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 // multiway merge's run heads and output head. Each cursor carries its
 // own cache and TLB lane, so several concurrently open cursors (one per
 // merge run) each keep their hot line and page. Open with
-// Array.OpenCursor; close every cursor of a batch at once with
-// Proc.CloseCursors. The cursor must not be copied while open (its TLB
-// lane is registered by address).
+// Array.OpenCursor; there is nothing to close.
 type SeqCursor struct {
 	p        *Proc
 	base     Addr
@@ -302,24 +398,22 @@ func (a *Array[T]) OpenCursor(cur *SeqCursor, p *Proc, write bool, sh Sharing) {
 	p.tlb.AttachLane(&cur.tlb)
 }
 
-// Access charges one access of element i through the cursor's lanes.
+// Access charges one access of element i through the cursor's lanes: the
+// kernels' step on the processor's own counters and clock.
 func (cur *SeqCursor) Access(i int) {
 	p := cur.p
 	a := cur.base + Addr(i*cur.elemSize)
 	if !p.tlb.LaneHit(&cur.tlb, a) {
-		p.tlbSlow(&cur.tlb, a)
+		p.tlbSlow(p.clock, &cur.tlb, a)
 	}
 	if !p.cache.LaneHit(&cur.lane, a, cur.write) {
-		p.cacheSlow(&cur.lane, a, cur.write, cur.sh, cur.overlap)
+		p.cacheSlow(p.clock, p.cache.Accesses(), &cur.lane, a, cur.write, cur.sh, cur.overlap)
 	}
 }
 
-// CloseCursors detaches the TLB lanes of every cursor opened on this
-// processor since the last close. Cursor batches must be strictly
-// bracketed (open all, use, close all) and must not overlap stream
-// kernel calls — block walks (LoadRange/StoreRange) included — which
-// bracket their own lanes.
-func (p *Proc) CloseCursors() { p.tlb.DetachLanes() }
+// CloseCursors does nothing: cursors hold no registration to undo. It
+// remains for the frozen cmd/bench probes, its only caller.
+func (p *Proc) CloseCursors() {}
 
 // LoadRangeWith charges a sequential read of elements [lo, hi) with
 // opsPerElem busy operations interleaved per element — the batched

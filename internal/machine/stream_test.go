@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"repro/internal/cache"
 )
 
 // streamTestState bundles one machine plus the arrays the equivalence
@@ -122,7 +124,6 @@ func (s *streamTestState) viaKernels(r streamRound) {
 			sr.Access(lo + i)
 			sw.Access(lo + cnt - 1 - i)
 		}
-		p.CloseCursors()
 	case 6: // block walks: unaligned start, page-crossing and sub-line lengths
 		s.keys.LoadRange(p, lo, lo+cnt, SharedRead)
 		s.dst.StoreRange(p, lo+1, lo+1+cnt%7, Private)
@@ -210,6 +211,66 @@ func (s *streamTestState) perLine(a *Array[uint32], lo, hi int, write bool, sh S
 
 const streamRoundKinds = 7
 
+// streamRounds is how many random rounds each equivalence run draws: ten
+// of every kind.
+const streamRounds = 10 * streamRoundKinds
+
+// streamGeometry is one machine shape the equivalence tests run on.
+// minCacheMiss/minTLBMiss are the miss rates the workload must exceed on
+// it, so a geometry meant to make the streams evict each other cannot
+// pass vacuously.
+type streamGeometry struct {
+	name                     string
+	cache                    cache.Config
+	tlb                      cache.TLBConfig
+	flat                     bool
+	minCacheMiss, minTLBMiss float64
+}
+
+// streamGeometries are the preset plus shapes small enough that the
+// histogram and scatter streams evict the source sweep's line and page
+// in the middle of a line run (32 KB arrays, a 1 KB histogram): the case
+// the kernels' untested run must notice through the slow step that did
+// the evicting.
+func streamGeometries() []streamGeometry {
+	preset := Origin2000Scaled(2)
+	return []streamGeometry{
+		{name: "numa", cache: preset.Cache, tlb: preset.TLB},
+		{name: "flatmem", cache: preset.Cache, tlb: preset.TLB, flat: true},
+		{name: "cache512-direct", cache: cache.Config{Size: 512, LineSize: 128, Ways: 1},
+			tlb: cache.TLBConfig{Entries: 64, PageSize: 1 << 10}, minCacheMiss: 0.25},
+		{name: "cache1k-2way", cache: cache.Config{Size: 1 << 10, LineSize: 64, Ways: 2},
+			tlb: cache.TLBConfig{Entries: 64, PageSize: 1 << 10}, minCacheMiss: 0.25},
+		{name: "tlb2", cache: preset.Cache,
+			tlb: cache.TLBConfig{Entries: 2, PageSize: 1 << 10}, minTLBMiss: 0.25},
+		{name: "cache2k-4way-tlb2x512", cache: cache.Config{Size: 2 << 10, LineSize: 64, Ways: 4},
+			tlb: cache.TLBConfig{Entries: 2, PageSize: 512}, minCacheMiss: 0.25, minTLBMiss: 0.25},
+		{name: "cache2k-4way-tlb3x256", cache: cache.Config{Size: 2 << 10, LineSize: 128, Ways: 4},
+			tlb: cache.TLBConfig{Entries: 3, PageSize: 256}, minCacheMiss: 0.25, minTLBMiss: 0.25},
+		// Pages smaller than lines: a line run ends at the page boundary.
+		{name: "cache2k-4way-tlb4x128", cache: cache.Config{Size: 2 << 10, LineSize: 256, Ways: 4},
+			tlb: cache.TLBConfig{Entries: 4, PageSize: 128}, minCacheMiss: 0.25, minTLBMiss: 0.25},
+	}
+}
+
+func (g streamGeometry) config() Config {
+	cfg := Origin2000Scaled(2)
+	cfg.Cache, cfg.TLB, cfg.FlatMemory = g.cache, g.tlb, g.flat
+	return cfg
+}
+
+// checkMissRates fails the test if the finished run on s missed less
+// often than the geometry demands.
+func (g streamGeometry) checkMissRates(t *testing.T, s *streamTestState) {
+	t.Helper()
+	if r := s.p.cache.Stats().MissRate(); r <= g.minCacheMiss && g.minCacheMiss > 0 {
+		t.Errorf("cache miss rate %.2f, want > %.2f: the geometry is not exercised", r, g.minCacheMiss)
+	}
+	if r := s.p.tlb.Stats().MissRate(); r <= g.minTLBMiss && g.minTLBMiss > 0 {
+		t.Errorf("TLB miss rate %.2f, want > %.2f: the geometry is not exercised", r, g.minTLBMiss)
+	}
+}
+
 // TestStreamEquivalence drives random workloads through the batched
 // stream kernels, cursors and block walks on one machine and through the
 // equivalent per-element loops on an identical second machine, asserting
@@ -217,23 +278,24 @@ const streamRoundKinds = 7
 // addition order included), same breakdowns, same cache/TLB replacement
 // decisions and counters. The per-element path is the definition (plain
 // probes, no lanes); this is the equivalence contract of DESIGN.md §13
-// checked end to end on live machines, on the NUMA model and on the
-// flat-memory ablation. FuzzAccessOracle covers the lane primitives
-// underneath against the reference models.
+// checked end to end on live machines: on the NUMA model, on the
+// flat-memory ablation, and on caches and TLBs of a few entries, where a
+// kernel's streams keep evicting each other's lines and pages.
+// FuzzAccessOracle covers the lane primitives underneath against the
+// reference models.
 func TestStreamEquivalence(t *testing.T) {
-	flat := Origin2000Scaled(2)
-	flat.FlatMemory = true
-	for name, cfg := range map[string]Config{"numa": Origin2000Scaled(2), "flatmem": flat} {
-		t.Run(name, func(t *testing.T) {
-			sv := newStreamTestState(t, cfg) // kernel side
-			rv := newStreamTestState(t, cfg) // per-element side
+	for _, g := range streamGeometries() {
+		t.Run(g.name, func(t *testing.T) {
+			sv := newStreamTestState(t, g.config()) // kernel side
+			rv := newStreamTestState(t, g.config()) // per-element side
 			rng := rand.New(rand.NewSource(99))
-			for round := 0; round < 28; round++ {
+			for round := 0; round < streamRounds; round++ {
 				r := drawStreamRound(rng, round%streamRoundKinds, sv.keys.Len())
 				sv.viaKernels(r)
 				rv.viaElements(r)
 				sv.check(t, rv, "round")
 			}
+			g.checkMissRates(t, sv)
 		})
 	}
 }
@@ -271,33 +333,39 @@ func TestBlockWalkEquivalence(t *testing.T) {
 }
 
 // TestStreamEquivalenceParanoid is the full-paranoid twin: the same
-// random kernel/cursor/block workload runs on a Paranoid machine, whose
-// slow steps shadow every access of the kernels' own loops against the
-// reference models (the lanes stay empty), and on a plain machine. The
+// random kernel/cursor/block workload runs, on every geometry, on a
+// Paranoid machine, whose slow steps shadow every access of the kernels'
+// own loops against the reference models (the lanes stay empty, so no
+// run of untested accesses ever opens), and on a plain machine. The
 // checker must stay clean, the reference models must have seen every
 // access, and the simulated state must be bit-identical — the shadow
 // observes, it never charges.
 func TestStreamEquivalenceParanoid(t *testing.T) {
-	pcfg := Origin2000Scaled(2)
-	pcfg.Paranoid = true
-	pv := newStreamTestState(t, pcfg)
-	sv := newStreamTestState(t, Origin2000Scaled(2))
-	rng := rand.New(rand.NewSource(99))
-	for round := 0; round < 28; round++ {
-		r := drawStreamRound(rng, round%streamRoundKinds, sv.keys.Len())
-		pv.viaKernels(r)
-		sv.viaKernels(r)
-		pv.check(t, sv, "round")
-	}
-	if err := pv.m.Checker().Err(); err != nil {
-		t.Fatalf("paranoid kernels report violations: %v", err)
-	}
-	pc := pv.p.pc
-	if got, want := pc.cache.Counts().Accesses, pv.p.cache.Stats().Accesses; got != want {
-		t.Errorf("reference cache saw %d of %d accesses", got, want)
-	}
-	if got, want := pc.tlb.Counts().Accesses, pv.p.tlb.Stats().Accesses; got != want {
-		t.Errorf("reference TLB saw %d of %d accesses", got, want)
+	for _, g := range streamGeometries() {
+		t.Run(g.name, func(t *testing.T) {
+			pcfg := g.config()
+			pcfg.Paranoid = true
+			pv := newStreamTestState(t, pcfg)
+			sv := newStreamTestState(t, g.config())
+			rng := rand.New(rand.NewSource(99))
+			for round := 0; round < streamRounds; round++ {
+				r := drawStreamRound(rng, round%streamRoundKinds, sv.keys.Len())
+				pv.viaKernels(r)
+				sv.viaKernels(r)
+				pv.check(t, sv, "round")
+			}
+			g.checkMissRates(t, pv)
+			if err := pv.m.Checker().Err(); err != nil {
+				t.Fatalf("paranoid kernels report violations: %v", err)
+			}
+			pc := pv.p.pc
+			if got, want := pc.cache.Counts().Accesses, pv.p.cache.Stats().Accesses; got != want {
+				t.Errorf("reference cache saw %d of %d accesses", got, want)
+			}
+			if got, want := pc.tlb.Counts().Accesses, pv.p.tlb.Stats().Accesses; got != want {
+				t.Errorf("reference TLB saw %d of %d accesses", got, want)
+			}
+		})
 	}
 }
 
@@ -315,11 +383,6 @@ func TestStreamKernelsZeroAlloc(t *testing.T) {
 	p.resetClock()
 	idx := []int64{3, 99, 7, 4000, 7, 8, 9000, 2}
 	pos := make([]int64, 256)
-	// The cursor lives outside the loop: AttachLane registers its TLB
-	// lane by address, so a cursor declared inside would escape and
-	// heap-allocate per call. Real callers (the multiway merge) hold
-	// their cursors in a slice allocated once per merge.
-	var cur SeqCursor
 	allocs := testing.AllocsPerRun(50, func() {
 		keys.LoadRangeWith(p, 0, 512, SharedRead, 2)
 		dst.StoreRangeWith(p, 0, 512, Private, 1)
@@ -330,13 +393,17 @@ func TestStreamKernelsZeroAlloc(t *testing.T) {
 		for i := range pos {
 			pos[i] = int64(i * 16)
 		}
+		// One cache lane and one TLB lane per scatter bucket, from the
+		// processor's retained scratch.
 		p.PermuteStream(keys, dst, 0, 512, 0, 255, hist, pos,
 			SharedRead, Private, ConflictWrite, 13)
+		// A cursor is a plain value: nothing holds its address, so one
+		// declared here stays on the stack.
+		var cur SeqCursor
 		keys.OpenCursor(&cur, p, false, SharedRead)
 		for i := 0; i < 64; i++ {
 			cur.Access(i)
 		}
-		p.CloseCursors()
 	})
 	if allocs != 0 {
 		t.Errorf("stream kernels allocate %.1f/op in steady state, want 0", allocs)
@@ -440,4 +507,63 @@ func BenchmarkScatterStreamCoalesced(b *testing.B) {
 		idx[i] = int64(1<<20 + i) // sequential: 16-element same-line runs
 	}
 	benchScatter(b, idx)
+}
+
+// Radix-kernel micro-benchmarks. ns/op is per key. A kernel is timed in
+// two regimes: one processor's 64 K-key partition of a 4M-key, 64P cell,
+// as large as the cache and the TLB's reach, so the lanes resolve all
+// but one access per line; and a 1 M-key sweep sixteen times either,
+// where the scatter's slow steps dominate.
+func benchRadixKernel(b *testing.B, n int, kernel func(p *Proc, cnt int, src, dst *Array[uint32], tbl *Array[int32], pos []int64)) {
+	const buckets = 256
+	cfg := Origin2000Scaled(4)
+	cfg.TLB.PageSize = 4 << 10 // the harness's page policy for these sizes
+	m, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Release()
+	src := NewArrayBlocked[uint32](m, "src", 4*n)
+	dst := NewArrayBlocked[uint32](m, "dst", 4*n)
+	tbl := NewArrayOnProc[int32](m, "tbl", buckets, 0)
+	rng := rand.New(rand.NewSource(3))
+	starts := make([]int64, buckets)
+	for i := range src.Data[:n] {
+		src.Data[i] = rng.Uint32()
+		starts[src.Data[i]%buckets]++
+	}
+	var sum int64
+	for d, c := range starts {
+		starts[d], sum = sum, sum+c
+	}
+	pos := make([]int64, buckets)
+	b.ResetTimer()
+	m.Run(func(p *Proc) {
+		if p.ID != 0 {
+			return
+		}
+		for i := 0; i < b.N; i += n {
+			copy(pos, starts)
+			kernel(p, min(n, b.N-i), src, dst, tbl, pos)
+		}
+	})
+}
+
+func BenchmarkCountStream(b *testing.B) {
+	benchRadixKernel(b, 64<<10, func(p *Proc, cnt int, src, _ *Array[uint32], tbl *Array[int32], _ []int64) {
+		p.CountStream(src, 0, cnt, Private, 0, 255, tbl, Private, 1)
+	})
+}
+
+func BenchmarkPermuteStream(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"partition64k", 64 << 10}, {"spill1m", 1 << 20}} {
+		b.Run(c.name, func(b *testing.B) {
+			benchRadixKernel(b, c.n, func(p *Proc, cnt int, src, dst *Array[uint32], tbl *Array[int32], pos []int64) {
+				p.PermuteStream(src, dst, 0, cnt, 0, 255, tbl, pos, Private, Private, ConflictWrite, 1)
+			})
+		})
+	}
 }

@@ -1,6 +1,9 @@
 package sorts
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/machine"
 )
 
@@ -42,6 +45,11 @@ func psrsSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Res
 		return nil, err
 	}
 	n, P := len(keysIn), m.Procs()
+	if n > math.MaxInt32 {
+		// The merge heap holds positions in a receive buffer (at most n
+		// keys) as int32.
+		return nil, fmt.Errorf("sorts: psrs: %d keys exceed the merge's 2^31-1 key limit", n)
+	}
 	st := be.alloc(m, cfg, algPsrs, n, P)
 	st.load(keysIn)
 	m.ResetMemory()
@@ -166,10 +174,12 @@ func destCounts(b []int64) []int32 {
 // head, the heap's ~2·log2(ways) comparisons, and one sequential write.
 // Ties break by source rank, keeping the merge deterministic.
 func multiwayMergeCharged(p *machine.Proc, recv, out *machine.Array[uint32], starts, counts []int) {
+	// 16 bytes a head, four to a host cache line; at and end index recv,
+	// which psrsSort keeps below 2^31 keys.
 	type head struct {
 		key     uint32
-		src     int
-		at, end int
+		src     int32
+		at, end int32
 	}
 	hp := make([]head, 0, len(starts))
 	less := func(a, b head) bool {
@@ -188,29 +198,32 @@ func multiwayMergeCharged(p *machine.Proc, recv, out *machine.Array[uint32], sta
 			i = parent
 		}
 	}
-	siftDown := func() {
+	// siftDown places h at the root's position in heap order: the hole
+	// left at the root sinks, the smaller child moving up into it, until h
+	// fits — one move per level instead of a swap.
+	siftDown := func(h head) {
 		i := 0
 		for {
-			l, r, s := 2*i+1, 2*i+2, i
-			if l < len(hp) && less(hp[l], hp[s]) {
-				s = l
-			}
-			if r < len(hp) && less(hp[r], hp[s]) {
-				s = r
-			}
-			if s == i {
+			c := 2*i + 1
+			if c >= len(hp) {
 				break
 			}
-			hp[i], hp[s] = hp[s], hp[i]
-			i = s
+			if c+1 < len(hp) && less(hp[c+1], hp[c]) {
+				c++
+			}
+			if !less(hp[c], h) {
+				break
+			}
+			hp[i] = hp[c]
+			i = c
 		}
+		hp[i] = h
 	}
 	// Each run head advances sequentially through its own region of recv,
 	// so every run gets its own stream cursor (private cache/TLB lanes):
 	// each of the P interleaved streams keeps its own hot line and page,
 	// and each access charges exactly what a LoadSeq/StoreSeq of the
-	// element charges. readers must not be appended to while open — the
-	// cursors' TLB lanes are registered by address.
+	// element charges.
 	readers := make([]machine.SeqCursor, len(starts))
 	for q := range starts {
 		recv.OpenCursor(&readers[q], p, false, machine.Private)
@@ -223,7 +236,7 @@ func multiwayMergeCharged(p *machine.Proc, recv, out *machine.Array[uint32], sta
 		}
 		readers[q].Access(starts[q])
 		k := recv.Data[starts[q]]
-		hp = append(hp, head{key: k, src: q, at: starts[q] + 1, end: starts[q] + counts[q]})
+		hp = append(hp, head{key: k, src: int32(q), at: int32(starts[q] + 1), end: int32(starts[q] + counts[q])})
 		siftUp(len(hp) - 1)
 	}
 	stepOps := 2*ilog2(len(hp)+1) + 4
@@ -235,13 +248,16 @@ func multiwayMergeCharged(p *machine.Proc, recv, out *machine.Array[uint32], sta
 		p.Compute(stepOps)
 		total++
 		if h.at < h.end {
-			readers[h.src].Access(h.at)
-			hp[0] = head{key: recv.Data[h.at], src: h.src, at: h.at + 1, end: h.end}
+			readers[h.src].Access(int(h.at))
+			h.key = recv.Data[h.at]
+			h.at++
 		} else {
-			hp[0] = hp[len(hp)-1]
+			h = hp[len(hp)-1]
 			hp = hp[:len(hp)-1]
+			if len(hp) == 0 {
+				break
+			}
 		}
-		siftDown()
+		siftDown(h)
 	}
-	p.CloseCursors()
 }
