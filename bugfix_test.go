@@ -246,34 +246,7 @@ func TestRunGridDeadlockTypedError(t *testing.T) {
 	}
 }
 
-// TestRunEachPerCellErrors: RunEach reports each cell's own fate with
-// no first-error-wins collapse, in input order.
-func TestRunEachPerCellErrors(t *testing.T) {
-	exps := []Experiment{
-		{Algorithm: Radix, Model: SHMEM, N: 1 << 12, Procs: 4},
-		{Algorithm: Radix, Model: SHMEM, N: -1, Procs: 4}, // invalid N
-		{Algorithm: Radix, Model: SHMEM, N: 1 << 12, Procs: 2},
-		{Algorithm: Radix, Model: SHMEM, N: 1 << 12, Procs: 4, Radix: 30}, // invalid radix
-	}
-	for _, par := range []int{1, 8} {
-		outs, errs := RunEach(par, exps)
-		if len(outs) != len(exps) || len(errs) != len(exps) {
-			t.Fatalf("par=%d: got %d outs / %d errs for %d cells", par, len(outs), len(errs), len(exps))
-		}
-		for _, i := range []int{0, 2} {
-			if errs[i] != nil || outs[i] == nil {
-				t.Errorf("par=%d: valid cell %d: out=%v err=%v", par, i, outs[i], errs[i])
-			}
-		}
-		for i, want := range map[int]string{1: "N must be positive", 3: "Radix must be in"} {
-			if outs[i] != nil || errs[i] == nil || !strings.Contains(errs[i].Error(), want) {
-				t.Errorf("par=%d: invalid cell %d: out=%v err=%v", par, i, outs[i], errs[i])
-			}
-		}
-	}
-}
-
-// TestGridEarliestCellOrderErrorWins pins runCells' multi-error rule:
+// TestGridEarliestCellOrderErrorWins pins RunCells' multi-error rule:
 // the earliest failing cell in CELL order wins even when a later cell's
 // failure completes first in wall-clock. Cell 0 is a baseline that
 // fails slowly, cell 1 an experiment cell that fails instantly, both
@@ -289,12 +262,12 @@ func TestGridEarliestCellOrderErrorWins(t *testing.T) {
 			time.Sleep(100 * time.Millisecond)
 			return nil, errSlow
 		}
-		_, err := h.runCells([]Experiment{
+		_, err := h.RunCells([]Experiment{
 			{Algorithm: Radix, Model: Seq, N: 1 << 12, Procs: 1, Radix: 8},
 			{Algorithm: Radix, Model: SHMEM, N: 1 << 12, Procs: 4, Radix: 8},
 		})
 		if !errors.Is(err, errSlow) {
-			t.Errorf("par=%d: runCells error = %v, want the slow cell-0 failure (cell order, not completion order)", par, err)
+			t.Errorf("par=%d: RunCells error = %v, want the slow cell-0 failure (cell order, not completion order)", par, err)
 		}
 	}
 }
@@ -337,18 +310,16 @@ func TestGridInterleaveDeterministic(t *testing.T) {
 	}
 	run := func(par int) []float64 {
 		h := NewHarness(Options{Parallelism: par})
-		cells, err := h.runCells(exps)
+		cells, err := h.RunCells(exps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var times []float64
 		for i, c := range cells {
-			// Cell parity: even indexes are baselines (a time and nothing
-			// else), odd are experiments.
-			if c.timeNs <= 0 || (c.perProc != nil) != (i%2 == 1) {
-				t.Errorf("par=%d cell %d: got %d breakdowns and time %v", par, i, len(c.perProc), c.timeNs)
+			if c.TimeNs <= 0 || len(c.PerProc) != exps[i].Procs {
+				t.Errorf("par=%d cell %d: got %d breakdowns and time %v", par, i, len(c.PerProc), c.TimeNs)
 			}
-			times = append(times, c.timeNs)
+			times = append(times, c.TimeNs)
 		}
 		if times[0] != times[4] {
 			t.Errorf("par=%d: repeated baseline cells disagree: %v vs %v", par, times[0], times[4])

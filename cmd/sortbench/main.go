@@ -10,6 +10,8 @@
 //	          [-cpuprofile out.pprof] [-memprofile out.pprof]
 //	sortbench -predict [-validate] [-j N] -n 1048576 -procs 16 -radix 8 \
 //	          [-topo numa2] [-full]
+//	sortbench -sweep radix|bufdepth|flatmem|nocontention [-j N] \
+//	          [-algo radix] [-model shmem] [-n N] [-procs P] [-dist gauss]
 //
 // -seeds K (K >= 2) switches to ensemble mode: the experiment runs at K
 // consecutive seeds starting from -seed, and the output is each
@@ -28,6 +30,14 @@
 // runs, concurrent on -j workers (default GOMAXPROCS), identical numbers
 // at any -j — and the table gains the simulated time and the
 // predicted/simulated ratio.
+//
+// -sweep runs one of the parameter sweeps and ablations DESIGN.md §4 calls
+// out over the experiment the other flags name: radix sizes 6..12,
+// MPI window depths 1..64 (-model is replaced by mpi), and the
+// flat-memory and no-contention ablations, which run every model of -algo
+// (the staged MPI library aside) as modeled and with the one mechanism
+// switched off. Sweep points are independent simulations, concurrent on
+// -j workers like -validate's.
 //
 // -paranoid shadows every simulated access with the slow reference
 // models and invariant checks of internal/check (DESIGN.md §9). Output
@@ -92,7 +102,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		metrics    = fs.String("metrics", "", "write the flat metrics map as JSON to this file")
 		predict    = fs.Bool("predict", false, "predict every programming model's radix-sort time analytically instead of simulating")
 		validate   = fs.Bool("validate", false, "with -predict: also simulate every predicted model and report the prediction error")
-		par        = fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulator runs of -predict -validate and -seeds (>= 1)")
+		sweepKind  = fs.String("sweep", "", "sweep mode: radix, bufdepth, flatmem or nocontention around the experiment")
+		par        = fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulator runs of -predict -validate, -seeds and -sweep (>= 1)")
 		cpuprof    = fs.String("cpuprofile", "", "write a host CPU profile to this file")
 		memprof    = fs.String("memprofile", "", "write a host allocation profile to this file")
 	)
@@ -113,10 +124,14 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("-predict is incompatible with -seeds, -trace, -metrics and -perproc")
 	case *validate && !*predict:
 		return fmt.Errorf("-validate needs -predict")
+	case *sweepKind != "" && (singleRunOutputs || *seedsK != 0 || *predict):
+		return fmt.Errorf("-sweep is incompatible with -seeds, -predict, -trace, -metrics and -perproc")
+	case *sweepKind != "" && sweeps[*sweepKind] == nil:
+		return fmt.Errorf("unknown sweep kind %q", *sweepKind)
 	}
 	// One Experiment for every mode, so a flag one mode honors cannot be
-	// dropped by another (-seeds and -predict forbid the flags behind
-	// Trace).
+	// dropped by another (-seeds, -predict and -sweep forbid the flags
+	// behind Trace).
 	e, _, err := repro.Request{
 		Algorithm: *algo, Model: *model, N: *n, Procs: *procs, Radix: *radix,
 		Dist: *dist, Topo: *topo, Seed: *seed, FullSize: *full,
@@ -141,11 +156,21 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			err = serr
 		}
 	}()
+	// The batch modes run their cells through one harness.
+	h := repro.NewHarness(repro.Options{Parallelism: *par})
 	switch {
 	case *predict:
-		return runPredict(stdout, e, *validate, *par)
+		return runPredict(stdout, h, e, *validate)
 	case *seedsK != 0:
 		return runEnsemble(stdout, e, *seedsK, *confidence, *par)
+	case *sweepKind != "":
+		exps, table := sweeps[*sweepKind](e)
+		cells, err := h.RunCells(exps)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, table(cells))
+		return nil
 	}
 	out, err := repro.Run(e)
 	if err != nil {
@@ -200,21 +225,21 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 // runPredict is the -predict mode: the analytic model's ranking of the
 // programming models on the experiment's platform and workload shape,
 // then the predicted winner's phases. With validate, the experiment is
-// also simulated under every predicted model, concurrently on par
+// also simulated under every predicted model, concurrently on h's
 // workers before anything is rendered.
-func runPredict(stdout io.Writer, e repro.Experiment, validate bool, par int) error {
+func runPredict(stdout io.Writer, h *repro.Harness, e repro.Experiment, validate bool) error {
 	ranked, err := repro.Predict(e)
 	if err != nil {
 		return err
 	}
-	var sims []*repro.Outcome
+	var sims []repro.Cell
 	if validate {
 		exps := make([]repro.Experiment, len(ranked))
 		for i, p := range ranked {
 			exps[i] = e
 			exps[i].Model = repro.Model(p.Model)
 		}
-		if sims, err = repro.RunAll(par, exps); err != nil {
+		if sims, err = h.RunCells(exps); err != nil {
 			return err
 		}
 	}

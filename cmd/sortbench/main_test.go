@@ -76,6 +76,9 @@ func TestCLIRejectsBeforeRunning(t *testing.T) {
 		{[]string{"-predict", "-seeds", "3"}, "-predict is incompatible"},
 		{[]string{"-predict", "-algo", "sample"}, "covers radix sort only"},
 		{[]string{"-validate"}, "-validate needs -predict"},
+		{[]string{"-sweep", "radix", "-seeds", "3"}, "-sweep is incompatible"},
+		{[]string{"-sweep", "radix", "-predict"}, "-sweep is incompatible"},
+		{[]string{"-sweep", "flatmem", "-perproc"}, "-sweep is incompatible"},
 		{[]string{"-j", "0"}, "-j must be >= 1"},
 		{[]string{"stray"}, "unexpected arguments"},
 	} {
@@ -172,5 +175,101 @@ func TestCLISeedsSameExperiment(t *testing.T) {
 	stdout, stderr, err := sortbench("-n", "4096", "-procs", "4", "-paranoid-sample", "13", "-seeds", "3")
 	if err != nil || !strings.Contains(stdout, "Ensemble summary") {
 		t.Errorf("sampled-paranoid ensemble: %v\n%s%s", err, stdout, stderr)
+	}
+}
+
+// TestCLISweep: -sweep K prints, byte for byte, what the former cmd/sweep
+// printed for -kind K on the same cell (captured from its last commit) —
+// every kind on radix sort, and the ablations' model lists for sample
+// sort on a non-default interconnect and for PSRS — at any -j.
+func TestCLISweep(t *testing.T) {
+	for _, tc := range []struct {
+		kind   string
+		args   []string
+		golden string
+	}{
+		{"radix", nil, "sweep_radix.golden"},
+		{"bufdepth", nil, "sweep_bufdepth.golden"},
+		{"flatmem", nil, "sweep_flatmem.golden"},
+		{"nocontention", nil, "sweep_nocontention.golden"},
+		{"flatmem", []string{"-algo", "sample", "-topo", "numa2"}, "sweep_flatmem_sample_numa2.golden"},
+		{"nocontention", []string{"-algo", "psrs"}, "sweep_nocontention_psrs.golden"},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range []string{"1", "4"} {
+			args := append([]string{"-sweep", tc.kind, "-n", "4096", "-procs", "4", "-j", j}, tc.args...)
+			stdout, stderr, err := sortbench(args...)
+			if err != nil || stdout != string(want) {
+				t.Errorf("sortbench %v: err %v\n%s--- stdout ---\n%s--- want (%s) ---\n%s", args, err, stderr, stdout, tc.golden, want)
+			}
+		}
+	}
+}
+
+// TestCLISweepHonorsSharedFlags: a sweep runs around the one experiment
+// the flags name, so -radix reaches the sweeps that do not sweep it and
+// -paranoid-sample reaches the machine.
+func TestCLISweepHonorsSharedFlags(t *testing.T) {
+	r8, _, err := sortbench("-sweep", "bufdepth", "-n", "4096", "-procs", "4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r6, stderr, err := sortbench("-sweep", "bufdepth", "-n", "4096", "-procs", "4", "-radix", "6")
+	if err != nil || r6 == r8 {
+		t.Errorf("-sweep bufdepth -radix 6: err %v, same table as radix 8: %v\n%s%s", err, r6 == r8, r6, stderr)
+	}
+	if _, stderr, err := sortbench("-sweep", "flatmem", "-n", "4096", "-procs", "4", "-paranoid-sample", "-1"); err == nil ||
+		!strings.Contains(stderr, "ParanoidSampleEvery must be non-negative") {
+		t.Errorf("-sweep flatmem -paranoid-sample -1: err %v, stderr %q; want the machine's rejection", err, stderr)
+	}
+}
+
+// TestCLIRejectsUnknownKind: a misspelled -sweep kind — like everything
+// else the command line can get wrong before a sweep starts — fails
+// before the profile files are created, not after leaving empty ones
+// behind.
+func TestCLIRejectsUnknownKind(t *testing.T) {
+	cpu, mem := filepath.Join(t.TempDir(), "cpu.pprof"), filepath.Join(t.TempDir(), "mem.pprof")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-sweep", "radixx", "-n", "4096", "-procs", "4"}, `unknown sweep kind "radixx"`},
+		{[]string{"-sweep", "radix", "-n", "0"}, "N must be positive"},
+		{[]string{"-sweep", "radix", "-model", "openmp"}, `unknown model "openmp"`},
+		{[]string{"-sweep", "flatmem", "-algo", "sample", "-model", "ccsas-new"}, "no program for algorithm"},
+		{[]string{"-sweep", "radix", "-j", "0"}, "-j must be >= 1"},
+		{[]string{"-sweep", "radix", "stray"}, "unexpected arguments"},
+	} {
+		args := append([]string{"-cpuprofile", cpu, "-memprofile", mem}, tc.args...)
+		stdout, stderr, err := sortbench(args...)
+		if err == nil || !strings.Contains(stderr, tc.want) || stdout != "" {
+			t.Errorf("sortbench %v: err %v, stdout %q, stderr %q; want a failure containing %q", args, err, stdout, stderr, tc.want)
+		}
+		for _, path := range []string{cpu, mem} {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("sortbench %v: %s exists after a rejected command line (stat: %v)", args, path, err)
+				os.Remove(path)
+			}
+		}
+	}
+}
+
+// TestCLIFailedSweepKeepsProfiles: a sweep that fails after the profiles
+// started (here the flatmem ablation's CC-SAS cell on 12 processors,
+// refused when the batch is validated) still stops them — the error used
+// to exit the process past the deferred stop, leaving a truncated CPU
+// profile and an empty heap profile.
+func TestCLIFailedSweepKeepsProfiles(t *testing.T) {
+	mem := filepath.Join(t.TempDir(), "mem.pprof")
+	stdout, stderr, err := sortbench("-sweep", "flatmem", "-n", "4096", "-procs", "12", "-topo", "torus", "-memprofile", mem)
+	if err == nil || !strings.Contains(stderr, "power-of-two") || stdout != "" {
+		t.Fatalf("sweep on 12 processors: err %v, stdout %q, stderr %q; want the CC-SAS cell's rejection", err, stdout, stderr)
+	}
+	if fi, err := os.Stat(mem); err != nil || fi.Size() == 0 {
+		t.Errorf("%s: missing or empty after a failed sweep (%v)", mem, err)
 	}
 }

@@ -80,18 +80,18 @@ func (o Options) withDefaults() Options {
 // sequential baselines speedups are measured against.
 //
 // A Harness is safe for concurrent use: its tables and figures run their
-// cells on a worker pool of opts.Parallelism goroutines (see runCells),
+// cells on a worker pool of opts.Parallelism goroutines (see RunCells),
 // the baseline cache is singleflight-guarded, and the Progress callback
 // is serialized. Everything else an experiment touches (Machine, caches,
 // key slices) is built per Run and shared with nothing.
 type Harness struct {
 	opts Options
 
-	// mu guards baseline, the times of the sequential cells run so far,
-	// keyed by the whole experiment. Each entry is a singleflight slot:
-	// the map lookup is cheap under mu, the expensive sequential run
-	// happens in the entry's once — one goroutine computes it, others wait
-	// on the same entry without duplicating the run.
+	// mu guards baseline, the sequential cells run so far, keyed by the
+	// whole experiment. Each entry is a singleflight slot: the map lookup
+	// is cheap under mu, the expensive sequential run happens in the
+	// entry's once — one goroutine computes it, others wait on the same
+	// entry without duplicating the run.
 	mu       sync.Mutex
 	baseline map[Experiment]*baselineEntry
 
@@ -103,7 +103,7 @@ type Harness struct {
 	stats  HarnessStats
 
 	// traceMu guards traces, the event traces of the figure cells run
-	// with opts.Trace set. runCells appends each grid's traces in cell
+	// with opts.Trace set. RunCells appends each grid's traces in cell
 	// order after the grid completes, so the sequence is deterministic at
 	// any Parallelism.
 	traceMu sync.Mutex
@@ -116,9 +116,9 @@ type Harness struct {
 
 // baselineEntry is one singleflight slot of the baseline cache.
 type baselineEntry struct {
-	once   sync.Once
-	timeNs float64
-	err    error
+	once sync.Once
+	cell Cell
+	err  error
 }
 
 // HarnessStats counts the work a harness has executed so far. The JSON
@@ -169,17 +169,17 @@ func (h *Harness) RunExperiment(e Experiment) (*Outcome, error) {
 	return out, nil
 }
 
-// sequential returns the time of one sequential cell, running it on
-// first use. It is singleflight-deduplicated: when several cells need
-// the same baseline at once, exactly one goroutine runs the experiment
-// and the rest wait for it.
+// sequential returns one sequential cell, running it on first use. It is
+// singleflight-deduplicated: when several cells need the same baseline
+// at once, exactly one goroutine runs the experiment and the rest wait
+// for it; they all get the one Cell, breakdown and all, to read.
 //
 // Only successes are cached. A failed or panicking run's entry is
 // dropped before sequential returns, so the next caller retries instead
-// of being served the stale error (or a zero time) forever
+// of being served the stale error (or a zero cell) forever
 // (internal/resultcache applies the same errors-are-never-cached rule to
 // its content-addressed store).
-func (h *Harness) sequential(e Experiment) (float64, error) {
+func (h *Harness) sequential(e Experiment) (Cell, error) {
 	h.mu.Lock()
 	slot, ok := h.baseline[e]
 	if !ok {
@@ -202,7 +202,7 @@ func (h *Harness) sequential(e Experiment) (float64, error) {
 	slot.once.Do(func() {
 		// A panicking run fails the slot like any other error before the
 		// panic goes on to fail its own cell. A panic that escapes Do
-		// unrecorded leaves the once done with a zero time and no error,
+		// unrecorded leaves the once done with a zero cell and no error,
 		// which every later figure dividing by this baseline would get.
 		defer func() {
 			if r := recover(); r != nil {
@@ -210,14 +210,9 @@ func (h *Harness) sequential(e Experiment) (float64, error) {
 				panic(r)
 			}
 		}()
-		out, err := h.RunExperiment(e)
-		if err != nil {
-			slot.err = err
-			return
-		}
-		slot.timeNs = out.TimeNs
+		slot.cell, slot.err = h.cell(e)
 	})
-	return slot.timeNs, slot.err
+	return slot.cell, slot.err
 }
 
 // program is the experiment template of one figure series: a sorting
@@ -252,7 +247,8 @@ func (h *Harness) experiment(s SizeClass, e Experiment) Experiment {
 func (h *Harness) BaselineTime(n int, dist keys.Dist) (float64, error) {
 	e := program(Radix, Seq, 1)
 	e.Dist = dist
-	return h.sequential(h.experiment(SizeClass{PaperN: n, ScaledN: n}, e))
+	c, err := h.sequential(h.experiment(SizeClass{PaperN: n, ScaledN: n}, e))
+	return c.TimeNs, err
 }
 
 // Traces returns a copy of the event traces the tables and figures
@@ -352,7 +348,7 @@ func (h *Harness) speedup(title string, lines ...series) (*SpeedupFigure, error)
 		f.Speedup[l.label] = make(map[string]float64)
 		for si, s := range f.Sizes {
 			for pi, p := range f.Procs {
-				f.Speedup[l.label][gridKey(s, p)] = g.base(si) / g.at(si, pi*len(lines)+li).timeNs
+				f.Speedup[l.label][gridKey(s, p)] = g.base(si) / g.at(si, pi*len(lines)+li).TimeNs
 			}
 		}
 	}
@@ -511,7 +507,7 @@ func (h *Harness) breakdown(title string, alg Algorithm, models ...Model) (*Brea
 	}
 	f := &BreakdownFigure{Title: title}
 	for i, mo := range models {
-		f.Panels = append(f.Panels, BreakdownPanel{Name: string(mo), PerProc: g.at(0, i).perProc})
+		f.Panels = append(f.Panels, BreakdownPanel{Name: string(mo), PerProc: g.at(0, i).PerProc})
 	}
 	return f, nil
 }
@@ -582,7 +578,7 @@ func (h *Harness) sweep(title, reference string, variants []string, ref int, row
 		return nil, err
 	}
 	return relative(title, reference, variants, sizeLabels(h.opts.Sizes), ref,
-		func(col, variant int) float64 { return g.at(col, variant).timeNs }), nil
+		func(col, variant int) float64 { return g.at(col, variant).TimeNs }), nil
 }
 
 // distNames names the distributions and finds Gauss, the reference,
@@ -681,7 +677,7 @@ func (h *Harness) FigureSkew() (*RelativeFigure, error) {
 		fmt.Sprintf("figskew: skewed workloads at the %s class, %dP, relative to each program's Gauss time",
 			size.Label, h.maxProcs()),
 		keys.Gauss.String(), names, cols, gauss,
-		func(col, variant int) float64 { return g.at(0, col*len(dists)+variant).timeNs }), nil
+		func(col, variant int) float64 { return g.at(0, col*len(dists)+variant).TimeNs }), nil
 }
 
 // BestCell is one Table 2/3 entry: the best time over models and radix
@@ -744,7 +740,7 @@ func (h *Harness) Tables23() (*BestTables, error) {
 				// (model-major, then radix).
 				best := BestCell{TimeNs: -1}
 				for c := 0; c < candidates; c++ {
-					t := g.at(si, first+pi*candidates+c).timeNs
+					t := g.at(si, first+pi*candidates+c).TimeNs
 					if best.TimeNs < 0 || t < best.TimeNs {
 						best = BestCell{TimeNs: t, Model: models[alg][c/len(radixes)], Radix: radixes[c%len(radixes)]}
 					}

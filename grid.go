@@ -143,70 +143,54 @@ func firstError(errs []error) error {
 	return nil
 }
 
-// RunAll executes the experiments concurrently on at most parallelism
-// worker goroutines (parallelism < 1 selects runtime.GOMAXPROCS(0)) and
-// returns the outcomes in input order. The simulator's virtual time is a
-// pure function of each experiment's inputs — independent of host
-// scheduling — so the outcomes are identical at any parallelism. If any
-// experiment fails, the error of the earliest failing cell (in input
-// order, not completion order) is returned; use RunEach when every
-// cell's individual error matters.
-func RunAll(parallelism int, exps []Experiment) ([]*Outcome, error) {
-	outs, errs := RunEach(parallelism, exps)
-	if err := firstError(errs); err != nil {
-		return nil, err
+// Cell is what the harness keeps of one executed experiment: what the
+// tables, figures, ensembles and sweeps consume, not the Outcome with its
+// n-key sorted array, which is garbage as soon as Run has verified it.
+type Cell struct {
+	// TimeNs is the simulated execution time.
+	TimeNs float64
+	// PerProc is the per-processor BUSY/LMEM/RMEM/SYNC split.
+	PerProc []machine.Breakdown
+	// Trace is the run's event trace, nil unless the experiment set Trace.
+	Trace *trace.Trace
+}
+
+// cell simulates one experiment through RunExperiment and reduces the
+// Outcome to its Cell.
+func (h *Harness) cell(e Experiment) (Cell, error) {
+	out, err := h.RunExperiment(e)
+	if err != nil {
+		return Cell{}, err
 	}
-	return outs, nil
+	return Cell{out.TimeNs, out.Breakdowns(), out.Trace()}, nil
 }
 
-// RunEach is RunAll without the first-error-wins collapse: it returns
-// per-cell outcomes and errors, both in input order, with exactly one of
-// outs[i]/errs[i] set per cell. Batch services (cmd/simd's /v1/grid) use
-// it to report every cell's fate instead of aborting a whole batch on
-// the first bad cell. A panicking cell yields a *PanicError in its slot.
-func RunEach(parallelism int, exps []Experiment) (outs []*Outcome, errs []error) {
-	outs = make([]*Outcome, len(exps))
-	errs = forEachCell(parallelism, len(exps), func(i int) (err error) {
-		outs[i], err = Run(exps[i])
-		return err
-	})
-	return outs, errs
-}
-
-// cell is what the harness keeps of one executed experiment: what the
-// figures consume, not the Outcome with its sorted key array.
-type cell struct {
-	timeNs  float64
-	perProc []machine.Breakdown
-	trace   *trace.Trace
-}
-
-// runCells is the harness's one cell path: every table and figure hands
-// its expanded experiments here and reduces the results, which come back
-// in the order submitted, so no rendered byte depends on scheduling.
+// RunCells is the one way to run a batch of cells: every table, figure,
+// ensemble and sweep hands its expanded experiments here and reduces the
+// results, which come back in the order submitted. The simulator's
+// virtual time is a pure function of each experiment's inputs, so no
+// result depends on Parallelism or host scheduling.
 //
-// Every cell is validated before the first is scheduled: a figure with
+// Every cell is validated before the first is scheduled: a batch with
 // one impossible cell fails at once instead of after simulating the
 // rest. Cells then run on h.opts.Parallelism workers. A sequential
 // (Model == Seq) cell goes through the singleflight baseline cache, every
 // other cell through RunExperiment. On failure the earliest failing
-// cell's error (in cell order) is returned. Traces are appended to the
-// harness in cell order once the whole grid has completed.
-func (h *Harness) runCells(exps []Experiment) ([]cell, error) {
+// cell's error (in cell order) is returned; a panicking cell's is a
+// *PanicError. Traces are appended to the harness in cell order once the
+// whole batch has completed.
+func (h *Harness) RunCells(exps []Experiment) ([]Cell, error) {
 	for _, e := range exps {
 		if err := e.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	cells := make([]cell, len(exps))
+	cells := make([]Cell, len(exps))
 	errs := forEachCell(h.opts.Parallelism, len(exps), func(i int) (err error) {
 		if exps[i].Model == Seq {
-			cells[i].timeNs, err = h.sequential(exps[i])
-			return err
-		}
-		out, err := h.RunExperiment(exps[i])
-		if err == nil {
-			cells[i] = cell{out.TimeNs, out.Breakdowns(), out.Trace()}
+			cells[i], err = h.sequential(exps[i])
+		} else {
+			cells[i], err = h.cell(exps[i])
 		}
 		return err
 	})
@@ -215,8 +199,8 @@ func (h *Harness) runCells(exps []Experiment) ([]cell, error) {
 	}
 	h.traceMu.Lock()
 	for _, c := range cells {
-		if c.trace != nil {
-			h.traces = append(h.traces, c.trace)
+		if c.Trace != nil {
+			h.traces = append(h.traces, c.Trace)
 		}
 	}
 	h.traceMu.Unlock()
@@ -230,19 +214,19 @@ func (h *Harness) runCells(exps []Experiment) ([]cell, error) {
 // replaying the loops that submitted them.
 type grid struct {
 	exps   []Experiment
-	cells  []cell
+	cells  []Cell
 	stride int // cells per size class
 	lead   int // 1 when each size class starts with its baseline
 }
 
 // at returns the result of one row's cell under one size class.
-func (g *grid) at(size, row int) cell { return g.cells[size*g.stride+g.lead+row] }
+func (g *grid) at(size, row int) Cell { return g.cells[size*g.stride+g.lead+row] }
 
 // base returns a size class's sequential baseline time.
-func (g *grid) base(size int) float64 { return g.cells[size*g.stride].timeNs }
+func (g *grid) base(size int) float64 { return g.cells[size*g.stride].TimeNs }
 
 // runGrid expands sizes × rows into experiments (each completed by
-// h.experiment) and executes them through runCells.
+// h.experiment) and executes them through RunCells.
 func (h *Harness) runGrid(sizes []SizeClass, baseline bool, rows []Experiment) (*grid, error) {
 	g := &grid{stride: len(rows)}
 	if baseline {
@@ -258,6 +242,6 @@ func (h *Harness) runGrid(sizes []SizeClass, baseline bool, rows []Experiment) (
 		}
 	}
 	var err error
-	g.cells, err = h.runCells(g.exps)
+	g.cells, err = h.RunCells(g.exps)
 	return g, err
 }

@@ -76,37 +76,42 @@ func determinismGrid() []Experiment {
 	return exps
 }
 
-// TestRunAllParallelSerialDeterminism runs the same experiment grid with
-// parallelism 1 and 8 and asserts identical simulated times and
-// per-processor breakdowns for every cell: the virtual-time model must
-// be independent of host scheduling.
-func TestRunAllParallelSerialDeterminism(t *testing.T) {
+// TestRunCellsParallelSerialDeterminism runs the same experiment grid
+// with parallelism 1 and 8 and asserts identical simulated times and
+// per-processor breakdowns for every cell, in submission order: the
+// virtual-time model must be independent of host scheduling.
+func TestRunCellsParallelSerialDeterminism(t *testing.T) {
 	exps := determinismGrid()
-	serial, err := RunAll(1, exps)
+	serial, err := NewHarness(Options{Parallelism: 1}).RunCells(exps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunAll(8, exps)
+	parallel, err := NewHarness(Options{Parallelism: 8}).RunCells(exps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range exps {
+	for i, e := range exps {
 		s, p := serial[i], parallel[i]
-		if s.Experiment != exps[i] {
-			t.Errorf("cell %d: outcome out of order: got %+v", i, s.Experiment)
+		// A cell out of order would carry another experiment's shape.
+		if len(s.PerProc) != e.Procs {
+			t.Errorf("cell %d (%s/%s): %d breakdowns, want %d", i, e.Algorithm, e.Model, len(s.PerProc), e.Procs)
 		}
 		if s.TimeNs != p.TimeNs {
-			t.Errorf("cell %d (%s/%s): TimeNs %v (serial) != %v (parallel)",
-				i, exps[i].Algorithm, exps[i].Model, s.TimeNs, p.TimeNs)
+			t.Errorf("cell %d (%s/%s): TimeNs %v (serial) != %v (parallel)", i, e.Algorithm, e.Model, s.TimeNs, p.TimeNs)
 		}
-		sb, pb := s.Breakdowns(), p.Breakdowns()
-		if len(sb) != len(pb) {
-			t.Fatalf("cell %d: breakdown lengths differ: %d vs %d", i, len(sb), len(pb))
+		if len(s.PerProc) != len(p.PerProc) {
+			t.Fatalf("cell %d: breakdown lengths differ: %d vs %d", i, len(s.PerProc), len(p.PerProc))
 		}
-		for j := range sb {
-			if sb[j] != pb[j] {
-				t.Errorf("cell %d proc %d: breakdown %+v (serial) != %+v (parallel)", i, j, sb[j], pb[j])
+		for j := range s.PerProc {
+			if s.PerProc[j] != p.PerProc[j] {
+				t.Errorf("cell %d proc %d: breakdown %+v (serial) != %+v (parallel)", i, j, s.PerProc[j], p.PerProc[j])
 			}
+		}
+	}
+	// Outcomes carry their experiment, whatever ran beside them.
+	for _, e := range exps {
+		if out, err := Run(e); err != nil || out.Experiment != e {
+			t.Errorf("Run(%+v): err %v, outcome for %+v", e, err, out.Experiment)
 		}
 	}
 }
@@ -159,25 +164,53 @@ func TestHarnessParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunAllError asserts the earliest failing cell's error is returned.
-func TestRunAllError(t *testing.T) {
+// TestRunCellsError: a batch with an invalid cell fails with that cell's
+// Validate error before any cell — the valid one ahead of it included —
+// is simulated.
+func TestRunCellsError(t *testing.T) {
 	exps := []Experiment{
 		{Algorithm: Radix, Model: SHMEM, N: 1 << 12, Procs: 4},
 		{Algorithm: Radix, Model: SHMEM, N: -1, Procs: 4},
 	}
-	if _, err := RunAll(4, exps); err == nil {
-		t.Fatal("RunAll with an invalid cell returned nil error")
+	h := NewHarness(Options{Parallelism: 4})
+	if _, err := h.RunCells(exps); err == nil || !strings.Contains(err.Error(), "N must be positive") {
+		t.Fatalf("RunCells with an invalid cell returned %v", err)
+	}
+	if runs := h.Stats().Runs; runs != 0 {
+		t.Errorf("%d cells simulated before the invalid one was reported, want 0", runs)
 	}
 }
 
-// TestRunAllEmpty covers the degenerate empty grid.
-func TestRunAllEmpty(t *testing.T) {
-	outs, err := RunAll(4, nil)
+// TestRunCellsEmpty covers the degenerate empty grid.
+func TestRunCellsEmpty(t *testing.T) {
+	cells, err := NewHarness(Options{Parallelism: 4}).RunCells(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 0 {
-		t.Fatalf("got %d outcomes for empty grid", len(outs))
+	if len(cells) != 0 {
+		t.Fatalf("got %d cells for empty grid", len(cells))
+	}
+}
+
+// TestRunCellsSequentialShared: a sequential cell reports its breakdown
+// like any other, and counts once in the harness's runs however many
+// cells of however many batches share it.
+func TestRunCellsSequentialShared(t *testing.T) {
+	seq := Experiment{Algorithm: Radix, Model: Seq, N: 1 << 12, Procs: 1, Radix: 8}
+	h := NewHarness(Options{Parallelism: 4})
+	for batch := 0; batch < 2; batch++ {
+		cells, err := h.RunCells([]Experiment{seq, seq, seq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range cells {
+			if c.TimeNs <= 0 || len(c.PerProc) != 1 || c.PerProc[0].Total() <= 0 || c.TimeNs != cells[0].TimeNs {
+				t.Errorf("batch %d cell %d: time %v, breakdowns %+v", batch, i, c.TimeNs, c.PerProc)
+			}
+		}
+	}
+	if st := h.Stats(); st.Runs != 1 {
+		t.Errorf("six cells sharing one sequential experiment counted %d runs, want 1", st.Runs)
 	}
 }
 

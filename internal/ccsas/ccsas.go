@@ -41,7 +41,9 @@ func (w *World) Barrier(p *machine.Proc) { w.M.Barrier(p) }
 
 // Flag is a pairwise synchronization flag carrying the setter's virtual
 // time, modeling a spin-wait on a shared memory word. Each Flag is
-// single-producer single-consumer per episode.
+// single-producer single-consumer per episode. A processor parked in Set
+// or Wait unwinds when another processor's panic aborts the run: the
+// peer it waits for may be the one that died.
 type Flag struct {
 	w  *World
 	ch chan float64
@@ -58,14 +60,23 @@ func (f *Flag) Set(p *machine.Proc) {
 	// The store itself is a handful of cycles; the transfer cost is paid
 	// by the waiter's observation latency.
 	p.Compute(1)
-	f.ch <- p.Now()
+	select {
+	case f.ch <- p.Now():
+	case <-f.w.M.Aborted():
+		p.Unwind()
+	}
 }
 
 // Wait spins until the flag is set, charging the wait to SYNC plus one
 // flag-line transfer.
 func (f *Flag) Wait(p *machine.Proc) {
 	start := p.Now()
-	t := <-f.ch
+	var t float64
+	select {
+	case t = <-f.ch:
+	case <-f.w.M.Aborted():
+		p.Unwind()
+	}
 	p.WaitUntil(t + f.w.flagLatencyNs)
 	if waited := p.Now() - start; waited > 0 {
 		p.TraceEvent(trace.EvMsgWait, -1, 0, waited)

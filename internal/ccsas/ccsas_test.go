@@ -3,6 +3,7 @@ package ccsas
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/machine"
 )
@@ -211,4 +212,71 @@ func TestReduceValidatesLength(t *testing.T) {
 	w.M.Run(func(p *machine.Proc) {
 		tree.Reduce(p, make([]int32, 4))
 	})
+}
+
+// TestPanicBeforeFlagSet: a processor that panics before setting a flag
+// another one waits on aborts the run like a panic before a barrier
+// does — the waiter unwinds and Run reports the failed processor. The
+// flag used to park on a bare channel, so the waiter, its peers at the
+// episode's barrier and Run itself never returned.
+func TestPanicBeforeFlagSet(t *testing.T) {
+	const buckets = 16
+	for _, tc := range []struct {
+		name  string
+		procs int
+		body  func(w *World) func(p *machine.Proc)
+	}{
+		// The radix sort's histogram step: count locally, then Reduce.
+		// Processor 1 dies while counting; processor 0 waits on its leaf
+		// flag, 2 and 3 further up the tree and at the barrier.
+		{"reduce", 4, func(w *World) func(p *machine.Proc) {
+			tree := NewPrefixTree(w, buckets)
+			return func(p *machine.Proc) {
+				local := make([]int32, buckets)
+				for k := 0; k < 64; k++ {
+					if p.ID == 1 && k == 32 {
+						panic("processor 1 lost its keys")
+					}
+					local[(k*7+p.ID)%buckets]++
+				}
+				p.Compute(64)
+				tree.Reduce(p, local)
+			}
+		}},
+		// The bare pair, both directions: 0 waits on a flag nobody sets,
+		// 2 is blocked setting one that is still full.
+		{"flags", 4, func(w *World) func(p *machine.Proc) {
+			never, full := NewFlag(w), NewFlag(w)
+			return func(p *machine.Proc) {
+				switch p.ID {
+				case 0:
+					never.Wait(p)
+				case 1:
+					panic("processor 1 lost its keys")
+				case 2:
+					full.Set(p)
+					full.Set(p)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := world(t, tc.procs)
+			body := tc.body(w)
+			done := make(chan any, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				w.M.Run(body)
+			}()
+			select {
+			case r := <-done:
+				pp, ok := r.(*machine.ProcPanic)
+				if !ok || pp.Proc != 1 {
+					t.Fatalf("Run panicked with %v, want a *machine.ProcPanic naming processor 1", r)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run never returned: a processor is parked on a flag of the aborted run")
+			}
+		})
+	}
 }

@@ -137,15 +137,15 @@ func TestBarrierPropertyClocksEqualAfterwards(t *testing.T) {
 
 func TestScatteredContentionLoadDependence(t *testing.T) {
 	cfg := Origin2000Scaled(64)
-	light := cfg.scatteredContention(64, 1024)           // tiny burst
-	heavy := cfg.scatteredContention(64, cfg.Cache.Size) // cache-scale scatter
+	light := cfg.ScatteredContention(64, 1024)           // tiny burst
+	heavy := cfg.ScatteredContention(64, cfg.Cache.Size) // cache-scale scatter
 	if light >= heavy {
 		t.Errorf("light-load factor (%v) should be below heavy-load (%v)", light, heavy)
 	}
 	if light <= 1 {
 		t.Errorf("floored light-load factor should still exceed 1, got %v", light)
 	}
-	over := cfg.scatteredContention(64, 100*cfg.Cache.Size)
+	over := cfg.ScatteredContention(64, 100*cfg.Cache.Size)
 	if over != heavy {
 		t.Errorf("load should saturate at 1: %v vs %v", over, heavy)
 	}

@@ -30,7 +30,10 @@ type Barrier struct {
 	release float64
 	// aborted wakes the waiters of a run in which some member panicked;
 	// they unwind instead of waiting for an arrival that cannot come.
+	// abortCh is closed with it, for processors parked on a channel of
+	// their own (Machine.Aborted).
 	aborted bool
+	abortCh chan struct{}
 	// admit, when a test sets it, says whether member id may arrive now
 	// that arrived members are waiting; a refused member yields and asks
 	// again, which lets a test force any arrival order.
@@ -40,7 +43,7 @@ type Barrier struct {
 // NewBarrier builds a barrier for the given member count and per-episode
 // cost in nanoseconds.
 func NewBarrier(members int, cost float64) *Barrier {
-	b := &Barrier{members: members, cost: cost}
+	b := &Barrier{members: members, cost: cost, abortCh: make(chan struct{})}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -56,14 +59,19 @@ func (b *Barrier) Reset() {
 	b.waiting = 0
 	b.maxClock = 0
 	b.release = 0
-	b.aborted = false
+	if b.aborted {
+		b.aborted, b.abortCh = false, make(chan struct{})
+	}
 }
 
 // abort releases every current and future waiter, which unwind by
 // panicking with runAborted.
 func (b *Barrier) abort() {
 	b.mu.Lock()
-	b.aborted = true
+	if !b.aborted {
+		b.aborted = true
+		close(b.abortCh)
+	}
 	b.mu.Unlock()
 	b.cond.Broadcast()
 }
@@ -72,6 +80,16 @@ func (b *Barrier) abort() {
 // meeting point of a run another processor's panic has aborted; Run does
 // not report it.
 type runAborted struct{}
+
+// Aborted returns a channel that is closed once a processor body of the
+// current Run has panicked. A primitive outside this package that parks
+// a processor on a channel of its own (ccsas.Flag) selects on this one
+// too and calls Unwind when it fires, so its waiters leave an aborted
+// run the way Barrier and Rendezvous waiters do.
+func (m *Machine) Aborted() <-chan struct{} { return m.barrier.abortCh }
+
+// Unwind abandons the calling processor's body in an aborted run.
+func (p *Proc) Unwind() { panic(runAborted{}) }
 
 // meet parks member id, arriving at virtual time clock, until all
 // members have arrived and returns the common release time. The last

@@ -38,7 +38,7 @@ type Config struct {
 	// deterministic contention factor charged during communication phases:
 	// factor = 1 + perProc * (communicatingProcs - 1), scaled for
 	// scattered traffic by how saturating the phase is (see
-	// scatteredContention). Scattered (fine-grained, per-line) traffic
+	// ScatteredContention). Scattered (fine-grained, per-line) traffic
 	// contends much harder than bulk transfers because each line moves a
 	// full protocol transaction (request, invalidations, acknowledgements,
 	// later writeback) through the home memory controller, which is the
@@ -47,7 +47,7 @@ type Config struct {
 	ContentionScatteredPerProc float64
 	ContentionBulkPerProc      float64
 	// ContentionLoadFloor is the minimum load fraction used by
-	// scatteredContention: even short scattered bursts collide at the
+	// ScatteredContention: even short scattered bursts collide at the
 	// home controllers, so the penalty never ramps entirely to zero.
 	ContentionLoadFloor float64
 
@@ -120,13 +120,15 @@ func (c *Config) contentionFactor(q int, scattered bool) float64 {
 	return 1 + per*float64(q-1)
 }
 
-// scatteredContention returns the multiplier for a scattered all-to-all
+// ScatteredContention returns the multiplier for a scattered all-to-all
 // phase in which q processors each move bytesPerProc of fine-grained
 // traffic. Directory controllers saturate only under sustained load: a
 // burst smaller than the cache drains without queueing, so the per-
 // processor penalty ramps linearly with the phase's volume up to one
-// cache-full of traffic per processor.
-func (c *Config) scatteredContention(q, bytesPerProc int) float64 {
+// cache-full of traffic per processor. The analytic model
+// (internal/perfmodel) prices its scattered phases through this method,
+// so the curve has one body.
+func (c *Config) ScatteredContention(q, bytesPerProc int) float64 {
 	if c.NoContention || q <= 1 {
 		return 1
 	}

@@ -206,7 +206,8 @@ type Blame struct {
 // phases of one experiment are intentional).
 //
 // A panic in any processor body aborts the run: processors parked at a
-// Barrier or a Rendezvous, and those that reach one later, unwind, and
+// Barrier, a Rendezvous or a channel selected against Aborted, and those
+// that reach one later, unwind, and
 // once every goroutine has returned Run panics on the caller's goroutine
 // with a *ProcPanic for the lowest-numbered processor that failed.
 func (m *Machine) Run(body func(p *Proc)) *Result {

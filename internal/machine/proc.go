@@ -281,7 +281,7 @@ func (p *Proc) ContentionFactor(q int, scattered bool) float64 {
 // all-to-all phase moving bytesPerProc per processor; light bursts stay
 // near 1, sustained cache-scale scatter saturates the home controllers.
 func (p *Proc) ScatteredContentionFactor(q, bytesPerProc int) float64 {
-	return p.m.cfg.scatteredContention(q, bytesPerProc)
+	return p.m.cfg.ScatteredContention(q, bytesPerProc)
 }
 
 // chargeLocal adds a local-memory stall.

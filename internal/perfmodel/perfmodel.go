@@ -188,7 +188,7 @@ func (pr *Predictor) Predict(model Model, w Workload) (*Prediction, error) {
 		// Scattered remote writes: per-line three-hop ownership transfers
 		// plus writebacks, under saturated-scatter contention; TLB misses
 		// span the whole output array.
-		cont := contentionScattered(pr.cfg, w.Procs, int(np)*4)
+		cont := pr.cfg.ScatteredContention(w.Procs, int(np)*4)
 		lines := np / pr.lineKeys() * remoteFrac
 		scatter := lines * (pr.remoteMissNs()/overlap + wbNs(pr.cfg)) * cont
 		tlbGlobal := np * pr.tlbMissRatio(w.N*4, buckets) * pr.cfg.TLBMissNs
@@ -196,7 +196,7 @@ func (pr *Predictor) Predict(model Model, w Workload) (*Prediction, error) {
 		phases["permute"] = passes * (permBusy + tlbGlobal)
 		phases["histogram"] = passes * pr.treeNs(w.Procs, buckets)
 	case CCSASNew:
-		cont := 1 + (contentionScattered(pr.cfg, w.Procs, int(np)*4)-1)/2
+		cont := 1 + (pr.cfg.ScatteredContention(w.Procs, int(np)*4)-1)/2
 		lines := np / pr.lineKeys() * remoteFrac
 		phases["transfer"] = passes * lines * (pr.remoteMissNs() / overlap) * cont
 		phases["histogram"] = passes * pr.treeNs(w.Procs, buckets)
@@ -292,19 +292,4 @@ func (pr *Predictor) allgatherNs(procs, buckets int) float64 {
 func wbNs(cfg machine.Config) float64 {
 	return cfg.Coherence.DirOccupancy +
 		float64(cfg.Coherence.DataBytes+cfg.Coherence.CtrlBytes)/cfg.Topology.LinkBandwidth
-}
-
-// contentionScattered mirrors the machine's saturation model.
-func contentionScattered(cfg machine.Config, q, bytesPerProc int) float64 {
-	if q <= 1 {
-		return 1
-	}
-	load := float64(bytesPerProc) / float64(cfg.Cache.Size)
-	if load < cfg.ContentionLoadFloor {
-		load = cfg.ContentionLoadFloor
-	}
-	if load > 1 {
-		load = 1
-	}
-	return 1 + cfg.ContentionScatteredPerProc*float64(q-1)*load
 }

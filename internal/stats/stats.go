@@ -12,8 +12,8 @@
 // only fails when an ordering flips *outside* its confidence band.
 //
 // Everything here is deterministic: seeds are BaseSeed..BaseSeed+K-1,
-// cells run through repro.RunAll (input-order gather on a bounded
-// pool), and the Ensemble document serializes only slices in fixed
+// cells run through repro.Harness.RunCells (input-order gather on a
+// bounded pool), and the Ensemble document serializes only slices in fixed
 // variant-major order — so the rendered document is byte-identical at
 // any parallelism.
 package stats
@@ -232,7 +232,7 @@ func RunEnsemble(cfg Config, variants []Variant) (*Ensemble, error) {
 			cells = append(cells, e)
 		}
 	}
-	outs, err := repro.RunAll(cfg.Parallelism, cells)
+	outs, err := repro.NewHarness(repro.Options{Parallelism: cfg.Parallelism}).RunCells(cells)
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +247,7 @@ func RunEnsemble(cfg Config, variants []Variant) (*Ensemble, error) {
 		for k := 0; k < cfg.Seeds; k++ {
 			o := outs[vi*cfg.Seeds+k]
 			var sum [4]float64
-			for _, b := range o.Breakdowns() {
+			for _, b := range o.PerProc {
 				sum[0] += b.Busy
 				sum[1] += b.LMem
 				sum[2] += b.RMem

@@ -15,7 +15,8 @@
 //   - Harness drives the paper's full evaluation: Table1 through Table3
 //     and Figure1 through Figure10 regenerate the same rows and series
 //     the paper reports (on the scaled machine by default; see DESIGN.md
-//     for the scaling argument).
+//     for the scaling argument). Harness.RunCells is the engine under
+//     all of them and the one way to run any other batch of experiments.
 package repro
 
 import (
@@ -497,11 +498,8 @@ func Run(e Experiment) (*Outcome, error) {
 		}
 	}
 	// Return the machine's slab arena to the process-wide pool so the
-	// next grid cell reuses it. Sorted aliases arena memory — detach it
-	// first so the Outcome outlives the release.
-	sorted := make([]uint32, len(res.Sorted))
-	copy(sorted, res.Sorted)
-	res.Sorted = sorted
+	// next grid cell reuses it. Nothing in res lives there: every program
+	// gathers its output into a slice of its own.
 	m.Release()
 	return &Outcome{Experiment: e, Result: res, TimeNs: res.TimeNs(), Verified: true}, nil
 }

@@ -20,16 +20,55 @@ func runExp(t *testing.T, e Experiment) *Outcome {
 	return out
 }
 
-func TestRunAllCombinations(t *testing.T) {
-	// Every algorithm × model pair executes and verifies on a small size.
+// TestRunCellsCombinations: every algorithm × model pair executes as one
+// batch, and each cell comes back with a time and one breakdown per
+// processor; Run verifies each pair's output on the way, and says so on
+// the Outcome.
+func TestRunCellsCombinations(t *testing.T) {
+	var exps []Experiment
 	for _, alg := range []Algorithm{Radix, Sample, Psrs} {
 		for _, mo := range Models(alg) {
-			out := runExp(t, Experiment{
-				Algorithm: alg, Model: mo, N: 1 << 13, Procs: 8, Radix: 8,
-			})
-			if out.TimeNs <= 0 {
-				t.Errorf("%s/%s: no simulated time", alg, mo)
-			}
+			exps = append(exps, Experiment{Algorithm: alg, Model: mo, N: 1 << 13, Procs: 8, Radix: 8})
+		}
+	}
+	cells, err := NewHarness(Options{}).RunCells(exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range exps {
+		if cells[i].TimeNs <= 0 || len(cells[i].PerProc) != e.Procs {
+			t.Errorf("%s/%s: simulated time %v, %d breakdowns", e.Algorithm, e.Model, cells[i].TimeNs, len(cells[i].PerProc))
+		}
+		if out := runExp(t, e); out.TimeNs != cells[i].TimeNs {
+			t.Errorf("%s/%s: Run says %v ns, the batch %v", e.Algorithm, e.Model, out.TimeNs, cells[i].TimeNs)
+		}
+	}
+}
+
+// TestOutcomeSurvivesLaterRuns: an Outcome owns its sorted keys. Run
+// hands the machine's slabs back to the process-wide arena before it
+// returns, and later cells of the same shape take them over; the first
+// Outcome's output must still be its own input, sorted.
+func TestOutcomeSurvivesLaterRuns(t *testing.T) {
+	for _, e := range []Experiment{
+		{Algorithm: Radix, Model: SHMEM, N: 1 << 14, Procs: 4, Radix: 8, Seed: 1},
+		{Algorithm: Radix, Model: CCSAS, N: 1 << 14, Procs: 4, Radix: 8, Seed: 1},
+		{Algorithm: Sample, Model: MPI, N: 1 << 14, Procs: 4, Radix: 8, Seed: 1},
+		{Algorithm: Psrs, Model: CCSAS, N: 1 << 14, Procs: 4, Radix: 8, Seed: 1},
+		{Algorithm: Radix, Model: Seq, N: 1 << 14, Procs: 1, Radix: 8, Seed: 1},
+	} {
+		first := runExp(t, e)
+		for _, seed := range []uint64{2, 3} {
+			later := e
+			later.Seed = seed
+			runExp(t, later)
+		}
+		in, err := keys.Generate(e.Dist, keys.GenConfig{N: e.N, Procs: e.Procs, RadixBits: e.Radix, Seed: e.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := verifySorted(in, first.Result.Sorted); err != nil {
+			t.Errorf("%s: output after two later runs: %v", e.Label(), err)
 		}
 	}
 }

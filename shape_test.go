@@ -11,7 +11,7 @@ import (
 // target from DESIGN.md §3 / EXPERIMENTS.md as an executable assertion
 // on a reduced grid, parameterized by an experiment modifier so the
 // ablation test below can prove the checks actually depend on the
-// memory-system model: under the `sweep -kind flatmem` configuration
+// memory-system model: under the `sortbench -sweep flatmem` configuration
 // (Experiment.FlatMemory — uniform memory, no coherence) at least one
 // target must demonstrably fail, guarding against the paper's effects
 // silently disappearing from the simulator.
@@ -457,7 +457,7 @@ func TestShapeTargets(t *testing.T) {
 }
 
 // TestShapeTargetsFailUnderFlatMemory proves the suite has teeth: under
-// the flat-memory ablation (`sweep -kind flatmem`: uniform miss cost, no
+// the flat-memory ablation (`sortbench -sweep flatmem`: uniform miss cost, no
 // coherence protocol, no NUMA) at least one paper-shape target must
 // fail. If everything still passes, the shape suite is not actually
 // sensitive to the memory-system effects the paper is about.
