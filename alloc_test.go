@@ -3,6 +3,8 @@ package repro
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/machine"
 )
 
 // TestSmallCellAllocBudget bounds what one small-n / large-P cell may
@@ -17,7 +19,9 @@ import (
 // 25.8 MB, against 20.8 and 72.0 MB when every message was a heap
 // object, a channel and a copied payload — so a per-message allocation
 // coming back fails here too. The second Run of each cell is measured,
-// so the slab arena and lazily built tables are warm.
+// so the slab arena and lazily built tables are warm — and must map no
+// slab: off-heap slabs never reach TotalAlloc, so an arena miss would
+// not show in the budget.
 func TestSmallCellAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are not the program's")
@@ -34,6 +38,7 @@ func TestSmallCellAllocBudget(t *testing.T) {
 			t.Fatalf("%s: %v", tc.e.Label(), err)
 		}
 		var before, after runtime.MemStats
+		maps := machine.ArenaStats().Maps
 		runtime.ReadMemStats(&before)
 		if _, err := Run(tc.e); err != nil {
 			t.Fatalf("%s: %v", tc.e.Label(), err)
@@ -43,6 +48,9 @@ func TestSmallCellAllocBudget(t *testing.T) {
 		t.Logf("%s: %.1f MB allocated", tc.e.Label(), mb)
 		if mb > tc.budgetMB {
 			t.Errorf("%s allocated %.1f MB, budget %.1f MB", tc.e.Label(), mb, tc.budgetMB)
+		}
+		if n := machine.ArenaStats().Maps - maps; n != 0 {
+			t.Errorf("%s mapped %d slabs on its second run, want 0", tc.e.Label(), n)
 		}
 	}
 }

@@ -27,7 +27,7 @@
 //	                        the batch), then a summary line
 //	GET  /v1/result/{hash}  look up a result by its content address
 //	GET  /healthz           liveness
-//	GET  /statsz            harness run counters + cache tier stats
+//	GET  /statsz            harness run counters + cache tier stats + slab arena
 //
 // Request validation failures are 4xx; simulation failures are 5xx. A
 // panic in any cell is recovered per cell (repro.ForEachIndex /

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/machine"
 	"repro/internal/resultcache"
 )
 
@@ -352,6 +353,8 @@ type statszResponse struct {
 	Jobs        int                `json:"jobs"`
 	Harness     repro.HarnessStats `json:"harness"`
 	Cache       resultcache.Stats  `json:"cache"`
+	// Arena is the process-wide slab pool backing simulated arrays.
+	Arena machine.ArenaUsage `json:"arena"`
 }
 
 func (s *server) handleStatsz(w http.ResponseWriter, r *http.Request) {
@@ -362,6 +365,7 @@ func (s *server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Jobs:        s.cfg.Jobs,
 		Harness:     s.h.Stats(),
 		Cache:       s.cache.Stats(),
+		Arena:       machine.ArenaStats(),
 	})
 }
 

@@ -446,6 +446,9 @@ func TestHealthzStatsz(t *testing.T) {
 	if st.CodeVersion == "" || st.Jobs < 1 {
 		t.Errorf("statsz metadata incomplete: %+v", st)
 	}
+	if a := st.Arena; a.HighWater <= 0 || a.Mapped > a.HighWater {
+		t.Errorf("statsz arena = %+v, want slabs mapped up to a positive high-water mark", a)
+	}
 }
 
 // TestMethodNotAllowed: the mux's method patterns reject mismatches.

@@ -2,30 +2,81 @@ package machine
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"unsafe"
 )
 
-// This file is the per-machine slab arena (DESIGN.md §13): Array backing
-// slices are carved out of pooled []uint64 slabs instead of fresh heap
-// allocations, and Machine.Release returns every slab a machine borrowed
-// to a process-wide pool. A grid of experiment cells (paperfigs,
-// bench_test) builds one machine per cell with near-identical array
-// footprints, so after the first cell the steady state allocates no
-// array memory at all (TestArenaReuse).
+// This file is the slab arena (DESIGN.md §13): Array backing slices are
+// carved out of pooled []uint64 slabs instead of fresh allocations, and
+// Machine.Release returns every slab a machine borrowed to one
+// process-wide pool. A grid of experiment cells (paperfigs, cmd/bench's
+// paper-grid, simd) builds one machine per cell with near-identical array
+// footprints, so after the first cells the steady state maps no array
+// memory at all (TestArenaReuse, TestArenaBound).
+//
+// Where the build allows (arena_mmap.go: unix without the race detector)
+// slabs of 64 KiB and more are anonymous mappings outside the Go heap, so
+// neither borrowed nor idle slab bytes raise the collector's heap goal;
+// smaller slabs, and every slab of the other builds (arena_heap.go), are
+// made on the heap. The builds differ only in mapSlab/unmapSlab.
+//
+// The pool holds at most the most slab memory ever borrowed at once, its
+// high-water mark. A borrow takes the smallest idle slab of its class or
+// a larger one; only when there is none does it map a new slab, after
+// unmapping the longest-idle slabs until the new one fits under the mark.
 //
 // Slabs hold only pointer-free element types (the sorts use uint32 keys
 // and int32/int64 bookkeeping), so viewing a []uint64 slab as []T is
 // safe for the garbage collector; any other element type silently falls
 // back to a plain make.
+//
+// An Array's Data must not outlive its machine. Release hands the slabs
+// to later machines, which zero and overwrite them; a machine dropped
+// without Release has its slabs unmapped once the collector finds it
+// unreachable (slabList's finalizer), and a Data slice kept past that
+// faults.
 
-// slabPool is the process-wide free list, bucketed by power-of-two word
-// count. Machines borrow under a mutex at array-construction time — not
-// on any simulated-access path — so contention is negligible.
-var slabPool struct {
-	mu      sync.Mutex
-	classes [48][][]uint64
+// ArenaUsage is a snapshot of the process-wide slab pool. Heap-made
+// slabs count as mapped too: to map a slab is to take it from the host.
+type ArenaUsage struct {
+	// InUse is the slab bytes machines hold and have not released.
+	InUse int64 `json:"in_use_bytes"`
+	// Mapped is the slab bytes the pool owns, borrowed or idle.
+	Mapped int64 `json:"mapped_bytes"`
+	// HighWater is the most InUse has ever been; Mapped never exceeds it.
+	HighWater int64 `json:"high_water_bytes"`
+	// Maps and Unmaps count slabs taken from and given back to the host.
+	Maps   uint64 `json:"maps"`
+	Unmaps uint64 `json:"unmaps"`
 }
+
+// ArenaStats returns the slab pool's current usage.
+func ArenaStats() ArenaUsage {
+	slabPool.mu.Lock()
+	defer slabPool.mu.Unlock()
+	return slabPool.usage
+}
+
+// arenaPool is the process-wide free list, bucketed by power-of-two word
+// count. Machines borrow under its mutex at array-construction time —
+// not on any simulated-access path — so contention is negligible.
+type arenaPool struct {
+	mu sync.Mutex
+	// idle holds each class's idle slabs, longest idle first; tick
+	// stamps a slab with when it went idle.
+	idle  [48][]idleSlab
+	tick  uint64
+	usage ArenaUsage
+}
+
+type idleSlab struct {
+	s     []uint64
+	since uint64
+}
+
+var slabPool arenaPool
 
 // slabClass returns the smallest power-of-two class holding words words.
 func slabClass(words int) int {
@@ -36,29 +87,101 @@ func slabClass(words int) int {
 	return c
 }
 
-// slabGet pops a pooled slab of at least words words, or allocates one.
-func slabGet(words int) []uint64 {
+func slabBytes(s []uint64) int64 { return int64(len(s)) * 8 }
+
+// get borrows a slab of at least words words: the smallest idle slab
+// that fits, or else a new one of exactly the class, whose memory is
+// already zero (fresh).
+func (p *arenaPool) get(words int) (s []uint64, fresh bool) {
 	c := slabClass(words)
-	slabPool.mu.Lock()
-	if free := slabPool.classes[c]; len(free) > 0 {
-		s := free[len(free)-1]
-		free[len(free)-1] = nil
-		slabPool.classes[c] = free[:len(free)-1]
-		slabPool.mu.Unlock()
-		return s
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for k := c; k < len(p.idle); k++ {
+		if free := p.idle[k]; len(free) > 0 {
+			s = free[len(free)-1].s
+			free[len(free)-1] = idleSlab{}
+			p.idle[k] = free[:len(free)-1]
+			p.usage.InUse += slabBytes(s)
+			return s, false
+		}
 	}
-	slabPool.mu.Unlock()
-	return make([]uint64, 1<<c)
+	size := int64(8) << c
+	p.usage.InUse += size
+	p.usage.HighWater = max(p.usage.HighWater, p.usage.InUse)
+	for p.usage.Mapped+size > p.usage.HighWater && p.unmapOldest() {
+	}
+	p.usage.Mapped += size
+	p.usage.Maps++
+	return mapSlab(1 << c), true
 }
 
-// slabPut returns slabs to the pool.
-func slabPut(slabs [][]uint64) {
-	slabPool.mu.Lock()
-	for _, s := range slabs {
-		c := slabClass(cap(s))
-		slabPool.classes[c] = append(slabPool.classes[c], s[:cap(s)])
+// unmapOldest gives the longest-idle slab back to the host, and reports
+// whether there was one. Every idle slab is smaller than the borrow that
+// calls it: one that fits would have been taken.
+func (p *arenaPool) unmapOldest() bool {
+	oldest := -1
+	for c, free := range p.idle {
+		if len(free) > 0 && (oldest < 0 || free[0].since < p.idle[oldest][0].since) {
+			oldest = c
+		}
 	}
-	slabPool.mu.Unlock()
+	if oldest < 0 {
+		return false
+	}
+	s := p.idle[oldest][0].s
+	p.idle[oldest] = slices.Delete(p.idle[oldest], 0, 1)
+	p.usage.Mapped -= slabBytes(s)
+	p.usage.Unmaps++
+	unmapSlab(s)
+	return true
+}
+
+// put returns released slabs to the pool as its newest idle ones.
+func (p *arenaPool) put(slabs [][]uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, s := range slabs {
+		p.usage.InUse -= slabBytes(s)
+		p.tick++
+		c := slabClass(len(s))
+		p.idle[c] = append(p.idle[c], idleSlab{s, p.tick})
+	}
+}
+
+// drop unmaps the slabs of a machine nobody released.
+func (p *arenaPool) drop(slabs [][]uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, s := range slabs {
+		p.usage.InUse -= slabBytes(s)
+		p.usage.Mapped -= slabBytes(s)
+		p.usage.Unmaps++
+		unmapSlab(s)
+	}
+}
+
+// slabList is the slabs one machine has borrowed. It is an object of its
+// own so a finalizer can watch it: a Machine is in a cycle with its
+// Procs, and the runtime need not finalize a cycle. mu guards slabs:
+// Grow reallocations happen inside Run bodies, so concurrent processors
+// can borrow at the same time.
+type slabList struct {
+	mu    sync.Mutex
+	slabs [][]uint64
+}
+
+// newSlabList returns an empty list whose slabs are unmapped if its
+// machine becomes unreachable unreleased.
+func newSlabList() *slabList {
+	l := new(slabList)
+	runtime.SetFinalizer(l, func(l *slabList) { slabPool.drop(l.slabs) })
+	return l
+}
+
+func (l *slabList) add(s []uint64) {
+	l.mu.Lock()
+	l.slabs = append(l.slabs, s)
+	l.mu.Unlock()
 }
 
 // arenaBacked reports whether []T may be backed by slab memory: T must
@@ -86,12 +209,12 @@ func arenaMake[T any](m *Machine, n, elemSize int) []T {
 		return make([]T, n)
 	}
 	words := (n*elemSize + 7) / 8
-	s := slabGet(words)
-	clear(s[:words])
-	m.arenaMu.Lock()
-	m.arena = append(m.arena, s)
-	m.arenaMu.Unlock()
-	full := unsafe.Slice((*T)(unsafe.Pointer(&s[0])), cap(s)*8/elemSize)
+	s, fresh := slabPool.get(words)
+	if !fresh {
+		clear(s[:words])
+	}
+	m.arena.add(s)
+	full := unsafe.Slice((*T)(unsafe.Pointer(&s[0])), len(s)*8/elemSize)
 	return full[:n]
 }
 
@@ -102,11 +225,10 @@ func arenaMake[T any](m *Machine, n, elemSize int) []T {
 // the machine remains usable, but arrays created before Release must no
 // longer be used.
 func (m *Machine) Release() {
-	m.arenaMu.Lock()
-	slabs := m.arena
-	m.arena = nil
-	m.arenaMu.Unlock()
-	if len(slabs) > 0 {
-		slabPut(slabs)
-	}
+	l := m.arena
+	l.mu.Lock()
+	slabs := l.slabs
+	l.slabs = nil
+	l.mu.Unlock()
+	slabPool.put(slabs)
 }

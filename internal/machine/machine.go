@@ -45,11 +45,8 @@ type Machine struct {
 	checker *check.Checker
 
 	// arena is the slab memory this machine's arrays have borrowed from
-	// the process-wide pool; Release returns it (see arena.go). arenaMu
-	// guards it: Grow reallocations happen inside Run bodies, so
-	// concurrent processors can borrow slabs at the same time.
-	arenaMu sync.Mutex
-	arena   [][]uint64
+	// the process-wide pool; Release returns it (see arena.go).
+	arena *slabList
 }
 
 // New builds a machine from cfg. The configuration is validated and its
@@ -71,6 +68,7 @@ func New(cfg Config) (*Machine, error) {
 		top:   top,
 		as:    as,
 		proto: coherence.NewProtocol(top, cfg.Coherence),
+		arena: newSlabList(),
 	}
 	// Precompute the coherence pricing table before processors are
 	// built: each Proc caches its own row pointers.

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"repro/internal/cache"
 )
@@ -408,32 +407,6 @@ func TestStreamKernelsZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("stream kernels allocate %.1f/op in steady state, want 0", allocs)
 	}
-}
-
-// TestArenaReuse proves Release recycles array backing memory: after a
-// machine releases its slabs, a second machine allocating the same
-// array footprint gets the same backing slab back from the pool (LIFO),
-// and its contents arrive zeroed despite the first machine's writes.
-func TestArenaReuse(t *testing.T) {
-	m1 := testMachine(t, 2)
-	a1 := NewArrayBlocked[uint32](m1, "k", 1<<12)
-	for i := range a1.Data {
-		a1.Data[i] = 0xDEADBEEF
-	}
-	p1 := unsafe.Pointer(&a1.Data[0])
-	m1.Release()
-
-	m2 := testMachine(t, 2)
-	a2 := NewArrayBlocked[uint32](m2, "k", 1<<12)
-	if unsafe.Pointer(&a2.Data[0]) != p1 {
-		t.Error("released slab was not reused for an identical allocation")
-	}
-	for i, v := range a2.Data {
-		if v != 0 {
-			t.Fatalf("reused slab not zeroed at %d: %#x", i, v)
-		}
-	}
-	m2.Release()
 }
 
 // TestGrowAmortized asserts Grow's capacity doubling: growing an array

@@ -454,6 +454,11 @@ func Run(e Experiment) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Return the machine's slab arena to the process-wide pool so the
+	// next grid cell reuses it, on every path out, a failed or panicking
+	// run included. Nothing in the Outcome lives there: every program
+	// gathers its output into a slice of its own.
+	defer m.Release()
 	if e.Trace {
 		m.EnableTracing()
 	}
@@ -497,10 +502,6 @@ func Run(e Experiment) (*Outcome, error) {
 			}
 		}
 	}
-	// Return the machine's slab arena to the process-wide pool so the
-	// next grid cell reuses it. Nothing in res lives there: every program
-	// gathers its output into a slice of its own.
-	m.Release()
 	return &Outcome{Experiment: e, Result: res, TimeNs: res.TimeNs(), Verified: true}, nil
 }
 

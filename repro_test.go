@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/keys"
+	"repro/internal/machine"
+	"repro/internal/sorts"
 )
 
 // run is a test helper executing one experiment.
@@ -70,6 +72,24 @@ func TestOutcomeSurvivesLaterRuns(t *testing.T) {
 		if err := verifySorted(in, first.Result.Sorted); err != nil {
 			t.Errorf("%s: output after two later runs: %v", e.Label(), err)
 		}
+	}
+}
+
+// TestRunReleasesOnFailure: a Run whose output fails verification still
+// hands its machine's slabs back, so a failing cell leaks no memory.
+func TestRunReleasesOnFailure(t *testing.T) {
+	sorts.SetCorruptPSRSBoundaryForTest(func(proc, _ int, b []int64) {
+		if proc == 0 && len(b) >= 3 {
+			b[1] = (b[1] + b[2] + 1) / 2 // keys leak into the next destination
+		}
+	})
+	defer sorts.SetCorruptPSRSBoundaryForTest(nil)
+	before := machine.ArenaStats().InUse
+	if _, err := Run(Experiment{Algorithm: Psrs, Model: MPI, N: 1 << 13, Procs: 4, Radix: 8}); err == nil {
+		t.Fatal("a corrupted PSRS run verified")
+	}
+	if after := machine.ArenaStats().InUse; after != before {
+		t.Errorf("%d slab bytes in use after the failed run, want %d", after, before)
 	}
 }
 
