@@ -13,7 +13,7 @@ import (
 // pass (as every processor of the simulated program does) costs the
 // host P² × B words a pass — 1 122 MB for the first cell below. The
 // sorting programs build each plan once per run and share it
-// (internal/sorts/runmemo.go); a per-processor build coming back fails
+// (internal/sorts/shared.go); a per-processor build coming back fails
 // here by an order of magnitude, not by a slow job. The two message-
 // passing budgets are what the cells allocate plus a quarter — 6.9 and
 // 25.8 MB, against 20.8 and 72.0 MB when every message was a heap

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -95,6 +97,78 @@ func TestRendezvousLastArrival(t *testing.T) {
 	if err, ok := r.(error); !ok || !errors.Is(err, cause) {
 		t.Errorf("errors.Is cannot see %v through %v", cause, r)
 	}
+}
+
+// Processors that reach the gate for different collectives fail the run,
+// naming both, instead of one side's closure serving the other; the
+// machine's next run is unaffected.
+func TestMismatchedCollectivesFail(t *testing.T) {
+	m := testMachine(t, 4)
+	defer m.SetArrivalOrderForTest(nil)
+	// Processor 0 arrives first, processor 1 second.
+	m.SetArrivalOrderForTest(func(proc, arrived int) bool { return proc == arrived })
+	for _, tc := range []struct {
+		kind string
+		call func(p *Proc)
+	}{
+		{"rendezvous", func(p *Proc) { m.Rendezvous(p, func() { t.Error("a rendezvous completed") }) }},
+		{"shared step", func(p *Proc) { Share(p, func() int { t.Error("a shared step was built"); return 0 }) }},
+	} {
+		r := runPanic(t, m, func(p *Proc) {
+			if p.ID == 0 {
+				m.Barrier(p)
+			} else {
+				tc.call(p)
+			}
+		})
+		want := "processor 1 arrived at a " + tc.kind + " while processor 0 waits at a barrier"
+		if pp, ok := r.(*ProcPanic); !ok || pp.Proc != 1 || !strings.Contains(pp.Error(), want) {
+			t.Errorf("Run panicked with %v, want processor 1: %q", r, want)
+		}
+		if res := m.Run(func(p *Proc) { m.Barrier(p) }); res.TimeNs == 0 {
+			t.Errorf("after the %s mismatch the next run's barrier cost nothing", tc.kind)
+		}
+	}
+}
+
+// Share builds each step's value once, on the last arrival, and hands
+// every processor that one value and the step's ordinal, however many
+// host threads schedule them; a build that panics aborts the run.
+func TestShare(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const steps = 3
+	for _, threads := range []int{1, 8} {
+		runtime.GOMAXPROCS(threads)
+		m := testMachine(t, 8)
+		builds := 0
+		got := make([][steps]*int, m.Procs())
+		m.Run(func(p *Proc) {
+			for k := 0; k < steps; k++ {
+				v, step := Share(p, func() *int { builds++; return new(int) })
+				if step != k {
+					t.Errorf("GOMAXPROCS=%d: processor %d took step %d as %d", threads, p.ID, k, step)
+				}
+				got[p.ID][k] = v
+				m.Barrier(p)
+			}
+		})
+		if builds != steps {
+			t.Errorf("GOMAXPROCS=%d: %d builds for %d steps", threads, builds, steps)
+		}
+		for k := 0; k < steps; k++ {
+			for i := range got {
+				if got[i][k] != got[0][k] || k > 0 && got[i][k] == got[i][k-1] {
+					t.Errorf("GOMAXPROCS=%d: processor %d took another value at step %d", threads, i, k)
+				}
+			}
+		}
+	}
+
+	m := testMachine(t, 4)
+	defer m.SetArrivalOrderForTest(nil)
+	m.SetArrivalOrderForTest(func(proc, arrived int) bool { return proc == arrived })
+	r := runPanic(t, m, func(p *Proc) { Share(p, func() int { panic("boom") }) })
+	wantProcPanic(t, r, 3, "boom")
 }
 
 func TestRendezvousForcedArrivalOrder(t *testing.T) {

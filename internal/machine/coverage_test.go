@@ -83,13 +83,6 @@ func TestArrayRoundRobinAndRegion(t *testing.T) {
 	})
 }
 
-func TestBarrierMembers(t *testing.T) {
-	b := NewBarrier(7, 100)
-	if b.Members() != 7 {
-		t.Errorf("Members = %d", b.Members())
-	}
-}
-
 func TestConfigValidateRejectsBadSubconfigs(t *testing.T) {
 	cfg := Origin2000(64)
 	cfg.Cache.LineSize = 100 // not a power of two

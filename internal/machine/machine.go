@@ -32,10 +32,8 @@ type Machine struct {
 	prices *priceTable
 	procs  []*Proc
 
-	barrier *Barrier
-	// gate is the host-only meeting point behind Rendezvous: the barrier
-	// mechanism with no cost, and its release time ignored.
-	gate *Barrier
+	// gate is the one meeting point of Barrier, Rendezvous and Share.
+	gate *gate
 
 	// tracing makes the next Run record a virtual-time event trace.
 	tracing bool
@@ -83,8 +81,7 @@ func New(cfg Config) (*Machine, error) {
 	for i := 0; i < n; i++ {
 		m.procs[i] = newProc(m, i)
 	}
-	m.barrier = NewBarrier(n, m.barrierCost())
-	m.gate = NewBarrier(n, 0)
+	m.gate = newGate(n)
 	return m, nil
 }
 
@@ -203,11 +200,11 @@ type Blame struct {
 // reset between runs unless ResetMemory is called (warm caches across
 // phases of one experiment are intentional).
 //
-// A panic in any processor body aborts the run: processors parked at a
-// Barrier, a Rendezvous or a channel selected against Aborted, and those
-// that reach one later, unwind, and
-// once every goroutine has returned Run panics on the caller's goroutine
-// with a *ProcPanic for the lowest-numbered processor that failed.
+// A panic in any processor body aborts the run: processors parked at the
+// gate or a channel selected against Aborted, and those that reach one
+// later, unwind, and once every goroutine has returned Run panics on the
+// caller's goroutine with a *ProcPanic for the lowest-numbered processor
+// that failed.
 func (m *Machine) Run(body func(p *Proc)) *Result {
 	var tr *trace.Trace
 	if m.tracing {
@@ -219,8 +216,6 @@ func (m *Machine) Run(body func(p *Proc)) *Result {
 			p.tr = tr.Procs[p.ID]
 		}
 	}
-	m.barrier.Reset()
-	m.gate.Reset()
 	var wg sync.WaitGroup
 	var panicMu sync.Mutex
 	panics := make([]any, len(m.procs))
@@ -244,13 +239,13 @@ func (m *Machine) Run(body func(p *Proc)) *Result {
 					}
 					panicMu.Unlock()
 				}
-				m.barrier.abort()
 				m.gate.abort()
 			}()
 			body(p)
 		}(p)
 	}
 	wg.Wait()
+	m.gate.reset()
 	for i, pv := range panics {
 		if pv != nil {
 			panic(&ProcPanic{Proc: i, Value: pv})
@@ -347,30 +342,4 @@ func (m *Machine) ResetMemory() {
 			p.pc.checkFlush(p, dirty)
 		}
 	}
-}
-
-// Barrier blocks p until every processor has arrived, then releases all
-// of them at the same virtual time (max arrival + barrier cost), charging
-// each processor's wait to SYNC.
-func (m *Machine) Barrier(p *Proc) {
-	m.barrier.Wait(p)
-}
-
-// Rendezvous is a host-only meeting point: no virtual time passes and no
-// trace event is recorded. It parks p until every processor of the
-// machine has called it; the last to arrive then runs last on its own
-// goroutine while all the others are parked — so last, and only last,
-// may drive any processor's Proc (DESIGN.md §5) — and when it returns
-// every processor continues. What the others wrote before calling is
-// visible to last, and what last wrote is visible to them afterwards.
-func (m *Machine) Rendezvous(p *Proc, last func()) {
-	m.gate.meet(p.ID, 0, last)
-}
-
-// SetArrivalOrderForTest makes every Rendezvous admit processors in the
-// order admit dictates: processor proc, asking while arrived others are
-// parked, yields until admit says yes. nil removes the hook. Not safe to
-// call while a run is in flight.
-func (m *Machine) SetArrivalOrderForTest(admit func(proc, arrived int) bool) {
-	m.gate.admit = admit
 }

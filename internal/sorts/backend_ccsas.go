@@ -22,7 +22,6 @@ type ccsasBackend struct {
 	m     *machine.Machine
 	world *ccsas.World
 	st    *store
-	memo  *runMemo
 	// groupSize is sample sort's processes-per-group for sample
 	// collection; perProc the sample slots each processor publishes.
 	groupSize, perProc int
@@ -67,7 +66,6 @@ func sharedParts(m *machine.Machine, name string, n int) *partitioned {
 func (b *ccsasBackend) alloc(m *machine.Machine, cfg Config, alg algorithm, n, perProc int) *store {
 	P := m.Procs()
 	b.m, b.world, b.groupSize, b.perProc = m, ccsas.NewWorld(m), min(groupSize, P), perProc
-	b.memo = newRunMemo(m)
 	st := &store{hist: make([]*machine.Array[int32], P)}
 	b.st = st
 	st.keys = sharedParts(m, "cc.keys", n)
@@ -250,7 +248,7 @@ func (b *ccsasBackend) routes(p *machine.Proc, bnd []int64, placed bool) *chunkP
 		}
 		return h
 	}
-	return shared(b.memo, p,
+	return shared(p,
 		func() *chunkPlan { return newChunkPlan(hists(), nil) },
 		func(pl *chunkPlan) *inputDiff { return pl.differs(hists()) })
 }

@@ -18,10 +18,9 @@ type mpiBackend struct {
 	// faster on the Origin2000; this variant exists for that ablation.
 	oneMsg bool
 
-	m    *machine.Machine
-	c    *mpi.Comm
-	st   *store
-	memo *runMemo
+	m  *machine.Machine
+	c  *mpi.Comm
+	st *store
 	// parts is radix sort's blocked destination layout.
 	parts []int64
 }
@@ -39,7 +38,7 @@ func (b *mpiBackend) received() machine.Sharing { return machine.Private }
 
 func (b *mpiBackend) alloc(m *machine.Machine, cfg Config, alg algorithm, n, _ int) *store {
 	P := m.Procs()
-	b.m, b.c, b.memo = m, mpi.New(m, cfg.MPI), newRunMemo(m)
+	b.m, b.c = m, mpi.New(m, cfg.MPI)
 	st := &store{keys: newPartitioned(P), tmp: newPartitioned(P), hist: make([]*machine.Array[int32], P)}
 	b.st = st
 	if alg == algRadix {
@@ -66,7 +65,7 @@ func (b *mpiBackend) alloc(m *machine.Machine, cfg Config, alg algorithm, n, _ i
 // and, in the simulated program, computes the plan redundantly (the
 // caller charges each for it); the host builds it once.
 func (b *mpiBackend) histograms(p *machine.Proc, counts []int32) *chunkPlan {
-	return b.memo.plan(p, mpi.Allgather(b.c, p, counts), b.parts)
+	return sharedPlan(p, mpi.Allgather(b.c, p, counts), b.parts)
 }
 
 func (b *mpiBackend) permuteTarget(p *machine.Proc, plan *chunkPlan, _ *partitioned) target {
@@ -79,7 +78,7 @@ func (b *mpiBackend) permuteTarget(p *machine.Proc, plan *chunkPlan, _ *partitio
 func (b *mpiBackend) splitters(p *machine.Proc, samples []uint32) []uint32 {
 	P := b.m.Procs()
 	rows := mpi.Allgather(b.c, p, samples)
-	return splittersOf(p, b.memo, P, func() []uint32 {
+	return splittersOf(p, P, func() []uint32 {
 		all := make([]uint32, 0, P*len(samples))
 		for _, g := range rows {
 			all = append(all, g...)
@@ -138,7 +137,7 @@ func (r *pivotRoot) Deliver(_ *machine.Proc, msg *mpi.Message) {
 // it sends, and sizes its receive buffer from the message lengths.
 func (b *mpiBackend) routes(p *machine.Proc, bnd []int64, placed bool) *chunkPlan {
 	if placed {
-		return b.memo.plan(p, mpi.Allgather(b.c, p, psrsDestCounts(p, bnd)), nil)
+		return sharedPlan(p, mpi.Allgather(b.c, p, psrsDestCounts(p, bnd)), nil)
 	}
 	rows := make([][]int64, b.m.Procs())
 	rows[p.ID] = bnd

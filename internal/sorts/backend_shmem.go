@@ -20,10 +20,9 @@ type shmemBackend struct {
 	// also lands them in its cache.
 	put bool
 
-	m    *machine.Machine
-	c    *shmem.Comm
-	st   *store
-	memo *runMemo
+	m  *machine.Machine
+	c  *shmem.Comm
+	st *store
 	// sym maps the partitioned arrays remote ranks address to their
 	// symmetric segments.
 	sym map[*partitioned]*shmem.Sym[uint32]
@@ -59,7 +58,7 @@ func (b *shmemBackend) symParts(s *shmem.Sym[uint32], n int) *partitioned {
 func (b *shmemBackend) alloc(m *machine.Machine, cfg Config, alg algorithm, n, perProc int) *store {
 	P, B := m.Procs(), cfg.Buckets()
 	c := shmem.New(m, cfg.Shmem)
-	b.m, b.c, b.sym, b.memo = m, c, make(map[*partitioned]*shmem.Sym[uint32]), newRunMemo(m)
+	b.m, b.c, b.sym = m, c, make(map[*partitioned]*shmem.Sym[uint32])
 	st := &store{hist: make([]*machine.Array[int32], P)}
 	b.st = st
 	// Partition sizes differ by at most one key; symmetric segments are
@@ -137,7 +136,7 @@ func collect[T any](p *machine.Proc, seg, all *shmem.Sym[T], mine []T, copyOps i
 // collection segment, which the next pass overwrites: the shared plan
 // keeps none of them.
 func (b *shmemBackend) histograms(p *machine.Proc, counts []int32) *chunkPlan {
-	return b.memo.plan(p, collect(p, b.histSeg, b.histAll, counts, len(counts)), b.parts)
+	return sharedPlan(p, collect(p, b.histSeg, b.histAll, counts, len(counts)), b.parts)
 }
 
 func (b *shmemBackend) permuteTarget(p *machine.Proc, plan *chunkPlan, _ *partitioned) target {
@@ -154,7 +153,7 @@ func (b *shmemBackend) publishSamples(p *machine.Proc, samples []uint32) {
 func (b *shmemBackend) splitters(p *machine.Proc, samples []uint32) []uint32 {
 	collect(p, b.sampleSeg, b.sampleAll, samples, len(samples))
 	all := b.sampleAll.Local(p).Data
-	return splittersOf(p, b.memo, b.m.Procs(), func() []uint32 {
+	return splittersOf(p, b.m.Procs(), func() []uint32 {
 		return append([]uint32(nil), all...)
 	})
 }
@@ -208,7 +207,7 @@ func (b *shmemBackend) pivots(p *machine.Proc, samples []uint32) []uint32 {
 func (b *shmemBackend) routes(p *machine.Proc, bnd []int64, placed bool) *chunkPlan {
 	P := b.m.Procs()
 	if placed {
-		return b.memo.plan(p, collect(p, b.countSeg, b.countAll, psrsDestCounts(p, bnd), 0), nil)
+		return sharedPlan(p, collect(p, b.countSeg, b.countAll, psrsDestCounts(p, bnd), 0), nil)
 	}
 	rows := collect(p, b.boundSeg, b.boundAll, bnd, P)
 	p.Compute(2 * P) // summing this rank's incoming counts

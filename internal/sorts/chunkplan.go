@@ -11,10 +11,11 @@ package sorts
 // That redundancy is a simulated cost: every processor is charged
 // computeOps for the plan it uses. It is not a host cost: the collected
 // histograms are by construction the same on every processor, so a full
-// plan (newChunkPlan) is built once per collective step through the
-// run's memo (runmemo.go) and the same immutable value handed to all of
-// them. Only newRankPlan, the one-row view the CC-SAS prefix tree gives
-// each processor, is built per processor.
+// plan (newChunkPlan) is built once per collective step, by the last
+// processor to reach the machine's gate (sharedPlan, shared.go), and the
+// same immutable value handed to all of them. Only newRankPlan, the
+// one-row view the CC-SAS prefix tree gives each processor, is built per
+// processor.
 //
 // All three algorithms exchange through it. Radix sort's buckets are
 // digits and its destination partitions the blocked slices of the global
@@ -103,7 +104,7 @@ func firstBuckets(gStart, parts []int64) []int32 {
 // for the given destination partition starts (nil: splitter-directed).
 // It is pure host work that keeps no reference to hists, and the plan is
 // immutable once returned: the backends build it once per collective
-// step (runMemo.plan) and share it among all processors.
+// step (sharedPlan) and share it among all processors.
 func newChunkPlan(hists [][]int32, parts []int64) *chunkPlan {
 	P, B := len(hists), len(hists[0])
 	pl := &chunkPlan{buckets: B, rows: P, parts: parts,

@@ -156,8 +156,8 @@ func splittersFrom(p *machine.Proc, sortedAll []uint32, procs int) []uint32 {
 // programs computes redundantly. The redundancy is simulated: every
 // processor is charged the merge and the selection, while the host sorts
 // one pool for all of them.
-func splittersOf(p *machine.Proc, memo *runMemo, procs int, pool func() []uint32) []uint32 {
-	sorted := memo.mergedPool(p, pool)
+func splittersOf(p *machine.Proc, procs int, pool func() []uint32) []uint32 {
+	sorted := mergedPool(p, pool)
 	chargeMerge(p, len(sorted), procs)
 	return splittersFrom(p, sorted, procs)
 }
