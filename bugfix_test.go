@@ -33,26 +33,26 @@ func TestBaselineErrorNotCached(t *testing.T) {
 		}
 		return Run(e)
 	}
-	if _, err := h.BaselineTime(1<<12, keys.Gauss); !errors.Is(err, injected) {
-		t.Fatalf("first BaselineTime error = %v, want the injected failure", err)
+	if _, err := h.baselineTime(1<<12, keys.Gauss); !errors.Is(err, injected) {
+		t.Fatalf("first baselineTime error = %v, want the injected failure", err)
 	}
 	if len(h.baseline) != 0 {
 		t.Fatalf("failed baseline left %d poisoned cache entries", len(h.baseline))
 	}
-	v, err := h.BaselineTime(1<<12, keys.Gauss)
+	v, err := h.baselineTime(1<<12, keys.Gauss)
 	if err != nil {
-		t.Fatalf("second BaselineTime still fails: %v (the error was cached)", err)
+		t.Fatalf("second baselineTime still fails: %v (the error was cached)", err)
 	}
 	if v <= 0 {
-		t.Fatalf("second BaselineTime = %v, want a positive time", v)
+		t.Fatalf("second baselineTime = %v, want a positive time", v)
 	}
 	// And the success is cached normally: no further run.
 	h.simulate = func(Experiment) (*Outcome, error) {
 		t.Error("cached success was recomputed")
 		return nil, errors.New("unreachable")
 	}
-	if v2, err := h.BaselineTime(1<<12, keys.Gauss); err != nil || v2 != v {
-		t.Fatalf("third BaselineTime = %v, %v; want cached %v", v2, err, v)
+	if v2, err := h.baselineTime(1<<12, keys.Gauss); err != nil || v2 != v {
+		t.Fatalf("third baselineTime = %v, %v; want cached %v", v2, err, v)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestBaselineErrorConcurrentRetry(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if _, err := h.BaselineTime(1<<12, keys.Gauss); err != nil {
+			if _, err := h.baselineTime(1<<12, keys.Gauss); err != nil {
 				if !errors.Is(err, injected) {
 					t.Errorf("worker %d: unexpected error %v", w, err)
 				}
@@ -93,8 +93,8 @@ func TestBaselineErrorConcurrentRetry(t *testing.T) {
 	wg.Wait()
 	// However the flights interleaved, a retry after the dust settles
 	// must succeed.
-	if _, err := h.BaselineTime(1<<12, keys.Gauss); err != nil {
-		t.Fatalf("BaselineTime still failing after all workers done: %v", err)
+	if _, err := h.baselineTime(1<<12, keys.Gauss); err != nil {
+		t.Fatalf("baselineTime still failing after all workers done: %v", err)
 	}
 	if len(h.baseline) != 1 {
 		t.Errorf("baseline cache holds %d entries, want 1 (the final success)", len(h.baseline))
@@ -119,17 +119,17 @@ func TestBaselinePanicNotCached(t *testing.T) {
 	func() {
 		defer func() {
 			if r := recover(); r != "injected baseline panic" {
-				t.Fatalf("first BaselineTime recovered %v, want the injected panic", r)
+				t.Fatalf("first baselineTime recovered %v, want the injected panic", r)
 			}
 		}()
-		h.BaselineTime(1<<12, keys.Gauss)
+		h.baselineTime(1<<12, keys.Gauss)
 	}()
 	if len(h.baseline) != 0 {
 		t.Fatalf("panicked baseline left %d poisoned cache entries", len(h.baseline))
 	}
-	v, err := h.BaselineTime(1<<12, keys.Gauss)
+	v, err := h.baselineTime(1<<12, keys.Gauss)
 	if err != nil || v <= 0 {
-		t.Fatalf("second BaselineTime = %v, %v; want the real time (the panic was cached as a zero)", v, err)
+		t.Fatalf("second baselineTime = %v, %v; want the real time (the panic was cached as a zero)", v, err)
 	}
 	if runs := h.Stats().Runs; runs != 1 {
 		t.Errorf("Stats().Runs = %d, want 1 (the panicked attempt is not a run)", runs)

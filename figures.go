@@ -240,17 +240,6 @@ func (h *Harness) experiment(s SizeClass, e Experiment) Experiment {
 	return e
 }
 
-// BaselineTime returns (computing and caching on first use) the
-// sequential radix sort time for n keys of the given distribution — the
-// paper measures every speedup against this same baseline (radix 8). It
-// is safe for concurrent use; see sequential.
-func (h *Harness) BaselineTime(n int, dist keys.Dist) (float64, error) {
-	e := program(Radix, Seq, 1)
-	e.Dist = dist
-	c, err := h.sequential(h.experiment(SizeClass{PaperN: n, ScaledN: n}, e))
-	return c.TimeNs, err
-}
-
 // Traces returns a copy of the event traces the tables and figures
 // collected so far (opts.Trace must be set), in the deterministic order
 // their cells were submitted.

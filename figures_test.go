@@ -49,11 +49,11 @@ func TestHarnessTable1(t *testing.T) {
 
 func TestHarnessBaselineCaching(t *testing.T) {
 	h := NewHarness(tinyOpts())
-	a, err := h.BaselineTime(SizeClasses[0].ScaledN, keys.Gauss)
+	a, err := h.baselineTime(SizeClasses[0].ScaledN, keys.Gauss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.BaselineTime(SizeClasses[0].ScaledN, keys.Gauss)
+	b, err := h.baselineTime(SizeClasses[0].ScaledN, keys.Gauss)
 	if err != nil {
 		t.Fatal(err)
 	}

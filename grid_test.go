@@ -9,7 +9,17 @@ import (
 	"repro/internal/keys"
 )
 
-// TestBaselineTimeConcurrentSingleflight hammers BaselineTime from 8
+// baselineTime returns (computing and caching on first use) the
+// sequential radix sort time for n keys of the given distribution, the
+// baseline every speedup divides by, through the harness's shared cache.
+func (h *Harness) baselineTime(n int, dist keys.Dist) (float64, error) {
+	e := program(Radix, Seq, 1)
+	e.Dist = dist
+	c, err := h.sequential(h.experiment(SizeClass{PaperN: n, ScaledN: n}, e))
+	return c.TimeNs, err
+}
+
+// TestBaselineTimeConcurrentSingleflight hammers baselineTime from 8
 // goroutines (run under -race in CI) and asserts the baseline experiment
 // executed exactly once per key: the unsynchronized map it replaces was
 // both a data race and a source of duplicated sequential runs.
@@ -33,7 +43,7 @@ func TestBaselineTimeConcurrentSingleflight(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				for _, n := range ns {
-					v, err := h.BaselineTime(n, keys.Gauss)
+					v, err := h.baselineTime(n, keys.Gauss)
 					if err != nil {
 						t.Error(err)
 						return

@@ -13,7 +13,10 @@
 // separately by package coherence.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Addr is a simulated physical address in the machine's global address
 // space.
@@ -141,15 +144,11 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	sets := cfg.Size / (cfg.LineSize * cfg.Ways)
-	shift := uint(0)
-	for 1<<shift < cfg.LineSize {
-		shift++
-	}
 	return &Cache{
 		cfg:       cfg,
 		sets:      sets,
-		lineShift: shift,
-		tagShift:  uint(log2(sets)),
+		lineShift: uint(bits.Len(uint(cfg.LineSize - 1))),
+		tagShift:  uint(bits.Len(uint(sets - 1))),
 		setMask:   uint64(sets - 1),
 		twoWay:    cfg.Ways == 2,
 		lines:     make([]line, sets*cfg.Ways),
@@ -421,12 +420,4 @@ func (c *Cache) Flush() int {
 func (c *Cache) reconstruct(tag uint64, set int) Addr {
 	lineNum := tag<<c.tagShift | uint64(set)
 	return Addr(lineNum << c.lineShift)
-}
-
-func log2(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
-	}
-	return k
 }

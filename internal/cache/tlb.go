@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // TLBConfig describes a translation lookaside buffer.
 type TLBConfig struct {
@@ -142,26 +145,19 @@ func NewTLB(cfg TLBConfig) *TLB {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	shift := uint(0)
-	for 1<<shift < cfg.PageSize {
-		shift++
-	}
-	// Size the table at >= 4x entries (power of two) so probe chains stay
-	// short even with the full resident set.
-	bits := uint(3)
-	for 1<<bits < 4*cfg.Entries {
-		bits++
-	}
-	slots := make([]uint64, 1<<bits)
+	// Size the table at >= 4x entries (power of two, at least 8) so probe
+	// chains stay short even with the full resident set.
+	slotBits := uint(max(3, bits.Len(uint(4*cfg.Entries-1))))
+	slots := make([]uint64, 1<<slotBits)
 	for i := range slots {
 		slots[i] = memoNone
 	}
 	return &TLB{
 		cfg:       cfg,
-		pageShift: shift,
+		pageShift: uint(bits.Len(uint(cfg.PageSize - 1))),
 		slots:     slots,
-		slotMask:  uint64(1<<bits - 1),
-		slotBits:  bits,
+		slotMask:  uint64(1<<slotBits - 1),
+		slotBits:  slotBits,
 		ring:      make([]uint64, 0, cfg.Entries),
 		none:      memoNone,
 	}

@@ -11,6 +11,7 @@ package ccsas
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/machine"
 	"repro/internal/trace"
@@ -43,7 +44,9 @@ func (w *World) Barrier(p *machine.Proc) { w.M.Barrier(p) }
 // time, modeling a spin-wait on a shared memory word. Each Flag is
 // single-producer single-consumer per episode. A processor parked in Set
 // or Wait unwinds when another processor's panic aborts the run: the
-// peer it waits for may be the one that died.
+// peer it waits for may be the one that died. A flag is the one place a
+// processor parks outside the machine's gate, so a waiter whose peer's
+// body returned without setting it is not detected: Run hangs.
 type Flag struct {
 	w  *World
 	ch chan float64
@@ -124,10 +127,7 @@ func NewPrefixTree(w *World, buckets int) *PrefixTree {
 	if p&(p-1) != 0 {
 		panic(fmt.Sprintf("ccsas: prefix tree needs power-of-two processors, got %d", p))
 	}
-	levels := 0
-	for 1<<levels < p {
-		levels++
-	}
+	levels := bits.Len(uint(p - 1))
 	t := &PrefixTree{w: w, procs: p, buckets: buckets, levels: levels}
 	t.blockSum = make([][]*machine.Array[int32], levels+1)
 	t.prefixTmp = make([][]*machine.Array[int32], levels+1)

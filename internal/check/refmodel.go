@@ -1,6 +1,10 @@
 package check
 
-import "repro/internal/cache"
+import (
+	"math/bits"
+
+	"repro/internal/cache"
+)
 
 // This file holds the unmemoized reference models that shadow the fast
 // cache and TLB in paranoid mode. They implement the same abstract
@@ -63,19 +67,11 @@ func NewRefCache(cfg cache.Config) *RefCache {
 		panic(err)
 	}
 	sets := cfg.Size / (cfg.LineSize * cfg.Ways)
-	lineShift := uint(0)
-	for 1<<lineShift < cfg.LineSize {
-		lineShift++
-	}
-	tagShift := uint(0)
-	for 1<<tagShift < sets {
-		tagShift++
-	}
 	return &RefCache{
 		cfg:       cfg,
 		sets:      sets,
-		lineShift: lineShift,
-		tagShift:  tagShift,
+		lineShift: uint(bits.Len(uint(cfg.LineSize - 1))),
+		tagShift:  uint(bits.Len(uint(sets - 1))),
 		lines:     make([]refLine, sets*cfg.Ways),
 	}
 }
@@ -186,13 +182,9 @@ func NewRefTLB(cfg cache.TLBConfig) *RefTLB {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	shift := uint(0)
-	for 1<<shift < cfg.PageSize {
-		shift++
-	}
 	return &RefTLB{
 		cfg:       cfg,
-		pageShift: shift,
+		pageShift: uint(bits.Len(uint(cfg.PageSize - 1))),
 		resident:  make(map[uint64]bool, cfg.Entries),
 		ring:      make([]uint64, 0, cfg.Entries),
 	}

@@ -290,12 +290,12 @@ func fillBucket(out []uint32, cfg GenConfig) {
 	p := cfg.Procs
 	width := MaxKey / uint64(p)
 	for proc := 0; proc < p; proc++ {
-		lo, hi := bounds(len(out), p, proc)
+		lo, hi := Bounds(len(out), p, proc)
 		part := out[lo:hi]
 		// Split this processor's partition into p runs; run j draws from
 		// bucket j's value range.
 		for j := 0; j < p; j++ {
-			rlo, rhi := bounds(len(part), p, j)
+			rlo, rhi := Bounds(len(part), p, j)
 			base := uint64(j) * width
 			for i := rlo; i < rhi; i++ {
 				part[i] = uint32(base + g.uniform(width))
@@ -321,19 +321,19 @@ func fillStagger(out []uint32, cfg GenConfig) {
 			band = p - 1
 		}
 		base := uint64(band) * width
-		lo, hi := bounds(len(out), p, proc)
+		lo, hi := Bounds(len(out), p, proc)
 		for i := lo; i < hi; i++ {
 			out[i] = uint32(base + g.uniform(width))
 		}
 	}
 }
 
-// bounds returns the [lo,hi) range of chunk i when n items are split
-// into k chunks.
-func bounds(n, k, i int) (lo, hi int) {
-	lo = i * n / k
-	hi = (i + 1) * n / k
-	return lo, hi
+// Bounds returns the [lo,hi) range of chunk i when n items are split
+// into k chunks: the blocked partition [i·n/k, (i+1)·n/k) by which keys
+// are generated per processor and the sorting programs lay out their
+// arrays.
+func Bounds(n, k, i int) (lo, hi int) {
+	return i * n / k, (i + 1) * n / k
 }
 
 func fillDigitPattern(out []uint32, cfg GenConfig, remote bool) {
@@ -346,7 +346,7 @@ func fillDigitPattern(out []uint32, cfg GenConfig, remote bool) {
 		bucketsPerProc = 1
 	}
 	for proc := 0; proc < cfg.Procs; proc++ {
-		lo, hi := bounds(len(out), cfg.Procs, proc)
+		lo, hi := Bounds(len(out), cfg.Procs, proc)
 		ownLo := uint64(proc) * bucketsPerProc
 		for i := lo; i < hi; i++ {
 			var key uint64

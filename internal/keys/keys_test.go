@@ -119,10 +119,10 @@ func TestBucketRunsAreRanged(t *testing.T) {
 	keys := gen(t, Bucket, n, p, 8)
 	width := MaxKey / p
 	for proc := 0; proc < p; proc++ {
-		lo, hi := bounds(n, p, proc)
+		lo, hi := Bounds(n, p, proc)
 		part := keys[lo:hi]
 		for j := 0; j < p; j++ {
-			rlo, rhi := bounds(len(part), p, j)
+			rlo, rhi := Bounds(len(part), p, j)
 			for i := rlo; i < rhi; i++ {
 				v := uint64(part[i])
 				if v < uint64(j)*width || v >= uint64(j+1)*width {
@@ -144,7 +144,7 @@ func TestStaggerBands(t *testing.T) {
 		} else {
 			band = uint64(2*proc - p)
 		}
-		lo, hi := bounds(n, p, proc)
+		lo, hi := Bounds(n, p, proc)
 		for i := lo; i < hi; i++ {
 			v := uint64(keys[i])
 			if v < band*width || v >= (band+1)*width {
@@ -171,7 +171,7 @@ func TestLocalKeysStayHome(t *testing.T) {
 	keys := gen(t, Local, n, p, r)
 	bucketsPerProc := (1 << r) / p
 	for proc := 0; proc < p; proc++ {
-		lo, hi := bounds(n, p, proc)
+		lo, hi := Bounds(n, p, proc)
 		for i := lo; i < hi; i++ {
 			k := keys[i]
 			// Every r-bit digit must fall in proc's own digit range.
@@ -197,7 +197,7 @@ func TestRemoteFirstDigitAvoidsHome(t *testing.T) {
 	keys := gen(t, Remote, n, p, r)
 	bucketsPerProc := (1 << r) / p
 	for proc := 0; proc < p; proc++ {
-		lo, hi := bounds(n, p, proc)
+		lo, hi := Bounds(n, p, proc)
 		for i := lo; i < hi; i++ {
 			d := int(keys[i]) & ((1 << r) - 1)
 			dLo, dHi := proc*bucketsPerProc, (proc+1)*bucketsPerProc
@@ -223,7 +223,7 @@ func TestRemoteSortedWithinProcChunks(t *testing.T) {
 	const n, p, r = 1000, 4, 8
 	keys := gen(t, Remote, n, p, r)
 	bucketsPerProc := (1 << r) / p
-	lo, hi := bounds(n, p, 2)
+	lo, hi := Bounds(n, p, 2)
 	for i := lo; i < hi; i++ {
 		d2 := int(keys[i]>>r) & ((1 << r) - 1)
 		if d2/bucketsPerProc != 2 {
@@ -283,7 +283,7 @@ func TestBoundsPartition(t *testing.T) {
 		prevHi := 0
 		total := 0
 		for i := 0; i < k; i++ {
-			lo, hi := bounds(n, k, i)
+			lo, hi := Bounds(n, k, i)
 			if lo != prevHi || hi < lo {
 				return false
 			}

@@ -140,7 +140,7 @@ func fillAdversarial(out []uint32, cfg GenConfig) {
 	}
 	bandLo, bandHi := mid-w/2, mid+(w+1)/2
 	for proc := 0; proc < p; proc++ {
-		lo, hi := bounds(n, p, proc)
+		lo, hi := Bounds(n, p, proc)
 		fillAdvBlock(out[lo:hi], cfg.Seed, proc, sEff, m, bandLo, bandHi)
 	}
 }

@@ -210,7 +210,7 @@ func TestAdversarialHiddenBand(t *testing.T) {
 	// the count of keys strictly below the band must sit exactly on a
 	// sample position boundary (rank m*np/(S+1)).
 	for proc := 0; proc < p; proc++ {
-		lo, hi := bounds(n, p, proc)
+		lo, hi := Bounds(n, p, proc)
 		below := 0
 		for _, k := range keys[lo:hi] {
 			if uint64(k) < bandLo {

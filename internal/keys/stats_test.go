@@ -1,8 +1,119 @@
 package keys
 
 import (
+	"math"
 	"testing"
 )
+
+// The summary statistics below describe a key stream the way the sorting
+// programs see it. Only these tests use them, to check the generators'
+// shapes, so they live beside the tests.
+
+// BucketCounts histograms keys by their radix-r digit at the given pass
+// (the distribution radix sort's communication volume depends on).
+func BucketCounts(keys []uint32, pass, radixBits int) []int64 {
+	b := 1 << radixBits
+	mask := uint32(b - 1)
+	shift := uint(pass * radixBits)
+	out := make([]int64, b)
+	for _, k := range keys {
+		out[(k>>shift)&mask]++
+	}
+	return out
+}
+
+// MovedFraction returns the fraction of keys whose first-digit bucket
+// maps to a different processor than the one initially holding them —
+// the communication volume of radix sort's first pass under blocked
+// bucket assignment. The local distribution yields ~0; remote ~1.
+func MovedFraction(keys []uint32, procs, radixBits int) float64 {
+	if len(keys) == 0 {
+		return 0
+	}
+	buckets := 1 << radixBits
+	perProc := buckets / procs
+	if perProc == 0 {
+		perProc = 1
+	}
+	mask := uint32(buckets - 1)
+	moved := 0
+	for i, k := range keys {
+		// Index i is owned by the processor whose blocked slice
+		// [p*n/P, (p+1)*n/P) contains it: the smallest p with
+		// (p+1)*n/P > i, i.e. floor((i*P+P-1)/n). Plain i*P/n is wrong
+		// when P does not divide n — it assigns boundary indices to the
+		// previous processor (n=10, P=4: index 2 belongs to processor 1's
+		// slice [2,5) but 2*4/10 = 0) and under-counts moved keys.
+		owner := (i*procs + procs - 1) / len(keys)
+		dest := int(k&mask) / perProc
+		if dest >= procs {
+			dest = procs - 1
+		}
+		if dest != owner {
+			moved++
+		}
+	}
+	return float64(moved) / float64(len(keys))
+}
+
+// Imbalance returns max/mean over a bucket histogram (1 = perfectly
+// balanced). Sample sort's receive imbalance and radix sort's partition
+// skew both reduce to this.
+func Imbalance(counts []int64) float64 {
+	if len(counts) == 0 {
+		return 0
+	}
+	var sum, maxV int64
+	for _, c := range counts {
+		sum += c
+		if c > maxV {
+			maxV = c
+		}
+	}
+	if sum == 0 {
+		return 0
+	}
+	mean := float64(sum) / float64(len(counts))
+	return float64(maxV) / mean
+}
+
+// Entropy returns the Shannon entropy (bits) of a bucket histogram,
+// normalized by the maximum log2(len(counts)); 1 means uniform.
+func Entropy(counts []int64) float64 {
+	var sum int64
+	for _, c := range counts {
+		sum += c
+	}
+	if sum == 0 || len(counts) < 2 {
+		return 0
+	}
+	h := 0.0
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / float64(sum)
+		h -= p * math.Log2(p)
+	}
+	return h / math.Log2(float64(len(counts)))
+}
+
+// SortednessRuns returns the number of maximal non-decreasing runs; 1
+// means fully sorted, n means strictly decreasing. The remote/local
+// distributions' local-sort advantage shows up as a low run count per
+// processor chunk.
+func SortednessRuns(keys []uint32) int {
+	if len(keys) == 0 {
+		return 0
+	}
+	runs := 1
+	for i := 1; i < len(keys); i++ {
+		if keys[i] < keys[i-1] {
+			runs++
+		}
+	}
+	return runs
+}
 
 func TestBucketCounts(t *testing.T) {
 	keys := []uint32{0, 1, 255, 256, 257}
@@ -135,10 +246,10 @@ func TestBucketDistributionPreSortedPerProcessor(t *testing.T) {
 // not divide n. The pre-fix i*P/n formula assigned boundary indices to
 // the previous processor and under-counted moved keys.
 func TestMovedFractionBlockedOwnership(t *testing.T) {
-	// Brute-force oracle over the same bounds() partition the sorts use.
+	// Brute-force oracle over the same Bounds partition the sorts use.
 	ownerOf := func(i, n, p int) int {
 		for proc := 0; proc < p; proc++ {
-			lo, hi := bounds(n, p, proc)
+			lo, hi := Bounds(n, p, proc)
 			if i >= lo && i < hi {
 				return proc
 			}

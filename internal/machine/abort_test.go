@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -185,6 +186,66 @@ func TestRendezvousForcedArrivalOrder(t *testing.T) {
 		})
 		if ran != 0 || len(order) != 1 || order[0] != 0 {
 			t.Errorf("last arrivals %d, %v; want processor 0 both times", ran, order)
+		}
+	}
+}
+
+// A processor whose body returns while the others wait at the gate, or
+// before they arrive, must not leave them parked: Run fails with a
+// *StrandedError naming the parked and the returned processors and the
+// episode, at every kind of episode, and the next run is unaffected.
+func TestStrandedEpisodesFail(t *testing.T) {
+	m := testMachine(t, 4)
+	// untilGate spins until cond holds of the gate's state.
+	untilGate := func(cond func(g *gate) bool) {
+		for {
+			m.gate.mu.Lock()
+			ok := cond(m.gate)
+			m.gate.mu.Unlock()
+			if ok {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	for _, tc := range []struct {
+		kind string
+		call func(p *Proc)
+	}{
+		{"barrier", func(p *Proc) { m.Barrier(p) }},
+		{"rendezvous", func(p *Proc) { m.Rendezvous(p, func() { t.Error("a rendezvous completed") }) }},
+		{"shared step", func(p *Proc) { Share(p, func() int { t.Error("a shared step was built"); return 0 }) }},
+	} {
+		for _, returnsFirst := range []bool{true, false} {
+			r := runPanic(t, m, func(p *Proc) {
+				p.SetPhase("exchange")
+				if p.ID == 0 {
+					if !returnsFirst {
+						untilGate(func(g *gate) bool { return g.waiting == 3 })
+					}
+					return
+				}
+				if returnsFirst {
+					untilGate(func(g *gate) bool { return g.left == 1 })
+				}
+				tc.call(p)
+			})
+			se, ok := r.(*StrandedError)
+			if !ok {
+				t.Fatalf("%s, processor 0 returning first=%v: Run panicked with %T %v, want *StrandedError",
+					tc.kind, returnsFirst, r, r)
+			}
+			if !slices.Equal(se.Parked, []int{1, 2, 3}) || !slices.Equal(se.Returned, []int{0}) ||
+				se.Kind != tc.kind || se.Phase != "exchange" {
+				t.Errorf("%s, processor 0 returning first=%v: %+v", tc.kind, returnsFirst, se)
+			}
+			want := `processors [1 2 3] wait at a ` + tc.kind + ` in phase "exchange" that processors [0] returned`
+			if !strings.Contains(se.Error(), want) {
+				t.Errorf("%q does not say %q", se.Error(), want)
+			}
+			if res := m.Run(func(p *Proc) { m.Barrier(p) }); res.TimeNs == 0 {
+				t.Errorf("after a stranded %s the next run's barrier cost nothing", tc.kind)
+			}
 		}
 	}
 }

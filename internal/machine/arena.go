@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math/bits"
 	"reflect"
 	"runtime"
 	"slices"
@@ -78,14 +79,9 @@ type idleSlab struct {
 
 var slabPool arenaPool
 
-// slabClass returns the smallest power-of-two class holding words words.
-func slabClass(words int) int {
-	c := 0
-	for 1<<c < words {
-		c++
-	}
-	return c
-}
+// slabClass returns the smallest power-of-two class holding words ≥ 1
+// words.
+func slabClass(words int) int { return bits.Len(uint(words - 1)) }
 
 func slabBytes(s []uint64) int64 { return int64(len(s)) * 8 }
 

@@ -122,9 +122,6 @@ func (a *Array[T]) Addr(i int) Addr {
 	return a.base + Addr(i*a.elemSize)
 }
 
-// ElemSize returns the element size in bytes.
-func (a *Array[T]) ElemSize() int { return a.elemSize }
-
 // Region returns the backing region.
 func (a *Array[T]) Region() *memsys.Region { return a.region }
 

@@ -168,9 +168,8 @@ func TestResultAggregates(t *testing.T) {
 	res := m.Run(func(p *Proc) {
 		p.Compute(100 * (p.ID + 1))
 	})
-	maxB := res.MaxBreakdown()
-	if !closeTo(maxB.Busy, 400*m.Config().OpNs) {
-		t.Errorf("MaxBreakdown busy = %v", maxB.Busy)
+	if !closeTo(res.TimeNs, 400*m.Config().OpNs) {
+		t.Errorf("TimeNs = %v", res.TimeNs)
 	}
 	tot := res.TotalBreakdown()
 	if !closeTo(tot.Busy, (100+200+300+400)*m.Config().OpNs) {

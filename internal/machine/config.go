@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
@@ -29,8 +30,8 @@ type Config struct {
 	// variants.
 	MissOverlap float64
 
-	// BarrierBaseNs and BarrierPerLogNs set the cost of a full barrier:
-	// base + perLog * log2(procs).
+	// BarrierBaseNs and BarrierPerLogNs set the cost of a full barrier
+	// (see BarrierCost).
 	BarrierBaseNs   float64
 	BarrierPerLogNs float64
 
@@ -105,6 +106,14 @@ func (c *Config) Validate() error {
 		c.MissOverlap = 1
 	}
 	return nil
+}
+
+// BarrierCost returns the virtual time a full barrier over procs ≥ 1
+// processors costs: BarrierBaseNs + BarrierPerLogNs·⌈log₂ procs⌉. The
+// machine's barriers and the analytic model (internal/perfmodel) both
+// price through it, so the formula has one body.
+func (c *Config) BarrierCost(procs int) float64 {
+	return c.BarrierBaseNs + c.BarrierPerLogNs*float64(bits.Len(uint(procs-1)))
 }
 
 // contentionFactor returns the multiplier for remote traffic when q

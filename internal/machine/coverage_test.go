@@ -15,7 +15,7 @@ func TestProcAccessorsAndCharges(t *testing.T) {
 		if p.Phase() != "x" {
 			t.Error("Phase accessor wrong")
 		}
-		p.SyncNs(100)
+		p.WaitUntil(p.Now() + 100)
 		p.LocalMemNs(50)
 		p.RemoteMemNs(25)
 		p.AddMessageTraffic(1024, 2)

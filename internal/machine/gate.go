@@ -31,8 +31,17 @@ type gate struct {
 	waiting int
 	kind    episode // the episode in progress, as its first arrival named it
 	first   int     // that arrival's processor
+	phase   string  // and its phase label
 	latest  float64 // the latest virtual clock parked in it
 	gen     uint64
+
+	// returned marks the members whose bodies have returned, and left
+	// counts them: an episode they have not joined can never complete.
+	returned []bool
+	left     int
+	// stranded is the failure of a run whose parked members waited for
+	// members that had returned.
+	stranded *StrandedError
 
 	// release and value are the results of the episode that most recently
 	// completed: a barrier's release time and a shared value. Neither can
@@ -56,7 +65,7 @@ type gate struct {
 }
 
 func newGate(members int) *gate {
-	g := &gate{members: members, abortCh: make(chan struct{})}
+	g := &gate{members: members, abortCh: make(chan struct{}), returned: make([]bool, members)}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -65,6 +74,8 @@ func newGate(members int) *gate {
 // any member is waiting.
 func (g *gate) reset() {
 	g.waiting, g.release, g.value, g.shares = 0, 0, nil, 0
+	clear(g.returned)
+	g.left, g.stranded = 0, nil
 	if g.aborted {
 		g.aborted, g.abortCh = false, make(chan struct{})
 	}
@@ -74,12 +85,61 @@ func (g *gate) reset() {
 // panicking with runAborted.
 func (g *gate) abort() {
 	g.mu.Lock()
+	g.abortLocked()
+	g.mu.Unlock()
+}
+
+func (g *gate) abortLocked() {
 	if !g.aborted {
 		g.aborted = true
 		close(g.abortCh)
 	}
-	g.mu.Unlock()
 	g.cond.Broadcast()
+}
+
+// leave records that member id's body returned.
+func (g *gate) leave(id int) {
+	g.mu.Lock()
+	g.returned[id] = true
+	g.left++
+	g.strandIfStuck()
+	g.mu.Unlock()
+}
+
+// strandIfStuck aborts the run when the members parked in the episode in
+// progress can never be released, because every other member's body has
+// returned, and records who waited for whom. Called with mu held.
+func (g *gate) strandIfStuck() {
+	if g.waiting == 0 || g.waiting+g.left < g.members || g.aborted {
+		return
+	}
+	e := &StrandedError{Kind: string(g.kind), Phase: g.phase}
+	for id, done := range g.returned {
+		if done {
+			e.Returned = append(e.Returned, id)
+		} else {
+			e.Parked = append(e.Parked, id)
+		}
+	}
+	g.stranded = e
+	g.abortLocked()
+}
+
+// StrandedError is what Run panics with when processors wait at a
+// barrier, rendezvous or shared step that the other processors' bodies
+// returned without reaching.
+type StrandedError struct {
+	// Parked lists the waiting processors and Returned the ones whose
+	// bodies had returned, both in ID order.
+	Parked, Returned []int
+	// Kind is the episode they wait at ("barrier", "rendezvous", "shared
+	// step"), and Phase the phase label of its first arrival.
+	Kind, Phase string
+}
+
+func (e *StrandedError) Error() string {
+	return fmt.Sprintf("machine: processors %v wait at a %s in phase %q that processors %v returned without reaching",
+		e.Parked, e.Kind, e.Phase, e.Returned)
 }
 
 // runAborted is the panic value that unwinds a processor parked at a
@@ -116,7 +176,7 @@ func (g *gate) meet(p *Proc, kind episode, last func()) {
 		panic(runAborted{})
 	}
 	if g.waiting == 0 {
-		g.kind, g.first, g.latest = kind, id, 0
+		g.kind, g.first, g.phase, g.latest = kind, id, p.phase, 0
 	} else if kind != g.kind {
 		err := fmt.Errorf("machine: processor %d arrived at a %s while processor %d waits at a %s",
 			id, kind, g.first, g.kind)
@@ -135,6 +195,7 @@ func (g *gate) meet(p *Proc, kind episode, last func()) {
 		g.gen++
 		g.cond.Broadcast()
 	} else {
+		g.strandIfStuck()
 		for myGen == g.gen && !g.aborted {
 			g.cond.Wait()
 		}
@@ -151,7 +212,7 @@ func (g *gate) meet(p *Proc, kind episode, last func()) {
 // charging each processor's wait to SYNC.
 func (m *Machine) Barrier(p *Proc) {
 	arrival := p.clock
-	m.gate.meet(p, atBarrier, func() { m.gate.release = m.gate.latest + m.barrierCost() })
+	m.gate.meet(p, atBarrier, func() { m.gate.release = m.gate.latest + m.cfg.BarrierCost(len(m.procs)) })
 	rel := m.gate.release
 	p.WaitUntil(rel)
 	if p.tr != nil {

@@ -110,22 +110,10 @@ func (m *Machine) Procs() int { return len(m.procs) }
 // its Proc from Run).
 func (m *Machine) Proc(i int) *Proc { return m.procs[i] }
 
-func (m *Machine) barrierCost() float64 {
-	p := len(m.procs)
-	logs := 0
-	for 1<<logs < p {
-		logs++
-	}
-	return m.cfg.BarrierBaseNs + m.cfg.BarrierPerLogNs*float64(logs)
-}
-
 // EnableTracing makes subsequent Runs record a deterministic
 // virtual-time event trace, attached to Result.Trace. Tracing costs
 // nothing when not enabled (every emission site is a nil check).
 func (m *Machine) EnableTracing() { m.tracing = true }
-
-// DisableTracing stops trace recording for subsequent Runs.
-func (m *Machine) DisableTracing() { m.tracing = false }
 
 // Checker returns the paranoid-mode violation collector, or nil when the
 // machine was built without Config.Paranoid. Callers should consult
@@ -143,17 +131,6 @@ type Result struct {
 	// Trace is the run's virtual-time event trace, nil unless the
 	// machine had tracing enabled.
 	Trace *trace.Trace
-}
-
-// MaxBreakdown returns the stats of the processor that finished last.
-func (r *Result) MaxBreakdown() Breakdown {
-	var best Breakdown
-	for _, ps := range r.PerProc {
-		if ps.Breakdown.Total() > best.Total() {
-			best = ps.Breakdown
-		}
-	}
-	return best
 }
 
 // TotalBreakdown sums all processors' breakdowns.
@@ -204,7 +181,9 @@ type Blame struct {
 // gate or a channel selected against Aborted, and those that reach one
 // later, unwind, and once every goroutine has returned Run panics on the
 // caller's goroutine with a *ProcPanic for the lowest-numbered processor
-// that failed.
+// that failed. Processors parked at the gate for an episode the others
+// returned without reaching abort the run the same way, and Run panics
+// with a *StrandedError naming them.
 func (m *Machine) Run(body func(p *Proc)) *Result {
 	var tr *trace.Trace
 	if m.tracing {
@@ -242,14 +221,19 @@ func (m *Machine) Run(body func(p *Proc)) *Result {
 				m.gate.abort()
 			}()
 			body(p)
+			m.gate.leave(p.ID)
 		}(p)
 	}
 	wg.Wait()
+	stranded := m.gate.stranded
 	m.gate.reset()
 	for i, pv := range panics {
 		if pv != nil {
 			panic(&ProcPanic{Proc: i, Value: pv})
 		}
+	}
+	if stranded != nil {
+		panic(stranded)
 	}
 	res := &Result{PerProc: make([]ProcStats, len(m.procs))}
 	for i, p := range m.procs {

@@ -95,21 +95,25 @@ func TestRunIsDeterministic(t *testing.T) {
 
 func TestBarrierAlignsClocks(t *testing.T) {
 	m := testMachine(t, 4)
+	cost := m.cfg.BarrierCost(m.Procs())
+	if want := m.cfg.BarrierBaseNs + 2*m.cfg.BarrierPerLogNs; cost != want {
+		t.Fatalf("BarrierCost(4) = %v, want base + 2·perLog = %v", cost, want)
+	}
 	res := m.Run(func(p *Proc) {
 		p.Compute(1000 * (p.ID + 1)) // proc 3 arrives last
 		m.Barrier(p)
-		if want := 4000*m.Config().OpNs + m.barrierCost(); !closeTo(p.Now(), want) {
+		if want := 4000*m.Config().OpNs + cost; !closeTo(p.Now(), want) {
 			t.Errorf("proc %d released at %v, want %v", p.ID, p.Now(), want)
 		}
 	})
 	// Proc 0 waited longest: sync = 3000 ops + cost.
-	wantSync := 3000*m.Config().OpNs + m.barrierCost()
+	wantSync := 3000*m.Config().OpNs + cost
 	if !closeTo(res.PerProc[0].Breakdown.Sync, wantSync) {
 		t.Errorf("proc 0 sync = %v, want %v", res.PerProc[0].Breakdown.Sync, wantSync)
 	}
 	// Proc 3 only paid the barrier cost.
-	if !closeTo(res.PerProc[3].Breakdown.Sync, m.barrierCost()) {
-		t.Errorf("proc 3 sync = %v, want %v", res.PerProc[3].Breakdown.Sync, m.barrierCost())
+	if !closeTo(res.PerProc[3].Breakdown.Sync, cost) {
+		t.Errorf("proc 3 sync = %v, want %v", res.PerProc[3].Breakdown.Sync, cost)
 	}
 }
 
@@ -348,9 +352,6 @@ func TestArrayAddressing(t *testing.T) {
 	m := testMachine(t, 4)
 	a32 := NewArrayBlocked[uint32](m, "a32", 100)
 	a64 := NewArrayBlocked[uint64](m, "a64", 100)
-	if a32.ElemSize() != 4 || a64.ElemSize() != 8 {
-		t.Errorf("elem sizes: %d, %d", a32.ElemSize(), a64.ElemSize())
-	}
 	if a32.Addr(10)-a32.Addr(0) != 40 {
 		t.Error("uint32 stride wrong")
 	}

@@ -27,8 +27,8 @@ import (
 //     addressing).
 //   - Cache hit/miss/writeback (and the writeback's address) vs
 //     check.RefCache (plain structs, no lanes, no packed meta).
-//   - The page's home node vs memsys.ReferenceHomeOf (fresh region walk,
-//     bypassing the flat page table and the lastRegion memo).
+//   - The page's home node vs memsys.ReferenceHomeOf (the region walk,
+//     bypassing the flat page table).
 //   - The memoized price entry the hot path reads — through the same
 //     row indexing it uses, so stale row pointers are caught too — vs a
 //     fresh walk of the live coherence.Protocol (priceFor/wbPriceFor).

@@ -182,7 +182,7 @@ func TestParanoidDisabledZeroAlloc(t *testing.T) {
 		// evictions all cross the paranoid hook sites.
 		arr.Store(p, (i*61)&(n-1), 1, Private)
 		arr.Load(p, (i*97)&(n-1), SharedRead)
-		p.InvalidateLine(arr.Addr((i * 13) & (n - 1)))
+		p.InvalidateRange(arr.Addr((i*13)&(n-1)), 1)
 		i++
 	})
 	if allocs != 0 {

@@ -234,15 +234,6 @@ func (p *Proc) WaitUntil(t float64) {
 	}
 }
 
-// SyncNs charges ns nanoseconds of synchronization overhead.
-func (p *Proc) SyncNs(ns float64) {
-	p.clock += ns
-	p.stats.Breakdown.Sync += ns
-	if p.phaseAcc != nil {
-		p.phaseAcc.Sync += ns
-	}
-}
-
 // LocalMemNs charges ns nanoseconds of local-memory stall (library-level
 // copies and buffer management in the programming-model layers).
 func (p *Proc) LocalMemNs(ns float64) { p.chargeLocal(ns) }
@@ -458,15 +449,6 @@ func (p *Proc) BulkTransfer(otherNode int, bytes int, dst Addr, intoCache bool) 
 // CacheContains reports whether this processor's cache currently holds
 // the line of a (for tests and model validation).
 func (p *Proc) CacheContains(a Addr) bool { return p.cache.Contains(a) }
-
-// InvalidateLine drops a line from this processor's cache (used when
-// another processor's write semantically invalidates it).
-func (p *Proc) InvalidateLine(a Addr) {
-	present, dirty := p.cache.Invalidate(a)
-	if p.pc != nil {
-		p.pc.checkInvalidate(p, a, present, dirty)
-	}
-}
 
 // InvalidateRange drops every line of [a, a+bytes) from this processor's
 // cache: another agent (an incoming message, a remote put) overwrote the

@@ -34,9 +34,10 @@ func BenchmarkHomeOf(b *testing.B) {
 	}
 }
 
-// BenchmarkRegionOf measures the region lookup with the last-region
-// memo hitting (the common case: a run's accesses cluster by region).
-func BenchmarkRegionOf(b *testing.B) {
+// BenchmarkReferenceHomeOf measures the region walk HomeOf takes on a
+// page a blocked partition boundary straddles: a binary search over the
+// regions and a closure call, with no memo.
+func BenchmarkReferenceHomeOf(b *testing.B) {
 	as, err := New(1024, 8, func(p int) int { return p / 2 })
 	if err != nil {
 		b.Fatal(err)
@@ -48,6 +49,6 @@ func BenchmarkRegionOf(b *testing.B) {
 	r := regions[4]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		as.RegionOf(r.Addr(i % r.Size()))
+		as.ReferenceHomeOf(r.Addr(i % r.Size()))
 	}
 }

@@ -10,22 +10,23 @@
 //
 // Home lookups run once per simulated cache miss, so they are hot on the
 // host: HomeOf answers from a flat page→home table built at allocation
-// time (one bounds check and one slice load), falling back to the
-// region's placement closure only for the rare page whose bytes are not
-// all homed on one node (a page straddling a blocked-partition boundary,
-// or a region tail page whose alignment padding is homed on node 0).
-// RegionOf keeps a last-region memo in front of its binary search, since
-// lookups cluster in one region at a time.
+// time (one bounds check and one slice load). A region owns its whole
+// page-aligned span, alignment padding included, and its placement
+// closure homes every byte of it, so a page lacks a single home only
+// where a boundary between blocked partitions on different nodes falls
+// strictly inside it; HomeOf
+// resolves those pages through the region walk, ReferenceHomeOf, which
+// memoizes nothing.
 //
 // Allocation is a setup-time operation: regions must be allocated before
-// the machine runs processors (concurrent HomeOf/RegionOf lookups are
-// read-only and safe; allocation concurrent with lookups is not).
+// the machine runs processors (concurrent lookups are read-only and
+// safe; allocation concurrent with lookups is not).
 package memsys
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/cache"
 )
@@ -36,7 +37,7 @@ type Placement int
 const (
 	// PlaceBlocked divides the region into equal contiguous partitions,
 	// one per processor, homing each partition on its processor's node
-	// (partition boundaries round to pages). This matches how the sorting
+	// (a page may straddle two partitions). This matches how the sorting
 	// programs distribute their key arrays.
 	PlaceBlocked Placement = iota
 	// PlaceRoundRobin homes consecutive pages on consecutive nodes.
@@ -60,18 +61,19 @@ func (p Placement) String() string {
 }
 
 // mixedPage marks a page-table entry whose page does not have a single
-// home node; lookups fall back to the region's placement closure.
+// home node; lookups fall back to the region walk.
 const mixedPage int32 = -1
 
 // Region is a contiguous allocation in the simulated address space.
 type Region struct {
-	name   string
-	base   cache.Addr
-	size   int
-	homeOf func(offset int) int
-	// spanHome returns the home node shared by every in-region byte
-	// offset in [start, end], or mixedPage when the span covers more
-	// than one home. Used to build the flat page table at alloc time.
+	name string
+	base cache.Addr
+	size int
+	// homeOf returns the home node of the byte at offset, which may lie
+	// in the alignment padding past size; spanHome returns the home
+	// shared by every offset in [start, end], or mixedPage when the span
+	// covers more than one. spanHome builds the flat page table.
+	homeOf   func(offset int) int
 	spanHome func(start, end int) int32
 }
 
@@ -94,10 +96,6 @@ func (r *Region) Contains(a cache.Addr) bool {
 	return a >= r.base && a < r.base+cache.Addr(r.size)
 }
 
-// HomeOfOffset returns the home node of the page containing the byte at
-// offset.
-func (r *Region) HomeOfOffset(offset int) int { return r.homeOf(offset) }
-
 // AddressSpace allocates regions and answers home-node queries.
 type AddressSpace struct {
 	pageSize   int
@@ -109,14 +107,9 @@ type AddressSpace struct {
 	rrNext     int       // next node for round-robin placement
 
 	// pageHome is the flat page→home table, indexed by page number
-	// (address >> pageShift); mixedPage entries fall back to the owning
-	// region's closure. Built incrementally by alloc; read-only during
-	// simulation.
+	// (address >> pageShift); mixedPage entries fall back to the region
+	// walk. Built incrementally by alloc; read-only during simulation.
 	pageHome []int32
-	// lastRegion memoizes the most recent RegionOf result. Atomic so
-	// concurrent processor goroutines may share it; the memo only ever
-	// caches a value the search would return, so lookups stay exact.
-	lastRegion atomic.Pointer[Region]
 }
 
 // New builds an address space. pageSize must be a power of two; nodes is
@@ -132,13 +125,9 @@ func New(pageSize, nodes int, nodeOfProc func(int) int) (*AddressSpace, error) {
 	if nodeOfProc == nil {
 		return nil, fmt.Errorf("memsys: nodeOfProc must not be nil")
 	}
-	shift := uint(0)
-	for 1<<shift < pageSize {
-		shift++
-	}
 	return &AddressSpace{
 		pageSize:   pageSize,
-		pageShift:  shift,
+		pageShift:  uint(bits.Len(uint(pageSize - 1))),
 		nodes:      nodes,
 		nodeOfProc: nodeOfProc,
 		// Leave page 0 unused so the zero Addr never aliases a region.
@@ -163,10 +152,10 @@ func (as *AddressSpace) alloc(name string, size int, homeOf func(offset int) int
 }
 
 // indexRegion appends the region's pages to the flat page→home table.
-// A page gets a concrete home only when every one of its byte addresses
-// would resolve to that home through the legacy region walk; otherwise
-// it is marked mixedPage and lookups take the slow path, so the table
-// never changes a simulated result.
+// A page gets a concrete home when the closure homes all of its bytes,
+// padding included, on one node; otherwise it is marked mixedPage and
+// lookups take the region walk, so the table never changes a simulated
+// result.
 func (as *AddressSpace) indexRegion(r *Region) {
 	firstPage := int(uint64(r.base) >> as.pageShift)
 	// Pages before the region's first page that are not yet indexed are
@@ -174,30 +163,14 @@ func (as *AddressSpace) indexRegion(r *Region) {
 	for len(as.pageHome) < firstPage {
 		as.pageHome = append(as.pageHome, 0)
 	}
-	ps := as.pageSize
-	nPages := as.align(r.size) / ps
-	for pg := 0; pg < nPages; pg++ {
-		start := pg * ps
-		last := start + ps - 1
-		var h int32
-		switch {
-		case last < r.size:
-			h = r.spanHome(start, last)
-		case r.spanHome(start, r.size-1) == 0:
-			// Tail page with alignment padding: bytes beyond size lie
-			// outside every region and resolve to node 0, so the page is
-			// uniform only when its in-region bytes are homed on 0 too.
-			h = 0
-		default:
-			h = mixedPage
-		}
-		as.pageHome = append(as.pageHome, h)
+	for start := 0; start < r.size; start += as.pageSize {
+		as.pageHome = append(as.pageHome, r.spanHome(start, start+as.pageSize-1))
 	}
 }
 
 // AllocBlocked allocates size bytes partitioned across nProcs processors:
-// byte offsets in partition i (of size/nProcs bytes, page-rounded) are
-// homed on processor i's node.
+// byte offsets in partition i (of size/nProcs bytes) are homed on
+// processor i's node, and the last partition runs on through the padding.
 func (as *AddressSpace) AllocBlocked(name string, size, nProcs int) *Region {
 	if nProcs <= 0 {
 		panic(fmt.Sprintf("memsys: AllocBlocked(%q) with nProcs=%d", name, nProcs))
@@ -260,11 +233,8 @@ func (as *AddressSpace) AllocOnNode(name string, size, node int) *Region {
 	return as.alloc(name, size, homeOf, spanHome)
 }
 
-// RegionOf returns the region containing a, or nil.
-func (as *AddressSpace) RegionOf(a cache.Addr) *Region {
-	if r := as.lastRegion.Load(); r != nil && r.Contains(a) {
-		return r
-	}
+// regionOf returns the region whose page-aligned span holds a, or nil.
+func (as *AddressSpace) regionOf(a cache.Addr) *Region {
 	i := sort.Search(len(as.regions), func(i int) bool {
 		return as.regions[i].base > a
 	})
@@ -272,16 +242,14 @@ func (as *AddressSpace) RegionOf(a cache.Addr) *Region {
 		return nil
 	}
 	r := as.regions[i-1]
-	if !r.Contains(a) {
+	if a >= r.base+cache.Addr(as.align(r.size)) {
 		return nil
 	}
-	as.lastRegion.Store(r)
 	return r
 }
 
 // HomeOf returns the home node of the page containing a. Addresses
-// outside any region are homed on node 0 (they arise only from
-// line-rounding at region edges).
+// outside every region's span are homed on node 0.
 func (as *AddressSpace) HomeOf(a cache.Addr) int {
 	pg := uint64(a) >> as.pageShift
 	if pg >= uint64(len(as.pageHome)) {
@@ -290,36 +258,18 @@ func (as *AddressSpace) HomeOf(a cache.Addr) int {
 	if h := as.pageHome[pg]; h >= 0 {
 		return int(h)
 	}
-	return as.slowHomeOf(a)
+	return as.ReferenceHomeOf(a)
 }
 
-// slowHomeOf is the legacy region-walk home lookup, used for mixedPage
-// pages (and by the equivalence tests as the reference oracle).
-func (as *AddressSpace) slowHomeOf(a cache.Addr) int {
-	r := as.RegionOf(a)
-	if r == nil {
-		return 0
-	}
-	return r.homeOf(int(a - r.base))
-}
-
-// ReferenceHomeOf is the paranoid-mode home oracle: it resolves a
-// through a fresh binary search over the region list and the owning
-// region's placement closure, bypassing both the flat page→home table
-// and the lastRegion memo. HomeOf must agree with it on every address
-// (the differential checker compares them per miss).
+// ReferenceHomeOf is the region walk: a binary search over the region
+// list and the owning region's placement closure, bypassing the flat
+// page→home table. HomeOf takes it for pages marked mixedPage, and the
+// paranoid differential checker compares the two on every miss.
 func (as *AddressSpace) ReferenceHomeOf(a cache.Addr) int {
-	i := sort.Search(len(as.regions), func(i int) bool {
-		return as.regions[i].base > a
-	})
-	if i == 0 {
-		return 0
+	if r := as.regionOf(a); r != nil {
+		return r.homeOf(int(a - r.base))
 	}
-	r := as.regions[i-1]
-	if !r.Contains(a) {
-		return 0
-	}
-	return r.homeOf(int(a - r.base))
+	return 0
 }
 
 // PageHome returns the home node of the page containing a when every

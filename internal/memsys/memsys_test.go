@@ -63,12 +63,12 @@ func TestBlockedPlacement(t *testing.T) {
 	r := as.AllocBlocked("keys", 16*4096, 16)
 	for proc := 0; proc < 16; proc++ {
 		off := proc*4096 + 100
-		if got, want := r.HomeOfOffset(off), proc/2; got != want {
+		if got, want := as.HomeOf(r.Addr(off)), proc/2; got != want {
 			t.Errorf("partition %d homed on node %d, want %d", proc, got, want)
 		}
 	}
 	// Last byte belongs to the last partition.
-	if got := r.HomeOfOffset(16*4096 - 1); got != 7 {
+	if got := as.HomeOf(r.Addr(16*4096 - 1)); got != 7 {
 		t.Errorf("last byte homed on node %d, want 7", got)
 	}
 }
@@ -78,7 +78,7 @@ func TestBlockedPlacementTinyRegion(t *testing.T) {
 	// Fewer bytes than processors must not panic or divide by zero.
 	r := as.AllocBlocked("tiny", 4, 16)
 	for off := 0; off < 4; off++ {
-		home := r.HomeOfOffset(off)
+		home := as.HomeOf(r.Addr(off))
 		if home < 0 || home >= 8 {
 			t.Errorf("offset %d homed on invalid node %d", off, home)
 		}
@@ -88,16 +88,16 @@ func TestBlockedPlacementTinyRegion(t *testing.T) {
 func TestRoundRobinPlacement(t *testing.T) {
 	as := testAS(t)
 	r := as.AllocRoundRobin("hist", 10*4096)
-	first := r.HomeOfOffset(0)
+	first := as.HomeOf(r.Addr(0))
 	for page := 0; page < 10; page++ {
-		if got, want := r.HomeOfOffset(page*4096), (first+page)%8; got != want {
+		if got, want := as.HomeOf(r.Addr(page*4096)), (first+page)%8; got != want {
 			t.Errorf("page %d homed on node %d, want %d", page, got, want)
 		}
 	}
 	// A second round-robin region continues the rotation rather than
 	// piling onto node 0.
 	r2 := as.AllocRoundRobin("hist2", 4096)
-	if got, want := r2.HomeOfOffset(0), (first+10)%8; got != want {
+	if got, want := as.HomeOf(r2.Addr(0)), (first+10)%8; got != want {
 		t.Errorf("second region first page on node %d, want %d", got, want)
 	}
 }
@@ -106,7 +106,7 @@ func TestOnNodePlacement(t *testing.T) {
 	as := testAS(t)
 	r := as.AllocOnNode("buf", 3*4096, 5)
 	for off := 0; off < 3*4096; off += 1111 {
-		if got := r.HomeOfOffset(off); got != 5 {
+		if got := as.HomeOf(r.Addr(off)); got != 5 {
 			t.Errorf("offset %d homed on node %d, want 5", off, got)
 		}
 	}
@@ -126,14 +126,14 @@ func TestRegionOfAndHomeOf(t *testing.T) {
 	as := testAS(t)
 	r1 := as.AllocOnNode("a", 4096, 1)
 	r2 := as.AllocOnNode("b", 4096, 2)
-	if got := as.RegionOf(r1.Addr(100)); got != r1 {
-		t.Errorf("RegionOf(r1+100) = %v, want r1", got)
+	if got := as.regionOf(r1.Addr(100)); got != r1 {
+		t.Errorf("regionOf(r1+100) = %v, want r1", got)
 	}
-	if got := as.RegionOf(r2.Addr(0)); got != r2 {
-		t.Errorf("RegionOf(r2) = %v, want r2", got)
+	if got := as.regionOf(r2.Addr(0)); got != r2 {
+		t.Errorf("regionOf(r2) = %v, want r2", got)
 	}
-	if got := as.RegionOf(0); got != nil {
-		t.Errorf("RegionOf(0) = %v, want nil", got)
+	if got := as.regionOf(0); got != nil {
+		t.Errorf("regionOf(0) = %v, want nil", got)
 	}
 	if got := as.HomeOf(r1.Addr(50)); got != 1 {
 		t.Errorf("HomeOf(r1+50) = %d, want 1", got)

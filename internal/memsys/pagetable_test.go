@@ -1,18 +1,14 @@
 package memsys
 
-import (
-	"testing"
-
-	"repro/internal/cache"
-)
+import "testing"
 
 // TestPageTableMatchesClosures replays the flat page→home table against
-// the legacy per-region homeOf closures for all three placement
-// policies, with deliberately odd sizes so partitions straddle pages
-// and tail pages carry alignment padding. Every byte address must
-// resolve identically through HomeOf (flat table) and slowHomeOf
-// (legacy region walk): the table is a cache of the closures, never a
-// reinterpretation.
+// the region walk for all three placement policies, with deliberately
+// odd sizes so partitions straddle pages and tail pages carry alignment
+// padding. Every byte address of a region's page-aligned span must
+// resolve identically through HomeOf (flat table), ReferenceHomeOf
+// (region walk) and the region's closure: the table is a cache of the
+// closures, never a reinterpretation.
 func TestPageTableMatchesClosures(t *testing.T) {
 	as := testAS(t)
 	ps := as.PageSize()
@@ -31,30 +27,87 @@ func TestPageTableMatchesClosures(t *testing.T) {
 	for _, r := range regions {
 		for off := 0; off < r.Size(); off += step {
 			a := r.Addr(off)
-			want := as.slowHomeOf(a)
+			want := as.ReferenceHomeOf(a)
 			if got := as.HomeOf(a); got != want {
-				t.Fatalf("%s offset %d: HomeOf=%d, legacy walk=%d", r.Name(), off, got, want)
+				t.Fatalf("%s offset %d: HomeOf=%d, region walk=%d", r.Name(), off, got, want)
 			}
-			if want != r.HomeOfOffset(off) {
-				t.Fatalf("%s offset %d: legacy walk=%d, closure=%d",
-					r.Name(), off, want, r.HomeOfOffset(off))
+			if want != r.homeOf(off) {
+				t.Fatalf("%s offset %d: region walk=%d, closure=%d", r.Name(), off, want, r.homeOf(off))
 			}
 			// PageHome may decline (mixed page), but when it answers it
 			// must agree with every byte of the page.
 			if h, ok := as.PageHome(a); ok && h != want {
-				t.Fatalf("%s offset %d: PageHome=%d, legacy walk=%d", r.Name(), off, h, want)
+				t.Fatalf("%s offset %d: PageHome=%d, region walk=%d", r.Name(), off, h, want)
 			}
 		}
 	}
-	// Alignment-padding addresses past each region's last byte but
-	// inside its page-aligned span are outside every region: home 0.
+	// Alignment padding past each region's last byte belongs to the
+	// region: it is homed where the closure puts it — the last blocked
+	// partition's node, the tail page's round-robin node, the region's
+	// node — and never on node 0 by default.
+	padHome := func(r *Region, off int) int {
+		switch r.Name() {
+		case "blocked-odd":
+			return 6 / 2
+		case "rr":
+			return r.homeOf(r.Size() - 1)
+		case "onnode":
+			return 5
+		case "tiny": // one byte per partition: procs 1-3 own the padding
+			return min(off, 3) / 2
+		}
+		t.Fatalf("%s has padding", r.Name())
+		return 0
+	}
 	for _, r := range regions {
-		last := r.Addr(r.Size() - 1)
-		padEnd := cache.Addr(uint64(r.Base()) + uint64(as.align(r.Size())))
-		for a := last + 1; a < padEnd; a += cache.Addr(step) {
-			want := as.slowHomeOf(a)
+		for off := r.Size(); off < as.align(r.Size()); off += step {
+			a, want := r.Addr(off), padHome(r, off)
+			if got := as.ReferenceHomeOf(a); got != want {
+				t.Fatalf("%s pad offset %d: region walk=%d, want %d", r.Name(), off, got, want)
+			}
 			if got := as.HomeOf(a); got != want {
-				t.Fatalf("%s pad addr %#x: HomeOf=%d, legacy walk=%d", r.Name(), uint64(a), got, want)
+				t.Fatalf("%s pad offset %d: HomeOf=%d, want %d", r.Name(), off, got, want)
+			}
+		}
+	}
+}
+
+// TestMixedPagesAreStraddledBoundaries pins which pages take the region
+// walk: with every processor on its own node and every placement
+// allocated at odd sizes, a page is mixedPage exactly when a blocked
+// partition boundary lies strictly inside it. Padding never makes a page
+// mixed.
+func TestMixedPagesAreStraddledBoundaries(t *testing.T) {
+	as, err := New(4096, 16, func(p int) int { return p })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := as.PageSize()
+	type blocked struct{ size, procs int }
+	var regions []*Region
+	parts := map[*Region]blocked{}
+	for _, b := range []blocked{{16000, 7}, {16 * ps, 16}, {3*ps + 5, 3}, {1, 4}, {5*ps - 3, 16}} {
+		r := as.AllocBlocked("blocked", b.size, b.procs)
+		regions = append(regions, r)
+		parts[r] = b
+	}
+	regions = append(regions, as.AllocRoundRobin("rr", 5*ps+123), as.AllocOnNode("onnode", 3*ps-1, 5),
+		as.AllocRoundRobin("rr-tiny", 7))
+	for _, r := range regions {
+		for start := 0; start < r.Size(); start += ps {
+			straddled := false
+			if b, ok := parts[r]; ok {
+				part := max(b.size/b.procs, 1)
+				for q := 1; q < b.procs; q++ {
+					if edge := q * part; start < edge && edge < start+ps {
+						straddled = true
+					}
+				}
+			}
+			_, uniform := as.PageHome(r.Addr(start))
+			if uniform == straddled {
+				t.Errorf("%s of %d bytes, page at offset %d: PageHome ok=%v, boundary inside=%v",
+					r.Name(), r.Size(), start, uniform, straddled)
 			}
 		}
 	}
@@ -62,7 +115,7 @@ func TestPageTableMatchesClosures(t *testing.T) {
 
 // TestPageTableMixedPagesFallBack checks that a page whose bytes span
 // two homes is marked mixed: PageHome must decline, and HomeOf must
-// still resolve each byte through the legacy walk.
+// still resolve each byte through the region walk.
 func TestPageTableMixedPagesFallBack(t *testing.T) {
 	as := testAS(t)
 	ps := as.PageSize()

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -41,6 +42,23 @@ func TestPanicBeforeGate(t *testing.T) {
 	pp, ok := r.(*machine.ProcPanic)
 	if !ok || pp.Proc != 2 || pp.Value != "boom" {
 		t.Errorf("Run panicked with %v, want processor 2: boom", r)
+	}
+}
+
+// A rank that returns without joining a phase fails the run by name
+// instead of leaving the other ranks parked in the gate.
+func TestRankSkippingAPhaseStrandsTheOthers(t *testing.T) {
+	c := comm(t, 4, DefaultDirect())
+	r := runPanic(t, c, func(p *machine.Proc) {
+		p.SetPhase("exchange")
+		if p.ID != 2 {
+			run(c, p, send((p.ID+1)%4, 0, nil, 8))
+		}
+	})
+	se, ok := r.(*machine.StrandedError)
+	if !ok || !slices.Equal(se.Parked, []int{0, 1, 3}) || !slices.Equal(se.Returned, []int{2}) ||
+		se.Kind != "rendezvous" || se.Phase != "exchange" {
+		t.Errorf("Run panicked with %T %v, want ranks 0, 1, 3 stranded at a rendezvous by rank 2", r, r)
 	}
 }
 

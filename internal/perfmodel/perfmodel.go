@@ -14,6 +14,7 @@ package perfmodel
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/machine"
 	"repro/internal/mpi"
@@ -215,12 +216,7 @@ func (pr *Predictor) Predict(model Model, w Workload) (*Prediction, error) {
 	}
 
 	// Synchronization: two barriers per pass.
-	logp := 0
-	for 1<<logp < w.Procs {
-		logp++
-	}
-	barrier := pr.cfg.BarrierBaseNs + pr.cfg.BarrierPerLogNs*float64(logp)
-	phases["sync"] = passes * 2 * barrier
+	phases["sync"] = passes * 2 * pr.cfg.BarrierCost(w.Procs)
 
 	total := 0.0
 	for _, v := range phases {
@@ -254,10 +250,7 @@ func (pr *Predictor) treeNs(procs, buckets int) float64 {
 	if procs == 1 {
 		return 0
 	}
-	levels := 0
-	for 1<<levels < procs {
-		levels++
-	}
+	levels := bits.Len(uint(procs - 1))
 	lines := float64(buckets*4) / float64(pr.cfg.Cache.LineSize)
 	perLevel := lines*pr.remoteMissNs()/pr.cfg.MissOverlap +
 		pr.cfg.Topology.RemoteBaseLatency + // flag transfer
@@ -279,10 +272,7 @@ func (pr *Predictor) allgatherNs(procs, buckets int) float64 {
 	if procs == 1 {
 		return 0
 	}
-	rounds := 0
-	for 1<<rounds < procs {
-		rounds++
-	}
+	rounds := bits.Len(uint(procs - 1))
 	bytes := float64((procs - 1) * buckets * 4)
 	perRound := pr.mpi.SendOverheadNs + pr.mpi.RecvOverheadNs + pr.cfg.Topology.RemoteBaseLatency
 	return float64(rounds)*perRound + bytes/pr.cfg.Topology.LinkBandwidth

@@ -1,6 +1,7 @@
 package sorts
 
 import (
+	"repro/internal/keys"
 	"repro/internal/machine"
 )
 
@@ -137,7 +138,7 @@ type store struct {
 
 // onProc allocates processor i's partition of an n-key array.
 func onProc(m *machine.Machine, name string, n, i int) part {
-	lo, hi := bounds(n, m.Procs(), i)
+	lo, hi := keys.Bounds(n, m.Procs(), i)
 	return part{arr: machine.NewArrayOnProc[uint32](m, name, hi-lo, i), n: hi - lo}
 }
 
@@ -150,7 +151,7 @@ func reserved(m *machine.Machine, name string, n, i int) part {
 // load copies the input into the key partitions.
 func (st *store) load(keysIn []uint32) {
 	for i, pt := range st.keys.part {
-		lo, _ := bounds(len(keysIn), len(st.keys.part), i)
+		lo, _ := keys.Bounds(len(keysIn), len(st.keys.part), i)
 		copy(pt.arr.Data[pt.lo:pt.lo+pt.n], keysIn[lo:lo+pt.n])
 	}
 }

@@ -2,6 +2,7 @@ package sorts
 
 import (
 	"repro/internal/ccsas"
+	"repro/internal/keys"
 	"repro/internal/machine"
 )
 
@@ -57,7 +58,7 @@ func sharedParts(m *machine.Machine, name string, n int) *partitioned {
 	arr := machine.NewArrayBlocked[uint32](m, name, n)
 	pt := &partitioned{part: make([]part, m.Procs()), shared: true}
 	for i := range pt.part {
-		lo, hi := bounds(n, m.Procs(), i)
+		lo, hi := keys.Bounds(n, m.Procs(), i)
 		pt.part[i] = part{arr: arr, lo: lo, n: hi - lo}
 	}
 	return pt

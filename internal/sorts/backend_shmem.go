@@ -1,6 +1,7 @@
 package sorts
 
 import (
+	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/shmem"
 )
@@ -48,7 +49,7 @@ func (b *shmemBackend) received() machine.Sharing { return machine.Private }
 func (b *shmemBackend) symParts(s *shmem.Sym[uint32], n int) *partitioned {
 	pt := newPartitioned(len(s.Seg))
 	for i, seg := range s.Seg {
-		lo, hi := bounds(n, len(s.Seg), i)
+		lo, hi := keys.Bounds(n, len(s.Seg), i)
 		pt.part[i] = part{arr: seg, n: hi - lo}
 	}
 	b.sym[pt] = s

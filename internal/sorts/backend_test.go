@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/topology"
@@ -234,7 +235,7 @@ func TestBackendContract(t *testing.T) {
 				if c.name != "shmem-put" { // a put needs a placed, splitter-directed plan
 					hists := make([][]int32, P)
 					for i := range hists {
-						lo, hi := bounds(n, P, i)
+						lo, hi := keys.Bounds(n, P, i)
 						hists[i] = randomRow(rng, hi-lo, buckets, shape)
 						if shape == 4 {
 							hists[i] = make([]int32, buckets)
@@ -266,7 +267,7 @@ func TestBackendContract(t *testing.T) {
 				rows := make([][]int32, P)
 				bnds := make([][]int64, P)
 				for q := range rows {
-					lo, hi := bounds(n, P, q)
+					lo, hi := keys.Bounds(n, P, q)
 					rows[q] = randomRow(rng, hi-lo, P, shape)
 					switch shape {
 					case 1:

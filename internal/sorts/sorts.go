@@ -18,6 +18,7 @@ package sorts
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/keys"
 	"repro/internal/machine"
@@ -170,17 +171,5 @@ type Result struct {
 // TimeNs returns the simulated execution time.
 func (r *Result) TimeNs() float64 { return r.Run.TimeNs }
 
-// bounds returns the [lo,hi) range of chunk i when n items are split
-// into k chunks (identical partitioning everywhere in the package).
-func bounds(n, k, i int) (lo, hi int) {
-	return i * n / k, (i + 1) * n / k
-}
-
-// ilog2 returns ceil(log2(n)) for n >= 1.
-func ilog2(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
-	}
-	return k
-}
+// ilog2 returns ⌈log₂ n⌉ for n ≥ 1.
+func ilog2(n int) int { return bits.Len(uint(n - 1)) }
