@@ -225,8 +225,8 @@ func TestRunGridPanicStructuredError(t *testing.T) {
 }
 
 // TestRunGridDeadlockTypedError: an MPI program that deadlocks inside a
-// cell is that cell's error, and still a *mpi.DeadlockError naming the
-// stuck ranks when it comes out of the figure driver.
+// cell is that cell's error, and still a *machine.StrandedError naming
+// the stuck ranks when it comes out of the figure driver.
 func TestRunGridDeadlockTypedError(t *testing.T) {
 	h := NewHarness(Options{Sizes: SizeClasses[:1], Procs: []int{4}, Parallelism: 2})
 	h.simulate = func(Experiment) (*Outcome, error) {
@@ -237,9 +237,9 @@ func TestRunGridDeadlockTypedError(t *testing.T) {
 		return nil, errors.New("the run returned")
 	}
 	_, _, err := h.Table1()
-	var dl *mpi.DeadlockError
-	if !errors.As(err, &dl) || len(dl.Stuck) != 4 || dl.Stuck[1] != (mpi.StuckRank{Rank: 1, Recv: true, Peer: 3}) {
-		t.Fatalf("Table1 returned %v, want a *mpi.DeadlockError naming four ranks inside", err)
+	var se *machine.StrandedError
+	if !errors.As(err, &se) || len(se.Parked) != 4 || se.Parked[1] != (machine.Parked{Proc: 1, At: "recv←3"}) {
+		t.Fatalf("Table1 returned %v, want a *machine.StrandedError naming four ranks inside", err)
 	}
 	if pe := panicErrorFrom(t, err); pe.Index != 0 {
 		t.Errorf("deadlock reported for cell %d, want 0", pe.Index)

@@ -47,8 +47,8 @@ func (e *PanicError) Error() string {
 }
 
 // Unwrap returns Value when it is an error, so a typed failure a cell
-// panicked with — an *mpi.DeadlockError inside Machine.Run's
-// *machine.ProcPanic — is still there for errors.As.
+// panicked with — a *machine.StrandedError from Machine.Run, or an error
+// inside its *machine.ProcPanic — is still there for errors.As.
 func (e *PanicError) Unwrap() error {
 	err, _ := e.Value.(error)
 	return err

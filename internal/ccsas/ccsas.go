@@ -42,20 +42,19 @@ func (w *World) Barrier(p *machine.Proc) { w.M.Barrier(p) }
 
 // Flag is a pairwise synchronization flag carrying the setter's virtual
 // time, modeling a spin-wait on a shared memory word. Each Flag is
-// single-producer single-consumer per episode. A processor parked in Set
-// or Wait unwinds when another processor's panic aborts the run: the
-// peer it waits for may be the one that died. A flag is the one place a
-// processor parks outside the machine's gate, so a waiter whose peer's
-// body returned without setting it is not detected: Run hangs.
+// single-producer single-consumer per episode and holds one setting: Set
+// waits while the previous one is untaken. Both park in the machine's
+// gate (machine.Mailbox), so a processor waiting on a flag unwinds when
+// another processor's panic aborts the run, and one whose peer returned
+// without setting it, or that waits in a cycle of flags, fails the run
+// with a *machine.StrandedError.
 type Flag struct {
-	w  *World
-	ch chan float64
+	w   *World
+	box machine.Mailbox
 }
 
 // NewFlag builds a flag in world w.
-func NewFlag(w *World) *Flag {
-	return &Flag{w: w, ch: make(chan float64, 1)}
-}
+func NewFlag(w *World) *Flag { return &Flag{w: w} }
 
 // Set publishes the flag: one store to the flag line, which the waiter's
 // node will fetch.
@@ -63,24 +62,14 @@ func (f *Flag) Set(p *machine.Proc) {
 	// The store itself is a handful of cycles; the transfer cost is paid
 	// by the waiter's observation latency.
 	p.Compute(1)
-	select {
-	case f.ch <- p.Now():
-	case <-f.w.M.Aborted():
-		p.Unwind()
-	}
+	f.box.Put(p, p.Now())
 }
 
 // Wait spins until the flag is set, charging the wait to SYNC plus one
 // flag-line transfer.
 func (f *Flag) Wait(p *machine.Proc) {
 	start := p.Now()
-	var t float64
-	select {
-	case t = <-f.ch:
-	case <-f.w.M.Aborted():
-		p.Unwind()
-	}
-	p.WaitUntil(t + f.w.flagLatencyNs)
+	p.WaitUntil(f.box.Take(p) + f.w.flagLatencyNs)
 	if waited := p.Now() - start; waited > 0 {
 		p.TraceEvent(trace.EvMsgWait, -1, 0, waited)
 	}

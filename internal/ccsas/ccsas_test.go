@@ -1,6 +1,8 @@
 package ccsas
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -216,20 +218,27 @@ func TestReduceValidatesLength(t *testing.T) {
 
 // TestPanicBeforeFlagSet: a processor that panics before setting a flag
 // another one waits on aborts the run like a panic before a barrier
-// does — the waiter unwinds and Run reports the failed processor. The
-// flag used to park on a bare channel, so the waiter, its peers at the
-// episode's barrier and Run itself never returned.
+// does — the waiter unwinds and Run reports the failed processor. A
+// waiter whose peer returned without setting its flag, or that waits in
+// a cycle of flags, fails the run with a *machine.StrandedError instead
+// of parking forever; a setter that returns right after setting never
+// does.
 func TestPanicBeforeFlagSet(t *testing.T) {
 	const buckets = 16
+	lost := &machine.ProcPanic{Proc: 1, Value: "processor 1 lost its keys"}
 	for _, tc := range []struct {
 		name  string
 		procs int
+		runs  int
 		body  func(w *World) func(p *machine.Proc)
+		// want is what Run panics with: a *machine.ProcPanic, a
+		// *machine.StrandedError, or nil.
+		want error
 	}{
 		// The radix sort's histogram step: count locally, then Reduce.
 		// Processor 1 dies while counting; processor 0 waits on its leaf
 		// flag, 2 and 3 further up the tree and at the barrier.
-		{"reduce", 4, func(w *World) func(p *machine.Proc) {
+		{"reduce", 4, 1, func(w *World) func(p *machine.Proc) {
 			tree := NewPrefixTree(w, buckets)
 			return func(p *machine.Proc) {
 				local := make([]int32, buckets)
@@ -242,10 +251,10 @@ func TestPanicBeforeFlagSet(t *testing.T) {
 				p.Compute(64)
 				tree.Reduce(p, local)
 			}
-		}},
+		}, lost},
 		// The bare pair, both directions: 0 waits on a flag nobody sets,
 		// 2 is blocked setting one that is still full.
-		{"flags", 4, func(w *World) func(p *machine.Proc) {
+		{"flags", 4, 1, func(w *World) func(p *machine.Proc) {
 			never, full := NewFlag(w), NewFlag(w)
 			return func(p *machine.Proc) {
 				switch p.ID {
@@ -258,25 +267,92 @@ func TestPanicBeforeFlagSet(t *testing.T) {
 					full.Set(p)
 				}
 			}
-		}},
+		}, lost},
+		// Processor 0 waits on a flag; processor 1 dies, and processor 2,
+		// still running, sets the flag after the abort unwound 0. The set
+		// must unwind 2 instead of releasing 0 a second time.
+		{"set after abort", 4, 3, func(w *World) func(p *machine.Proc) {
+			late := NewFlag(w)
+			return func(p *machine.Proc) {
+				switch p.ID {
+				case 0:
+					late.Wait(p)
+				case 1:
+					time.Sleep(5 * time.Millisecond)
+					panic("processor 1 lost its keys")
+				case 2:
+					time.Sleep(50 * time.Millisecond)
+					late.Set(p)
+					t.Error("processor 2 went on past a Set in an aborted run")
+				}
+			}
+		}, lost},
+		// Processor 1 returns without setting the flag 0 waits on.
+		{"returned", 4, 1, func(w *World) func(p *machine.Proc) {
+			never := NewFlag(w)
+			return func(p *machine.Proc) {
+				p.SetPhase("histogram")
+				if p.ID == 0 {
+					never.Wait(p)
+				}
+			}
+		}, &machine.StrandedError{Parked: []machine.Parked{{Proc: 0, At: "flag", Phase: "histogram"}}, Returned: []int{1, 2, 3}}},
+		// Each waits for the flag the other sets after its own wait.
+		{"cycle", 2, 1, func(w *World) func(p *machine.Proc) {
+			flags := [2]*Flag{NewFlag(w), NewFlag(w)}
+			return func(p *machine.Proc) {
+				flags[p.ID].Wait(p)
+				flags[1-p.ID].Set(p)
+			}
+		}, &machine.StrandedError{Parked: []machine.Parked{{Proc: 0, At: "flag"}, {Proc: 1, At: "flag"}}}},
+		// Setters return right after Set while their waiters may still be
+		// parked: the release must count before the return does.
+		{"set then return", 4, 1000, func(w *World) func(p *machine.Proc) {
+			flags := [2]*Flag{NewFlag(w), NewFlag(w)}
+			return func(p *machine.Proc) {
+				if p.ID%2 == 0 {
+					flags[p.ID/2].Set(p)
+				} else {
+					flags[p.ID/2].Wait(p)
+				}
+			}
+		}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := world(t, tc.procs)
 			body := tc.body(w)
-			done := make(chan any, 1)
-			go func() {
-				defer func() { done <- recover() }()
-				w.M.Run(body)
-			}()
-			select {
-			case r := <-done:
-				pp, ok := r.(*machine.ProcPanic)
-				if !ok || pp.Proc != 1 {
-					t.Fatalf("Run panicked with %v, want a *machine.ProcPanic naming processor 1", r)
+			for run := 0; run < tc.runs; run++ {
+				done := make(chan any, 1)
+				go func() {
+					defer func() { done <- recover() }()
+					w.M.Run(body)
+				}()
+				select {
+				case r := <-done:
+					var se *machine.StrandedError
+					if err, _ := r.(error); errors.As(err, &se) {
+						r = se
+					}
+					if !reflect.DeepEqual(r, any(tc.want)) {
+						t.Fatalf("run %d: Run panicked with %#v, want %#v", run, r, tc.want)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("run %d: Run never returned: a processor is parked on a flag", run)
 				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("Run never returned: a processor is parked on a flag of the aborted run")
 			}
+			// Nothing of the failed runs reaches the machine's next one,
+			// even for processor 0 parking first.
+			cfg := w.M.Config()
+			release := float64(tc.procs-1) + cfg.BarrierCost(tc.procs)
+			w.M.SetArrivalOrderForTest(func(proc, arrived int) bool { return proc == arrived })
+			defer w.M.SetArrivalOrderForTest(nil)
+			w.M.Run(func(p *machine.Proc) {
+				p.ComputeNs(float64(p.ID))
+				w.Barrier(p)
+				if p.Now() != release {
+					t.Errorf("processor %d left the next run's barrier at %v, want %v", p.ID, p.Now(), release)
+				}
+			})
 		})
 	}
 }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -192,8 +193,9 @@ func TestRendezvousForcedArrivalOrder(t *testing.T) {
 
 // A processor whose body returns while the others wait at the gate, or
 // before they arrive, must not leave them parked: Run fails with a
-// *StrandedError naming the parked and the returned processors and the
-// episode, at every kind of episode, and the next run is unaffected.
+// *StrandedError naming each parked processor, where it waits and its
+// phase, and the returned processors, at every kind of episode and at a
+// mailbox, and the next run is unaffected.
 func TestStrandedEpisodesFail(t *testing.T) {
 	m := testMachine(t, 4)
 	// untilGate spins until cond holds of the gate's state.
@@ -208,6 +210,13 @@ func TestStrandedEpisodesFail(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
+	var boxes [4]Mailbox
+	type strandCase struct {
+		name   string
+		body   func(p *Proc)
+		parked []Parked
+	}
+	var cases []strandCase
 	for _, tc := range []struct {
 		kind string
 		call func(p *Proc)
@@ -215,37 +224,54 @@ func TestStrandedEpisodesFail(t *testing.T) {
 		{"barrier", func(p *Proc) { m.Barrier(p) }},
 		{"rendezvous", func(p *Proc) { m.Rendezvous(p, func() { t.Error("a rendezvous completed") }) }},
 		{"shared step", func(p *Proc) { Share(p, func() int { t.Error("a shared step was built"); return 0 }) }},
+		{"flag", func(p *Proc) { boxes[p.ID].Take(p) }},
+		{"flag (full)", func(p *Proc) { boxes[p.ID].Put(p, 1); boxes[p.ID].Put(p, 2) }},
 	} {
+		parked := []Parked{{1, tc.kind, "exchange"}, {2, tc.kind, "exchange"}, {3, tc.kind, "exchange"}}
 		for _, returnsFirst := range []bool{true, false} {
-			r := runPanic(t, m, func(p *Proc) {
-				p.SetPhase("exchange")
-				if p.ID == 0 {
-					if !returnsFirst {
-						untilGate(func(g *gate) bool { return g.waiting == 3 })
+			cases = append(cases, strandCase{fmt.Sprintf("%s, processor 0 returning first=%v", tc.kind, returnsFirst),
+				func(p *Proc) {
+					p.SetPhase("exchange")
+					if p.ID == 0 {
+						if !returnsFirst {
+							untilGate(func(g *gate) bool { return g.parked == 3 })
+						}
+						return
 					}
-					return
-				}
-				if returnsFirst {
-					untilGate(func(g *gate) bool { return g.left == 1 })
-				}
-				tc.call(p)
-			})
-			se, ok := r.(*StrandedError)
-			if !ok {
-				t.Fatalf("%s, processor 0 returning first=%v: Run panicked with %T %v, want *StrandedError",
-					tc.kind, returnsFirst, r, r)
-			}
-			if !slices.Equal(se.Parked, []int{1, 2, 3}) || !slices.Equal(se.Returned, []int{0}) ||
-				se.Kind != tc.kind || se.Phase != "exchange" {
-				t.Errorf("%s, processor 0 returning first=%v: %+v", tc.kind, returnsFirst, se)
-			}
-			want := `processors [1 2 3] wait at a ` + tc.kind + ` in phase "exchange" that processors [0] returned`
-			if !strings.Contains(se.Error(), want) {
-				t.Errorf("%q does not say %q", se.Error(), want)
-			}
-			if res := m.Run(func(p *Proc) { m.Barrier(p) }); res.TimeNs == 0 {
-				t.Errorf("after a stranded %s the next run's barrier cost nothing", tc.kind)
-			}
+					if returnsFirst {
+						untilGate(func(g *gate) bool { return g.left == 1 })
+					}
+					tc.call(p)
+				}, parked})
+		}
+	}
+	// A barrier and a flag stranded in one run, each waiter with its own
+	// phase label.
+	cases = append(cases, strandCase{"barrier and flag", func(p *Proc) {
+		switch p.ID {
+		case 1:
+			p.SetPhase("histogram")
+			boxes[1].Take(p)
+		case 2, 3:
+			p.SetPhase("exchange")
+			m.Barrier(p)
+		}
+	}, []Parked{{1, "flag", "histogram"}, {2, "barrier", "exchange"}, {3, "barrier", "exchange"}}})
+	for _, tc := range cases {
+		r := runPanic(t, m, tc.body)
+		var se *StrandedError
+		if err, ok := r.(error); !ok || !errors.As(err, &se) {
+			t.Fatalf("%s: Run panicked with %T %v, want *StrandedError", tc.name, r, r)
+		}
+		if !slices.Equal(se.Parked, tc.parked) || !slices.Equal(se.Returned, []int{0}) {
+			t.Errorf("%s: %+v", tc.name, se)
+		}
+		want := fmt.Sprintf(`processor 3 at %s in phase %q; processors [0] returned`, tc.parked[2].At, tc.parked[2].Phase)
+		if !strings.Contains(se.Error(), want) {
+			t.Errorf("%q does not say %q", se.Error(), want)
+		}
+		if res := m.Run(func(p *Proc) { m.Barrier(p) }); res.TimeNs == 0 {
+			t.Errorf("after %s stranded the next run's barrier cost nothing", tc.name)
 		}
 	}
 }

@@ -141,19 +141,6 @@ func (a *Array[T]) Store(p *Proc, i int, v T, sh Sharing) {
 	a.Data[i] = v
 }
 
-// LoadSeq reads element i as part of a sequential sweep (misses overlap
-// through the MSHRs).
-func (a *Array[T]) LoadSeq(p *Proc, i int, sh Sharing) T {
-	p.LoadSeq(a.Addr(i), sh)
-	return a.Data[i]
-}
-
-// StoreSeq writes element i as part of a sequential sweep.
-func (a *Array[T]) StoreSeq(p *Proc, i int, v T, sh Sharing) {
-	p.StoreSeq(a.Addr(i), sh)
-	a.Data[i] = v
-}
-
 // LoadRange charges a sequential block read of elements [lo, hi),
 // touching each cache line once with stream overlap. The caller reads
 // a.Data[lo:hi] directly for the values.

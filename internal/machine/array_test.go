@@ -56,10 +56,6 @@ func TestArrayLoadStoreRoundTrip(t *testing.T) {
 		if got := a.Load(p, 7, Private); got != 99 {
 			t.Errorf("Load = %d", got)
 		}
-		a.StoreSeq(p, 8, 100, Private)
-		if got := a.LoadSeq(p, 8, Private); got != 100 {
-			t.Errorf("LoadSeq = %d", got)
-		}
 	})
 }
 
@@ -76,7 +72,7 @@ func TestSeqAccessCheaperThanScattered(t *testing.T) {
 		}
 		before := p.Stats().Breakdown.LMem
 		for i := 0; i < a.Len(); i += 32 {
-			a.LoadSeq(p, i, Private)
+			p.LoadSeq(a.Addr(i), Private)
 		}
 		seqCost = p.Stats().Breakdown.LMem - before
 		before = p.Stats().Breakdown.LMem

@@ -1,29 +1,6 @@
 package machine
 
-import (
-	"fmt"
-	"testing"
-)
-
-// BenchmarkGate measures one episode of the machine's gate — a barrier of
-// processors with empty bodies — on the host; ns/op is per episode, all
-// P processors included.
-func BenchmarkGate(b *testing.B) {
-	for _, procs := range []int{64, 256} {
-		b.Run(fmt.Sprintf("p%d", procs), func(b *testing.B) {
-			m, err := New(Origin2000Scaled(procs))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			m.Run(func(p *Proc) {
-				for i := 0; i < b.N; i++ {
-					m.Barrier(p)
-				}
-			})
-		})
-	}
-}
+import "testing"
 
 // BenchmarkWalkBlock measures the page-run block walk (LoadBlock) over
 // a blocked array far larger than the cache, the shape of the sorts'

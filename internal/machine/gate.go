@@ -8,39 +8,57 @@ import (
 	"repro/internal/trace"
 )
 
-// episode names the collective a processor arrives at the gate for.
-type episode string
+// episode says where a processor is: running, parked at one of the
+// gate's collectives or at a mailbox, or returned. A byte, not a string,
+// so parking writes and compares no pointers; with a string, a
+// 256-processor barrier ran ≈ 50 % slower on the host.
+type episode uint8
 
 const (
-	atBarrier    episode = "barrier"
-	atRendezvous episode = "rendezvous"
-	atShare      episode = "shared step"
+	running episode = iota
+	atBarrier
+	atRendezvous
+	atShare
+	atTake
+	atPut
+	returned
 )
 
-// gate is the machine's one meeting point. Every barrier, rendezvous and
+func (e episode) String() string {
+	return [...]string{"", "barrier", "rendezvous", "shared step", "flag", "flag (full)", "returned"}[e]
+}
+
+// gate is the machine's one parking place. Every barrier, rendezvous and
 // shared value is one episode of it: each processor arrives and parks,
 // and the last to arrive runs the episode's closure while the others stay
 // parked, then releases them all. The closure's result is a deterministic
 // function of what the processors brought, so the host's arrival order
-// never shows in a simulated result.
+// never shows in a simulated result. A Mailbox parks a processor in it
+// too, until its peer puts or takes.
 type gate struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	members int
+	mu sync.Mutex
+	// at says where each member is. Whoever makes a parked member runnable
+	// sets at[id] to running under mu before unlocking, so a member is
+	// never counted as parked once released; parked and left count the
+	// parked and returned ones. A member parked at a collective waits on
+	// all, which its last arrival broadcasts, and one parked at a mailbox
+	// on own[id], which its peer signals.
+	at           []episode
+	all          sync.Cond
+	own          []sync.Cond
+	procs        []*Proc
+	parked, left int
+	// runs counts finished runs; a mailbox last used in an earlier one
+	// starts empty.
+	runs uint64
 
-	waiting int
-	kind    episode // the episode in progress, as its first arrival named it
+	waiting int     // arrivals at the episode in progress
+	kind    episode // its kind, as its first arrival named it
 	first   int     // that arrival's processor
-	phase   string  // and its phase label
 	latest  float64 // the latest virtual clock parked in it
-	gen     uint64
 
-	// returned marks the members whose bodies have returned, and left
-	// counts them: an episode they have not joined can never complete.
-	returned []bool
-	left     int
-	// stranded is the failure of a run whose parked members waited for
-	// members that had returned.
+	// stranded is the failure of a run whose parked members no running
+	// member can release.
 	stranded *StrandedError
 
 	// release and value are the results of the episode that most recently
@@ -52,110 +70,126 @@ type gate struct {
 	value   any
 	shares  int
 
-	// aborted wakes the waiters of a run in which some member panicked;
-	// they unwind instead of waiting for an arrival that cannot come.
-	// abortCh is closed with it, for processors parked on a channel of
-	// their own (Machine.Aborted).
+	// aborted wakes the parked members of a run in which some member
+	// panicked; they unwind instead of waiting for a release that cannot
+	// come.
 	aborted bool
-	abortCh chan struct{}
 	// admit, when a test sets it, says whether member id may arrive now
 	// that arrived members are waiting; a refused member yields and asks
 	// again, which lets a test force any arrival order.
 	admit func(id, arrived int) bool
 }
 
-func newGate(members int) *gate {
-	g := &gate{members: members, abortCh: make(chan struct{}), returned: make([]bool, members)}
-	g.cond = sync.NewCond(&g.mu)
+func newGate(procs []*Proc) *gate {
+	g := &gate{procs: procs, at: make([]episode, len(procs)), own: make([]sync.Cond, len(procs))}
+	g.all.L = &g.mu
+	for i := range g.own {
+		g.own[i].L = &g.mu
+	}
 	return g
 }
 
 // reset clears the state of a finished run. It must not be called while
-// any member is waiting.
+// any member is parked.
 func (g *gate) reset() {
-	g.waiting, g.release, g.value, g.shares = 0, 0, nil, 0
-	clear(g.returned)
-	g.left, g.stranded = 0, nil
-	if g.aborted {
-		g.aborted, g.abortCh = false, make(chan struct{})
-	}
+	clear(g.at)
+	g.parked, g.left, g.waiting, g.runs = 0, 0, 0, g.runs+1
+	g.release, g.value, g.shares, g.stranded, g.aborted = 0, nil, 0, nil, false
 }
 
-// abort releases every current and future waiter, which unwind by
-// panicking with runAborted.
+// abort wakes every parked member, and they and every member that parks
+// later unwind by panicking with runAborted. Called with mu held.
 func (g *gate) abort() {
-	g.mu.Lock()
-	g.abortLocked()
-	g.mu.Unlock()
-}
-
-func (g *gate) abortLocked() {
-	if !g.aborted {
-		g.aborted = true
-		close(g.abortCh)
+	g.aborted = true
+	g.all.Broadcast()
+	for i := range g.own {
+		g.own[i].Signal()
 	}
-	g.cond.Broadcast()
 }
 
 // leave records that member id's body returned.
 func (g *gate) leave(id int) {
 	g.mu.Lock()
-	g.returned[id] = true
+	g.at[id] = returned
 	g.left++
 	g.strandIfStuck()
 	g.mu.Unlock()
 }
 
-// strandIfStuck aborts the run when the members parked in the episode in
-// progress can never be released, because every other member's body has
-// returned, and records who waited for whom. Called with mu held.
+// lock takes mu, or unwinds the caller if the run has aborted.
+func (g *gate) lock() {
+	g.mu.Lock()
+	if g.aborted {
+		g.mu.Unlock()
+		panic(runAborted{})
+	}
+}
+
+// park parks member id at the place named at, waiting on c, until another
+// member sets at[id] to running, and unwinds it if the run aborts first.
+// Called with mu held in a run not aborted; returns with it released.
+func (g *gate) park(id int, at episode, c *sync.Cond) {
+	g.at[id] = at
+	g.parked++
+	g.strandIfStuck()
+	for g.at[id] == at && !g.aborted {
+		c.Wait()
+	}
+	released := g.at[id] == running
+	g.mu.Unlock()
+	if !released {
+		panic(runAborted{})
+	}
+}
+
+// strandIfStuck aborts the run when some members are parked and every
+// other member's body has returned, so nobody can ever release them, and
+// records where each waited. Called with mu held.
 func (g *gate) strandIfStuck() {
-	if g.waiting == 0 || g.waiting+g.left < g.members || g.aborted {
+	if g.parked == 0 || g.parked+g.left < len(g.at) || g.aborted {
 		return
 	}
-	e := &StrandedError{Kind: string(g.kind), Phase: g.phase}
-	for id, done := range g.returned {
-		if done {
+	e := &StrandedError{}
+	for id, at := range g.at {
+		if at == returned {
 			e.Returned = append(e.Returned, id)
 		} else {
-			e.Parked = append(e.Parked, id)
+			e.Parked = append(e.Parked, Parked{Proc: id, At: at.String(), Phase: g.procs[id].phase})
 		}
 	}
 	g.stranded = e
-	g.abortLocked()
+	g.abort()
 }
 
-// StrandedError is what Run panics with when processors wait at a
-// barrier, rendezvous or shared step that the other processors' bodies
-// returned without reaching.
+// StrandedError is what Run panics with when processors are parked where
+// no processor can ever release them: at a barrier, rendezvous, shared
+// step or flag that the others returned without reaching, in a cycle of
+// flags, or, in an MPI phase, at sends and receives no rank can enable.
 type StrandedError struct {
-	// Parked lists the waiting processors and Returned the ones whose
+	// Parked lists the stuck processors and Returned the ones whose
 	// bodies had returned, both in ID order.
-	Parked, Returned []int
-	// Kind is the episode they wait at ("barrier", "rendezvous", "shared
-	// step"), and Phase the phase label of its first arrival.
-	Kind, Phase string
+	Parked   []Parked
+	Returned []int
+}
+
+// Parked is one stuck processor: where it waits ("barrier", "flag",
+// "recv←3", ...) and its phase label at the time.
+type Parked struct {
+	Proc      int
+	At, Phase string
 }
 
 func (e *StrandedError) Error() string {
-	return fmt.Sprintf("machine: processors %v wait at a %s in phase %q that processors %v returned without reaching",
-		e.Parked, e.Kind, e.Phase, e.Returned)
+	s := "machine: stranded:"
+	for _, q := range e.Parked {
+		s += fmt.Sprintf(" processor %d at %s in phase %q;", q.Proc, q.At, q.Phase)
+	}
+	return fmt.Sprintf("%s processors %v returned", s, e.Returned)
 }
 
-// runAborted is the panic value that unwinds a processor parked at a
-// meeting point of a run another processor's panic has aborted; Run does
-// not report it.
+// runAborted is the panic value that unwinds a processor parked in a run
+// another processor's panic has aborted; Run does not report it.
 type runAborted struct{}
-
-// Aborted returns a channel that is closed once a processor body of the
-// current Run has panicked. A primitive outside this package that parks
-// a processor on a channel of its own (ccsas.Flag) selects on this one
-// too and calls Unwind when it fires, so its waiters leave an aborted
-// run the way gate waiters do.
-func (m *Machine) Aborted() <-chan struct{} { return m.gate.abortCh }
-
-// Unwind abandons the calling processor's body in an aborted run.
-func (p *Proc) Unwind() { panic(runAborted{}) }
 
 // meet parks p, arriving for an episode of the given kind, until all
 // members have arrived. The last to arrive runs last while the others
@@ -165,46 +199,85 @@ func (p *Proc) Unwind() { panic(runAborted{}) }
 // collectives, and no closure can serve both.
 func (g *gate) meet(p *Proc, kind episode, last func()) {
 	id := p.ID
-	g.mu.Lock()
-	for g.admit != nil && !g.aborted && !g.admit(id, g.waiting) {
+	g.lock()
+	for g.admit != nil && !g.admit(id, g.waiting) {
 		g.mu.Unlock()
 		runtime.Gosched()
-		g.mu.Lock()
-	}
-	if g.aborted {
-		g.mu.Unlock()
-		panic(runAborted{})
+		g.lock()
 	}
 	if g.waiting == 0 {
-		g.kind, g.first, g.phase, g.latest = kind, id, p.phase, 0
+		g.kind, g.first, g.latest = kind, id, 0
 	} else if kind != g.kind {
 		err := fmt.Errorf("machine: processor %d arrived at a %s while processor %d waits at a %s",
 			id, kind, g.first, g.kind)
 		g.mu.Unlock()
 		panic(err)
 	}
-	myGen := g.gen
 	g.latest = max(g.latest, p.clock)
-	if g.waiting++; g.waiting == g.members {
-		// Nobody can arrive or leave until gen moves, so the state
-		// survives the unlocked call.
-		g.mu.Unlock()
-		last()
-		g.mu.Lock()
-		g.waiting = 0
-		g.gen++
-		g.cond.Broadcast()
-	} else {
-		g.strandIfStuck()
-		for myGen == g.gen && !g.aborted {
-			g.cond.Wait()
-		}
-		if myGen == g.gen {
-			g.mu.Unlock()
-			panic(runAborted{})
-		}
+	if g.waiting++; g.waiting < len(g.at) {
+		g.park(id, kind, &g.all)
+		return
+	}
+	// Every other member is parked here until released, so the state
+	// survives the unlocked call.
+	g.mu.Unlock()
+	last()
+	g.mu.Lock()
+	// Every member is here, so releasing them leaves all running.
+	clear(g.at)
+	g.parked -= g.waiting - 1
+	g.waiting = 0
+	g.all.Broadcast()
+	g.mu.Unlock()
+}
+
+// Mailbox is a one-value slot between two processors that parks them in
+// the machine's gate: Take waits while it is empty and Put while it is
+// full, so a processor parked at one is released, unwound or reported
+// stranded like one parked at a barrier (at "flag" or "flag (full)").
+// Its zero value is an empty mailbox; each run starts with it empty.
+type Mailbox struct {
+	t    float64
+	full bool
+	// waiter[1] is parked in Put, waiter[0] in Take.
+	waiter [2]*Proc
+	run    uint64
+}
+
+// Put fills the slot with t, first waiting for it to be taken if full.
+func (b *Mailbox) Put(p *Proc, t float64) { b.pass(p, true, t) }
+
+// Take empties the slot and returns its value, first waiting for it to
+// be filled if empty.
+func (b *Mailbox) Take(p *Proc) float64 { return b.pass(p, false, 0) }
+
+// pass waits until the slot can be filled (put) or emptied, does so, and
+// releases the processor waiting to do the opposite.
+func (b *Mailbox) pass(p *Proc, put bool, t float64) float64 {
+	g := p.m.gate
+	g.lock()
+	if b.run != g.runs {
+		*b = Mailbox{run: g.runs}
+	}
+	at, me := atTake, 0
+	if put {
+		at, me = atPut, 1
+	}
+	for b.full == put {
+		b.waiter[me] = p
+		g.park(p.ID, at, &g.own[p.ID])
+		g.lock()
+	}
+	// A swap: Put leaves its t in the slot, Take gets it out.
+	b.t, t, b.full = t, b.t, put
+	if q := b.waiter[1-me]; q != nil {
+		b.waiter[1-me] = nil
+		g.at[q.ID] = running
+		g.parked--
+		g.own[q.ID].Signal()
 	}
 	g.mu.Unlock()
+	return t
 }
 
 // Barrier blocks p until every processor has arrived, then releases all

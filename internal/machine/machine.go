@@ -32,7 +32,8 @@ type Machine struct {
 	prices *priceTable
 	procs  []*Proc
 
-	// gate is the one meeting point of Barrier, Rendezvous and Share.
+	// gate is the one parking place: Barrier, Rendezvous, Share and
+	// Mailbox.
 	gate *gate
 
 	// tracing makes the next Run record a virtual-time event trace.
@@ -81,7 +82,7 @@ func New(cfg Config) (*Machine, error) {
 	for i := 0; i < n; i++ {
 		m.procs[i] = newProc(m, i)
 	}
-	m.gate = newGate(n)
+	m.gate = newGate(m.procs)
 	return m, nil
 }
 
@@ -178,12 +179,12 @@ type Blame struct {
 // phases of one experiment are intentional).
 //
 // A panic in any processor body aborts the run: processors parked at the
-// gate or a channel selected against Aborted, and those that reach one
-// later, unwind, and once every goroutine has returned Run panics on the
-// caller's goroutine with a *ProcPanic for the lowest-numbered processor
-// that failed. Processors parked at the gate for an episode the others
-// returned without reaching abort the run the same way, and Run panics
-// with a *StrandedError naming them.
+// gate, and those that reach it later, unwind, and once every goroutine
+// has returned Run panics on the caller's goroutine with a *ProcPanic for
+// the lowest-numbered processor that failed. Processors parked where no
+// running processor can release them abort the run the same way, and
+// Run panics with a *StrandedError naming them; so does a processor body
+// that panics with one (the MPI replay's stuck phase).
 func (m *Machine) Run(body func(p *Proc)) *Result {
 	var tr *trace.Trace
 	if m.tracing {
@@ -196,7 +197,6 @@ func (m *Machine) Run(body func(p *Proc)) *Result {
 		}
 	}
 	var wg sync.WaitGroup
-	var panicMu sync.Mutex
 	panics := make([]any, len(m.procs))
 	for _, p := range m.procs {
 		wg.Add(1)
@@ -207,16 +207,16 @@ func (m *Machine) Run(body func(p *Proc)) *Result {
 				if r == nil {
 					return
 				}
+				m.gate.mu.Lock()
+				defer m.gate.mu.Unlock()
 				if _, unwound := r.(runAborted); !unwound {
 					id := p.ID
 					if b, ok := r.(Blame); ok {
 						id, r = b.Proc, b.Value
 					}
-					panicMu.Lock()
 					if panics[id] == nil {
 						panics[id] = r
 					}
-					panicMu.Unlock()
 				}
 				m.gate.abort()
 			}()
@@ -228,7 +228,9 @@ func (m *Machine) Run(body func(p *Proc)) *Result {
 	stranded := m.gate.stranded
 	m.gate.reset()
 	for i, pv := range panics {
-		if pv != nil {
+		if se, ok := pv.(*StrandedError); ok {
+			panic(se)
+		} else if pv != nil {
 			panic(&ProcPanic{Proc: i, Value: pv})
 		}
 	}
@@ -265,12 +267,10 @@ func (m *Machine) Run(body func(p *Proc)) *Result {
 // traffic by coherence-transaction class, and cache/TLB rates. Keys are
 // stable, so identical runs produce identical metric exports.
 func fillMetrics(tr *trace.Trace, res *Result) {
-	var total Breakdown
 	var traffic Traffic
 	var accesses, misses, writebacks, tlbMisses uint64
 	phases := make(map[string]Breakdown)
 	for _, ps := range res.PerProc {
-		total.Add(ps.Breakdown)
 		traffic.RemoteBytes += ps.Traffic.RemoteBytes
 		traffic.Messages += ps.Traffic.Messages
 		traffic.ProtocolTransactions += ps.Traffic.ProtocolTransactions
@@ -292,7 +292,7 @@ func fillMetrics(tr *trace.Trace, res *Result) {
 		tr.AddMetric(prefix+".rmem_ns", b.RMem)
 		tr.AddMetric(prefix+".sync_ns", b.Sync)
 	}
-	addBreakdown("breakdown", total)
+	addBreakdown("breakdown", res.TotalBreakdown())
 	for name, b := range phases {
 		addBreakdown("phase."+name, b)
 	}

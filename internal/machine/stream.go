@@ -424,12 +424,6 @@ func (a *Array[T]) LoadRangeWith(p *Proc, lo, hi int, sh Sharing, opsPerElem int
 	p.seqStream(a.Addr(lo), a.elemSize, hi-lo, false, sh, opsPerElem)
 }
 
-// StoreRangeWith charges a sequential write of elements [lo, hi) with
-// opsPerElem busy operations per element.
-func (a *Array[T]) StoreRangeWith(p *Proc, lo, hi int, sh Sharing, opsPerElem int) {
-	p.seqStream(a.Addr(lo), a.elemSize, hi-lo, true, sh, opsPerElem)
-}
-
 // GatherLoad charges dependent reads of elements idx[0..] with
 // opsPerElem busy operations per element. Gathered reads are dependent
 // accesses, so misses do not overlap.

@@ -104,7 +104,7 @@ func (s *streamTestState) viaKernels(r streamRound) {
 	case 0: // sequential load sweep
 		s.keys.LoadRangeWith(p, lo, lo+cnt, SharedRead, ops)
 	case 1: // sequential store sweep
-		s.dst.StoreRangeWith(p, lo, lo+cnt, Private, ops)
+		p.seqStream(s.dst.Addr(lo), 4, cnt, true, Private, ops)
 	case 2: // gather + scatter over random indices
 		s.keys.GatherLoad(p, r.idx, SharedRead, ops)
 		s.dst.ScatterStore(p, r.idx, ConflictWrite, ops)
@@ -384,7 +384,7 @@ func TestStreamKernelsZeroAlloc(t *testing.T) {
 	pos := make([]int64, 256)
 	allocs := testing.AllocsPerRun(50, func() {
 		keys.LoadRangeWith(p, 0, 512, SharedRead, 2)
-		dst.StoreRangeWith(p, 0, 512, Private, 1)
+		p.seqStream(dst.Addr(0), 4, 512, true, Private, 1)
 		keys.LoadRange(p, 0, 512, SharedRead)
 		keys.GatherLoad(p, idx, SharedRead, 1)
 		dst.ScatterStore(p, idx, ConflictWrite, 1)

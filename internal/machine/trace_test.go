@@ -185,7 +185,10 @@ func TestFillMetricsManyPhasesDeterministic(t *testing.T) {
 			for ph := 0; ph < phases; ph++ {
 				p.SetPhase(fmt.Sprintf("ph%02d", ph))
 				lo := (p.ID*phases + ph) * 64
-				arr.StoreRangeWith(p, lo, lo+64, Private, ph+1)
+				for i := lo; i < lo+64; i++ {
+					p.StoreSeq(arr.Addr(i), Private)
+					p.Compute(ph + 1)
+				}
 				m.Barrier(p)
 			}
 			p.SetPhase("")

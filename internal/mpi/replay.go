@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/machine"
 	"repro/internal/trace"
@@ -99,7 +98,7 @@ func (c *Comm) replay() {
 		}
 		cur = -1
 		if !progress {
-			panic(c.deadlock())
+			panic(c.stranded())
 		}
 	}
 	if c.unreceived != 0 {
@@ -220,50 +219,17 @@ func (c *Comm) recv(p *machine.Proc, ps *pairState, rs *rankState) {
 	f.msg.Payload = nil // the slot may sit in the window for long
 }
 
-// DeadlockError reports a phase in which no rank's next step can ever
-// be enabled.
-type DeadlockError struct {
-	// Stuck lists, in rank order, the ranks whose programs had not ended.
-	Stuck []StuckRank
-}
-
-// StuckRank is one rank's pending step in a deadlocked phase.
-type StuckRank struct {
-	Rank int
-	// Recv: the rank waits for a message Peer never sent. Otherwise it
-	// waits to send to Peer, whose window is full of unreceived messages.
-	Recv bool
-	Peer int
-	// Phase is the rank's phase label at the time.
-	Phase string
-}
-
-func (e *DeadlockError) Error() string {
-	var b strings.Builder
-	b.WriteString("mpi: deadlock:")
-	for i, s := range e.Stuck {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		if s.Recv {
-			fmt.Fprintf(&b, " rank %d recv←%d", s.Rank, s.Peer)
-		} else {
-			fmt.Fprintf(&b, " rank %d send→%d (window full)", s.Rank, s.Peer)
-		}
-		if s.Phase != "" {
-			fmt.Fprintf(&b, " in %q", s.Phase)
-		}
-	}
-	return b.String()
-}
-
-// deadlock describes the ranks a sweep could not advance.
-func (c *Comm) deadlock() *DeadlockError {
-	e := &DeadlockError{}
+// stranded names the ranks a sweep could not advance and the step each
+// waits at.
+func (c *Comm) stranded() *machine.StrandedError {
+	e := &machine.StrandedError{}
 	for r := range c.ranks {
 		if rs := &c.ranks[r]; rs.prog != nil {
-			e.Stuck = append(e.Stuck, StuckRank{Rank: r, Recv: rs.st.Recv, Peer: rs.st.Peer,
-				Phase: c.m.Proc(r).Phase()})
+			at := fmt.Sprintf("send→%d (window full)", rs.st.Peer)
+			if rs.st.Recv {
+				at = fmt.Sprintf("recv←%d", rs.st.Peer)
+			}
+			e.Parked = append(e.Parked, machine.Parked{Proc: r, At: at, Phase: c.m.Proc(r).Phase()})
 		}
 	}
 	return e

@@ -55,9 +55,12 @@ func TestRankSkippingAPhaseStrandsTheOthers(t *testing.T) {
 			run(c, p, send((p.ID+1)%4, 0, nil, 8))
 		}
 	})
+	var want []machine.Parked
+	for _, rank := range []int{0, 1, 3} {
+		want = append(want, machine.Parked{Proc: rank, At: "rendezvous", Phase: "exchange"})
+	}
 	se, ok := r.(*machine.StrandedError)
-	if !ok || !slices.Equal(se.Parked, []int{0, 1, 3}) || !slices.Equal(se.Returned, []int{2}) ||
-		se.Kind != "rendezvous" || se.Phase != "exchange" {
+	if !ok || !slices.Equal(se.Parked, want) || !slices.Equal(se.Returned, []int{2}) {
 		t.Errorf("Run panicked with %T %v, want ranks 0, 1, 3 stranded at a rendezvous by rank 2", r, r)
 	}
 }
@@ -82,20 +85,17 @@ func TestStepPanicNamesItsRank(t *testing.T) {
 	}
 }
 
-func wantDeadlock(t *testing.T, r any, want ...StuckRank) {
+// wantStranded checks that Run failed with a *machine.StrandedError
+// naming exactly the given ranks' pending steps.
+func wantStranded(t *testing.T, r any, want ...machine.Parked) {
 	t.Helper()
-	err, ok := r.(error)
-	var dl *DeadlockError
-	if !ok || !errors.As(err, &dl) {
-		t.Fatalf("Run panicked with %T %v, want a *DeadlockError inside", r, r)
+	err, _ := r.(error)
+	var se *machine.StrandedError
+	if !errors.As(err, &se) {
+		t.Fatalf("Run panicked with %T %v, want a *machine.StrandedError", r, r)
 	}
-	if len(dl.Stuck) != len(want) {
-		t.Fatalf("stuck ranks %+v, want %+v", dl.Stuck, want)
-	}
-	for i, w := range want {
-		if dl.Stuck[i] != w {
-			t.Errorf("stuck[%d] = %+v, want %+v", i, dl.Stuck[i], w)
-		}
+	if !slices.Equal(se.Parked, want) || se.Returned != nil {
+		t.Errorf("stranded %+v, want %+v and none returned", se, want)
 	}
 }
 
@@ -105,10 +105,10 @@ func TestDeadlockBothReceiveFirst(t *testing.T) {
 		p.SetPhase("swap")
 		run(c, p, recv(1-p.ID, 0, 0, nil), send(1-p.ID, 0, nil, 8))
 	})
-	wantDeadlock(t, r,
-		StuckRank{Rank: 0, Recv: true, Peer: 1, Phase: "swap"},
-		StuckRank{Rank: 1, Recv: true, Peer: 0, Phase: "swap"})
-	if msg := r.(error).Error(); !strings.Contains(msg, `rank 0 recv←1 in "swap"`) {
+	wantStranded(t, r,
+		machine.Parked{Proc: 0, At: "recv←1", Phase: "swap"},
+		machine.Parked{Proc: 1, At: "recv←0", Phase: "swap"})
+	if msg := r.(error).Error(); !strings.Contains(msg, `processor 0 at recv←1 in phase "swap"`) {
 		t.Errorf("message %q does not describe rank 0's step", msg)
 	}
 }
@@ -122,8 +122,8 @@ func TestDeadlockWindowFullNoReceive(t *testing.T) {
 			run(c, p)
 		}
 	})
-	wantDeadlock(t, r, StuckRank{Rank: 0, Peer: 1})
-	if msg := r.(error).Error(); !strings.Contains(msg, "rank 0 send→1 (window full)") {
+	wantStranded(t, r, machine.Parked{Proc: 0, At: "send→1 (window full)"})
+	if msg := r.(error).Error(); !strings.Contains(msg, `processor 0 at send→1 (window full) in phase ""`) {
 		t.Errorf("message %q does not describe rank 0's step", msg)
 	}
 }
