@@ -275,21 +275,36 @@ func TestGridEarliestCellOrderErrorWins(t *testing.T) {
 // TestGridValidatesBeforeRunning: a figure with one impossible cell
 // fails with that cell's Validate error before any cell is simulated —
 // no run counted, no Progress line — instead of after the valid cells
-// have all run to completion.
+// have all run to completion. The impossible cell is a radix the key
+// generator refuses, or a machine the hypercube cannot wire (12
+// processors make 3 routers).
 func TestGridValidatesBeforeRunning(t *testing.T) {
-	for _, par := range []int{1, 8} {
-		lines := 0
-		h := NewHarness(Options{
-			Procs: []int{4}, Sizes: SizeClasses[:2], RadixSweep: []int{6, 20}, Parallelism: par,
-			Progress: func(string, ...any) { lines++ },
-		})
-		_, err := h.Figure6()
-		want := Experiment{Algorithm: Radix, Model: SHMEM, N: 1 << 16, Procs: 4, Radix: 20}.Validate()
-		if want == nil || err == nil || err.Error() != want.Error() {
-			t.Errorf("par=%d: Figure6 over radixes 6,20 = %v, want the Validate error %v", par, err, want)
-		}
-		if runs := h.Stats().Runs; runs != 0 || lines != 0 {
-			t.Errorf("par=%d: %d runs and %d Progress lines before the invalid cell was reported, want none", par, runs, lines)
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		figure func(*Harness) error
+		bad    Experiment
+	}{
+		{"radixes 6,20", Options{Procs: []int{4}, Sizes: SizeClasses[:2], RadixSweep: []int{6, 20}},
+			func(h *Harness) error { _, err := h.Figure6(); return err },
+			Experiment{Algorithm: Radix, Model: SHMEM, N: 1 << 16, Procs: 4, Radix: 20}},
+		{"procs 12", Options{Procs: []int{12}, Sizes: SizeClasses[:1]},
+			func(h *Harness) error { _, err := h.Figure1(); return err },
+			Experiment{Algorithm: Radix, Model: MPISGI, N: 1 << 16, Procs: 12}},
+	} {
+		for _, par := range []int{1, 8} {
+			lines := 0
+			opts := tc.opts
+			opts.Parallelism, opts.Progress = par, func(string, ...any) { lines++ }
+			h := NewHarness(opts)
+			err := tc.figure(h)
+			want := tc.bad.Validate()
+			if want == nil || err == nil || err.Error() != want.Error() {
+				t.Errorf("%s, par=%d: figure = %v, want the Validate error %v", tc.name, par, err, want)
+			}
+			if runs := h.Stats().Runs; runs != 0 || lines != 0 {
+				t.Errorf("%s, par=%d: %d runs and %d Progress lines before the invalid cell was reported, want none", tc.name, par, runs, lines)
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -119,6 +120,12 @@ func TestRunValidation(t *testing.T) {
 		{"ccsas procs 6", `{"algorithm":"radix","model":"ccsas","n":4096,"procs":6}`},
 		{"ccsas-new procs 12", `{"algorithm":"radix","model":"ccsas-new","n":4096,"procs":12}`},
 		{"sample ccsas procs 3", `{"algorithm":"sample","model":"ccsas","n":4096,"procs":3}`},
+		// Machines the interconnect cannot wire (formerly a 500 out of
+		// machine.New): two processors per node, and a hypercube needs a
+		// power-of-two router count.
+		{"mpi procs 3", `{"algorithm":"radix","model":"mpi","n":4096,"procs":3}`},
+		{"mpi procs 12", `{"algorithm":"radix","model":"mpi","n":4096,"procs":12}`},
+		{"shmem procs 5 torus", `{"algorithm":"radix","model":"shmem","n":4096,"procs":5,"topo":"torus"}`},
 		{"seq with procs", `{"algorithm":"radix","model":"seq","n":4096,"procs":4}`},
 		{"seq sample", `{"algorithm":"sample","model":"seq","n":4096,"procs":1}`},
 		{"sample ccsas-new", `{"algorithm":"sample","model":"ccsas-new","n":4096,"procs":4}`},
@@ -290,13 +297,20 @@ func TestResultEndpoint(t *testing.T) {
 }
 
 // TestGridPerCellErrors: one batch mixing good cells, a runtime-failing
-// cell (procs=3 passes validation, fails in the topology), and
+// cell (seed 3 passes validation, then the simulate stub fails it), and
 // duplicates. Every cell reports exactly once; failures stay per-cell.
 func TestGridPerCellErrors(t *testing.T) {
 	s, ts := newTestServer(t, serverConfig{Jobs: 4})
+	real := s.simulate
+	s.simulate = func(e repro.Experiment) (*repro.Outcome, error) {
+		if e.Seed == 3 {
+			return nil, errors.New("injected runtime failure")
+		}
+		return real(e)
+	}
 	grid := gridRequest{Cells: []repro.Request{
 		tinyRun(1),
-		{Algorithm: "radix", Model: "shmem", N: 1 << 12, Procs: 3}, // topology rejects procs=3
+		tinyRun(3), // fails at runtime
 		tinyRun(2),
 		tinyRun(1), // duplicate of cell 0: must not resimulate
 	}}
@@ -339,8 +353,8 @@ func TestGridPerCellErrors(t *testing.T) {
 			t.Errorf("cell %d should have succeeded: %+v", i, seen[i])
 		}
 	}
-	if seen[1].Error == "" || !strings.Contains(seen[1].Error, "topology") {
-		t.Errorf("cell 1 should carry the topology error, got %+v", seen[1])
+	if !strings.Contains(seen[1].Error, "injected runtime failure") {
+		t.Errorf("cell 1 should carry its runtime error, got %+v", seen[1])
 	}
 	if summary.Cells != 4 || summary.OK != 3 || summary.Errors != 1 {
 		t.Errorf("summary = %+v, want 4 cells / 3 ok / 1 error", summary)
@@ -353,11 +367,12 @@ func TestGridPerCellErrors(t *testing.T) {
 
 // TestGridValidation: malformed batches are rejected whole, 4xx.
 func TestGridValidation(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{MaxGridCells: 2})
+	s, ts := newTestServer(t, serverConfig{MaxGridCells: 2})
 	for name, body := range map[string]string{
-		"empty":     `{"cells":[]}`,
-		"bad cell":  `{"cells":[{"algorithm":"radix","model":"shmem","n":0,"procs":4}]}`,
-		"too large": `{"cells":[{"algorithm":"radix","model":"shmem","n":4096,"procs":4},{"algorithm":"radix","model":"shmem","n":4096,"procs":4},{"algorithm":"radix","model":"shmem","n":4096,"procs":4}]}`,
+		"empty":               `{"cells":[]}`,
+		"bad cell":            `{"cells":[{"algorithm":"radix","model":"shmem","n":0,"procs":4}]}`,
+		"too large":           `{"cells":[{"algorithm":"radix","model":"shmem","n":4096,"procs":4},{"algorithm":"radix","model":"shmem","n":4096,"procs":4},{"algorithm":"radix","model":"shmem","n":4096,"procs":4}]}`,
+		"unbuildable machine": `{"cells":[{"algorithm":"radix","model":"shmem","n":4096,"procs":4},{"algorithm":"radix","model":"mpi","n":4096,"procs":12}]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/grid", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -367,6 +382,10 @@ func TestGridValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+	// A rejected batch runs none of its cells, the valid ones included.
+	if runs := s.h.Stats().Runs; runs != 0 {
+		t.Errorf("harness Runs = %d after only rejected batches, want 0", runs)
 	}
 }
 

@@ -66,7 +66,8 @@ func TestCLIRejectsBeforeRunning(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-radix", "20"}, "Radix must be in [1, 16] bits, got 20"},
+		{[]string{"-radix", "20"}, "RadixBits must be in [1,16], got 20"},
+		{[]string{"-model", "mpi", "-procs", "12"}, "hypercube router count 3 is not a power of two"},
 		{[]string{"-model", "ccsas", "-procs", "12", "-topo", "fattree"}, "needs a power-of-two processor count"},
 		{[]string{"-algo", "sample", "-model", "ccsas-new"}, "no program for algorithm"},
 		{[]string{"-algo", "bogo"}, `unknown algorithm "bogo"`},

@@ -42,13 +42,12 @@ const (
 	Local
 	// Zipf draws keys from a Zipf(s) rank-frequency law over a fixed
 	// table of ranks: a few values dominate, with a long duplicate-heavy
-	// tail (GenConfig.ZipfS tunes the exponent).
+	// tail (exponent s = 1.2).
 	Zipf
 	// SelfSim is a self-similar 80/20 distribution: at every scale, 80%
 	// of the keys fall in the lowest fifth of the remaining value range.
 	SelfSim
-	// DupHeavy draws uniformly from k distinct values
-	// (GenConfig.DupValues); k=1 degenerates to all-equal keys.
+	// DupHeavy draws uniformly from 16 distinct values.
 	DupHeavy
 	// Adversarial defeats sample sort's splitter selection: each
 	// processor hides a full inter-sample gap of keys inside one narrow
@@ -123,12 +122,6 @@ type GenConfig struct {
 	RadixBits int
 	// Seed perturbs the generators; 0 is a valid, fixed default.
 	Seed uint64
-	// ZipfS is the Zipf exponent s (0 means the default 1.2); only the
-	// Zipf distribution reads it.
-	ZipfS float64
-	// DupValues is the number of distinct values DupHeavy draws from
-	// (0 means the default 16).
-	DupValues int
 	// AdvSamples is the per-processor sample count the Adversarial
 	// construction assumes the sorter will take (0 means the default
 	// 128, matching sorts.DefaultConfig.SampleSize). The attack is
@@ -141,7 +134,8 @@ type GenConfig struct {
 // processor is past anything the paper studies (6..14 bits).
 const MaxRadixBits = 16
 
-func (c GenConfig) validate() error {
+// Validate reports whether Generate accepts c.
+func (c GenConfig) Validate() error {
 	if c.N <= 0 {
 		return fmt.Errorf("keys: N must be positive, got %d", c.N)
 	}
@@ -150,12 +144,6 @@ func (c GenConfig) validate() error {
 	}
 	if c.RadixBits < 1 || c.RadixBits > MaxRadixBits {
 		return fmt.Errorf("keys: RadixBits must be in [1,%d], got %d", MaxRadixBits, c.RadixBits)
-	}
-	if c.ZipfS < 0 || c.ZipfS > 8 {
-		return fmt.Errorf("keys: ZipfS must be in [0,8], got %g", c.ZipfS)
-	}
-	if c.DupValues < 0 || uint64(c.DupValues) > MaxKey {
-		return fmt.Errorf("keys: DupValues must be in [0,2^31], got %d", c.DupValues)
 	}
 	if c.AdvSamples < 0 || c.AdvSamples > 1<<20 {
 		return fmt.Errorf("keys: AdvSamples must be in [0,2^20], got %d", c.AdvSamples)
@@ -215,7 +203,7 @@ func (s *splitmix64) uniform(bound uint64) uint64 {
 
 // Generate returns N keys initialized with distribution d.
 func Generate(d Dist, cfg GenConfig) ([]uint32, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	out := make([]uint32, cfg.N)

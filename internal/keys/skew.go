@@ -12,10 +12,16 @@ import (
 	"sort"
 )
 
-// zipfRanks is the fixed rank-table size of the Zipf generator. Keeping
-// it independent of N makes the value stream a pure function of
-// (Seed, ZipfS), truncated at N.
-const zipfRanks = 1024
+const (
+	// zipfRanks is the fixed rank-table size of the Zipf generator.
+	// Keeping it independent of N makes the value stream a pure function
+	// of Seed, truncated at N.
+	zipfRanks = 1024
+	// zipfS is the Zipf exponent s.
+	zipfS = 1.2
+	// dupValues is the number of distinct values DupHeavy draws from.
+	dupValues = 16
+)
 
 // fillZipf draws each key from a Zipf(s) rank-frequency law over
 // zipfRanks ranks. Rank r (1-based) has weight r^-s; ranks are mapped
@@ -27,14 +33,10 @@ const zipfRanks = 1024
 // so the stream is reproducible for a given Go toolchain/platform pair;
 // the golden-pin test catches accidental stream changes.
 func fillZipf(out []uint32, cfg GenConfig) {
-	s := cfg.ZipfS
-	if s == 0 {
-		s = 1.2
-	}
 	cum := make([]float64, zipfRanks)
 	total := 0.0
 	for r := 0; r < zipfRanks; r++ {
-		total += math.Pow(float64(r+1), -s)
+		total += math.Pow(float64(r+1), -zipfS)
 		cum[r] = total
 	}
 	vals := make([]uint32, zipfRanks)
@@ -74,23 +76,19 @@ func fillSelfSim(out []uint32, cfg GenConfig) {
 	}
 }
 
-// fillDupHeavy draws each key uniformly from k distinct values, one per
-// key-space stratum (so the values are guaranteed distinct and spread).
-// k = 1 degenerates to all-equal keys.
+// fillDupHeavy draws each key uniformly from dupValues distinct values,
+// one per key-space stratum (so the values are guaranteed distinct and
+// spread).
 func fillDupHeavy(out []uint32, cfg GenConfig) {
-	k := cfg.DupValues
-	if k == 0 {
-		k = 16
-	}
 	g := &splitmix64{x: cfg.Seed ^ 0xd0d0d0d0beef}
-	vals := make([]uint32, k)
+	var vals [dupValues]uint32
 	for j := range vals {
-		lo := uint64(j) * MaxKey / uint64(k)
-		hi := uint64(j+1) * MaxKey / uint64(k)
+		lo := uint64(j) * MaxKey / dupValues
+		hi := uint64(j+1) * MaxKey / dupValues
 		vals[j] = uint32(lo + g.uniform(hi-lo))
 	}
 	for i := range out {
-		out[i] = vals[g.uniform(uint64(k))]
+		out[i] = vals[g.uniform(dupValues)]
 	}
 }
 

@@ -280,9 +280,10 @@ func TestMovedFractionBlockedOwnership(t *testing.T) {
 }
 
 // TestStatsUnderDupHeavy audits the summary helpers against the
-// duplicate-heavy generators: bucket counts must cover every key
-// exactly once, the imbalance of an all-equal stream is the bucket
-// count (all mass in one bucket), and entropy collapses toward 0.
+// duplicate-heavy generator and an all-equal stream: bucket counts must
+// cover every key exactly once, the imbalance of an all-equal stream is
+// the bucket count (all mass in one bucket), and entropy collapses
+// toward 0.
 func TestStatsUnderDupHeavy(t *testing.T) {
 	const n, p, r = 1 << 14, 8, 8
 	dup := MustGenerate(DupHeavy, GenConfig{N: n, Procs: p, RadixBits: r, Seed: 1})
@@ -294,7 +295,10 @@ func TestStatsUnderDupHeavy(t *testing.T) {
 	if sum != n {
 		t.Fatalf("bucket counts sum to %d, want %d", sum, n)
 	}
-	allEq := MustGenerate(DupHeavy, GenConfig{N: n, Procs: p, RadixBits: r, Seed: 1, DupValues: 1})
+	allEq := make([]uint32, n)
+	for i := range allEq {
+		allEq[i] = dup[0]
+	}
 	eqCounts := BucketCounts(allEq, 0, r)
 	if got, want := Imbalance(eqCounts), float64(len(eqCounts)); got != want {
 		t.Errorf("all-equal imbalance = %v, want %v (single occupied bucket)", got, want)

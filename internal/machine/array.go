@@ -17,8 +17,8 @@ type Array[T any] struct {
 	m      *Machine
 	region *memsys.Region
 	// base caches region.Base() so the per-element address computation
-	// in Load/Store stays free of pointer chasing and inlines into the
-	// sorts' inner loops.
+	// in Addr stays free of pointer chasing and inlines into the sorts'
+	// inner loops.
 	base     Addr
 	elemSize int
 }
@@ -133,12 +133,6 @@ func (a *Array[T]) Bytes(n int) int { return n * a.elemSize }
 func (a *Array[T]) Load(p *Proc, i int, sh Sharing) T {
 	p.Load(a.Addr(i), sh)
 	return a.Data[i]
-}
-
-// Store writes element i with the given sharing class.
-func (a *Array[T]) Store(p *Proc, i int, v T, sh Sharing) {
-	p.Store(a.Addr(i), sh)
-	a.Data[i] = v
 }
 
 // LoadRange charges a sequential block read of elements [lo, hi),

@@ -45,6 +45,13 @@ func TestArrayGrowBeyondCapacityPanics(t *testing.T) {
 	a.Grow(101)
 }
 
+// store writes element i of a and charges it as a scattered store:
+// posted through the write buffer, so a miss overlaps like a stream's.
+func store[T any](p *Proc, a *Array[T], i int, v T, sh Sharing) {
+	p.access(a.Addr(i), true, sh, p.m.cfg.MissOverlap)
+	a.Data[i] = v
+}
+
 func TestArrayLoadStoreRoundTrip(t *testing.T) {
 	m := testMachine(t, 2)
 	a := NewArrayOnProc[uint32](m, "x", 128, 0)
@@ -52,7 +59,7 @@ func TestArrayLoadStoreRoundTrip(t *testing.T) {
 		if p.ID != 0 {
 			return
 		}
-		a.Store(p, 7, 99, Private)
+		store(p, a, 7, 99, Private)
 		if got := a.Load(p, 7, Private); got != 99 {
 			t.Errorf("Load = %d", got)
 		}
@@ -60,8 +67,8 @@ func TestArrayLoadStoreRoundTrip(t *testing.T) {
 }
 
 func TestSeqAccessCheaperThanScattered(t *testing.T) {
-	// The same miss pattern costs less via LoadSeq (MSHR overlap) than
-	// via Load (dependent access).
+	// The same miss pattern costs less as a sequential access (MSHR
+	// overlap) than via Load (dependent access).
 	m := testMachine(t, 2)
 	a := NewArrayOnProc[uint32](m, "seq", 1<<16, 0)
 	b := NewArrayOnProc[uint32](m, "scat", 1<<16, 0)
@@ -72,7 +79,7 @@ func TestSeqAccessCheaperThanScattered(t *testing.T) {
 		}
 		before := p.Stats().Breakdown.LMem
 		for i := 0; i < a.Len(); i += 32 {
-			p.LoadSeq(a.Addr(i), Private)
+			p.access(a.Addr(i), false, Private, p.m.cfg.MissOverlap)
 		}
 		seqCost = p.Stats().Breakdown.LMem - before
 		before = p.Stats().Breakdown.LMem

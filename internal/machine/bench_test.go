@@ -31,9 +31,9 @@ func BenchmarkWalkBlock(b *testing.B) {
 	})
 }
 
-// BenchmarkScatterStore measures the scattered store path (Store with
-// write-buffer overlap) over a footprint far larger than cache and TLB,
-// the shape of the radix permutation phase.
+// BenchmarkScatterStore measures the scattered store path (one access
+// with write-buffer overlap per element) over a footprint far larger
+// than cache and TLB, the shape of the radix permutation phase.
 func BenchmarkScatterStore(b *testing.B) {
 	m, err := New(Origin2000Scaled(4))
 	if err != nil {
@@ -49,7 +49,7 @@ func BenchmarkScatterStore(b *testing.B) {
 		x := uint64(1)
 		for i := 0; i < b.N; i++ {
 			x = x*6364136223846793005 + 1442695040888963407
-			arr.Store(p, int(x%uint64(n)), uint32(x), ConflictWrite)
+			store(p, arr, int(x%uint64(n)), uint32(x), ConflictWrite)
 		}
 	})
 }

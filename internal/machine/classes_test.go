@@ -32,7 +32,7 @@ func TestDeclaredClassesMatchLiveDirectory(t *testing.T) {
 	m.Run(func(p *Proc) {
 		switch p.ID {
 		case 4:
-			arr.Store(p, 0, 7, Private)
+			store(p, arr, 0, 7, Private)
 		case 0:
 			m.Barrier(p)
 			before := p.Stats().Breakdown.RMem
@@ -72,7 +72,7 @@ func TestDeclaredWriteMatchesOwnershipTransfer(t *testing.T) {
 		_ = before
 		// Use a distinct line for the pure write-miss measurement.
 		before = p.Stats().Breakdown.RMem
-		arr.Store(p, 32, 1, ConflictWrite) // second cache line of the array
+		store(p, arr, 32, 1, ConflictWrite) // second cache line of the array
 		got = p.Stats().Breakdown.RMem - before
 	})
 	// Stores post through the write buffer: the charge is the protocol

@@ -112,7 +112,7 @@ func TestSharedReadAndWriteClasses(t *testing.T) {
 		case 2:
 			// Writes requiring invalidation of a sharer.
 			for i := 0; i < 24; i++ {
-				arr.Store(p, 7*perProc+i*32, 1, SharedRead)
+				store(p, arr, 7*perProc+i*32, 1, SharedRead)
 			}
 		case 3:
 			// DirtyElsewhere reads of a remote region.

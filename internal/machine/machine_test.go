@@ -80,7 +80,7 @@ func TestRunIsDeterministic(t *testing.T) {
 			lo := p.ID * n
 			for i := lo; i < lo+n; i++ {
 				v := src.Load(p, i, Private)
-				dst.Store(p, (i+7919)%dst.Len(), v+uint32(i), RemoteProduced)
+				store(p, dst, (i+7919)%dst.Len(), v+uint32(i), RemoteProduced)
 			}
 			m.Barrier(p)
 			p.Compute(10)

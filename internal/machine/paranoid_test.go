@@ -21,7 +21,7 @@ func TestZeroChargePhasePruned(t *testing.T) {
 		p.SetPhase("work")
 		lo, hi := p.ID*2048, (p.ID+1)*2048
 		for i := lo; i < hi; i++ {
-			arr.Store(p, i, int64(i), Private)
+			store(p, arr, i, int64(i), Private)
 		}
 		p.SetPhase("warm") // every access below hits the warm cache
 		for i := lo; i < hi; i++ {
@@ -67,7 +67,7 @@ func TestParanoidRunClean(t *testing.T) {
 		p.SetPhase("fill")
 		lo, hi := p.ID*1024, (p.ID+1)*1024
 		for i := lo; i < hi; i++ {
-			arr.Store(p, i, int64(i), Private)
+			store(p, arr, i, int64(i), Private)
 		}
 		m.Barrier(p)
 		p.SetPhase("steal")
@@ -75,7 +75,7 @@ func TestParanoidRunClean(t *testing.T) {
 		for i := peer * 1024; i < peer*1024+1024; i += 4 {
 			arr.Load(p, i, RemoteProduced)
 			arr.Load(p, i+1, SharedRead)
-			arr.Store(p, i+2, 0, ConflictWrite)
+			store(p, arr, i+2, 0, ConflictWrite)
 			arr.Load(p, i+3, DirtyElsewhere)
 		}
 		m.Barrier(p)
@@ -108,9 +108,9 @@ func TestParanoidCatchesClockRegression(t *testing.T) {
 	arr := NewArrayBlocked[int64](m, "t", 64)
 	m.Run(func(p *Proc) {
 		p.SetPhase("rewind")
-		arr.Store(p, 0, 1, Private)
+		store(p, arr, 0, 1, Private)
 		p.clock -= 1000 // deliberate model bug: time flows backwards
-		arr.Store(p, 1, 1, Private)
+		store(p, arr, 1, 1, Private)
 		p.SetPhase("")
 	})
 	ck := m.Checker()
@@ -173,14 +173,14 @@ func TestParanoidDisabledZeroAlloc(t *testing.T) {
 	p := m.Proc(0)
 	p.resetClock()
 	p.SetPhase("hot") // pre-warm the phase accumulator
-	arr.Store(p, 0, 1, Private)
+	store(p, arr, 0, 1, Private)
 
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		p.SetPhase("hot")
 		// Strided stores churn the cache: hits, cold misses and dirty
 		// evictions all cross the paranoid hook sites.
-		arr.Store(p, (i*61)&(n-1), 1, Private)
+		store(p, arr, (i*61)&(n-1), 1, Private)
 		arr.Load(p, (i*97)&(n-1), SharedRead)
 		p.InvalidateRange(arr.Addr((i*13)&(n-1)), 1)
 		i++

@@ -395,23 +395,6 @@ func (p *Proc) chargeWriteback(a Addr) {
 // containing a.
 func (p *Proc) Load(a Addr, sh Sharing) { p.access(a, false, sh, 1) }
 
-// Store simulates a scattered write to the line containing a. Stores
-// post through the write buffer, so even scattered write misses overlap
-// like streams; sustained scatter is throttled by the contention model,
-// not by per-store round trips.
-func (p *Proc) Store(a Addr, sh Sharing) { p.access(a, true, sh, p.m.cfg.MissOverlap) }
-
-// LoadSeq simulates one read within a sequential sweep: misses overlap
-// through the MSHRs, so their latency divides by Config.MissOverlap.
-func (p *Proc) LoadSeq(a Addr, sh Sharing) {
-	p.access(a, false, sh, p.m.cfg.MissOverlap)
-}
-
-// StoreSeq simulates one write within a sequential sweep.
-func (p *Proc) StoreSeq(a Addr, sh Sharing) {
-	p.access(a, true, sh, p.m.cfg.MissOverlap)
-}
-
 // BulkTransfer simulates a pipelined block transfer of bytes between this
 // processor's node and node other (direction does not change the cost):
 // one transaction latency plus wire time for the payload, charged to RMEM

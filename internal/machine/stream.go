@@ -165,7 +165,8 @@ func (p *Proc) bucketScratch(b int) []bucketLanes {
 
 // seqStream charges a sequential sweep of n elemSize-byte elements
 // starting at a, with ops busy operations interleaved after each element
-// — equivalent to `for each element { LoadSeq or StoreSeq; Compute }`.
+// — equivalent to `for each element { access(a, write, sh, MissOverlap);
+// Compute }`.
 func (p *Proc) seqStream(a Addr, elemSize, n int, write bool, sh Sharing, ops int) {
 	if n <= 0 {
 		return
@@ -214,8 +215,8 @@ func (p *Proc) walkBlock(a Addr, bytes int, write bool, sh Sharing) {
 }
 
 // idxStream charges len(idx) accesses of elements base+idx[i], with ops
-// busy operations after each — equivalent to `for each i { Load or
-// Store of element idx[i]; Compute }`.
+// busy operations after each — equivalent to `for each i { access of
+// element idx[i] at overlap; Compute }`.
 func (p *Proc) idxStream(base Addr, elemSize int, idx []int64, write bool, overlap float64, sh Sharing, ops int) {
 	if len(idx) == 0 {
 		return
@@ -385,8 +386,8 @@ type SeqCursor struct {
 }
 
 // OpenCursor binds cur to this array's address range as a sequential
-// stream of reads (write=false) or writes. Accesses charge like
-// LoadSeq/StoreSeq.
+// stream of reads (write=false) or writes. Accesses charge like access
+// at Config.MissOverlap.
 func (a *Array[T]) OpenCursor(cur *SeqCursor, p *Proc, write bool, sh Sharing) {
 	cur.p = p
 	cur.base = a.base
@@ -417,7 +418,8 @@ func (p *Proc) CloseCursors() {}
 
 // LoadRangeWith charges a sequential read of elements [lo, hi) with
 // opsPerElem busy operations interleaved per element — the batched
-// equivalent of `for i := lo; i < hi; i++ { LoadSeq(i); Compute }`.
+// equivalent of `for i := lo; i < hi; i++ { access(Addr(i), false, sh,
+// MissOverlap); Compute }`.
 // Unlike LoadRange, which touches each cache line once (a block
 // transfer), this charges one access per element.
 func (a *Array[T]) LoadRangeWith(p *Proc, lo, hi int, sh Sharing, opsPerElem int) {
@@ -433,8 +435,9 @@ func (a *Array[T]) GatherLoad(p *Proc, idx []int64, sh Sharing, opsPerElem int) 
 
 // ScatterStore charges scattered writes of elements idx[0..] with
 // opsPerElem busy operations per element. Stores post through the write
-// buffer, so scattered write misses overlap like streams (see
-// Proc.Store).
+// buffer, so even scattered write misses overlap like streams (at
+// Config.MissOverlap); sustained scatter is throttled by the contention
+// model, not by per-store round trips.
 func (a *Array[T]) ScatterStore(p *Proc, idx []int64, sh Sharing, opsPerElem int) {
 	p.idxStream(a.base, a.elemSize, idx, true, p.m.cfg.MissOverlap, sh, opsPerElem)
 }

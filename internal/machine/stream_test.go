@@ -136,15 +136,16 @@ func (s *streamTestState) viaKernels(r streamRound) {
 // definition the kernels must match.
 func (s *streamTestState) viaElements(r streamRound) {
 	p, lo, cnt, ops := s.p, r.lo, r.cnt, r.ops
+	ov := s.m.cfg.MissOverlap
 	switch r.kind {
 	case 0:
 		for i := lo; i < lo+cnt; i++ {
-			p.LoadSeq(s.keys.Addr(i), SharedRead)
+			p.access(s.keys.Addr(i), false, SharedRead, ov)
 			p.Compute(ops)
 		}
 	case 1:
 		for i := lo; i < lo+cnt; i++ {
-			p.StoreSeq(s.dst.Addr(i), Private)
+			p.access(s.dst.Addr(i), true, Private, ov)
 			p.Compute(ops)
 		}
 	case 2:
@@ -153,13 +154,13 @@ func (s *streamTestState) viaElements(r streamRound) {
 			p.Compute(ops)
 		}
 		for _, ix := range r.idx {
-			p.Store(s.dst.Addr(int(ix)), ConflictWrite)
+			p.access(s.dst.Addr(int(ix)), true, ConflictWrite, ov)
 			p.Compute(ops)
 		}
 	case 3:
 		clear(s.hist.Data)
 		for i := lo; i < lo+cnt; i++ {
-			p.LoadSeq(s.keys.Addr(i), SharedRead)
+			p.access(s.keys.Addr(i), false, SharedRead, ov)
 			d := int(s.keys.Data[i] >> r.shift & 255)
 			p.Load(s.hist.Addr(d), Private)
 			s.hist.Data[d]++
@@ -168,20 +169,20 @@ func (s *streamTestState) viaElements(r streamRound) {
 	case 4:
 		pos := append([]int64(nil), r.pos...)
 		for i := lo; i < lo+cnt; i++ {
-			p.LoadSeq(s.keys.Addr(i), SharedRead)
+			p.access(s.keys.Addr(i), false, SharedRead, ov)
 			k := s.keys.Data[i]
 			d := int(k >> r.shift & 255)
 			p.Load(s.hist.Addr(d), Private)
 			at := pos[d]
 			pos[d]++
 			s.dst.Data[at] = k
-			p.Store(s.dst.Addr(int(at)), ConflictWrite)
+			p.access(s.dst.Addr(int(at)), true, ConflictWrite, ov)
 			p.Compute(ops)
 		}
 	case 5:
 		for i := 0; i < cnt; i++ {
-			p.LoadSeq(s.keys.Addr(lo+i), SharedRead)
-			p.StoreSeq(s.dst.Addr(lo+cnt-1-i), Private)
+			p.access(s.keys.Addr(lo+i), false, SharedRead, ov)
+			p.access(s.dst.Addr(lo+cnt-1-i), true, Private, ov)
 		}
 	case 6:
 		s.perLine(s.keys, lo, lo+cnt, false, SharedRead)
@@ -192,19 +193,15 @@ func (s *streamTestState) viaElements(r streamRound) {
 	}
 }
 
-// perLine is the block walk spelled out: one LoadSeq/StoreSeq per cache
-// line overlapping elements [lo, hi).
+// perLine is the block walk spelled out: one sequential access per
+// cache line overlapping elements [lo, hi).
 func (s *streamTestState) perLine(a *Array[uint32], lo, hi int, write bool, sh Sharing) {
 	if hi <= lo {
 		return
 	}
 	line := Addr(s.m.cfg.Cache.LineSize)
 	for la := a.Addr(lo) &^ (line - 1); la < a.Addr(hi); la += line {
-		if write {
-			s.p.StoreSeq(la, sh)
-		} else {
-			s.p.LoadSeq(la, sh)
-		}
+		s.p.access(la, write, sh, s.m.cfg.MissOverlap)
 	}
 }
 

@@ -39,7 +39,7 @@ func TestRunAttachesTrace(t *testing.T) {
 		p.SetPhase("work")
 		lo, hi := p.ID*1024, (p.ID+1)*1024
 		for i := lo; i < hi; i++ {
-			arr.Store(p, i, int64(i), Private)
+			store(p, arr, i, int64(i), Private)
 		}
 		m.Barrier(p)
 		p.SetPhase("read")
@@ -139,7 +139,7 @@ func TestMachineTraceDeterministic(t *testing.T) {
 			p.SetPhase("fill")
 			lo, hi := p.ID*512, (p.ID+1)*512
 			for i := lo; i < hi; i++ {
-				arr.Store(p, i, int64(i), Private)
+				store(p, arr, i, int64(i), Private)
 			}
 			m.Barrier(p)
 			p.SetPhase("steal")
@@ -186,7 +186,7 @@ func TestFillMetricsManyPhasesDeterministic(t *testing.T) {
 				p.SetPhase(fmt.Sprintf("ph%02d", ph))
 				lo := (p.ID*phases + ph) * 64
 				for i := lo; i < lo+64; i++ {
-					p.StoreSeq(arr.Addr(i), Private)
+					p.access(arr.Addr(i), true, Private, p.m.cfg.MissOverlap)
 					p.Compute(ph + 1)
 				}
 				m.Barrier(p)
@@ -221,12 +221,12 @@ func TestTracingDisabledZeroAlloc(t *testing.T) {
 	p.resetClock()
 	p.SetPhase("hot") // pre-warm the phase accumulator
 	// Touch the array once so the TLB/cache structures are built.
-	arr.Store(p, 0, 1, Private)
+	store(p, arr, 0, 1, Private)
 
 	allocs := testing.AllocsPerRun(1000, func() {
 		p.ComputeNs(1)
 		p.SetPhase("hot")
-		arr.Store(p, 1, 2, Private)
+		store(p, arr, 1, 2, Private)
 		arr.Load(p, 1, Private)
 		p.WaitUntil(p.Now() - 1)
 		p.TraceEvent(trace.EvSend, 1, 64, 10)
@@ -256,6 +256,6 @@ func benchAccess(b *testing.B, tracing bool) {
 			b.StartTimer()
 		}
 		p := m.Proc(0)
-		arr.Store(p, i&((1<<14)-1), int64(i), Private)
+		store(p, arr, i&((1<<14)-1), int64(i), Private)
 	}
 }

@@ -31,35 +31,6 @@ import (
 	"repro/internal/cache"
 )
 
-// Placement names a page-placement policy for a region.
-type Placement int
-
-const (
-	// PlaceBlocked divides the region into equal contiguous partitions,
-	// one per processor, homing each partition on its processor's node
-	// (a page may straddle two partitions). This matches how the sorting
-	// programs distribute their key arrays.
-	PlaceBlocked Placement = iota
-	// PlaceRoundRobin homes consecutive pages on consecutive nodes.
-	PlaceRoundRobin
-	// PlaceOnNode homes the entire region on a single node.
-	PlaceOnNode
-)
-
-// String returns the policy name.
-func (p Placement) String() string {
-	switch p {
-	case PlaceBlocked:
-		return "blocked"
-	case PlaceRoundRobin:
-		return "round-robin"
-	case PlaceOnNode:
-		return "on-node"
-	default:
-		return fmt.Sprintf("Placement(%d)", int(p))
-	}
-}
-
 // mixedPage marks a page-table entry whose page does not have a single
 // home node; lookups fall back to the region walk.
 const mixedPage int32 = -1
@@ -89,11 +60,6 @@ func (r *Region) Size() int { return r.size }
 // Addr returns the address of byte offset within the region.
 func (r *Region) Addr(offset int) cache.Addr {
 	return r.base + cache.Addr(offset)
-}
-
-// Contains reports whether a falls inside the region.
-func (r *Region) Contains(a cache.Addr) bool {
-	return a >= r.base && a < r.base+cache.Addr(r.size)
 }
 
 // AddressSpace allocates regions and answers home-node queries.

@@ -38,21 +38,18 @@ func TestRegionsDisjointAndPageAligned(t *testing.T) {
 	r1 := as.AllocBlocked("a", 10000, 4)
 	r2 := as.AllocRoundRobin("b", 123)
 	r3 := as.AllocOnNode("c", 4096, 3)
-	regs := []*Region{r1, r2, r3}
-	for i, r := range regs {
+	for i, r := range []*Region{r1, r2, r3} {
 		if uint64(r.Base())%4096 != 0 {
 			t.Errorf("region %d base %#x not page aligned", i, r.Base())
 		}
-		for j, s := range regs {
-			if i == j {
-				continue
-			}
-			if r.Contains(s.Base()) {
-				t.Errorf("region %d overlaps region %d", i, j)
-			}
+		if got := as.regionOf(r.Base()); got != r {
+			t.Errorf("region %d's first byte belongs to %v", i, got)
+		}
+		if got := as.regionOf(r.Addr(r.Size() - 1)); got != r {
+			t.Errorf("region %d's last byte belongs to %v", i, got)
 		}
 	}
-	if r1.Contains(0) {
+	if as.regionOf(0) != nil {
 		t.Error("address 0 must not belong to any region")
 	}
 }
@@ -160,17 +157,6 @@ func TestHomeOfAlwaysValidNode(t *testing.T) {
 	}
 }
 
-func TestPlacementString(t *testing.T) {
-	if PlaceBlocked.String() != "blocked" ||
-		PlaceRoundRobin.String() != "round-robin" ||
-		PlaceOnNode.String() != "on-node" {
-		t.Error("placement names wrong")
-	}
-	if Placement(99).String() == "" {
-		t.Error("unknown placement should still stringify")
-	}
-}
-
 func TestRegionAccessors(t *testing.T) {
 	as := testAS(t)
 	r := as.AllocOnNode("named", 100, 0)
@@ -182,8 +168,5 @@ func TestRegionAccessors(t *testing.T) {
 	}
 	if r.Addr(10) != r.Base()+10 {
 		t.Error("Addr arithmetic wrong")
-	}
-	if !r.Contains(r.Base()) || r.Contains(r.Base()+100) {
-		t.Error("Contains boundary behavior wrong")
 	}
 }

@@ -176,30 +176,22 @@ func TestSkewDistsAllPrograms(t *testing.T) {
 	}
 }
 
-// TestDupHeavyFewerKeysThanProcs: the duplicate-heavy generator at
-// n < procs — empty partitions plus massive value collisions at once.
+// TestDupHeavyFewerKeysThanProcs: two distinct values at n < procs —
+// empty partitions plus massive value collisions at once.
 func TestDupHeavyFewerKeysThanProcs(t *testing.T) {
-	const n, procs = 5, 8
-	in, err := keys.Generate(keys.DupHeavy, keys.GenConfig{N: n, Procs: procs, RadixBits: 8, DupValues: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const procs = 8
+	in := []uint32{1 << 30, 7, 1 << 30, 7, 7}
 	allPrograms(t, func() *machine.Machine { return scaled(t, procs) }, in, Config{Radix: 8})
 }
 
-// TestDupHeavyAllEqual: DupValues=1 degenerates to all-equal keys —
-// sample sort's splitters all coincide and the tie-spreading boundary
-// logic must still balance the exchange.
+// TestDupHeavyAllEqual: all-equal keys — sample sort's splitters all
+// coincide and the tie-spreading boundary logic must still balance the
+// exchange.
 func TestDupHeavyAllEqual(t *testing.T) {
 	const n, procs = 4096, 8
-	in, err := keys.Generate(keys.DupHeavy, keys.GenConfig{N: n, Procs: procs, RadixBits: 8, DupValues: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range in {
-		if k != in[0] {
-			t.Fatal("DupValues=1 should be all-equal")
-		}
+	in := make([]uint32, n)
+	for i := range in {
+		in[i] = 0x2a5a5a5a
 	}
 	allPrograms(t, func() *machine.Machine { return scaled(t, procs) }, in, Config{Radix: 8})
 }

@@ -222,8 +222,8 @@ func multiwayMergeCharged(p *machine.Proc, recv, out *machine.Array[uint32], sta
 	// Each run head advances sequentially through its own region of recv,
 	// so every run gets its own stream cursor (private cache/TLB lanes):
 	// each of the P interleaved streams keeps its own hot line and page,
-	// and each access charges exactly what a LoadSeq/StoreSeq of the
-	// element charges.
+	// and each access charges exactly what one sequential (MSHR-
+	// overlapped) access of the element charges.
 	readers := make([]machine.SeqCursor, len(starts))
 	for q := range starts {
 		recv.OpenCursor(&readers[q], p, false, machine.Private)

@@ -81,46 +81,67 @@ func Models(a Algorithm) []Model {
 	return out
 }
 
-// Validate reports whether the experiment can run at all: every check
-// that depends only on the request, so front ends can reject a bad one
-// (simd with 400) before any simulation starts. Run applies it first.
+// Validate reports whether the experiment can run at all, so front ends
+// can reject a bad one (simd with 400) before any simulation starts. It
+// is Run's own setup stopped short of generating keys: whatever Validate
+// accepts, every layer accepts the config Run hands it.
 func (e Experiment) Validate() error {
-	_, err := e.program()
+	_, err := e.resolve()
 	return err
 }
 
-// program validates the experiment and returns its entry in the sorts
-// package's program table.
-func (e Experiment) program() (sorts.Variant, error) {
-	var none sorts.Variant
-	// Radix 0 selects the default (8 bits).
-	if e.Radix < 0 || e.Radix > keys.MaxRadixBits {
-		return none, fmt.Errorf("repro: Radix must be in [1, %d] bits, got %d", keys.MaxRadixBits, e.Radix)
+// setup is what Run hands the layers for one experiment: the program,
+// and each layer's config exactly as that layer receives it.
+type setup struct {
+	prog    sorts.Variant
+	keys    keys.GenConfig
+	machine machine.Config
+	sort    sorts.Config
+}
+
+// resolve applies the radix default to e (Radix 0 selects 8 bits), looks
+// its program up, builds every layer's config and checks each with that
+// layer's own validator. The only rules it states itself are the two no
+// layer owns: the sequential baseline runs on one processor, and the
+// CC-SAS programs' prefix tree needs a power of two. Validate, Run and
+// Predict all start here.
+func (e *Experiment) resolve() (setup, error) {
+	if e.Radix == 0 {
+		e.Radix = 8
 	}
-	if e.N <= 0 {
-		return none, fmt.Errorf("repro: N must be positive, got %d", e.N)
+	var s setup
+	for _, v := range sorts.Variants() {
+		if v.Algorithm == string(e.Algorithm) && v.Model == string(e.Model) {
+			s.prog = v
+		}
 	}
-	if e.Procs <= 0 {
-		return none, fmt.Errorf("repro: Procs must be positive, got %d", e.Procs)
+	if s.prog.Sort == nil {
+		return s, fmt.Errorf("repro: no program for algorithm %q under model %q (models: %v)",
+			e.Algorithm, e.Model, Models(e.Algorithm))
+	}
+	s.keys = keys.GenConfig{N: e.N, Procs: e.Procs, RadixBits: e.Radix, Seed: e.Seed, AdvSamples: e.SampleSize}
+	if err := s.keys.Validate(); err != nil {
+		return s, err
 	}
 	if e.Model == Seq && e.Procs != 1 {
-		return none, fmt.Errorf("repro: the sequential baseline needs Procs=1, got %d", e.Procs)
+		return s, fmt.Errorf("repro: the sequential baseline needs Procs=1, got %d", e.Procs)
 	}
 	if (e.Model == CCSAS || e.Model == CCSASNew) && e.Procs&(e.Procs-1) != 0 {
 		// The SPLASH-2 binary prefix tree is structurally a complete
 		// binary tree over the processors.
-		return none, fmt.Errorf("repro: %s needs a power-of-two processor count, got %d", e.Model, e.Procs)
+		return s, fmt.Errorf("repro: %s needs a power-of-two processor count, got %d", e.Model, e.Procs)
 	}
-	if e.SampleSize < 0 || e.SampleSize > 1<<20 {
-		return none, fmt.Errorf("repro: SampleSize must be in [0, 2^20], got %d", e.SampleSize)
+	mc, mp, sh := e.platform(s.prog.Engine)
+	s.machine = e.policy(mc)
+	// Validate fills defaults in place; check a copy so machine.New
+	// receives the config MachineConfigFor returns.
+	probe := s.machine
+	if err := probe.Validate(); err != nil {
+		return s, err
 	}
-	for _, v := range sorts.Variants() {
-		if v.Algorithm == string(e.Algorithm) && v.Model == string(e.Model) {
-			return v, nil
-		}
-	}
-	return none, fmt.Errorf("repro: no program for algorithm %q under model %q (models: %v)",
-		e.Algorithm, e.Model, Models(e.Algorithm))
+	s.sort = sorts.Config{Radix: e.Radix, SampleSize: e.SampleSize, MPI: mp, Shmem: sh,
+		MPIOneMessagePerDest: e.MPIOneMessagePerDest}
+	return s, nil
 }
 
 // ParseModel resolves a model name.
@@ -212,10 +233,7 @@ func (r Request) Experiment() (Experiment, Request, error) {
 		Algorithm: alg, Model: model, N: r.N, Procs: r.Procs, Radix: r.Radix,
 		Dist: dist, Topo: topo, Seed: r.Seed, FullSize: r.FullSize, Trace: r.Trace,
 	}
-	if e.Radix == 0 {
-		e.Radix = 8
-	}
-	if err := e.Validate(); err != nil {
+	if _, err := e.resolve(); err != nil {
 		return Experiment{}, Request{}, err
 	}
 	canon := Request{
@@ -350,8 +368,8 @@ func (e Experiment) progressLine(timeNs float64) (format string, args []any) {
 // libraries does this experiment run on": the Origin2000 preset wired as
 // e.Topo — scaled ÷16 unless FullSize, with the libraries' fixed
 // software costs scaled to match (DESIGN.md §1) — and the MPI library
-// the model names, at e.MPIBufDepth when that is set. Run (through
-// MachineConfigFor) and Predict both start here.
+// the model names, at e.MPIBufDepth when that is set. resolve (for Run)
+// and Predict both start here.
 func (e Experiment) platform(engine mpi.Engine) (machine.Config, mpi.Config, shmem.Config) {
 	mc, mp, sh := machine.Origin2000(e.Procs), mpi.ConfigFor(engine), shmem.DefaultConfig()
 	if !e.FullSize {
@@ -365,13 +383,18 @@ func (e Experiment) platform(engine mpi.Engine) (machine.Config, mpi.Config, shm
 	return mc, mp, sh
 }
 
-// MachineConfigFor returns the machine configuration the harness uses
-// for an experiment: its platform with the paper's page-size policy (the
-// authors used 64 KB pages up to 64M keys and 256 KB pages at 256M, both
-// divided by the scale factor on the scaled machine) and the
-// experiment's ablation and paranoid switches.
+// MachineConfigFor returns the machine configuration Run builds for an
+// experiment: its platform's machine under the experiment's policy.
 func MachineConfigFor(e Experiment) machine.Config {
 	cfg, _, _ := e.platform(mpi.Direct)
+	return e.policy(cfg)
+}
+
+// policy applies to the platform's machine cfg the paper's page-size
+// policy (the authors used 64 KB pages up to 64M keys and 256 KB pages at
+// 256M, both divided by the scale factor on the scaled machine) and the
+// experiment's ablation and paranoid switches.
+func (e Experiment) policy(cfg machine.Config) machine.Config {
 	scale, bigN := machine.ScaleFactor, SizeClasses[4].ScaledN
 	if e.FullSize {
 		scale, bigN = 1, SizeClasses[4].PaperN
@@ -395,10 +418,7 @@ func MachineConfigFor(e Experiment) machine.Config {
 // its calibration against the simulator (perfmodel's tests) was made
 // there.
 func Predict(e Experiment) ([]*perfmodel.Prediction, error) {
-	if e.Radix == 0 {
-		e.Radix = 8
-	}
-	if err := e.Validate(); err != nil {
+	if _, err := e.resolve(); err != nil {
 		return nil, err
 	}
 	pr, err := perfmodel.New(e.platform(mpi.Direct))
@@ -436,21 +456,15 @@ func (o *Outcome) Breakdowns() []machine.Breakdown {
 // Run executes one experiment: generates the keys, builds the machine,
 // runs the selected program, and verifies the output.
 func Run(e Experiment) (*Outcome, error) {
-	if e.Radix == 0 {
-		e.Radix = 8
-	}
-	prog, err := e.program()
+	s, err := e.resolve()
 	if err != nil {
 		return nil, err
 	}
-	in, err := keys.Generate(e.Dist, keys.GenConfig{
-		N: e.N, Procs: e.Procs, RadixBits: e.Radix, Seed: e.Seed,
-		AdvSamples: e.SampleSize,
-	})
+	in, err := keys.Generate(e.Dist, s.keys)
 	if err != nil {
 		return nil, err
 	}
-	m, err := machine.New(MachineConfigFor(e))
+	m, err := machine.New(s.machine)
 	if err != nil {
 		return nil, err
 	}
@@ -462,11 +476,7 @@ func Run(e Experiment) (*Outcome, error) {
 	if e.Trace {
 		m.EnableTracing()
 	}
-	_, mpiCfg, shmemCfg := e.platform(prog.Engine)
-	cfg := sorts.Config{Radix: e.Radix, SampleSize: e.SampleSize, MPI: mpiCfg, Shmem: shmemCfg,
-		MPIOneMessagePerDest: e.MPIOneMessagePerDest}
-
-	res, err := prog.Sort(m, in, cfg)
+	res, err := s.prog.Sort(m, in, s.sort)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/sorts"
+	"repro/internal/topology"
 )
 
 // run is a test helper executing one experiment.
@@ -134,11 +135,12 @@ func TestExperimentValidate(t *testing.T) {
 		{"baseline", func(*Experiment) {}, ""},
 		{"radix default", func(e *Experiment) { e.Radix = 0 }, ""},
 		{"radix max", func(e *Experiment) { e.Radix = keys.MaxRadixBits }, ""},
-		{"radix 17", func(e *Experiment) { e.Radix = 17 }, "Radix must be in [1, 16]"},
-		{"radix 24", func(e *Experiment) { e.Radix = 24 }, "Radix must be in [1, 16]"},
-		{"radix negative", func(e *Experiment) { e.Radix = -2 }, "Radix must be in"},
+		{"radix 17", func(e *Experiment) { e.Radix = 17 }, "RadixBits must be in [1,16], got 17"},
+		{"radix 24", func(e *Experiment) { e.Radix = 24 }, "RadixBits must be in [1,16], got 24"},
+		{"radix negative", func(e *Experiment) { e.Radix = -2 }, "RadixBits must be in"},
 		{"zero n", func(e *Experiment) { e.N = 0 }, "N must be positive"},
 		{"zero procs", func(e *Experiment) { e.Procs = 0 }, "Procs must be positive"},
+		{"negative procs", func(e *Experiment) { e.Model, e.Procs = CCSAS, -4 }, "Procs must be positive"},
 		{"seq", func(e *Experiment) { e.Model, e.Procs = Seq, 1 }, ""},
 		{"seq procs 4", func(e *Experiment) { e.Model = Seq }, "needs Procs=1"},
 		{"seq sample", func(e *Experiment) { e.Algorithm, e.Model, e.Procs = Sample, Seq, 1 }, "no program"},
@@ -146,11 +148,16 @@ func TestExperimentValidate(t *testing.T) {
 		{"ccsas-new procs 12", func(e *Experiment) { e.Model, e.Procs = CCSASNew, 12 }, "power-of-two"},
 		{"psrs ccsas procs 3", func(e *Experiment) { e.Algorithm, e.Model, e.Procs = Psrs, CCSAS, 3 }, "power-of-two"},
 		{"mpi procs 6", func(e *Experiment) { e.Model, e.Procs = MPI, 6 }, ""},
+		{"mpi procs 3", func(e *Experiment) { e.Model, e.Procs = MPI, 3 }, "processors (3) not a multiple of procs per node (2)"},
+		{"mpi procs 12", func(e *Experiment) { e.Model, e.Procs = MPI, 12 }, "hypercube router count 3 is not a power of two"},
+		{"shmem procs 12 torus", func(e *Experiment) { e.Procs, e.Topo = 12, "torus" }, ""},
 		{"sample ccsas-new", func(e *Experiment) { e.Algorithm, e.Model = Sample, CCSASNew }, "no program"},
 		{"unknown algorithm", func(e *Experiment) { e.Algorithm = "bogo" }, "no program"},
 		{"unknown model", func(e *Experiment) { e.Model = "openmp" }, "no program"},
-		{"sample size negative", func(e *Experiment) { e.SampleSize = -1 }, "SampleSize must be in"},
-		{"sample size huge", func(e *Experiment) { e.SampleSize = 1<<20 + 1 }, "SampleSize must be in"},
+		{"unknown topo", func(e *Experiment) { e.Topo = "moebius" }, `unknown kind "moebius"`},
+		{"paranoid sample negative", func(e *Experiment) { e.ParanoidSampleEvery = -1 }, "ParanoidSampleEvery must be non-negative, got -1"},
+		{"sample size negative", func(e *Experiment) { e.SampleSize = -1 }, "AdvSamples must be in [0,2^20], got -1"},
+		{"sample size huge", func(e *Experiment) { e.SampleSize = 1<<20 + 1 }, "AdvSamples must be in"},
 	}
 	for _, tc := range cases {
 		e := ok
@@ -177,6 +184,44 @@ func TestExperimentValidate(t *testing.T) {
 				t.Errorf("%s/%s: %v", alg, mo, err)
 			}
 		}
+	}
+}
+
+// TestValidateAgreesWithLayers: over every program × interconnect × 1–70
+// processors, Validate accepts an experiment exactly when the key
+// generator and the machine accept the configs Run hands them and the
+// two model rules hold, and Run refuses every rejected experiment with
+// Validate's error word for word. The oracle is the layers' validators,
+// not machine.New, so the sweep stays sub-second.
+func TestValidateAgreesWithLayers(t *testing.T) {
+	disagree := 0
+	for _, v := range sorts.Variants() {
+		for _, topo := range append([]string{""}, topology.Kinds()...) {
+			for procs := 1; procs <= 70; procs++ {
+				e := Experiment{Algorithm: Algorithm(v.Algorithm), Model: Model(v.Model), N: 1 << 12, Procs: procs, Topo: topo}
+				gen := keys.GenConfig{N: e.N, Procs: procs, RadixBits: 8}
+				mc := MachineConfigFor(e)
+				accept := gen.Validate() == nil && mc.Validate() == nil &&
+					(e.Model != Seq || procs == 1) &&
+					(e.Model != CCSAS && e.Model != CCSASNew || procs&(procs-1) == 0)
+				err := e.Validate()
+				if (err == nil) != accept {
+					if disagree++; disagree <= 5 {
+						t.Errorf("%s: Validate = %v, the layers accept: %v", e.Label(), err, accept)
+					}
+					continue
+				}
+				if err == nil {
+					continue
+				}
+				if _, rerr := Run(e); rerr == nil || rerr.Error() != err.Error() {
+					t.Errorf("%s: Run = %v, want Validate's error %v", e.Label(), rerr, err)
+				}
+			}
+		}
+	}
+	if disagree > 0 {
+		t.Errorf("%d experiments where Validate and the layers disagree", disagree)
 	}
 }
 

@@ -68,8 +68,8 @@ func TestRequestExperiment(t *testing.T) {
 }
 
 // TestRequestRejections: what a Request can get wrong comes back as the
-// error the parsers and Experiment.Validate always gave, word for word
-// (CI greps the radix message).
+// error the parsers, the layers' validators and Experiment.Validate's
+// model rules give, word for word (CI greps the radix message).
 func TestRequestRejections(t *testing.T) {
 	ok := Request{Algorithm: "radix", Model: "shmem", N: 1 << 12, Procs: 4}
 	for _, tc := range []struct {
@@ -77,12 +77,14 @@ func TestRequestRejections(t *testing.T) {
 		edit func(*Request)
 		want string
 	}{
-		{"radix 17", func(r *Request) { r.Radix = 17 }, "repro: Radix must be in [1, 16] bits, got 17"},
-		{"radix 20", func(r *Request) { r.Radix = 20 }, "repro: Radix must be in [1, 16] bits, got 20"},
-		{"radix 24", func(r *Request) { r.Radix = 24 }, "repro: Radix must be in [1, 16] bits, got 24"},
-		{"radix negative", func(r *Request) { r.Radix = -2 }, "repro: Radix must be in [1, 16] bits, got -2"},
-		{"zero n", func(r *Request) { r.N = 0 }, "repro: N must be positive, got 0"},
-		{"zero procs", func(r *Request) { r.Procs = 0 }, "repro: Procs must be positive, got 0"},
+		{"radix 17", func(r *Request) { r.Radix = 17 }, "keys: RadixBits must be in [1,16], got 17"},
+		{"radix 20", func(r *Request) { r.Radix = 20 }, "keys: RadixBits must be in [1,16], got 20"},
+		{"radix 24", func(r *Request) { r.Radix = 24 }, "keys: RadixBits must be in [1,16], got 24"},
+		{"radix negative", func(r *Request) { r.Radix = -2 }, "keys: RadixBits must be in [1,16], got -2"},
+		{"zero n", func(r *Request) { r.N = 0 }, "keys: N must be positive, got 0"},
+		{"zero procs", func(r *Request) { r.Procs = 0 }, "keys: Procs must be positive, got 0"},
+		{"mpi procs 3", func(r *Request) { r.Model, r.Procs = "mpi", 3 }, "topology: processors (3) not a multiple of procs per node (2)"},
+		{"mpi procs 12", func(r *Request) { r.Model, r.Procs = "mpi", 12 }, "topology: hypercube router count 3 is not a power of two"},
 		{"seq procs 4", func(r *Request) { r.Model = "seq" }, "repro: the sequential baseline needs Procs=1, got 4"},
 		{"seq sample", func(r *Request) { r.Algorithm, r.Model, r.Procs = "sample", "seq", 1 },
 			`repro: no program for algorithm "sample" under model "seq" (models: [ccsas mpi mpi-sgi shmem])`},
@@ -123,6 +125,7 @@ func TestOptionCensus(t *testing.T) {
 	}{
 		{Request{}, 10},
 		{Experiment{}, 17},
+		{keys.GenConfig{}, 5},
 		{Options{}, 11},
 		{sorts.Config{}, 5},
 		{mpi.Config{}, 6},
