@@ -115,10 +115,11 @@ func TestRunValidation(t *testing.T) {
 		{"radix 20", `{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"radix":20}`},
 		{"radix 24", `{"algorithm":"sample","model":"mpi","n":4096,"procs":4,"radix":24}`},
 		{"negative radix", `{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"radix":-1}`},
-		// The CC-SAS programs need a power-of-two machine (formerly a 500
-		// out of repro.Run).
+		// The CC-SAS radix sorts' prefix tree needs a power-of-two machine
+		// (formerly a 500 out of repro.Run).
 		{"ccsas procs 6", `{"algorithm":"radix","model":"ccsas","n":4096,"procs":6}`},
 		{"ccsas-new procs 12", `{"algorithm":"radix","model":"ccsas-new","n":4096,"procs":12}`},
+		{"ccsas procs 6 fattree", `{"algorithm":"radix","model":"ccsas","n":4096,"procs":6,"topo":"fattree"}`},
 		{"sample ccsas procs 3", `{"algorithm":"sample","model":"ccsas","n":4096,"procs":3}`},
 		// Machines the interconnect cannot wire (formerly a 500 out of
 		// machine.New): two processors per node, and a hypercube needs a
@@ -157,8 +158,10 @@ func TestRunValidation(t *testing.T) {
 
 // TestRunTopo covers the interconnect field of /v1/run: an unknown kind
 // is rejected up front with 400, every registered kind simulates and
-// verifies, and the empty string canonicalizes to "hypercube" in the
-// cache key so the default spelled two ways is a single cache entry.
+// verifies — sample sort under CC-SAS on 6 fat-tree processors too, since
+// only the radix sorts' prefix tree needs a power of two — and the empty
+// string canonicalizes to "hypercube" in the cache key so the default
+// spelled two ways is a single cache entry.
 func TestRunTopo(t *testing.T) {
 	s, ts := newTestServer(t, serverConfig{})
 
@@ -168,20 +171,25 @@ func TestRunTopo(t *testing.T) {
 		t.Errorf("unknown topo: status %d, want 400 (body %s)", resp.StatusCode, body)
 	}
 
+	var reqs []repro.Request
 	for _, kind := range []string{"fattree", "torus", "torus3d", "dragonfly", "numa2"} {
 		req := tinyRun(7)
 		req.Topo = kind
+		reqs = append(reqs, req)
+	}
+	reqs = append(reqs, repro.Request{Algorithm: "sample", Model: "ccsas", N: 1 << 12, Procs: 6, Topo: "fattree"})
+	for _, req := range reqs {
 		resp := postJSON(t, ts.URL+"/v1/run", req)
 		body := readAll(t, resp)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("topo %s: status %d (body %s)", kind, resp.StatusCode, body)
+			t.Fatalf("%+v: status %d (body %s)", req, resp.StatusCode, body)
 		}
 		var doc runResult
 		if err := json.Unmarshal(body, &doc); err != nil {
 			t.Fatal(err)
 		}
 		if !doc.Verified || doc.TimeNs <= 0 {
-			t.Errorf("topo %s: result malformed: %+v", kind, doc)
+			t.Errorf("%+v: result malformed: %+v", req, doc)
 		}
 	}
 

@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		algo       = fs.String("algo", "radix", "algorithm: radix, sample, or psrs")
 		model      = fs.String("model", "shmem", "model: seq, ccsas, ccsas-new, mpi, mpi-sgi, shmem")
 		n          = fs.Int("n", 1<<18, "key count")
-		procs      = fs.Int("procs", 16, "processor count (power of two)")
+		procs      = fs.Int("procs", 16, "processor count")
 		radix      = fs.Int("radix", 8, "radix size in bits")
 		dist       = fs.String("dist", "gauss", "key distribution")
 		topo       = fs.String("topo", "", "interconnect kind (hypercube, fattree, torus, torus3d, dragonfly, numa2); default hypercube")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro"
+	"repro/internal/keys"
 	"repro/internal/report"
 )
 
@@ -43,7 +44,7 @@ func radixSweep(base repro.Experiment) ([]repro.Experiment, reduction) {
 			Header: []string{"radix", "passes", "time", "vs r=8"},
 		}
 		for i, r := range radixes {
-			t.AddRow(fmt.Sprintf("%d", r), fmt.Sprintf("%d", (31+r-1)/r),
+			t.AddRow(fmt.Sprintf("%d", r), fmt.Sprintf("%d", keys.Passes(r)),
 				report.Ms(cells[i].TimeNs), report.F(cells[i].TimeNs/ref))
 		}
 		return t

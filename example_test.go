@@ -64,7 +64,6 @@ func Example_breakdown() {
 	sb := &report.StackedBreakdown{
 		Title:      fmt.Sprintf("Radix sort mean per-processor time (µs), %s class on %dP", size.Label, procs),
 		Categories: []string{"BUSY", "LMEM", "RMEM", "SYNC"},
-		Width:      56,
 	}
 	for _, m := range []repro.Model{repro.CCSAS, repro.CCSASNew, repro.MPI, repro.SHMEM} {
 		out, err := repro.Run(repro.Experiment{
@@ -89,8 +88,8 @@ func Example_breakdown() {
 	// Output:
 	// Radix sort mean per-processor time (µs), 4M class on 16P
 	//   [B=BUSY l=LMEM r=RMEM s=SYNC]
-	//   ccsas     |BBBBBBBBBBBBBBBBllllllllllllllllllllllllllllllrrrrrrrs| 23554.902
-	//   ccsas-new |BBBBBBBBBBBBBBBBBlrrrrr| 10879.082
-	//   mpi       |BBBBBBBBBBBBBBBBBBrrs| 9556.708
-	//   shmem     |BBBBBBBBBBBBBBBBBrrs| 8983.966
+	//   ccsas     |BBBBBBBBBBBBBBBBBBllllllllllllllllllllllllllllllllrrrrrrrs| 23554.902
+	//   ccsas-new |BBBBBBBBBBBBBBBBBBBlrrrrrrs| 10879.082
+	//   mpi       |BBBBBBBBBBBBBBBBBBBlrrs| 9556.708
+	//   shmem     |BBBBBBBBBBBBBBBBBBrrs| 8983.966
 }

@@ -1,8 +1,10 @@
 package repro
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/keys"
@@ -88,12 +90,12 @@ type Harness struct {
 	opts Options
 
 	// mu guards baseline, the sequential cells run so far, keyed by the
-	// whole experiment. Each entry is a singleflight slot: the map lookup
-	// is cheap under mu, the expensive sequential run happens in the
-	// entry's once — one goroutine computes it, others wait on the same
-	// entry without duplicating the run.
+	// whole experiment. Each entry is a singleflight slot, a
+	// sync.OnceValues of the run: the map lookup is cheap under mu, and
+	// one goroutine runs the experiment while the others wait on the
+	// same entry without duplicating the run.
 	mu       sync.Mutex
-	baseline map[Experiment]*baselineEntry
+	baseline map[Experiment]*func() (Cell, error)
 
 	// progMu serializes the user's Progress callback.
 	progMu sync.Mutex
@@ -112,13 +114,6 @@ type Harness struct {
 	// simulate executes one experiment: Run, except in tests, which stub
 	// it to inject failures and panics into cells and singleflight slots.
 	simulate func(Experiment) (*Outcome, error)
-}
-
-// baselineEntry is one singleflight slot of the baseline cache.
-type baselineEntry struct {
-	once sync.Once
-	cell Cell
-	err  error
 }
 
 // HarnessStats counts the work a harness has executed so far. The JSON
@@ -143,7 +138,7 @@ func (h *Harness) Stats() HarnessStats {
 
 // NewHarness builds a harness.
 func NewHarness(opts Options) *Harness {
-	return &Harness{opts: opts.withDefaults(), baseline: make(map[Experiment]*baselineEntry), simulate: Run}
+	return &Harness{opts: opts.withDefaults(), baseline: make(map[Experiment]*func() (Cell, error)), simulate: Run}
 }
 
 // RunExperiment executes one fully-specified experiment exactly as given
@@ -175,23 +170,25 @@ func (h *Harness) RunExperiment(e Experiment) (*Outcome, error) {
 // for it; they all get the one Cell, breakdown and all, to read.
 //
 // Only successes are cached. A failed or panicking run's entry is
-// dropped before sequential returns, so the next caller retries instead
-// of being served the stale error (or a zero cell) forever
+// dropped before sequential returns or unwinds, so the next caller
+// retries instead of being served the stale error forever
 // (internal/resultcache applies the same errors-are-never-cached rule to
-// its content-addressed store).
+// its content-addressed store). Callers already waiting on the entry
+// share its outcome: the error, or the same panic.
 func (h *Harness) sequential(e Experiment) (Cell, error) {
 	h.mu.Lock()
-	slot, ok := h.baseline[e]
-	if !ok {
-		slot = &baselineEntry{}
+	slot := h.baseline[e]
+	if slot == nil {
+		run := sync.OnceValues(func() (Cell, error) { return h.cell(e) })
+		slot = &run
 		h.baseline[e] = slot
 	}
 	h.mu.Unlock()
-	// Drop a failed entry so the next caller retries; the map may already
-	// hold a fresh entry from a later caller, so only delete our own.
-	// Deferred, so the caller a panicking run unwinds through drops it too.
+	failed := true
+	// The map may already hold a fresh entry from a later caller, so only
+	// drop our own.
 	defer func() {
-		if slot.err != nil {
+		if failed {
 			h.mu.Lock()
 			if h.baseline[e] == slot {
 				delete(h.baseline, e)
@@ -199,20 +196,9 @@ func (h *Harness) sequential(e Experiment) (Cell, error) {
 			h.mu.Unlock()
 		}
 	}()
-	slot.once.Do(func() {
-		// A panicking run fails the slot like any other error before the
-		// panic goes on to fail its own cell. A panic that escapes Do
-		// unrecorded leaves the once done with a zero cell and no error,
-		// which every later figure dividing by this baseline would get.
-		defer func() {
-			if r := recover(); r != nil {
-				slot.err = fmt.Errorf("repro: baseline %s panicked: %v", e.Label(), r)
-				panic(r)
-			}
-		}()
-		slot.cell, slot.err = h.cell(e)
-	})
-	return slot.cell, slot.err
+	c, err := (*slot)()
+	failed = err != nil
+	return c, err
 }
 
 // program is the experiment template of one figure series: a sorting
@@ -253,7 +239,7 @@ func (h *Harness) Traces() []*trace.Trace {
 
 // maxProcs is the largest processor count of the grid, where the
 // single-configuration figures (4–6, 8–10, figskew) run.
-func (h *Harness) maxProcs() int { return h.opts.Procs[len(h.opts.Procs)-1] }
+func (h *Harness) maxProcs() int { return slices.Max(h.opts.Procs) }
 
 // sizeLabels returns the size classes' labels.
 func sizeLabels(sizes []SizeClass) []string {
@@ -643,7 +629,7 @@ func (h *Harness) Figure10() (*RelativeFigure, error) {
 // this algorithm" — the splitter-sensitivity story the paper's eight
 // benign distributions cannot show.
 func (h *Harness) FigureSkew() (*RelativeFigure, error) {
-	size := h.opts.Sizes[len(h.opts.Sizes)-1]
+	size := slices.MaxFunc(h.opts.Sizes, func(a, b SizeClass) int { return cmp.Compare(a.PaperN, b.PaperN) })
 	dists := append([]keys.Dist{keys.Gauss}, keys.SkewDists...)
 	var cols []string
 	var rows []Experiment

@@ -244,6 +244,38 @@ func TestHarnessFigureSkew(t *testing.T) {
 	}
 }
 
+// TestLargestOfUnsortedOptions: the single-configuration figures run at
+// the largest processor count and figskew at the largest size class
+// however Options lists them, not at the last entry.
+func TestLargestOfUnsortedOptions(t *testing.T) {
+	h := NewHarness(Options{Procs: []int{64, 16}, Sizes: []SizeClass{SizeClasses[3], SizeClasses[0]}, Parallelism: 1})
+	var ran []Experiment
+	h.simulate = func(e Experiment) (*Outcome, error) {
+		ran = append(ran, e)
+		run := &machine.Result{TimeNs: 1, PerProc: make([]machine.ProcStats, e.Procs)}
+		return &Outcome{Experiment: e, Result: &sorts.Result{Run: run}, TimeNs: 1}, nil
+	}
+	for name, figure := range map[string]func() error{
+		"fig4":    func() error { _, err := h.Figure4(); return err },
+		"fig5":    func() error { _, err := h.Figure5(); return err },
+		"fig10":   func() error { _, err := h.Figure10(); return err },
+		"figskew": func() error { _, err := h.FigureSkew(); return err },
+	} {
+		ran = nil
+		if err := figure(); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ran {
+			if e.Procs != 64 {
+				t.Errorf("%s ran %s, want 64 processors", name, e.Label())
+			}
+			if name == "figskew" && e.N != SizeClasses[3].ScaledN {
+				t.Errorf("figskew ran %s, want the %s class", e.Label(), SizeClasses[3].Label)
+			}
+		}
+	}
+}
+
 // TestFiguresRegistry pins repro.Figures as the one list of tables and
 // figures: names are unique, the paper entries come in the order the
 // paperfigs golden file prints their blocks, and every exported Table*

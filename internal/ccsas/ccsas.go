@@ -109,12 +109,22 @@ type PrefixTree struct {
 	prefixTmp [][]*machine.Array[int32]
 }
 
-// NewPrefixTree builds the tree's shared data structures. procs must be a
-// power of two (machine sizes always are).
+// ValidateProcs reports whether a PrefixTree can span procs ≥ 1
+// processors: the tree is a complete binary tree over them, so their
+// count must be a power of two.
+func ValidateProcs(procs int) error {
+	if procs&(procs-1) != 0 {
+		return fmt.Errorf("ccsas: the prefix tree needs a power-of-two processor count, got %d", procs)
+	}
+	return nil
+}
+
+// NewPrefixTree builds the tree's shared data structures. The machine's
+// processor count must pass ValidateProcs.
 func NewPrefixTree(w *World, buckets int) *PrefixTree {
 	p := w.M.Procs()
-	if p&(p-1) != 0 {
-		panic(fmt.Sprintf("ccsas: prefix tree needs power-of-two processors, got %d", p))
+	if err := ValidateProcs(p); err != nil {
+		panic(err)
 	}
 	levels := bits.Len(uint(p - 1))
 	t := &PrefixTree{w: w, procs: p, buckets: buckets, levels: levels}

@@ -3,11 +3,13 @@ package ccsas
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/topology"
 )
 
 func world(t *testing.T, procs int) *World {
@@ -201,6 +203,29 @@ func TestPrefixTreeDeterministic(t *testing.T) {
 	if a != b {
 		t.Errorf("non-deterministic reduce: %v vs %v", a, b)
 	}
+}
+
+// TestValidateProcs: the prefix tree spans power-of-two machines only,
+// and NewPrefixTree refuses any other with ValidateProcs' error.
+func TestValidateProcs(t *testing.T) {
+	for procs := 1; procs <= 70; procs++ {
+		pow2 := slices.Contains([]int{1, 2, 4, 8, 16, 32, 64}, procs)
+		if err := ValidateProcs(procs); (err == nil) != pow2 {
+			t.Errorf("ValidateProcs(%d) = %v", procs, err)
+		}
+	}
+	cfg := machine.Origin2000Scaled(6)
+	cfg.Topology.Kind = topology.KindFatTree
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err, _ := recover().(error); err == nil || err.Error() != ValidateProcs(6).Error() {
+			t.Errorf("NewPrefixTree on 6 processors panicked with %v, want %v", err, ValidateProcs(6))
+		}
+	}()
+	NewPrefixTree(NewWorld(m), 8)
 }
 
 func TestReduceValidatesLength(t *testing.T) {

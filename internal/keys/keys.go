@@ -10,9 +10,40 @@ import (
 	"strings"
 )
 
+// KeyBits is the key width of the paper's programs (§3.3): keys are
+// unsigned and below MaxKey = 2^KeyBits.
+const KeyBits = 31
+
 // MaxKey is the exclusive upper bound of key values (2^31), as in the
 // paper.
-const MaxKey = uint64(1) << 31
+const MaxKey = uint64(1) << KeyBits
+
+// Passes returns how many radix-r digits cover a key: ⌈KeyBits/r⌉, the
+// paper's 32/r with 31-bit keys. Every radix sort makes that many
+// counting passes.
+func Passes(r int) int { return (KeyBits + r - 1) / r }
+
+// DefaultSamples is sample sort's per-processor regular sample count,
+// the paper's 128.
+const DefaultSamples = 128
+
+// SampleCount returns how many regular samples each processor of a
+// sample sort over n keys on procs processors takes when samples are
+// asked for (0 selects DefaultSamples): at most one per key of an
+// average partition, and at least one. The sorter and the Adversarial
+// generator, which must hide keys between its samples, both ask here.
+func SampleCount(samples, n, procs int) int {
+	if samples == 0 {
+		samples = DefaultSamples
+	}
+	return min(samples, max(1, n/procs))
+}
+
+// SampleRank returns the local rank of sample j when count regular
+// samples are taken from a sorted run of n ≥ count keys: (j+1)·n/(count+1),
+// the interior points of count+1 equal gaps, avoiding both ends (the
+// regular-sampling step of BSP sample sorts).
+func SampleRank(j, n, count int) int { return (j + 1) * n / (count + 1) }
 
 // Dist names a key distribution.
 type Dist int
@@ -123,9 +154,9 @@ type GenConfig struct {
 	// Seed perturbs the generators; 0 is a valid, fixed default.
 	Seed uint64
 	// AdvSamples is the per-processor sample count the Adversarial
-	// construction assumes the sorter will take (0 means the default
-	// 128, matching sorts.DefaultConfig.SampleSize). The attack is
-	// strongest when this matches the sorter's actual SampleSize.
+	// construction assumes the sorter will take (0 means DefaultSamples,
+	// the sorter's default too). The attack is strongest when this
+	// matches the sorter's actual SampleSize.
 	AdvSamples int
 }
 
@@ -297,23 +328,23 @@ func fillStagger(out []uint32, cfg GenConfig) {
 	p := cfg.Procs
 	width := MaxKey / uint64(p)
 	for proc := 0; proc < p; proc++ {
-		// Processor i draws all its keys from one band: band 2i+1 for the
-		// first half of processors, band 2i-p for the second half.
-		var band int
-		if proc < p/2 {
-			band = 2*proc + 1
-		} else {
-			band = 2*proc - p
-		}
-		if band >= p { // degenerate tiny-p cases (p == 1)
-			band = p - 1
-		}
-		base := uint64(band) * width
+		base := uint64(staggerBand(proc, p)) * width
 		lo, hi := Bounds(len(out), p, proc)
 		for i := lo; i < hi; i++ {
 			out[i] = uint32(base + g.uniform(width))
 		}
 	}
+}
+
+// staggerBand is the one value band Stagger's processor proc of p draws
+// all its keys from: band 2i+1 for the first half of the processors, and
+// the even bands 2(i−⌊p/2⌋) for the rest (2i−p when p is even). The bands
+// are a permutation of [0, p) at every p.
+func staggerBand(proc, p int) int {
+	if proc < p/2 {
+		return 2*proc + 1
+	}
+	return 2 * (proc - p/2)
 }
 
 // Bounds returns the [lo,hi) range of chunk i when n items are split
@@ -324,32 +355,44 @@ func Bounds(n, k, i int) (lo, hi int) {
 	return i * n / k, (i + 1) * n / k
 }
 
+// ownDigits returns processor proc's own digit range [lo, lo+width) of
+// the 2^r radix-r digit values under Remote and Local: the proc-th of p
+// equal ranges of ⌊2^r/p⌋ values, or, when there are more processors than
+// digit values, the one value ⌊proc·2^r/p⌋ that p/2^r processors share.
+func ownDigits(proc, p, r int) (lo, width uint64) {
+	buckets := uint64(1) << r
+	if uint64(p) > buckets {
+		return uint64(proc) * buckets / uint64(p), 1
+	}
+	width = buckets / uint64(p)
+	return uint64(proc) * width, width
+}
+
 func fillDigitPattern(out []uint32, cfg GenConfig, remote bool) {
 	g := &splitmix64{x: cfg.Seed ^ 0x10ca1f1e1d5}
 	r := cfg.RadixBits
-	p := uint64(cfg.Procs)
-	digits := (31 + r - 1) / r // digit positions covering 31 bits
-	bucketsPerProc := (uint64(1) << r) / p
-	if bucketsPerProc == 0 {
-		bucketsPerProc = 1
-	}
+	buckets, digits := uint64(1)<<r, Passes(r)
 	for proc := 0; proc < cfg.Procs; proc++ {
 		lo, hi := Bounds(len(out), cfg.Procs, proc)
-		ownLo := uint64(proc) * bucketsPerProc
+		ownLo, width := ownDigits(proc, cfg.Procs, r)
 		for i := lo; i < hi; i++ {
 			var key uint64
 			var even, odd uint64
-			if remote {
+			switch {
+			case remote && width < buckets:
 				// Even digit positions (1st, 3rd, ...) avoid the own
 				// range; odd positions hit it.
-				even = g.uniform((uint64(1) << r) - bucketsPerProc)
+				even = g.uniform(buckets - width)
 				if even >= ownLo {
-					even += bucketsPerProc
+					even += width
 				}
-				odd = ownLo + g.uniform(bucketsPerProc)
-			} else {
+				odd = ownLo + g.uniform(width)
+			case remote:
+				// One processor owns every digit value: nothing to avoid.
+				even, odd = g.uniform(width), g.uniform(width)
+			default:
 				// Local: every digit in the own range.
-				even = ownLo + g.uniform(bucketsPerProc)
+				even = ownLo + g.uniform(width)
 				odd = even
 			}
 			for dpos := 0; dpos < digits; dpos++ {

@@ -95,7 +95,7 @@ func fillDupHeavy(out []uint32, cfg GenConfig) {
 // fillAdversarial builds the splitter-defeating distribution.
 //
 // Sample sort selects its per-processor samples at fixed positions of
-// the locally sorted partition ((j+1)*np/(S+1), see selectSamples), so
+// the locally sorted partition (SampleRank: (j+1)*np/(S+1)), so
 // any mass confined to ranks strictly between two consecutive sample
 // positions is invisible to every sample. Each processor therefore
 // hides its entire middle inter-sample gap — about np/(S+1) keys — in
@@ -108,22 +108,13 @@ func fillDupHeavy(out []uint32, cfg GenConfig) {
 // globally balanced blocked layout, so its receive counts stay flat on
 // the same keys.
 //
-// The construction mirrors the sampler's clamp S = min(AdvSamples,
-// max(1, N/Procs)) and is per-block deterministic: block i depends only
-// on (N, Procs, Seed, AdvSamples, i).
+// The construction takes the sampler's own geometry (SampleCount,
+// SampleRank) and is per-block deterministic: block i depends only on
+// (N, Procs, Seed, AdvSamples, i).
 func fillAdversarial(out []uint32, cfg GenConfig) {
 	p := cfg.Procs
 	n := len(out)
-	sEff := cfg.AdvSamples
-	if sEff == 0 {
-		sEff = 128
-	}
-	if sEff > n/p {
-		sEff = n / p
-		if sEff < 1 {
-			sEff = 1
-		}
-	}
+	sEff := SampleCount(cfg.AdvSamples, n, p)
 	// The global hidden band: centered mid-gap between sample m-1 and
 	// sample m in value space (m the middle sample index), width 2^20
 	// (clamped for tiny ranges) so the low bits stay uniform.
@@ -150,19 +141,13 @@ func fillAdversarial(out []uint32, cfg GenConfig) {
 func fillAdvBlock(part []uint32, seed uint64, proc, sEff, m int, bandLo, bandHi uint64) {
 	np := len(part)
 	g := &splitmix64{x: seed ^ 0xadd5a1e50a77ac ^ uint64(proc)*0x9e3779b97f4a7c15}
-	count := sEff
-	if count > np {
-		count = np
-	}
-	// Sample positions mirror selectSamples: sample j sits at local
-	// sorted rank (j+1)*np/(count+1). Hidden ranks are those strictly
-	// between samples m-1 and m (when m == 0, the run before sample 0,
-	// which no sample observes either).
-	rankA := m * np / (count + 1)
-	rankB := (m + 1) * np / (count + 1)
-	hideLo, hideHi := rankA, rankB
+	count := min(sEff, np)
+	// Sample j sits at local sorted rank SampleRank(j, np, count). Hidden
+	// ranks are those strictly between samples m-1 and m (when m == 0,
+	// the run before sample 0, which no sample observes either).
+	hideLo, hideHi := SampleRank(m-1, np, count), SampleRank(m, np, count)
 	if m > 0 {
-		hideLo = rankA + 1
+		hideLo++
 	}
 	if hideHi <= hideLo || count < 2 || bandLo == 0 {
 		// Degenerate (tiny partitions, total sampling): plain uniform.

@@ -54,9 +54,9 @@ type Config struct {
 
 	// FlatMemory, when true, prices every miss at the local latency and
 	// disables coherence/NUMA effects. Used by the flat-memory ablation.
+	// (The no-contention ablation needs no switch: zero slopes make every
+	// contention factor exactly 1.)
 	FlatMemory bool
-	// NoContention, when true, forces all contention factors to 1.
-	NoContention bool
 	// Paranoid, when true, shadows every simulated access with the slow
 	// reference models and invariant checks of internal/check (see
 	// DESIGN.md §9). The run's simulated results are unchanged —
@@ -119,7 +119,7 @@ func (c *Config) BarrierCost(procs int) float64 {
 // contentionFactor returns the multiplier for remote traffic when q
 // processors communicate concurrently.
 func (c *Config) contentionFactor(q int, scattered bool) float64 {
-	if c.NoContention || q <= 1 {
+	if q <= 1 {
 		return 1
 	}
 	per := c.ContentionBulkPerProc
@@ -138,7 +138,7 @@ func (c *Config) contentionFactor(q int, scattered bool) float64 {
 // (internal/perfmodel) prices its scattered phases through this method,
 // so the curve has one body.
 func (c *Config) ScatteredContention(q, bytesPerProc int) float64 {
-	if c.NoContention || q <= 1 {
+	if q <= 1 {
 		return 1
 	}
 	load := float64(bytesPerProc) / float64(c.Cache.Size)

@@ -232,9 +232,10 @@ func TestContentionFactor(t *testing.T) {
 	if bulk <= 1 || scattered <= bulk {
 		t.Errorf("want 1 < bulk (%v) < scattered (%v)", bulk, scattered)
 	}
-	cfg.NoContention = true
-	if f := cfg.contentionFactor(64, true); f != 1 {
-		t.Errorf("NoContention factor = %v, want 1", f)
+	// The no-contention ablation: zero slopes give exactly 1.
+	cfg.ContentionScatteredPerProc, cfg.ContentionBulkPerProc = 0, 0
+	if f, g := cfg.contentionFactor(64, true), cfg.ScatteredContention(64, cfg.Cache.Size); f != 1 || g != 1 {
+		t.Errorf("zero-slope factors = %v, %v, want 1", f, g)
 	}
 }
 

@@ -16,26 +16,19 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/shmem"
+	"repro/internal/sorts"
 	"repro/internal/topology"
 )
 
-// Workload describes one radix sort run.
+// Workload describes one radix sort run of the paper's 31-bit keys.
 type Workload struct {
 	// N is the total key count; Procs the processor count; Radix the
-	// digit width in bits; KeyBits the key width (31 in the paper).
-	N, Procs, Radix, KeyBits int
-}
-
-// Passes returns the pass count.
-func (w Workload) Passes() int {
-	kb := w.KeyBits
-	if kb == 0 {
-		kb = 31
-	}
-	return (kb + w.Radix - 1) / w.Radix
+	// digit width in bits.
+	N, Procs, Radix int
 }
 
 // Model names a predicted programming model.
@@ -104,10 +97,12 @@ func New(cfg machine.Config, mpiCfg mpi.Config, shmemCfg shmem.Config) (*Predict
 	return pr, nil
 }
 
-// constants mirroring the simulator's per-key ALU charges.
+// The per-key ALU charges of the sorts' local radix kernels: the
+// histogram sweep's ops plus 3 for histogram access bookkeeping, and the
+// permutation's.
 const (
-	sweepOpsPerKey   = 8 + 3 // digit extraction + histogram access bookkeeping
-	permuteOpsPerKey = 13
+	sweepOpsPerKey   = sorts.CountOpsPerKey + 3
+	permuteOpsPerKey = sorts.PermuteOpsPerKey
 )
 
 // lineKeys returns keys per cache line.
@@ -157,10 +152,10 @@ func (pr *Predictor) tlbMissRatio(spanBytes, buckets int) float64 {
 
 // Predict returns the analytic estimate for one model.
 func (pr *Predictor) Predict(model Model, w Workload) (*Prediction, error) {
-	if w.N <= 0 || w.Procs <= 0 || w.Radix < 1 || w.Radix > 16 {
+	if w.N <= 0 || w.Procs <= 0 || w.Radix < 1 || w.Radix > keys.MaxRadixBits {
 		return nil, fmt.Errorf("perfmodel: bad workload %+v", w)
 	}
-	passes := float64(w.Passes())
+	passes := float64(keys.Passes(w.Radix))
 	np := float64(w.N / w.Procs)
 	buckets := 1 << w.Radix
 	opNs := pr.cfg.OpNs

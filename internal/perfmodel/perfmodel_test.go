@@ -41,12 +41,18 @@ func TestPredictValidation(t *testing.T) {
 	}
 }
 
+// TestWorkloadPasses: a workload's radix sets the pass count the model
+// charges, ceil(31/r); the sync phase is two barriers per pass.
 func TestWorkloadPasses(t *testing.T) {
-	if got := (Workload{Radix: 8}).Passes(); got != 4 {
-		t.Errorf("radix 8 passes = %d", got)
-	}
-	if got := (Workload{Radix: 11}).Passes(); got != 3 {
-		t.Errorf("radix 11 passes = %d", got)
+	pr := scaledPredictor(t, 16)
+	for _, c := range []struct{ radix, passes int }{{8, 4}, {11, 3}} {
+		p, err := pr.Predict(MPI, Workload{N: 1 << 16, Procs: 16, Radix: c.radix})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Phases["sync"] / (2 * pr.cfg.BarrierCost(16)); got != float64(c.passes) {
+			t.Errorf("radix %d passes = %v, want %d", c.radix, got, c.passes)
+		}
 	}
 }
 

@@ -76,24 +76,23 @@ func F(v float64) string {
 func Ms(ns float64) string { return F(ns/1e6) + "ms" }
 
 // StackedBreakdown renders per-category magnitudes (e.g. BUSY, LMEM,
-// RMEM, SYNC) as a labeled stacked text chart, one row per item.
+// RMEM, SYNC) as a labeled stacked text chart, one row per item; the
+// tallest row spans stackWidth characters.
 type StackedBreakdown struct {
 	Title      string
 	Categories []string // category names, in stacking order
 	Labels     []string // row labels
 	Values     [][]float64
-	Width      int // total chart width in characters (default 60)
 }
+
+// stackWidth is a StackedBreakdown's full bar width in characters.
+const stackWidth = 60
 
 // glyphs used per category, cycling.
 var stackGlyphs = []byte{'B', 'l', 'r', 's', '#', '+', '*', '~'}
 
 // String renders the chart.
 func (s *StackedBreakdown) String() string {
-	width := s.Width
-	if width == 0 {
-		width = 60
-	}
 	var maxTotal float64
 	for _, row := range s.Values {
 		var t float64
@@ -127,7 +126,7 @@ func (s *StackedBreakdown) String() string {
 		fmt.Fprintf(&b, "  %-*s |", labelW, s.Labels[r])
 		if maxTotal > 0 {
 			for i, v := range row {
-				n := int(v / maxTotal * float64(width))
+				n := int(v / maxTotal * stackWidth)
 				b.WriteString(strings.Repeat(string(stackGlyphs[i%len(stackGlyphs)]), n))
 			}
 		}

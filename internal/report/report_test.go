@@ -63,7 +63,6 @@ func TestStackedBreakdown(t *testing.T) {
 		Categories: []string{"BUSY", "LMEM", "RMEM", "SYNC"},
 		Labels:     []string{"p0", "p1"},
 		Values:     [][]float64{{10, 5, 3, 2}, {5, 5, 5, 5}},
-		Width:      20,
 	}
 	out := sb.String()
 	if !strings.Contains(out, "B=BUSY") {

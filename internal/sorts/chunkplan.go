@@ -1,5 +1,7 @@
 package sorts
 
+import "repro/internal/keys"
+
 // chunkPlan captures where every processor's bucket-major send buffer
 // scatters into the partitioned output of one all-to-all. In the paper's
 // MPI and SHMEM programs each process computes the plan locally and
@@ -63,11 +65,13 @@ type chunk struct {
 }
 
 // blockedParts returns the partition starts of an n-key array blocked
-// over procs processors (radix sort's destination layout).
+// over procs processors (radix sort's destination layout, keys.Bounds),
+// with n as the trailing entry.
 func blockedParts(n, procs int) []int64 {
 	parts := make([]int64, procs+1)
 	for i := range parts {
-		parts[i] = int64(i) * int64(n) / int64(procs)
+		lo, _ := keys.Bounds(n, procs, i)
+		parts[i] = int64(lo)
 	}
 	return parts
 }

@@ -1,6 +1,7 @@
 package sorts
 
 import (
+	"repro/internal/keys"
 	"repro/internal/machine"
 )
 
@@ -20,10 +21,10 @@ func countPass(p *machine.Proc, arr *machine.Array[uint32], lo, n int,
 	p.Compute(b)
 	// One kernel call charges the whole counting loop: per key, the
 	// sequential key read, the digit extraction, the histogram access and
-	// increment, and 8 ops (shift, mask, load/add/store counter, loop
-	// control). Bit-identical to the per-element loop it replaced.
+	// increment, and CountOpsPerKey ops. Bit-identical to the
+	// per-element loop it replaced.
 	p.CountStream(arr, lo, n, firstClass,
-		uint(pass*cfg.Radix), uint32(b-1), hist, machine.Private, 8)
+		uint(pass*cfg.Radix), uint32(b-1), hist, machine.Private, CountOpsPerKey)
 	out := make([]int32, b)
 	copy(out, hist.Data)
 	return out
@@ -38,11 +39,10 @@ func permutePass(p *machine.Proc, arr, dst *machine.Array[uint32], lo, n int,
 	srcClass, dstClass machine.Sharing) {
 	// One kernel call charges the whole permutation loop: per key, the
 	// sequential read, the digit extraction, the position-counter access
-	// and bump, the scattered destination write, and 13 ops (shift/mask,
-	// position load/bump/store, addressing, loop control).
+	// and bump, the scattered destination write, and PermuteOpsPerKey ops.
 	p.PermuteStream(arr, dst, lo, n,
 		uint(pass*cfg.Radix), uint32(cfg.Buckets()-1), hist, pos,
-		srcClass, machine.Private, dstClass, 13)
+		srcClass, machine.Private, dstClass, PermuteOpsPerKey)
 }
 
 // exclusiveScan turns counts into exclusive prefix positions starting at
@@ -58,9 +58,10 @@ func exclusiveScan(p *machine.Proc, counts []int32, base int64) []int64 {
 	return pos
 }
 
-// localRadixSort sorts arr.Data[lo:lo+n] ascending using cfg.Passes()
-// counting passes that toggle between arr and tmp (same index range).
-// It returns true when the sorted result ended up in tmp. firstClass
+// localRadixSort sorts arr.Data[lo:lo+n] ascending using
+// keys.Passes(cfg.Radix) counting passes that toggle between arr and tmp
+// (same index range). It returns true when the sorted result ended up in
+// tmp. firstClass
 // prices the very first sweep's key reads (later sweeps read data this
 // processor itself wrote: Private).
 func localRadixSort(p *machine.Proc, arr, tmp *machine.Array[uint32], lo, n int,
@@ -70,7 +71,7 @@ func localRadixSort(p *machine.Proc, arr, tmp *machine.Array[uint32], lo, n int,
 	}
 	cur, nxt := arr, tmp
 	class := firstClass
-	for pass := 0; pass < cfg.Passes(); pass++ {
+	for pass := 0; pass < keys.Passes(cfg.Radix); pass++ {
 		counts := countPass(p, cur, lo, n, pass, cfg, hist, class)
 		pos := exclusiveScan(p, counts, int64(lo))
 		permutePass(p, cur, nxt, lo, n, pass, cfg, hist, pos, class, machine.Private)
@@ -84,6 +85,9 @@ func localRadixSort(p *machine.Proc, arr, tmp *machine.Array[uint32], lo, n int,
 // baseline for both algorithms (Table 1). m must be a 1-processor
 // machine.
 func SeqRadix(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) {
+	if err := seqProcs(m.Procs()); err != nil {
+		return nil, err
+	}
 	cfg, err := cfg.resolved()
 	if err != nil {
 		return nil, err

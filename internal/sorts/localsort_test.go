@@ -46,14 +46,26 @@ func checkSorted(t *testing.T, in []uint32, res *Result) {
 	}
 }
 
+// TestConfigPasses: a Config's radix sets how many passes the radix sort
+// runs, ceil(31/r). Over MPI each pass shares one exchange plan, so every
+// processor's shared-step tally is the pass count.
 func TestConfigPasses(t *testing.T) {
 	cases := []struct{ radix, passes int }{
 		{8, 4}, {11, 3}, {12, 3}, {7, 5}, {6, 6}, {16, 2},
 	}
+	const procs = 4
 	for _, c := range cases {
-		cfg := Config{Radix: c.radix}
-		if got := cfg.Passes(); got != c.passes {
-			t.Errorf("radix %d: passes = %d, want %d", c.radix, got, c.passes)
+		in := genKeys(t, keys.Random, 64*procs, procs, c.radix)
+		counter := &stepCounter{backend: &mpiBackend{}}
+		res, err := radixSort(scaled(t, procs), in, Config{Radix: c.radix}, counter)
+		if err != nil {
+			t.Fatalf("radix %d: %v", c.radix, err)
+		}
+		checkSorted(t, in, res)
+		for i, n := range counter.steps {
+			if n != c.passes {
+				t.Errorf("radix %d: processor %d ran %d passes, want %d", c.radix, i, n, c.passes)
+			}
 		}
 	}
 }
@@ -101,6 +113,11 @@ func TestSeqRadixValidation(t *testing.T) {
 	m := scaled(t, 1)
 	if _, err := SeqRadix(m, []uint32{3, 1}, Config{Radix: 99}); err == nil {
 		t.Error("accepted radix 99")
+	}
+	// The baseline checks the processor rule its Variants() row states.
+	want := Variants()[0].ValidateProcs(4)
+	if _, err := SeqRadix(scaled(t, 4), []uint32{3, 1}, Config{Radix: 8}); err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("SeqRadix on 4 processors: %v, want %v", err, want)
 	}
 }
 

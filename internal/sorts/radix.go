@@ -1,6 +1,7 @@
 package sorts
 
 import (
+	"repro/internal/keys"
 	"repro/internal/machine"
 )
 
@@ -50,7 +51,7 @@ func radixSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Re
 		// Pass 0 reads the freshly initialized local partition; later
 		// passes read what the previous pass's exchange delivered.
 		readClass := machine.Private
-		for pass := 0; pass < cfg.Passes(); pass++ {
+		for pass := 0; pass < keys.Passes(cfg.Radix); pass++ {
 			mine := cur.part[me]
 			p.SetPhase("count")
 			counts := countPass(p, mine.arr, mine.lo, mine.n, pass, cfg, hist, readClass)
@@ -78,7 +79,7 @@ func radixSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Re
 	})
 
 	final := st.keys
-	if cfg.Passes()%2 == 1 {
+	if keys.Passes(cfg.Radix)%2 == 1 {
 		final = st.tmp
 	}
 	return &Result{Algorithm: "radix", Model: be.model(), Sorted: gather(final.part, n),

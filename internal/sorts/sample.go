@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/keys"
 	"repro/internal/machine"
 )
 
@@ -38,10 +39,7 @@ func sampleSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*R
 		return nil, err
 	}
 	n, P := len(keysIn), m.Procs()
-	sCount := cfg.SampleSize
-	if sCount > n/P {
-		sCount = max(1, n/P)
-	}
+	sCount := keys.SampleCount(cfg.SampleSize, n, P)
 	st := be.alloc(m, cfg, algSample, n, sCount)
 	st.load(keysIn)
 	m.ResetMemory()
@@ -103,17 +101,15 @@ func partSizes(final []part) []int {
 	return counts
 }
 
-// selectSamples picks count evenly spaced keys from the locally sorted
-// run arr.Data[lo:lo+n], charging the reads.
+// selectSamples picks count (at most n) regular samples, at
+// keys.SampleRank, from the locally sorted run arr.Data[lo:lo+n],
+// charging the reads.
 func selectSamples(p *machine.Proc, arr *machine.Array[uint32], lo, n, count int) []uint32 {
-	if count > n {
-		count = n
-	}
+	count = min(count, n)
 	out := make([]uint32, count)
 	idx := make([]int64, count)
 	for j := 0; j < count; j++ {
-		// Position (j+1)*n/(count+1): interior points, avoiding the ends.
-		i := lo + (j+1)*n/(count+1)
+		i := lo + keys.SampleRank(j, n, count)
 		idx[j] = int64(i)
 		out[j] = arr.Data[i]
 	}

@@ -60,7 +60,7 @@ func (s *stepCounter) routes(p *machine.Proc, bnd []int64, placed bool) *chunkPl
 // host thread or eight.
 func TestSharedStepsPerProgram(t *testing.T) {
 	const radix = 8
-	passes := Config{Radix: radix}.Passes()
+	passes := keys.Passes(radix)
 	type sorter func(*machine.Machine, []uint32, Config, backend) (*Result, error)
 	programs := []struct {
 		name  string

@@ -20,17 +20,26 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/ccsas"
 	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/mpi"
 	"repro/internal/shmem"
 )
 
-// The paper's fixed parameters: keys are < 2^31, and CC-SAS sample sort
-// collects samples in groups of 32 processes.
+// groupSize is the paper's fixed CC-SAS sample sort parameter: samples
+// are collected in groups of 32 processes. (The key width and the
+// sampler's geometry belong to the keys package.)
+const groupSize = 32
+
+// The per-key ALU operations the local radix kernels charge on top of
+// their memory accesses: countPass's shift, mask, counter load/add/store
+// and loop control, and permutePass's shift/mask, position
+// load/bump/store, addressing and loop control. The analytic model
+// (internal/perfmodel) prices a pass from the same two numbers.
 const (
-	keyBits   = 31
-	groupSize = 32
+	CountOpsPerKey   = 8
+	PermuteOpsPerKey = 13
 )
 
 // Config parameterizes a sort.
@@ -38,8 +47,8 @@ type Config struct {
 	// Radix is the digit size r in bits. The paper studies 6..12 (and up
 	// to 14 in Table 3).
 	Radix int
-	// SampleSize is sample sort's per-processor sample count (128 in the
-	// paper).
+	// SampleSize is sample sort's per-processor sample count
+	// (keys.DefaultSamples, the paper's 128, when zero).
 	SampleSize int
 	// MPI configures the message-passing library for the MPI variants.
 	MPI mpi.Config
@@ -58,7 +67,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Radix:      8,
-		SampleSize: 128,
+		SampleSize: keys.DefaultSamples,
 		MPI:        mpi.DefaultDirect(),
 		Shmem:      shmem.DefaultConfig(),
 	}
@@ -99,12 +108,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Passes returns the number of radix passes: ceil(keyBits / Radix), the
-// paper's 32/r with 31-bit keys.
-func (c Config) Passes() int {
-	return (keyBits + c.Radix - 1) / c.Radix
-}
-
 // Buckets returns 2^Radix.
 func (c Config) Buckets() int { return 1 << c.Radix }
 
@@ -122,6 +125,20 @@ type Variant struct {
 	// Engine is the MPI library the model names (Config.MPI's engine).
 	Engine mpi.Engine
 	Sort   func(m *machine.Machine, keys []uint32, cfg Config) (*Result, error)
+	// procs is the program's own processor-count rule, beyond what the
+	// machine can wire (nil: none).
+	procs func(procs int) error
+}
+
+// ValidateProcs reports whether the program runs on procs ≥ 1
+// processors: the sequential baseline needs one, and the CC-SAS radix
+// sorts' prefix tree a power of two (ccsas.ValidateProcs); every other
+// program runs on any machine that can be built.
+func (v Variant) ValidateProcs(procs int) error {
+	if v.procs == nil {
+		return nil
+	}
+	return v.procs(procs)
 }
 
 // Variants lists every program, each algorithm's models in the order the
@@ -129,20 +146,28 @@ type Variant struct {
 func Variants() []Variant { return variants }
 
 var variants = []Variant{
-	{"radix", "seq", mpi.Direct, SeqRadix},
-	{"radix", "ccsas", mpi.Direct, radixCCSAS(false)},
-	{"radix", "ccsas-new", mpi.Direct, radixCCSAS(true)},
-	{"radix", "mpi", mpi.Direct, RadixMPI},
-	{"radix", "mpi-sgi", mpi.Staged, RadixMPI},
-	{"radix", "shmem", mpi.Direct, RadixSHMEM},
-	{"sample", "ccsas", mpi.Direct, SampleCCSAS},
-	{"sample", "mpi", mpi.Direct, SampleMPI},
-	{"sample", "mpi-sgi", mpi.Staged, SampleMPI},
-	{"sample", "shmem", mpi.Direct, SampleSHMEM},
-	{"psrs", "ccsas", mpi.Direct, PsrsCCSAS},
-	{"psrs", "mpi", mpi.Direct, PsrsMPI},
-	{"psrs", "mpi-sgi", mpi.Staged, PsrsMPI},
-	{"psrs", "shmem", mpi.Direct, PsrsSHMEM},
+	{"radix", "seq", mpi.Direct, SeqRadix, seqProcs},
+	{"radix", "ccsas", mpi.Direct, radixCCSAS(false), ccsas.ValidateProcs},
+	{"radix", "ccsas-new", mpi.Direct, radixCCSAS(true), ccsas.ValidateProcs},
+	{"radix", "mpi", mpi.Direct, RadixMPI, nil},
+	{"radix", "mpi-sgi", mpi.Staged, RadixMPI, nil},
+	{"radix", "shmem", mpi.Direct, RadixSHMEM, nil},
+	{"sample", "ccsas", mpi.Direct, SampleCCSAS, nil},
+	{"sample", "mpi", mpi.Direct, SampleMPI, nil},
+	{"sample", "mpi-sgi", mpi.Staged, SampleMPI, nil},
+	{"sample", "shmem", mpi.Direct, SampleSHMEM, nil},
+	{"psrs", "ccsas", mpi.Direct, PsrsCCSAS, nil},
+	{"psrs", "mpi", mpi.Direct, PsrsMPI, nil},
+	{"psrs", "mpi-sgi", mpi.Staged, PsrsMPI, nil},
+	{"psrs", "shmem", mpi.Direct, PsrsSHMEM, nil},
+}
+
+// seqProcs is the sequential baseline's processor rule.
+func seqProcs(procs int) error {
+	if procs != 1 {
+		return fmt.Errorf("sorts: the sequential baseline needs one processor, got %d", procs)
+	}
+	return nil
 }
 
 func radixCCSAS(buffered bool) func(*machine.Machine, []uint32, Config) (*Result, error) {

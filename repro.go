@@ -99,15 +99,14 @@ type setup struct {
 	sort    sorts.Config
 }
 
-// resolve applies the radix default to e (Radix 0 selects 8 bits), looks
-// its program up, builds every layer's config and checks each with that
-// layer's own validator. The only rules it states itself are the two no
-// layer owns: the sequential baseline runs on one processor, and the
-// CC-SAS programs' prefix tree needs a power of two. Validate, Run and
-// Predict all start here.
+// resolve applies the sorts' radix default to e, looks its program up,
+// builds every layer's config and checks each with its owner's
+// validator: the key generator's, the program's processor rule
+// (sorts.Variant.ValidateProcs) and the machine's. It states no rule of
+// its own. Validate, Run and Predict all start here.
 func (e *Experiment) resolve() (setup, error) {
 	if e.Radix == 0 {
-		e.Radix = 8
+		e.Radix = sorts.DefaultConfig().Radix
 	}
 	var s setup
 	for _, v := range sorts.Variants() {
@@ -123,13 +122,8 @@ func (e *Experiment) resolve() (setup, error) {
 	if err := s.keys.Validate(); err != nil {
 		return s, err
 	}
-	if e.Model == Seq && e.Procs != 1 {
-		return s, fmt.Errorf("repro: the sequential baseline needs Procs=1, got %d", e.Procs)
-	}
-	if (e.Model == CCSAS || e.Model == CCSASNew) && e.Procs&(e.Procs-1) != 0 {
-		// The SPLASH-2 binary prefix tree is structurally a complete
-		// binary tree over the processors.
-		return s, fmt.Errorf("repro: %s needs a power-of-two processor count, got %d", e.Model, e.Procs)
+	if err := s.prog.ValidateProcs(e.Procs); err != nil {
+		return s, err
 	}
 	mc, mp, sh := e.platform(s.prog.Engine)
 	s.machine = e.policy(mc)
@@ -284,7 +278,9 @@ type Experiment struct {
 	Model     Model
 	// N is the key count (use SizeClasses for paper-comparable sizes).
 	N int
-	// Procs is the processor count (power of two; 16/32/64 in the paper).
+	// Procs is the processor count (16/32/64 in the paper): any count the
+	// interconnect can wire, one for the sequential baseline, and a power
+	// of two for the CC-SAS radix sorts' prefix tree.
 	Procs int
 	// Radix is the digit size in bits (default 8).
 	Radix int
@@ -297,7 +293,7 @@ type Experiment struct {
 	// Seed perturbs key generation.
 	Seed uint64
 	// SampleSize overrides sample sort's per-processor sample count
-	// (0 = the default 128). The Adversarial key distribution mirrors
+	// (0 = keys.DefaultSamples). The Adversarial key distribution mirrors
 	// this value so its splitter-defeating construction targets the
 	// sampler actually used; key generation for the other distributions
 	// ignores it, and the same value always produces the same keys for
@@ -313,7 +309,8 @@ type Experiment struct {
 	// (one message per destination, receiver reorganizes) instead of the
 	// paper's per-chunk messages.
 	MPIOneMessagePerDest bool
-	// Ablation flags (see DESIGN.md §4).
+	// Ablation flags (see DESIGN.md §4). NoContention zeroes the
+	// machine's contention slopes.
 	FlatMemory   bool
 	NoContention bool
 	// Paranoid shadows every simulated access with the reference models
@@ -404,7 +401,10 @@ func (e Experiment) policy(cfg machine.Config) machine.Config {
 		cfg.TLB.PageSize = (256 << 10) / scale
 	}
 	cfg.FlatMemory = e.FlatMemory
-	cfg.NoContention = e.NoContention
+	if e.NoContention {
+		// 1 + 0·x = 1: every contention factor is exactly 1.
+		cfg.ContentionScatteredPerProc, cfg.ContentionBulkPerProc = 0, 0
+	}
 	cfg.Paranoid = e.Paranoid
 	cfg.ParanoidSampleEvery = e.ParanoidSampleEvery
 	return cfg

@@ -142,11 +142,14 @@ func TestExperimentValidate(t *testing.T) {
 		{"zero procs", func(e *Experiment) { e.Procs = 0 }, "Procs must be positive"},
 		{"negative procs", func(e *Experiment) { e.Model, e.Procs = CCSAS, -4 }, "Procs must be positive"},
 		{"seq", func(e *Experiment) { e.Model, e.Procs = Seq, 1 }, ""},
-		{"seq procs 4", func(e *Experiment) { e.Model = Seq }, "needs Procs=1"},
+		{"seq procs 4", func(e *Experiment) { e.Model = Seq }, "sorts: the sequential baseline needs one processor, got 4"},
 		{"seq sample", func(e *Experiment) { e.Algorithm, e.Model, e.Procs = Sample, Seq, 1 }, "no program"},
-		{"ccsas procs 6", func(e *Experiment) { e.Model, e.Procs = CCSAS, 6 }, "power-of-two"},
-		{"ccsas-new procs 12", func(e *Experiment) { e.Model, e.Procs = CCSASNew, 12 }, "power-of-two"},
-		{"psrs ccsas procs 3", func(e *Experiment) { e.Algorithm, e.Model, e.Procs = Psrs, CCSAS, 3 }, "power-of-two"},
+		{"ccsas procs 6", func(e *Experiment) { e.Model, e.Procs = CCSAS, 6 }, "ccsas: the prefix tree needs a power-of-two processor count, got 6"},
+		{"ccsas procs 6 fattree", func(e *Experiment) { e.Model, e.Procs, e.Topo = CCSAS, 6, "fattree" }, "ccsas: the prefix tree needs a power-of-two processor count, got 6"},
+		{"ccsas-new procs 12", func(e *Experiment) { e.Model, e.Procs = CCSASNew, 12 }, "ccsas: the prefix tree needs a power-of-two processor count, got 12"},
+		{"sample ccsas procs 6 fattree", func(e *Experiment) { e.Algorithm, e.Model, e.Procs, e.Topo = Sample, CCSAS, 6, "fattree" }, ""},
+		{"psrs ccsas procs 6 fattree", func(e *Experiment) { e.Algorithm, e.Model, e.Procs, e.Topo = Psrs, CCSAS, 6, "fattree" }, ""},
+		{"psrs ccsas procs 3", func(e *Experiment) { e.Algorithm, e.Model, e.Procs = Psrs, CCSAS, 3 }, "processors (3) not a multiple of procs per node (2)"},
 		{"mpi procs 6", func(e *Experiment) { e.Model, e.Procs = MPI, 6 }, ""},
 		{"mpi procs 3", func(e *Experiment) { e.Model, e.Procs = MPI, 3 }, "processors (3) not a multiple of procs per node (2)"},
 		{"mpi procs 12", func(e *Experiment) { e.Model, e.Procs = MPI, 12 }, "hypercube router count 3 is not a power of two"},
@@ -190,9 +193,9 @@ func TestExperimentValidate(t *testing.T) {
 // TestValidateAgreesWithLayers: over every program × interconnect × 1–70
 // processors, Validate accepts an experiment exactly when the key
 // generator and the machine accept the configs Run hands them and the
-// two model rules hold, and Run refuses every rejected experiment with
-// Validate's error word for word. The oracle is the layers' validators,
-// not machine.New, so the sweep stays sub-second.
+// program accepts the processor count, and Run refuses every rejected
+// experiment with Validate's error word for word. The oracle is the
+// layers' validators, not machine.New, so the sweep stays sub-second.
 func TestValidateAgreesWithLayers(t *testing.T) {
 	disagree := 0
 	for _, v := range sorts.Variants() {
@@ -201,9 +204,7 @@ func TestValidateAgreesWithLayers(t *testing.T) {
 				e := Experiment{Algorithm: Algorithm(v.Algorithm), Model: Model(v.Model), N: 1 << 12, Procs: procs, Topo: topo}
 				gen := keys.GenConfig{N: e.N, Procs: procs, RadixBits: 8}
 				mc := MachineConfigFor(e)
-				accept := gen.Validate() == nil && mc.Validate() == nil &&
-					(e.Model != Seq || procs == 1) &&
-					(e.Model != CCSAS && e.Model != CCSASNew || procs&(procs-1) == 0)
+				accept := gen.Validate() == nil && mc.Validate() == nil && v.ValidateProcs(procs) == nil
 				err := e.Validate()
 				if (err == nil) != accept {
 					if disagree++; disagree <= 5 {
@@ -222,6 +223,19 @@ func TestValidateAgreesWithLayers(t *testing.T) {
 	}
 	if disagree > 0 {
 		t.Errorf("%d experiments where Validate and the layers disagree", disagree)
+	}
+}
+
+// TestCCSASSplitterSortsAnyMachine: the prefix tree's power-of-two rule
+// is the CC-SAS radix sorts' alone. Sample sort and PSRS under CC-SAS
+// validate, run and verify on machines that are not a power of two.
+func TestCCSASSplitterSortsAnyMachine(t *testing.T) {
+	for _, alg := range []Algorithm{Sample, Psrs} {
+		for _, topo := range []string{"fattree", "torus", "numa2", "dragonfly"} {
+			for _, procs := range []int{6, 10, 12, 24, 48} {
+				runExp(t, Experiment{Algorithm: alg, Model: CCSAS, N: 1 << 12, Procs: procs, Topo: topo})
+			}
+		}
 	}
 }
 

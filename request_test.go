@@ -9,6 +9,8 @@ import (
 	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/mpi"
+	"repro/internal/perfmodel"
+	"repro/internal/report"
 	"repro/internal/resultcache"
 	"repro/internal/shmem"
 	"repro/internal/sorts"
@@ -68,8 +70,8 @@ func TestRequestExperiment(t *testing.T) {
 }
 
 // TestRequestRejections: what a Request can get wrong comes back as the
-// error the parsers, the layers' validators and Experiment.Validate's
-// model rules give, word for word (CI greps the radix message).
+// error the parsers and the layers' validators give — the program's
+// processor rule included — word for word (CI greps the radix message).
 func TestRequestRejections(t *testing.T) {
 	ok := Request{Algorithm: "radix", Model: "shmem", N: 1 << 12, Procs: 4}
 	for _, tc := range []struct {
@@ -85,12 +87,12 @@ func TestRequestRejections(t *testing.T) {
 		{"zero procs", func(r *Request) { r.Procs = 0 }, "keys: Procs must be positive, got 0"},
 		{"mpi procs 3", func(r *Request) { r.Model, r.Procs = "mpi", 3 }, "topology: processors (3) not a multiple of procs per node (2)"},
 		{"mpi procs 12", func(r *Request) { r.Model, r.Procs = "mpi", 12 }, "topology: hypercube router count 3 is not a power of two"},
-		{"seq procs 4", func(r *Request) { r.Model = "seq" }, "repro: the sequential baseline needs Procs=1, got 4"},
+		{"seq procs 4", func(r *Request) { r.Model = "seq" }, "sorts: the sequential baseline needs one processor, got 4"},
 		{"seq sample", func(r *Request) { r.Algorithm, r.Model, r.Procs = "sample", "seq", 1 },
 			`repro: no program for algorithm "sample" under model "seq" (models: [ccsas mpi mpi-sgi shmem])`},
-		{"ccsas procs 6", func(r *Request) { r.Model, r.Procs = "ccsas", 6 }, "repro: ccsas needs a power-of-two processor count, got 6"},
-		{"ccsas-new procs 12", func(r *Request) { r.Model, r.Procs = "ccsas-new", 12 }, "repro: ccsas-new needs a power-of-two processor count, got 12"},
-		{"psrs ccsas procs 3", func(r *Request) { r.Algorithm, r.Model, r.Procs = "psrs", "ccsas", 3 }, "repro: ccsas needs a power-of-two processor count, got 3"},
+		{"ccsas procs 6", func(r *Request) { r.Model, r.Procs = "ccsas", 6 }, "ccsas: the prefix tree needs a power-of-two processor count, got 6"},
+		{"ccsas-new procs 12", func(r *Request) { r.Model, r.Procs = "ccsas-new", 12 }, "ccsas: the prefix tree needs a power-of-two processor count, got 12"},
+		{"psrs ccsas procs 3", func(r *Request) { r.Algorithm, r.Model, r.Procs = "psrs", "ccsas", 3 }, "topology: processors (3) not a multiple of procs per node (2)"},
 		{"sample ccsas-new", func(r *Request) { r.Algorithm, r.Model = "sample", "ccsas-new" },
 			`repro: no program for algorithm "sample" under model "ccsas-new" (models: [ccsas mpi mpi-sgi shmem])`},
 		{"unknown algorithm", func(r *Request) { r.Algorithm = "bogo" }, `repro: unknown algorithm "bogo"`},
@@ -131,7 +133,9 @@ func TestOptionCensus(t *testing.T) {
 		{mpi.Config{}, 6},
 		{shmem.Config{}, 3},
 		{topology.Config{}, 8},
-		{machine.Config{}, 16},
+		{machine.Config{}, 15},
+		{perfmodel.Workload{}, 3},
+		{report.StackedBreakdown{}, 4},
 		{resultcache.Config{}, 2},
 	} {
 		typ, n := reflect.TypeOf(tc.v), 0
