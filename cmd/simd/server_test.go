@@ -115,17 +115,13 @@ func TestRunValidation(t *testing.T) {
 		{"radix 20", `{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"radix":20}`},
 		{"radix 24", `{"algorithm":"sample","model":"mpi","n":4096,"procs":4,"radix":24}`},
 		{"negative radix", `{"algorithm":"radix","model":"shmem","n":4096,"procs":4,"radix":-1}`},
-		// The CC-SAS radix sorts' prefix tree needs a power-of-two machine
-		// (formerly a 500 out of repro.Run).
-		{"ccsas procs 6", `{"algorithm":"radix","model":"ccsas","n":4096,"procs":6}`},
-		{"ccsas-new procs 12", `{"algorithm":"radix","model":"ccsas-new","n":4096,"procs":12}`},
-		{"ccsas procs 6 fattree", `{"algorithm":"radix","model":"ccsas","n":4096,"procs":6,"topo":"fattree"}`},
-		{"sample ccsas procs 3", `{"algorithm":"sample","model":"ccsas","n":4096,"procs":3}`},
 		// Machines the interconnect cannot wire (formerly a 500 out of
 		// machine.New): two processors per node, and a hypercube needs a
 		// power-of-two router count.
+		{"sample ccsas procs 3", `{"algorithm":"sample","model":"ccsas","n":4096,"procs":3}`},
 		{"mpi procs 3", `{"algorithm":"radix","model":"mpi","n":4096,"procs":3}`},
 		{"mpi procs 12", `{"algorithm":"radix","model":"mpi","n":4096,"procs":12}`},
+		{"ccsas-new procs 12", `{"algorithm":"radix","model":"ccsas-new","n":4096,"procs":12}`},
 		{"shmem procs 5 torus", `{"algorithm":"radix","model":"shmem","n":4096,"procs":5,"topo":"torus"}`},
 		{"seq with procs", `{"algorithm":"radix","model":"seq","n":4096,"procs":4}`},
 		{"seq sample", `{"algorithm":"sample","model":"seq","n":4096,"procs":1}`},
@@ -158,10 +154,10 @@ func TestRunValidation(t *testing.T) {
 
 // TestRunTopo covers the interconnect field of /v1/run: an unknown kind
 // is rejected up front with 400, every registered kind simulates and
-// verifies — sample sort under CC-SAS on 6 fat-tree processors too, since
-// only the radix sorts' prefix tree needs a power of two — and the empty
-// string canonicalizes to "hypercube" in the cache key so the default
-// spelled two ways is a single cache entry.
+// verifies — the CC-SAS programs on 6 fat-tree processors too, the radix
+// sort through its prefix tree included, and radix CC-SAS on 6 hypercube
+// processors — and the empty string canonicalizes to "hypercube" in the
+// cache key so the default spelled two ways is a single cache entry.
 func TestRunTopo(t *testing.T) {
 	s, ts := newTestServer(t, serverConfig{})
 
@@ -177,7 +173,10 @@ func TestRunTopo(t *testing.T) {
 		req.Topo = kind
 		reqs = append(reqs, req)
 	}
-	reqs = append(reqs, repro.Request{Algorithm: "sample", Model: "ccsas", N: 1 << 12, Procs: 6, Topo: "fattree"})
+	reqs = append(reqs,
+		repro.Request{Algorithm: "sample", Model: "ccsas", N: 1 << 12, Procs: 6, Topo: "fattree"},
+		repro.Request{Algorithm: "radix", Model: "ccsas", N: 1 << 12, Procs: 6, Topo: "fattree"},
+		repro.Request{Algorithm: "radix", Model: "ccsas", N: 1 << 12, Procs: 6})
 	for _, req := range reqs {
 		resp := postJSON(t, ts.URL+"/v1/run", req)
 		body := readAll(t, resp)

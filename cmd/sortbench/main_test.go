@@ -56,7 +56,7 @@ func TestCLIEveryVariant(t *testing.T) {
 // TestCLIRejectsBeforeRunning: what Request.Experiment refuses — a name
 // it cannot parse, anything Experiment.Validate lists — and a flag
 // combination no mode accepts fail with that message, not a late error
-// out of key generation or the prefix tree, and before the profile
+// out of key generation or machine.New, and before the profile
 // files exist: a rejected command line used to leave a truncated CPU
 // profile and an empty heap profile behind.
 func TestCLIRejectsBeforeRunning(t *testing.T) {
@@ -68,7 +68,8 @@ func TestCLIRejectsBeforeRunning(t *testing.T) {
 	}{
 		{[]string{"-radix", "20"}, "RadixBits must be in [1,16], got 20"},
 		{[]string{"-model", "mpi", "-procs", "12"}, "hypercube router count 3 is not a power of two"},
-		{[]string{"-model", "ccsas", "-procs", "12", "-topo", "fattree"}, "needs a power-of-two processor count"},
+		{[]string{"-model", "ccsas", "-procs", "12"}, "hypercube router count 3 is not a power of two"},
+		{[]string{"-model", "seq", "-procs", "4"}, "radix/seq runs on 1 processor, got 4"},
 		{[]string{"-algo", "sample", "-model", "ccsas-new"}, "no program for algorithm"},
 		{[]string{"-algo", "bogo"}, `unknown algorithm "bogo"`},
 		{[]string{"-dist", "weird"}, "weird"},
@@ -260,15 +261,16 @@ func TestCLIRejectsUnknownKind(t *testing.T) {
 }
 
 // TestCLIFailedSweepKeepsProfiles: a sweep that fails after the profiles
-// started (here the flatmem ablation's CC-SAS cell on 12 processors,
-// refused when the batch is validated) still stops them — the error used
-// to exit the process past the deferred stop, leaving a truncated CPU
-// profile and an empty heap profile.
+// started (here every cell of the flatmem ablation, whose machine refuses
+// -paranoid-sample -1 when the batch is validated) still stops them —
+// the error used to exit the process past the deferred stop, leaving a
+// truncated CPU profile and an empty heap profile.
 func TestCLIFailedSweepKeepsProfiles(t *testing.T) {
 	mem := filepath.Join(t.TempDir(), "mem.pprof")
-	stdout, stderr, err := sortbench("-sweep", "flatmem", "-n", "4096", "-procs", "12", "-topo", "torus", "-memprofile", mem)
-	if err == nil || !strings.Contains(stderr, "power-of-two") || stdout != "" {
-		t.Fatalf("sweep on 12 processors: err %v, stdout %q, stderr %q; want the CC-SAS cell's rejection", err, stdout, stderr)
+	stdout, stderr, err := sortbench("-sweep", "flatmem", "-n", "4096", "-procs", "12", "-topo", "torus",
+		"-paranoid-sample", "-1", "-memprofile", mem)
+	if err == nil || !strings.Contains(stderr, "ParanoidSampleEvery must be non-negative") || stdout != "" {
+		t.Fatalf("sweep with -paranoid-sample -1: err %v, stdout %q, stderr %q; want the machine's rejection", err, stdout, stderr)
 	}
 	if fi, err := os.Stat(mem); err != nil || fi.Size() == 0 {
 		t.Errorf("%s: missing or empty after a failed sweep (%v)", mem, err)

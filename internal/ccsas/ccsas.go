@@ -2,7 +2,7 @@
 // programming model on the simulated machine: shared arrays accessed by
 // ordinary loads and stores, barriers, pairwise flag synchronization, and
 // the binary prefix tree used by the SPLASH-2 radix sort to accumulate
-// histograms.
+// histograms, generalised to any processor count the machine can wire.
 //
 // Communication and replication are implicit: processors simply load and
 // store shared data, and the machine layer prices the coherence protocol
@@ -89,14 +89,21 @@ func (f *Flag) Wait(p *machine.Proc) {
 // The up-sweep combines sibling block sums level by level; the down-sweep
 // distributes exclusive prefixes back to the leaves. Both use pairwise
 // flag synchronization, not global barriers.
+//
+// Level l has ⌈p/2^l⌉ blocks, so the tree spans any p: when p is not a
+// power of two, a level's odd last block has no sibling in the up-sweep
+// (its owner copies its sum up without a wait or a remote load) and no
+// right child in the down-sweep (its owner stores only the left child's
+// prefix and sets no flag). Either way the owner is charged the same 2B
+// ALU operations as a full pair.
 type PrefixTree struct {
 	w       *World
-	procs   int
 	buckets int
 	levels  int
 
 	// blockSum[l][k] holds the histogram sum over processors
-	// [k*2^l, (k+1)*2^l); blockSum[0][i] is processor i's local histogram.
+	// [k*2^l, min((k+1)*2^l, p)); blockSum[0][i] is processor i's local
+	// histogram.
 	blockSum [][]*machine.Array[int32]
 
 	// upReady[l][k] signals that blockSum[l][k] is complete.
@@ -109,31 +116,18 @@ type PrefixTree struct {
 	prefixTmp [][]*machine.Array[int32]
 }
 
-// ValidateProcs reports whether a PrefixTree can span procs ≥ 1
-// processors: the tree is a complete binary tree over them, so their
-// count must be a power of two.
-func ValidateProcs(procs int) error {
-	if procs&(procs-1) != 0 {
-		return fmt.Errorf("ccsas: the prefix tree needs a power-of-two processor count, got %d", procs)
-	}
-	return nil
-}
-
-// NewPrefixTree builds the tree's shared data structures. The machine's
-// processor count must pass ValidateProcs.
+// NewPrefixTree builds the tree's shared data structures over the
+// machine's processors.
 func NewPrefixTree(w *World, buckets int) *PrefixTree {
 	p := w.M.Procs()
-	if err := ValidateProcs(p); err != nil {
-		panic(err)
-	}
 	levels := bits.Len(uint(p - 1))
-	t := &PrefixTree{w: w, procs: p, buckets: buckets, levels: levels}
+	t := &PrefixTree{w: w, buckets: buckets, levels: levels}
 	t.blockSum = make([][]*machine.Array[int32], levels+1)
 	t.prefixTmp = make([][]*machine.Array[int32], levels+1)
 	t.upReady = make([][]*Flag, levels+1)
 	t.downReady = make([][]*Flag, levels+1)
 	for l := 0; l <= levels; l++ {
-		nBlocks := p >> l
+		nBlocks := (p-1)>>l + 1 // ⌈p/2^l⌉
 		t.blockSum[l] = make([]*machine.Array[int32], nBlocks)
 		t.prefixTmp[l] = make([]*machine.Array[int32], nBlocks)
 		t.upReady[l] = make([]*Flag, nBlocks)
@@ -175,21 +169,24 @@ func (t *PrefixTree) Reduce(p *machine.Proc, local []int32) (rank, total []int32
 
 	// Up-sweep: processor i participates at level l+1 iff i is a multiple
 	// of 2^(l+1); it combines its block with the sibling block owned by
-	// i + 2^l.
+	// i + 2^l, when the level has one.
 	for l := 0; l < t.levels; l++ {
 		stride := 1 << (l + 1)
 		if i%stride != 0 {
 			break
 		}
 		k := i >> l // own block index at level l
-		sibling := t.blockSum[l][k+1]
-		t.upReady[l][k+1].Wait(p)
-		// Read the sibling's vector (produced remotely) and accumulate.
-		sibling.LoadRange(p, 0, b, machine.RemoteProduced)
 		parent := t.blockSum[l+1][i>>(l+1)]
 		own := t.blockSum[l][k]
-		for j := 0; j < b; j++ {
-			parent.Data[j] = own.Data[j] + sibling.Data[j]
+		copy(parent.Data, own.Data)
+		if k+1 < len(t.blockSum[l]) {
+			sibling := t.blockSum[l][k+1]
+			t.upReady[l][k+1].Wait(p)
+			// Read the sibling's vector (produced remotely) and accumulate.
+			sibling.LoadRange(p, 0, b, machine.RemoteProduced)
+			for j := 0; j < b; j++ {
+				parent.Data[j] += sibling.Data[j]
+			}
 		}
 		own.LoadRange(p, 0, b, machine.Private) // own block: cached
 		parent.StoreRange(p, 0, b, machine.Private)
@@ -211,10 +208,11 @@ func (t *PrefixTree) Reduce(p *machine.Proc, local []int32) (rank, total []int32
 
 	// Down-sweep: the owner of a block receives its prefix, keeps it for
 	// its left child (which it also owns), and sends prefix+leftSum to
-	// the right child's owner. Processor i owns block i>>l at level l iff
-	// i%2^l == 0. A block's prefix must be awaited only when the block is
-	// a right child (odd index); left children's prefixes were written by
-	// this same processor one level up.
+	// the right child's owner, when the block has a right child.
+	// Processor i owns block i>>l at level l iff i%2^l == 0. A block's
+	// prefix must be awaited only when the block is a right child (odd
+	// index); left children's prefixes were written by this same
+	// processor one level up.
 	for l := t.levels; l >= 1; l-- {
 		stride := 1 << l
 		if i%stride != 0 {
@@ -230,17 +228,21 @@ func (t *PrefixTree) Reduce(p *machine.Proc, local []int32) (rank, total []int32
 		}
 		// Left child (same owner): prefix unchanged.
 		left := t.prefixTmp[l-1][2*k]
-		// Right child: prefix + left block sum.
-		right := t.prefixTmp[l-1][2*k+1]
-		leftSum := t.blockSum[l-1][2*k]
-		for j := 0; j < b; j++ {
-			left.Data[j] = parentPre.Data[j]
-			right.Data[j] = parentPre.Data[j] + leftSum.Data[j]
-		}
+		copy(left.Data, parentPre.Data)
 		left.StoreRange(p, 0, b, machine.Private)
-		right.StoreRange(p, 0, b, machine.ConflictWrite) // right child's owner caches it
-		p.Compute(2 * b)
-		t.downReady[l-1][2*k+1].Set(p)
+		if r := 2*k + 1; r < len(t.prefixTmp[l-1]) {
+			// Right child: prefix + left block sum.
+			right := t.prefixTmp[l-1][r]
+			leftSum := t.blockSum[l-1][2*k]
+			for j := 0; j < b; j++ {
+				right.Data[j] = parentPre.Data[j] + leftSum.Data[j]
+			}
+			right.StoreRange(p, 0, b, machine.ConflictWrite) // right child's owner caches it
+			p.Compute(2 * b)
+			t.downReady[l-1][r].Set(p)
+		} else {
+			p.Compute(2 * b)
+		}
 	}
 
 	// Leaf level: collect own prefix (odd leaves wait for their parent's

@@ -3,7 +3,6 @@ package ccsas
 import (
 	"errors"
 	"reflect"
-	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -205,27 +204,57 @@ func TestPrefixTreeDeterministic(t *testing.T) {
 	}
 }
 
-// TestValidateProcs: the prefix tree spans power-of-two machines only,
-// and NewPrefixTree refuses any other with ValidateProcs' error.
-func TestValidateProcs(t *testing.T) {
+// TestPrefixTreeAnyProcs: the tree spans every processor count from 1
+// to 70, powers of two or not. Over three episodes each processor's rank
+// is the sequential exclusive scan and every total the full sum, and
+// every flag is set exactly as often as it is taken: after the episodes
+// each one is empty, so processor 0 can set and take it once more
+// without parking (a surplus set would park it at "flag (full)", a
+// missing one would have stranded its waiter).
+func TestPrefixTreeAnyProcs(t *testing.T) {
+	const buckets, episodes = 3, 3
 	for procs := 1; procs <= 70; procs++ {
-		pow2 := slices.Contains([]int{1, 2, 4, 8, 16, 32, 64}, procs)
-		if err := ValidateProcs(procs); (err == nil) != pow2 {
-			t.Errorf("ValidateProcs(%d) = %v", procs, err)
+		cfg := machine.Origin2000Scaled(procs)
+		cfg.Topology.Kind = topology.KindFatTree
+		cfg.Topology.ProcsPerNode, cfg.Topology.NodesPerRouter = 1, 1
+		m, err := machine.New(cfg)
+		if err != nil {
+			t.Fatalf("machine.New(%d): %v", procs, err)
 		}
+		w := NewWorld(m)
+		tree := NewPrefixTree(w, buckets)
+		hist := func(e, i, b int) int32 { return int32((i*7+b*3+e)%5 + i%3) }
+		w.M.Run(func(p *machine.Proc) {
+			for e := 0; e < episodes; e++ {
+				local := make([]int32, buckets)
+				for b := range local {
+					local[b] = hist(e, p.ID, b)
+				}
+				rank, total := tree.Reduce(p, local)
+				for b := 0; b < buckets; b++ {
+					var before, all int32
+					for i := 0; i < procs; i++ {
+						if i < p.ID {
+							before += hist(e, i, b)
+						}
+						all += hist(e, i, b)
+					}
+					if rank[b] != before || total[b] != all {
+						t.Errorf("P=%d episode %d proc %d bucket %d: rank %d total %d, want %d and %d",
+							procs, e, p.ID, b, rank[b], total[b], before, all)
+					}
+				}
+			}
+			if p.ID == 0 {
+				for _, level := range append(tree.upReady, tree.downReady...) {
+					for _, f := range level {
+						f.Set(p)
+						f.Wait(p)
+					}
+				}
+			}
+		})
 	}
-	cfg := machine.Origin2000Scaled(6)
-	cfg.Topology.Kind = topology.KindFatTree
-	m, err := machine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err, _ := recover().(error); err == nil || err.Error() != ValidateProcs(6).Error() {
-			t.Errorf("NewPrefixTree on 6 processors panicked with %v, want %v", err, ValidateProcs(6))
-		}
-	}()
-	NewPrefixTree(NewWorld(m), 8)
 }
 
 func TestReduceValidatesLength(t *testing.T) {

@@ -5,11 +5,61 @@
 package check_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro"
+	"repro/internal/keys"
+	"repro/internal/machine"
+	"repro/internal/sorts"
 	"repro/internal/topology"
 )
+
+// TestCCSASRadixAnyProcsParanoid: both CC-SAS radix sorts on machines
+// that are not a power of two — 3 processors on a fat-tree with one per
+// node, 6 and 12 on the default fat-tree — where the prefix tree has
+// levels whose odd last block has no sibling or right child. Each run is
+// clean under the full reference-model shadow, sorts, and reports the
+// same simulated time as the same run without the shadow.
+func TestCCSASRadixAnyProcsParanoid(t *testing.T) {
+	for _, procs := range []int{3, 6, 12} {
+		for _, model := range []repro.Model{repro.CCSAS, repro.CCSASNew} {
+			t.Run(fmt.Sprintf("%s-p%d", model, procs), func(t *testing.T) {
+				in, err := keys.Generate(keys.Gauss, keys.GenConfig{N: 1 << 13, Procs: procs, RadixBits: 8, Seed: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				run := func(paranoid bool) float64 {
+					cfg := machine.Origin2000Scaled(procs)
+					cfg.Topology.Kind = topology.KindFatTree
+					if procs == 3 {
+						cfg.Topology.ProcsPerNode = 1
+					}
+					cfg.Paranoid = paranoid
+					m := machine.MustNew(cfg)
+					defer m.Release()
+					res, err := sorts.RadixCCSAS(m, in, sorts.Config{Radix: 8}, model == repro.CCSASNew)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(res.Sorted) != len(in) || !slices.IsSorted(res.Sorted) {
+						t.Errorf("paranoid=%v: output not sorted", paranoid)
+					}
+					if paranoid {
+						if err := m.Checker().Err(); err != nil {
+							t.Errorf("paranoid run reported violations: %v", err)
+						}
+					}
+					return res.TimeNs()
+				}
+				if normal, paranoid := run(false), run(true); normal != paranoid {
+					t.Errorf("simulated time diverges: normal=%v paranoid=%v", normal, paranoid)
+				}
+			})
+		}
+	}
+}
 
 // TestNewTopologies128ProcParanoid runs one ≥128-processor radix sort
 // per new network kind with the paranoid checker shadowing every access.

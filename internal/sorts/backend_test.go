@@ -119,8 +119,6 @@ type contractCase struct {
 	name string
 	new  func() backend
 	mpi  mpi.Engine
-	// pow2: the CC-SAS prefix tree needs a power-of-two machine.
-	pow2 bool
 	// transfers is how many explicit transfers (messages, puts, gets)
 	// processor me must initiate in an exchange the oracle describes.
 	transfers func(o *exchangeOracle, me int, direct bool) int
@@ -138,7 +136,7 @@ func contractCases() []contractCase {
 		return o.remoteRuns(me, true)
 	}
 	return []contractCase{
-		{name: "ccsas", new: func() backend { return &ccsasBackend{buffered: true} }, pow2: true, transfers: none},
+		{name: "ccsas", new: func() backend { return &ccsasBackend{buffered: true} }, transfers: none},
 		{name: "mpi-NEW", new: func() backend { return &mpiBackend{} }, transfers: perRun},
 		{name: "mpi-SGI", new: func() backend { return &mpiBackend{} }, mpi: mpi.Staged, transfers: perRun},
 		{name: "mpi-onemsg", new: func() backend { return &mpiBackend{oneMsg: true} }, transfers: perPair},
@@ -217,9 +215,6 @@ func TestBackendContract(t *testing.T) {
 	const buckets = 16
 	for _, c := range contractCases() {
 		for P := 2; P <= 9; P++ {
-			if c.pow2 && P&(P-1) != 0 {
-				continue
-			}
 			for shape := 0; shape < 5; shape++ {
 				rng := rand.New(rand.NewSource(int64(P*100 + shape)))
 				n := 40*P + rng.Intn(P)

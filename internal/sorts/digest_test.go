@@ -27,10 +27,7 @@ const digestFile = "testdata/variant_digests.json"
 // the Model string its Result must carry.
 type digestVariant struct {
 	algorithm, model string
-	// pow2 marks the CC-SAS programs (binary prefix tree; power-of-two
-	// processor counts only).
-	pow2 bool
-	run  func(*machine.Machine, []uint32, Config) (*Result, error)
+	run              func(*machine.Machine, []uint32, Config) (*Result, error)
 }
 
 func digestVariants() []digestVariant {
@@ -48,20 +45,20 @@ func digestVariants() []digestVariant {
 		}
 	}
 	return []digestVariant{
-		{"radix", "ccsas", true, ccsas(false)},
-		{"radix", "ccsas-new", true, ccsas(true)},
-		{"radix", "mpi-NEW", false, withMPI(mpi.Direct, false, RadixMPI)},
-		{"radix", "mpi-SGI", false, withMPI(mpi.Staged, false, RadixMPI)},
-		{"radix", "mpi-NEW-onemsg", false, withMPI(mpi.Direct, true, RadixMPI)},
-		{"radix", "shmem", false, RadixSHMEM},
-		{"sample", "ccsas", true, SampleCCSAS},
-		{"sample", "mpi-NEW", false, withMPI(mpi.Direct, false, SampleMPI)},
-		{"sample", "mpi-SGI", false, withMPI(mpi.Staged, false, SampleMPI)},
-		{"sample", "shmem", false, SampleSHMEM},
-		{"psrs", "ccsas", true, PsrsCCSAS},
-		{"psrs", "mpi-NEW", false, withMPI(mpi.Direct, false, PsrsMPI)},
-		{"psrs", "mpi-SGI", false, withMPI(mpi.Staged, false, PsrsMPI)},
-		{"psrs", "shmem", false, PsrsSHMEM},
+		{"radix", "ccsas", ccsas(false)},
+		{"radix", "ccsas-new", ccsas(true)},
+		{"radix", "mpi-NEW", withMPI(mpi.Direct, false, RadixMPI)},
+		{"radix", "mpi-SGI", withMPI(mpi.Staged, false, RadixMPI)},
+		{"radix", "mpi-NEW-onemsg", withMPI(mpi.Direct, true, RadixMPI)},
+		{"radix", "shmem", RadixSHMEM},
+		{"sample", "ccsas", SampleCCSAS},
+		{"sample", "mpi-NEW", withMPI(mpi.Direct, false, SampleMPI)},
+		{"sample", "mpi-SGI", withMPI(mpi.Staged, false, SampleMPI)},
+		{"sample", "shmem", SampleSHMEM},
+		{"psrs", "ccsas", PsrsCCSAS},
+		{"psrs", "mpi-NEW", withMPI(mpi.Direct, false, PsrsMPI)},
+		{"psrs", "mpi-SGI", withMPI(mpi.Staged, false, PsrsMPI)},
+		{"psrs", "shmem", PsrsSHMEM},
 	}
 }
 
@@ -90,8 +87,8 @@ func digestShapes() []digestShape {
 		{name: "p8-1M", procs: 8, n: 1 << 16, radix: 8, dist: keys.Gauss},
 		{name: "p64-1M", procs: 64, n: 1 << 16, radix: 8, dist: keys.Gauss},
 		{name: "p4-traced", procs: 4, n: 1 << 12, radix: 8, dist: keys.Gauss, traced: true},
-		// Non-power-of-two machines (message-passing and one-sided
-		// programs only; the fat-tree accepts any router count).
+		// Non-power-of-two machines (the fat-tree accepts any router
+		// count).
 		{name: "p3-fattree", procs: 3, n: 3001, radix: 8, dist: keys.Gauss,
 			topo: topology.KindFatTree, procsPerNode: 1},
 		{name: "p12-fattree", procs: 12, n: 1 << 13, radix: 8, dist: keys.Random,
@@ -204,9 +201,6 @@ func TestVariantDigests(t *testing.T) {
 		want := append([]uint32(nil), in...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		for _, v := range digestVariants() {
-			if v.pow2 && s.procs&(s.procs-1) != 0 {
-				continue
-			}
 			id := fmt.Sprintf("%s/%s %s", v.algorithm, v.model, s.name)
 			cfg := Config{Radix: s.radix, SampleSize: s.sampleSize,
 				Shmem: shmem.DefaultConfig().Scaled(float64(machine.ScaleFactor))}

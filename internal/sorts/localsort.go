@@ -82,12 +82,9 @@ func localRadixSort(p *machine.Proc, arr, tmp *machine.Array[uint32], lo, n int,
 }
 
 // SeqRadix runs the sequential radix sort the paper uses as the speedup
-// baseline for both algorithms (Table 1). m must be a 1-processor
-// machine.
+// baseline for both algorithms (Table 1) on processor 0 of m, a
+// 1-processor machine as its Variants() row states.
 func SeqRadix(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) {
-	if err := seqProcs(m.Procs()); err != nil {
-		return nil, err
-	}
 	cfg, err := cfg.resolved()
 	if err != nil {
 		return nil, err

@@ -2,7 +2,8 @@
 // DSM machine: a sequential radix sort (the speedup baseline, Table 1)
 // and parallel radix sort, sample sort and PSRS (Parallel Sorting by
 // Regular Sampling) under the CC-SAS (original and locally-buffered
-// "NEW"), MPI and SHMEM programming models.
+// "NEW"), MPI and SHMEM programming models. Every parallel program runs
+// on any processor count the machine can wire; the baseline runs on one.
 //
 // Each algorithm is one program body (radix.go, sample.go, psrs.go)
 // written against the unexported backend interface (backend.go); the
@@ -20,7 +21,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/ccsas"
 	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/mpi"
@@ -125,20 +125,9 @@ type Variant struct {
 	// Engine is the MPI library the model names (Config.MPI's engine).
 	Engine mpi.Engine
 	Sort   func(m *machine.Machine, keys []uint32, cfg Config) (*Result, error)
-	// procs is the program's own processor-count rule, beyond what the
-	// machine can wire (nil: none).
-	procs func(procs int) error
-}
-
-// ValidateProcs reports whether the program runs on procs ≥ 1
-// processors: the sequential baseline needs one, and the CC-SAS radix
-// sorts' prefix tree a power of two (ccsas.ValidateProcs); every other
-// program runs on any machine that can be built.
-func (v Variant) ValidateProcs(procs int) error {
-	if v.procs == nil {
-		return nil
-	}
-	return v.procs(procs)
+	// Procs, when set, is the one processor count the program runs on:
+	// the sequential baseline's 1. Zero means any count.
+	Procs int
 }
 
 // Variants lists every program, each algorithm's models in the order the
@@ -146,28 +135,20 @@ func (v Variant) ValidateProcs(procs int) error {
 func Variants() []Variant { return variants }
 
 var variants = []Variant{
-	{"radix", "seq", mpi.Direct, SeqRadix, seqProcs},
-	{"radix", "ccsas", mpi.Direct, radixCCSAS(false), ccsas.ValidateProcs},
-	{"radix", "ccsas-new", mpi.Direct, radixCCSAS(true), ccsas.ValidateProcs},
-	{"radix", "mpi", mpi.Direct, RadixMPI, nil},
-	{"radix", "mpi-sgi", mpi.Staged, RadixMPI, nil},
-	{"radix", "shmem", mpi.Direct, RadixSHMEM, nil},
-	{"sample", "ccsas", mpi.Direct, SampleCCSAS, nil},
-	{"sample", "mpi", mpi.Direct, SampleMPI, nil},
-	{"sample", "mpi-sgi", mpi.Staged, SampleMPI, nil},
-	{"sample", "shmem", mpi.Direct, SampleSHMEM, nil},
-	{"psrs", "ccsas", mpi.Direct, PsrsCCSAS, nil},
-	{"psrs", "mpi", mpi.Direct, PsrsMPI, nil},
-	{"psrs", "mpi-sgi", mpi.Staged, PsrsMPI, nil},
-	{"psrs", "shmem", mpi.Direct, PsrsSHMEM, nil},
-}
-
-// seqProcs is the sequential baseline's processor rule.
-func seqProcs(procs int) error {
-	if procs != 1 {
-		return fmt.Errorf("sorts: the sequential baseline needs one processor, got %d", procs)
-	}
-	return nil
+	{"radix", "seq", mpi.Direct, SeqRadix, 1},
+	{"radix", "ccsas", mpi.Direct, radixCCSAS(false), 0},
+	{"radix", "ccsas-new", mpi.Direct, radixCCSAS(true), 0},
+	{"radix", "mpi", mpi.Direct, RadixMPI, 0},
+	{"radix", "mpi-sgi", mpi.Staged, RadixMPI, 0},
+	{"radix", "shmem", mpi.Direct, RadixSHMEM, 0},
+	{"sample", "ccsas", mpi.Direct, SampleCCSAS, 0},
+	{"sample", "mpi", mpi.Direct, SampleMPI, 0},
+	{"sample", "mpi-sgi", mpi.Staged, SampleMPI, 0},
+	{"sample", "shmem", mpi.Direct, SampleSHMEM, 0},
+	{"psrs", "ccsas", mpi.Direct, PsrsCCSAS, 0},
+	{"psrs", "mpi", mpi.Direct, PsrsMPI, 0},
+	{"psrs", "mpi-sgi", mpi.Staged, PsrsMPI, 0},
+	{"psrs", "shmem", mpi.Direct, PsrsSHMEM, 0},
 }
 
 func radixCCSAS(buffered bool) func(*machine.Machine, []uint32, Config) (*Result, error) {

@@ -101,9 +101,9 @@ type setup struct {
 
 // resolve applies the sorts' radix default to e, looks its program up,
 // builds every layer's config and checks each with its owner's
-// validator: the key generator's, the program's processor rule
-// (sorts.Variant.ValidateProcs) and the machine's. It states no rule of
-// its own. Validate, Run and Predict all start here.
+// validator: the key generator's, the program row's processor count
+// (sorts.Variant.Procs, the sequential baseline's one) and the machine's.
+// It states no rule of its own. Validate, Run and Predict all start here.
 func (e *Experiment) resolve() (setup, error) {
 	if e.Radix == 0 {
 		e.Radix = sorts.DefaultConfig().Radix
@@ -122,8 +122,8 @@ func (e *Experiment) resolve() (setup, error) {
 	if err := s.keys.Validate(); err != nil {
 		return s, err
 	}
-	if err := s.prog.ValidateProcs(e.Procs); err != nil {
-		return s, err
+	if n := s.prog.Procs; n != 0 && e.Procs != n {
+		return s, fmt.Errorf("repro: %s/%s runs on %d processor, got %d", e.Algorithm, e.Model, n, e.Procs)
 	}
 	mc, mp, sh := e.platform(s.prog.Engine)
 	s.machine = e.policy(mc)
@@ -279,8 +279,7 @@ type Experiment struct {
 	// N is the key count (use SizeClasses for paper-comparable sizes).
 	N int
 	// Procs is the processor count (16/32/64 in the paper): any count the
-	// interconnect can wire, one for the sequential baseline, and a power
-	// of two for the CC-SAS radix sorts' prefix tree.
+	// interconnect can wire, and one for the sequential baseline.
 	Procs int
 	// Radix is the digit size in bits (default 8).
 	Radix int

@@ -109,11 +109,11 @@ func TestRunValidation(t *testing.T) {
 		{Algorithm: Radix, Model: SHMEM, N: 0, Procs: 8},
 		{Algorithm: Radix, Model: SHMEM, N: 100, Procs: 0},
 		{Algorithm: "bogus", Model: SHMEM, N: 100, Procs: 8},
-		{Algorithm: Sample, Model: CCSASNew, N: 100, Procs: 8},                  // no buffered sample variant
-		{Algorithm: Psrs, Model: CCSASNew, N: 100, Procs: 8},                    // no buffered PSRS variant either
-		{Algorithm: Radix, Model: SHMEM, N: 100, Procs: 8, Topo: "mesh"},        // unknown interconnect
-		{Algorithm: Radix, Model: CCSAS, N: 100, Procs: 24, Topo: "torus"},      // prefix tree needs 2^k procs
-		{Algorithm: Radix, Model: CCSASNew, N: 100, Procs: 24, Topo: "fattree"}, // same for the buffered variant
+		{Algorithm: Sample, Model: CCSASNew, N: 100, Procs: 8},           // no buffered sample variant
+		{Algorithm: Psrs, Model: CCSASNew, N: 100, Procs: 8},             // no buffered PSRS variant either
+		{Algorithm: Radix, Model: SHMEM, N: 100, Procs: 8, Topo: "mesh"}, // unknown interconnect
+		{Algorithm: Radix, Model: Seq, N: 100, Procs: 2},                 // the baseline runs on one
+		{Algorithm: Radix, Model: CCSASNew, N: 100, Procs: 12},           // 3 hypercube routers
 	}
 	for _, e := range bad {
 		if _, err := Run(e); err == nil {
@@ -142,11 +142,12 @@ func TestExperimentValidate(t *testing.T) {
 		{"zero procs", func(e *Experiment) { e.Procs = 0 }, "Procs must be positive"},
 		{"negative procs", func(e *Experiment) { e.Model, e.Procs = CCSAS, -4 }, "Procs must be positive"},
 		{"seq", func(e *Experiment) { e.Model, e.Procs = Seq, 1 }, ""},
-		{"seq procs 4", func(e *Experiment) { e.Model = Seq }, "sorts: the sequential baseline needs one processor, got 4"},
+		{"seq procs 4", func(e *Experiment) { e.Model = Seq }, "repro: radix/seq runs on 1 processor, got 4"},
 		{"seq sample", func(e *Experiment) { e.Algorithm, e.Model, e.Procs = Sample, Seq, 1 }, "no program"},
-		{"ccsas procs 6", func(e *Experiment) { e.Model, e.Procs = CCSAS, 6 }, "ccsas: the prefix tree needs a power-of-two processor count, got 6"},
-		{"ccsas procs 6 fattree", func(e *Experiment) { e.Model, e.Procs, e.Topo = CCSAS, 6, "fattree" }, "ccsas: the prefix tree needs a power-of-two processor count, got 6"},
-		{"ccsas-new procs 12", func(e *Experiment) { e.Model, e.Procs = CCSASNew, 12 }, "ccsas: the prefix tree needs a power-of-two processor count, got 12"},
+		{"ccsas procs 6", func(e *Experiment) { e.Model, e.Procs = CCSAS, 6 }, ""},
+		{"ccsas procs 6 fattree", func(e *Experiment) { e.Model, e.Procs, e.Topo = CCSAS, 6, "fattree" }, ""},
+		{"ccsas-new procs 12", func(e *Experiment) { e.Model, e.Procs = CCSASNew, 12 }, "hypercube router count 3 is not a power of two"},
+		{"ccsas-new procs 12 torus", func(e *Experiment) { e.Model, e.Procs, e.Topo = CCSASNew, 12, "torus" }, ""},
 		{"sample ccsas procs 6 fattree", func(e *Experiment) { e.Algorithm, e.Model, e.Procs, e.Topo = Sample, CCSAS, 6, "fattree" }, ""},
 		{"psrs ccsas procs 6 fattree", func(e *Experiment) { e.Algorithm, e.Model, e.Procs, e.Topo = Psrs, CCSAS, 6, "fattree" }, ""},
 		{"psrs ccsas procs 3", func(e *Experiment) { e.Algorithm, e.Model, e.Procs = Psrs, CCSAS, 3 }, "processors (3) not a multiple of procs per node (2)"},
@@ -193,7 +194,8 @@ func TestExperimentValidate(t *testing.T) {
 // TestValidateAgreesWithLayers: over every program × interconnect × 1–70
 // processors, Validate accepts an experiment exactly when the key
 // generator and the machine accept the configs Run hands them and the
-// program accepts the processor count, and Run refuses every rejected
+// program's row states no other processor count (only the sequential
+// baseline's one), and Run refuses every rejected
 // experiment with Validate's error word for word. The oracle is the
 // layers' validators, not machine.New, so the sweep stays sub-second.
 func TestValidateAgreesWithLayers(t *testing.T) {
@@ -204,7 +206,7 @@ func TestValidateAgreesWithLayers(t *testing.T) {
 				e := Experiment{Algorithm: Algorithm(v.Algorithm), Model: Model(v.Model), N: 1 << 12, Procs: procs, Topo: topo}
 				gen := keys.GenConfig{N: e.N, Procs: procs, RadixBits: 8}
 				mc := MachineConfigFor(e)
-				accept := gen.Validate() == nil && mc.Validate() == nil && v.ValidateProcs(procs) == nil
+				accept := gen.Validate() == nil && mc.Validate() == nil && (v.Procs == 0 || v.Procs == procs)
 				err := e.Validate()
 				if (err == nil) != accept {
 					if disagree++; disagree <= 5 {
@@ -226,14 +228,17 @@ func TestValidateAgreesWithLayers(t *testing.T) {
 	}
 }
 
-// TestCCSASSplitterSortsAnyMachine: the prefix tree's power-of-two rule
-// is the CC-SAS radix sorts' alone. Sample sort and PSRS under CC-SAS
-// validate, run and verify on machines that are not a power of two.
-func TestCCSASSplitterSortsAnyMachine(t *testing.T) {
-	for _, alg := range []Algorithm{Sample, Psrs} {
+// TestCCSASSortsAnyMachine: all four CC-SAS programs — the radix sorts
+// through the prefix tree, sample sort and PSRS — validate, run and
+// verify on machines that are not a power of two.
+func TestCCSASSortsAnyMachine(t *testing.T) {
+	for _, prog := range []struct {
+		alg   Algorithm
+		model Model
+	}{{Radix, CCSAS}, {Radix, CCSASNew}, {Sample, CCSAS}, {Psrs, CCSAS}} {
 		for _, topo := range []string{"fattree", "torus", "numa2", "dragonfly"} {
 			for _, procs := range []int{6, 10, 12, 24, 48} {
-				runExp(t, Experiment{Algorithm: alg, Model: CCSAS, N: 1 << 12, Procs: procs, Topo: topo})
+				runExp(t, Experiment{Algorithm: prog.alg, Model: prog.model, N: 1 << 12, Procs: procs, Topo: topo})
 			}
 		}
 	}

@@ -87,11 +87,10 @@ func TestRequestRejections(t *testing.T) {
 		{"zero procs", func(r *Request) { r.Procs = 0 }, "keys: Procs must be positive, got 0"},
 		{"mpi procs 3", func(r *Request) { r.Model, r.Procs = "mpi", 3 }, "topology: processors (3) not a multiple of procs per node (2)"},
 		{"mpi procs 12", func(r *Request) { r.Model, r.Procs = "mpi", 12 }, "topology: hypercube router count 3 is not a power of two"},
-		{"seq procs 4", func(r *Request) { r.Model = "seq" }, "sorts: the sequential baseline needs one processor, got 4"},
+		{"seq procs 4", func(r *Request) { r.Model = "seq" }, "repro: radix/seq runs on 1 processor, got 4"},
 		{"seq sample", func(r *Request) { r.Algorithm, r.Model, r.Procs = "sample", "seq", 1 },
 			`repro: no program for algorithm "sample" under model "seq" (models: [ccsas mpi mpi-sgi shmem])`},
-		{"ccsas procs 6", func(r *Request) { r.Model, r.Procs = "ccsas", 6 }, "ccsas: the prefix tree needs a power-of-two processor count, got 6"},
-		{"ccsas-new procs 12", func(r *Request) { r.Model, r.Procs = "ccsas-new", 12 }, "ccsas: the prefix tree needs a power-of-two processor count, got 12"},
+		{"ccsas-new procs 12", func(r *Request) { r.Model, r.Procs = "ccsas-new", 12 }, "topology: hypercube router count 3 is not a power of two"},
 		{"psrs ccsas procs 3", func(r *Request) { r.Algorithm, r.Model, r.Procs = "psrs", "ccsas", 3 }, "topology: processors (3) not a multiple of procs per node (2)"},
 		{"sample ccsas-new", func(r *Request) { r.Algorithm, r.Model = "sample", "ccsas-new" },
 			`repro: no program for algorithm "sample" under model "ccsas-new" (models: [ccsas mpi mpi-sgi shmem])`},
@@ -111,8 +110,10 @@ func TestRequestRejections(t *testing.T) {
 			t.Errorf("%s: a rejected request still returned %+v, %+v", tc.name, e, canon)
 		}
 	}
-	if _, _, err := (Request{Algorithm: "radix", Model: "mpi", N: 4096, Procs: 6}).Experiment(); err != nil {
-		t.Errorf("mpi on 6 processors: %v, want it accepted", err)
+	for _, model := range []string{"mpi", "ccsas", "ccsas-new"} {
+		if _, _, err := (Request{Algorithm: "radix", Model: model, N: 4096, Procs: 6}).Experiment(); err != nil {
+			t.Errorf("%s on 6 processors: %v, want it accepted", model, err)
+		}
 	}
 }
 
