@@ -233,16 +233,17 @@ func TestRunGridDeadlockTypedError(t *testing.T) {
 		m := machine.MustNew(machine.Origin2000Scaled(4))
 		c := mpi.New(m, mpi.DefaultDirect())
 		// Everyone sends one rank up and waits for the rank two up.
-		m.Run(func(p *machine.Proc) { c.SendRecv(p, (p.ID+1)%4, 0, nil, 8, (p.ID+2)%4, 0, 0) })
-		return nil, errors.New("the run returned")
+		_, err := m.Run(func(p *machine.Proc) { c.SendRecv(p, (p.ID+1)%4, 0, nil, 8, (p.ID+2)%4, 0, 0) })
+		return nil, err
 	}
 	_, _, err := h.Table1()
 	var se *machine.StrandedError
 	if !errors.As(err, &se) || len(se.Parked) != 4 || se.Parked[1] != (machine.Parked{Proc: 1, At: "recv←3"}) {
 		t.Fatalf("Table1 returned %v, want a *machine.StrandedError naming four ranks inside", err)
 	}
-	if pe := panicErrorFrom(t, err); pe.Index != 0 {
-		t.Errorf("deadlock reported for cell %d, want 0", pe.Index)
+	var pe *PanicError
+	if errors.As(err, &pe) {
+		t.Errorf("the deadlock came out of the scheduler as a panic: %v", pe)
 	}
 }
 

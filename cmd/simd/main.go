@@ -29,10 +29,13 @@
 //	GET  /healthz           liveness
 //	GET  /statsz            harness run counters + cache tier stats + slab arena
 //
-// Request validation failures are 4xx; simulation failures are 5xx. A
-// panic in any cell is recovered per cell (repro.ForEachIndex /
-// resultcache.Do) and reported as that cell's error — one poisoned
-// request cannot take down the service. On SIGINT/SIGTERM the server
+// Request validation failures are 4xx; simulation failures are 5xx,
+// whose body is the run's error: a failed simulated processor or a
+// stranded run comes back from the simulator as an error, never a
+// panic. A host bug that panics in a cell is still recovered per cell
+// (repro.ForEachIndex / resultcache.Do) and reported as that cell's
+// error — one poisoned request cannot take down the service. Errors are
+// never cached, so a failed request is retried. On SIGINT/SIGTERM the server
 // stops accepting connections and drains in-flight runs before exiting.
 package main
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/sorts"
 )
 
 // newTestServer builds a server plus an httptest front end.
@@ -441,6 +442,33 @@ func TestPanicContainment(t *testing.T) {
 		t.Errorf("grid stream has no summary: %s", glines)
 	}
 	s.simulate = real
+}
+
+// TestRunMachineFailure: a simulated processor that panics is a short
+// 500 naming it — the run's error, no host stack — and the error is not
+// cached: the same request without the failure computes a 200.
+func TestRunMachineFailure(t *testing.T) {
+	_, ts := newTestServer(t, serverConfig{})
+	sorts.SetCorruptPSRSBoundaryForTest(func(proc, _ int, _ []int64) {
+		if proc == 2 {
+			panic("processor 2 lost its boundaries")
+		}
+	})
+	defer sorts.SetCorruptPSRSBoundaryForTest(nil)
+	req := repro.Request{Algorithm: "psrs", Model: "mpi", N: 1 << 12, Procs: 4}
+	resp := postJSON(t, ts.URL+"/v1/run", req)
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusInternalServerError || len(body) >= 300 ||
+		strings.Contains(string(body), "goroutine") || !strings.Contains(string(body), "processor 2 panicked") {
+		t.Errorf("failed run: status %d, %d-byte body %s; want a 500 under 300 bytes naming processor 2 and no stack",
+			resp.StatusCode, len(body), body)
+	}
+	sorts.SetCorruptPSRSBoundaryForTest(nil)
+	resp = postJSON(t, ts.URL+"/v1/run", req)
+	readAll(t, resp)
+	if src := resp.Header.Get("X-Simd-Source"); resp.StatusCode != http.StatusOK || src != "computed" {
+		t.Errorf("same request after the failure: status %d from %q, want a computed 200", resp.StatusCode, src)
+	}
 }
 
 // TestHealthzStatsz sanity-checks the operational endpoints.

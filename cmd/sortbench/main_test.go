@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/machine"
+	"repro/internal/sorts"
 )
 
 // sortbench drives the command body in-process on the given arguments.
@@ -49,6 +52,26 @@ func TestCLIEveryVariant(t *testing.T) {
 		}
 		if !strings.Contains(stdout, "verified sorted: true") {
 			t.Errorf("%s/%s: no verified result in output:\n%s", pr.algo, pr.model, stdout)
+		}
+	}
+}
+
+// TestCLIMachineFailure: a simulated processor that panics fails the
+// command with an error naming it, in the single-run and the batch
+// modes, instead of killing the process.
+func TestCLIMachineFailure(t *testing.T) {
+	sorts.SetCorruptPSRSBoundaryForTest(func(proc, _ int, _ []int64) {
+		if proc == 2 {
+			panic("processor 2 lost its boundaries")
+		}
+	})
+	defer sorts.SetCorruptPSRSBoundaryForTest(nil)
+	for _, mode := range [][]string{nil, {"-sweep", "flatmem"}} {
+		args := append([]string{"-algo", "psrs", "-model", "mpi", "-n", "8192", "-procs", "4"}, mode...)
+		stdout, _, err := sortbench(args...)
+		var pp *machine.ProcPanic
+		if !errors.As(err, &pp) || pp.Proc != 2 || stdout != "" {
+			t.Errorf("%v: err %v, stdout %q; want processor 2's panic and no output", mode, err, stdout)
 		}
 	}
 }

@@ -282,14 +282,15 @@ func TestLargestOfUnsortedOptions(t *testing.T) {
 // and Figure* method of *Harness is reached from exactly one entry — so
 // a figure added without registering it fails here by name. Each entry
 // runs over a stub simulation that notes which Harness methods are on
-// its call stack (Parallelism 1 keeps the cells on the caller's
-// goroutine).
+// the stacks of the process's goroutines: the cells run on the
+// scheduler's worker, and the entry's method waits for it on the
+// caller's.
 func TestFiguresRegistry(t *testing.T) {
 	golden, err := os.ReadFile("cmd/paperfigs/testdata/paperfigs_tiny.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	method := regexp.MustCompile(`\(\*Harness\)\.((?:Table|Figure)\w*)$`)
+	method := regexp.MustCompile(`\(\*Harness\)\.((?:Table|Figure)\w*)\(`)
 	reachedFrom := map[string]string{} // Harness method → the entry that reaches it
 	names := map[string]bool{}
 	for _, f := range Figures {
@@ -302,14 +303,9 @@ func TestFiguresRegistry(t *testing.T) {
 		})
 		reached := map[string]bool{}
 		h.simulate = func(e Experiment) (*Outcome, error) {
-			pcs := make([]uintptr, 64)
-			frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
-			for more := true; more; {
-				var fr runtime.Frame
-				fr, more = frames.Next()
-				if m := method.FindStringSubmatch(fr.Function); m != nil {
-					reached[m[1]] = true
-				}
+			buf := make([]byte, 1<<20)
+			for _, m := range method.FindAllSubmatch(buf[:runtime.Stack(buf, true)], -1) {
+				reached[string(m[1])] = true
 			}
 			run := &machine.Result{TimeNs: 1, PerProc: make([]machine.ProcStats, e.Procs)}
 			return &Outcome{Experiment: e, Result: &sorts.Result{Run: run}, TimeNs: 1}, nil

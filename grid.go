@@ -35,7 +35,9 @@ import (
 // at the recovery point. ForEachIndex recovers every cell panic this
 // way, so a panicking cell is reported like any other failing cell
 // instead of killing a pool worker (which would leave the submit loop
-// blocked forever — the pre-fix deadlock).
+// blocked forever — the pre-fix deadlock). A simulated run never panics
+// out of Machine.Run — its failure is an error — so a PanicError is a
+// host bug: in a harness hook, a front end, or the scheduler's caller.
 type PanicError struct {
 	Index int
 	Value any
@@ -46,24 +48,16 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("repro: cell %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
-// Unwrap returns Value when it is an error, so a typed failure a cell
-// panicked with — a *machine.StrandedError from Machine.Run, or an error
-// inside its *machine.ProcPanic — is still there for errors.As.
-func (e *PanicError) Unwrap() error {
-	err, _ := e.Value.(error)
-	return err
-}
-
 // ForEachIndex runs fn(i) for every i in [0, n) on at most par worker
 // goroutines and returns when all calls completed. par < 1 selects
 // runtime.GOMAXPROCS(0).
 //
 // A panic in fn is recovered around that single call and returned as a
 // *PanicError: the worker survives, every remaining index still runs,
-// and the submitting loop cannot deadlock on a dead pool. The par <= 1
-// inline path recovers identically, so a panicking body produces the
-// same structured errors at any parallelism instead of unwinding the
-// caller. The returned slice is sorted by cell index (nil when no cell
+// and the submitting loop cannot deadlock on a dead pool. One worker
+// runs the indices in order, so a panicking body produces the same
+// structured errors at any parallelism instead of unwinding the caller.
+// The returned slice is sorted by cell index (nil when no cell
 // panicked).
 //
 // This is the harness's cell scheduler, exported so long-running
@@ -85,17 +79,9 @@ func ForEachIndex(par, n int, fn func(i int)) []*PanicError {
 	if par > n {
 		par = n
 	}
-	var panics []*PanicError
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			if pe := guard(i); pe != nil {
-				panics = append(panics, pe)
-			}
-		}
-		return panics
-	}
 	idx := make(chan int)
 	var (
+		panics  []*PanicError
 		wg      sync.WaitGroup
 		panicMu sync.Mutex
 	)

@@ -46,8 +46,8 @@ func (w *World) Barrier(p *machine.Proc) { w.M.Barrier(p) }
 // waits while the previous one is untaken. Both park in the machine's
 // gate (machine.Mailbox), so a processor waiting on a flag unwinds when
 // another processor's panic aborts the run, and one whose peer returned
-// without setting it, or that waits in a cycle of flags, fails the run
-// with a *machine.StrandedError.
+// without setting it, or that waits in a cycle of flags, fails the run:
+// Machine.Run returns a *machine.StrandedError.
 type Flag struct {
 	w   *World
 	box machine.Mailbox

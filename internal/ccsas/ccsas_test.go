@@ -1,7 +1,6 @@
 package ccsas
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -20,10 +19,20 @@ func world(t *testing.T, procs int) *World {
 	return NewWorld(m)
 }
 
+// mustRun runs body on m and fails the test if the run failed.
+func mustRun(tb testing.TB, m *machine.Machine, body func(p *machine.Proc)) *machine.Result {
+	tb.Helper()
+	res, err := m.Run(body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestFlagOrdersTime(t *testing.T) {
 	w := world(t, 2)
 	f := NewFlag(w)
-	res := w.M.Run(func(p *machine.Proc) {
+	res := mustRun(t, w.M, func(p *machine.Proc) {
 		if p.ID == 0 {
 			p.Compute(10000)
 			f.Set(p)
@@ -43,7 +52,7 @@ func TestFlagOrdersTime(t *testing.T) {
 func TestFlagNoWaitWhenLate(t *testing.T) {
 	w := world(t, 2)
 	f := NewFlag(w)
-	w.M.Run(func(p *machine.Proc) {
+	mustRun(t, w.M, func(p *machine.Proc) {
 		if p.ID == 0 {
 			f.Set(p) // sets at ~0
 		} else {
@@ -67,7 +76,7 @@ func reduceAll(t *testing.T, procs, buckets int, hist func(id int) []int32) (ran
 	tree := NewPrefixTree(w, buckets)
 	ranks = make([][]int32, procs)
 	totals = make([][]int32, procs)
-	w.M.Run(func(p *machine.Proc) {
+	mustRun(t, w.M, func(p *machine.Proc) {
 		r, tot := tree.Reduce(p, hist(p.ID))
 		ranks[p.ID] = r
 		totals[p.ID] = tot
@@ -148,7 +157,7 @@ func TestPrefixTreeReusableAcrossEpisodes(t *testing.T) {
 	// not leak into pass k+1.
 	w := world(t, 4)
 	tree := NewPrefixTree(w, 4)
-	w.M.Run(func(p *machine.Proc) {
+	mustRun(t, w.M, func(p *machine.Proc) {
 		for pass := 1; pass <= 3; pass++ {
 			h := []int32{int32(pass), 0, int32(p.ID), 1}
 			rank, total := tree.Reduce(p, h)
@@ -168,7 +177,7 @@ func TestPrefixTreeReusableAcrossEpisodes(t *testing.T) {
 func TestPrefixTreeChargesCommunication(t *testing.T) {
 	w := world(t, 8)
 	tree := NewPrefixTree(w, 64)
-	res := w.M.Run(func(p *machine.Proc) {
+	res := mustRun(t, w.M, func(p *machine.Proc) {
 		h := make([]int32, 64)
 		h[p.ID] = 1
 		tree.Reduce(p, h)
@@ -189,7 +198,7 @@ func TestPrefixTreeDeterministic(t *testing.T) {
 	run := func() float64 {
 		w := world(t, 8)
 		tree := NewPrefixTree(w, 32)
-		res := w.M.Run(func(p *machine.Proc) {
+		res := mustRun(t, w.M, func(p *machine.Proc) {
 			h := make([]int32, 32)
 			for b := range h {
 				h[b] = int32(p.ID*31 + b)
@@ -224,7 +233,7 @@ func TestPrefixTreeAnyProcs(t *testing.T) {
 		w := NewWorld(m)
 		tree := NewPrefixTree(w, buckets)
 		hist := func(e, i, b int) int32 { return int32((i*7+b*3+e)%5 + i%3) }
-		w.M.Run(func(p *machine.Proc) {
+		mustRun(t, w.M, func(p *machine.Proc) {
 			for e := 0; e < episodes; e++ {
 				local := make([]int32, buckets)
 				for b := range local {
@@ -260,14 +269,9 @@ func TestPrefixTreeAnyProcs(t *testing.T) {
 func TestReduceValidatesLength(t *testing.T) {
 	w := world(t, 2)
 	tree := NewPrefixTree(w, 8)
-	defer func() {
-		if recover() == nil {
-			t.Error("Reduce accepted wrong-length histogram")
-		}
-	}()
-	w.M.Run(func(p *machine.Proc) {
-		tree.Reduce(p, make([]int32, 4))
-	})
+	if _, err := w.M.Run(func(p *machine.Proc) { tree.Reduce(p, make([]int32, 4)) }); err == nil {
+		t.Error("Reduce accepted wrong-length histogram")
+	}
 }
 
 // TestPanicBeforeFlagSet: a processor that panics before setting a flag
@@ -285,7 +289,7 @@ func TestPanicBeforeFlagSet(t *testing.T) {
 		procs int
 		runs  int
 		body  func(w *World) func(p *machine.Proc)
-		// want is what Run panics with: a *machine.ProcPanic, a
+		// want is what Run returns: a *machine.ProcPanic, a
 		// *machine.StrandedError, or nil.
 		want error
 	}{
@@ -376,22 +380,8 @@ func TestPanicBeforeFlagSet(t *testing.T) {
 			w := world(t, tc.procs)
 			body := tc.body(w)
 			for run := 0; run < tc.runs; run++ {
-				done := make(chan any, 1)
-				go func() {
-					defer func() { done <- recover() }()
-					w.M.Run(body)
-				}()
-				select {
-				case r := <-done:
-					var se *machine.StrandedError
-					if err, _ := r.(error); errors.As(err, &se) {
-						r = se
-					}
-					if !reflect.DeepEqual(r, any(tc.want)) {
-						t.Fatalf("run %d: Run panicked with %#v, want %#v", run, r, tc.want)
-					}
-				case <-time.After(10 * time.Second):
-					t.Fatalf("run %d: Run never returned: a processor is parked on a flag", run)
+				if _, err := w.M.Run(body); !reflect.DeepEqual(err, tc.want) {
+					t.Fatalf("run %d: Run returned %#v, want %#v", run, err, tc.want)
 				}
 			}
 			// Nothing of the failed runs reaches the machine's next one,
@@ -400,7 +390,7 @@ func TestPanicBeforeFlagSet(t *testing.T) {
 			release := float64(tc.procs-1) + cfg.BarrierCost(tc.procs)
 			w.M.SetArrivalOrderForTest(func(proc, arrived int) bool { return proc == arrived })
 			defer w.M.SetArrivalOrderForTest(nil)
-			w.M.Run(func(p *machine.Proc) {
+			mustRun(t, w.M, func(p *machine.Proc) {
 				p.ComputeNs(float64(p.ID))
 				w.Barrier(p)
 				if p.Now() != release {

@@ -97,6 +97,16 @@ func TestParanoidMatchesNormalRun(t *testing.T) {
 	}
 }
 
+// mustRun runs body on m and fails the test if the run failed.
+func mustRun(tb testing.TB, m *machine.Machine, body func(p *machine.Proc)) *machine.Result {
+	tb.Helper()
+	res, err := m.Run(body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // hasKind reports whether the checker recorded at least one violation of
 // the given kind, and returns the kinds seen for the failure message.
 func hasKind(ck *check.Checker, kind string) (bool, string) {
@@ -123,7 +133,7 @@ func TestMutationPriceTable(t *testing.T) {
 			m.CorruptPriceEntryForTest(machine.Private, false, 0, 0, 7.5)
 		}
 		arr := machine.NewArrayBlocked[int64](m, "a", 1<<12)
-		m.Run(func(p *machine.Proc) {
+		mustRun(t, m, func(p *machine.Proc) {
 			for i := 0; i < arr.Len(); i++ {
 				arr.Load(p, i, machine.Private) // cold misses hit the corrupted row
 			}

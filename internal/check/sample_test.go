@@ -68,7 +68,7 @@ func TestMutationPriceTableSampled(t *testing.T) {
 			m.CorruptPriceEntryForTest(machine.Private, false, 0, 0, 7.5)
 		}
 		arr := machine.NewArrayBlocked[int64](m, "a", 1<<12)
-		m.Run(func(p *machine.Proc) {
+		mustRun(t, m, func(p *machine.Proc) {
 			for i := 0; i < arr.Len(); i++ {
 				arr.Load(p, i, machine.Private)
 			}

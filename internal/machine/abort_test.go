@@ -7,33 +7,13 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
-// runPanic runs body on m and returns what Run panicked with, failing
-// the test if Run has not returned within the timeout — which is what a
-// processor parked at a meeting point nobody else will reach used to do.
-func runPanic(t *testing.T, m *Machine, body func(p *Proc)) any {
+func wantProcPanic(t *testing.T, err error, proc int, value any) {
 	t.Helper()
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		m.Run(body)
-	}()
-	select {
-	case r := <-done:
-		return r
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return: processors are still parked")
-		return nil
-	}
-}
-
-func wantProcPanic(t *testing.T, r any, proc int, value any) {
-	t.Helper()
-	pp, ok := r.(*ProcPanic)
+	pp, ok := err.(*ProcPanic)
 	if !ok {
-		t.Fatalf("Run panicked with %T %v, want *ProcPanic", r, r)
+		t.Fatalf("Run returned %T %v, want *ProcPanic", err, err)
 	}
 	if pp.Proc != proc || pp.Value != value {
 		t.Errorf("Run reported processor %d: %v, want processor %d: %v", pp.Proc, pp.Value, proc, value)
@@ -41,20 +21,20 @@ func wantProcPanic(t *testing.T, r any, proc int, value any) {
 }
 
 // A processor that panics before a barrier must not leave the others
-// parked in it: Run promises to re-raise the panic.
+// parked in it: Run promises to return the panic as its error.
 func TestRunPanicBeforeBarrier(t *testing.T) {
 	m := testMachine(t, 4)
-	r := runPanic(t, m, func(p *Proc) {
+	_, err := m.Run(func(p *Proc) {
 		if p.ID == 2 {
 			panic("boom")
 		}
 		m.Barrier(p)
 		m.Barrier(p) // one reached after the abort unwinds as well
 	})
-	wantProcPanic(t, r, 2, "boom")
+	wantProcPanic(t, err, 2, "boom")
 
 	// The abort does not outlive the run.
-	res := m.Run(func(p *Proc) { m.Barrier(p) })
+	res := mustRun(t, m, func(p *Proc) { m.Barrier(p) })
 	if res.TimeNs == 0 {
 		t.Error("the machine's barrier stayed aborted")
 	}
@@ -62,21 +42,21 @@ func TestRunPanicBeforeBarrier(t *testing.T) {
 
 func TestRunPanicBeforeRendezvous(t *testing.T) {
 	m := testMachine(t, 4)
-	r := runPanic(t, m, func(p *Proc) {
+	_, err := m.Run(func(p *Proc) {
 		if p.ID == 1 {
 			panic("boom")
 		}
 		m.Rendezvous(p, func() { t.Error("the rendezvous completed without processor 1") })
 	})
-	wantProcPanic(t, r, 1, "boom")
+	wantProcPanic(t, err, 1, "boom")
 }
 
 // The last arrival runs alone and may blame the processor whose step it
-// was driving; an error value stays reachable through Run's panic.
+// was driving; an error value stays reachable through Run's error.
 func TestRendezvousLastArrival(t *testing.T) {
 	m := testMachine(t, 4)
 	calls := 0
-	m.Run(func(p *Proc) {
+	mustRun(t, m, func(p *Proc) {
 		m.Rendezvous(p, func() {
 			calls++
 			for i := 0; i < m.Procs(); i++ {
@@ -92,12 +72,12 @@ func TestRendezvousLastArrival(t *testing.T) {
 	}
 
 	cause := errors.New("step failed")
-	r := runPanic(t, m, func(p *Proc) {
+	_, err := m.Run(func(p *Proc) {
 		m.Rendezvous(p, func() { panic(Blame{Proc: 3, Value: cause}) })
 	})
-	wantProcPanic(t, r, 3, cause)
-	if err, ok := r.(error); !ok || !errors.Is(err, cause) {
-		t.Errorf("errors.Is cannot see %v through %v", cause, r)
+	wantProcPanic(t, err, 3, cause)
+	if !errors.Is(err, cause) {
+		t.Errorf("errors.Is cannot see %v through %v", cause, err)
 	}
 }
 
@@ -116,7 +96,7 @@ func TestMismatchedCollectivesFail(t *testing.T) {
 		{"rendezvous", func(p *Proc) { m.Rendezvous(p, func() { t.Error("a rendezvous completed") }) }},
 		{"shared step", func(p *Proc) { Share(p, func() int { t.Error("a shared step was built"); return 0 }) }},
 	} {
-		r := runPanic(t, m, func(p *Proc) {
+		_, err := m.Run(func(p *Proc) {
 			if p.ID == 0 {
 				m.Barrier(p)
 			} else {
@@ -124,10 +104,10 @@ func TestMismatchedCollectivesFail(t *testing.T) {
 			}
 		})
 		want := "processor 1 arrived at a " + tc.kind + " while processor 0 waits at a barrier"
-		if pp, ok := r.(*ProcPanic); !ok || pp.Proc != 1 || !strings.Contains(pp.Error(), want) {
-			t.Errorf("Run panicked with %v, want processor 1: %q", r, want)
+		if pp, ok := err.(*ProcPanic); !ok || pp.Proc != 1 || !strings.Contains(pp.Error(), want) {
+			t.Errorf("Run returned %v, want processor 1: %q", err, want)
 		}
-		if res := m.Run(func(p *Proc) { m.Barrier(p) }); res.TimeNs == 0 {
+		if res := mustRun(t, m, func(p *Proc) { m.Barrier(p) }); res.TimeNs == 0 {
 			t.Errorf("after the %s mismatch the next run's barrier cost nothing", tc.kind)
 		}
 	}
@@ -144,7 +124,7 @@ func TestShare(t *testing.T) {
 		m := testMachine(t, 8)
 		builds := 0
 		got := make([][steps]*int, m.Procs())
-		m.Run(func(p *Proc) {
+		mustRun(t, m, func(p *Proc) {
 			for k := 0; k < steps; k++ {
 				v, step := Share(p, func() *int { builds++; return new(int) })
 				if step != k {
@@ -169,8 +149,8 @@ func TestShare(t *testing.T) {
 	m := testMachine(t, 4)
 	defer m.SetArrivalOrderForTest(nil)
 	m.SetArrivalOrderForTest(func(proc, arrived int) bool { return proc == arrived })
-	r := runPanic(t, m, func(p *Proc) { Share(p, func() int { panic("boom") }) })
-	wantProcPanic(t, r, 3, "boom")
+	_, err := m.Run(func(p *Proc) { Share(p, func() int { panic("boom") }) })
+	wantProcPanic(t, err, 3, "boom")
 }
 
 func TestRendezvousForcedArrivalOrder(t *testing.T) {
@@ -181,7 +161,7 @@ func TestRendezvousForcedArrivalOrder(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ran := -1
 		var order []int
-		m.Run(func(p *Proc) {
+		mustRun(t, m, func(p *Proc) {
 			m.Rendezvous(p, func() { ran = p.ID })
 			m.Rendezvous(p, func() { order = append(order, p.ID) })
 		})
@@ -258,10 +238,10 @@ func TestStrandedEpisodesFail(t *testing.T) {
 		}
 	}, []Parked{{1, "flag", "histogram"}, {2, "barrier", "exchange"}, {3, "barrier", "exchange"}}})
 	for _, tc := range cases {
-		r := runPanic(t, m, tc.body)
-		var se *StrandedError
-		if err, ok := r.(error); !ok || !errors.As(err, &se) {
-			t.Fatalf("%s: Run panicked with %T %v, want *StrandedError", tc.name, r, r)
+		_, err := m.Run(tc.body)
+		se, ok := err.(*StrandedError)
+		if !ok {
+			t.Fatalf("%s: Run returned %T %v, want *StrandedError", tc.name, err, err)
 		}
 		if !slices.Equal(se.Parked, tc.parked) || !slices.Equal(se.Returned, []int{0}) {
 			t.Errorf("%s: %+v", tc.name, se)
@@ -270,7 +250,7 @@ func TestStrandedEpisodesFail(t *testing.T) {
 		if !strings.Contains(se.Error(), want) {
 			t.Errorf("%q does not say %q", se.Error(), want)
 		}
-		if res := m.Run(func(p *Proc) { m.Barrier(p) }); res.TimeNs == 0 {
+		if res := mustRun(t, m, func(p *Proc) { m.Barrier(p) }); res.TimeNs == 0 {
 			t.Errorf("after %s stranded the next run's barrier cost nothing", tc.name)
 		}
 	}

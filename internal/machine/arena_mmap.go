@@ -14,8 +14,8 @@ const offHeapBytes = 64 << 10
 
 // mapSlab returns a zeroed slab of words words: anonymous memory from 64
 // KiB up, a heap slice below. A failed mapping panics: the array
-// constructors return no error, and inside a Run body the panic reaches
-// the caller as a *ProcPanic.
+// constructors return no error, and inside a Run body the panic fails
+// the run, which returns it as a *ProcPanic.
 func mapSlab(words int) []uint64 {
 	if words*8 < offHeapBytes {
 		return make([]uint64, words)

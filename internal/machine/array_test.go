@@ -55,7 +55,7 @@ func store[T any](p *Proc, a *Array[T], i int, v T, sh Sharing) {
 func TestArrayLoadStoreRoundTrip(t *testing.T) {
 	m := testMachine(t, 2)
 	a := NewArrayOnProc[uint32](m, "x", 128, 0)
-	m.Run(func(p *Proc) {
+	mustRun(t, m, func(p *Proc) {
 		if p.ID != 0 {
 			return
 		}
@@ -73,7 +73,7 @@ func TestSeqAccessCheaperThanScattered(t *testing.T) {
 	a := NewArrayOnProc[uint32](m, "seq", 1<<16, 0)
 	b := NewArrayOnProc[uint32](m, "scat", 1<<16, 0)
 	var seqCost, scatCost float64
-	m.Run(func(p *Proc) {
+	mustRun(t, m, func(p *Proc) {
 		if p.ID != 0 {
 			return
 		}
@@ -96,7 +96,7 @@ func TestSeqAccessCheaperThanScattered(t *testing.T) {
 func TestInvalidateRange(t *testing.T) {
 	m := testMachine(t, 2)
 	a := NewArrayOnProc[uint32](m, "x", 1024, 0)
-	m.Run(func(p *Proc) {
+	mustRun(t, m, func(p *Proc) {
 		if p.ID != 0 {
 			return
 		}
@@ -121,7 +121,7 @@ func TestBarrierPropertyClocksEqualAfterwards(t *testing.T) {
 	f := func(work [4]uint16) bool {
 		m := testMachine(t, 4)
 		clocks := make([]float64, 4)
-		m.Run(func(p *Proc) {
+		mustRun(t, m, func(p *Proc) {
 			p.Compute(int(work[p.ID]))
 			m.Barrier(p)
 			clocks[p.ID] = p.Now()
@@ -156,7 +156,7 @@ func TestScatteredContentionLoadDependence(t *testing.T) {
 
 func TestBulkTransferZeroBytes(t *testing.T) {
 	m := testMachine(t, 2)
-	res := m.Run(func(p *Proc) {
+	res := mustRun(t, m, func(p *Proc) {
 		if p.ID == 0 {
 			p.BulkTransfer(0, 0, 0, false)
 		}
@@ -168,7 +168,7 @@ func TestBulkTransferZeroBytes(t *testing.T) {
 
 func TestResultAggregates(t *testing.T) {
 	m := testMachine(t, 4)
-	res := m.Run(func(p *Proc) {
+	res := mustRun(t, m, func(p *Proc) {
 		p.Compute(100 * (p.ID + 1))
 	})
 	if !closeTo(res.TimeNs, 400*m.Config().OpNs) {

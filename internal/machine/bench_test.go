@@ -16,7 +16,7 @@ func BenchmarkWalkBlock(b *testing.B) {
 	elems := block / 4
 	n := arr.Len()
 	b.ResetTimer()
-	m.Run(func(p *Proc) {
+	mustRun(b, m, func(p *Proc) {
 		if p.ID != 0 {
 			return
 		}
@@ -42,7 +42,7 @@ func BenchmarkScatterStore(b *testing.B) {
 	arr := NewArrayBlocked[uint32](m, "dst", 1<<22)
 	n := arr.Len()
 	b.ResetTimer()
-	m.Run(func(p *Proc) {
+	mustRun(b, m, func(p *Proc) {
 		if p.ID != 0 {
 			return
 		}

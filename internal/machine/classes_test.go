@@ -29,7 +29,7 @@ func TestDeclaredClassesMatchLiveDirectory(t *testing.T) {
 	want := dir.Read(0, line)
 
 	var got float64
-	m.Run(func(p *Proc) {
+	mustRun(t, m, func(p *Proc) {
 		switch p.ID {
 		case 4:
 			store(p, arr, 0, 7, Private)
@@ -63,7 +63,7 @@ func TestDeclaredWriteMatchesOwnershipTransfer(t *testing.T) {
 	want := proto.Write(0, home, home, coherence.Exclusive, nil)
 
 	var got float64
-	m.Run(func(p *Proc) {
+	mustRun(t, m, func(p *Proc) {
 		if p.ID != 0 {
 			return
 		}

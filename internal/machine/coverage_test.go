@@ -4,7 +4,7 @@ import "testing"
 
 func TestProcAccessorsAndCharges(t *testing.T) {
 	m := testMachine(t, 4)
-	m.Run(func(p *Proc) {
+	mustRun(t, m, func(p *Proc) {
 		if p.ID != 0 {
 			return
 		}
@@ -74,7 +74,7 @@ func TestArrayRoundRobinAndRegion(t *testing.T) {
 	if h0 == h1 {
 		t.Errorf("consecutive pages homed together: %d, %d", h0, h1)
 	}
-	m.Run(func(p *Proc) {
+	mustRun(t, m, func(p *Proc) {
 		if p.ID == 0 {
 			a.StoreRange(p, 0, 100, Private)
 			a.LoadRange(p, 0, 100, Private)
@@ -104,7 +104,7 @@ func TestSharedReadAndWriteClasses(t *testing.T) {
 	m := testMachine(t, 8)
 	arr := NewArrayBlocked[uint32](m, "sr", 1<<13)
 	perProc := arr.Len() / 8
-	res := m.Run(func(p *Proc) {
+	res := mustRun(t, m, func(p *Proc) {
 		switch p.ID {
 		case 1:
 			// Read-shared misses on a remote partition.
@@ -132,7 +132,7 @@ func TestWritebackChargesRemoteHome(t *testing.T) {
 	m := testMachine(t, 8)
 	remote := NewArrayOnProc[uint32](m, "rwb", 1<<17, 7) // homed on node 3
 	local := NewArrayOnProc[uint32](m, "lwb", 1<<17, 0)
-	res := m.Run(func(p *Proc) {
+	res := mustRun(t, m, func(p *Proc) {
 		if p.ID != 0 {
 			return
 		}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"sync"
@@ -57,10 +58,6 @@ type gate struct {
 	first   int     // that arrival's processor
 	latest  float64 // the latest virtual clock parked in it
 
-	// stranded is the failure of a run whose parked members no running
-	// member can release.
-	stranded *StrandedError
-
 	// release and value are the results of the episode that most recently
 	// completed: a barrier's release time and a shared value. Neither can
 	// be overwritten before every member has read it, because overwriting
@@ -70,10 +67,12 @@ type gate struct {
 	value   any
 	shares  int
 
-	// aborted wakes the parked members of a run in which some member
-	// panicked; they unwind instead of waiting for a release that cannot
-	// come.
-	aborted bool
+	// cause is why the run aborted, nil while it has not: a member's
+	// failure, or a *StrandedError when its parked members no running
+	// member can release. Every parked member wakes and unwinds instead of
+	// waiting for a release that cannot come. Whatever else ends a run
+	// early records its cause here.
+	cause error
 	// admit, when a test sets it, says whether member id may arrive now
 	// that arrived members are waiting; a refused member yields and asks
 	// again, which lets a test force any arrival order.
@@ -94,13 +93,14 @@ func newGate(procs []*Proc) *gate {
 func (g *gate) reset() {
 	clear(g.at)
 	g.parked, g.left, g.waiting, g.runs = 0, 0, 0, g.runs+1
-	g.release, g.value, g.shares, g.stranded, g.aborted = 0, nil, 0, nil, false
+	g.release, g.value, g.shares, g.cause = 0, nil, 0, nil
 }
 
-// abort wakes every parked member, and they and every member that parks
-// later unwind by panicking with runAborted. Called with mu held.
-func (g *gate) abort() {
-	g.aborted = true
+// abort records cause unless the run has already aborted, and wakes
+// every parked member; they and every member that parks later unwind by
+// panicking with runAborted. Called with mu held.
+func (g *gate) abort(cause error) {
+	g.cause = cmp.Or(g.cause, cause)
 	g.all.Broadcast()
 	for i := range g.own {
 		g.own[i].Signal()
@@ -119,7 +119,7 @@ func (g *gate) leave(id int) {
 // lock takes mu, or unwinds the caller if the run has aborted.
 func (g *gate) lock() {
 	g.mu.Lock()
-	if g.aborted {
+	if g.cause != nil {
 		g.mu.Unlock()
 		panic(runAborted{})
 	}
@@ -132,7 +132,7 @@ func (g *gate) park(id int, at episode, c *sync.Cond) {
 	g.at[id] = at
 	g.parked++
 	g.strandIfStuck()
-	for g.at[id] == at && !g.aborted {
+	for g.at[id] == at && g.cause == nil {
 		c.Wait()
 	}
 	released := g.at[id] == running
@@ -146,7 +146,7 @@ func (g *gate) park(id int, at episode, c *sync.Cond) {
 // other member's body has returned, so nobody can ever release them, and
 // records where each waited. Called with mu held.
 func (g *gate) strandIfStuck() {
-	if g.parked == 0 || g.parked+g.left < len(g.at) || g.aborted {
+	if g.parked == 0 || g.parked+g.left < len(g.at) || g.cause != nil {
 		return
 	}
 	e := &StrandedError{}
@@ -157,11 +157,10 @@ func (g *gate) strandIfStuck() {
 			e.Parked = append(e.Parked, Parked{Proc: id, At: at.String(), Phase: g.procs[id].phase})
 		}
 	}
-	g.stranded = e
-	g.abort()
+	g.abort(e)
 }
 
-// StrandedError is what Run panics with when processors are parked where
+// StrandedError is what Run returns when processors are parked where
 // no processor can ever release them: at a barrier, rendezvous, shared
 // step or flag that the others returned without reaching, in a cycle of
 // flags, or, in an MPI phase, at sends and receives no rank can enable.
@@ -188,7 +187,7 @@ func (e *StrandedError) Error() string {
 }
 
 // runAborted is the panic value that unwinds a processor parked in a run
-// another processor's panic has aborted; Run does not report it.
+// that has aborted; Run reports the abort's cause instead.
 type runAborted struct{}
 
 // meet parks p, arriving for an episode of the given kind, until all

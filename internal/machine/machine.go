@@ -11,6 +11,7 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -143,8 +144,7 @@ func (r *Result) TotalBreakdown() Breakdown {
 	return sum
 }
 
-// ProcPanic is the value Run panics with when a processor's body
-// panicked.
+// ProcPanic is the error Run returns when a processor's body panicked.
 type ProcPanic struct {
 	// Proc is the processor whose program failed.
 	Proc int
@@ -180,12 +180,13 @@ type Blame struct {
 //
 // A panic in any processor body aborts the run: processors parked at the
 // gate, and those that reach it later, unwind, and once every goroutine
-// has returned Run panics on the caller's goroutine with a *ProcPanic for
-// the lowest-numbered processor that failed. Processors parked where no
-// running processor can release them abort the run the same way, and
-// Run panics with a *StrandedError naming them; so does a processor body
-// that panics with one (the MPI replay's stuck phase).
-func (m *Machine) Run(body func(p *Proc)) *Result {
+// has returned Run returns a *ProcPanic for the lowest-numbered processor
+// that failed. Processors parked where no running processor can release
+// them abort the run the same way, and Run returns a *StrandedError
+// naming them; so does a processor body that panics with one (the MPI
+// replay's stuck phase). Run itself never panics on the caller's
+// goroutine.
+func (m *Machine) Run(body func(p *Proc)) (*Result, error) {
 	var tr *trace.Trace
 	if m.tracing {
 		tr = trace.New(len(m.procs))
@@ -197,45 +198,40 @@ func (m *Machine) Run(body func(p *Proc)) *Result {
 		}
 	}
 	var wg sync.WaitGroup
-	panics := make([]any, len(m.procs))
+	failed := make([]error, len(m.procs), len(m.procs)+1)
 	for _, p := range m.procs {
 		wg.Add(1)
 		go func(p *Proc) {
 			defer wg.Done()
 			defer func() {
 				r := recover()
-				if r == nil {
+				if _, unwound := r.(runAborted); r == nil || unwound {
 					return
 				}
-				m.gate.mu.Lock()
-				defer m.gate.mu.Unlock()
-				if _, unwound := r.(runAborted); !unwound {
-					id := p.ID
-					if b, ok := r.(Blame); ok {
-						id, r = b.Proc, b.Value
-					}
-					if panics[id] == nil {
-						panics[id] = r
-					}
+				id := p.ID
+				if b, ok := r.(Blame); ok {
+					id, r = b.Proc, b.Value
 				}
-				m.gate.abort()
+				var err error = &ProcPanic{Proc: id, Value: r}
+				if se, ok := r.(*StrandedError); ok {
+					err = se
+				}
+				m.gate.mu.Lock()
+				failed[id] = err
+				m.gate.abort(err)
+				m.gate.mu.Unlock()
 			}()
 			body(p)
 			m.gate.leave(p.ID)
 		}(p)
 	}
 	wg.Wait()
-	stranded := m.gate.stranded
+	// The lowest-numbered processor that failed, so the error does not
+	// depend on host scheduling; else the gate's abort cause.
+	err := cmp.Or(append(failed, m.gate.cause)...)
 	m.gate.reset()
-	for i, pv := range panics {
-		if se, ok := pv.(*StrandedError); ok {
-			panic(se)
-		} else if pv != nil {
-			panic(&ProcPanic{Proc: i, Value: pv})
-		}
-	}
-	if stranded != nil {
-		panic(stranded)
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{PerProc: make([]ProcStats, len(m.procs))}
 	for i, p := range m.procs {
@@ -259,7 +255,7 @@ func (m *Machine) Run(body func(p *Proc)) *Result {
 		fillMetrics(tr, res)
 		res.Trace = tr
 	}
-	return res
+	return res, nil
 }
 
 // fillMetrics flattens the run's statistics into the trace's

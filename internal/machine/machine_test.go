@@ -13,6 +13,16 @@ func testMachine(t *testing.T, procs int) *Machine {
 	return m
 }
 
+// mustRun runs body on m and fails the test if the run failed.
+func mustRun(tb testing.TB, m *Machine, body func(p *Proc)) *Result {
+	tb.Helper()
+	res, err := m.Run(body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestConfigValidateDefaults(t *testing.T) {
 	cfg := Origin2000(64)
 	if err := cfg.Validate(); err != nil {
@@ -48,7 +58,7 @@ func TestOriginConfigsDiffer(t *testing.T) {
 
 func TestRunCollectsPerProcStats(t *testing.T) {
 	m := testMachine(t, 4)
-	res := m.Run(func(p *Proc) {
+	res := mustRun(t, m, func(p *Proc) {
 		p.Compute(100 * (p.ID + 1))
 	})
 	if len(res.PerProc) != 4 {
@@ -75,7 +85,7 @@ func TestRunIsDeterministic(t *testing.T) {
 		// raced each proc's reads against others' writes under -race).
 		src := NewArrayBlocked[uint32](m, "keys", 1<<14)
 		dst := NewArrayBlocked[uint32](m, "out", 1<<14)
-		res := m.Run(func(p *Proc) {
+		res := mustRun(t, m, func(p *Proc) {
 			n := src.Len() / m.Procs()
 			lo := p.ID * n
 			for i := lo; i < lo+n; i++ {
@@ -99,7 +109,7 @@ func TestBarrierAlignsClocks(t *testing.T) {
 	if want := m.cfg.BarrierBaseNs + 2*m.cfg.BarrierPerLogNs; cost != want {
 		t.Fatalf("BarrierCost(4) = %v, want base + 2·perLog = %v", cost, want)
 	}
-	res := m.Run(func(p *Proc) {
+	res := mustRun(t, m, func(p *Proc) {
 		p.Compute(1000 * (p.ID + 1)) // proc 3 arrives last
 		m.Barrier(p)
 		if want := 4000*m.Config().OpNs + cost; !closeTo(p.Now(), want) {
@@ -119,7 +129,7 @@ func TestBarrierAlignsClocks(t *testing.T) {
 
 func TestBarrierReusableAcrossEpisodes(t *testing.T) {
 	m := testMachine(t, 4)
-	m.Run(func(p *Proc) {
+	mustRun(t, m, func(p *Proc) {
 		for round := 0; round < 5; round++ {
 			p.Compute((p.ID + 1) * 10)
 			m.Barrier(p)
@@ -127,7 +137,7 @@ func TestBarrierReusableAcrossEpisodes(t *testing.T) {
 	})
 	// Determinism across episodes is validated by all procs ending at the
 	// same virtual time.
-	res := m.Run(func(p *Proc) {
+	res := mustRun(t, m, func(p *Proc) {
 		for round := 0; round < 5; round++ {
 			p.Compute((p.ID + 1) * 10)
 			m.Barrier(p)
@@ -145,7 +155,7 @@ func TestLocalVsRemoteCharging(t *testing.T) {
 	m := testMachine(t, 8)
 	arr := NewArrayBlocked[uint32](m, "keys", 1<<14) // 64 KB: 8 KB per proc partition
 	perProc := arr.Len() / 8
-	res := m.Run(func(p *Proc) {
+	res := mustRun(t, m, func(p *Proc) {
 		if p.ID == 0 {
 			// Proc 0 reads its own partition: local misses only.
 			arr.LoadRange(p, 0, perProc, Private)
@@ -176,7 +186,7 @@ func TestSharingClassCosts(t *testing.T) {
 	m := testMachine(t, 8)
 	arr := NewArrayBlocked[uint32](m, "keys", 1<<14)
 	perProc := arr.Len() / 8
-	res := m.Run(func(p *Proc) {
+	res := mustRun(t, m, func(p *Proc) {
 		switch p.ID {
 		case 1:
 			arr.LoadRange(p, 7*perProc, 8*perProc, Private)
@@ -200,7 +210,7 @@ func TestCacheCapacityEffect(t *testing.T) {
 	big := NewArrayOnProc[uint32](m, "big", cacheBytes, 0) // 4x cache
 
 	var smallSecond, bigSecond float64
-	m.Run(func(p *Proc) {
+	mustRun(t, m, func(p *Proc) {
 		if p.ID != 0 {
 			return
 		}
@@ -248,7 +258,7 @@ func TestFlatMemoryAblation(t *testing.T) {
 	}
 	arr := NewArrayBlocked[uint32](m, "keys", 1<<14)
 	perProc := arr.Len() / 8
-	res := m.Run(func(p *Proc) {
+	res := mustRun(t, m, func(p *Proc) {
 		if p.ID == 7 {
 			arr.LoadRange(p, 0, perProc, RemoteProduced)
 		}
@@ -262,7 +272,7 @@ func TestFlatMemoryAblation(t *testing.T) {
 func TestBulkTransfer(t *testing.T) {
 	m := testMachine(t, 4)
 	dst := NewArrayOnProc[uint32](m, "buf", 1024, 0)
-	res := m.Run(func(p *Proc) {
+	res := mustRun(t, m, func(p *Proc) {
 		if p.ID != 0 {
 			return
 		}
@@ -284,7 +294,7 @@ func TestBulkTransfer(t *testing.T) {
 func TestBulkTransferLocal(t *testing.T) {
 	m := testMachine(t, 4)
 	dst := NewArrayOnProc[uint32](m, "buf", 1024, 0)
-	res := m.Run(func(p *Proc) {
+	res := mustRun(t, m, func(p *Proc) {
 		if p.ID == 0 {
 			p.BulkTransfer(0, 4096, dst.Addr(0), false)
 		}
@@ -297,7 +307,7 @@ func TestBulkTransferLocal(t *testing.T) {
 
 func TestWaitUntilChargesSync(t *testing.T) {
 	m := testMachine(t, 2)
-	m.Run(func(p *Proc) {
+	mustRun(t, m, func(p *Proc) {
 		if p.ID != 0 {
 			return
 		}
@@ -320,7 +330,7 @@ func TestTLBMissesCharged(t *testing.T) {
 	// Touch one word per page across many pages: every access TLB-misses.
 	arr := NewArrayOnProc[uint32](m, "pages", 1<<16, 0)
 	pageWords := m.Config().TLB.PageSize / 4
-	res := m.Run(func(p *Proc) {
+	res := mustRun(t, m, func(p *Proc) {
 		if p.ID != 0 {
 			return
 		}
@@ -335,18 +345,16 @@ func TestTLBMissesCharged(t *testing.T) {
 	}
 }
 
-func TestRunRepanicsProcPanic(t *testing.T) {
+func TestRunReturnsProcPanic(t *testing.T) {
 	m := testMachine(t, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("Run did not propagate processor panic")
-		}
-	}()
-	m.Run(func(p *Proc) {
+	res, err := m.Run(func(p *Proc) {
 		if p.ID == 1 {
 			panic("boom")
 		}
 	})
+	if pp, ok := err.(*ProcPanic); res != nil || !ok || pp.Proc != 1 {
+		t.Errorf("Run = %v, %v; want no result and processor 1's panic", res, err)
+	}
 }
 
 func TestArrayAddressing(t *testing.T) {
@@ -381,7 +389,7 @@ func TestArrayBlockedHomes(t *testing.T) {
 func TestResetMemory(t *testing.T) {
 	m := testMachine(t, 2)
 	arr := NewArrayOnProc[uint32](m, "x", 64, 0)
-	m.Run(func(p *Proc) {
+	mustRun(t, m, func(p *Proc) {
 		if p.ID == 0 {
 			arr.Load(p, 0, Private)
 		}

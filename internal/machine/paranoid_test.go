@@ -16,7 +16,7 @@ import (
 func TestZeroChargePhasePruned(t *testing.T) {
 	m := MustNew(Origin2000Scaled(2))
 	arr := NewArrayBlocked[int64](m, "t", 4096)
-	res := m.Run(func(p *Proc) {
+	res := mustRun(t, m, func(p *Proc) {
 		p.SetPhase("ghost") // set and immediately replaced: zero charges
 		p.SetPhase("work")
 		lo, hi := p.ID*2048, (p.ID+1)*2048
@@ -86,13 +86,13 @@ func TestParanoidRunClean(t *testing.T) {
 		p.SetPhase("")
 	}
 	for run := 0; run < 2; run++ {
-		m.Run(body)
+		mustRun(t, m, body)
 		if err := m.Checker().Err(); err != nil {
 			t.Fatalf("run %d: paranoid violations on a correct machine: %v", run, err)
 		}
 	}
 	m.ResetMemory() // exercises the flush oracle
-	m.Run(body)
+	mustRun(t, m, body)
 	if err := m.Checker().Err(); err != nil {
 		t.Fatalf("post-reset run: paranoid violations: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestParanoidCatchesClockRegression(t *testing.T) {
 	cfg.Paranoid = true
 	m := MustNew(cfg)
 	arr := NewArrayBlocked[int64](m, "t", 64)
-	m.Run(func(p *Proc) {
+	mustRun(t, m, func(p *Proc) {
 		p.SetPhase("rewind")
 		store(p, arr, 0, 1, Private)
 		p.clock -= 1000 // deliberate model bug: time flows backwards
@@ -137,7 +137,7 @@ func TestParanoidCatchesDroppedLine(t *testing.T) {
 	m := MustNew(cfg)
 	arr := NewArrayBlocked[int64](m, "a", 1<<13)
 	const elem = 1 << 12
-	m.Run(func(p *Proc) {
+	mustRun(t, m, func(p *Proc) {
 		arr.Load(p, elem, Private)
 		if err := m.Checker().Err(); err != nil {
 			t.Errorf("violation before the mutation: %v", err)

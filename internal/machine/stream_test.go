@@ -443,7 +443,7 @@ func benchScatter(b *testing.B, idx []int64) {
 	}
 	arr := NewArrayBlocked[uint32](m, "dst", 1<<22)
 	b.ResetTimer()
-	m.Run(func(p *Proc) {
+	mustRun(b, m, func(p *Proc) {
 		if p.ID != 0 {
 			return
 		}
@@ -508,7 +508,7 @@ func benchRadixKernel(b *testing.B, n int, kernel func(p *Proc, cnt int, src, ds
 	}
 	pos := make([]int64, buckets)
 	b.ResetTimer()
-	m.Run(func(p *Proc) {
+	mustRun(b, m, func(p *Proc) {
 		if p.ID != 0 {
 			return
 		}

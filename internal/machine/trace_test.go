@@ -49,14 +49,14 @@ func TestRunAttachesTrace(t *testing.T) {
 		p.SetPhase("")
 	}
 
-	res := m.Run(body)
+	res := mustRun(t, m, body)
 	if res.Trace != nil {
 		t.Fatal("tracing off by default, but Result.Trace != nil")
 	}
 
 	m.EnableTracing()
 	m.ResetMemory() // cold caches again, so the traced run misses
-	res = m.Run(body)
+	res = mustRun(t, m, body)
 	tr := res.Trace
 	if tr == nil {
 		t.Fatal("EnableTracing set but Result.Trace == nil")
@@ -122,7 +122,7 @@ func TestRunAttachesTrace(t *testing.T) {
 	}
 
 	// The next run must not inherit the previous run's trace state.
-	res2 := m.Run(body)
+	res2 := mustRun(t, m, body)
 	if res2.Trace == nil || res2.Trace == tr {
 		t.Error("second traced run should build a fresh trace")
 	}
@@ -135,7 +135,7 @@ func TestMachineTraceDeterministic(t *testing.T) {
 		m := MustNew(Origin2000Scaled(8))
 		m.EnableTracing()
 		arr := NewArrayBlocked[int64](m, "t", 8*512)
-		res := m.Run(func(p *Proc) {
+		res := mustRun(t, m, func(p *Proc) {
 			p.SetPhase("fill")
 			lo, hi := p.ID*512, (p.ID+1)*512
 			for i := lo; i < hi; i++ {
@@ -181,7 +181,7 @@ func TestFillMetricsManyPhasesDeterministic(t *testing.T) {
 		m := MustNew(Origin2000Scaled(4))
 		m.EnableTracing()
 		arr := NewArrayBlocked[int64](m, "t", 4*phases*64)
-		res := m.Run(func(p *Proc) {
+		res := mustRun(t, m, func(p *Proc) {
 			for ph := 0; ph < phases; ph++ {
 				p.SetPhase(fmt.Sprintf("ph%02d", ph))
 				lo := (p.ID*phases + ph) * 64
@@ -252,7 +252,7 @@ func benchAccess(b *testing.B, tracing bool) {
 	for i := 0; i < b.N; i++ {
 		if i%(1<<12) == 0 {
 			b.StopTimer()
-			m.Run(func(p *Proc) {}) // reset clocks (and trace sink state)
+			mustRun(b, m, func(p *Proc) {}) // reset clocks (and trace sink state)
 			b.StartTimer()
 		}
 		p := m.Proc(0)

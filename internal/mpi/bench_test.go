@@ -30,7 +30,7 @@ func BenchmarkAllgather(b *testing.B) {
 		mine := make([]int32, 256)
 		rounds := 6 // log2(64) messages a rank
 		b.ResetTimer()
-		c.Machine().Run(func(p *machine.Proc) {
+		mustRun(b, c.Machine(), func(p *machine.Proc) {
 			for i := 0; i < b.N; i++ {
 				Allgather(c, p, mine)
 			}

@@ -25,9 +25,9 @@
 // code per message instead of a goroutine hand-off. SendRecv and
 // Allgather are programs over the same replay, so their costs emerge
 // from the same model. A phase in which no rank's next step can ever be
-// enabled fails Machine.Run with the machine's one error for stuck
-// processors, a *machine.StrandedError, naming each rank's pending send
-// or receive.
+// enabled fails the run: Machine.Run returns the machine's one error for
+// stuck processors, a *machine.StrandedError, naming each rank's pending
+// send or receive.
 package mpi
 
 import (
@@ -223,8 +223,9 @@ func (c *Comm) Barrier(p *machine.Proc) { c.m.Barrier(p) }
 // All ranks must call it collectively — one with nothing to send or
 // receive passes a program that ends at once — and every message sent in
 // the phase must be received in it. Run returns when every rank's
-// program has finished; a phase that cannot finish fails Machine.Run
-// with a *machine.StrandedError naming each stuck rank's pending step.
+// program has finished; a phase that cannot finish fails the run, and
+// Machine.Run returns a *machine.StrandedError naming each stuck rank's
+// pending step.
 func (c *Comm) Run(p *machine.Proc, prog Program) {
 	if prog == nil {
 		panic(fmt.Sprintf("mpi: rank %d has no program", p.ID))

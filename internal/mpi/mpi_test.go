@@ -15,6 +15,16 @@ func comm(t testing.TB, procs int, cfg Config) *Comm {
 	return New(m, cfg)
 }
 
+// mustRun runs body on m and fails the test if the run failed.
+func mustRun(tb testing.TB, m *machine.Machine, body func(p *machine.Proc)) *machine.Result {
+	tb.Helper()
+	res, err := m.Run(body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // op is one entry of a script: a step, what the rank does on reaching
 // it, and what it does with the message a receive delivers.
 type op struct {
@@ -79,7 +89,7 @@ func repeat(n int, mk func(i int) op) []op {
 func TestSendRecvDelivers(t *testing.T) {
 	for _, cfg := range []Config{DefaultDirect(), DefaultStaged()} {
 		c := comm(t, 2, cfg)
-		c.Machine().Run(func(p *machine.Proc) {
+		mustRun(t, c.Machine(), func(p *machine.Proc) {
 			if p.ID == 0 {
 				run(c, p, send(1, 7, []uint32{1, 2, 3}, 12))
 			} else {
@@ -104,7 +114,7 @@ func TestSendRecvDelivers(t *testing.T) {
 
 func TestRecvWaitsForSender(t *testing.T) {
 	c := comm(t, 2, DefaultDirect())
-	c.Machine().Run(func(p *machine.Proc) {
+	mustRun(t, c.Machine(), func(p *machine.Proc) {
 		if p.ID == 0 {
 			p.Compute(100000) // sender is slow
 			run(c, p, send(1, 0, nil, 4096))
@@ -130,7 +140,7 @@ func TestOneDeepWindowStallsSender(t *testing.T) {
 	senderSync := func(cfg Config) float64 {
 		c := comm(t, 2, cfg)
 		var sync float64
-		c.Machine().Run(func(p *machine.Proc) {
+		mustRun(t, c.Machine(), func(p *machine.Proc) {
 			if p.ID == 0 {
 				run(c, p, repeat(16, func(i int) op { return send(1, i, nil, 1024) })...)
 				sync = p.Stats().Breakdown.Sync
@@ -156,7 +166,7 @@ func TestStagedCostsMoreThanDirect(t *testing.T) {
 	// (double copy + higher overheads).
 	elapsed := func(cfg Config) float64 {
 		c := comm(t, 2, cfg)
-		res := c.Machine().Run(func(p *machine.Proc) {
+		res := mustRun(t, c.Machine(), func(p *machine.Proc) {
 			const msgs = 8
 			if p.ID == 0 {
 				run(c, p, repeat(msgs, func(i int) op { return send(1, i, nil, 64<<10) })...)
@@ -175,7 +185,7 @@ func TestStagedCostsMoreThanDirect(t *testing.T) {
 
 func TestFIFOPerPair(t *testing.T) {
 	c := comm(t, 2, DefaultDirect())
-	c.Machine().Run(func(p *machine.Proc) {
+	mustRun(t, c.Machine(), func(p *machine.Proc) {
 		if p.ID == 0 {
 			run(c, p, repeat(10, func(i int) op { return send(1, i, i, 8) })...)
 		} else {
@@ -198,7 +208,7 @@ func TestFIFOPerPair(t *testing.T) {
 func TestRecvInvalidatesDestination(t *testing.T) {
 	c := comm(t, 2, DefaultDirect())
 	buf := machine.NewArrayOnProc[uint32](c.Machine(), "rbuf", 256, 1)
-	c.Machine().Run(func(p *machine.Proc) {
+	mustRun(t, c.Machine(), func(p *machine.Proc) {
 		if p.ID == 1 {
 			// Warm the destination lines.
 			buf.LoadRange(p, 0, 256, machine.Private)
@@ -220,24 +230,22 @@ func TestRecvInvalidatesDestination(t *testing.T) {
 
 func TestSelfSendPanics(t *testing.T) {
 	c := comm(t, 2, DefaultDirect())
-	defer func() {
-		if recover() == nil {
-			t.Error("self-send did not panic")
-		}
-	}()
-	c.Machine().Run(func(p *machine.Proc) {
+	_, err := c.Machine().Run(func(p *machine.Proc) {
 		if p.ID == 0 {
 			run(c, p, send(0, 0, nil, 8))
 		} else {
 			run(c, p)
 		}
 	})
+	if pp, ok := err.(*machine.ProcPanic); !ok || pp.Proc != 0 {
+		t.Errorf("self-send: Run returned %v, want processor 0's panic", err)
+	}
 }
 
 func TestAllgather(t *testing.T) {
 	for _, procs := range []int{2, 4, 8} {
 		c := comm(t, procs, DefaultDirect())
-		c.Machine().Run(func(p *machine.Proc) {
+		mustRun(t, c.Machine(), func(p *machine.Proc) {
 			mine := []int64{int64(p.ID), int64(p.ID * 10)}
 			out := Allgather(c, p, mine)
 			if len(out) != procs {
@@ -266,7 +274,7 @@ func TestAllgatherNonPowerOfTwoRanks(t *testing.T) {
 			t.Fatalf("machine.New(%d procs, torus): %v", procs, err)
 		}
 		c := New(m, DefaultDirect())
-		c.Machine().Run(func(p *machine.Proc) {
+		mustRun(t, c.Machine(), func(p *machine.Proc) {
 			mine := []int64{int64(p.ID), int64(p.ID * 10)}
 			out := Allgather(c, p, mine)
 			if len(out) != procs {
@@ -284,7 +292,7 @@ func TestAllgatherNonPowerOfTwoRanks(t *testing.T) {
 
 func TestAllgatherSingleRank(t *testing.T) {
 	c := comm(t, 1, DefaultDirect())
-	c.Machine().Run(func(p *machine.Proc) {
+	mustRun(t, c.Machine(), func(p *machine.Proc) {
 		out := Allgather(c, p, []int64{5})
 		if len(out) != 1 || out[0][0] != 5 {
 			t.Errorf("out = %v", out)
@@ -294,7 +302,7 @@ func TestAllgatherSingleRank(t *testing.T) {
 
 func TestAllgatherDecouplesBuffer(t *testing.T) {
 	c := comm(t, 2, DefaultDirect())
-	c.Machine().Run(func(p *machine.Proc) {
+	mustRun(t, c.Machine(), func(p *machine.Proc) {
 		mine := []int64{int64(p.ID)}
 		out := Allgather(c, p, mine)
 		mine[0] = 999 // mutating the send buffer must not affect results
@@ -307,7 +315,7 @@ func TestAllgatherDecouplesBuffer(t *testing.T) {
 func TestAllgatherDeterministic(t *testing.T) {
 	run := func() float64 {
 		c := comm(t, 8, DefaultStaged())
-		res := c.Machine().Run(func(p *machine.Proc) {
+		res := mustRun(t, c.Machine(), func(p *machine.Proc) {
 			mine := make([]int64, 64)
 			Allgather(c, p, mine)
 		})
@@ -345,7 +353,7 @@ func TestScaledDividesFixedCosts(t *testing.T) {
 
 func TestStagedReceiverPaysCopy(t *testing.T) {
 	c := comm(t, 2, DefaultStaged())
-	c.Machine().Run(func(p *machine.Proc) {
+	mustRun(t, c.Machine(), func(p *machine.Proc) {
 		if p.ID == 0 {
 			run(c, p, send(1, 0, nil, 64<<10))
 		} else {
@@ -362,7 +370,7 @@ func TestStagedReceiverPaysCopy(t *testing.T) {
 
 func TestDirectSenderPaysTransfer(t *testing.T) {
 	c := comm(t, 4, DefaultDirect())
-	c.Machine().Run(func(p *machine.Proc) {
+	mustRun(t, c.Machine(), func(p *machine.Proc) {
 		switch p.ID {
 		case 0:
 			run(c, p, send(3, 0, nil, 64<<10)) // rank 3 is on the other node

@@ -1,47 +1,27 @@
 package mpi
 
 import (
-	"errors"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/machine"
 )
-
-// runPanic returns what Machine.Run panicked with, or fails the test if
-// Run is still parked after the timeout.
-func runPanic(t *testing.T, c *Comm, body func(p *machine.Proc)) any {
-	t.Helper()
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		c.Machine().Run(body)
-	}()
-	select {
-	case r := <-done:
-		return r
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return: ranks are still parked in the gate")
-		return nil
-	}
-}
 
 // A rank that panics before the phase must not leave the others parked
 // in the gate.
 func TestPanicBeforeGate(t *testing.T) {
 	c := comm(t, 4, DefaultDirect())
-	r := runPanic(t, c, func(p *machine.Proc) {
+	_, err := c.Machine().Run(func(p *machine.Proc) {
 		if p.ID == 2 {
 			panic("boom")
 		}
 		run(c, p)
 	})
-	pp, ok := r.(*machine.ProcPanic)
+	pp, ok := err.(*machine.ProcPanic)
 	if !ok || pp.Proc != 2 || pp.Value != "boom" {
-		t.Errorf("Run panicked with %v, want processor 2: boom", r)
+		t.Errorf("Run returned %v, want processor 2: boom", err)
 	}
 }
 
@@ -49,7 +29,7 @@ func TestPanicBeforeGate(t *testing.T) {
 // instead of leaving the other ranks parked in the gate.
 func TestRankSkippingAPhaseStrandsTheOthers(t *testing.T) {
 	c := comm(t, 4, DefaultDirect())
-	r := runPanic(t, c, func(p *machine.Proc) {
+	_, err := c.Machine().Run(func(p *machine.Proc) {
 		p.SetPhase("exchange")
 		if p.ID != 2 {
 			run(c, p, send((p.ID+1)%4, 0, nil, 8))
@@ -59,9 +39,9 @@ func TestRankSkippingAPhaseStrandsTheOthers(t *testing.T) {
 	for _, rank := range []int{0, 1, 3} {
 		want = append(want, machine.Parked{Proc: rank, At: "rendezvous", Phase: "exchange"})
 	}
-	se, ok := r.(*machine.StrandedError)
+	se, ok := err.(*machine.StrandedError)
 	if !ok || !slices.Equal(se.Parked, want) || !slices.Equal(se.Returned, []int{2}) {
-		t.Errorf("Run panicked with %T %v, want ranks 0, 1, 3 stranded at a rendezvous by rank 2", r, r)
+		t.Errorf("Run returned %T %v, want ranks 0, 1, 3 stranded at a rendezvous by rank 2", err, err)
 	}
 }
 
@@ -72,27 +52,26 @@ func TestStepPanicNamesItsRank(t *testing.T) {
 	defer c.Machine().SetArrivalOrderForTest(nil)
 	// Rank 0 arrives first: the replay runs on rank 3's goroutine.
 	c.Machine().SetArrivalOrderForTest(func(proc, arrived int) bool { return proc == arrived })
-	r := runPanic(t, c, func(p *machine.Proc) {
+	_, err := c.Machine().Run(func(p *machine.Proc) {
 		if p.ID == 0 {
 			run(c, p, recv(0, 0, 0, nil))
 		} else {
 			run(c, p)
 		}
 	})
-	pp, ok := r.(*machine.ProcPanic)
+	pp, ok := err.(*machine.ProcPanic)
 	if !ok || pp.Proc != 0 || !strings.Contains(pp.Error(), "rank 0 receiving from itself") {
-		t.Errorf("Run panicked with %v, want processor 0's self-receive", r)
+		t.Errorf("Run returned %v, want processor 0's self-receive", err)
 	}
 }
 
 // wantStranded checks that Run failed with a *machine.StrandedError
 // naming exactly the given ranks' pending steps.
-func wantStranded(t *testing.T, r any, want ...machine.Parked) {
+func wantStranded(t *testing.T, err error, want ...machine.Parked) {
 	t.Helper()
-	err, _ := r.(error)
-	var se *machine.StrandedError
-	if !errors.As(err, &se) {
-		t.Fatalf("Run panicked with %T %v, want a *machine.StrandedError", r, r)
+	se, ok := err.(*machine.StrandedError)
+	if !ok {
+		t.Fatalf("Run returned %T %v, want a *machine.StrandedError", err, err)
 	}
 	if !slices.Equal(se.Parked, want) || se.Returned != nil {
 		t.Errorf("stranded %+v, want %+v and none returned", se, want)
@@ -101,29 +80,29 @@ func wantStranded(t *testing.T, r any, want ...machine.Parked) {
 
 func TestDeadlockBothReceiveFirst(t *testing.T) {
 	c := comm(t, 2, DefaultDirect())
-	r := runPanic(t, c, func(p *machine.Proc) {
+	_, err := c.Machine().Run(func(p *machine.Proc) {
 		p.SetPhase("swap")
 		run(c, p, recv(1-p.ID, 0, 0, nil), send(1-p.ID, 0, nil, 8))
 	})
-	wantStranded(t, r,
+	wantStranded(t, err,
 		machine.Parked{Proc: 0, At: "recv←1", Phase: "swap"},
 		machine.Parked{Proc: 1, At: "recv←0", Phase: "swap"})
-	if msg := r.(error).Error(); !strings.Contains(msg, `processor 0 at recv←1 in phase "swap"`) {
+	if msg := err.Error(); !strings.Contains(msg, `processor 0 at recv←1 in phase "swap"`) {
 		t.Errorf("message %q does not describe rank 0's step", msg)
 	}
 }
 
 func TestDeadlockWindowFullNoReceive(t *testing.T) {
 	c := comm(t, 2, DefaultDirect()) // 1-deep window
-	r := runPanic(t, c, func(p *machine.Proc) {
+	_, err := c.Machine().Run(func(p *machine.Proc) {
 		if p.ID == 0 {
 			run(c, p, send(1, 0, nil, 8), send(1, 1, nil, 8))
 		} else {
 			run(c, p)
 		}
 	})
-	wantStranded(t, r, machine.Parked{Proc: 0, At: "send→1 (window full)"})
-	if msg := r.(error).Error(); !strings.Contains(msg, `processor 0 at send→1 (window full) in phase ""`) {
+	wantStranded(t, err, machine.Parked{Proc: 0, At: "send→1 (window full)"})
+	if msg := err.Error(); !strings.Contains(msg, `processor 0 at send→1 (window full) in phase ""`) {
 		t.Errorf("message %q does not describe rank 0's step", msg)
 	}
 }
@@ -132,15 +111,15 @@ func TestDeadlockWindowFullNoReceive(t *testing.T) {
 // buffers its payload refers to have moved on.
 func TestUnreceivedMessagePanics(t *testing.T) {
 	c := comm(t, 2, DefaultDirect())
-	r := runPanic(t, c, func(p *machine.Proc) {
+	_, err := c.Machine().Run(func(p *machine.Proc) {
 		if p.ID == 0 {
 			run(c, p, send(1, 0, nil, 8))
 		} else {
 			run(c, p)
 		}
 	})
-	if r == nil || !strings.Contains(r.(error).Error(), "from rank 0 to rank 1") {
-		t.Errorf("Run panicked with %v, want the unreceived message named", r)
+	if err == nil || !strings.Contains(err.Error(), "from rank 0 to rank 1") {
+		t.Errorf("Run returned %v, want the unreceived message named", err)
 	}
 }
 
@@ -148,7 +127,7 @@ func TestUnreceivedMessagePanics(t *testing.T) {
 // per-pair state outlives the phase.
 func TestWindowSpansPhases(t *testing.T) {
 	c := comm(t, 2, DefaultDirect())
-	c.Machine().Run(func(p *machine.Proc) {
+	mustRun(t, c.Machine(), func(p *machine.Proc) {
 		if p.ID == 0 {
 			run(c, p, send(1, 0, nil, 8))
 			before := p.Stats().Breakdown.Sync

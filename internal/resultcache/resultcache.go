@@ -6,8 +6,8 @@
 // hash of their inputs, identical in-flight computations are
 // singleflight-deduplicated, and completed results live in an
 // LRU-bounded in-memory tier backed by an optional persistent on-disk
-// tier (one JSON file per key, written atomically), so repeat queries
-// cost ~0 across process restarts.
+// tier (one file per key, written atomically and checksummed), so repeat
+// queries cost ~0 across process restarts.
 //
 // It generalizes the harness's singleflight baseline cache (figures.go)
 // and applies the same hard-won rule: errors are never cached. A failed
@@ -19,13 +19,16 @@ package resultcache
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"regexp"
 	"runtime/debug"
+	"slices"
 	"sync"
 )
 
@@ -135,8 +138,7 @@ type Config struct {
 	// disables the disk tier.
 	Dir string
 	// MaxEntries bounds the in-memory tier (default 1024). The disk tier
-	// is unbounded: one small JSON file per distinct result ever
-	// computed.
+	// is unbounded: one small file per distinct result ever computed.
 	MaxEntries int
 }
 
@@ -332,56 +334,66 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, "sha256-"+key[len("sha256:"):]+".json")
 }
 
-// readDisk returns the persisted value for key, if any.
+// readDisk returns the persisted value for key, if any. A file is the
+// value followed by its 4-byte CRC-32; one whose checksum does not match
+// — truncated, or corrupted on disk — is a miss counted in DiskErrors,
+// and a Do recomputes the value and rewrites the file.
 func (s *Store) readDisk(key string) ([]byte, bool) {
 	p := s.path(key)
 	if p == "" {
 		return nil, false
 	}
 	buf, err := os.ReadFile(p)
-	if err != nil || len(buf) == 0 {
+	if err != nil {
 		return nil, false
 	}
-	return buf, true
+	n := len(buf) - crc32.Size
+	if n < 0 || crc32.ChecksumIEEE(buf[:n]) != binary.BigEndian.Uint32(buf[n:]) {
+		s.diskError()
+		return nil, false
+	}
+	return buf[:n:n], true
 }
 
-// writeDisk persists a value atomically: temp file in the same
-// directory, then rename, so a concurrent reader (or a crash) never
-// observes a partial file. Persistence is best-effort — a failure only
-// bumps DiskErrors; the memory tier still serves the value.
+// diskError counts one failed disk-tier read or write.
+func (s *Store) diskError() {
+	s.mu.Lock()
+	s.stats.DiskErrors++
+	s.mu.Unlock()
+}
+
+// writeDisk persists a value and its checksum atomically: temp file in
+// the same directory, then rename, so a concurrent reader (or a crash)
+// never observes a partial file. Persistence is best-effort — a failure
+// only bumps DiskErrors; the memory tier still serves the value.
 func (s *Store) writeDisk(key string, val []byte) {
 	p := s.path(key)
 	if p == "" {
 		return
 	}
-	fail := func() {
-		s.mu.Lock()
-		s.stats.DiskErrors++
-		s.mu.Unlock()
-	}
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
-		fail()
+		s.diskError()
 		return
 	}
-	if _, err := tmp.Write(val); err != nil {
+	if _, err := tmp.Write(binary.BigEndian.AppendUint32(slices.Clip(val), crc32.ChecksumIEEE(val))); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		fail()
+		s.diskError()
 		return
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		fail()
+		s.diskError()
 		return
 	}
 	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
 		os.Remove(tmp.Name())
-		fail()
+		s.diskError()
 		return
 	}
 	if err := os.Rename(tmp.Name(), p); err != nil {
 		os.Remove(tmp.Name())
-		fail()
+		s.diskError()
 	}
 }

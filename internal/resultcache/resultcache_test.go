@@ -286,6 +286,58 @@ func TestDiskTierAtomicNoTempLeak(t *testing.T) {
 	}
 }
 
+// TestDiskTierChecksum: a file cut in half or with one byte flipped is a
+// miss under Get and a recompute under Do, counted in DiskErrors, and the
+// recompute rewrites the file, which the next store reads as a disk hit.
+// A value that is not JSON at all round-trips like any other.
+func TestDiskTierChecksum(t *testing.T) {
+	want := []byte(`{"time_ns":42,"verified":true}`)
+	for _, tc := range []struct {
+		name    string
+		corrupt func([]byte) []byte
+	}{
+		{"half", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"flip", func(b []byte) []byte { b[len(b)/3] ^= 0x20; return b }},
+	} {
+		dir := t.TempDir()
+		key, _ := Key("v1", tc.name)
+		if _, _, err := mustStore(t, Config{Dir: dir}).Do(key, func() ([]byte, error) { return want, nil }); err != nil {
+			t.Fatal(err)
+		}
+		path := mustStore(t, Config{Dir: dir}).path(key)
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, tc.corrupt(buf), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := mustStore(t, Config{Dir: dir})
+		if v, src, ok := s.Get(key); ok {
+			t.Errorf("%s: Get served %q from %q", tc.name, v, src)
+		}
+		v, src, err := s.Do(key, func() ([]byte, error) { return want, nil })
+		if err != nil || src != SourceComputed || string(v) != string(want) {
+			t.Errorf("%s: Do = %q from %q, %v; want a recompute", tc.name, v, src, err)
+		}
+		if st := s.Stats(); st.DiskErrors != 2 {
+			t.Errorf("%s: DiskErrors = %d, want 2 (the Get and the Do)", tc.name, st.DiskErrors)
+		}
+		if v, src, ok := mustStore(t, Config{Dir: dir}).Get(key); !ok || src != SourceDisk || string(v) != string(want) {
+			t.Errorf("%s: after the rewrite Get = %q from %q, %v; want the value from disk", tc.name, v, src, ok)
+		}
+	}
+	dir := t.TempDir()
+	key, _ := Key("v1", "zeros")
+	zeros := make([]byte, 2048)
+	if _, _, err := mustStore(t, Config{Dir: dir}).Do(key, func() ([]byte, error) { return zeros, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if v, src, ok := mustStore(t, Config{Dir: dir}).Get(key); !ok || src != SourceDisk || string(v) != string(zeros) {
+		t.Errorf("2048 zero bytes: Get = %d bytes from %q, %v; want them from disk", len(v), src, ok)
+	}
+}
+
 // TestGetMissAndInvalidKeys: lookups never invent values, and keys that
 // could escape the cache directory are rejected outright.
 func TestGetMissAndInvalidKeys(t *testing.T) {

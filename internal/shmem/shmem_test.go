@@ -15,10 +15,20 @@ func comm(t *testing.T, procs int) *Comm {
 	return New(m, DefaultConfig())
 }
 
+// mustRun runs body on m and fails the test if the run failed.
+func mustRun(tb testing.TB, m *machine.Machine, body func(p *machine.Proc)) *machine.Result {
+	tb.Helper()
+	res, err := m.Run(body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestGetMovesDataAndCharges(t *testing.T) {
 	c := comm(t, 4)
 	sym := NewSym[uint32](c, "buf", 1024)
-	res := c.Machine().Run(func(p *machine.Proc) {
+	res := mustRun(t, c.Machine(), func(p *machine.Proc) {
 		// Rank 3 fills its segment; rank 0 gets it after a barrier.
 		if p.ID == 3 {
 			for i := range sym.Local(p).Data {
@@ -52,7 +62,7 @@ func TestGetMovesDataAndCharges(t *testing.T) {
 func TestPutMovesDataWithoutCachingAtDest(t *testing.T) {
 	c := comm(t, 4)
 	sym := NewSym[uint32](c, "buf", 256)
-	c.Machine().Run(func(p *machine.Proc) {
+	mustRun(t, c.Machine(), func(p *machine.Proc) {
 		if p.ID == 1 {
 			for i := range sym.Local(p).Data {
 				sym.Local(p).Data[i] = 42
@@ -75,7 +85,7 @@ func TestPutMovesDataWithoutCachingAtDest(t *testing.T) {
 func TestGetZeroLengthIsFree(t *testing.T) {
 	c := comm(t, 2)
 	sym := NewSym[uint32](c, "buf", 16)
-	res := c.Machine().Run(func(p *machine.Proc) {
+	res := mustRun(t, c.Machine(), func(p *machine.Proc) {
 		if p.ID == 0 {
 			sym.Get(p, 0, 1, 0, 0)
 		}
@@ -88,7 +98,7 @@ func TestGetZeroLengthIsFree(t *testing.T) {
 func TestGetIntoPrivateBuffer(t *testing.T) {
 	c := comm(t, 4)
 	sym := NewSym[uint32](c, "src", 64)
-	c.Machine().Run(func(p *machine.Proc) {
+	mustRun(t, c.Machine(), func(p *machine.Proc) {
 		if p.ID == 2 {
 			for i := range sym.Local(p).Data {
 				sym.Local(p).Data[i] = 9
@@ -110,7 +120,7 @@ func TestCollectGathersAll(t *testing.T) {
 	c := comm(t, procs)
 	src := NewSym[int64](c, "src", count)
 	dst := NewSym[int64](c, "dst", count*procs)
-	c.Machine().Run(func(p *machine.Proc) {
+	mustRun(t, c.Machine(), func(p *machine.Proc) {
 		for i := 0; i < count; i++ {
 			src.Local(p).Data[i] = int64(p.ID*100 + i)
 		}
@@ -134,7 +144,7 @@ func TestCollectDeterministic(t *testing.T) {
 		c := comm(t, 8)
 		src := NewSym[int64](c, "s", 16)
 		dst := NewSym[int64](c, "d", 16*8)
-		res := c.Machine().Run(func(p *machine.Proc) {
+		res := mustRun(t, c.Machine(), func(p *machine.Proc) {
 			for i := range src.Local(p).Data {
 				src.Local(p).Data[i] = int64(p.ID + i)
 			}
@@ -162,7 +172,7 @@ func TestSymSegmentHoming(t *testing.T) {
 func TestPutRemoteCostsMoreThanLocalNode(t *testing.T) {
 	c := comm(t, 8) // 4 nodes
 	sym := NewSym[uint32](c, "b", 4096)
-	res := c.Machine().Run(func(p *machine.Proc) {
+	res := mustRun(t, c.Machine(), func(p *machine.Proc) {
 		switch p.ID {
 		case 0:
 			sym.Put(p, 1, 0, 0, 4096) // rank 1 shares node 0
@@ -190,7 +200,7 @@ func TestScaledDividesFixedCosts(t *testing.T) {
 func TestGetFromSameNodeRankIsLocal(t *testing.T) {
 	c := comm(t, 4)
 	sym := NewSym[uint32](c, "l", 256)
-	res := c.Machine().Run(func(p *machine.Proc) {
+	res := mustRun(t, c.Machine(), func(p *machine.Proc) {
 		if p.ID == 0 {
 			sym.Get(p, 0, 1, 0, 256) // rank 1 shares node 0
 		}

@@ -158,7 +158,7 @@ func runExchange(t *testing.T, id string, c contractCase, m *machine.Machine, o 
 	held := make([]int, P)
 	transfers := make([]int64, P)
 	m.ResetMemory()
-	res := m.Run(func(p *machine.Proc) {
+	res := mustRun(t, m, func(p *machine.Proc) {
 		pl := plan(p)
 		before := p.Stats().Traffic.Messages
 		held[p.ID] = be.exchange(p, pl, from, to, xfer{tag: 3})

@@ -96,7 +96,7 @@ func SeqRadix(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) 
 	copy(arr.Data, keysIn)
 	m.ResetMemory()
 	var inTmp bool
-	run := m.Run(func(p *machine.Proc) {
+	run, err := m.Run(func(p *machine.Proc) {
 		if p.ID != 0 {
 			return
 		}
@@ -104,6 +104,9 @@ func SeqRadix(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) 
 		inTmp = localRadixSort(p, arr, tmp, 0, n, cfg, hist, machine.Private)
 		p.SetPhase("")
 	})
+	if err != nil {
+		return nil, err
+	}
 	out := arr
 	if inTmp {
 		out = tmp

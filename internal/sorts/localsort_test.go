@@ -18,6 +18,16 @@ func scaled(t *testing.T, procs int) *machine.Machine {
 	return m
 }
 
+// mustRun runs body on m and fails the test if the run failed.
+func mustRun(tb testing.TB, m *machine.Machine, body func(p *machine.Proc)) *machine.Result {
+	tb.Helper()
+	res, err := m.Run(body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // genKeys produces n keys of distribution d for the given machine size.
 func genKeys(t *testing.T, d keys.Dist, n, procs, radix int) []uint32 {
 	t.Helper()

@@ -55,7 +55,7 @@ func psrsSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Res
 	m.ResetMemory()
 
 	final := make([]part, P)
-	run := m.Run(func(p *machine.Proc) {
+	run, err := m.Run(func(p *machine.Proc) {
 		me := p.ID
 
 		p.SetPhase("localsort")
@@ -93,6 +93,9 @@ func psrsSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Res
 		multiwayMergeCharged(p, st.recv.part[me].arr, out, starts, counts)
 		final[me] = part{arr: out, n: incoming}
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	return &Result{Algorithm: "psrs", Model: be.model(), Sorted: gather(final, n),
 		RecvCounts: partSizes(final), Run: run}, nil

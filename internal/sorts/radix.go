@@ -44,7 +44,7 @@ func radixSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Re
 	st.load(keysIn)
 	m.ResetMemory()
 
-	run := m.Run(func(p *machine.Proc) {
+	run, err := m.Run(func(p *machine.Proc) {
 		me := p.ID
 		hist := st.hist[me]
 		cur, nxt := st.keys, st.tmp
@@ -77,6 +77,9 @@ func radixSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Re
 			readClass = be.received()
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	final := st.keys
 	if keys.Passes(cfg.Radix)%2 == 1 {

@@ -45,7 +45,7 @@ func sampleSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*R
 	m.ResetMemory()
 
 	final := make([]part, P)
-	run := m.Run(func(p *machine.Proc) {
+	run, err := m.Run(func(p *machine.Proc) {
 		me := p.ID
 		hist := st.hist[me]
 
@@ -74,6 +74,9 @@ func sampleSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*R
 		}
 		final[me] = part{arr: recv, n: incoming}
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	return &Result{Algorithm: "sample", Model: be.model(), Sorted: gather(final, n),
 		RecvCounts: partSizes(final), Run: run}, nil

@@ -128,7 +128,7 @@ func TestSampleBoundaries(t *testing.T) {
 	arr := machine.NewArrayOnProc[uint32](m, "b", 8, 0)
 	copy(arr.Data, []uint32{1, 3, 3, 5, 7, 9, 11, 13})
 	var got []int64
-	m.Run(func(p *machine.Proc) {
+	mustRun(t, m, func(p *machine.Proc) {
 		got = boundariesOf(p, arr, 0, 8, []uint32{3, 8, 100})
 	})
 	// Keys >= 3 start at index 1; >= 8 at index 5; >= 100 at 8.
@@ -146,7 +146,7 @@ func TestSelectSamplesEvenAndSorted(t *testing.T) {
 	for i := range arr.Data {
 		arr.Data[i] = uint32(i * 2)
 	}
-	m.Run(func(p *machine.Proc) {
+	mustRun(t, m, func(p *machine.Proc) {
 		s := selectSamples(p, arr, 0, 1000, 10)
 		if len(s) != 10 {
 			t.Fatalf("got %d samples", len(s))
@@ -166,7 +166,7 @@ func TestSelectSamplesEvenAndSorted(t *testing.T) {
 
 func TestSplittersFrom(t *testing.T) {
 	m := scaled(t, 1)
-	m.Run(func(p *machine.Proc) {
+	mustRun(t, m, func(p *machine.Proc) {
 		all := make([]uint32, 100)
 		for i := range all {
 			all[i] = uint32(i)

@@ -208,7 +208,7 @@ func TestParanoidCatchesDivergentInputs(t *testing.T) {
 	// A clean plan, then one the victim builds from a divergent row.
 	m = paranoidMachine(t, procs)
 	arriveAt(m, victim, true)
-	m.Run(func(p *machine.Proc) {
+	mustRun(t, m, func(p *machine.Proc) {
 		p.SetPhase("histogram")
 		rows := [][]int32{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}}
 		sharedPlan(p, rows, nil)
@@ -222,7 +222,7 @@ func TestParanoidCatchesDivergentInputs(t *testing.T) {
 	for _, last := range []bool{false, true} {
 		m = paranoidMachine(t, procs)
 		arriveAt(m, victim, last)
-		m.Run(func(p *machine.Proc) {
+		mustRun(t, m, func(p *machine.Proc) {
 			p.SetPhase("splitters")
 			pool := []uint32{5, 1, 9, 3}
 			if p.ID == victim {

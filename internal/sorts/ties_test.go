@@ -11,7 +11,7 @@ func TestBoundariesSpreadTiedSplitters(t *testing.T) {
 	m := scaled(t, 1)
 	arr := machine.NewArrayOnProc[uint32](m, "t", 12, 0)
 	copy(arr.Data, []uint32{0, 0, 0, 0, 0, 0, 0, 0, 5, 6, 7, 8})
-	m.Run(func(p *machine.Proc) {
+	mustRun(t, m, func(p *machine.Proc) {
 		// Three tied zero splitters + one at 6: without spreading, all
 		// eight zeros funnel to one destination.
 		b := boundariesOf(p, arr, 0, 12, []uint32{0, 0, 0, 6})

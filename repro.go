@@ -468,16 +468,18 @@ func Run(e Experiment) (*Outcome, error) {
 		return nil, err
 	}
 	// Return the machine's slab arena to the process-wide pool so the
-	// next grid cell reuses it, on every path out, a failed or panicking
-	// run included. Nothing in the Outcome lives there: every program
-	// gathers its output into a slice of its own.
+	// next grid cell reuses it, on every path out, a failed run included.
+	// Nothing in the Outcome lives there: every program gathers its output
+	// into a slice of its own.
 	defer m.Release()
 	if e.Trace {
 		m.EnableTracing()
 	}
 	res, err := s.prog.Sort(m, in, s.sort)
 	if err != nil {
-		return nil, err
+		// A failed run's *machine.ProcPanic or *machine.StrandedError
+		// stays reachable through errors.As.
+		return nil, fmt.Errorf("repro: %s: %w", e.Label(), err)
 	}
 	if err := verifySorted(in, res.Sorted); err != nil {
 		return nil, fmt.Errorf("repro: %s/%s output invalid: %w", e.Algorithm, e.Model, err)

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -91,6 +93,42 @@ func TestRunReleasesOnFailure(t *testing.T) {
 	}
 	if after := machine.ArenaStats().InUse; after != before {
 		t.Errorf("%d slab bytes in use after the failed run, want %d", after, before)
+	}
+}
+
+// TestRunReturnsMachineFailures: a processor that panics inside a cell
+// fails Run and RunCells with an error, not a panic — one that names the
+// experiment and still reaches the machine's *ProcPanic for the
+// lowest-numbered failed processor — and the failed run's slabs go back
+// to the arena.
+func TestRunReturnsMachineFailures(t *testing.T) {
+	sorts.SetCorruptPSRSBoundaryForTest(func(proc, _ int, _ []int64) {
+		if proc >= 2 {
+			panic(fmt.Sprintf("processor %d lost its boundaries", proc))
+		}
+	})
+	defer sorts.SetCorruptPSRSBoundaryForTest(nil)
+	e := Experiment{Algorithm: Psrs, Model: MPI, N: 1 << 13, Procs: 4, Radix: 8}
+	before := machine.ArenaStats().InUse
+	_, err := Run(e)
+	var pp *machine.ProcPanic
+	if !errors.As(err, &pp) || pp.Proc != 2 || !strings.Contains(err.Error(), e.Label()) {
+		t.Fatalf("Run returned %v, want processor 2's panic under the label %q", err, e.Label())
+	}
+	if !strings.Contains(err.Error(), "processor 2 lost its boundaries") {
+		t.Errorf("Run's error %q lost the panic value", err)
+	}
+	if after := machine.ArenaStats().InUse; after != before {
+		t.Errorf("%d slab bytes in use after the failed run, want %d", after, before)
+	}
+	for _, par := range []int{1, 4} {
+		_, cerr := NewHarness(Options{Parallelism: par}).RunCells([]Experiment{e, e})
+		if cerr == nil || cerr.Error() != err.Error() {
+			t.Errorf("par=%d: RunCells returned %v, want Run's error %v", par, cerr, err)
+		}
+	}
+	if after := machine.ArenaStats().InUse; after != before {
+		t.Errorf("%d slab bytes in use after the failed cells, want %d", after, before)
 	}
 }
 
