@@ -8,6 +8,10 @@
 // destination cache). Naming is symmetric: a processor addresses remote
 // data by (rank, offset) within a segment that exists identically on all
 // processors.
+//
+// Data a collective replicates is charged on every rank and held once
+// on the host: a collection segment is an address range without backing
+// storage, and Collect hands each rank views of the source segments.
 package shmem
 
 import (
@@ -81,12 +85,14 @@ func NewSym[T any](c *Comm, name string, n int) *Sym[T] {
 	return newSym(c, name, n, machine.NewArrayOnProc[T])
 }
 
-// NewSymReserve allocates a symmetric segment like NewSym but only
-// reserves capElems of address space per rank without backing storage;
-// each rank grows its own segment (Local(p).Grow) once the needed size
-// is known. Useful for exchange buffers whose per-rank sizes are
-// data-dependent: the symmetric addresses exist up front (so remote
-// ranks can target them) while host memory is committed lazily.
+// NewSymReserve allocates a symmetric segment like NewSym, at the same
+// simulated addresses, but only reserves capElems of address space per
+// rank without backing storage. Two kinds of segment use it. An exchange
+// buffer whose per-rank size is data-dependent: each rank grows its own
+// segment (Local(p).Grow) once the needed size is known, so remote ranks
+// can target the symmetric addresses up front while host memory is
+// committed lazily. And a Collect destination, which is only ever
+// charged, never read through its Data.
 func NewSymReserve[T any](c *Comm, name string, capElems int) *Sym[T] {
 	return newSym(c, name, capElems, machine.NewArrayReserve[T])
 }
@@ -118,13 +124,17 @@ func (s *Sym[T]) GetInto(p *machine.Proc, dst *machine.Array[T], dstOff, srcRank
 	if n <= 0 {
 		return
 	}
-	c := s.c
+	copy(dst.Data[dstOff:dstOff+n], s.Seg[srcRank].Data[srcOff:srcOff+n])
+	s.chargeGet(p, dst, dstOff, srcRank, n)
+}
+
+// chargeGet charges a get of n elements from srcRank landing at dst's
+// dstOff — the initiation, the line fills into the caller's cache and
+// the trace event — and moves no data.
+func (s *Sym[T]) chargeGet(p *machine.Proc, dst *machine.Array[T], dstOff, srcRank, n int) {
 	start := p.Now()
-	p.ComputeNs(c.cfg.GetOverheadNs)
-	src := s.Seg[srcRank]
-	copy(dst.Data[dstOff:dstOff+n], src.Data[srcOff:srcOff+n])
-	srcNode := c.m.Topology().NodeOf(srcRank)
-	p.BulkTransfer(srcNode, dst.Bytes(n), dst.Addr(dstOff), true)
+	p.ComputeNs(s.c.cfg.GetOverheadNs)
+	p.BulkTransfer(s.c.m.Topology().NodeOf(srcRank), dst.Bytes(n), dst.Addr(dstOff), true)
 	p.TraceEvent(trace.EvGet, srcRank, dst.Bytes(n), p.Now()-start)
 }
 
@@ -157,25 +167,46 @@ func (s *Sym[T]) PutFrom(p *machine.Proc, src *machine.Array[T], srcOff, dstRank
 // Collect gathers count elements from offset 0 of every rank's src
 // segment into the caller's dst segment, rank-major (the SHMEM analogue
 // of MPI_Allgather, here receiver-initiated: each rank gets from all
-// others after a barrier). dst must hold count*Ranks() elements.
-func Collect[T any](p *machine.Proc, src, dst *Sym[T], count int) {
+// others after a barrier). dst must span count*Ranks() elements of
+// address space; it is usually a NewSymReserve, because Collect charges
+// the local store and every get into it but copies no data. Row r of
+// the result is a view of rank r's source, src.Seg[r].Data[:count]: the
+// collection is charged P times and held once, so P ranks collecting
+// count elements each cost P·count host words, not P²·count.
+//
+// A row stays valid until its rank publishes into src again. Every
+// program does that only after a later barrier, so what a rank reads
+// between Collect and its next barrier is stable.
+func Collect[T any](p *machine.Proc, src, dst *Sym[T], count int) [][]T {
 	c := src.c
 	p.ComputeNs(c.cfg.CollectiveEntryNs)
 	// The source data must be globally visible before anyone pulls.
 	c.Barrier(p)
 	me := p.ID
 	ranks := c.Ranks()
-	// Local part first (a cheap memory copy), then round-robin gets
-	// starting after self so all ranks don't hammer rank 0 at once.
 	d := dst.Seg[me]
-	s := src.Seg[me]
-	copy(d.Data[me*count:(me+1)*count], s.Data[:count])
+	if size := d.Region().Size(); d.Bytes(count*ranks) > size {
+		panic(fmt.Sprintf("shmem: Collect(%d) exceeds segment %q capacity %d elems",
+			count, d.Region().Name(), size/d.Bytes(1)))
+	}
+	rows := make([][]T, ranks)
+	for r, s := range src.Seg {
+		if count > s.Len() {
+			panic(fmt.Sprintf("shmem: Collect(%d) exceeds segment %q length %d",
+				count, s.Region().Name(), s.Len()))
+		}
+		rows[r] = s.Data[:count]
+	}
+	// Local part first (a cheap memory copy, charged as one), then
+	// round-robin gets starting after self so all ranks don't hammer
+	// rank 0 at once.
 	d.StoreRange(p, me*count, (me+1)*count, machine.Private)
-	s.LoadRange(p, 0, count, machine.Private)
-	for k := 1; k < ranks; k++ {
+	src.Seg[me].LoadRange(p, 0, count, machine.Private)
+	for k := 1; count > 0 && k < ranks; k++ {
 		r := (me + k) % ranks
-		src.GetInto(p, d, r*count, r, 0, count)
+		src.chargeGet(p, d, r*count, r, count)
 	}
 	// No trailing barrier: callers that need global completion barrier
 	// themselves (matching shmem collectives' semantics on this machine).
+	return rows
 }

@@ -1,6 +1,9 @@
 package shmem
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -119,31 +122,75 @@ func TestCollectGathersAll(t *testing.T) {
 	const procs, count = 8, 4
 	c := comm(t, procs)
 	src := NewSym[int64](c, "src", count)
-	dst := NewSym[int64](c, "dst", count*procs)
+	dst := NewSymReserve[int64](c, "dst", count*procs)
 	mustRun(t, c.Machine(), func(p *machine.Proc) {
 		for i := 0; i < count; i++ {
 			src.Local(p).Data[i] = int64(p.ID*100 + i)
 		}
 		src.Local(p).StoreRange(p, 0, count, machine.Private)
-		Collect(p, src, dst, count)
-		c.Barrier(p)
-		for r := 0; r < procs; r++ {
-			for i := 0; i < count; i++ {
-				want := int64(r*100 + i)
-				if got := dst.Local(p).Data[r*count+i]; got != want {
-					t.Errorf("proc %d dst[%d][%d] = %d, want %d", p.ID, r, i, got, want)
+		rows := Collect(p, src, dst, count)
+		if len(rows) != procs {
+			t.Errorf("proc %d got %d rows, want %d", p.ID, len(rows), procs)
+			return
+		}
+		for r, row := range rows {
+			if len(row) != count {
+				t.Errorf("proc %d row %d has %d elements, want %d", p.ID, r, len(row), count)
+				return
+			}
+			for i, got := range row {
+				if want := int64(r*100 + i); got != want {
+					t.Errorf("proc %d row[%d][%d] = %d, want %d", p.ID, r, i, got, want)
 					return
 				}
 			}
 		}
 	})
+	// The collection is an address range: no rank holds a host copy.
+	for r, seg := range dst.Seg {
+		if seg.Data != nil {
+			t.Errorf("collection segment %d holds %d host elements", r, len(seg.Data))
+		}
+	}
+}
+
+// TestCollectRejectsShortSegment: a collection segment too small for
+// count·Ranks() elements, or a source shorter than count, would charge
+// lines past its region with no slice bound to catch it; Collect panics
+// naming the segment, and Run returns that processor's failure.
+func TestCollectRejectsShortSegment(t *testing.T) {
+	const procs = 4
+	for _, tc := range []struct {
+		name           string
+		srcLen, dstLen int
+		count          int
+		want           string
+	}{
+		{"short collection", 8, 8*procs - 1, 8, `segment "dst[0]" capacity 31 elems`},
+		{"short source", 4, 8 * procs, 8, `segment "src[0]" length 4`},
+	} {
+		c := comm(t, procs)
+		src := NewSym[int32](c, "src", tc.srcLen)
+		dst := NewSymReserve[int32](c, "dst", tc.dstLen)
+		_, err := c.Machine().Run(func(p *machine.Proc) {
+			Collect(p, src, dst, tc.count)
+		})
+		var pp *machine.ProcPanic
+		if !errors.As(err, &pp) {
+			t.Fatalf("%s: Run returned %v, want a *machine.ProcPanic", tc.name, err)
+		}
+		if pp.Proc != 0 || !strings.Contains(fmt.Sprint(pp.Value), tc.want) {
+			t.Errorf("%s: processor %d panicked with %v, want processor 0 naming %s",
+				tc.name, pp.Proc, pp.Value, tc.want)
+		}
+	}
 }
 
 func TestCollectDeterministic(t *testing.T) {
 	run := func() float64 {
 		c := comm(t, 8)
 		src := NewSym[int64](c, "s", 16)
-		dst := NewSym[int64](c, "d", 16*8)
+		dst := NewSymReserve[int64](c, "d", 16*8)
 		res := mustRun(t, c.Machine(), func(p *machine.Proc) {
 			for i := range src.Local(p).Data {
 				src.Local(p).Data[i] = int64(p.ID + i)

@@ -1,6 +1,8 @@
 package sorts
 
 import (
+	"slices"
+
 	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/shmem"
@@ -31,9 +33,10 @@ type shmemBackend struct {
 	parts []int64
 
 	// Symmetric vectors of the collectives: one rank's contribution and
-	// the rank-major collection of everyone's.
+	// the rank-major collection of everyone's, an address range the
+	// collective charges but holds no bytes in (shmem.Collect).
 	histSeg, histAll     *shmem.Sym[int32]  // radix histograms
-	sampleSeg, sampleAll *shmem.Sym[uint32] // samples (PSRS: the pool the ranks put into)
+	sampleSeg, sampleAll *shmem.Sym[uint32] // samples (PSRS: rank 0's pool the ranks put into)
 	boundSeg, boundAll   *shmem.Sym[int64]  // sample sort's partition boundaries
 	pivotSeg             *shmem.Sym[uint32] // PSRS's pivot broadcast
 	countSeg, countAll   *shmem.Sym[int32]  // PSRS's per-destination counts
@@ -71,20 +74,23 @@ func (b *shmemBackend) alloc(m *machine.Machine, cfg Config, alg algorithm, n, p
 		b.parts = blockedParts(n, P)
 		st.buf = b.symParts(shmem.NewSym[uint32](c, "shm.send", maxPart), n)
 		b.histSeg = shmem.NewSym[int32](c, "shm.hist", B)
-		b.histAll = shmem.NewSym[int32](c, "shm.hists", B*P)
+		b.histAll = shmem.NewSymReserve[int32](c, "shm.hists", B*P)
 		st.keys, st.tmp = newPartitioned(P), newPartitioned(P)
 	} else {
 		st.keys = b.symParts(shmem.NewSym[uint32](c, "shm.keys", maxPart), n)
 		st.tmp = b.symParts(shmem.NewSym[uint32](c, "shm.tmp", maxPart), n)
 		b.sampleSeg = shmem.NewSym[uint32](c, "shm.smp", perProc)
-		b.sampleAll = shmem.NewSym[uint32](c, "shm.smps", perProc*P)
+		b.sampleAll = shmem.NewSymReserve[uint32](c, "shm.smps", perProc*P)
 		if alg == algSample {
 			b.boundSeg = shmem.NewSym[int64](c, "shm.bnd", P+1)
-			b.boundAll = shmem.NewSym[int64](c, "shm.bnds", (P+1)*P)
+			b.boundAll = shmem.NewSymReserve[int64](c, "shm.bnds", (P+1)*P)
 		} else {
 			b.pivotSeg = shmem.NewSym[uint32](c, "shm.piv", max(1, P-1))
 			b.countSeg = shmem.NewSym[int32](c, "shm.dc", P)
-			b.countAll = shmem.NewSym[int32](c, "shm.dcs", P*P)
+			b.countAll = shmem.NewSymReserve[int32](c, "shm.dcs", P*P)
+			// The root's pool is the one collection segment a program
+			// reads through its Data.
+			b.sampleAll.Seg[0].Grow(perProc * P)
 		}
 		st.recv, st.out = newPartitioned(P), newPartitioned(P)
 		if b.put {
@@ -119,23 +125,17 @@ func publish[T any](p *machine.Proc, seg *shmem.Sym[T], mine []T, copyOps int) {
 }
 
 // collect is the symmetric allgather: publish mine, then collect every
-// rank's segment into all, returned as per-rank rows.
+// rank's segment into all, returned as per-rank rows that alias the
+// ranks' seg segments until they publish again (after the next barrier).
 func collect[T any](p *machine.Proc, seg, all *shmem.Sym[T], mine []T, copyOps int) [][]T {
 	publish(p, seg, mine, copyOps)
-	width := seg.Local(p).Len()
-	shmem.Collect(p, seg, all, width)
-	data := all.Local(p).Data
-	rows := make([][]T, len(data)/width)
-	for i := range rows {
-		rows[i] = data[i*width : (i+1)*width]
-	}
-	return rows
+	return shmem.Collect(p, seg, all, seg.Local(p).Len())
 }
 
 // histograms collects the counts symmetrically; as under MPI every rank
-// is charged for a plan the host builds once. The rows alias this rank's
-// collection segment, which the next pass overwrites: the shared plan
-// keeps none of them.
+// is charged for a plan the host builds once. The rows alias the ranks'
+// histogram segments, which the next pass republishes after the
+// exchange's fence: the shared plan keeps none of them.
 func (b *shmemBackend) histograms(p *machine.Proc, counts []int32) *chunkPlan {
 	return sharedPlan(p, collect(p, b.histSeg, b.histAll, counts, len(counts)), b.parts)
 }
@@ -152,11 +152,8 @@ func (b *shmemBackend) publishSamples(p *machine.Proc, samples []uint32) {
 // redundantly everywhere — each rank is charged the merge of the pool,
 // which the host sorts once, in a copy.
 func (b *shmemBackend) splitters(p *machine.Proc, samples []uint32) []uint32 {
-	collect(p, b.sampleSeg, b.sampleAll, samples, len(samples))
-	all := b.sampleAll.Local(p).Data
-	return splittersOf(p, b.m.Procs(), func() []uint32 {
-		return append([]uint32(nil), all...)
-	})
+	rows := collect(p, b.sampleSeg, b.sampleAll, samples, len(samples))
+	return splittersOf(p, b.m.Procs(), func() []uint32 { return slices.Concat(rows...) })
 }
 
 // pivots: every rank pushes its samples into the root's pool segment —
