@@ -54,3 +54,34 @@ func TestSmallCellAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamMixSecondPassMapsNothing runs cmd/bench's stream-big cells
+// — the same algorithm/model/processor mix in the same order, at a
+// sixty-fourth of the keys — twice. Consecutive cells borrow different
+// mixes of slab classes; the pool splits and merges its slabs to serve
+// them, so once one pass has run, the next maps no slab.
+func TestStreamMixSecondPassMapsNothing(t *testing.T) {
+	cells := []Experiment{
+		{Algorithm: Radix, Model: CCSASNew, N: 1 << 16, Procs: 64},
+		{Algorithm: Sample, Model: CCSAS, N: 1 << 16, Procs: 64},
+		{Algorithm: Radix, Model: SHMEM, N: 1 << 16, Procs: 64},
+		{Algorithm: Psrs, Model: MPI, N: 1 << 16, Procs: 64},
+		{Algorithm: Radix, Model: CCSAS, N: 1 << 14, Procs: 8},
+		{Algorithm: Sample, Model: CCSAS, N: 1 << 14, Procs: 8},
+		{Algorithm: Psrs, Model: MPI, N: 1 << 14, Procs: 8},
+	}
+	for pass := 1; pass <= 2; pass++ {
+		maps := machine.ArenaStats().Maps
+		for _, e := range cells {
+			e.Seed = 1
+			if _, err := Run(e); err != nil {
+				t.Fatalf("%s: %v", e.Label(), err)
+			}
+		}
+		n := machine.ArenaStats().Maps - maps
+		t.Logf("pass %d mapped %d slabs: %+v", pass, n, machine.ArenaStats())
+		if pass == 2 && n != 0 {
+			t.Errorf("the second pass mapped %d slabs, want 0", n)
+		}
+	}
+}

@@ -483,6 +483,11 @@ func TestHealthzStatsz(t *testing.T) {
 	}
 
 	readAll(t, postJSON(t, ts.URL+"/v1/run", tinyRun(11)))
+	// A cell of half the keys borrows slabs one class smaller, which the
+	// pool cuts from the first cell's released ones.
+	half := tinyRun(11)
+	half.N /= 2
+	readAll(t, postJSON(t, ts.URL+"/v1/run", half))
 	resp, err = http.Get(ts.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)
@@ -491,17 +496,20 @@ func TestHealthzStatsz(t *testing.T) {
 	if err := json.Unmarshal(readAll(t, resp), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Harness.Runs != 1 || st.Harness.SimNs <= 0 {
-		t.Errorf("statsz harness = %+v, want 1 run with positive sim time", st.Harness)
+	if st.Harness.Runs != 2 || st.Harness.SimNs <= 0 {
+		t.Errorf("statsz harness = %+v, want 2 runs with positive sim time", st.Harness)
 	}
-	if st.Cache.Computed != 1 {
-		t.Errorf("statsz cache = %+v, want 1 computed", st.Cache)
+	if st.Cache.Computed != 2 {
+		t.Errorf("statsz cache = %+v, want 2 computed", st.Cache)
 	}
 	if st.CodeVersion == "" || st.Jobs < 1 {
 		t.Errorf("statsz metadata incomplete: %+v", st)
 	}
 	if a := st.Arena; a.HighWater <= 0 || a.Mapped > a.HighWater {
 		t.Errorf("statsz arena = %+v, want slabs mapped up to a positive high-water mark", a)
+	}
+	if a := st.Arena; a.Splits == 0 || a.Merges == 0 || a.Merges > a.Splits {
+		t.Errorf("statsz arena = %+v, want splits and merges, no more merges than splits", a)
 	}
 }
 

@@ -1,56 +1,72 @@
 package machine
 
 import (
+	"container/list"
 	"math/bits"
 	"reflect"
 	"runtime"
-	"slices"
 	"sync"
 	"unsafe"
 )
 
 // This file is the slab arena (DESIGN.md §13): Array backing slices are
 // carved out of pooled []uint64 slabs instead of fresh allocations, and
-// Machine.Release returns every slab a machine borrowed to one
+// Machine.Release returns every piece a machine borrowed to one
 // process-wide pool. A grid of experiment cells (paperfigs, cmd/bench's
 // paper-grid, simd) builds one machine per cell with near-identical array
 // footprints, so after the first cells the steady state maps no array
 // memory at all (TestArenaReuse, TestArenaBound).
 //
-// Where the build allows (arena_mmap.go: unix without the race detector)
-// slabs of 64 KiB and more are anonymous mappings outside the Go heap, so
-// neither borrowed nor idle slab bytes raise the collector's heap goal;
-// smaller slabs, and every slab of the other builds (arena_heap.go), are
-// made on the heap. The builds differ only in mapSlab/unmapSlab.
+// The pool is a buddy allocator. Every borrow is a power-of-two piece of
+// a slab the pool mapped. A borrow with no idle piece of its class
+// splits the smallest larger idle piece, keeps one half and leaves the
+// other idle, down to its class; a returned piece merges with its idle
+// buddy, repeatedly, back up to its slab. A borrow therefore holds its
+// class bytes and no more, and the memory the pool keeps follows the
+// largest cell rather than every size class the process has seen
+// (TestArenaNoRatchet).
+//
+// Where the build allows (arena_mmap.go: linux without the race
+// detector) slabs of 64 KiB and more are anonymous mappings outside the
+// Go heap, so neither borrowed nor idle slab bytes raise the collector's
+// heap goal; smaller slabs, and every slab of the other builds
+// (arena_heap.go), are made on the heap. The builds differ only in
+// mapSlab/unmapSlab/unmapPiece.
 //
 // The pool holds at most the most slab memory ever borrowed at once, its
-// high-water mark. A borrow takes the smallest idle slab of its class or
-// a larger one; only when there is none does it map a new slab, after
-// unmapping the longest-idle slabs until the new one fits under the mark.
+// high-water mark. Only a borrow that no idle piece can serve maps a new
+// slab of its class, after giving the longest-idle pieces back to the
+// host until the new slab fits under the mark.
 //
 // Slabs hold only pointer-free element types (the sorts use uint32 keys
 // and int32/int64 bookkeeping), so viewing a []uint64 slab as []T is
 // safe for the garbage collector; any other element type silently falls
 // back to a plain make.
 //
-// An Array's Data must not outlive its machine. Release hands the slabs
+// An Array's Data must not outlive its machine. Release hands the pieces
 // to later machines, which zero and overwrite them; a machine dropped
-// without Release has its slabs unmapped once the collector finds it
-// unreachable (slabList's finalizer), and a Data slice kept past that
-// faults.
+// without Release has its pieces given back to the host once the
+// collector finds it unreachable (slabList's finalizer), and a Data
+// slice kept past that faults or reads zeros.
 
 // ArenaUsage is a snapshot of the process-wide slab pool. Heap-made
 // slabs count as mapped too: to map a slab is to take it from the host.
 type ArenaUsage struct {
-	// InUse is the slab bytes machines hold and have not released.
+	// InUse is the bytes of the pieces machines hold and have not
+	// released.
 	InUse int64 `json:"in_use_bytes"`
 	// Mapped is the slab bytes the pool owns, borrowed or idle.
 	Mapped int64 `json:"mapped_bytes"`
 	// HighWater is the most InUse has ever been; Mapped never exceeds it.
 	HighWater int64 `json:"high_water_bytes"`
-	// Maps and Unmaps count slabs taken from and given back to the host.
+	// Maps counts slabs taken from the host, Unmaps pieces given back
+	// (a whole slab is one piece).
 	Maps   uint64 `json:"maps"`
 	Unmaps uint64 `json:"unmaps"`
+	// Splits counts idle pieces halved for a smaller borrow, Merges
+	// returned pieces joined with their idle buddy.
+	Splits uint64 `json:"splits"`
+	Merges uint64 `json:"merges"`
 }
 
 // ArenaStats returns the slab pool's current usage.
@@ -60,123 +76,190 @@ func ArenaStats() ArenaUsage {
 	return slabPool.usage
 }
 
-// arenaPool is the process-wide free list, bucketed by power-of-two word
-// count. Machines borrow under its mutex at array-construction time —
-// not on any simulated-access path — so contention is negligible.
+// arenaPool is the process-wide buddy allocator. Machines borrow under
+// its mutex at array-construction time — not on any simulated-access
+// path — so contention is negligible.
 type arenaPool struct {
 	mu sync.Mutex
-	// idle holds each class's idle slabs, longest idle first; tick
-	// stamps a slab with when it went idle.
-	idle  [48][]idleSlab
-	tick  uint64
+	// idle holds each class's idle pieces; a borrow takes the one put
+	// there last. byAge holds every idle piece, longest idle first. where
+	// finds an idle piece, so a returned piece can find its idle buddy.
+	// Both lists hold *idlePiece.
+	idle  [48]list.List
+	byAge list.List
+	where map[piece]*idlePiece
 	usage ArenaUsage
 }
 
-type idleSlab struct {
-	s     []uint64
-	since uint64
+var slabPool = arenaPool{where: map[piece]*idlePiece{}}
+
+// slab is one mapping the pool took from the host, 2^class words.
+type slab struct {
+	mem   []uint64
+	class int
+	// live is the words of mem not given back to the host; the slab is
+	// unmapped with its last piece.
+	live int
 }
 
-var slabPool arenaPool
+// piece is the 2^class words of a slab at word offset off, a multiple of
+// 2^class. Its buddy is the piece of the same class at off ^ 2^class.
+type piece struct {
+	slab       *slab
+	off, class int
+}
+
+// idlePiece is an idle piece and its elements in the pool's two lists.
+type idlePiece struct {
+	piece
+	inClass, inAge *list.Element
+}
 
 // slabClass returns the smallest power-of-two class holding words ≥ 1
 // words.
 func slabClass(words int) int { return bits.Len(uint(words - 1)) }
 
-func slabBytes(s []uint64) int64 { return int64(len(s)) * 8 }
+// words returns the piece's memory, with capacity capped at the piece so
+// that nothing appended to it reaches its buddy.
+func (pc piece) words() []uint64 {
+	end := pc.off + 1<<pc.class
+	return pc.slab.mem[pc.off:end:end]
+}
 
-// get borrows a slab of at least words words: the smallest idle slab
-// that fits, or else a new one of exactly the class, whose memory is
-// already zero (fresh).
-func (p *arenaPool) get(words int) (s []uint64, fresh bool) {
+func (pc piece) bytes() int64 { return 8 << pc.class }
+
+// free makes pc idle: the newest of its class, and in age just before
+// the idle piece at (a split's halves are as old as their parent), or
+// the newest of all when at is nil.
+func (p *arenaPool) free(pc piece, at *list.Element) {
+	ip := &idlePiece{piece: pc}
+	ip.inClass = p.idle[pc.class].PushBack(ip)
+	if at == nil {
+		ip.inAge = p.byAge.PushBack(ip)
+	} else {
+		ip.inAge = p.byAge.InsertBefore(ip, at)
+	}
+	p.where[pc] = ip
+}
+
+// take removes an idle piece from the pool.
+func (p *arenaPool) take(ip *idlePiece) {
+	p.idle[ip.class].Remove(ip.inClass)
+	p.byAge.Remove(ip.inAge)
+	delete(p.where, ip.piece)
+}
+
+// get borrows a piece of at least words words: the idle piece of its
+// class put there last, or a split of the smallest larger idle piece, or
+// else a newly mapped slab, whose memory is already zero (fresh).
+func (p *arenaPool) get(words int) (pc piece, fresh bool) {
 	c := slabClass(words)
+	size := int64(8) << c
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for k := c; k < len(p.idle); k++ {
-		if free := p.idle[k]; len(free) > 0 {
-			s = free[len(free)-1].s
-			free[len(free)-1] = idleSlab{}
-			p.idle[k] = free[:len(free)-1]
-			p.usage.InUse += slabBytes(s)
-			return s, false
-		}
-	}
-	size := int64(8) << c
 	p.usage.InUse += size
+	for k := c; k < len(p.idle); k++ {
+		e := p.idle[k].Back()
+		if e == nil {
+			continue
+		}
+		ip := e.Value.(*idlePiece)
+		pc = ip.piece
+		for pc.class > c { // keep the lower half, leave the upper idle
+			pc.class--
+			p.free(piece{pc.slab, pc.off + 1<<pc.class, pc.class}, ip.inAge)
+			p.usage.Splits++
+		}
+		p.take(ip)
+		return pc, false
+	}
 	p.usage.HighWater = max(p.usage.HighWater, p.usage.InUse)
 	for p.usage.Mapped+size > p.usage.HighWater && p.unmapOldest() {
 	}
 	p.usage.Mapped += size
 	p.usage.Maps++
-	return mapSlab(1 << c), true
+	return piece{&slab{mem: mapSlab(1 << c), class: c, live: 1 << c}, 0, c}, true
 }
 
-// unmapOldest gives the longest-idle slab back to the host, and reports
-// whether there was one. Every idle slab is smaller than the borrow that
-// calls it: one that fits would have been taken.
+// unmapOldest gives the longest-idle piece back to the host, and reports
+// whether there was one.
 func (p *arenaPool) unmapOldest() bool {
-	oldest := -1
-	for c, free := range p.idle {
-		if len(free) > 0 && (oldest < 0 || free[0].since < p.idle[oldest][0].since) {
-			oldest = c
-		}
-	}
-	if oldest < 0 {
+	e := p.byAge.Front()
+	if e == nil {
 		return false
 	}
-	s := p.idle[oldest][0].s
-	p.idle[oldest] = slices.Delete(p.idle[oldest], 0, 1)
-	p.usage.Mapped -= slabBytes(s)
-	p.usage.Unmaps++
-	unmapSlab(s)
+	ip := e.Value.(*idlePiece)
+	p.take(ip)
+	p.unmap(ip.piece)
 	return true
 }
 
-// put returns released slabs to the pool as its newest idle ones.
-func (p *arenaPool) put(slabs [][]uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, s := range slabs {
-		p.usage.InUse -= slabBytes(s)
-		p.tick++
-		c := slabClass(len(s))
-		p.idle[c] = append(p.idle[c], idleSlab{s, p.tick})
+// unmap gives a piece the pool no longer holds back to the host: the
+// whole slab with its last live piece, else the piece's own pages. Its
+// buddy never merges past it again.
+func (p *arenaPool) unmap(pc piece) {
+	p.usage.Mapped -= pc.bytes()
+	p.usage.Unmaps++
+	s := pc.slab
+	if s.live -= 1 << pc.class; s.live == 0 {
+		unmapSlab(s.mem)
+	} else {
+		unmapPiece(s.mem, pc.words())
 	}
 }
 
-// drop unmaps the slabs of a machine nobody released.
-func (p *arenaPool) drop(slabs [][]uint64) {
+// put returns released pieces to the pool, each merged with its idle
+// buddy for as long as there is one, as the newest idle pieces.
+func (p *arenaPool) put(pieces []piece) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, s := range slabs {
-		p.usage.InUse -= slabBytes(s)
-		p.usage.Mapped -= slabBytes(s)
-		p.usage.Unmaps++
-		unmapSlab(s)
+	for _, pc := range pieces {
+		p.usage.InUse -= pc.bytes()
+		for pc.class < pc.slab.class {
+			buddy := p.where[piece{pc.slab, pc.off ^ 1<<pc.class, pc.class}]
+			if buddy == nil {
+				break
+			}
+			p.take(buddy)
+			p.usage.Merges++
+			pc.off &^= 1 << pc.class
+			pc.class++
+		}
+		p.free(pc, nil)
 	}
 }
 
-// slabList is the slabs one machine has borrowed. It is an object of its
-// own so a finalizer can watch it: a Machine is in a cycle with its
-// Procs, and the runtime need not finalize a cycle. mu guards slabs:
+// drop gives the pieces of a machine nobody released back to the host.
+func (p *arenaPool) drop(pieces []piece) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, pc := range pieces {
+		p.usage.InUse -= pc.bytes()
+		p.unmap(pc)
+	}
+}
+
+// slabList is the pieces one machine has borrowed. It is an object of
+// its own so a finalizer can watch it: a Machine is in a cycle with its
+// Procs, and the runtime need not finalize a cycle. mu guards pieces:
 // Grow reallocations happen inside Run bodies, so concurrent processors
 // can borrow at the same time.
 type slabList struct {
-	mu    sync.Mutex
-	slabs [][]uint64
+	mu     sync.Mutex
+	pieces []piece
 }
 
-// newSlabList returns an empty list whose slabs are unmapped if its
-// machine becomes unreachable unreleased.
+// newSlabList returns an empty list whose pieces go back to the host if
+// its machine becomes unreachable unreleased.
 func newSlabList() *slabList {
 	l := new(slabList)
-	runtime.SetFinalizer(l, func(l *slabList) { slabPool.drop(l.slabs) })
+	runtime.SetFinalizer(l, func(l *slabList) { slabPool.drop(l.pieces) })
 	return l
 }
 
-func (l *slabList) add(s []uint64) {
+func (l *slabList) add(pc piece) {
 	l.mu.Lock()
-	l.slabs = append(l.slabs, s)
+	l.pieces = append(l.pieces, pc)
 	l.mu.Unlock()
 }
 
@@ -193,9 +276,9 @@ func arenaBacked[T any]() bool {
 	return false
 }
 
-// arenaMake returns a zeroed n-element slice backed by a slab borrowed
+// arenaMake returns a zeroed n-element slice backed by a piece borrowed
 // from the pool (recorded for release with the machine), with capacity
-// extending over the whole slab so Grow can extend in place. Non-numeric
+// extending over the whole piece so Grow can extend in place. Non-numeric
 // element types fall back to a plain allocation.
 func arenaMake[T any](m *Machine, n, elemSize int) []T {
 	if n == 0 {
@@ -205,26 +288,27 @@ func arenaMake[T any](m *Machine, n, elemSize int) []T {
 		return make([]T, n)
 	}
 	words := (n*elemSize + 7) / 8
-	s, fresh := slabPool.get(words)
+	pc, fresh := slabPool.get(words)
+	s := pc.words()
 	if !fresh {
 		clear(s[:words])
 	}
-	m.arena.add(s)
+	m.arena.add(pc)
 	full := unsafe.Slice((*T)(unsafe.Pointer(&s[0])), len(s)*8/elemSize)
 	return full[:n]
 }
 
-// Release returns every slab this machine's arrays borrowed to the
+// Release returns every piece this machine's arrays borrowed to the
 // process-wide pool. Call it when the machine and everything aliasing
-// its arrays' Data slices are done: released slabs are handed to later
+// its arrays' Data slices are done: released pieces are handed to later
 // machines, which zero and overwrite them. Safe to call more than once;
 // the machine remains usable, but arrays created before Release must no
 // longer be used.
 func (m *Machine) Release() {
 	l := m.arena
 	l.mu.Lock()
-	slabs := l.slabs
-	l.slabs = nil
+	pieces := l.pieces
+	l.pieces = nil
 	l.mu.Unlock()
-	slabPool.put(slabs)
+	slabPool.put(pieces)
 }

@@ -1,4 +1,4 @@
-//go:build !unix || race
+//go:build !linux || race
 
 package machine
 
@@ -9,3 +9,7 @@ func mapSlab(words int) []uint64 { return make([]uint64, words) }
 
 // unmapSlab drops the pool's reference; the collector frees the slab.
 func unmapSlab([]uint64) {}
+
+// unmapPiece does nothing: a heap slab's memory goes back to the
+// collector once its last piece is unmapped.
+func unmapPiece(_, _ []uint64) {}

@@ -1,4 +1,4 @@
-//go:build unix && !race
+//go:build linux && !race
 
 package machine
 
@@ -32,7 +32,26 @@ func unmapSlab(s []uint64) {
 	if len(s)*8 < offHeapBytes {
 		return
 	}
-	if err := syscall.Munmap(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)); err != nil {
+	if err := syscall.Munmap(asBytes(s)); err != nil {
 		panic(fmt.Sprintf("machine: unmapping a %d-byte slab: %v", len(s)*8, err))
 	}
+}
+
+// unmapPiece gives the pages of one piece of a slab back to the host
+// while the rest of the slab stays in use: munmap takes only the whole
+// mapping syscall.Mmap made, but madvise(MADV_DONTNEED) frees any whole
+// pages of it. The range stays reserved, and unmapSlab unmaps it with
+// the slab's last piece. A piece of a heap slab, or one smaller than a
+// page, goes back with its slab.
+func unmapPiece(slab, s []uint64) {
+	if len(slab)*8 < offHeapBytes || len(s)*8 < syscall.Getpagesize() {
+		return
+	}
+	if err := syscall.Madvise(asBytes(s), syscall.MADV_DONTNEED); err != nil {
+		panic(fmt.Sprintf("machine: giving back a %d-byte slab piece: %v", len(s)*8, err))
+	}
+}
+
+func asBytes(s []uint64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
 }

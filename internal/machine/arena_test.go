@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -132,5 +133,155 @@ func TestArenaDroppedMachines(t *testing.T) {
 	}
 	if st.Unmaps-base.Unmaps < 2*dropped {
 		t.Errorf("%d slabs unmapped, want the dropped machines' %d", st.Unmaps-base.Unmaps, 2*dropped)
+	}
+}
+
+// freshPool gives every idle piece back to the host and lowers the
+// high-water mark to what is in use, so that a test sees the pool a
+// fresh process would.
+func freshPool() {
+	collectDropped()
+	slabPool.mu.Lock()
+	defer slabPool.mu.Unlock()
+	for slabPool.unmapOldest() {
+	}
+	slabPool.usage.HighWater = slabPool.usage.InUse
+}
+
+// TestArenaNoRatchet alternates two machines that each need 4 MiB of
+// slabs, in different classes: eight 512 KiB arrays, then sixteen of
+// 256 KiB. The pool must hold no more than one of them needs — a pool
+// that lends a whole 512 KiB slab to a 256 KiB borrow climbs to 6 MiB —
+// and must serve every pass after the first without mapping — a pool
+// that splits slabs but never merges them re-maps the 512 KiB ones on
+// every pass.
+func TestArenaNoRatchet(t *testing.T) {
+	freshPool()
+	base := ArenaStats()
+	for pass := 1; pass <= 4; pass++ {
+		maps := ArenaStats().Maps
+		for _, shape := range []struct{ keys, arrays int }{{1 << 17, 8}, {1 << 16, 16}} {
+			m := testMachine(t, 2)
+			for i := 0; i < shape.arrays; i++ {
+				NewArrayBlocked[uint32](m, "a", shape.keys)
+			}
+			m.Release()
+		}
+		st := ArenaStats()
+		if grew := st.HighWater - base.HighWater; grew > 4<<20 {
+			t.Errorf("pass %d: high-water mark grew %.1f MiB, want at most 4", pass, float64(grew)/(1<<20))
+		}
+		if n := st.Maps - maps; pass > 1 && n != 0 {
+			t.Errorf("pass %d mapped %d slabs, want 0", pass, n)
+		}
+	}
+	t.Logf("%+v", ArenaStats())
+}
+
+// TestArenaUnmapsPiece: a miss that must fit under the high-water mark
+// gives back the idle half of a slab whose other half a machine still
+// holds; the held half keeps its contents and takes writes, and it
+// merges with nothing when it comes back.
+func TestArenaUnmapsPiece(t *testing.T) {
+	freshPool()
+	m := testMachine(t, 2)
+	NewArrayBlocked[uint32](m, "whole", 1<<18) // one 1 MiB slab
+	m.Release()
+
+	m = testMachine(t, 2)
+	before := ArenaStats()
+	half := NewArrayBlocked[uint32](m, "half", 1<<17)
+	if st := ArenaStats(); st.Maps != before.Maps || st.Splits != before.Splits+1 {
+		t.Fatalf("a 512 KiB borrow from an idle 1 MiB slab: %+v, want one split and no map (before %+v)", st, before)
+	}
+	for i := range half.Data {
+		half.Data[i] = uint32(i)
+	}
+	before = ArenaStats()
+	NewArrayBlocked[uint32](m, "big", 1<<19) // a 2 MiB miss
+	st := ArenaStats()
+	if st.Unmaps != before.Unmaps+1 || st.Mapped != before.Mapped-(512<<10)+(2<<20) {
+		t.Fatalf("a 2 MiB miss: %+v, want the idle 512 KiB half unmapped (before %+v)", st, before)
+	}
+	if st.Mapped > st.HighWater {
+		t.Fatalf("%d bytes mapped, high-water mark %d", st.Mapped, st.HighWater)
+	}
+	for i, v := range half.Data {
+		if v != uint32(i) {
+			t.Fatalf("the held half reads %d at %d after its buddy was unmapped", v, i)
+		}
+		half.Data[i] = ^v
+	}
+	for i, v := range half.Data {
+		if v != ^uint32(i) {
+			t.Fatalf("the held half lost a write at %d", i)
+		}
+	}
+	before = ArenaStats()
+	m.Release()
+	if st := ArenaStats(); st.Merges != before.Merges {
+		t.Errorf("a piece whose buddy was unmapped merged: %+v", st)
+	}
+	freshPool()
+}
+
+// TestArenaConcurrentGrow: eight processors grow reserve arrays inside
+// one Run, so they split and merge pool pieces at the same time, while
+// another goroutine builds and releases machines. Every processor's
+// array keeps what it wrote through every reallocation.
+func TestArenaConcurrentGrow(t *testing.T) {
+	const procs, keys = 8, 1 << 16
+	m := testMachine(t, procs)
+	defer m.Release()
+	arrays := make([]*Array[uint32], procs)
+	for i := range arrays {
+		arrays[i] = NewArrayReserve[uint32](m, "r", keys, i)
+	}
+	stop := make(chan struct{})
+	churned := make(chan error)
+	go func() { churned <- churnMachines(stop) }()
+	_, err := m.Run(func(p *Proc) {
+		a, mark := arrays[p.ID], uint32(p.ID)<<24
+		for n := 1; n <= keys; n += n/3 + 1 {
+			old := a.Len()
+			a.Grow(n)
+			for i := old; i < n; i++ {
+				a.Data[i] = mark | uint32(i)
+			}
+		}
+		for i, v := range a.Data {
+			if v != mark|uint32(i) {
+				panic(fmt.Sprintf("processor %d reads %#x at %d", p.ID, v, i))
+			}
+		}
+	})
+	close(stop)
+	if err := <-churned; err != nil {
+		t.Fatal(err)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// churnMachines builds machines with arrays of changing sizes, fills
+// and releases them, until stop is closed.
+func churnMachines(stop <-chan struct{}) error {
+	for n := 1 << 8; ; n = n%(1<<16) + n/2 + 1 {
+		select {
+		case <-stop:
+			return nil
+		default:
+		}
+		m, err := New(Origin2000Scaled(2))
+		if err != nil {
+			return err
+		}
+		for _, a := range []*Array[uint32]{NewArrayBlocked[uint32](m, "o", n), NewArrayOnProc[uint32](m, "p", 2*n, 1)} {
+			for i := range a.Data {
+				a.Data[i] = ^uint32(i)
+			}
+		}
+		m.Release()
 	}
 }

@@ -14,8 +14,8 @@ const raceEnabled = true
 
 // TestRaceSeesArrayData: under the race detector array memory is Go
 // heap, which the detector instruments — it does not see the anonymous
-// mappings other unix builds back large slabs with. A newly mapped slab
-// of 64 KiB (the smallest those builds map off the heap) must therefore
+// mappings linux builds back large slabs with. A newly mapped slab of
+// 64 KiB (the smallest those builds map off the heap) must therefore
 // grow the heap by its size.
 func TestRaceSeesArrayData(t *testing.T) {
 	const keys = 1 << 14 // 64 KiB
@@ -24,9 +24,10 @@ func TestRaceSeesArrayData(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Release()
-	// Idle slabs of this class or larger serve the first borrows; keep
-	// borrowing until one maps.
-	for i := 0; i < 1000; i++ {
+	// The pool's idle memory, cut into pieces of this class, serves the
+	// first borrows; keep borrowing until one maps.
+	st := machine.ArenaStats()
+	for i := int64(0); i*keys*4 <= st.Mapped-st.InUse; i++ {
 		maps := machine.ArenaStats().Maps
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
