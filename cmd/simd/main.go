@@ -50,6 +50,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"sync"
 	"syscall"
 	"time"
 )
@@ -107,7 +108,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.handler()}
 	// The "listening" line is printed only after the port is bound, so
 	// supervisors (and the CI smoke job) can poll for readiness safely.
 	logger.Printf("listening on http://%s (cache dir %q, %d jobs, version %s)",
@@ -115,15 +115,24 @@ func run(args []string) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	context.AfterFunc(ctx, stop) // a second signal during the drain kills the process
+	return serveUntil(ctx, ln, s.handler(), *drainFor, logger)
+}
+
+// serveUntil serves h on ln until ctx is done, then stops accepting
+// connections and drains in-flight requests for at most drain.
+func serveUntil(ctx context.Context, ln net.Listener, h http.Handler, drain time.Duration, logger *log.Logger) error {
+	unused := &unusedConns{conns: map[net.Conn]struct{}{}}
+	srv := &http.Server{Handler: h, ConnState: unused.track}
+	srv.RegisterOnShutdown(unused.closeAll)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
-		stop()
-		logger.Printf("shutting down: draining in-flight runs (budget %s)", *drainFor)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainFor)
+		logger.Printf("shutting down: draining in-flight runs (budget %s)", drain)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			return fmt.Errorf("shutdown: %w", err)
@@ -133,5 +142,36 @@ func run(args []string) error {
 		}
 		logger.Printf("drained; bye")
 		return nil
+	}
+}
+
+// unusedConns tracks the connections that have not sent a request, so
+// that shutdown can close them at once. http.Server.Shutdown closes idle
+// keep-alive connections but waits five seconds for a new one to send
+// its first request, and a client's transport leaves such connections
+// behind: it dials for a request, hands the request to a connection
+// that frees up before the dial completes, and keeps the dialed one idle.
+type unusedConns struct {
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+}
+
+func (u *unusedConns) track(c net.Conn, state http.ConnState) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if state == http.StateNew {
+		u.conns[c] = struct{}{}
+	} else {
+		delete(u.conns, c)
+	}
+}
+
+// closeAll closes every connection that has not sent a request.
+// Shutdown starts it once the listener is closed.
+func (u *unusedConns) closeAll() {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	for c := range u.conns {
+		c.Close()
 	}
 }

@@ -26,17 +26,24 @@ import (
 // largest cell rather than every size class the process has seen
 // (TestArenaNoRatchet).
 //
-// Where the build allows (arena_mmap.go: linux without the race
-// detector) slabs of 64 KiB and more are anonymous mappings outside the
-// Go heap, so neither borrowed nor idle slab bytes raise the collector's
-// heap goal; smaller slabs, and every slab of the other builds
-// (arena_heap.go), are made on the heap. The builds differ only in
-// mapSlab/unmapSlab/unmapPiece.
+// Small and big slabs, below and from 64 KiB, are two tiers that share
+// no memory: a small borrow splits only small slabs, a big one only big
+// slabs. Where the build allows (arena_mmap.go: linux without the race
+// detector) big slabs are anonymous mappings outside the Go heap, so
+// neither borrowed nor idle big-slab bytes raise the collector's heap
+// goal; small slabs, and every slab of the other builds (arena_heap.go),
+// are made on the heap. The builds differ only in
+// mapSlab/unmapSlab/unmapPiece. Small borrows cut from big slabs would
+// move the pool's small-slab memory off the heap, and a process that has
+// run cells would keep a smaller live heap and collect more often for
+// the same work (DESIGN.md §13).
 //
-// The pool holds at most the most slab memory ever borrowed at once, its
-// high-water mark. Only a borrow that no idle piece can serve maps a new
-// slab of its class, after giving the longest-idle pieces back to the
-// host until the new slab fits under the mark.
+// Each tier holds at most the most memory ever borrowed from it at once,
+// its high-water mark. Only a borrow that no idle piece of its tier can
+// serve maps a new slab of its class, after giving the tier's
+// longest-idle pieces back to the host until the new slab fits under
+// the tier's mark. One mark for both tiers would have a miss in one tier
+// give back the other's idle memory, which the next cell maps again.
 //
 // Slabs hold only pointer-free element types (the sorts use uint32 keys
 // and int32/int64 bookkeeping), so viewing a []uint64 slab as []T is
@@ -57,7 +64,8 @@ type ArenaUsage struct {
 	InUse int64 `json:"in_use_bytes"`
 	// Mapped is the slab bytes the pool owns, borrowed or idle.
 	Mapped int64 `json:"mapped_bytes"`
-	// HighWater is the most InUse has ever been; Mapped never exceeds it.
+	// HighWater is the sum of the two tiers' high-water marks, the most
+	// bytes ever borrowed at once from each; Mapped never exceeds it.
 	HighWater int64 `json:"high_water_bytes"`
 	// Maps counts slabs taken from the host, Unmaps pieces given back
 	// (a whole slab is one piece).
@@ -73,7 +81,14 @@ type ArenaUsage struct {
 func ArenaStats() ArenaUsage {
 	slabPool.mu.Lock()
 	defer slabPool.mu.Unlock()
-	return slabPool.usage
+	u := slabPool.counts
+	for i := range slabPool.tiers {
+		t := &slabPool.tiers[i]
+		u.InUse += t.inUse
+		u.Mapped += t.mapped
+		u.HighWater += t.highWater
+	}
+	return u
 }
 
 // arenaPool is the process-wide buddy allocator. Machines borrow under
@@ -82,16 +97,36 @@ func ArenaStats() ArenaUsage {
 type arenaPool struct {
 	mu sync.Mutex
 	// idle holds each class's idle pieces; a borrow takes the one put
-	// there last. byAge holds every idle piece, longest idle first. where
-	// finds an idle piece, so a returned piece can find its idle buddy.
-	// Both lists hold *idlePiece.
+	// there last. where finds an idle piece, so a returned piece can find
+	// its idle buddy. Both hold *idlePiece.
 	idle  [48]list.List
-	byAge list.List
+	tiers [2]tier // small, big
 	where map[piece]*idlePiece
-	usage ArenaUsage
+	// counts holds the map, unmap, split and merge counts; the tiers
+	// hold the bytes.
+	counts ArenaUsage
 }
 
 var slabPool = arenaPool{where: map[piece]*idlePiece{}}
+
+// bigClass is the class of the smallest big slab, 64 KiB.
+const bigClass = 13
+
+// tier is the small or the big slabs' share of the pool.
+type tier struct {
+	// byAge holds the tier's idle pieces (*idlePiece), longest idle
+	// first.
+	byAge                    list.List
+	inUse, mapped, highWater int64
+}
+
+// tierOf returns the tier of class's pieces and slabs.
+func (p *arenaPool) tierOf(class int) *tier {
+	if class < bigClass {
+		return &p.tiers[0]
+	}
+	return &p.tiers[1]
+}
 
 // slab is one mapping the pool took from the host, 2^class words.
 type slab struct {
@@ -134,10 +169,11 @@ func (pc piece) bytes() int64 { return 8 << pc.class }
 func (p *arenaPool) free(pc piece, at *list.Element) {
 	ip := &idlePiece{piece: pc}
 	ip.inClass = p.idle[pc.class].PushBack(ip)
+	byAge := &p.tierOf(pc.class).byAge
 	if at == nil {
-		ip.inAge = p.byAge.PushBack(ip)
+		ip.inAge = byAge.PushBack(ip)
 	} else {
-		ip.inAge = p.byAge.InsertBefore(ip, at)
+		ip.inAge = byAge.InsertBefore(ip, at)
 	}
 	p.where[pc] = ip
 }
@@ -145,20 +181,26 @@ func (p *arenaPool) free(pc piece, at *list.Element) {
 // take removes an idle piece from the pool.
 func (p *arenaPool) take(ip *idlePiece) {
 	p.idle[ip.class].Remove(ip.inClass)
-	p.byAge.Remove(ip.inAge)
+	p.tierOf(ip.class).byAge.Remove(ip.inAge)
 	delete(p.where, ip.piece)
 }
 
 // get borrows a piece of at least words words: the idle piece of its
-// class put there last, or a split of the smallest larger idle piece, or
-// else a newly mapped slab, whose memory is already zero (fresh).
+// class put there last, or a split of the smallest larger idle piece of
+// its tier, or else a newly mapped slab, whose memory is already zero
+// (fresh).
 func (p *arenaPool) get(words int) (pc piece, fresh bool) {
 	c := slabClass(words)
 	size := int64(8) << c
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.usage.InUse += size
-	for k := c; k < len(p.idle); k++ {
+	t := p.tierOf(c)
+	t.inUse += size
+	top := len(p.idle)
+	if c < bigClass {
+		top = bigClass
+	}
+	for k := c; k < top; k++ {
 		e := p.idle[k].Back()
 		if e == nil {
 			continue
@@ -168,23 +210,23 @@ func (p *arenaPool) get(words int) (pc piece, fresh bool) {
 		for pc.class > c { // keep the lower half, leave the upper idle
 			pc.class--
 			p.free(piece{pc.slab, pc.off + 1<<pc.class, pc.class}, ip.inAge)
-			p.usage.Splits++
+			p.counts.Splits++
 		}
 		p.take(ip)
 		return pc, false
 	}
-	p.usage.HighWater = max(p.usage.HighWater, p.usage.InUse)
-	for p.usage.Mapped+size > p.usage.HighWater && p.unmapOldest() {
+	t.highWater = max(t.highWater, t.inUse)
+	for t.mapped+size > t.highWater && p.unmapOldest(t) {
 	}
-	p.usage.Mapped += size
-	p.usage.Maps++
+	t.mapped += size
+	p.counts.Maps++
 	return piece{&slab{mem: mapSlab(1 << c), class: c, live: 1 << c}, 0, c}, true
 }
 
-// unmapOldest gives the longest-idle piece back to the host, and reports
-// whether there was one.
-func (p *arenaPool) unmapOldest() bool {
-	e := p.byAge.Front()
+// unmapOldest gives the tier's longest-idle piece back to the host, and
+// reports whether there was one.
+func (p *arenaPool) unmapOldest(t *tier) bool {
+	e := t.byAge.Front()
 	if e == nil {
 		return false
 	}
@@ -198,8 +240,8 @@ func (p *arenaPool) unmapOldest() bool {
 // whole slab with its last live piece, else the piece's own pages. Its
 // buddy never merges past it again.
 func (p *arenaPool) unmap(pc piece) {
-	p.usage.Mapped -= pc.bytes()
-	p.usage.Unmaps++
+	p.tierOf(pc.class).mapped -= pc.bytes()
+	p.counts.Unmaps++
 	s := pc.slab
 	if s.live -= 1 << pc.class; s.live == 0 {
 		unmapSlab(s.mem)
@@ -214,14 +256,14 @@ func (p *arenaPool) put(pieces []piece) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, pc := range pieces {
-		p.usage.InUse -= pc.bytes()
+		p.tierOf(pc.class).inUse -= pc.bytes()
 		for pc.class < pc.slab.class {
 			buddy := p.where[piece{pc.slab, pc.off ^ 1<<pc.class, pc.class}]
 			if buddy == nil {
 				break
 			}
 			p.take(buddy)
-			p.usage.Merges++
+			p.counts.Merges++
 			pc.off &^= 1 << pc.class
 			pc.class++
 		}
@@ -234,7 +276,7 @@ func (p *arenaPool) drop(pieces []piece) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, pc := range pieces {
-		p.usage.InUse -= pc.bytes()
+		p.tierOf(pc.class).inUse -= pc.bytes()
 		p.unmap(pc)
 	}
 }

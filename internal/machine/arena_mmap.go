@@ -8,14 +8,15 @@ import (
 	"unsafe"
 )
 
-// offHeapBytes is the smallest slab mapped outside the Go heap. The race
-// detector does not see such memory, so race builds use arena_heap.go.
-const offHeapBytes = 64 << 10
+// offHeapBytes is the smallest slab mapped outside the Go heap, the
+// smallest big slab. The race detector does not see such memory, so race
+// builds use arena_heap.go.
+const offHeapBytes = 8 << bigClass
 
-// mapSlab returns a zeroed slab of words words: anonymous memory from 64
-// KiB up, a heap slice below. A failed mapping panics: the array
-// constructors return no error, and inside a Run body the panic fails
-// the run, which returns it as a *ProcPanic.
+// mapSlab returns a zeroed slab of words words: anonymous memory for a
+// big slab, a heap slice for a small one. A failed mapping panics: the
+// array constructors return no error, and inside a Run body the panic
+// fails the run, which returns it as a *ProcPanic.
 func mapSlab(words int) []uint64 {
 	if words*8 < offHeapBytes {
 		return make([]uint64, words)

@@ -137,15 +137,18 @@ func TestArenaDroppedMachines(t *testing.T) {
 }
 
 // freshPool gives every idle piece back to the host and lowers the
-// high-water mark to what is in use, so that a test sees the pool a
+// high-water marks to what is in use, so that a test sees the pool a
 // fresh process would.
 func freshPool() {
 	collectDropped()
 	slabPool.mu.Lock()
 	defer slabPool.mu.Unlock()
-	for slabPool.unmapOldest() {
+	for i := range slabPool.tiers {
+		t := &slabPool.tiers[i]
+		for slabPool.unmapOldest(t) {
+		}
+		t.highWater = t.inUse
 	}
-	slabPool.usage.HighWater = slabPool.usage.InUse
 }
 
 // TestArenaNoRatchet alternates two machines that each need 4 MiB of
@@ -222,6 +225,38 @@ func TestArenaUnmapsPiece(t *testing.T) {
 	if st := ArenaStats(); st.Merges != before.Merges {
 		t.Errorf("a piece whose buddy was unmapped merged: %+v", st)
 	}
+	freshPool()
+}
+
+// TestArenaTiersShareNothing: a small borrow maps a small slab rather
+// than split an idle big one, and a big miss gives back idle big memory
+// only, never the small slabs, which the collector counts in its goal.
+func TestArenaTiersShareNothing(t *testing.T) {
+	freshPool()
+	m := testMachine(t, 2)
+	NewArrayBlocked[uint32](m, "big", 1<<16) // one 256 KiB slab
+	m.Release()
+
+	m = testMachine(t, 2)
+	before := ArenaStats()
+	NewArrayBlocked[uint32](m, "small", 1<<10) // 4 KiB
+	st := ArenaStats()
+	if st.Maps != before.Maps+1 || st.Splits != before.Splits || st.Unmaps != before.Unmaps {
+		t.Fatalf("a 4 KiB borrow beside an idle 256 KiB slab: %+v, want one map, no split, no unmap (before %+v)", st, before)
+	}
+	m.Release()
+
+	m = testMachine(t, 2)
+	before = ArenaStats()
+	NewArrayBlocked[uint32](m, "bigger", 1<<17) // a 512 KiB miss
+	st = ArenaStats()
+	if st.Unmaps != before.Unmaps+1 || st.Mapped != before.Mapped-(256<<10)+(512<<10) {
+		t.Fatalf("a 512 KiB miss: %+v, want the idle 256 KiB slab unmapped and the 4 KiB one kept (before %+v)", st, before)
+	}
+	if st.Mapped > st.HighWater {
+		t.Fatalf("%d bytes mapped, high-water mark %d", st.Mapped, st.HighWater)
+	}
+	m.Release()
 	freshPool()
 }
 
