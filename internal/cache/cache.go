@@ -5,7 +5,7 @@
 // LRU replacement, modeled at line granularity: it tracks tags and dirty
 // bits but not data (the simulator keeps real data in ordinary Go slices;
 // the cache model exists purely to count hits, misses, and writebacks).
-// The TLB is a fully-associative LRU translation buffer modeled at page
+// The TLB is a fully-associative FIFO translation buffer modeled at page
 // granularity.
 //
 // Both models are private to one simulated processor and are therefore

@@ -38,7 +38,7 @@ func TestFlagOrdersTime(t *testing.T) {
 			f.Set(p)
 		} else {
 			f.Wait(p)
-			if p.Now() < 10000*w.M.Config().OpNs {
+			if p.Now() < 10000*machine.OpNs {
 				t.Errorf("waiter released at %v, before setter's work finished", p.Now())
 			}
 			if p.Stats().Breakdown.Sync == 0 {

@@ -5,8 +5,8 @@
 // The fast path (memoized pricing tables, the flat page→home table, the
 // cache/TLB memo layers — see DESIGN.md §8) was argued correct mostly by
 // byte-identical outputs. Paranoid mode turns that argument into a
-// machine-checked one: when machine.Config.Paranoid is set, every
-// simulated access is replayed through unmemoized reference models
+// machine-checked one: when machine.Config.ParanoidSampleEvery is 1,
+// every simulated access is replayed through unmemoized reference models
 // (RefCache, RefTLB, the legacy region-walk home resolution, the live
 // coherence protocol) and every disagreement is recorded as a structured
 // Violation naming the processor, phase, address, and the fast-vs-

@@ -127,7 +127,7 @@ func hasKind(ck *check.Checker, kind string) (bool, string) {
 func TestMutationPriceTable(t *testing.T) {
 	body := func(corrupt bool) *check.Checker {
 		cfg := machine.Origin2000Scaled(1)
-		cfg.Paranoid = true
+		cfg.ParanoidSampleEvery = 1
 		m := machine.MustNew(cfg)
 		if corrupt {
 			m.CorruptPriceEntryForTest(machine.Private, false, 0, 0, 7.5)

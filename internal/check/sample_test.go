@@ -62,7 +62,7 @@ func TestParanoidSampleIdentical(t *testing.T) {
 func TestMutationPriceTableSampled(t *testing.T) {
 	body := func(corrupt bool) *check.Checker {
 		cfg := machine.Origin2000Scaled(1)
-		cfg.ParanoidSampleEvery = 5 // implies Paranoid via Validate
+		cfg.ParanoidSampleEvery = 5
 		m := machine.MustNew(cfg)
 		if corrupt {
 			m.CorruptPriceEntryForTest(machine.Private, false, 0, 0, 7.5)

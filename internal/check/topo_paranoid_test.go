@@ -36,7 +36,9 @@ func TestCCSASRadixAnyProcsParanoid(t *testing.T) {
 					if procs == 3 {
 						cfg.Topology.ProcsPerNode = 1
 					}
-					cfg.Paranoid = paranoid
+					if paranoid {
+						cfg.ParanoidSampleEvery = 1
+					}
 					m := machine.MustNew(cfg)
 					defer m.Release()
 					res, err := sorts.RadixCCSAS(m, in, sorts.Config{Radix: 8}, model == repro.CCSASNew)

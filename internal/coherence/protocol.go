@@ -48,38 +48,30 @@ func (s DirState) String() string {
 	}
 }
 
-// Params sets the protocol's cost constants.
-type Params struct {
+// The protocol's fixed costs, one value on the Origin2000.
+const (
 	// CtrlBytes is the size of a control message (request, intervention,
 	// invalidation, acknowledgement) on the wire, including headers.
-	CtrlBytes int
-	// DataBytes is the size of a data-carrying message: one cache line
-	// plus header.
-	DataBytes int
+	CtrlBytes = 16
 	// DirOccupancy is the directory/memory-controller occupancy charged
 	// once per transaction at the home node (ns).
-	DirOccupancy float64
-}
-
-// DefaultParams returns cost constants sized for a 128-byte line machine.
-func DefaultParams(lineSize int) Params {
-	return Params{
-		CtrlBytes:    16,
-		DataBytes:    lineSize + 16,
-		DirOccupancy: 40,
-	}
-}
+	DirOccupancy float64 = 40
+)
 
 // Protocol prices coherence transactions on a given topology.
 type Protocol struct {
-	top    topology.Network
-	params Params
+	top       topology.Network
+	dataBytes int
 }
 
-// NewProtocol builds a protocol engine.
-func NewProtocol(top topology.Network, params Params) *Protocol {
-	return &Protocol{top: top, params: params}
+// NewProtocol builds a protocol engine for lineSize-byte cache lines.
+func NewProtocol(top topology.Network, lineSize int) *Protocol {
+	return &Protocol{top: top, dataBytes: lineSize + CtrlBytes}
 }
+
+// DataBytes is the size of a data-carrying message: one cache line plus
+// a control header.
+func (p *Protocol) DataBytes() int { return p.dataBytes }
 
 // Result describes one priced transaction.
 type Result struct {
@@ -115,9 +107,9 @@ func (p *Protocol) Read(requester, home, owner int, st DirState, sharers []int) 
 		// (requester, home) already includes the memory access time, so
 		// the transaction is one request/response pair plus directory
 		// occupancy.
-		lat := p.msg(requester, home, p.params.CtrlBytes) +
-			p.params.DirOccupancy +
-			p.top.TransferTime(p.params.DataBytes)
+		lat := p.msg(requester, home, CtrlBytes) +
+			DirOccupancy +
+			p.top.TransferTime(p.dataBytes)
 		newState := Shared
 		if st == Unowned {
 			// The Origin grants an exclusive (clean) copy to the first
@@ -128,14 +120,14 @@ func (p *Protocol) Read(requester, home, owner int, st DirState, sharers []int) 
 		return Result{
 			Latency:      lat,
 			Messages:     2,
-			TrafficBytes: p.params.CtrlBytes + p.params.DataBytes,
+			TrafficBytes: CtrlBytes + p.dataBytes,
 			NewState:     newState,
 		}
 	case Exclusive:
 		if owner == requester {
 			// Should have hit in cache; price as a local re-fetch.
 			return Result{
-				Latency:      p.params.DirOccupancy,
+				Latency:      DirOccupancy,
 				Messages:     0,
 				TrafficBytes: 0,
 				NewState:     Exclusive,
@@ -144,14 +136,14 @@ func (p *Protocol) Read(requester, home, owner int, st DirState, sharers []int) 
 		// Three-hop: request to home, intervention to owner, data from
 		// owner to requester (plus a sharing writeback owner->home off the
 		// critical path).
-		lat := p.msg(requester, home, p.params.CtrlBytes) +
-			p.params.DirOccupancy +
-			p.msg(home, owner, p.params.CtrlBytes) +
-			p.msg(owner, requester, p.params.DataBytes)
+		lat := p.msg(requester, home, CtrlBytes) +
+			DirOccupancy +
+			p.msg(home, owner, CtrlBytes) +
+			p.msg(owner, requester, p.dataBytes)
 		return Result{
 			Latency:      lat,
 			Messages:     4,
-			TrafficBytes: 2*p.params.CtrlBytes + 2*p.params.DataBytes,
+			TrafficBytes: 2*CtrlBytes + 2*p.dataBytes,
 			NewState:     Shared,
 		}
 	default:
@@ -164,13 +156,13 @@ func (p *Protocol) Read(requester, home, owner int, st DirState, sharers []int) 
 func (p *Protocol) Write(requester, home, owner int, st DirState, sharers []int) Result {
 	switch st {
 	case Unowned:
-		lat := p.msg(requester, home, p.params.CtrlBytes) +
-			p.params.DirOccupancy +
-			p.top.TransferTime(p.params.DataBytes)
+		lat := p.msg(requester, home, CtrlBytes) +
+			DirOccupancy +
+			p.top.TransferTime(p.dataBytes)
 		return Result{
 			Latency:      lat,
 			Messages:     2,
-			TrafficBytes: p.params.CtrlBytes + p.params.DataBytes,
+			TrafficBytes: CtrlBytes + p.dataBytes,
 			NewState:     Exclusive,
 		}
 	case Shared:
@@ -178,21 +170,21 @@ func (p *Protocol) Write(requester, home, owner int, st DirState, sharers []int)
 		// to all sharers in parallel; sharers ack to the requester. The
 		// critical path is the request plus the slower of the data reply
 		// and the slowest invalidate/ack chain.
-		reqLat := p.msg(requester, home, p.params.CtrlBytes) + p.params.DirOccupancy
-		dataLat := p.top.TransferTime(p.params.DataBytes)
+		reqLat := p.msg(requester, home, CtrlBytes) + DirOccupancy
+		dataLat := p.top.TransferTime(p.dataBytes)
 		invalLat := 0.0
 		nInval := 0
-		traffic := p.params.CtrlBytes + p.params.DataBytes
+		traffic := CtrlBytes + p.dataBytes
 		for _, s := range sharers {
 			if s == requester {
 				continue
 			}
 			nInval++
-			chain := p.msg(home, s, p.params.CtrlBytes) + p.msg(s, requester, p.params.CtrlBytes)
+			chain := p.msg(home, s, CtrlBytes) + p.msg(s, requester, CtrlBytes)
 			if chain > invalLat {
 				invalLat = chain
 			}
-			traffic += 2 * p.params.CtrlBytes
+			traffic += 2 * CtrlBytes
 		}
 		lat := reqLat + max(dataLat, invalLat)
 		return Result{
@@ -203,18 +195,18 @@ func (p *Protocol) Write(requester, home, owner int, st DirState, sharers []int)
 		}
 	case Exclusive:
 		if owner == requester {
-			return Result{Latency: p.params.DirOccupancy, NewState: Exclusive}
+			return Result{Latency: DirOccupancy, NewState: Exclusive}
 		}
 		// Three-hop ownership transfer: request to home, intervention to
 		// owner, data+ownership from owner to requester.
-		lat := p.msg(requester, home, p.params.CtrlBytes) +
-			p.params.DirOccupancy +
-			p.msg(home, owner, p.params.CtrlBytes) +
-			p.msg(owner, requester, p.params.DataBytes)
+		lat := p.msg(requester, home, CtrlBytes) +
+			DirOccupancy +
+			p.msg(home, owner, CtrlBytes) +
+			p.msg(owner, requester, p.dataBytes)
 		return Result{
 			Latency:      lat,
 			Messages:     4,
-			TrafficBytes: 2*p.params.CtrlBytes + p.params.DataBytes + p.params.CtrlBytes,
+			TrafficBytes: 2*CtrlBytes + p.dataBytes + CtrlBytes,
 			NewState:     Exclusive,
 		}
 	default:
@@ -225,38 +217,38 @@ func (p *Protocol) Write(requester, home, owner int, st DirState, sharers []int)
 // Upgrade prices a write hit on a Shared line held by requester: no data
 // transfer, only invalidations of the other sharers.
 func (p *Protocol) Upgrade(requester, home int, sharers []int) Result {
-	reqLat := p.msg(requester, home, p.params.CtrlBytes) + p.params.DirOccupancy
+	reqLat := p.msg(requester, home, CtrlBytes) + DirOccupancy
 	invalLat := 0.0
 	nInval := 0
-	traffic := p.params.CtrlBytes
+	traffic := CtrlBytes
 	for _, s := range sharers {
 		if s == requester {
 			continue
 		}
 		nInval++
-		chain := p.msg(home, s, p.params.CtrlBytes) + p.msg(s, requester, p.params.CtrlBytes)
+		chain := p.msg(home, s, CtrlBytes) + p.msg(s, requester, CtrlBytes)
 		if chain > invalLat {
 			invalLat = chain
 		}
-		traffic += 2 * p.params.CtrlBytes
+		traffic += 2 * CtrlBytes
 	}
 	// Home's grant to the requester when there are no sharers to await.
-	grant := p.top.TransferTime(p.params.CtrlBytes)
+	grant := p.top.TransferTime(CtrlBytes)
 	return Result{
 		Latency:      reqLat + max(grant, invalLat),
 		Messages:     2 + 2*nInval,
-		TrafficBytes: traffic + p.params.CtrlBytes,
+		TrafficBytes: traffic + CtrlBytes,
 		NewState:     Exclusive,
 	}
 }
 
 // Writeback prices a dirty line's eviction from owner back to home.
 func (p *Protocol) Writeback(owner, home int) Result {
-	lat := p.msg(owner, home, p.params.DataBytes) + p.params.DirOccupancy
+	lat := p.msg(owner, home, p.dataBytes) + DirOccupancy
 	return Result{
 		Latency:      lat,
 		Messages:     2, // data + ack
-		TrafficBytes: p.params.DataBytes + p.params.CtrlBytes,
+		TrafficBytes: p.dataBytes + CtrlBytes,
 		NewState:     Unowned,
 	}
 }

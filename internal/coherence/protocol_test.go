@@ -26,7 +26,7 @@ func testTopo(t *testing.T) topology.Network {
 
 func testProto(t *testing.T) *Protocol {
 	t.Helper()
-	return NewProtocol(testTopo(t), DefaultParams(128))
+	return NewProtocol(testTopo(t), 128)
 }
 
 func TestReadUnownedLocal(t *testing.T) {

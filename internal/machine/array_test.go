@@ -48,7 +48,7 @@ func TestArrayGrowBeyondCapacityPanics(t *testing.T) {
 // store writes element i of a and charges it as a scattered store:
 // posted through the write buffer, so a miss overlaps like a stream's.
 func store[T any](p *Proc, a *Array[T], i int, v T, sh Sharing) {
-	p.access(a.Addr(i), true, sh, p.m.cfg.MissOverlap)
+	p.access(a.Addr(i), true, sh, MissOverlap)
 	a.Data[i] = v
 }
 
@@ -79,7 +79,7 @@ func TestSeqAccessCheaperThanScattered(t *testing.T) {
 		}
 		before := p.Stats().Breakdown.LMem
 		for i := 0; i < a.Len(); i += 32 {
-			p.access(a.Addr(i), false, Private, p.m.cfg.MissOverlap)
+			p.access(a.Addr(i), false, Private, MissOverlap)
 		}
 		seqCost = p.Stats().Breakdown.LMem - before
 		before = p.Stats().Breakdown.LMem
@@ -171,11 +171,11 @@ func TestResultAggregates(t *testing.T) {
 	res := mustRun(t, m, func(p *Proc) {
 		p.Compute(100 * (p.ID + 1))
 	})
-	if !closeTo(res.TimeNs, 400*m.Config().OpNs) {
+	if !closeTo(res.TimeNs, 400*OpNs) {
 		t.Errorf("TimeNs = %v", res.TimeNs)
 	}
 	tot := res.TotalBreakdown()
-	if !closeTo(tot.Busy, (100+200+300+400)*m.Config().OpNs) {
+	if !closeTo(tot.Busy, (100+200+300+400)*OpNs) {
 		t.Errorf("TotalBreakdown busy = %v", tot.Busy)
 	}
 }

@@ -13,7 +13,7 @@ import (
 func TestDeclaredClassesMatchLiveDirectory(t *testing.T) {
 	m := testMachine(t, 8)
 	cfg := m.Config()
-	proto := coherence.NewProtocol(m.Topology(), cfg.Coherence)
+	proto := coherence.NewProtocol(m.Topology(), cfg.Cache.LineSize)
 
 	// A line homed on node 2 (proc 4's node), previously written by its
 	// owner, then read by proc 0 (node 0).
@@ -53,7 +53,7 @@ func TestDeclaredClassesMatchLiveDirectory(t *testing.T) {
 func TestDeclaredWriteMatchesOwnershipTransfer(t *testing.T) {
 	m := testMachine(t, 8)
 	cfg := m.Config()
-	proto := coherence.NewProtocol(m.Topology(), cfg.Coherence)
+	proto := coherence.NewProtocol(m.Topology(), cfg.Cache.LineSize)
 
 	arr := NewArrayOnProc[uint32](m, "wline", 64, 6) // homed on node 3
 	addr := arr.Addr(0)
@@ -77,9 +77,9 @@ func TestDeclaredWriteMatchesOwnershipTransfer(t *testing.T) {
 	})
 	// Stores post through the write buffer: the charge is the protocol
 	// latency divided by the machine's miss overlap.
-	wantNs := want.Latency / cfg.MissOverlap
+	wantNs := want.Latency / MissOverlap
 	if diff := got - wantNs; diff > 1e-6 || diff < -1e-6 {
 		t.Errorf("ConflictWrite charge %v != ownership-transfer charge %v (latency %v / overlap %v)",
-			got, wantNs, want.Latency, cfg.MissOverlap)
+			got, wantNs, want.Latency, MissOverlap)
 	}
 }

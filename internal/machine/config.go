@@ -5,11 +5,12 @@ import (
 	"math/bits"
 
 	"repro/internal/cache"
-	"repro/internal/coherence"
 	"repro/internal/topology"
 )
 
-// Config gathers every parameter of the simulated machine.
+// Config gathers the simulated machine's parameters that experiments
+// vary. Costs with one value on the Origin2000 are constants: OpNs,
+// TLBMissNs and MissOverlap here, the protocol's in package coherence.
 type Config struct {
 	// Topology describes processors, nodes, routers and NUMA latencies.
 	Topology topology.Config
@@ -18,17 +19,6 @@ type Config struct {
 	// TLB is the per-processor TLB geometry. Page size here is the page
 	// size used for data placement as well.
 	TLB cache.TLBConfig
-
-	// OpNs is the busy cost of one abstract ALU operation in nanoseconds.
-	// 195 MHz R10000 ~ 5.13 ns per cycle.
-	OpNs float64
-	// TLBMissNs is the stall for one TLB refill.
-	TLBMissNs float64
-	// MissOverlap is the number of outstanding misses a sequential stream
-	// can overlap (the R10000 sustains 4); scattered dependent accesses
-	// serialize at full latency. Applied by the stream/block access
-	// variants.
-	MissOverlap float64
 
 	// BarrierBaseNs and BarrierPerLogNs set the cost of a full barrier
 	// (see BarrierCost).
@@ -47,39 +37,50 @@ type Config struct {
 	// radix sort.
 	ContentionScatteredPerProc float64
 	ContentionBulkPerProc      float64
-	// ContentionLoadFloor is the minimum load fraction used by
-	// ScatteredContention: even short scattered bursts collide at the
-	// home controllers, so the penalty never ramps entirely to zero.
-	ContentionLoadFloor float64
 
 	// FlatMemory, when true, prices every miss at the local latency and
 	// disables coherence/NUMA effects. Used by the flat-memory ablation.
 	// (The no-contention ablation needs no switch: zero slopes make every
 	// contention factor exactly 1.)
 	FlatMemory bool
-	// Paranoid, when true, shadows every simulated access with the slow
-	// reference models and invariant checks of internal/check (see
-	// DESIGN.md §9). The run's simulated results are unchanged —
-	// paranoid outputs are byte-identical to normal ones — but the host
-	// slows down severalfold; violations accumulate on
-	// Machine.Checker().
-	Paranoid bool
-	// ParanoidSampleEvery spot-samples paranoid mode: 0 or 1 shadows
-	// every access (full mode, byte-identical to Paranoid alone); N > 1
-	// implies Paranoid and runs only the stateless oracles (page home,
-	// price table, directory legality, clock invariants) on every Nth
-	// priced event, skipping the per-access reference cache/TLB diff.
-	// Transaction-class counting and the accounting identities still
-	// cover every event, so a corrupted price table or broken accounting
-	// is caught even at large N — at a fraction of full mode's host cost.
+	// ParanoidSampleEvery turns on paranoid mode: the slow reference
+	// models and invariant checks of internal/check (see DESIGN.md §9).
+	// 0 is off. 1 shadows every simulated access. N > 1 runs only the
+	// stateless oracles (page home, price table, directory legality,
+	// clock invariants) on every Nth priced event, skipping the
+	// per-access reference cache/TLB diff; transaction-class counting
+	// and the accounting identities still cover every event, so a
+	// corrupted price table or broken accounting is caught even at large
+	// N — at a fraction of full mode's host cost. The run's simulated
+	// results are unchanged either way — paranoid outputs are
+	// byte-identical to normal ones — but the host slows down; violations
+	// accumulate on Machine.Checker().
 	ParanoidSampleEvery int
-
-	// Coherence sets the protocol message cost constants. Zero value is
-	// replaced by coherence.DefaultParams(Cache.LineSize) in Validate.
-	Coherence coherence.Params
 }
 
-// Validate fills defaults and checks the configuration.
+// The Origin2000's fixed per-processor costs. A charge multiplies a
+// run-time value by one of them, as in float64(ops) * OpNs, never a
+// constant: Go folds constant expressions exactly, which can round
+// differently from the run-time product the variant digests pin.
+const (
+	// OpNs is the busy cost of one abstract ALU operation in
+	// nanoseconds: 195 MHz R10000 ~ 5.13 ns per cycle.
+	OpNs float64 = 5.13
+	// TLBMissNs is the stall for one TLB refill.
+	TLBMissNs float64 = 300
+	// MissOverlap is the number of outstanding misses a sequential stream
+	// can overlap (the R10000 sustains 4); scattered dependent accesses
+	// serialize at full latency. Applied by the stream/block access
+	// variants.
+	MissOverlap float64 = 4
+)
+
+// contentionLoadFloor is the minimum load fraction used by
+// ScatteredContention: even short scattered bursts collide at the home
+// controllers, so the penalty never ramps entirely to zero.
+const contentionLoadFloor = 0.1
+
+// Validate checks the configuration; it changes nothing.
 func (c *Config) Validate() error {
 	if err := c.Topology.Validate(); err != nil {
 		return err
@@ -90,20 +91,8 @@ func (c *Config) Validate() error {
 	if err := c.TLB.Validate(); err != nil {
 		return err
 	}
-	if c.OpNs <= 0 {
-		return fmt.Errorf("machine: OpNs must be positive, got %v", c.OpNs)
-	}
 	if c.ParanoidSampleEvery < 0 {
 		return fmt.Errorf("machine: ParanoidSampleEvery must be non-negative, got %d", c.ParanoidSampleEvery)
-	}
-	if c.ParanoidSampleEvery > 1 {
-		c.Paranoid = true
-	}
-	if c.Coherence == (coherence.Params{}) {
-		c.Coherence = coherence.DefaultParams(c.Cache.LineSize)
-	}
-	if c.MissOverlap <= 0 {
-		c.MissOverlap = 1
 	}
 	return nil
 }
@@ -142,8 +131,8 @@ func (c *Config) ScatteredContention(q, bytesPerProc int) float64 {
 		return 1
 	}
 	load := float64(bytesPerProc) / float64(c.Cache.Size)
-	if load < c.ContentionLoadFloor {
-		load = c.ContentionLoadFloor
+	if load < contentionLoadFloor {
+		load = contentionLoadFloor
 	}
 	if load > 1 {
 		load = 1
@@ -180,14 +169,10 @@ func Origin2000(procs int) Config {
 		Topology:                   originTopology(procs),
 		Cache:                      cache.Config{Size: 4 << 20, LineSize: 128, Ways: 2},
 		TLB:                        cache.TLBConfig{Entries: 64, PageSize: 16 << 10},
-		OpNs:                       5.13,
-		TLBMissNs:                  300,
-		MissOverlap:                4,
 		BarrierBaseNs:              1000,
 		BarrierPerLogNs:            500,
 		ContentionScatteredPerProc: 0.045,
 		ContentionBulkPerProc:      0.005,
-		ContentionLoadFloor:        0.1,
 	}
 }
 

@@ -40,8 +40,9 @@ type Machine struct {
 	// tracing makes the next Run record a virtual-time event trace.
 	tracing bool
 
-	// checker collects paranoid-mode violations, nil unless
-	// Config.Paranoid (see internal/check and paranoid.go).
+	// checker collects paranoid-mode violations, nil when
+	// Config.ParanoidSampleEvery is 0 (see internal/check and
+	// paranoid.go).
 	checker *check.Checker
 
 	// arena is the slab memory this machine's arrays have borrowed from
@@ -49,8 +50,7 @@ type Machine struct {
 	arena *slabList
 }
 
-// New builds a machine from cfg. The configuration is validated and its
-// zero-valued defaults filled in.
+// New builds a machine from cfg after validating it.
 func New(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -67,13 +67,13 @@ func New(cfg Config) (*Machine, error) {
 		cfg:   cfg,
 		top:   top,
 		as:    as,
-		proto: coherence.NewProtocol(top, cfg.Coherence),
+		proto: coherence.NewProtocol(top, cfg.Cache.LineSize),
 		arena: newSlabList(),
 	}
 	// Precompute the coherence pricing table before processors are
 	// built: each Proc caches its own row pointers.
-	m.prices = newPriceTable(top, m.proto, cfg.Coherence)
-	if cfg.Paranoid {
+	m.prices = newPriceTable(top, m.proto)
+	if cfg.ParanoidSampleEvery > 0 {
 		// The checker must exist before processors are built: each Proc
 		// attaches its paranoid shadow at construction.
 		m.checker = check.New()
@@ -96,7 +96,7 @@ func MustNew(cfg Config) *Machine {
 	return m
 }
 
-// Config returns the machine's (validated) configuration.
+// Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
 // Topology returns the machine's interconnect.
@@ -118,8 +118,8 @@ func (m *Machine) Proc(i int) *Proc { return m.procs[i] }
 func (m *Machine) EnableTracing() { m.tracing = true }
 
 // Checker returns the paranoid-mode violation collector, or nil when the
-// machine was built without Config.Paranoid. Callers should consult
-// Checker().Err() after a run; the simulator records violations rather
+// machine was built with Config.ParanoidSampleEvery 0. Callers should
+// consult Checker().Err() after a run; the simulator records violations rather
 // than halting, so a run always completes with its normal outputs.
 func (m *Machine) Checker() *check.Checker { return m.checker }
 

@@ -28,13 +28,8 @@ func TestConfigValidateDefaults(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Origin2000(64) invalid: %v", err)
 	}
-	if cfg.Coherence.DataBytes == 0 {
-		t.Error("Validate did not fill coherence defaults")
-	}
-	bad := Origin2000(64)
-	bad.OpNs = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("accepted OpNs=0")
+	if cfg != Origin2000(64) {
+		t.Errorf("Validate changed the config: %+v", cfg)
 	}
 }
 
@@ -65,12 +60,12 @@ func TestRunCollectsPerProcStats(t *testing.T) {
 		t.Fatalf("got %d proc stats", len(res.PerProc))
 	}
 	for i, ps := range res.PerProc {
-		want := float64(100*(i+1)) * m.Config().OpNs
+		want := float64(100*(i+1)) * OpNs
 		if !closeTo(ps.Breakdown.Busy, want) {
 			t.Errorf("proc %d busy = %v, want %v", i, ps.Breakdown.Busy, want)
 		}
 	}
-	if !closeTo(res.TimeNs, 400*m.Config().OpNs) {
+	if !closeTo(res.TimeNs, 400*OpNs) {
 		t.Errorf("TimeNs = %v, want slowest proc's 400 ops", res.TimeNs)
 	}
 }
@@ -112,12 +107,12 @@ func TestBarrierAlignsClocks(t *testing.T) {
 	res := mustRun(t, m, func(p *Proc) {
 		p.Compute(1000 * (p.ID + 1)) // proc 3 arrives last
 		m.Barrier(p)
-		if want := 4000*m.Config().OpNs + cost; !closeTo(p.Now(), want) {
+		if want := 4000*OpNs + cost; !closeTo(p.Now(), want) {
 			t.Errorf("proc %d released at %v, want %v", p.ID, p.Now(), want)
 		}
 	})
 	// Proc 0 waited longest: sync = 3000 ops + cost.
-	wantSync := 3000*m.Config().OpNs + cost
+	wantSync := 3000*OpNs + cost
 	if !closeTo(res.PerProc[0].Breakdown.Sync, wantSync) {
 		t.Errorf("proc 0 sync = %v, want %v", res.PerProc[0].Breakdown.Sync, wantSync)
 	}

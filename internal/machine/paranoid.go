@@ -10,10 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
-// This file wires paranoid mode (Config.Paranoid, package check) into
-// the simulator's hot path. Every Proc of a paranoid machine carries a
-// *paranoid shadow holding unmemoized reference models; each hook site
-// in proc.go/stream.go/machine.go is a nil check on p.pc, so a
+// This file wires paranoid mode (Config.ParanoidSampleEvery, package
+// check) into the simulator's hot path. Every Proc of a paranoid machine
+// carries a *paranoid shadow holding unmemoized reference models; each
+// hook site in proc.go/stream.go/machine.go is a nil check on p.pc, so a
 // non-paranoid run pays one predictable branch per site and zero
 // allocations (TestParanoidDisabledZeroAlloc). The per-access hooks sit
 // where every translation and every cache access ends (translated and
@@ -79,8 +79,8 @@ type paranoid struct {
 	// subsystem would record, whether or not tracing is on.
 	tx [trace.NumTxClasses]int64
 
-	// sampleEvery is Config.ParanoidSampleEvery: 0 or 1 shadows every
-	// access through the reference models; N > 1 spot-samples, running
+	// sampleEvery is Config.ParanoidSampleEvery: 1 shadows every access
+	// through the reference models; N > 1 spot-samples, running
 	// only the stateless oracles (home, price, directory, clock) on every
 	// Nth priced event so paranoid stays usable on 10⁸+-access runs.
 	sampleEvery int
@@ -227,7 +227,7 @@ func (pc *paranoid) checkMiss(p *Proc, a Addr, write bool, sh Sharing, home int)
 	// (cached distance-class row), not the test accessor, so a
 	// corrupted row pointer is caught as well as a corrupted entry.
 	fast := p.m.prices.miss[priceClass(sh, write)][p.classRow[home]]
-	ref := priceFor(p.m.top, p.m.proto, p.m.cfg.Coherence, sh, write, p.Node, home)
+	ref := priceFor(p.m.top, p.m.proto, sh, write, p.Node, home)
 	if fast != ref {
 		pc.report(p, a, "price-mismatch", fmtPrice(fast), fmtPrice(ref))
 	}
@@ -248,7 +248,7 @@ func (pc *paranoid) checkWriteback(p *Proc, a Addr, home int) {
 			fmt.Sprintf("home=%d", home), fmt.Sprintf("home=%d", ref))
 	}
 	fast := p.m.prices.writeback[p.classRow[home]]
-	ref := wbPriceFor(p.m.top, p.m.proto, p.m.cfg.Coherence, p.Node, home)
+	ref := wbPriceFor(p.m.top, p.m.proto, p.Node, home)
 	if fast != ref {
 		pc.report(p, a, "writeback-price", fmtPrice(fast), fmtPrice(ref))
 	}

@@ -60,7 +60,7 @@ func TestZeroChargePhasePruned(t *testing.T) {
 // repeated runs — and requires a clean checker.
 func TestParanoidRunClean(t *testing.T) {
 	cfg := Origin2000Scaled(4)
-	cfg.Paranoid = true
+	cfg.ParanoidSampleEvery = 1
 	m := MustNew(cfg)
 	arr := NewArrayBlocked[int64](m, "t", 4*1024)
 	body := func(p *Proc) {
@@ -103,7 +103,7 @@ func TestParanoidRunClean(t *testing.T) {
 // the proc and phase named.
 func TestParanoidCatchesClockRegression(t *testing.T) {
 	cfg := Origin2000Scaled(1)
-	cfg.Paranoid = true
+	cfg.ParanoidSampleEvery = 1
 	m := MustNew(cfg)
 	arr := NewArrayBlocked[int64](m, "t", 64)
 	mustRun(t, m, func(p *Proc) {
@@ -133,7 +133,7 @@ func TestParanoidCatchesClockRegression(t *testing.T) {
 // access with the processor and the faulting address.
 func TestParanoidCatchesDroppedLine(t *testing.T) {
 	cfg := Origin2000Scaled(1)
-	cfg.Paranoid = true
+	cfg.ParanoidSampleEvery = 1
 	m := MustNew(cfg)
 	arr := NewArrayBlocked[int64](m, "a", 1<<13)
 	const elem = 1 << 12

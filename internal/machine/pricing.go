@@ -66,8 +66,7 @@ type priceTable struct {
 // entry the hot path read). The arithmetic replicates the legacy
 // missCharge switch term for term — float addition order matters for
 // byte-identical results.
-func priceFor(top topology.Network, proto *coherence.Protocol, params coherence.Params,
-	sh Sharing, write bool, req, home int) priceEntry {
+func priceFor(top topology.Network, proto *coherence.Protocol, sh Sharing, write bool, req, home int) priceEntry {
 	remote := home != req
 	mk := func(res coherence.Result) priceEntry {
 		return priceEntry{
@@ -102,9 +101,9 @@ func priceFor(top topology.Network, proto *coherence.Protocol, params coherence.
 		// local node.
 		avg := top.AverageReadLatency()
 		return priceEntry{
-			latencyNs: top.ReadLatency(req, home) + params.DirOccupancy +
-				avg + avg + top.TransferTime(params.DataBytes),
-			trafficBytes: int64(2*params.CtrlBytes + 2*params.DataBytes),
+			latencyNs: top.ReadLatency(req, home) + coherence.DirOccupancy +
+				avg + avg + top.TransferTime(proto.DataBytes()),
+			trafficBytes: int64(2*coherence.CtrlBytes + 2*proto.DataBytes()),
 			remote:       true,
 		}
 	default:
@@ -115,14 +114,13 @@ func priceFor(top topology.Network, proto *coherence.Protocol, params coherence.
 // wbPriceFor computes one writeback charge (directory occupancy plus
 // wire time; the round-trip latency is off the processor's critical
 // path), shared by newPriceTable and the paranoid oracle like priceFor.
-func wbPriceFor(top topology.Network, proto *coherence.Protocol, params coherence.Params,
-	owner, home int) priceEntry {
+func wbPriceFor(top topology.Network, proto *coherence.Protocol, owner, home int) priceEntry {
 	if home == owner {
-		return priceEntry{latencyNs: params.DirOccupancy}
+		return priceEntry{latencyNs: coherence.DirOccupancy}
 	}
 	wb := proto.Writeback(owner, home)
 	return priceEntry{
-		latencyNs:    params.DirOccupancy + top.TransferTime(wb.TrafficBytes),
+		latencyNs:    coherence.DirOccupancy + top.TransferTime(wb.TrafficBytes),
 		trafficBytes: int64(wb.TrafficBytes),
 		remote:       true,
 	}
@@ -133,7 +131,7 @@ func wbPriceFor(top topology.Network, proto *coherence.Protocol, params coherenc
 // requester-major scan order, so each stored float is bit-identical to
 // what the legacy per-pair computation produced for every pair of the
 // class (the charges are class-constant; see priceTable).
-func newPriceTable(top topology.Network, proto *coherence.Protocol, params coherence.Params) *priceTable {
+func newPriceTable(top topology.Network, proto *coherence.Protocol) *priceTable {
 	classes := top.NumDistanceClasses()
 	pt := &priceTable{writeback: make([]priceEntry, classes)}
 	for c := range pt.miss {
@@ -148,10 +146,10 @@ func newPriceTable(top topology.Network, proto *coherence.Protocol, params coher
 			filled[dc] = true
 			for _, sh := range []Sharing{Private, RemoteProduced, SharedRead, ConflictWrite, DirtyElsewhere} {
 				for _, write := range []bool{false, true} {
-					pt.miss[priceClass(sh, write)][dc] = priceFor(top, proto, params, sh, write, req, home)
+					pt.miss[priceClass(sh, write)][dc] = priceFor(top, proto, sh, write, req, home)
 				}
 			}
-			pt.writeback[dc] = wbPriceFor(top, proto, params, req, home)
+			pt.writeback[dc] = wbPriceFor(top, proto, req, home)
 		}
 	}
 	return pt

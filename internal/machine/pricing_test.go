@@ -29,7 +29,6 @@ func TestPriceTableMatchesProtocol(t *testing.T) {
 	}
 	for _, procs := range []int{1, 4, 16, 64} {
 		m := testMachine(t, procs)
-		params := m.cfg.Coherence
 		top := m.top
 		proto := m.proto
 		n := top.Nodes()
@@ -64,9 +63,9 @@ func TestPriceTableMatchesProtocol(t *testing.T) {
 							res = proto.Write(req, home, home, coherence.Exclusive, nil)
 						case DirtyElsewhere:
 							res = coherence.Result{
-								Latency: top.ReadLatency(req, home) + params.DirOccupancy +
-									avg + avg + top.TransferTime(params.DataBytes),
-								TrafficBytes: 2*params.CtrlBytes + 2*params.DataBytes,
+								Latency: top.ReadLatency(req, home) + coherence.DirOccupancy +
+									avg + avg + top.TransferTime(proto.DataBytes()),
+								TrafficBytes: 2*coherence.CtrlBytes + 2*proto.DataBytes(),
 							}
 						}
 						wantRemote := remote || sh == DirtyElsewhere
@@ -88,13 +87,13 @@ func TestPriceTableMatchesProtocol(t *testing.T) {
 				// Writeback row: legacy chargeWriteback arithmetic.
 				wbe := m.writebackEntry(req, home)
 				if !remote {
-					if wbe.latencyNs != params.DirOccupancy || wbe.remote {
+					if wbe.latencyNs != coherence.DirOccupancy || wbe.remote {
 						t.Fatalf("procs=%d writeback req=%d home=%d: got %+v, want local DirOccupancy",
 							procs, req, home, wbe)
 					}
 				} else {
 					wb := proto.Writeback(req, home)
-					wantLat := params.DirOccupancy + top.TransferTime(wb.TrafficBytes)
+					wantLat := coherence.DirOccupancy + top.TransferTime(wb.TrafficBytes)
 					if wbe.latencyNs != wantLat || !wbe.remote || wbe.trafficBytes != int64(wb.TrafficBytes) {
 						t.Fatalf("procs=%d writeback req=%d home=%d: got %+v, want latency %v traffic %d",
 							procs, req, home, wbe, wantLat, wb.TrafficBytes)

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"repro/internal/cache"
+	"repro/internal/coherence"
 	"repro/internal/trace"
 )
 
@@ -73,9 +74,9 @@ type Proc struct {
 	tr *trace.ProcTrace
 
 	// pc is this processor's paranoid-mode shadow (reference models and
-	// invariant state), nil unless Config.Paranoid. Like tr, every hook
-	// site is a nil check, so a non-paranoid run costs one predictable
-	// branch per site and zero allocations (enforced by
+	// invariant state), nil unless Config.ParanoidSampleEvery > 0. Like
+	// tr, every hook site is a nil check, so a non-paranoid run costs one
+	// predictable branch per site and zero allocations (enforced by
 	// TestParanoidDisabledZeroAlloc).
 	pc *paranoid
 
@@ -210,7 +211,7 @@ func (p *Proc) countTx(c trace.TxClass) {
 
 // Compute charges ops abstract ALU operations to BUSY.
 func (p *Proc) Compute(ops int) {
-	p.ComputeNs(float64(ops) * p.m.cfg.OpNs)
+	p.ComputeNs(float64(ops) * OpNs)
 }
 
 // ComputeNs charges ns nanoseconds to BUSY.
@@ -299,7 +300,7 @@ func (p *Proc) chargeRemote(ns float64) {
 // probes. It is the definition of what a reference charges: every stream
 // kernel must leave the machine in the state the equivalent loop of
 // access calls leaves it in (TestStreamEquivalence). overlap divides the
-// miss latency: 1 for scattered dependent accesses, Config.MissOverlap
+// miss latency: 1 for scattered dependent accesses, MissOverlap
 // for sequential streams whose misses pipeline through the MSHRs.
 func (p *Proc) access(a Addr, write bool, sh Sharing, overlap float64) {
 	p.translated(a, p.tlb.Access(a))
@@ -315,7 +316,7 @@ func (p *Proc) translated(a Addr, miss bool) {
 		p.pc.checkTLBAccess(p, a, miss)
 	}
 	if miss {
-		p.chargeLocal(p.m.cfg.TLBMissNs)
+		p.chargeLocal(TLBMissNs)
 	}
 }
 
@@ -373,7 +374,7 @@ func (p *Proc) missCharge(a Addr, write bool, sh Sharing, overlap float64) {
 func (p *Proc) chargeWriteback(a Addr) {
 	cfg := &p.m.cfg
 	if cfg.FlatMemory {
-		p.chargeLocal(cfg.Coherence.DirOccupancy)
+		p.chargeLocal(coherence.DirOccupancy)
 		return
 	}
 	home := p.m.as.HomeOf(a)

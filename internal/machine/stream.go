@@ -171,13 +171,11 @@ func (p *Proc) seqStream(a Addr, elemSize, n int, write bool, sh Sharing, ops in
 	if n <= 0 {
 		return
 	}
-	cfg := &p.m.cfg
-	opNs := float64(ops) * cfg.OpNs
+	opNs := float64(ops) * OpNs
 	es := Addr(elemSize)
 	tl, cl := &p.sTLB[0], &p.sLane
 	p.tlb.AttachLane(tl)
 	cl.Reset()
-	ov := cfg.MissOverlap
 	g := p.geom()
 	c, k := p.regs()
 	for i := 0; i < n; i++ {
@@ -190,7 +188,7 @@ func (p *Proc) seqStream(a Addr, elemSize, n int, write bool, sh Sharing, ops in
 				k.clock, c.coast = p.tlbSlow(k.clock, tl, a)
 			}
 			if !cl.Hit(g.line(a), c.tick, write) {
-				k.clock, c.coast = p.cacheSlow(k.clock, c.tick, cl, a, write, sh, ov)
+				k.clock, c.coast = p.cacheSlow(k.clock, c.tick, cl, a, write, sh, MissOverlap)
 			}
 		}
 		k.clock += opNs
@@ -221,7 +219,7 @@ func (p *Proc) idxStream(base Addr, elemSize int, idx []int64, write bool, overl
 	if len(idx) == 0 {
 		return
 	}
-	opNs := float64(ops) * p.m.cfg.OpNs
+	opNs := float64(ops) * OpNs
 	tl, cl := &p.sTLB[0], &p.sLane
 	p.tlb.AttachLane(tl)
 	cl.Reset()
@@ -257,8 +255,7 @@ func (p *Proc) CountStream(src *Array[uint32], lo, n int, srcSh Sharing,
 	if n <= 0 {
 		return
 	}
-	cfg := &p.m.cfg
-	opNs := float64(opsPerElem) * cfg.OpNs
+	opNs := float64(opsPerElem) * OpNs
 	td := tbl.Data
 	srcA, tblBase := src.base+Addr(lo*wordBytes), tbl.base
 	sT, tT := &p.sTLB[0], &p.sTLB[1]
@@ -267,7 +264,6 @@ func (p *Proc) CountStream(src *Array[uint32], lo, n int, srcSh Sharing,
 	p.tlb.AttachLane(tT)
 	sL.Reset()
 	bk := p.bucketScratch(int(mask) + 1)
-	ov := cfg.MissOverlap
 	g := p.geom()
 	c, k := p.regs()
 	for _, key := range src.Data[lo : lo+n] {
@@ -280,7 +276,7 @@ func (p *Proc) CountStream(src *Array[uint32], lo, n int, srcSh Sharing,
 				k.clock, c.coast = p.tlbSlow(k.clock, sT, srcA)
 			}
 			if !sL.Hit(g.line(srcA), c.tick, false) {
-				k.clock, c.coast = p.cacheSlow(k.clock, c.tick, sL, srcA, false, srcSh, ov)
+				k.clock, c.coast = p.cacheSlow(k.clock, c.tick, sL, srcA, false, srcSh, MissOverlap)
 			}
 		}
 		d := int(key >> shift & mask)
@@ -313,11 +309,9 @@ func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 	if n <= 0 {
 		return
 	}
-	cfg := &p.m.cfg
-	opNs := float64(opsPerElem) * cfg.OpNs
+	opNs := float64(opsPerElem) * OpNs
 	dd := dst.Data
 	srcA, tblBase, dstBase := src.base+Addr(lo*wordBytes), tbl.base, dst.base
-	ov := cfg.MissOverlap
 	sT, tT := &p.sTLB[0], &p.sTLB[1]
 	sL := &p.sLane
 	p.tlb.AttachLane(sT)
@@ -336,7 +330,7 @@ func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 				k.clock, c.coast = p.tlbSlow(k.clock, sT, srcA)
 			}
 			if !sL.Hit(g.line(srcA), c.tick, false) {
-				k.clock, c.coast = p.cacheSlow(k.clock, c.tick, sL, srcA, false, srcSh, ov)
+				k.clock, c.coast = p.cacheSlow(k.clock, c.tick, sL, srcA, false, srcSh, MissOverlap)
 			}
 		}
 		d := int(key >> shift & mask)
@@ -358,7 +352,7 @@ func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 			k.clock, c.coast = p.tlbSlow(k.clock, &b.dstT, da)
 		}
 		if !b.dst.Hit(g.line(da), c.tick, true) {
-			k.clock, c.coast = p.cacheSlow(k.clock, c.tick, &b.dst, da, true, dstSh, ov)
+			k.clock, c.coast = p.cacheSlow(k.clock, c.tick, &b.dst, da, true, dstSh, MissOverlap)
 		}
 		k.clock += opNs
 		k.busy += opNs
@@ -380,21 +374,19 @@ type SeqCursor struct {
 	elemSize int
 	sh       Sharing
 	write    bool
-	overlap  float64
 	lane     cache.Lane
 	tlb      cache.TLBLane
 }
 
 // OpenCursor binds cur to this array's address range as a sequential
 // stream of reads (write=false) or writes. Accesses charge like access
-// at Config.MissOverlap.
+// at MissOverlap.
 func (a *Array[T]) OpenCursor(cur *SeqCursor, p *Proc, write bool, sh Sharing) {
 	cur.p = p
 	cur.base = a.base
 	cur.elemSize = a.elemSize
 	cur.sh = sh
 	cur.write = write
-	cur.overlap = p.m.cfg.MissOverlap
 	cur.lane.Reset()
 	p.tlb.AttachLane(&cur.tlb)
 }
@@ -408,7 +400,7 @@ func (cur *SeqCursor) Access(i int) {
 		p.tlbSlow(p.clock, &cur.tlb, a)
 	}
 	if !p.cache.LaneHit(&cur.lane, a, cur.write) {
-		p.cacheSlow(p.clock, p.cache.Accesses(), &cur.lane, a, cur.write, cur.sh, cur.overlap)
+		p.cacheSlow(p.clock, p.cache.Accesses(), &cur.lane, a, cur.write, cur.sh, MissOverlap)
 	}
 }
 
@@ -436,8 +428,8 @@ func (a *Array[T]) GatherLoad(p *Proc, idx []int64, sh Sharing, opsPerElem int) 
 // ScatterStore charges scattered writes of elements idx[0..] with
 // opsPerElem busy operations per element. Stores post through the write
 // buffer, so even scattered write misses overlap like streams (at
-// Config.MissOverlap); sustained scatter is throttled by the contention
+// MissOverlap); sustained scatter is throttled by the contention
 // model, not by per-store round trips.
 func (a *Array[T]) ScatterStore(p *Proc, idx []int64, sh Sharing, opsPerElem int) {
-	p.idxStream(a.base, a.elemSize, idx, true, p.m.cfg.MissOverlap, sh, opsPerElem)
+	p.idxStream(a.base, a.elemSize, idx, true, MissOverlap, sh, opsPerElem)
 }

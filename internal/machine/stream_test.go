@@ -136,7 +136,7 @@ func (s *streamTestState) viaKernels(r streamRound) {
 // definition the kernels must match.
 func (s *streamTestState) viaElements(r streamRound) {
 	p, lo, cnt, ops := s.p, r.lo, r.cnt, r.ops
-	ov := s.m.cfg.MissOverlap
+	ov := MissOverlap
 	switch r.kind {
 	case 0:
 		for i := lo; i < lo+cnt; i++ {
@@ -201,7 +201,7 @@ func (s *streamTestState) perLine(a *Array[uint32], lo, hi int, write bool, sh S
 	}
 	line := Addr(s.m.cfg.Cache.LineSize)
 	for la := a.Addr(lo) &^ (line - 1); la < a.Addr(hi); la += line {
-		s.p.access(la, write, sh, s.m.cfg.MissOverlap)
+		s.p.access(la, write, sh, MissOverlap)
 	}
 }
 
@@ -340,7 +340,7 @@ func TestStreamEquivalenceParanoid(t *testing.T) {
 	for _, g := range streamGeometries() {
 		t.Run(g.name, func(t *testing.T) {
 			pcfg := g.config()
-			pcfg.Paranoid = true
+			pcfg.ParanoidSampleEvery = 1
 			pv := newStreamTestState(t, pcfg)
 			sv := newStreamTestState(t, g.config())
 			rng := rand.New(rand.NewSource(99))

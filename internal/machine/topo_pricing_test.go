@@ -34,7 +34,6 @@ func TestPriceTableAcrossTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			params := m.cfg.Coherence
 			n := m.top.Nodes()
 			if got := len(m.prices.writeback); got != m.top.NumDistanceClasses() {
 				t.Errorf("writeback memo has %d entries, want NumDistanceClasses() = %d",
@@ -44,7 +43,7 @@ func TestPriceTableAcrossTopologies(t *testing.T) {
 				for home := 0; home < n; home++ {
 					for _, sh := range allSharings {
 						for _, write := range []bool{false, true} {
-							want := priceFor(m.top, m.proto, params, sh, write, req, home)
+							want := priceFor(m.top, m.proto, sh, write, req, home)
 							got := m.missEntry(sh, write, req, home)
 							if got != want {
 								t.Fatalf("%s: missEntry(%v, write=%v, req=%d, home=%d) = %+v, want %+v",
@@ -52,7 +51,7 @@ func TestPriceTableAcrossTopologies(t *testing.T) {
 							}
 						}
 					}
-					want := wbPriceFor(m.top, m.proto, params, req, home)
+					want := wbPriceFor(m.top, m.proto, req, home)
 					if got := m.writebackEntry(req, home); got != want {
 						t.Fatalf("%s: writebackEntry(%d, %d) = %+v, want %+v", kind, req, home, got, want)
 					}

@@ -59,6 +59,10 @@ func (e Engine) String() string {
 	}
 }
 
+// stagedCopyNsPerByte is the staging-copy cost per byte, paid at both
+// ends by the Staged engine and not at all by Direct.
+const stagedCopyNsPerByte float64 = 5.0
+
 // Config sets the library's cost constants.
 type Config struct {
 	// Engine selects Direct or Staged.
@@ -68,12 +72,9 @@ type Config struct {
 	// consecutive messages to one destination must wait for each to be
 	// received); Staged uses deep library buffering.
 	BufDepth int
-	// SendOverheadNs / RecvOverheadNs are the fixed per-message CPU costs.
-	SendOverheadNs float64
-	RecvOverheadNs float64
-	// CopyNsPerByte is the staging-copy cost per byte, paid at BOTH ends
-	// by the Staged engine and not at all by Direct.
-	CopyNsPerByte float64
+	// OverheadNs is the fixed per-message CPU cost, paid by the sender
+	// and again by the receiver.
+	OverheadNs float64
 	// DeliveryNs is the fixed wire/protocol latency from send completion
 	// to receivability.
 	DeliveryNs float64
@@ -82,24 +83,20 @@ type Config struct {
 // DefaultDirect returns the NEW implementation's constants.
 func DefaultDirect() Config {
 	return Config{
-		Engine:         Direct,
-		BufDepth:       1,
-		SendOverheadNs: 4000,
-		RecvOverheadNs: 4000,
-		CopyNsPerByte:  0,
-		DeliveryNs:     500,
+		Engine:     Direct,
+		BufDepth:   1,
+		OverheadNs: 4000,
+		DeliveryNs: 500,
 	}
 }
 
 // DefaultStaged returns the SGI-style implementation's constants.
 func DefaultStaged() Config {
 	return Config{
-		Engine:         Staged,
-		BufDepth:       64,
-		SendOverheadNs: 15000,
-		RecvOverheadNs: 15000,
-		CopyNsPerByte:  5.0,
-		DeliveryNs:     500,
+		Engine:     Staged,
+		BufDepth:   64,
+		OverheadNs: 15000,
+		DeliveryNs: 500,
 	}
 }
 
@@ -111,14 +108,13 @@ func ConfigFor(e Engine) Config {
 	return DefaultDirect()
 }
 
-// Scaled divides the per-event fixed costs (overheads, delivery latency)
-// by f, leaving per-byte costs untouched. A machine whose data sizes and
-// cache are scaled down by f needs its fixed software costs scaled the
-// same way to preserve the ratio of fixed to data-proportional work (see
-// DESIGN.md §1).
+// Scaled divides the per-event fixed costs (overhead, delivery latency)
+// by f; the per-byte staging copy is not scaled. A machine whose data
+// sizes and cache are scaled down by f needs its fixed software costs
+// scaled the same way to preserve the ratio of fixed to
+// data-proportional work (see DESIGN.md §1).
 func (c Config) Scaled(f float64) Config {
-	c.SendOverheadNs /= f
-	c.RecvOverheadNs /= f
+	c.OverheadNs /= f
 	c.DeliveryNs /= f
 	return c
 }

@@ -120,7 +120,7 @@ func TestRecvWaitsForSender(t *testing.T) {
 			run(c, p, send(1, 0, nil, 4096))
 		} else {
 			run(c, p, recv(0, 0, 0, nil))
-			if p.Now() < 100000*c.Machine().Config().OpNs {
+			if p.Now() < 100000*machine.OpNs {
 				t.Errorf("receiver finished at %v, before the send", p.Now())
 			}
 			if p.Stats().Breakdown.Sync == 0 {
@@ -338,13 +338,8 @@ func TestConfigFor(t *testing.T) {
 func TestScaledDividesFixedCosts(t *testing.T) {
 	c := DefaultDirect().Scaled(16)
 	base := DefaultDirect()
-	if c.SendOverheadNs != base.SendOverheadNs/16 ||
-		c.RecvOverheadNs != base.RecvOverheadNs/16 ||
-		c.DeliveryNs != base.DeliveryNs/16 {
+	if c.OverheadNs != base.OverheadNs/16 || c.DeliveryNs != base.DeliveryNs/16 {
 		t.Errorf("Scaled(16) = %+v", c)
-	}
-	if c.CopyNsPerByte != base.CopyNsPerByte {
-		t.Error("Scaled must not change per-byte costs")
 	}
 	if c.BufDepth != base.BufDepth {
 		t.Error("Scaled must not change window depth")
@@ -360,7 +355,7 @@ func TestStagedReceiverPaysCopy(t *testing.T) {
 			before := p.Stats().Breakdown.LMem
 			run(c, p, recv(0, 0, 0, nil))
 			copied := p.Stats().Breakdown.LMem - before
-			want := float64(64<<10) * DefaultStaged().CopyNsPerByte
+			want := float64(64<<10) * stagedCopyNsPerByte
 			if copied < want*0.99 {
 				t.Errorf("receiver copy charge %v, want >= %v", copied, want)
 			}

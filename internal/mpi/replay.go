@@ -147,7 +147,7 @@ func (c *Comm) windowFull(ps *pairState) bool { return int(ps.tail-ps.head) >= c
 func (c *Comm) send(p *machine.Proc, ps *pairState, st *Step) {
 	dst, bytes := st.Peer, st.Bytes
 	sendStart := p.Now()
-	p.ComputeNs(c.cfg.SendOverheadNs)
+	p.ComputeNs(c.cfg.OverheadNs)
 
 	// Flow control: wait for the window's oldest message to be consumed.
 	// A window holds at most BufDepth messages, so one slot is enough.
@@ -170,7 +170,7 @@ func (c *Comm) send(p *machine.Proc, ps *pairState, st *Step) {
 		// receiver copies out again in recv).
 		xfer := c.top.TransferTime(bytes)
 		if c.cfg.Engine == Staged {
-			xfer = float64(bytes) * c.cfg.CopyNsPerByte
+			xfer = float64(bytes) * stagedCopyNsPerByte
 		}
 		if dstNode == p.Node {
 			p.LocalMemNs(c.top.LocalLatency() + xfer)
@@ -203,10 +203,10 @@ func (c *Comm) recv(p *machine.Proc, ps *pairState, rs *rankState) {
 	if waited := p.Now() - recvStart; waited > 0 {
 		p.TraceEvent(trace.EvMsgWait, src, bytes, waited)
 	}
-	p.ComputeNs(c.cfg.RecvOverheadNs)
+	p.ComputeNs(c.cfg.OverheadNs)
 	if c.cfg.Engine == Staged && bytes > 0 {
 		// Copy out of the library buffer into the application buffer.
-		p.LocalMemNs(float64(bytes) * c.cfg.CopyNsPerByte)
+		p.LocalMemNs(float64(bytes) * stagedCopyNsPerByte)
 	}
 	if rs.st.DstBytes > 0 {
 		p.InvalidateRange(rs.st.Addr, rs.st.DstBytes)

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/coherence"
 	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/mpi"
@@ -108,17 +109,21 @@ const (
 // lineKeys returns keys per cache line.
 func (pr *Predictor) lineKeys() float64 { return float64(pr.cfg.Cache.LineSize) / 4 }
 
+// dataBytes is the size of a data message: one line plus a control
+// header, as coherence.Protocol.DataBytes.
+func (pr *Predictor) dataBytes() int { return pr.cfg.Cache.LineSize + coherence.CtrlBytes }
+
 // localMissNs prices a local two-hop fill.
 func (pr *Predictor) localMissNs() float64 {
-	return pr.cfg.Topology.LocalLatency + pr.cfg.Coherence.DirOccupancy +
-		float64(pr.cfg.Coherence.DataBytes)/pr.cfg.Topology.LinkBandwidth
+	return pr.cfg.Topology.LocalLatency + coherence.DirOccupancy +
+		float64(pr.dataBytes())/pr.cfg.Topology.LinkBandwidth
 }
 
 // remoteMissNs prices an average remote three-hop intervention.
 func (pr *Predictor) remoteMissNs() float64 {
 	avg := pr.remoteAvgNs
-	return avg + pr.cfg.Coherence.DirOccupancy + avg +
-		float64(pr.cfg.Coherence.DataBytes)/pr.cfg.Topology.LinkBandwidth
+	return avg + coherence.DirOccupancy + avg +
+		float64(pr.dataBytes())/pr.cfg.Topology.LinkBandwidth
 }
 
 // missRatio estimates the fraction of per-key accesses that miss in a
@@ -158,21 +163,19 @@ func (pr *Predictor) Predict(model Model, w Workload) (*Prediction, error) {
 	passes := float64(keys.Passes(w.Radix))
 	np := float64(w.N / w.Procs)
 	buckets := 1 << w.Radix
-	opNs := pr.cfg.OpNs
-	overlap := pr.cfg.MissOverlap
 
 	phases := map[string]float64{}
 
 	// Histogram sweep: busy + streamed key reads + TLB-free sequential
 	// access.
-	sweepBusy := np * sweepOpsPerKey * opNs
-	sweepMem := np * pr.missRatio(int(np)*4) * pr.localMissNs() / overlap
+	sweepBusy := np * sweepOpsPerKey * machine.OpNs
+	sweepMem := np * pr.missRatio(int(np)*4) * pr.localMissNs() / machine.MissOverlap
 	phases["sweep"] = passes * (sweepBusy + sweepMem)
 
 	// Permutation: busy + the local write stream (all models permute
 	// locally first except plain CC-SAS, which scatters remotely).
-	permBusy := np * permuteOpsPerKey * opNs
-	tlbLocal := np * pr.tlbMissRatio(int(np)*4, buckets) * pr.cfg.TLBMissNs
+	permBusy := np * permuteOpsPerKey * machine.OpNs
+	tlbLocal := np * pr.tlbMissRatio(int(np)*4, buckets) * machine.TLBMissNs
 	phases["permute"] = passes * (permBusy + tlbLocal)
 
 	remoteFrac := 1 - 1/float64(w.Procs) // fraction of keys leaving the processor
@@ -186,15 +189,15 @@ func (pr *Predictor) Predict(model Model, w Workload) (*Prediction, error) {
 		// span the whole output array.
 		cont := pr.cfg.ScatteredContention(w.Procs, int(np)*4)
 		lines := np / pr.lineKeys() * remoteFrac
-		scatter := lines * (pr.remoteMissNs()/overlap + wbNs(pr.cfg)) * cont
-		tlbGlobal := np * pr.tlbMissRatio(w.N*4, buckets) * pr.cfg.TLBMissNs
+		scatter := lines * (pr.remoteMissNs()/machine.MissOverlap + pr.wbNs()) * cont
+		tlbGlobal := np * pr.tlbMissRatio(w.N*4, buckets) * machine.TLBMissNs
 		phases["transfer"] = passes * scatter
 		phases["permute"] = passes * (permBusy + tlbGlobal)
 		phases["histogram"] = passes * pr.treeNs(w.Procs, buckets)
 	case CCSASNew:
 		cont := 1 + (pr.cfg.ScatteredContention(w.Procs, int(np)*4)-1)/2
 		lines := np / pr.lineKeys() * remoteFrac
-		phases["transfer"] = passes * lines * (pr.remoteMissNs() / overlap) * cont
+		phases["transfer"] = passes * lines * (pr.remoteMissNs() / machine.MissOverlap) * cont
 		phases["histogram"] = passes * pr.treeNs(w.Procs, buckets)
 	case SHMEM:
 		chunks := float64(buckets)
@@ -203,7 +206,7 @@ func (pr *Predictor) Predict(model Model, w Workload) (*Prediction, error) {
 		phases["histogram"] = passes * pr.collectNs(w.Procs, buckets)
 	case MPI:
 		chunks := float64(buckets)
-		msg := pr.mpi.SendOverheadNs + pr.mpi.RecvOverheadNs + pr.cfg.Topology.RemoteBaseLatency
+		msg := 2*pr.mpi.OverheadNs + pr.cfg.Topology.RemoteBaseLatency
 		phases["transfer"] = passes * (chunks*msg + wire)
 		phases["histogram"] = passes * pr.allgatherNs(w.Procs, buckets)
 	default:
@@ -247,9 +250,9 @@ func (pr *Predictor) treeNs(procs, buckets int) float64 {
 	}
 	levels := bits.Len(uint(procs - 1))
 	lines := float64(buckets*4) / float64(pr.cfg.Cache.LineSize)
-	perLevel := lines*pr.remoteMissNs()/pr.cfg.MissOverlap +
+	perLevel := lines*pr.remoteMissNs()/machine.MissOverlap +
 		pr.cfg.Topology.RemoteBaseLatency + // flag transfer
-		2*float64(buckets)*pr.cfg.OpNs
+		2*float64(buckets)*machine.OpNs
 	return 2 * float64(levels) * perLevel
 }
 
@@ -269,12 +272,12 @@ func (pr *Predictor) allgatherNs(procs, buckets int) float64 {
 	}
 	rounds := bits.Len(uint(procs - 1))
 	bytes := float64((procs - 1) * buckets * 4)
-	perRound := pr.mpi.SendOverheadNs + pr.mpi.RecvOverheadNs + pr.cfg.Topology.RemoteBaseLatency
+	perRound := 2*pr.mpi.OverheadNs + pr.cfg.Topology.RemoteBaseLatency
 	return float64(rounds)*perRound + bytes/pr.cfg.Topology.LinkBandwidth
 }
 
 // wbNs prices one writeback's charged share.
-func wbNs(cfg machine.Config) float64 {
-	return cfg.Coherence.DirOccupancy +
-		float64(cfg.Coherence.DataBytes+cfg.Coherence.CtrlBytes)/cfg.Topology.LinkBandwidth
+func (pr *Predictor) wbNs() float64 {
+	return coherence.DirOccupancy +
+		float64(pr.dataBytes()+coherence.CtrlBytes)/pr.cfg.Topology.LinkBandwidth
 }

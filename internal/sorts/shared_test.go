@@ -118,7 +118,7 @@ func TestSharedStepsPerProgram(t *testing.T) {
 func paranoidMachine(t *testing.T, procs int) *machine.Machine {
 	t.Helper()
 	cfg := machine.Origin2000Scaled(procs)
-	cfg.Paranoid = true
+	cfg.ParanoidSampleEvery = 1
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatalf("machine.New: %v", err)

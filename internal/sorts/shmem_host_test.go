@@ -93,7 +93,7 @@ func TestSHMEMRowsStableUntilRepublished(t *testing.T) {
 		for _, pr := range shmemPrograms {
 			cfg := machine.Origin2000Scaled(procs)
 			cfg.Topology.Kind = topology.KindFatTree
-			cfg.Paranoid = true
+			cfg.ParanoidSampleEvery = 1
 			m, err := machine.New(cfg)
 			if err != nil {
 				t.Fatalf("machine.New: %v", err)

@@ -127,10 +127,7 @@ func (e *Experiment) resolve() (setup, error) {
 	}
 	mc, mp, sh := e.platform(s.prog.Engine)
 	s.machine = e.policy(mc)
-	// Validate fills defaults in place; check a copy so machine.New
-	// receives the config MachineConfigFor returns.
-	probe := s.machine
-	if err := probe.Validate(); err != nil {
+	if err := s.machine.Validate(); err != nil {
 		return s, err
 	}
 	s.sort = sorts.Config{Radix: e.Radix, SampleSize: e.SampleSize, MPI: mp, Shmem: sh,
@@ -404,8 +401,15 @@ func (e Experiment) policy(cfg machine.Config) machine.Config {
 		// 1 + 0·x = 1: every contention factor is exactly 1.
 		cfg.ContentionScatteredPerProc, cfg.ContentionBulkPerProc = 0, 0
 	}
-	cfg.Paranoid = e.Paranoid
+	// The machine's one paranoid value: a sample period N > 1 implies
+	// Paranoid; otherwise Paranoid checks every access.
 	cfg.ParanoidSampleEvery = e.ParanoidSampleEvery
+	if n := e.ParanoidSampleEvery; n == 0 || n == 1 {
+		cfg.ParanoidSampleEvery = 0
+		if e.Paranoid {
+			cfg.ParanoidSampleEvery = 1
+		}
+	}
 	return cfg
 }
 

@@ -325,6 +325,40 @@ func TestMachineConfigPageSizePolicy(t *testing.T) {
 	}
 }
 
+// TestParanoidMachineConfig pins how an experiment's (Paranoid,
+// ParanoidSampleEvery) pair becomes the machine's one value: a sample
+// period without Paranoid below 2 checks nothing, Paranoid alone checks
+// every access, and a period above 1 samples whatever Paranoid says.
+func TestParanoidMachineConfig(t *testing.T) {
+	for _, tc := range []struct {
+		paranoid bool
+		every    int
+		want     int
+	}{
+		{false, 0, 0}, {false, 1, 0},
+		{true, 0, 1}, {true, 1, 1},
+		{false, 13, 13}, {true, 13, 13},
+	} {
+		e := Experiment{Algorithm: Radix, Model: SHMEM, N: 1 << 12, Procs: 4,
+			Paranoid: tc.paranoid, ParanoidSampleEvery: tc.every}
+		cfg := MachineConfigFor(e)
+		if cfg.ParanoidSampleEvery != tc.want {
+			t.Errorf("(%v, %d): machine ParanoidSampleEvery = %d, want %d",
+				tc.paranoid, tc.every, cfg.ParanoidSampleEvery, tc.want)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("(%v, %d): %v", tc.paranoid, tc.every, err)
+		}
+	}
+	for _, paranoid := range []bool{false, true} {
+		cfg := MachineConfigFor(Experiment{N: 1 << 12, Procs: 4, Paranoid: paranoid, ParanoidSampleEvery: -1})
+		const want = "ParanoidSampleEvery must be non-negative"
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("(%v, -1): Validate = %v, want an error containing %q", paranoid, err, want)
+		}
+	}
+}
+
 func TestDeterministicOutcomes(t *testing.T) {
 	e := Experiment{Algorithm: Radix, Model: SHMEM, N: 1 << 13, Procs: 8, Radix: 8}
 	a := runExp(t, e)

@@ -2,17 +2,10 @@ package repro
 
 import (
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/keys"
-	"repro/internal/machine"
-	"repro/internal/mpi"
-	"repro/internal/perfmodel"
-	"repro/internal/report"
-	"repro/internal/resultcache"
-	"repro/internal/shmem"
 	"repro/internal/sorts"
 	"repro/internal/topology"
 )
@@ -113,40 +106,6 @@ func TestRequestRejections(t *testing.T) {
 	for _, model := range []string{"mpi", "ccsas", "ccsas-new"} {
 		if _, _, err := (Request{Algorithm: "radix", Model: model, N: 4096, Procs: 6}).Experiment(); err != nil {
 			t.Errorf("%s on 6 processors: %v, want it accepted", model, err)
-		}
-	}
-}
-
-// TestOptionCensus counts the independently settable values of every
-// configuration struct a front end or the harness fills, so adding a
-// knob means editing this table on purpose (DESIGN.md's option census
-// is the prose form).
-func TestOptionCensus(t *testing.T) {
-	for _, tc := range []struct {
-		v    any
-		want int
-	}{
-		{Request{}, 10},
-		{Experiment{}, 17},
-		{keys.GenConfig{}, 5},
-		{Options{}, 11},
-		{sorts.Config{}, 5},
-		{mpi.Config{}, 6},
-		{shmem.Config{}, 3},
-		{topology.Config{}, 8},
-		{machine.Config{}, 15},
-		{perfmodel.Workload{}, 3},
-		{report.StackedBreakdown{}, 4},
-		{resultcache.Config{}, 2},
-	} {
-		typ, n := reflect.TypeOf(tc.v), 0
-		for i := 0; i < typ.NumField(); i++ {
-			if typ.Field(i).IsExported() {
-				n++
-			}
-		}
-		if n != tc.want {
-			t.Errorf("%s has %d exported fields, the census says %d: a new option needs two callers with different values (and a deleted one an update here)", typ, n, tc.want)
 		}
 	}
 }
