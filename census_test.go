@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/cache"
 	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/mpi"
@@ -33,7 +34,9 @@ func TestOptionCensus(t *testing.T) {
 		{sorts.Config{}, 5},
 		{mpi.Config{}, 4},
 		{shmem.Config{}, 3},
-		{topology.Config{}, 8},
+		{topology.Config{}, 3},
+		{cache.Config{}, 3},
+		{cache.TLBConfig{}, 2},
 		{machine.Config{}, 9},
 		{perfmodel.Workload{}, 3},
 		{report.StackedBreakdown{}, 4},

@@ -225,7 +225,7 @@ func TestPrefixTreeAnyProcs(t *testing.T) {
 	for procs := 1; procs <= 70; procs++ {
 		cfg := machine.Origin2000Scaled(procs)
 		cfg.Topology.Kind = topology.KindFatTree
-		cfg.Topology.ProcsPerNode, cfg.Topology.NodesPerRouter = 1, 1
+		cfg.Topology.ProcsPerNode = 1
 		m, err := machine.New(cfg)
 		if err != nil {
 			t.Fatalf("machine.New(%d): %v", procs, err)

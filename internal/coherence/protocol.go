@@ -92,9 +92,9 @@ func (p *Protocol) msg(from, to, bytes int) float64 {
 	if from == to {
 		// Same-node controller-to-controller traffic: the topology's local
 		// latency already covers the memory access; transfers stay on-node.
-		lat = p.top.LocalLatency()
+		lat = topology.LocalLatency
 	}
-	return lat + p.top.TransferTime(bytes)
+	return lat + topology.TransferTime(bytes)
 }
 
 // Read prices a read miss by requester (node id) for a line homed at
@@ -109,7 +109,7 @@ func (p *Protocol) Read(requester, home, owner int, st DirState, sharers []int) 
 		// occupancy.
 		lat := p.msg(requester, home, CtrlBytes) +
 			DirOccupancy +
-			p.top.TransferTime(p.dataBytes)
+			topology.TransferTime(p.dataBytes)
 		newState := Shared
 		if st == Unowned {
 			// The Origin grants an exclusive (clean) copy to the first
@@ -158,7 +158,7 @@ func (p *Protocol) Write(requester, home, owner int, st DirState, sharers []int)
 	case Unowned:
 		lat := p.msg(requester, home, CtrlBytes) +
 			DirOccupancy +
-			p.top.TransferTime(p.dataBytes)
+			topology.TransferTime(p.dataBytes)
 		return Result{
 			Latency:      lat,
 			Messages:     2,
@@ -171,7 +171,7 @@ func (p *Protocol) Write(requester, home, owner int, st DirState, sharers []int)
 		// critical path is the request plus the slower of the data reply
 		// and the slowest invalidate/ack chain.
 		reqLat := p.msg(requester, home, CtrlBytes) + DirOccupancy
-		dataLat := p.top.TransferTime(p.dataBytes)
+		dataLat := topology.TransferTime(p.dataBytes)
 		invalLat := 0.0
 		nInval := 0
 		traffic := CtrlBytes + p.dataBytes
@@ -233,7 +233,7 @@ func (p *Protocol) Upgrade(requester, home int, sharers []int) Result {
 		traffic += 2 * CtrlBytes
 	}
 	// Home's grant to the requester when there are no sharers to await.
-	grant := p.top.TransferTime(CtrlBytes)
+	grant := topology.TransferTime(CtrlBytes)
 	return Result{
 		Latency:      reqLat + max(grant, invalLat),
 		Messages:     2 + 2*nInval,

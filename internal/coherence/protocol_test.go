@@ -9,15 +9,7 @@ import (
 
 func testTopo(t *testing.T) topology.Network {
 	t.Helper()
-	top, err := topology.New(topology.Config{
-		Processors:        64,
-		ProcsPerNode:      2,
-		NodesPerRouter:    2,
-		LocalLatency:      313,
-		HopLatency:        100,
-		RemoteBaseLatency: 600,
-		LinkBandwidth:     0.8,
-	})
+	top, err := topology.New(topology.Config{Processors: 64, ProcsPerNode: 2})
 	if err != nil {
 		t.Fatalf("topology.New: %v", err)
 	}

@@ -10,9 +10,12 @@ import (
 
 // Config gathers the simulated machine's parameters that experiments
 // vary. Costs with one value on the Origin2000 are constants: OpNs,
-// TLBMissNs and MissOverlap here, the protocol's in package coherence.
+// TLBMissNs and MissOverlap here, the protocol's in package coherence,
+// and the interconnect's latencies and link bandwidth in package
+// topology.
 type Config struct {
-	// Topology describes processors, nodes, routers and NUMA latencies.
+	// Topology is the machine's shape: network kind, processors, and
+	// processors per node.
 	Topology topology.Config
 	// Cache is the per-processor (second-level) cache geometry.
 	Cache cache.Config
@@ -140,33 +143,19 @@ func (c *Config) ScatteredContention(q, bytesPerProc int) float64 {
 	return 1 + c.ContentionScatteredPerProc*float64(q-1)*load
 }
 
-// originTopology returns the Origin2000 interconnect parameters for a
-// given processor count (which must keep the router count a power of
-// two: 2, 4, 8, 16, 32, 64, ... processors).
-func originTopology(procs int) topology.Config {
+// Origin2000 returns the full-size machine parameters of the paper's
+// platform: 2 processors per node on a hypercube, 4 MB 2-way
+// 128-byte-line L2 per processor, 64-entry TLB with 16 KB pages,
+// 195 MHz R10000.
+func Origin2000(procs int) Config {
 	procsPerNode := 2
 	if procs == 1 {
 		// A uniprocessor run (the sequential baseline) gets a single
 		// one-processor node.
 		procsPerNode = 1
 	}
-	return topology.Config{
-		Processors:        procs,
-		ProcsPerNode:      procsPerNode,
-		NodesPerRouter:    2,
-		LocalLatency:      313,
-		HopLatency:        100,
-		RemoteBaseLatency: 600,
-		LinkBandwidth:     0.8, // 0.8 bytes/ns per direction = 1.6 GB/s total
-	}
-}
-
-// Origin2000 returns the full-size machine parameters of the paper's
-// platform: 4 MB 2-way 128-byte-line L2 per processor, 64-entry TLB with
-// 16 KB pages, 195 MHz R10000.
-func Origin2000(procs int) Config {
 	return Config{
-		Topology:                   originTopology(procs),
+		Topology:                   topology.Config{Processors: procs, ProcsPerNode: procsPerNode},
 		Cache:                      cache.Config{Size: 4 << 20, LineSize: 128, Ways: 2},
 		TLB:                        cache.TLBConfig{Entries: 64, PageSize: 16 << 10},
 		BarrierBaseNs:              1000,
@@ -191,8 +180,8 @@ const ScaleFactor = 16
 // DESIGN.md §1.
 func Origin2000Scaled(procs int) Config {
 	c := Origin2000(procs)
-	c.Cache = cache.Config{Size: (4 << 20) / ScaleFactor, LineSize: 128, Ways: 2}
-	c.TLB = cache.TLBConfig{Entries: 64, PageSize: (16 << 10) / ScaleFactor}
+	c.Cache.Size /= ScaleFactor
+	c.TLB.PageSize /= ScaleFactor
 	// Fixed per-event software costs scale with the data so the ratio of
 	// fixed to data-proportional work matches the full-size machine.
 	c.BarrierBaseNs /= ScaleFactor

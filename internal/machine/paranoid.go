@@ -248,7 +248,7 @@ func (pc *paranoid) checkWriteback(p *Proc, a Addr, home int) {
 			fmt.Sprintf("home=%d", home), fmt.Sprintf("home=%d", ref))
 	}
 	fast := p.m.prices.writeback[p.classRow[home]]
-	ref := wbPriceFor(p.m.top, p.m.proto, p.Node, home)
+	ref := wbPriceFor(p.m.proto, p.Node, home)
 	if fast != ref {
 		pc.report(p, a, "writeback-price", fmtPrice(fast), fmtPrice(ref))
 	}

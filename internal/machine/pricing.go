@@ -102,7 +102,7 @@ func priceFor(top topology.Network, proto *coherence.Protocol, sh Sharing, write
 		avg := top.AverageReadLatency()
 		return priceEntry{
 			latencyNs: top.ReadLatency(req, home) + coherence.DirOccupancy +
-				avg + avg + top.TransferTime(proto.DataBytes()),
+				avg + avg + topology.TransferTime(proto.DataBytes()),
 			trafficBytes: int64(2*coherence.CtrlBytes + 2*proto.DataBytes()),
 			remote:       true,
 		}
@@ -114,13 +114,13 @@ func priceFor(top topology.Network, proto *coherence.Protocol, sh Sharing, write
 // wbPriceFor computes one writeback charge (directory occupancy plus
 // wire time; the round-trip latency is off the processor's critical
 // path), shared by newPriceTable and the paranoid oracle like priceFor.
-func wbPriceFor(top topology.Network, proto *coherence.Protocol, owner, home int) priceEntry {
+func wbPriceFor(proto *coherence.Protocol, owner, home int) priceEntry {
 	if home == owner {
 		return priceEntry{latencyNs: coherence.DirOccupancy}
 	}
 	wb := proto.Writeback(owner, home)
 	return priceEntry{
-		latencyNs:    coherence.DirOccupancy + top.TransferTime(wb.TrafficBytes),
+		latencyNs:    coherence.DirOccupancy + topology.TransferTime(wb.TrafficBytes),
 		trafficBytes: int64(wb.TrafficBytes),
 		remote:       true,
 	}
@@ -149,7 +149,7 @@ func newPriceTable(top topology.Network, proto *coherence.Protocol) *priceTable 
 					pt.miss[priceClass(sh, write)][dc] = priceFor(top, proto, sh, write, req, home)
 				}
 			}
-			pt.writeback[dc] = wbPriceFor(top, proto, req, home)
+			pt.writeback[dc] = wbPriceFor(proto, req, home)
 		}
 	}
 	return pt

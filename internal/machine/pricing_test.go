@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/topology"
 )
 
 // allSharings lists every Sharing class. The length check in
@@ -64,7 +65,7 @@ func TestPriceTableMatchesProtocol(t *testing.T) {
 						case DirtyElsewhere:
 							res = coherence.Result{
 								Latency: top.ReadLatency(req, home) + coherence.DirOccupancy +
-									avg + avg + top.TransferTime(proto.DataBytes()),
+									avg + avg + topology.TransferTime(proto.DataBytes()),
 								TrafficBytes: 2*coherence.CtrlBytes + 2*proto.DataBytes(),
 							}
 						}
@@ -93,7 +94,7 @@ func TestPriceTableMatchesProtocol(t *testing.T) {
 					}
 				} else {
 					wb := proto.Writeback(req, home)
-					wantLat := coherence.DirOccupancy + top.TransferTime(wb.TrafficBytes)
+					wantLat := coherence.DirOccupancy + topology.TransferTime(wb.TrafficBytes)
 					if wbe.latencyNs != wantLat || !wbe.remote || wbe.trafficBytes != int64(wb.TrafficBytes) {
 						t.Fatalf("procs=%d writeback req=%d home=%d: got %+v, want latency %v traffic %d",
 							procs, req, home, wbe, wantLat, wb.TrafficBytes)

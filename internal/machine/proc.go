@@ -3,6 +3,7 @@ package machine
 import (
 	"repro/internal/cache"
 	"repro/internal/coherence"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -347,7 +348,7 @@ func (p *Proc) missCharge(a Addr, write bool, sh Sharing, overlap float64) {
 		// Ablation: uniform memory, no coherence (and no protocol
 		// transactions to count — nor, consistently, any paranoid
 		// miss/pricing oracle to run).
-		p.chargeLocal(cfg.Topology.LocalLatency)
+		p.chargeLocal(topology.LocalLatency)
 		return
 	}
 	home := p.m.as.HomeOf(a)
@@ -408,7 +409,7 @@ func (p *Proc) BulkTransfer(otherNode int, bytes int, dst Addr, intoCache bool) 
 		return
 	}
 	p.stats.Traffic.Messages++
-	lat := p.m.top.ReadLatency(p.Node, otherNode) + p.m.top.TransferTime(bytes)
+	lat := p.m.top.ReadLatency(p.Node, otherNode) + topology.TransferTime(bytes)
 	if otherNode == p.Node {
 		p.chargeLocal(lat)
 	} else {

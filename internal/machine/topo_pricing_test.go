@@ -51,7 +51,7 @@ func TestPriceTableAcrossTopologies(t *testing.T) {
 							}
 						}
 					}
-					want := wbPriceFor(m.top, m.proto, req, home)
+					want := wbPriceFor(m.proto, req, home)
 					if got := m.writebackEntry(req, home); got != want {
 						t.Fatalf("%s: writebackEntry(%d, %d) = %+v, want %+v", kind, req, home, got, want)
 					}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/machine"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -168,12 +169,12 @@ func (c *Comm) send(p *machine.Proc, ps *pairState, st *Step) {
 		// uncached PIO-rate copy across the network, which is exactly the
 		// overhead the paper blames for the vendor MPI's performance (the
 		// receiver copies out again in recv).
-		xfer := c.top.TransferTime(bytes)
+		xfer := topology.TransferTime(bytes)
 		if c.cfg.Engine == Staged {
 			xfer = float64(bytes) * stagedCopyNsPerByte
 		}
 		if dstNode == p.Node {
-			p.LocalMemNs(c.top.LocalLatency() + xfer)
+			p.LocalMemNs(topology.LocalLatency + xfer)
 		} else {
 			p.RemoteMemNs(c.top.ReadLatency(p.Node, dstNode) + xfer)
 		}

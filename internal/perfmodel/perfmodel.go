@@ -75,7 +75,7 @@ func New(cfg machine.Config, mpiCfg mpi.Config, shmemCfg shmem.Config) (*Predict
 	}
 	pr := &Predictor{cfg: cfg, mpi: mpiCfg, shmem: shmemCfg}
 	if cfg.Topology.Kind == "" || cfg.Topology.Kind == topology.KindHypercube {
-		pr.remoteAvgNs = cfg.Topology.RemoteBaseLatency + cfg.Topology.HopLatency*2
+		pr.remoteAvgNs = topology.RemoteBaseLatency + topology.HopLatency*2
 	} else {
 		net, err := topology.New(cfg.Topology)
 		if err != nil {
@@ -90,7 +90,7 @@ func New(cfg machine.Config, mpiCfg mpi.Config, shmemCfg shmem.Config) (*Predict
 				}
 			}
 		}
-		pr.remoteAvgNs = cfg.Topology.RemoteBaseLatency
+		pr.remoteAvgNs = topology.RemoteBaseLatency
 		if pairs > 0 {
 			pr.remoteAvgNs = sum / float64(pairs)
 		}
@@ -115,15 +115,15 @@ func (pr *Predictor) dataBytes() int { return pr.cfg.Cache.LineSize + coherence.
 
 // localMissNs prices a local two-hop fill.
 func (pr *Predictor) localMissNs() float64 {
-	return pr.cfg.Topology.LocalLatency + coherence.DirOccupancy +
-		float64(pr.dataBytes())/pr.cfg.Topology.LinkBandwidth
+	return topology.LocalLatency + coherence.DirOccupancy +
+		float64(pr.dataBytes())/topology.LinkBandwidth
 }
 
 // remoteMissNs prices an average remote three-hop intervention.
 func (pr *Predictor) remoteMissNs() float64 {
 	avg := pr.remoteAvgNs
 	return avg + coherence.DirOccupancy + avg +
-		float64(pr.dataBytes())/pr.cfg.Topology.LinkBandwidth
+		float64(pr.dataBytes())/topology.LinkBandwidth
 }
 
 // missRatio estimates the fraction of per-key accesses that miss in a
@@ -180,7 +180,7 @@ func (pr *Predictor) Predict(model Model, w Workload) (*Prediction, error) {
 
 	remoteFrac := 1 - 1/float64(w.Procs) // fraction of keys leaving the processor
 	bytesMoved := np * 4 * remoteFrac
-	wire := bytesMoved / pr.cfg.Topology.LinkBandwidth
+	wire := bytesMoved / topology.LinkBandwidth
 
 	switch model {
 	case CCSAS:
@@ -201,12 +201,12 @@ func (pr *Predictor) Predict(model Model, w Workload) (*Prediction, error) {
 		phases["histogram"] = passes * pr.treeNs(w.Procs, buckets)
 	case SHMEM:
 		chunks := float64(buckets)
-		get := pr.shmem.GetOverheadNs + pr.cfg.Topology.RemoteBaseLatency
+		get := pr.shmem.GetOverheadNs + topology.RemoteBaseLatency
 		phases["transfer"] = passes * (chunks*get + wire)
 		phases["histogram"] = passes * pr.collectNs(w.Procs, buckets)
 	case MPI:
 		chunks := float64(buckets)
-		msg := 2*pr.mpi.OverheadNs + pr.cfg.Topology.RemoteBaseLatency
+		msg := 2*pr.mpi.OverheadNs + topology.RemoteBaseLatency
 		phases["transfer"] = passes * (chunks*msg + wire)
 		phases["histogram"] = passes * pr.allgatherNs(w.Procs, buckets)
 	default:
@@ -251,7 +251,7 @@ func (pr *Predictor) treeNs(procs, buckets int) float64 {
 	levels := bits.Len(uint(procs - 1))
 	lines := float64(buckets*4) / float64(pr.cfg.Cache.LineSize)
 	perLevel := lines*pr.remoteMissNs()/machine.MissOverlap +
-		pr.cfg.Topology.RemoteBaseLatency + // flag transfer
+		topology.RemoteBaseLatency + // flag transfer
 		2*float64(buckets)*machine.OpNs
 	return 2 * float64(levels) * perLevel
 }
@@ -261,8 +261,8 @@ func (pr *Predictor) collectNs(procs, buckets int) float64 {
 	bytes := float64((procs - 1) * buckets * 4)
 	gets := float64(procs - 1)
 	return pr.shmem.CollectiveEntryNs +
-		gets*(pr.shmem.GetOverheadNs+pr.cfg.Topology.RemoteBaseLatency) +
-		bytes/pr.cfg.Topology.LinkBandwidth
+		gets*(pr.shmem.GetOverheadNs+topology.RemoteBaseLatency) +
+		bytes/topology.LinkBandwidth
 }
 
 // allgatherNs prices the MPI recursive-doubling histogram allgather.
@@ -272,12 +272,12 @@ func (pr *Predictor) allgatherNs(procs, buckets int) float64 {
 	}
 	rounds := bits.Len(uint(procs - 1))
 	bytes := float64((procs - 1) * buckets * 4)
-	perRound := 2*pr.mpi.OverheadNs + pr.cfg.Topology.RemoteBaseLatency
-	return float64(rounds)*perRound + bytes/pr.cfg.Topology.LinkBandwidth
+	perRound := 2*pr.mpi.OverheadNs + topology.RemoteBaseLatency
+	return float64(rounds)*perRound + bytes/topology.LinkBandwidth
 }
 
 // wbNs prices one writeback's charged share.
 func (pr *Predictor) wbNs() float64 {
 	return coherence.DirOccupancy +
-		float64(pr.dataBytes()+coherence.CtrlBytes)/pr.cfg.Topology.LinkBandwidth
+		float64(pr.dataBytes()+coherence.CtrlBytes)/topology.LinkBandwidth
 }

@@ -106,7 +106,6 @@ func contractMachine(t *testing.T, procs int) *machine.Machine {
 	cfg := machine.Origin2000Scaled(procs)
 	cfg.Topology.Kind = topology.KindFatTree
 	cfg.Topology.ProcsPerNode = 1
-	cfg.Topology.NodesPerRouter = 1
 	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatalf("machine.New(%d): %v", procs, err)

@@ -23,10 +23,10 @@ import "math"
 // from every source. That is exact and cheap here: every minimal route
 // has at most five links (local-global-local-global-local), so few
 // rounds converge even on the largest simulated machines.
-func dragonfly(cfg Config, routers int) route {
+func dragonfly(routers int) route {
 	groupRouters := int(math.Ceil(math.Sqrt(float64(routers))))
 	groups := (routers + groupRouters - 1) / groupRouters
-	globalNs := 3 * cfg.HopLatency
+	globalNs := 3 * HopLatency
 	// groupSize is the router count of group g (the last may be partial).
 	groupSize := func(g int) int {
 		if g == groups-1 {
@@ -73,7 +73,7 @@ func dragonfly(cfg Config, routers int) route {
 	// (a, b) in a fixed expression, so equal (a, b) means bit-identical
 	// cost everywhere.
 	cost := func(a, b int16) float64 {
-		return float64(a)*cfg.HopLatency + float64(b)*globalNs
+		return float64(a)*HopLatency + float64(b)*globalNs
 	}
 	better := func(a1, b1, a2, b2 int16) bool {
 		c1, c2 := cost(a1, b1), cost(a2, b2)
@@ -119,7 +119,7 @@ func dragonfly(cfg Config, routers int) route {
 	}
 	return func(ra, rb int) (int, float64) {
 		i := ra*routers + rb
-		return int(hops[i]), cfg.RemoteBaseLatency +
-			cfg.HopLatency*float64(locals[i]) + globalNs*float64(globals[i])
+		return int(hops[i]), RemoteBaseLatency +
+			HopLatency*float64(locals[i]) + globalNs*float64(globals[i])
 	}
 }

@@ -56,9 +56,9 @@ func FuzzNetworkMetrics(f *testing.F) {
 			t.Fatalf("%s: DistanceClass(%d,%d)=%d; class 0 must be exactly local pairs",
 				net.Kind(), a, b, cls)
 		}
-		if avg := net.AverageReadLatency(); avg < net.LocalLatency() || avg > net.FurthestReadLatency() {
+		if avg := net.AverageReadLatency(); avg < LocalLatency || avg > net.FurthestReadLatency() {
 			t.Fatalf("%s: AverageReadLatency()=%v outside [%v,%v]",
-				net.Kind(), avg, net.LocalLatency(), net.FurthestReadLatency())
+				net.Kind(), avg, LocalLatency, net.FurthestReadLatency())
 		}
 	})
 }

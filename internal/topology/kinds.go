@@ -11,16 +11,16 @@ import (
 // symmetric in both results.
 type route func(ra, rb int) (hops int, ns float64)
 
-// kinds maps each kind name to its routing: given a validated Config
-// and the router count, the route between two routers. Everything a
-// shape needs beyond Config — fat-tree pod arity, torus grid, dragonfly
-// group size and global-link latency — is derived here from the router
-// count and HopLatency (DESIGN.md §12).
-var kinds = map[string]func(cfg Config, routers int) route{
+// kinds maps each kind name to its routing: given the router count of
+// a validated Config, the route between two routers. Everything a shape
+// needs — fat-tree pod arity, torus grid, dragonfly group size and
+// global-link latency — is derived here from the router count and the
+// HopLatency constant (DESIGN.md §12).
+var kinds = map[string]func(routers int) route{
 	KindHypercube: hypercube,
 	KindFatTree:   fatTree,
-	KindTorus:     func(cfg Config, routers int) route { return torus(cfg, torusDims(2, routers)) },
-	KindTorus3D:   func(cfg Config, routers int) route { return torus(cfg, torusDims(3, routers)) },
+	KindTorus:     func(routers int) route { return torus(torusDims(2, routers)) },
+	KindTorus3D:   func(routers int) route { return torus(torusDims(3, routers)) },
 	KindDragonfly: dragonfly,
 	KindNUMA2:     numa2,
 }
@@ -28,8 +28,8 @@ var kinds = map[string]func(cfg Config, routers int) route{
 // perHop is the latency every kind but the two-tier ones uses: remote
 // base plus HopLatency per router hop. Remote latency affine in the hop
 // count is the Origin2000's published behaviour (paper_test.go).
-func (c Config) perHop(hops int) float64 {
-	return c.RemoteBaseLatency + c.HopLatency*float64(hops)
+func perHop(hops int) float64 {
+	return RemoteBaseLatency + HopLatency*float64(hops)
 }
 
 // hypercube is the Origin2000 binary hypercube — the default network and
@@ -37,10 +37,10 @@ func (c Config) perHop(hops int) float64 {
 // the Hamming distance between their ids. paper_test.go pins its
 // published shape, down to the exact mean read latency every remote
 // access is priced on (791.03125 ns for the 64-processor Origin).
-func hypercube(cfg Config, _ int) route {
+func hypercube(_ int) route {
 	return func(ra, rb int) (int, float64) {
 		hops := bits.OnesCount(uint(ra ^ rb))
-		return hops, cfg.perHop(hops)
+		return hops, perHop(hops)
 	}
 }
 
@@ -54,7 +54,7 @@ func hypercube(cfg Config, _ int) route {
 //	same leaf   0 hops
 //	same pod    2 hops (leaf → aggregation → leaf)
 //	cross-pod   4 hops (leaf → aggregation → core → aggregation → leaf)
-func fatTree(cfg Config, routers int) route {
+func fatTree(routers int) route {
 	arity := int(math.Ceil(math.Sqrt(float64(routers))))
 	return func(la, lb int) (int, float64) {
 		hops := 4
@@ -64,14 +64,14 @@ func fatTree(cfg Config, routers int) route {
 		case la/arity == lb/arity:
 			hops = 2
 		}
-		return hops, cfg.perHop(hops)
+		return hops, perHop(hops)
 	}
 }
 
 // torus is a 2D or 3D torus: routers sit on the wrap-around grid dims
 // and the hop count between two routers is the Manhattan distance with
 // ring wrap-around in each dimension (dimension-ordered routing).
-func torus(cfg Config, dims []int) route {
+func torus(dims []int) route {
 	return func(ra, rb int) (int, float64) {
 		hops := 0
 		for _, size := range dims {
@@ -82,7 +82,7 @@ func torus(cfg Config, dims []int) route {
 			}
 			hops += min(d, size-d)
 		}
-		return hops, cfg.perHop(hops)
+		return hops, perHop(hops)
 	}
 }
 
@@ -105,19 +105,20 @@ func torusDims(want, routers int) []int {
 	return append([]int{d}, torusDims(want-1, routers/d)...)
 }
 
-// numa2 is a two-tier chiplet NUMA: nodes are grouped into four packages
-// of ⌈nodes/4⌉, a read inside a package pays only the cheap on-package
-// interconnect (RemoteBaseLatency), and a read crossing packages
-// additionally pays one expensive off-package link (6×HopLatency). The
-// "routers" of this shape are the packages themselves (Config.shape) —
-// NodesPerRouter plays no part — and HopLatency only sets the
-// inter-package cost.
-func numa2(cfg Config, _ int) route {
-	globalNs := 6 * cfg.HopLatency
+// numa2 is a two-tier chiplet NUMA: nodes are grouped into packages of
+// ⌈nodes/4⌉ — four packages at most sizes, three for 5, 6 or 9 nodes,
+// one per node for 1–3 nodes — a read inside a package pays only the
+// cheap on-package interconnect (RemoteBaseLatency), and a read crossing
+// packages additionally pays one expensive off-package link
+// (6×HopLatency). The "routers" of this shape are the packages
+// themselves (Config.shape) — nodesPerRouter plays no part — and
+// HopLatency only sets the inter-package cost.
+func numa2(_ int) route {
+	globalNs := 6 * HopLatency
 	return func(pa, pb int) (int, float64) {
 		if pa == pb {
-			return 0, cfg.RemoteBaseLatency
+			return 0, RemoteBaseLatency
 		}
-		return 1, cfg.RemoteBaseLatency + globalNs
+		return 1, RemoteBaseLatency + globalNs
 	}
 }

@@ -6,20 +6,11 @@ import (
 	"testing"
 )
 
-// testNetConfig is the Origin2000 parameter set reshaped onto an
+// testNetConfig is the Origin2000's node shape reshaped onto an
 // arbitrary network kind — the configuration the axiom suite and the
 // fuzz target build everything from.
 func testNetConfig(kind string, procs int) Config {
-	return Config{
-		Kind:              kind,
-		Processors:        procs,
-		ProcsPerNode:      2,
-		NodesPerRouter:    2,
-		LocalLatency:      313,
-		HopLatency:        100,
-		RemoteBaseLatency: 600,
-		LinkBandwidth:     0.8,
-	}
+	return Config{Kind: kind, Processors: procs, ProcsPerNode: 2}
 }
 
 // axiomSizes returns processor counts that the kind accepts: the
@@ -256,6 +247,23 @@ func TestPerKindValidation(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.wantSub)
 			}
 		})
+	}
+}
+
+// TestNUMA2Packages pins numa2's package count: packages of ⌈nodes/4⌉
+// nodes make four packages at most sizes, but three for 5, 6 or 9 nodes
+// and one per node below four. No fingerprint size covers 5 or 9 nodes.
+func TestNUMA2Packages(t *testing.T) {
+	for _, c := range []struct{ nodes, routers int }{
+		{1, 1}, {3, 3}, {4, 4}, {5, 3}, {6, 3}, {9, 3}, {10, 4},
+	} {
+		net, err := New(Config{Kind: KindNUMA2, Processors: c.nodes, ProcsPerNode: 1})
+		if err != nil {
+			t.Fatalf("New(numa2, %d nodes): %v", c.nodes, err)
+		}
+		if got := net.Routers(); got != c.routers {
+			t.Errorf("numa2 with %d nodes: Routers() = %d, want %d", c.nodes, got, c.routers)
+		}
 	}
 }
 

@@ -8,7 +8,9 @@
 // The package is purely combinatorial and deterministic. It answers
 // questions such as "how many router hops separate processor 12's node
 // from the home node of this page?" and converts hop counts into
-// uncontended latencies using the machine's latency parameters.
+// uncontended latencies. The interconnect's costs are constants of this
+// package (LocalLatency, HopLatency, RemoteBaseLatency, LinkBandwidth);
+// Config holds only the shape an experiment chooses.
 package topology
 
 import (
@@ -36,12 +38,43 @@ const (
 	KindNUMA2 = "numa2"
 )
 
-// Config describes the physical organization of the machine. It is a
-// pure value (no slices or maps), so machine configurations built from
-// it stay comparable and JSON-canonical. Everything else about a shape —
+// The Origin2000 interconnect's fixed costs, the same for every kind
+// and size. A charge divides or multiplies a run-time value by one of
+// them, as TransferTime does, never another constant: Go folds constant
+// expressions exactly, which can round differently from the run-time
+// arithmetic the variant digests pin.
+const (
+	// LocalLatency is the uncontended latency of a read satisfied by the
+	// local node's memory (nanoseconds): 313 ns on the Origin2000.
+	LocalLatency float64 = 313
+	// HopLatency is the additional latency per router hop (nanoseconds):
+	// about 100 ns on the Origin2000.
+	HopLatency float64 = 100
+	// RemoteBaseLatency is the uncontended latency of a read satisfied by
+	// a remote node reached through zero intervening router hops beyond
+	// the first router (nanoseconds). Calibrated so that the average and
+	// furthest remote latencies land near the Origin2000's published
+	// 796 ns and 1010 ns.
+	RemoteBaseLatency float64 = 600
+	// LinkBandwidth is the peak point-to-point bandwidth between nodes in
+	// bytes per nanosecond (1.6 GB/s total both directions on the
+	// Origin2000, i.e. 0.8 GB/s per direction = 0.8 bytes/ns).
+	LinkBandwidth float64 = 0.8
+)
+
+// nodesPerRouter is the number of consecutive nodes attached to one
+// router: the Origin2000 attaches each pair of nodes to a router. numa2
+// is the exception; its routers are its packages (Config.shape).
+const nodesPerRouter = 2
+
+// Config describes the shape an experiment chooses for the machine: the
+// network kind and how many processors it has, how many to a node. It is
+// a pure value (no slices or maps), so machine configurations built from
+// it stay comparable and JSON-canonical. The interconnect's costs are
+// the package constants above, and everything else about a shape —
 // fat-tree pod arity, torus grid, dragonfly group size and global-link
-// latency, numa2 package size — is derived from these fields by the
-// kind's shape function (kinds.go, DESIGN.md §12).
+// latency, numa2 package size — is derived from the router count by the
+// kind's route function (kinds.go, DESIGN.md §12).
 type Config struct {
 	// Kind selects the network shape by name ("" selects KindHypercube).
 	Kind string
@@ -52,26 +85,6 @@ type Config struct {
 	// ProcsPerNode is the number of processors sharing a node (and its
 	// memory). The Origin2000 packages 2 processors per node.
 	ProcsPerNode int
-	// NodesPerRouter is the number of nodes attached to one router.
-	// The Origin2000 attaches each pair of nodes to a router.
-	NodesPerRouter int
-
-	// LocalLatency is the uncontended latency of a read satisfied by the
-	// local node's memory (nanoseconds). 313 ns on the Origin2000.
-	LocalLatency float64
-	// HopLatency is the additional latency per router hop (nanoseconds).
-	// About 100 ns on the Origin2000.
-	HopLatency float64
-	// RemoteBaseLatency is the uncontended latency of a read satisfied by
-	// a remote node reached through zero intervening router hops beyond
-	// the first router (nanoseconds). Calibrated so that the average and
-	// furthest remote latencies land near the Origin2000's published
-	// 796 ns and 1010 ns.
-	RemoteBaseLatency float64
-	// LinkBandwidth is the peak point-to-point bandwidth between nodes in
-	// bytes per nanosecond (1.6 GB/s total both directions on the
-	// Origin2000, i.e. 0.8 GB/s per direction = 0.8 bytes/ns).
-	LinkBandwidth float64
 }
 
 // kind returns the shape name, with "" resolved to the hypercube.
@@ -101,16 +114,14 @@ func (c Config) shape() (nodes, perRouter, routers int, err error) {
 	if c.ProcsPerNode <= 0 {
 		return fail("procs per node must be positive, got %d", c.ProcsPerNode)
 	}
-	if c.NodesPerRouter <= 0 {
-		return fail("nodes per router must be positive, got %d", c.NodesPerRouter)
-	}
 	if c.Processors%c.ProcsPerNode != 0 {
 		return fail("processors (%d) not a multiple of procs per node (%d)", c.Processors, c.ProcsPerNode)
 	}
 	nodes = c.Processors / c.ProcsPerNode
-	perRouter = c.NodesPerRouter
+	perRouter = nodesPerRouter
 	if c.kind() == KindNUMA2 {
-		// The routers of the two-tier NUMA are its four packages.
+		// The routers of the two-tier NUMA are its packages of ⌈nodes/4⌉
+		// nodes (kinds.go's numa2 says how many that makes).
 		perRouter = (nodes + 3) / 4
 	}
 	routers = (nodes + perRouter - 1) / perRouter
@@ -189,13 +200,13 @@ func New(cfg Config) (Network, error) {
 	if err != nil {
 		return Network{}, err
 	}
-	route := kinds[cfg.kind()](cfg, routers)
+	route := kinds[cfg.kind()](routers)
 	t := &tables{
 		cfg:     cfg,
 		nodes:   nodes,
 		routers: routers,
 		class:   make([]int32, nodes*nodes),
-		classes: []distance{{0, cfg.LocalLatency}},
+		classes: []distance{{0, LocalLatency}},
 	}
 
 	// One class per distinct (hops, latency) among the router pairs, in
@@ -251,9 +262,6 @@ func New(cfg Config) (Network, error) {
 // Kind is the name of the network's shape.
 func (n Network) Kind() string { return n.t.cfg.kind() }
 
-// Config returns the configuration the network was built from.
-func (n Network) Config() Config { return n.t.cfg }
-
 // Processors returns the total processor count.
 func (n Network) Processors() int { return n.t.cfg.Processors }
 
@@ -296,10 +304,6 @@ func (n Network) Hops(a, b int) int { return n.t.classes[n.DistanceClass(a, b)].
 // MaxHops returns the largest hop count between any two nodes.
 func (n Network) MaxHops() int { return n.t.maxHops }
 
-// LocalLatency returns the uncontended latency (ns) of a read satisfied
-// by the local node's memory.
-func (n Network) LocalLatency() float64 { return n.t.cfg.LocalLatency }
-
 // ReadLatency returns the uncontended latency (ns) for a processor on
 // node from to read the first word of a line homed on node to.
 func (n Network) ReadLatency(from, to int) float64 { return n.t.classes[n.DistanceClass(from, to)].ns }
@@ -315,9 +319,9 @@ func (n Network) AverageReadLatency() float64 { return n.t.average }
 // TransferTime returns the time (ns) to stream size bytes across one
 // link at peak bandwidth. Latency is not included; callers add the
 // appropriate per-transaction latency separately.
-func (n Network) TransferTime(size int) float64 {
+func TransferTime(size int) float64 {
 	if size <= 0 {
 		return 0
 	}
-	return float64(size) / n.t.cfg.LinkBandwidth
+	return float64(size) / LinkBandwidth
 }

@@ -11,15 +11,7 @@ import (
 // hypercube.
 func origin64(t *testing.T) Network {
 	t.Helper()
-	top, err := New(Config{
-		Processors:        64,
-		ProcsPerNode:      2,
-		NodesPerRouter:    2,
-		LocalLatency:      313,
-		HopLatency:        100,
-		RemoteBaseLatency: 600,
-		LinkBandwidth:     0.8,
-	})
+	top, err := New(Config{Processors: 64, ProcsPerNode: 2})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -151,24 +143,22 @@ func TestReadLatencyMonotonicInHops(t *testing.T) {
 }
 
 func TestTransferTime(t *testing.T) {
-	top := origin64(t)
-	if got := top.TransferTime(0); got != 0 {
+	if got := TransferTime(0); got != 0 {
 		t.Errorf("TransferTime(0) = %v, want 0", got)
 	}
-	if got := top.TransferTime(-5); got != 0 {
+	if got := TransferTime(-5); got != 0 {
 		t.Errorf("TransferTime(-5) = %v, want 0", got)
 	}
 	// 800 bytes at 0.8 bytes/ns = 1000 ns.
-	if got := top.TransferTime(800); got != 1000 {
+	if got := TransferTime(800); got != 1000 {
 		t.Errorf("TransferTime(800) = %v, want 1000", got)
 	}
 }
 
 func TestTransferTimeAdditive(t *testing.T) {
-	top := origin64(t)
 	f := func(a, b uint16) bool {
-		sum := top.TransferTime(int(a)) + top.TransferTime(int(b))
-		joint := top.TransferTime(int(a) + int(b))
+		sum := TransferTime(int(a)) + TransferTime(int(b))
+		joint := TransferTime(int(a) + int(b))
 		return math.Abs(sum-joint) < 1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -177,10 +167,7 @@ func TestTransferTimeAdditive(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	base := Config{
-		Processors: 64, ProcsPerNode: 2, NodesPerRouter: 2,
-		LocalLatency: 313, HopLatency: 100, RemoteBaseLatency: 600, LinkBandwidth: 0.8,
-	}
+	base := Config{Processors: 64, ProcsPerNode: 2}
 	cases := []struct {
 		name   string
 		mutate func(*Config)
@@ -188,7 +175,6 @@ func TestNewValidation(t *testing.T) {
 		{"zero processors", func(c *Config) { c.Processors = 0 }},
 		{"negative processors", func(c *Config) { c.Processors = -4 }},
 		{"zero procs per node", func(c *Config) { c.ProcsPerNode = 0 }},
-		{"zero nodes per router", func(c *Config) { c.NodesPerRouter = 0 }},
 		{"non-multiple", func(c *Config) { c.Processors = 63 }},
 		{"non-power-of-two routers", func(c *Config) { c.Processors = 24 }},
 	}
@@ -205,10 +191,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestSmallMachines(t *testing.T) {
 	// Single node machine: everything is local, zero hops.
-	top, err := New(Config{
-		Processors: 2, ProcsPerNode: 2, NodesPerRouter: 2,
-		LocalLatency: 313, HopLatency: 100, RemoteBaseLatency: 600, LinkBandwidth: 0.8,
-	})
+	top, err := New(Config{Processors: 2, ProcsPerNode: 2})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
