@@ -1,8 +1,12 @@
 package repro
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -533,6 +537,66 @@ func TestFullSizeMachineSmoke(t *testing.T) {
 	// is modest and LMem low.
 	if out.TimeNs <= 0 {
 		t.Error("no time")
+	}
+}
+
+var updateFullSize = flag.Bool("update", false, "regenerate testdata/fullsize_digests.json")
+
+const fullSizeDigestFile = "testdata/fullsize_digests.json"
+
+// TestFullSizeDigests pins repro.Run on the unscaled Origin2000 bit for
+// bit, one cell per library's fixed costs: the staged and the direct MPI,
+// SHMEM, and CC-SAS, whose only software cost is its barriers.
+// TestVariantDigests pins the ÷16 machine only. A digest is the sha256
+// of the run's JSON (Go writes each float64 in the shortest form that
+// reads back to the same bits). Run with -update only when a change of
+// simulated behaviour is intended.
+func TestFullSizeDigests(t *testing.T) {
+	got := make(map[string]string)
+	for _, e := range []Experiment{
+		{Algorithm: Radix, Model: MPISGI},
+		{Algorithm: Sample, Model: MPI},
+		{Algorithm: Psrs, Model: SHMEM},
+		{Algorithm: Radix, Model: CCSAS},
+	} {
+		e.N, e.Procs, e.FullSize = 1<<16, 8, true
+		out := runExp(t, e)
+		data, err := json.Marshal(struct {
+			Model      string
+			TimeNs     float64
+			PerProc    []machine.ProcStats
+			RecvCounts []int
+		}{out.Result.Model, out.TimeNs, out.Result.Run.PerProc, out.Result.RecvCounts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[out.Experiment.Label()] = fmt.Sprintf("%x", sha256.Sum256(data))
+	}
+	if *updateFullSize {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err == nil {
+			err = os.WriteFile(fullSizeDigestFile, append(data, '\n'), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(fullSizeDigestFile)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("%s: %v", fullSizeDigestFile, err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s holds %d digests, the test runs %d cells", fullSizeDigestFile, len(want), len(got))
+	}
+	for id, d := range got {
+		if want[id] != d {
+			t.Errorf("%s: simulated result moved: digest %s, committed %q", id, d[:16], want[id])
+		}
 	}
 }
 
