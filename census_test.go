@@ -32,12 +32,12 @@ func TestOptionCensus(t *testing.T) {
 		{keys.GenConfig{}, 5},
 		{repro.Options{}, 11},
 		{sorts.Config{}, 5},
-		{mpi.Config{}, 4},
-		{shmem.Config{}, 3},
+		{mpi.Config{}, 2},
+		{shmem.Config{}, 0},
 		{topology.Config{}, 3},
 		{cache.Config{}, 3},
 		{cache.TLBConfig{}, 2},
-		{machine.Config{}, 9},
+		{machine.Config{}, 8},
 		{perfmodel.Workload{}, 3},
 		{report.StackedBreakdown{}, 4},
 		{resultcache.Config{}, 2},

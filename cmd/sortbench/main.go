@@ -8,8 +8,8 @@
 //	          [-full] [-perproc] [-paranoid] \
 //	          [-trace out.json] [-metrics out.json]
 //	          [-cpuprofile out.pprof] [-memprofile out.pprof]
-//	sortbench -predict [-validate] [-j N] -n 1048576 -procs 16 -radix 8 \
-//	          [-topo numa2] [-full]
+//	sortbench -predict [-validate [-paranoid]] [-j N] -n 1048576 -procs 16 \
+//	          -radix 8 [-topo numa2] [-full]
 //	sortbench -sweep radix|bufdepth|flatmem|nocontention [-j N] \
 //	          [-algo radix] [-model shmem] [-n N] [-procs P] [-dist gauss]
 //
@@ -29,7 +29,8 @@
 // With -validate every predicted model is also simulated — independent
 // runs, concurrent on -j workers (default GOMAXPROCS), identical numbers
 // at any -j — and the table gains the simulated time and the
-// predicted/simulated ratio.
+// predicted/simulated ratio. Without -validate nothing is simulated, so
+// -paranoid and -paranoid-sample are refused there.
 //
 // -sweep runs one of the parameter sweeps and ablations DESIGN.md §4 calls
 // out over the experiment the other flags name: radix sizes 6..12,
@@ -122,6 +123,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("-seeds is incompatible with -trace, -metrics and -perproc")
 	case *predict && (singleRunOutputs || *seedsK != 0):
 		return fmt.Errorf("-predict is incompatible with -seeds, -trace, -metrics and -perproc")
+	case *predict && !*validate && (*paranoid || *paranoidN != 0):
+		return fmt.Errorf("-predict without -validate simulates nothing: -paranoid and -paranoid-sample need -validate")
 	case *validate && !*predict:
 		return fmt.Errorf("-validate needs -predict")
 	case *sweepKind != "" && (singleRunOutputs || *seedsK != 0 || *predict):

@@ -100,6 +100,8 @@ func TestCLIRejectsBeforeRunning(t *testing.T) {
 		{[]string{"-seeds", "3", "-perproc"}, "-seeds is incompatible"},
 		{[]string{"-predict", "-seeds", "3"}, "-predict is incompatible"},
 		{[]string{"-predict", "-algo", "sample"}, "covers radix sort only"},
+		{[]string{"-predict", "-paranoid"}, "-predict without -validate simulates nothing"},
+		{[]string{"-predict", "-paranoid-sample", "13"}, "-predict without -validate simulates nothing"},
 		{[]string{"-validate"}, "-validate needs -predict"},
 		{[]string{"-sweep", "radix", "-seeds", "3"}, "-sweep is incompatible"},
 		{[]string{"-sweep", "radix", "-predict"}, "-sweep is incompatible"},

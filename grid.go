@@ -12,8 +12,9 @@ package repro
 // Safety argument (audited; see DESIGN.md §5): each Run builds its own
 // Machine, address space, caches and key slices; the internal packages
 // hold no package-level mutable state (only read-only tables such as
-// keys.AllDists), and every library config (mpi.Config, shmem.Config,
-// machine.Config) has value semantics. The only state shared across
+// keys.AllDists and the libraries' cost constants), and every config a
+// cell is built from (keys.GenConfig, machine.Config, sorts.Config with
+// its mpi.Config) has value semantics. The only state shared across
 // concurrent cells lives in the Harness: the baseline cache (guarded by
 // singleflight entries), the work counters, the trace list and the
 // Progress callback (serialized).

@@ -10,9 +10,10 @@ import (
 
 // Config gathers the simulated machine's parameters that experiments
 // vary. Costs with one value on the Origin2000 are constants: OpNs,
-// TLBMissNs and MissOverlap here, the protocol's in package coherence,
-// and the interconnect's latencies and link bandwidth in package
-// topology.
+// TLBMissNs, MissOverlap and the barrier's here, the protocol's in
+// package coherence, the interconnect's latencies and link bandwidth in
+// package topology, and the libraries' software costs in packages mpi
+// and shmem, each at full size and divided by Scale (SoftwareNs).
 type Config struct {
 	// Topology is the machine's shape: network kind, processors, and
 	// processors per node.
@@ -23,10 +24,10 @@ type Config struct {
 	// size used for data placement as well.
 	TLB cache.TLBConfig
 
-	// BarrierBaseNs and BarrierPerLogNs set the cost of a full barrier
-	// (see BarrierCost).
-	BarrierBaseNs   float64
-	BarrierPerLogNs float64
+	// Scale is the factor by which the machine shrinks the paper's
+	// Origin2000: 1 for Origin2000, ScaleFactor for Origin2000Scaled.
+	// Every fixed software cost is divided by it (SoftwareNs).
+	Scale int
 
 	// ContentionScatteredPerProc and ContentionBulkPerProc control the
 	// deterministic contention factor charged during communication phases:
@@ -78,6 +79,12 @@ const (
 	MissOverlap float64 = 4
 )
 
+// The full-size barrier cost: a base plus a term per tree level.
+const (
+	barrierBaseNs   float64 = 1000
+	barrierPerLogNs float64 = 500
+)
+
 // contentionLoadFloor is the minimum load fraction used by
 // ScatteredContention: even short scattered bursts collide at the home
 // controllers, so the penalty never ramps entirely to zero.
@@ -94,31 +101,41 @@ func (c *Config) Validate() error {
 	if err := c.TLB.Validate(); err != nil {
 		return err
 	}
+	if c.Scale < 1 {
+		return fmt.Errorf("machine: Scale must be at least 1, got %d", c.Scale)
+	}
 	if c.ParanoidSampleEvery < 0 {
 		return fmt.Errorf("machine: ParanoidSampleEvery must be non-negative, got %d", c.ParanoidSampleEvery)
 	}
 	return nil
 }
 
-// BarrierCost returns the virtual time a full barrier over procs ≥ 1
-// processors costs: BarrierBaseNs + BarrierPerLogNs·⌈log₂ procs⌉. The
-// machine's barriers and the analytic model (internal/perfmodel) both
-// price through it, so the formula has one body.
-func (c *Config) BarrierCost(procs int) float64 {
-	return c.BarrierBaseNs + c.BarrierPerLogNs*float64(bits.Len(uint(procs-1)))
+// SoftwareNs returns a fixed software cost given at the paper's full
+// size, divided by the machine's Scale: a machine whose data, cache and
+// TLB reach shrink by Scale pays its fixed costs shrunk by the same
+// factor, so the ratio of fixed to data-proportional work is the
+// full-size machine's (DESIGN.md §1). It is the only code that divides
+// a cost by the scale; the barrier, mpi and shmem price through it.
+func (c *Config) SoftwareNs(fullSizeNs float64) float64 {
+	return fullSizeNs / float64(c.Scale)
 }
 
-// contentionFactor returns the multiplier for remote traffic when q
-// processors communicate concurrently.
-func (c *Config) contentionFactor(q int, scattered bool) float64 {
+// BarrierCost returns the virtual time a full barrier over procs ≥ 1
+// processors costs: base + perLog·⌈log₂ procs⌉, each term scaled by
+// SoftwareNs. The machine's barriers and the analytic model
+// (internal/perfmodel) both price through it, so the formula has one
+// body.
+func (c *Config) BarrierCost(procs int) float64 {
+	return c.SoftwareNs(barrierBaseNs) + c.SoftwareNs(barrierPerLogNs)*float64(bits.Len(uint(procs-1)))
+}
+
+// contentionFactor returns the multiplier for bulk remote traffic when
+// q processors communicate concurrently.
+func (c *Config) contentionFactor(q int) float64 {
 	if q <= 1 {
 		return 1
 	}
-	per := c.ContentionBulkPerProc
-	if scattered {
-		per = c.ContentionScatteredPerProc
-	}
-	return 1 + per*float64(q-1)
+	return 1 + c.ContentionBulkPerProc*float64(q-1)
 }
 
 // ScatteredContention returns the multiplier for a scattered all-to-all
@@ -158,8 +175,7 @@ func Origin2000(procs int) Config {
 		Topology:                   topology.Config{Processors: procs, ProcsPerNode: procsPerNode},
 		Cache:                      cache.Config{Size: 4 << 20, LineSize: 128, Ways: 2},
 		TLB:                        cache.TLBConfig{Entries: 64, PageSize: 16 << 10},
-		BarrierBaseNs:              1000,
-		BarrierPerLogNs:            500,
+		Scale:                      1,
 		ContentionScatteredPerProc: 0.045,
 		ContentionBulkPerProc:      0.005,
 	}
@@ -174,17 +190,14 @@ func Origin2000(procs int) Config {
 const ScaleFactor = 16
 
 // Origin2000Scaled returns the experiment default: the same machine with
-// cache and TLB reach scaled down by ScaleFactor (256 KB cache, 1 KB
-// pages), so that data sets scaled down by the same factor reproduce the
-// paper's capacity crossovers while keeping simulations fast. See
-// DESIGN.md §1.
+// cache and TLB reach and fixed software costs scaled down by
+// ScaleFactor (256 KB cache, 1 KB pages, Scale 16), so that data sets
+// scaled down by the same factor reproduce the paper's capacity
+// crossovers while keeping simulations fast. See DESIGN.md §1.
 func Origin2000Scaled(procs int) Config {
 	c := Origin2000(procs)
 	c.Cache.Size /= ScaleFactor
 	c.TLB.PageSize /= ScaleFactor
-	// Fixed per-event software costs scale with the data so the ratio of
-	// fixed to data-proportional work matches the full-size machine.
-	c.BarrierBaseNs /= ScaleFactor
-	c.BarrierPerLogNs /= ScaleFactor
+	c.Scale = ScaleFactor
 	return c
 }

@@ -35,7 +35,7 @@ func TestProcAccessorsAndCharges(t *testing.T) {
 		if p.contention != 1 {
 			t.Errorf("contention floored to %v", p.contention)
 		}
-		if p.ContentionFactor(4, true) <= 1 {
+		if p.ContentionFactor(4) <= 1 {
 			t.Error("ContentionFactor for 4 procs should exceed 1")
 		}
 		if p.ScatteredContentionFactor(4, 1<<20) <= 1 {
@@ -97,6 +97,11 @@ func TestConfigValidateRejectsBadSubconfigs(t *testing.T) {
 	cfg = Origin2000(63) // invalid topology (router count)
 	if err := cfg.Validate(); err == nil {
 		t.Error("accepted bad topology")
+	}
+	cfg = Origin2000(64)
+	cfg.Scale = 0
+	if err := cfg.Validate(); err == nil || err.Error() != "machine: Scale must be at least 1, got 0" {
+		t.Errorf("Scale 0: Validate = %v", err)
 	}
 }
 

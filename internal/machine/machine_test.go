@@ -46,7 +46,10 @@ func TestOriginConfigsDiffer(t *testing.T) {
 	if full.TLB.PageSize/scaled.TLB.PageSize != ScaleFactor {
 		t.Errorf("page scale = %d, want %d", full.TLB.PageSize/scaled.TLB.PageSize, ScaleFactor)
 	}
-	if full.BarrierBaseNs/scaled.BarrierBaseNs != ScaleFactor {
+	if full.Scale != 1 || scaled.Scale != ScaleFactor {
+		t.Errorf("scales = %d, %d, want 1, %d", full.Scale, scaled.Scale, ScaleFactor)
+	}
+	if full.BarrierCost(64)/scaled.BarrierCost(64) != ScaleFactor {
 		t.Errorf("barrier cost should scale by %d", ScaleFactor)
 	}
 }
@@ -101,7 +104,7 @@ func TestRunIsDeterministic(t *testing.T) {
 func TestBarrierAlignsClocks(t *testing.T) {
 	m := testMachine(t, 4)
 	cost := m.cfg.BarrierCost(m.Procs())
-	if want := m.cfg.BarrierBaseNs + 2*m.cfg.BarrierPerLogNs; cost != want {
+	if want := m.cfg.SoftwareNs(barrierBaseNs) + 2*m.cfg.SoftwareNs(barrierPerLogNs); cost != want {
 		t.Fatalf("BarrierCost(4) = %v, want base + 2·perLog = %v", cost, want)
 	}
 	res := mustRun(t, m, func(p *Proc) {
@@ -229,17 +232,17 @@ func TestCacheCapacityEffect(t *testing.T) {
 
 func TestContentionFactor(t *testing.T) {
 	cfg := Origin2000Scaled(64)
-	if f := cfg.contentionFactor(1, true); f != 1 {
+	if f := cfg.contentionFactor(1); f != 1 {
 		t.Errorf("single proc factor = %v, want 1", f)
 	}
-	bulk := cfg.contentionFactor(64, false)
-	scattered := cfg.contentionFactor(64, true)
+	bulk := cfg.contentionFactor(64)
+	scattered := cfg.ScatteredContention(64, cfg.Cache.Size)
 	if bulk <= 1 || scattered <= bulk {
-		t.Errorf("want 1 < bulk (%v) < scattered (%v)", bulk, scattered)
+		t.Errorf("want 1 < bulk (%v) < saturated scattered (%v)", bulk, scattered)
 	}
 	// The no-contention ablation: zero slopes give exactly 1.
 	cfg.ContentionScatteredPerProc, cfg.ContentionBulkPerProc = 0, 0
-	if f, g := cfg.contentionFactor(64, true), cfg.ScatteredContention(64, cfg.Cache.Size); f != 1 || g != 1 {
+	if f, g := cfg.contentionFactor(64), cfg.ScatteredContention(64, cfg.Cache.Size); f != 1 || g != 1 {
 		t.Errorf("zero-slope factors = %v, %v, want 1", f, g)
 	}
 }

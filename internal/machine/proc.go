@@ -263,11 +263,11 @@ func (p *Proc) SetContention(f float64) {
 }
 
 // ContentionFactor computes the machine's deterministic contention
-// multiplier for a phase in which q processors communicate concurrently;
-// scattered marks fine-grained per-line traffic as opposed to bulk
-// transfers.
-func (p *Proc) ContentionFactor(q int, scattered bool) float64 {
-	return p.m.cfg.contentionFactor(q, scattered)
+// multiplier for a phase in which q processors move bulk transfers
+// concurrently; scattered per-line traffic is priced by
+// ScatteredContentionFactor.
+func (p *Proc) ContentionFactor(q int) float64 {
+	return p.m.cfg.contentionFactor(q)
 }
 
 // ScatteredContentionFactor computes the multiplier for a scattered

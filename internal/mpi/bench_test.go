@@ -12,7 +12,7 @@ import (
 func BenchmarkExchange(b *testing.B) {
 	for _, tc := range []struct{ procs, chunks int }{{64, 4}, {128, 2}} {
 		b.Run(fmt.Sprintf("p%dx%dchunks", tc.procs, tc.chunks), func(b *testing.B) {
-			c := comm(b, tc.procs, DefaultDirect().Scaled(float64(machine.ScaleFactor)))
+			c := comm(b, tc.procs, DefaultDirect())
 			defer c.Machine().Release()
 			run, messages := exchangeRun(c, tc.chunks)
 			run(1)
@@ -25,7 +25,7 @@ func BenchmarkExchange(b *testing.B) {
 
 func BenchmarkAllgather(b *testing.B) {
 	b.Run("p64", func(b *testing.B) {
-		c := comm(b, 64, DefaultDirect().Scaled(float64(machine.ScaleFactor)))
+		c := comm(b, 64, DefaultDirect())
 		defer c.Machine().Release()
 		mine := make([]int32, 256)
 		rounds := 6 // log2(64) messages a rank

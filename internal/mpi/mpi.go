@@ -63,7 +63,22 @@ func (e Engine) String() string {
 // ends by the Staged engine and not at all by Direct.
 const stagedCopyNsPerByte float64 = 5.0
 
-// Config sets the library's cost constants.
+// deliveryNs is the full-size wire/protocol latency from send
+// completion to receivability.
+const deliveryNs float64 = 500
+
+// OverheadNs returns the engine's full-size fixed per-message CPU cost,
+// paid by the sender and again by the receiver. A communicator pays it
+// divided by its machine's scale (machine.Config.SoftwareNs), as the
+// analytic model (internal/perfmodel) prices it.
+func (e Engine) OverheadNs() float64 {
+	if e == Staged {
+		return 15000
+	}
+	return 4000
+}
+
+// Config selects the library.
 type Config struct {
 	// Engine selects Direct or Staged.
 	Engine Engine
@@ -72,33 +87,13 @@ type Config struct {
 	// consecutive messages to one destination must wait for each to be
 	// received); Staged uses deep library buffering.
 	BufDepth int
-	// OverheadNs is the fixed per-message CPU cost, paid by the sender
-	// and again by the receiver.
-	OverheadNs float64
-	// DeliveryNs is the fixed wire/protocol latency from send completion
-	// to receivability.
-	DeliveryNs float64
 }
 
-// DefaultDirect returns the NEW implementation's constants.
-func DefaultDirect() Config {
-	return Config{
-		Engine:     Direct,
-		BufDepth:   1,
-		OverheadNs: 4000,
-		DeliveryNs: 500,
-	}
-}
+// DefaultDirect returns the NEW implementation's configuration.
+func DefaultDirect() Config { return Config{Engine: Direct, BufDepth: 1} }
 
-// DefaultStaged returns the SGI-style implementation's constants.
-func DefaultStaged() Config {
-	return Config{
-		Engine:     Staged,
-		BufDepth:   64,
-		OverheadNs: 15000,
-		DeliveryNs: 500,
-	}
-}
+// DefaultStaged returns the SGI-style implementation's configuration.
+func DefaultStaged() Config { return Config{Engine: Staged, BufDepth: 64} }
 
 // ConfigFor returns the default configuration for an engine.
 func ConfigFor(e Engine) Config {
@@ -108,16 +103,10 @@ func ConfigFor(e Engine) Config {
 	return DefaultDirect()
 }
 
-// Scaled divides the per-event fixed costs (overhead, delivery latency)
-// by f; the per-byte staging copy is not scaled. A machine whose data
-// sizes and cache are scaled down by f needs its fixed software costs
-// scaled the same way to preserve the ratio of fixed to
-// data-proportional work (see DESIGN.md §1).
-func (c Config) Scaled(f float64) Config {
-	c.OverheadNs /= f
-	c.DeliveryNs /= f
-	return c
-}
+// Scaled returns c unchanged: a communicator divides its fixed costs by
+// its machine's scale. It remains for the frozen cmd/bench, its only
+// caller.
+func (c Config) Scaled(float64) Config { return c }
 
 // Message is one message as its receiver sees it.
 type Message struct {
@@ -179,6 +168,9 @@ type Comm struct {
 	m   *machine.Machine
 	top topology.Network
 	cfg Config
+	// overheadNs and deliveryNs are the engine's fixed costs on this
+	// machine, divided by its scale once.
+	overheadNs, deliveryNs float64
 
 	// ranks and mail are the replay's state (replay.go). A rank writes
 	// its own entry of ranks before the gate; everything else belongs to
@@ -196,8 +188,9 @@ func New(m *machine.Machine, cfg Config) *Comm {
 	if cfg.BufDepth <= 0 {
 		cfg.BufDepth = 1
 	}
-	n := m.Procs()
+	n, mc := m.Procs(), m.Config()
 	c := &Comm{m: m, top: m.Topology(), cfg: cfg,
+		overheadNs: mc.SoftwareNs(cfg.Engine.OverheadNs()), deliveryNs: mc.SoftwareNs(deliveryNs),
 		ranks: make([]rankState, n), mail: make([][]pairState, n)}
 	c.replayFn = c.replay
 	return c

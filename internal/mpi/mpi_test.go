@@ -335,14 +335,22 @@ func TestConfigFor(t *testing.T) {
 	}
 }
 
+// TestScaledDividesFixedCosts: a communicator pays its engine's
+// full-size fixed costs on the full-size machine, and the scaled machine
+// divides them by its scale.
 func TestScaledDividesFixedCosts(t *testing.T) {
-	c := DefaultDirect().Scaled(16)
-	base := DefaultDirect()
-	if c.OverheadNs != base.OverheadNs/16 || c.DeliveryNs != base.DeliveryNs/16 {
-		t.Errorf("Scaled(16) = %+v", c)
-	}
-	if c.BufDepth != base.BufDepth {
-		t.Error("Scaled must not change window depth")
+	for _, e := range []Engine{Direct, Staged} {
+		m, err := machine.New(machine.Origin2000(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, scaled := New(m, ConfigFor(e)), comm(t, 2, ConfigFor(e))
+		if full.overheadNs != e.OverheadNs() || full.deliveryNs != deliveryNs {
+			t.Errorf("%v full size: overhead %v, delivery %v", e, full.overheadNs, full.deliveryNs)
+		}
+		if full.overheadNs/scaled.overheadNs != machine.ScaleFactor || full.deliveryNs/scaled.deliveryNs != machine.ScaleFactor {
+			t.Errorf("%v scaled: overhead %v, delivery %v", e, scaled.overheadNs, scaled.deliveryNs)
+		}
 	}
 }
 

@@ -148,7 +148,7 @@ func (c *Comm) windowFull(ps *pairState) bool { return int(ps.tail-ps.head) >= c
 func (c *Comm) send(p *machine.Proc, ps *pairState, st *Step) {
 	dst, bytes := st.Peer, st.Bytes
 	sendStart := p.Now()
-	p.ComputeNs(c.cfg.OverheadNs)
+	p.ComputeNs(c.overheadNs)
 
 	// Flow control: wait for the window's oldest message to be consumed.
 	// A window holds at most BufDepth messages, so one slot is enough.
@@ -179,7 +179,7 @@ func (c *Comm) send(p *machine.Proc, ps *pairState, st *Step) {
 			p.RemoteMemNs(c.top.ReadLatency(p.Node, dstNode) + xfer)
 		}
 	}
-	availAt := p.Now() + c.cfg.DeliveryNs
+	availAt := p.Now() + c.deliveryNs
 	remoteBytes := 0
 	if dstNode != p.Node {
 		remoteBytes = bytes
@@ -204,7 +204,7 @@ func (c *Comm) recv(p *machine.Proc, ps *pairState, rs *rankState) {
 	if waited := p.Now() - recvStart; waited > 0 {
 		p.TraceEvent(trace.EvMsgWait, src, bytes, waited)
 	}
-	p.ComputeNs(c.cfg.OverheadNs)
+	p.ComputeNs(c.overheadNs)
 	if c.cfg.Engine == Staged && bytes > 0 {
 		// Copy out of the library buffer into the application buffer.
 		p.LocalMemNs(float64(bytes) * stagedCopyNsPerByte)

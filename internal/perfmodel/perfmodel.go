@@ -6,10 +6,15 @@
 // The model decomposes one radix pass into the paper's phases —
 // histogram sweep, histogram accumulation/exchange, permutation, and
 // synchronization — and prices each from first principles using the same
-// machine constants the simulator uses. Its purpose is what the authors
-// intended: given a profile-free description of machine and workload,
-// say which programming model will win and by roughly how much. The
-// package's tests validate the predictions against the simulator.
+// machine constants the simulator uses. The one machine.Config it is
+// given says everything about the machine: its geometry, and through
+// its Scale the fixed software costs of the barrier, the MPI engine and
+// SHMEM, which it divides exactly as the libraries do
+// (machine.Config.SoftwareNs), so no caller scales a library config to
+// match. Its purpose is what the authors intended: given a profile-free
+// description of machine and workload, say which programming model will
+// win and by roughly how much. The package's tests validate the
+// predictions against the simulator.
 package perfmodel
 
 import (
@@ -56,9 +61,11 @@ type Prediction struct {
 
 // Predictor prices workloads on one machine configuration.
 type Predictor struct {
-	cfg   machine.Config
-	mpi   mpi.Config
-	shmem shmem.Config
+	cfg machine.Config
+	// msgNs, getNs and entryNs are the MPI per-message overhead and the
+	// SHMEM get and collective-entry costs on cfg's machine: the
+	// libraries' full-size constants divided by its scale.
+	msgNs, getNs, entryNs float64
 	// remoteAvgNs is the mean uncontended remote read latency the
 	// three-hop estimate uses. On the default hypercube it is the
 	// historical closed form (RemoteBase + 2·Hop, preserved bit-for-bit);
@@ -67,13 +74,15 @@ type Predictor struct {
 	remoteAvgNs float64
 }
 
-// New builds a predictor. The mpi/shmem configs must match the ones the
-// programs run with (scaled on the scaled machine).
-func New(cfg machine.Config, mpiCfg mpi.Config, shmemCfg shmem.Config) (*Predictor, error) {
+// New builds a predictor for cfg's machine and mpiCfg's engine. The
+// shmem argument is ignored; it remains for the frozen cmd/bench, its
+// only caller.
+func New(cfg machine.Config, mpiCfg mpi.Config, _ shmem.Config) (*Predictor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pr := &Predictor{cfg: cfg, mpi: mpiCfg, shmem: shmemCfg}
+	pr := &Predictor{cfg: cfg, msgNs: cfg.SoftwareNs(mpiCfg.Engine.OverheadNs()),
+		getNs: cfg.SoftwareNs(shmem.GetOverheadNs), entryNs: cfg.SoftwareNs(shmem.CollectiveEntryNs)}
 	if cfg.Topology.Kind == "" || cfg.Topology.Kind == topology.KindHypercube {
 		pr.remoteAvgNs = topology.RemoteBaseLatency + topology.HopLatency*2
 	} else {
@@ -201,12 +210,12 @@ func (pr *Predictor) Predict(model Model, w Workload) (*Prediction, error) {
 		phases["histogram"] = passes * pr.treeNs(w.Procs, buckets)
 	case SHMEM:
 		chunks := float64(buckets)
-		get := pr.shmem.GetOverheadNs + topology.RemoteBaseLatency
+		get := pr.getNs + topology.RemoteBaseLatency
 		phases["transfer"] = passes * (chunks*get + wire)
 		phases["histogram"] = passes * pr.collectNs(w.Procs, buckets)
 	case MPI:
 		chunks := float64(buckets)
-		msg := 2*pr.mpi.OverheadNs + topology.RemoteBaseLatency
+		msg := 2*pr.msgNs + topology.RemoteBaseLatency
 		phases["transfer"] = passes * (chunks*msg + wire)
 		phases["histogram"] = passes * pr.allgatherNs(w.Procs, buckets)
 	default:
@@ -260,8 +269,8 @@ func (pr *Predictor) treeNs(procs, buckets int) float64 {
 func (pr *Predictor) collectNs(procs, buckets int) float64 {
 	bytes := float64((procs - 1) * buckets * 4)
 	gets := float64(procs - 1)
-	return pr.shmem.CollectiveEntryNs +
-		gets*(pr.shmem.GetOverheadNs+topology.RemoteBaseLatency) +
+	return pr.entryNs +
+		gets*(pr.getNs+topology.RemoteBaseLatency) +
 		bytes/topology.LinkBandwidth
 }
 
@@ -272,7 +281,7 @@ func (pr *Predictor) allgatherNs(procs, buckets int) float64 {
 	}
 	rounds := bits.Len(uint(procs - 1))
 	bytes := float64((procs - 1) * buckets * 4)
-	perRound := 2*pr.mpi.OverheadNs + topology.RemoteBaseLatency
+	perRound := 2*pr.msgNs + topology.RemoteBaseLatency
 	return float64(rounds)*perRound + bytes/topology.LinkBandwidth
 }
 

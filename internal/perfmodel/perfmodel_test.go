@@ -14,9 +14,7 @@ import (
 func scaledPredictor(t *testing.T, procs int) *Predictor {
 	t.Helper()
 	cfg := machine.Origin2000Scaled(procs)
-	pr, err := New(cfg,
-		mpi.DefaultDirect().Scaled(machine.ScaleFactor),
-		shmem.DefaultConfig().Scaled(machine.ScaleFactor))
+	pr, err := New(cfg, mpi.DefaultDirect(), shmem.Config{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -103,11 +101,7 @@ func TestPredictWithinFactorOfSimulator(t *testing.T) {
 	const procs, n = 16, 1 << 18
 	pr := scaledPredictor(t, procs)
 	in := keys.MustGenerate(keys.Gauss, keys.GenConfig{N: n, Procs: procs, RadixBits: 8})
-	cfg := sorts.Config{
-		Radix: 8,
-		MPI:   mpi.DefaultDirect().Scaled(machine.ScaleFactor),
-		Shmem: shmem.DefaultConfig().Scaled(machine.ScaleFactor),
-	}
+	cfg := sorts.Config{Radix: 8, MPI: mpi.DefaultDirect()}
 	runSim := func(model Model) float64 {
 		m, err := machine.New(machine.Origin2000Scaled(procs))
 		if err != nil {

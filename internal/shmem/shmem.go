@@ -21,45 +21,47 @@ import (
 	"repro/internal/trace"
 )
 
-// Config sets the library's cost constants.
-type Config struct {
+// The library's full-size fixed costs, in line with a lean one-sided
+// library: a microsecond-scale initiation per transfer. A context pays
+// each divided by its machine's scale (machine.Config.SoftwareNs), as
+// the analytic model (internal/perfmodel) prices the two it reads.
+const (
 	// GetOverheadNs is the fixed CPU cost of initiating one get.
-	GetOverheadNs float64
-	// PutOverheadNs is the fixed CPU cost of initiating one put.
-	PutOverheadNs float64
+	GetOverheadNs float64 = 1200
+	// putOverheadNs is the fixed CPU cost of initiating one put.
+	putOverheadNs float64 = 1000
 	// CollectiveEntryNs is the fixed per-processor cost of entering a
 	// collective operation.
-	CollectiveEntryNs float64
-}
+	CollectiveEntryNs float64 = 2000
+)
 
-// DefaultConfig returns overheads in line with a lean one-sided library:
-// a microsecond-scale initiation cost per transfer.
-func DefaultConfig() Config {
-	return Config{
-		GetOverheadNs:     1200,
-		PutOverheadNs:     1000,
-		CollectiveEntryNs: 2000,
-	}
-}
+// Config has nothing to set: the library's costs are constants scaled
+// by the machine. It remains for the frozen cmd/bench, its only caller
+// (and sorts.Config.Shmem, which nothing reads).
+type Config struct{}
 
-// Scaled divides the per-event fixed costs by f, matching a machine
-// whose data sizes are scaled down by f (see DESIGN.md §1).
-func (c Config) Scaled(f float64) Config {
-	c.GetOverheadNs /= f
-	c.PutOverheadNs /= f
-	c.CollectiveEntryNs /= f
-	return c
-}
+// DefaultConfig returns the empty Config. It remains for the frozen
+// cmd/bench, its only caller.
+func DefaultConfig() Config { return Config{} }
+
+// Scaled returns c unchanged: a context divides its fixed costs by its
+// machine's scale. It remains for the frozen cmd/bench, its only caller.
+func (c Config) Scaled(float64) Config { return c }
 
 // Comm is one SHMEM execution context over a machine.
 type Comm struct {
-	m   *machine.Machine
-	cfg Config
+	m *machine.Machine
+	// getNs, putNs and entryNs are the fixed costs on this machine,
+	// divided by its scale once.
+	getNs, putNs, entryNs float64
 }
 
-// New builds a SHMEM context.
-func New(m *machine.Machine, cfg Config) *Comm {
-	return &Comm{m: m, cfg: cfg}
+// New builds a SHMEM context. A Config argument is ignored; it remains
+// for the frozen cmd/bench, its only caller.
+func New(m *machine.Machine, _ ...Config) *Comm {
+	mc := m.Config()
+	return &Comm{m: m, getNs: mc.SoftwareNs(GetOverheadNs),
+		putNs: mc.SoftwareNs(putOverheadNs), entryNs: mc.SoftwareNs(CollectiveEntryNs)}
 }
 
 // Machine returns the underlying machine.
@@ -133,7 +135,7 @@ func (s *Sym[T]) GetInto(p *machine.Proc, dst *machine.Array[T], dstOff, srcRank
 // the trace event — and moves no data.
 func (s *Sym[T]) chargeGet(p *machine.Proc, dst *machine.Array[T], dstOff, srcRank, n int) {
 	start := p.Now()
-	p.ComputeNs(s.c.cfg.GetOverheadNs)
+	p.ComputeNs(s.c.getNs)
 	p.BulkTransfer(s.c.m.Topology().NodeOf(srcRank), dst.Bytes(n), dst.Addr(dstOff), true)
 	p.TraceEvent(trace.EvGet, srcRank, dst.Bytes(n), p.Now()-start)
 }
@@ -156,7 +158,7 @@ func (s *Sym[T]) PutFrom(p *machine.Proc, src *machine.Array[T], srcOff, dstRank
 	}
 	c := s.c
 	start := p.Now()
-	p.ComputeNs(c.cfg.PutOverheadNs)
+	p.ComputeNs(c.putNs)
 	dst := s.Seg[dstRank]
 	copy(dst.Data[dstOff:dstOff+n], src.Data[srcOff:srcOff+n])
 	dstNode := c.m.Topology().NodeOf(dstRank)
@@ -179,7 +181,7 @@ func (s *Sym[T]) PutFrom(p *machine.Proc, src *machine.Array[T], srcOff, dstRank
 // between Collect and its next barrier is stable.
 func Collect[T any](p *machine.Proc, src, dst *Sym[T], count int) [][]T {
 	c := src.c
-	p.ComputeNs(c.cfg.CollectiveEntryNs)
+	p.ComputeNs(c.entryNs)
 	// The source data must be globally visible before anyone pulls.
 	c.Barrier(p)
 	me := p.ID

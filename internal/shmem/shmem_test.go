@@ -15,7 +15,7 @@ func comm(t *testing.T, procs int) *Comm {
 	if err != nil {
 		t.Fatalf("machine.New: %v", err)
 	}
-	return New(m, DefaultConfig())
+	return New(m)
 }
 
 // mustRun runs body on m and fails the test if the run failed.
@@ -234,13 +234,21 @@ func TestPutRemoteCostsMoreThanLocalNode(t *testing.T) {
 	}
 }
 
+// TestScaledDividesFixedCosts: a context pays the library's full-size
+// fixed costs on the full-size machine, and the scaled machine divides
+// them by its scale.
 func TestScaledDividesFixedCosts(t *testing.T) {
-	base := DefaultConfig()
-	c := base.Scaled(16)
-	if c.GetOverheadNs != base.GetOverheadNs/16 ||
-		c.PutOverheadNs != base.PutOverheadNs/16 ||
-		c.CollectiveEntryNs != base.CollectiveEntryNs/16 {
-		t.Errorf("Scaled(16) = %+v", c)
+	m, err := machine.New(machine.Origin2000(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, scaled := New(m), comm(t, 2)
+	if full.getNs != GetOverheadNs || full.putNs != putOverheadNs || full.entryNs != CollectiveEntryNs {
+		t.Errorf("full size: get %v, put %v, entry %v", full.getNs, full.putNs, full.entryNs)
+	}
+	if full.getNs/scaled.getNs != machine.ScaleFactor || full.putNs/scaled.putNs != machine.ScaleFactor ||
+		full.entryNs/scaled.entryNs != machine.ScaleFactor {
+		t.Errorf("scaled: get %v, put %v, entry %v", scaled.getNs, scaled.putNs, scaled.entryNs)
 	}
 }
 

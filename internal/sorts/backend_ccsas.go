@@ -263,7 +263,7 @@ func (b *ccsasBackend) routes(p *machine.Proc, bnd []int64, placed bool) *chunkP
 // routes' barrier already made safe.
 func (b *ccsasBackend) exchange(p *machine.Proc, plan *chunkPlan, from, to *partitioned, x xfer) int {
 	me, P := p.ID, b.m.Procs()
-	bulk := p.ContentionFactor(P, false)
+	bulk := p.ContentionFactor(P)
 	if !to.shared {
 		rcv := newReceiver(plan, to.part[me], me)
 		p.SetContention(bulk)

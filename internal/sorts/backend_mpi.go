@@ -156,7 +156,7 @@ func (b *mpiBackend) exchange(p *machine.Proc, plan *chunkPlan, from, to *partit
 	plan.each(me, me, func(ch chunk) {
 		copyRun(p, from.part[me], ch.srcOff, rcv.dst, rcv.place(ch), ch.count, machine.Private, machine.Private)
 	})
-	p.SetContention(p.ContentionFactor(P, false))
+	p.SetContention(p.ContentionFactor(P))
 	rounds := exchangeRounds{plan: plan, from: from, rcv: rcv, tag: x.tag, me: me, procs: P}
 	if b.oneMsg {
 		b.c.Run(p, &destExchange{exchangeRounds: rounds})

@@ -61,7 +61,7 @@ func (b *shmemBackend) symParts(s *shmem.Sym[uint32], n int) *partitioned {
 
 func (b *shmemBackend) alloc(m *machine.Machine, cfg Config, alg algorithm, n, perProc int) *store {
 	P, B := m.Procs(), cfg.Buckets()
-	c := shmem.New(m, cfg.Shmem)
+	c := shmem.New(m)
 	b.m, b.c, b.sym = m, c, make(map[*partitioned]*shmem.Sym[uint32])
 	st := &store{hist: make([]*machine.Array[int32], P)}
 	b.st = st
@@ -231,7 +231,7 @@ func (b *shmemBackend) exchange(p *machine.Proc, plan *chunkPlan, from, to *part
 		fence()
 	}
 	label(p, x.transfer)
-	p.SetContention(p.ContentionFactor(P, false))
+	p.SetContention(p.ContentionFactor(P))
 	for k := 0; k < P; k++ {
 		peer := (me + k) % P
 		s, d := peer, me

@@ -14,7 +14,6 @@ import (
 	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/mpi"
-	"repro/internal/shmem"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -34,7 +33,7 @@ func digestVariants() []digestVariant {
 	withMPI := func(e mpi.Engine, oneMsg bool,
 		f func(*machine.Machine, []uint32, Config) (*Result, error)) func(*machine.Machine, []uint32, Config) (*Result, error) {
 		return func(m *machine.Machine, in []uint32, c Config) (*Result, error) {
-			c.MPI = mpi.ConfigFor(e).Scaled(float64(machine.ScaleFactor))
+			c.MPI = mpi.ConfigFor(e)
 			c.MPIOneMessagePerDest = oneMsg
 			return f(m, in, c)
 		}
@@ -202,8 +201,7 @@ func TestVariantDigests(t *testing.T) {
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		for _, v := range digestVariants() {
 			id := fmt.Sprintf("%s/%s %s", v.algorithm, v.model, s.name)
-			cfg := Config{Radix: s.radix, SampleSize: s.sampleSize,
-				Shmem: shmem.DefaultConfig().Scaled(float64(machine.ScaleFactor))}
+			cfg := Config{Radix: s.radix, SampleSize: s.sampleSize}
 			res, err := v.run(s.machine(t), in, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)

@@ -12,12 +12,14 @@ import (
 
 // FuzzSortAgreement drives every sorting program in the Variants table —
 // sequential baseline, radix sort, sample sort and PSRS under all
-// programming models and both MPI libraries — over fuzzed key
-// sets, sizes, processor counts and radixes, and requires that each
-// output is exactly the sort.Slice ordering of the input and that every
-// simulated-time bucket stays non-negative and finite. This is the
-// package's strongest functional invariant: the simulator may reprice
-// memory, but it must never corrupt data or produce nonsense charges.
+// programming models and both MPI libraries — over fuzzed key sets,
+// sizes, processor counts, radixes and both machine presets (procSel's
+// high bit picks the full-size Origin2000 over the scaled one), and
+// requires that each output is exactly the sort.Slice ordering of the
+// input and that every simulated-time bucket stays non-negative and
+// finite. This is the package's strongest functional invariant: the
+// simulator may reprice memory, but it must never corrupt data or
+// produce nonsense charges.
 func FuzzSortAgreement(f *testing.F) {
 	f.Add(uint64(1), uint16(1000), uint8(1), uint8(4))
 	f.Add(uint64(0), uint16(64), uint8(0), uint8(0))
@@ -35,11 +37,15 @@ func FuzzSortAgreement(f *testing.F) {
 	f.Add(uint64(5)<<61|12345, uint16(2000), uint8(2), uint8(4))
 	f.Add(uint64(6)<<61|99, uint16(1024), uint8(2), uint8(3))
 	f.Add(uint64(7)<<61|7, uint16(777), uint8(1), uint8(6))
+	// The full-size machine.
+	f.Add(uint64(5), uint16(2500), uint8(0x80|2), uint8(4))
+	f.Add(uint64(5)<<61|8, uint16(600), uint8(0x80|1), uint8(3))
 
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, procSel, radixRaw uint8) {
-		n := 1 + int(nRaw)%4096       // 1..4096 keys
-		procs := 1 << (1 + procSel%3) // 2, 4 or 8 processors
-		radix := 4 + int(radixRaw)%8  // 4..11 bits per digit
+		n := 1 + int(nRaw)%4096              // 1..4096 keys
+		procs := 1 << (1 + (procSel&0x7f)%3) // 2, 4 or 8 processors
+		fullSize := procSel&0x80 != 0
+		radix := 4 + int(radixRaw)%8 // 4..11 bits per digit
 		in := fuzzKeys(seed, n)
 		cfg := Config{Radix: radix}
 
@@ -53,17 +59,17 @@ func FuzzSortAgreement(f *testing.F) {
 				vprocs = 1
 			}
 			cfg.MPI = mpi.ConfigFor(v.Engine)
-			res, err := v.Sort(fuzzMachine(t, vprocs), in, cfg)
+			res, err := v.Sort(fuzzMachine(t, vprocs, fullSize), in, cfg)
 			if err != nil {
-				t.Fatalf("%s (n=%d procs=%d radix=%d): %v", name, n, procs, radix, err)
+				t.Fatalf("%s (n=%d procs=%d radix=%d full=%v): %v", name, n, procs, radix, fullSize, err)
 			}
 			if len(res.Sorted) != len(want) {
 				t.Fatalf("%s: output length %d, want %d", name, len(res.Sorted), len(want))
 			}
 			for i := range want {
 				if res.Sorted[i] != want[i] {
-					t.Fatalf("%s (n=%d procs=%d radix=%d): output[%d]=%d, sort.Slice says %d",
-						name, n, procs, radix, i, res.Sorted[i], want[i])
+					t.Fatalf("%s (n=%d procs=%d radix=%d full=%v): output[%d]=%d, sort.Slice says %d",
+						name, n, procs, radix, fullSize, i, res.Sorted[i], want[i])
 				}
 			}
 			checkFiniteCharges(t, name, res)
@@ -114,10 +120,15 @@ func fuzzKeys(seed uint64, n int) []uint32 {
 	return out
 }
 
-// fuzzMachine builds a scaled machine without the testing.T helpers the
-// unit tests use (fuzz workers call it from the Fuzz goroutine).
-func fuzzMachine(t *testing.T, procs int) *machine.Machine {
-	m, err := machine.New(machine.Origin2000Scaled(procs))
+// fuzzMachine builds a scaled or, if fullSize, a full-size machine
+// without the testing.T helpers the unit tests use (fuzz workers call it
+// from the Fuzz goroutine).
+func fuzzMachine(t *testing.T, procs int, fullSize bool) *machine.Machine {
+	cfg := machine.Origin2000Scaled(procs)
+	if fullSize {
+		cfg = machine.Origin2000(procs)
+	}
+	m, err := machine.New(cfg)
 	if err != nil {
 		t.Fatalf("machine.New(%d): %v", procs, err)
 	}

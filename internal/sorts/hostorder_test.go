@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/keys"
-	"repro/internal/machine"
-	"repro/internal/shmem"
 	"repro/internal/topology"
 )
 
@@ -62,8 +60,7 @@ func TestHostOrderInvariant(t *testing.T) {
 					order := h.order(s.procs)
 					m.SetArrivalOrderForTest(func(proc, arrived int) bool { return order[arrived] == proc })
 				}
-				res, err := v.run(m, in, Config{Radix: s.radix,
-					Shmem: shmem.DefaultConfig().Scaled(float64(machine.ScaleFactor))})
+				res, err := v.run(m, in, Config{Radix: s.radix})
 				if err != nil {
 					t.Fatalf("%s/%s %s, %s: %v", v.algorithm, v.model, s.name, h.name, err)
 				}

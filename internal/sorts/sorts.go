@@ -58,7 +58,9 @@ type Config struct {
 	// found per-chunk messages faster on the Origin2000; this variant
 	// exists for that ablation.
 	MPIOneMessagePerDest bool
-	// Shmem configures the one-sided library for the SHMEM variants.
+	// Shmem is read by nothing: the one-sided library's costs are
+	// constants scaled by the machine. It remains for the frozen
+	// cmd/bench, its only caller.
 	Shmem shmem.Config
 }
 
@@ -69,7 +71,6 @@ func DefaultConfig() Config {
 		Radix:      8,
 		SampleSize: keys.DefaultSamples,
 		MPI:        mpi.DefaultDirect(),
-		Shmem:      shmem.DefaultConfig(),
 	}
 }
 
@@ -84,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MPI == (mpi.Config{}) {
 		c.MPI = d.MPI
-	}
-	if c.Shmem == (shmem.Config{}) {
-		c.Shmem = d.Shmem
 	}
 	return c
 }

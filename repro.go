@@ -125,12 +125,12 @@ func (e *Experiment) resolve() (setup, error) {
 	if n := s.prog.Procs; n != 0 && e.Procs != n {
 		return s, fmt.Errorf("repro: %s/%s runs on %d processor, got %d", e.Algorithm, e.Model, n, e.Procs)
 	}
-	mc, mp, sh := e.platform(s.prog.Engine)
+	mc, mp := e.platform(s.prog.Engine)
 	s.machine = e.policy(mc)
 	if err := s.machine.Validate(); err != nil {
 		return s, err
 	}
-	s.sort = sorts.Config{Radix: e.Radix, SampleSize: e.SampleSize, MPI: mp, Shmem: sh,
+	s.sort = sorts.Config{Radix: e.Radix, SampleSize: e.SampleSize, MPI: mp,
 		MPIOneMessagePerDest: e.MPIOneMessagePerDest}
 	return s, nil
 }
@@ -357,44 +357,39 @@ func (e Experiment) progressLine(timeNs float64) (format string, args []any) {
 		[]any{e.Algorithm, e.Model, e.N, e.Procs, e.Radix, e.Dist, report.Ms(timeNs)}
 }
 
-// platform is the one decision "which machine and which communication
-// libraries does this experiment run on": the Origin2000 preset wired as
-// e.Topo — scaled ÷16 unless FullSize, with the libraries' fixed
-// software costs scaled to match (DESIGN.md §1) — and the MPI library
+// platform is the one decision "which machine and which MPI library
+// does this experiment run on": the Origin2000 preset wired as e.Topo —
+// scaled ÷16 unless FullSize; the machine's Scale also divides the
+// libraries' fixed software costs (DESIGN.md §1) — and the MPI library
 // the model names, at e.MPIBufDepth when that is set. resolve (for Run)
 // and Predict both start here.
-func (e Experiment) platform(engine mpi.Engine) (machine.Config, mpi.Config, shmem.Config) {
-	mc, mp, sh := machine.Origin2000(e.Procs), mpi.ConfigFor(engine), shmem.DefaultConfig()
-	if !e.FullSize {
-		mc = machine.Origin2000Scaled(e.Procs)
-		mp, sh = mp.Scaled(float64(machine.ScaleFactor)), sh.Scaled(float64(machine.ScaleFactor))
+func (e Experiment) platform(engine mpi.Engine) (machine.Config, mpi.Config) {
+	mc, mp := machine.Origin2000Scaled(e.Procs), mpi.ConfigFor(engine)
+	if e.FullSize {
+		mc = machine.Origin2000(e.Procs)
 	}
 	mc.Topology.Kind = e.Topo
 	if e.MPIBufDepth > 0 {
 		mp.BufDepth = e.MPIBufDepth
 	}
-	return mc, mp, sh
+	return mc, mp
 }
 
 // MachineConfigFor returns the machine configuration Run builds for an
 // experiment: its platform's machine under the experiment's policy.
 func MachineConfigFor(e Experiment) machine.Config {
-	cfg, _, _ := e.platform(mpi.Direct)
+	cfg, _ := e.platform(mpi.Direct)
 	return e.policy(cfg)
 }
 
 // policy applies to the platform's machine cfg the paper's page-size
 // policy (the authors used 64 KB pages up to 64M keys and 256 KB pages at
-// 256M, both divided by the scale factor on the scaled machine) and the
-// experiment's ablation and paranoid switches.
+// 256M, each divided by the machine's scale, as is the size class) and
+// the experiment's ablation and paranoid switches.
 func (e Experiment) policy(cfg machine.Config) machine.Config {
-	scale, bigN := machine.ScaleFactor, SizeClasses[4].ScaledN
-	if e.FullSize {
-		scale, bigN = 1, SizeClasses[4].PaperN
-	}
-	cfg.TLB.PageSize = (64 << 10) / scale
-	if e.N >= bigN {
-		cfg.TLB.PageSize = (256 << 10) / scale
+	cfg.TLB.PageSize = (64 << 10) / cfg.Scale
+	if e.N >= SizeClasses[4].PaperN/cfg.Scale {
+		cfg.TLB.PageSize = (256 << 10) / cfg.Scale
 	}
 	cfg.FlatMemory = e.FlatMemory
 	if e.NoContention {
@@ -424,7 +419,8 @@ func Predict(e Experiment) ([]*perfmodel.Prediction, error) {
 	if _, err := e.resolve(); err != nil {
 		return nil, err
 	}
-	pr, err := perfmodel.New(e.platform(mpi.Direct))
+	mc, mp := e.platform(mpi.Direct)
+	pr, err := perfmodel.New(mc, mp, shmem.Config{})
 	if err != nil {
 		return nil, err
 	}
