@@ -583,20 +583,21 @@ func (h *Harness) byDist(title string, alg Algorithm, model Model) (*RelativeFig
 
 // byRadix sweeps Options.RadixSweep at the largest processor count,
 // relative to radix 8 — or to the first swept radix when 8 is not in the
-// sweep.
+// sweep — and names that reference radix at the end of the title.
 func (h *Harness) byRadix(title string, alg Algorithm, model Model) (*RelativeFigure, error) {
 	e := program(alg, model, h.maxProcs())
 	var rows []Experiment
 	var names []string
-	ref := 0
+	ref, refRadix := 0, 0
 	for i, r := range h.opts.RadixSweep {
 		e.Radix = r
 		rows, names = append(rows, e), append(names, fmt.Sprintf("r=%d", r))
-		if r == 8 {
-			ref = i
+		if r == 8 || i == 0 {
+			ref, refRadix = i, r
 		}
 	}
-	return h.sweep(title, "radix 8", names, ref, rows)
+	reference := fmt.Sprintf("radix %d", refRadix)
+	return h.sweep(title+", relative to "+reference, reference, names, ref, rows)
 }
 
 // Figure5 reproduces the radix sort key-distribution study (SHMEM, max
@@ -612,12 +613,12 @@ func (h *Harness) Figure9() (*RelativeFigure, error) {
 
 // Figure6 reproduces the radix-size study for radix sort (SHMEM).
 func (h *Harness) Figure6() (*RelativeFigure, error) {
-	return h.byRadix("Figure 6: radix sort time by radix size (SHMEM), relative to radix 8", Radix, SHMEM)
+	return h.byRadix("Figure 6: radix sort time by radix size (SHMEM)", Radix, SHMEM)
 }
 
 // Figure10 reproduces the radix-size study for sample sort (CC-SAS).
 func (h *Harness) Figure10() (*RelativeFigure, error) {
-	return h.byRadix("Figure 10: sample sort time by radix size (CC-SAS), relative to radix 8", Sample, CCSAS)
+	return h.byRadix("Figure 10: sample sort time by radix size (CC-SAS)", Sample, CCSAS)
 }
 
 // FigureSkew is the beyond-paper skewed-workload study (DESIGN.md §14,

@@ -166,6 +166,22 @@ func TestHarnessFigure6Shape(t *testing.T) {
 	}
 }
 
+// A sweep without radix 8 is relative to its first radix, and the
+// title and Reference name that radix, not 8.
+func TestHarnessFigure6NamesSweptReference(t *testing.T) {
+	h := NewHarness(Options{Procs: []int{4}, Sizes: SizeClasses[:1], RadixSweep: []int{6, 7}})
+	f, err := h.Figure6()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Get("r=6", "1M"); got != 1 {
+		t.Errorf("r=6 must be the reference, got %v", got)
+	}
+	if f.Reference != "radix 6" || !strings.HasSuffix(f.Title, "relative to radix 6") {
+		t.Errorf("reference %q, title %q: want radix 6 named", f.Reference, f.Title)
+	}
+}
+
 func TestHarnessTables23(t *testing.T) {
 	h := NewHarness(Options{Procs: []int{8}, Sizes: SizeClasses[:2], TableRadixes: []int{8, 11}})
 	bt, err := h.Tables23()

@@ -20,6 +20,7 @@ package repro
 // Progress callback (serialized).
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -108,28 +109,6 @@ func ForEachIndex(par, n int, fn func(i int)) []*PanicError {
 	return panics
 }
 
-// forEachCell runs fn(i) for every i in [0, n) on the scheduler and
-// returns each cell's error in cell order; a panicking cell's error is
-// its *PanicError. Callers that want one error take firstError of the
-// result: the earliest failing cell in cell order, whichever finished
-// first in wall-clock.
-func forEachCell(par, n int, fn func(i int) error) []error {
-	errs := make([]error, n)
-	for _, pe := range ForEachIndex(par, n, func(i int) { errs[i] = fn(i) }) {
-		errs[pe.Index] = pe
-	}
-	return errs
-}
-
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Cell is what the harness keeps of one executed experiment: what the
 // tables, figures, ensembles and sweeps consume, not the Outcome with its
 // n-key sorted array, which is garbage as soon as Run has verified it.
@@ -173,15 +152,18 @@ func (h *Harness) RunCells(exps []Experiment) ([]Cell, error) {
 		}
 	}
 	cells := make([]Cell, len(exps))
-	errs := forEachCell(h.opts.Parallelism, len(exps), func(i int) (err error) {
+	errs := make([]error, len(exps))
+	panics := ForEachIndex(h.opts.Parallelism, len(exps), func(i int) {
 		if exps[i].Model == Seq {
-			cells[i], err = h.sequential(exps[i])
+			cells[i], errs[i] = h.sequential(exps[i])
 		} else {
-			cells[i], err = h.cell(exps[i])
+			cells[i], errs[i] = h.cell(exps[i])
 		}
-		return err
 	})
-	if err := firstError(errs); err != nil {
+	for _, pe := range panics {
+		errs[pe.Index] = pe
+	}
+	if err := cmp.Or(errs...); err != nil {
 		return nil, err
 	}
 	h.traceMu.Lock()

@@ -18,8 +18,10 @@
 package perfmodel
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/coherence"
 	"repro/internal/keys"
@@ -243,12 +245,8 @@ func (pr *Predictor) PredictAll(w Workload) ([]*Prediction, error) {
 		}
 		out = append(out, p)
 	}
-	// Insertion sort by predicted time.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].TimeNs < out[j-1].TimeNs; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	// Stable, so tied models keep the order above.
+	slices.SortStableFunc(out, func(a, b *Prediction) int { return cmp.Compare(a.TimeNs, b.TimeNs) })
 	return out, nil
 }
 

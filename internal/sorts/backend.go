@@ -14,6 +14,46 @@ const (
 	algPsrs
 )
 
+// String is the Result.Algorithm name.
+func (a algorithm) String() string { return [...]string{"radix", "sample", "psrs"}[a] }
+
+// runProgram is the one place a parallel sort meets the machine. It
+// resolves cfg, has be lay out alg's storage — samples, when set, gives
+// from the resolved config each processor's sample count — loads the
+// keys, and runs body, the algorithm's per-processor program, on every
+// processor with the storage, the resolved config and that sample
+// count. Each body returns the processor's piece of the sorted output,
+// and the Result is built from those pieces.
+func runProgram(m *machine.Machine, keysIn []uint32, cfg Config, be backend, alg algorithm,
+	samples func(cfg Config, n, procs int) int,
+	body func(p *machine.Proc, st *store, cfg Config, samples int) part) (*Result, error) {
+	cfg, err := cfg.resolved()
+	if err != nil {
+		return nil, err
+	}
+	n, P := len(keysIn), m.Procs()
+	perProc := 0
+	if samples != nil {
+		perProc = samples(cfg, n, P)
+	}
+	st := be.alloc(m, cfg, alg, n, perProc)
+	st.load(keysIn)
+	m.ResetMemory()
+
+	final := make([]part, P)
+	run, err := m.Run(func(p *machine.Proc) { final[p.ID] = body(p, st, cfg, perProc) })
+	if err != nil {
+		return nil, err
+	}
+	// RecvCounts: the key count of each processor's output run.
+	sizes := make([]int, P)
+	for i, pt := range final {
+		sizes[i] = pt.n
+	}
+	return &Result{Algorithm: alg.String(), Model: be.model(), Sorted: gather(final, n),
+		RecvCounts: sizes, Run: run}, nil
+}
+
 // backend is one programming model as the sorting programs see it. The
 // paper holds each algorithm fixed and varies only the model, so each
 // algorithm is written once (radix.go, sample.go, psrs.go) against this

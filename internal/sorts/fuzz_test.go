@@ -8,18 +8,29 @@ import (
 	"repro/internal/keys"
 	"repro/internal/machine"
 	"repro/internal/mpi"
+	"repro/internal/topology"
 )
 
 // FuzzSortAgreement drives every sorting program in the Variants table —
 // sequential baseline, radix sort, sample sort and PSRS under all
 // programming models and both MPI libraries — over fuzzed key sets,
-// sizes, processor counts, radixes and both machine presets (procSel's
-// high bit picks the full-size Origin2000 over the scaled one), and
-// requires that each output is exactly the sort.Slice ordering of the
+// sizes, radixes, machines and both machine presets, and requires that each output is exactly the sort.Slice ordering of the
 // input and that every simulated-time bucket stays non-negative and
 // finite. This is the package's strongest functional invariant: the
 // simulator may reprice memory, but it must never corrupt data or
 // produce nonsense charges.
+//
+// The two small arguments pack the machine:
+//   - procSel bit 7 picks the full-size Origin2000 over the scaled one;
+//   - procSel bit 6 clear keeps the original draw, 2, 4 or 8 processors
+//     from procSel's low bits; set, the processor count is 1 + (procSel's
+//     low six bits, radixRaw's top bit as bit 6) mod 70;
+//   - radixRaw's low three bits pick the radix, 4..11;
+//   - radixRaw bits 3..6 pick the interconnect: 0 the default hypercube,
+//     k > 0 topology.Kinds()[(k-1) % len].
+//
+// A processor count the interconnect cannot wire (an odd count above 1,
+// or one the hypercube refuses) skips the input.
 func FuzzSortAgreement(f *testing.F) {
 	f.Add(uint64(1), uint16(1000), uint8(1), uint8(4))
 	f.Add(uint64(0), uint16(64), uint8(0), uint8(0))
@@ -40,12 +51,33 @@ func FuzzSortAgreement(f *testing.F) {
 	// The full-size machine.
 	f.Add(uint64(5), uint16(2500), uint8(0x80|2), uint8(4))
 	f.Add(uint64(5)<<61|8, uint16(600), uint8(0x80|1), uint8(3))
+	// One processor; more processors (40) than keys (10); and a
+	// non-power-of-two count on every other interconnect: dragonfly 48,
+	// fattree 6, numa2 70, torus 12, torus3d 24.
+	f.Add(uint64(9), uint16(500), uint8(0x40|0), uint8(4))
+	f.Add(uint64(3)<<61|5, uint16(9), uint8(0x40|39), uint8(2<<3|4))
+	f.Add(uint64(13), uint16(3000), uint8(0x40|47), uint8(1<<3|1))
+	f.Add(uint64(1)<<61|17, uint16(1200), uint8(0x40|5), uint8(2<<3|6))
+	f.Add(uint64(5)<<61|21, uint16(2100), uint8(0x40|5), uint8(0x80|4<<3|0))
+	f.Add(uint64(6)<<61|23, uint16(700), uint8(0x80|0x40|11), uint8(5<<3|3))
+	f.Add(uint64(29), uint16(4095), uint8(0x40|23), uint8(6<<3|7))
 
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, procSel, radixRaw uint8) {
-		n := 1 + int(nRaw)%4096              // 1..4096 keys
-		procs := 1 << (1 + (procSel&0x7f)%3) // 2, 4 or 8 processors
+		n := 1 + int(nRaw)%4096 // 1..4096 keys
+		procs := 1 << (1 + (procSel&0x3f)%3)
+		if procSel&0x40 != 0 {
+			procs = 1 + (int(procSel&0x3f)|int(radixRaw>>7)<<6)%70
+		}
 		fullSize := procSel&0x80 != 0
 		radix := 4 + int(radixRaw)%8 // 4..11 bits per digit
+		kind := ""
+		if k := int(radixRaw>>3) & 0xf; k > 0 {
+			kind = topology.Kinds()[(k-1)%len(topology.Kinds())]
+		}
+		mc := fuzzConfig(procs, kind, fullSize)
+		if err := mc.Validate(); err != nil {
+			t.Skipf("no %d-processor %q machine: %v", procs, kind, err)
+		}
 		in := fuzzKeys(seed, n)
 		cfg := Config{Radix: radix}
 
@@ -59,17 +91,17 @@ func FuzzSortAgreement(f *testing.F) {
 				vprocs = 1
 			}
 			cfg.MPI = mpi.ConfigFor(v.Engine)
-			res, err := v.Sort(fuzzMachine(t, vprocs, fullSize), in, cfg)
+			res, err := v.Sort(fuzzMachine(t, fuzzConfig(vprocs, kind, fullSize)), in, cfg)
 			if err != nil {
-				t.Fatalf("%s (n=%d procs=%d radix=%d full=%v): %v", name, n, procs, radix, fullSize, err)
+				t.Fatalf("%s (n=%d procs=%d %s radix=%d full=%v): %v", name, n, procs, kind, radix, fullSize, err)
 			}
 			if len(res.Sorted) != len(want) {
 				t.Fatalf("%s: output length %d, want %d", name, len(res.Sorted), len(want))
 			}
 			for i := range want {
 				if res.Sorted[i] != want[i] {
-					t.Fatalf("%s (n=%d procs=%d radix=%d full=%v): output[%d]=%d, sort.Slice says %d",
-						name, n, procs, radix, fullSize, i, res.Sorted[i], want[i])
+					t.Fatalf("%s (n=%d procs=%d %s radix=%d full=%v): output[%d]=%d, sort.Slice says %d",
+						name, n, procs, kind, radix, fullSize, i, res.Sorted[i], want[i])
 				}
 			}
 			checkFiniteCharges(t, name, res)
@@ -120,17 +152,23 @@ func fuzzKeys(seed uint64, n int) []uint32 {
 	return out
 }
 
-// fuzzMachine builds a scaled or, if fullSize, a full-size machine
-// without the testing.T helpers the unit tests use (fuzz workers call it
-// from the Fuzz goroutine).
-func fuzzMachine(t *testing.T, procs int, fullSize bool) *machine.Machine {
+// fuzzConfig is the scaled or, if fullSize, the full-size machine of
+// procs processors on the interconnect kind ("" the hypercube).
+func fuzzConfig(procs int, kind string, fullSize bool) machine.Config {
 	cfg := machine.Origin2000Scaled(procs)
 	if fullSize {
 		cfg = machine.Origin2000(procs)
 	}
+	cfg.Topology.Kind = kind
+	return cfg
+}
+
+// fuzzMachine builds cfg without the testing.T helpers the unit tests
+// use (fuzz workers call it from the Fuzz goroutine).
+func fuzzMachine(t *testing.T, cfg machine.Config) *machine.Machine {
 	m, err := machine.New(cfg)
 	if err != nil {
-		t.Fatalf("machine.New(%d): %v", procs, err)
+		t.Fatalf("machine.New(%d procs, %q): %v", cfg.Topology.Processors, cfg.Topology.Kind, err)
 	}
 	return m
 }

@@ -80,19 +80,6 @@ func TestConfigPasses(t *testing.T) {
 	}
 }
 
-func TestDigitExtraction(t *testing.T) {
-	k := uint32(0b1101_0110_1011)
-	if d := digit(k, 0, 4); d != 0b1011 {
-		t.Errorf("digit 0 = %b", d)
-	}
-	if d := digit(k, 1, 4); d != 0b0110 {
-		t.Errorf("digit 1 = %b", d)
-	}
-	if d := digit(k, 2, 4); d != 0b1101 {
-		t.Errorf("digit 2 = %b", d)
-	}
-}
-
 func TestSeqRadixSorts(t *testing.T) {
 	for _, d := range []keys.Dist{keys.Gauss, keys.Random, keys.Zero} {
 		m := scaled(t, 1)

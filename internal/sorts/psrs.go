@@ -40,22 +40,15 @@ func PsrsSHMEM(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error)
 // arrives already sorted, so a P-way merge of the runs finishes the sort
 // in one sweep.
 func psrsSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Result, error) {
-	cfg, err := cfg.resolved()
-	if err != nil {
-		return nil, err
-	}
-	n, P := len(keysIn), m.Procs()
-	if n > math.MaxInt32 {
+	if n := len(keysIn); n > math.MaxInt32 {
 		// The merge heap holds positions in a receive buffer (at most n
 		// keys) as int32.
 		return nil, fmt.Errorf("sorts: psrs: %d keys exceed the merge's 2^31-1 key limit", n)
 	}
-	st := be.alloc(m, cfg, algPsrs, n, P)
-	st.load(keysIn)
-	m.ResetMemory()
-
-	final := make([]part, P)
-	run, err := m.Run(func(p *machine.Proc) {
+	P := m.Procs()
+	// P regular samples per processor.
+	perProc := func(_ Config, _, procs int) int { return procs }
+	return runProgram(m, keysIn, cfg, be, algPsrs, perProc, func(p *machine.Proc, st *store, cfg Config, _ int) part {
 		me := p.ID
 
 		p.SetPhase("localsort")
@@ -63,8 +56,7 @@ func psrsSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Res
 		mine := sorted.part[me]
 		if P == 1 {
 			// A uniprocessor PSRS is just the local sort.
-			final[0] = mine
-			return
+			return mine
 		}
 
 		p.SetPhase("sample")
@@ -91,14 +83,8 @@ func psrsSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Res
 		out := st.out.part[me].arr.Grow(incoming)
 		starts, counts := plan.runs(me)
 		multiwayMergeCharged(p, st.recv.part[me].arr, out, starts, counts)
-		final[me] = part{arr: out, n: incoming}
+		return part{arr: out, n: incoming}
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	return &Result{Algorithm: "psrs", Model: be.model(), Sorted: gather(final, n),
-		RecvCounts: partSizes(final), Run: run}, nil
 }
 
 // corruptPSRSBoundary, when set, mutates a processor's partition

@@ -35,16 +35,7 @@ func RadixSHMEM(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error
 // output — and lets the backend move each contiguously-destined run to
 // the blocked partition it belongs to.
 func radixSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Result, error) {
-	cfg, err := cfg.resolved()
-	if err != nil {
-		return nil, err
-	}
-	n := len(keysIn)
-	st := be.alloc(m, cfg, algRadix, n, 0)
-	st.load(keysIn)
-	m.ResetMemory()
-
-	run, err := m.Run(func(p *machine.Proc) {
+	return runProgram(m, keysIn, cfg, be, algRadix, nil, func(p *machine.Proc, st *store, cfg Config, _ int) part {
 		me := p.ID
 		hist := st.hist[me]
 		cur, nxt := st.keys, st.tmp
@@ -76,15 +67,6 @@ func radixSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Re
 			cur, nxt = nxt, cur
 			readClass = be.received()
 		}
+		return cur.part[me]
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	final := st.keys
-	if keys.Passes(cfg.Radix)%2 == 1 {
-		final = st.tmp
-	}
-	return &Result{Algorithm: "radix", Model: be.model(), Sorted: gather(final.part, n),
-		RecvCounts: partSizes(final.part), Run: run}, nil
 }

@@ -34,18 +34,9 @@ func SampleSHMEM(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, erro
 // samples, splitter selection from everyone's samples, splitter-directed
 // redistribution, and a second local radix sort of the received keys.
 func sampleSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*Result, error) {
-	cfg, err := cfg.resolved()
-	if err != nil {
-		return nil, err
-	}
-	n, P := len(keysIn), m.Procs()
-	sCount := keys.SampleCount(cfg.SampleSize, n, P)
-	st := be.alloc(m, cfg, algSample, n, sCount)
-	st.load(keysIn)
-	m.ResetMemory()
-
-	final := make([]part, P)
-	run, err := m.Run(func(p *machine.Proc) {
+	P := m.Procs()
+	sampleCount := func(cfg Config, n, procs int) int { return keys.SampleCount(cfg.SampleSize, n, procs) }
+	return runProgram(m, keysIn, cfg, be, algSample, sampleCount, func(p *machine.Proc, st *store, cfg Config, sCount int) part {
 		me := p.ID
 		hist := st.hist[me]
 
@@ -54,8 +45,7 @@ func sampleSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*R
 		mine := sorted.part[me]
 		if P == 1 {
 			// A uniprocessor sample sort is just the local sort.
-			final[0] = mine
-			return
+			return mine
 		}
 
 		p.SetPhase("splitters")
@@ -72,14 +62,8 @@ func sampleSort(m *machine.Machine, keysIn []uint32, cfg Config, be backend) (*R
 		if localRadixSort(p, recv, tmp2, 0, incoming, cfg, hist, machine.Private) {
 			recv = tmp2
 		}
-		final[me] = part{arr: recv, n: incoming}
+		return part{arr: recv, n: incoming}
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	return &Result{Algorithm: "sample", Model: be.model(), Sorted: gather(final, n),
-		RecvCounts: partSizes(final), Run: run}, nil
 }
 
 // sortLocal radix-sorts the calling processor's key partition, toggling
@@ -92,16 +76,6 @@ func sortLocal(p *machine.Proc, st *store, cfg Config) *partitioned {
 		return st.tmp
 	}
 	return st.keys
-}
-
-// partSizes returns the key count of each processor's output run: what
-// it received in the main redistribution (Result.RecvCounts).
-func partSizes(final []part) []int {
-	counts := make([]int, len(final))
-	for i, pt := range final {
-		counts[i] = pt.n
-	}
-	return counts
 }
 
 // selectSamples picks count (at most n) regular samples, at

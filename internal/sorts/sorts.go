@@ -5,11 +5,14 @@
 // "NEW"), MPI and SHMEM programming models. Every parallel program runs
 // on any processor count the machine can wire; the baseline runs on one.
 //
-// Each algorithm is one program body (radix.go, sample.go, psrs.go)
-// written against the unexported backend interface (backend.go); the
-// three backends carry everything that differs between the models —
-// storage, small collectives, the planned all-to-all, barriers — so a
-// new algorithm is one file.
+// Each algorithm is one per-processor program (radix.go, sample.go,
+// psrs.go) written against the unexported backend interface
+// (backend.go); the three backends carry everything that differs
+// between the models — storage, small collectives, the planned
+// all-to-all, barriers — and one frame, runProgram, resolves the
+// config, lays out and loads the storage, runs the program on every
+// processor and builds the Result. A new algorithm is one file: its
+// per-processor body plus its Variants() rows.
 //
 // Every program operates on real data — results are bitwise-verifiable
 // sorted permutations of the input — while charging simulated time
@@ -108,11 +111,6 @@ func (c Config) validate() error {
 
 // Buckets returns 2^Radix.
 func (c Config) Buckets() int { return 1 << c.Radix }
-
-// digit extracts the pass-th radix-r digit of k.
-func digit(k uint32, pass, r int) int {
-	return int(k>>(pass*r)) & ((1 << r) - 1)
-}
 
 // Variant is one algorithm × programming-model program. Variants is the
 // single table every front end and test looks programs up in.
