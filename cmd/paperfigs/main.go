@@ -37,6 +37,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -98,6 +99,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			if err != nil {
 				return err
 			}
+			if slices.Contains(opts.Sizes, sc) {
+				return fmt.Errorf("-sizes: %s is listed twice", sc.Label)
+			}
 			opts.Sizes = append(opts.Sizes, sc)
 		}
 	}
@@ -156,7 +160,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	return nil
 }
 
-// parseInts parses a comma-separated list of positive ints.
+// parseInts parses a comma-separated list of distinct positive ints.
 func parseInts(flagName, s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
@@ -166,6 +170,9 @@ func parseInts(flagName, s string) ([]int, error) {
 		}
 		if v < 1 {
 			return nil, fmt.Errorf("%s: values must be >= 1, got %d", flagName, v)
+		}
+		if slices.Contains(out, v) {
+			return nil, fmt.Errorf("%s: %d is listed twice", flagName, v)
 		}
 		out = append(out, v)
 	}

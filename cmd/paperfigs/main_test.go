@@ -123,6 +123,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-sizes", "3M"},
 		{"-procs", "0"},
 		{"-radixes", "x"},
+		{"-radixes", "7,7"},
+		{"-procs", "16,16"},
+		{"-sizes", "1M,1M"},
 	} {
 		if err := run(append([]string{"-cpuprofile", cpu}, args...), &out, &out); err == nil {
 			t.Errorf("run(%v) = nil error, want failure", args)

@@ -158,8 +158,13 @@ type Program interface {
 	// library (evaluating a payload), describes that call in st and
 	// reports true; false ends the rank's phase.
 	Next(p *machine.Proc, st *Step) bool
-	// Deliver hands over the message a receive step just completed for
-	// the rank to place. msg is valid during the call only.
+	// Deliver hands over the message a receive step just completed. It
+	// charges the rank's placement of it on p; bulk host data is better
+	// not moved here, on the one goroutine that replays every rank, but
+	// noted and moved by the rank after Run returns, in parallel with
+	// the others — which must then meet (machine.Rendezvous) before any
+	// rank rewrites a buffer another may still be copying from. msg is
+	// valid during the call only.
 	Deliver(p *machine.Proc, msg *Message)
 }
 

@@ -23,7 +23,15 @@ type mpiBackend struct {
 	st *store
 	// parts is radix sort's blocked destination layout.
 	parts []int64
+	// moves[r] queues the host copies of the runs rank r's receives
+	// placed in an exchange, done by r itself once the replay is over
+	// (moveKeys). Each rank's slice is reused from exchange to exchange.
+	moves [][]keyMove
 }
+
+// keyMove is one received run's host copy: count keys from offset
+// srcOff of rank src's send buffer to offset dstOff of the receiver's.
+type keyMove struct{ src, srcOff, dstOff, count int }
 
 func (b *mpiBackend) model() string {
 	model := "mpi-" + b.c.Config().Engine.String()
@@ -39,6 +47,7 @@ func (b *mpiBackend) received() machine.Sharing { return machine.Private }
 func (b *mpiBackend) alloc(m *machine.Machine, cfg Config, alg algorithm, n, _ int) *store {
 	P := m.Procs()
 	b.m, b.c = m, mpi.New(m, cfg.MPI)
+	b.moves = make([][]keyMove, P)
 	st := &store{keys: newPartitioned(P), tmp: newPartitioned(P), hist: make([]*machine.Array[int32], P)}
 	b.st = st
 	if alg == algRadix {
@@ -157,25 +166,42 @@ func (b *mpiBackend) exchange(p *machine.Proc, plan *chunkPlan, from, to *partit
 		copyRun(p, from.part[me], ch.srcOff, rcv.dst, rcv.place(ch), ch.count, machine.Private, machine.Private)
 	})
 	p.SetContention(p.ContentionFactor(P))
-	rounds := exchangeRounds{plan: plan, from: from, rcv: rcv, tag: x.tag, me: me, procs: P}
+	rounds := exchangeRounds{plan: plan, from: from, rcv: rcv, moves: &b.moves[me], tag: x.tag, me: me, procs: P}
 	if b.oneMsg {
 		b.c.Run(p, &destExchange{exchangeRounds: rounds})
 	} else {
 		b.c.Run(p, &chunkExchange{exchangeRounds: rounds})
 	}
 	p.SetContention(1)
+	b.moveKeys(p, from, to)
 	return rcv.held
+}
+
+// moveKeys does the host copies of the runs rank p's receives placed,
+// which Deliver queued during the replay, on p's own goroutine and so in
+// parallel with the other ranks'. Then it waits for every rank to finish
+// its own: only after that may a rank overwrite a send buffer that
+// another is still copying from.
+func (b *mpiBackend) moveKeys(p *machine.Proc, from, to *partitioned) {
+	me := p.ID
+	dst := to.part[me].arr.Data
+	for _, mv := range b.moves[me] {
+		copy(dst[mv.dstOff:mv.dstOff+mv.count], from.part[mv.src].arr.Data[mv.srcOff:mv.srcOff+mv.count])
+	}
+	b.moves[me] = b.moves[me][:0]
+	b.m.Rendezvous(p, func() {})
 }
 
 // exchangeRounds is what both forms of the all-to-all share: one rank's
 // position in the rounds. A message carries no keys. Its payload is the
 // sender's plan, from which the receiver enumerates the runs the message
-// stands for and copies them straight out of the sender's buffer, which
-// the phase only reads.
+// stands for, charges their placement and queues their copies out of the
+// sender's buffer, which the phase only reads, on moves.
 type exchangeRounds struct {
 	plan      *chunkPlan
 	from      *partitioned
 	rcv       *receiver
+	moves     *[]keyMove
 	tag       int
 	me, procs int
 
@@ -255,7 +281,9 @@ func (e *chunkExchange) Deliver(p *machine.Proc, msg *mpi.Message) {
 	}
 	to := e.rcv.dst.arr
 	off := e.rcv.place(ch)
-	copy(to.Data[off:], e.from.part[msg.Src].arr.Data[ch.srcOff:ch.srcOff+ch.count])
+	if ch.count > 0 {
+		*e.moves = append(*e.moves, keyMove{msg.Src, ch.srcOff, off, ch.count})
+	}
 	p.InvalidateRange(to.Addr(off), to.Bytes(ch.count))
 	p.Compute(8) // placement bookkeeping
 }
@@ -303,9 +331,9 @@ func (e *destExchange) Next(p *machine.Proc, st *mpi.Step) bool {
 func (e *destExchange) Deliver(p *machine.Proc, msg *mpi.Message) {
 	// Stream the arrived (uncached) payload back in before scattering.
 	p.LocalMemNs(float64(msg.Bytes) * stagingNsPerByte)
-	src, to := e.from.part[msg.Src].arr, e.rcv.dst.arr
+	to := e.rcv.dst.arr
 	msg.Payload.(*chunkPlan).each(msg.Src, e.me, func(ch chunk) {
-		copy(to.Data[ch.dstOff:ch.dstOff+ch.count], src.Data[ch.srcOff:ch.srcOff+ch.count])
+		*e.moves = append(*e.moves, keyMove{msg.Src, ch.srcOff, ch.dstOff, ch.count})
 		p.InvalidateRange(to.Addr(ch.dstOff), to.Bytes(ch.count))
 		to.StoreRange(p, ch.dstOff, ch.dstOff+ch.count, machine.Private)
 		p.Compute(ch.count + 8) // reorganization copy

@@ -35,7 +35,7 @@ func TestPropertyAllProgramsSortArbitraryInput(t *testing.T) {
 					if i < len(raw) {
 						in[i] = raw[i] & 0x7fffffff
 					} else {
-						in[i] = uint32(i * 2654435761)
+						in[i] = uint32(i) * 2654435761
 					}
 				}
 				m, err := machine.New(machine.Origin2000Scaled(4))
@@ -78,7 +78,7 @@ func TestPropertySimulatedTimeMonotoneInWork(t *testing.T) {
 		}
 		in := make([]uint32, n)
 		for i := range in {
-			in[i] = uint32(i*2654435761) & 0x7fffffff
+			in[i] = uint32(i) * 2654435761 & 0x7fffffff
 		}
 		res, err := RadixSHMEM(m, in, Config{Radix: 8})
 		if err != nil {
@@ -119,7 +119,7 @@ func TestPropertyBreakdownsNonNegative(t *testing.T) {
 func genKeysForProp(n int) []uint32 {
 	in := make([]uint32, n)
 	for i := range in {
-		in[i] = uint32(i*2654435761) & 0x7fffffff
+		in[i] = uint32(i) * 2654435761 & 0x7fffffff
 	}
 	return in
 }
