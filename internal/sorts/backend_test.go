@@ -162,6 +162,14 @@ func runExchange(t *testing.T, id string, c contractCase, m *machine.Machine, o 
 		before := p.Stats().Traffic.Messages
 		held[p.ID] = be.exchange(p, pl, from, to, xfer{tag: 3})
 		transfers[p.ID] = p.Stats().Traffic.Messages - before
+		// Once exchange returns, a rank may rewrite a private send
+		// buffer: no other rank may still be copying out of it (under
+		// -race a backend that lets one do so fails here, and without it
+		// the destinations below can come out wrong). CC-SAS's shared
+		// arrays are read in place until the program's next barrier.
+		if src := from.part[p.ID]; !from.shared {
+			clear(src.arr.Data[src.lo : src.lo+src.n])
+		}
 		// With the window closed a remote charge is priced at face value.
 		p.SetPhase("probe")
 		p.RemoteMemNs(1000)
