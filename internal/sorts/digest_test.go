@@ -22,12 +22,18 @@ var updateDigests = flag.Bool("update", false, "regenerate testdata/variant_dige
 
 const digestFile = "testdata/variant_digests.json"
 
-// digestVariant is one of the 14 algorithm × model variants, named by
-// the Model string its Result must carry.
+// digestVariant is one algorithm × model variant, named by the Model
+// string its Result must carry. procs, when set, is the one processor
+// count it runs on (the sequential baseline's 1, as its Variants() row
+// states); shapes of any other size skip it.
 type digestVariant struct {
 	algorithm, model string
 	run              func(*machine.Machine, []uint32, Config) (*Result, error)
+	procs            int
 }
+
+// runsOn reports whether v runs at shape s.
+func (v digestVariant) runsOn(s digestShape) bool { return v.procs == 0 || v.procs == s.procs }
 
 func digestVariants() []digestVariant {
 	withMPI := func(e mpi.Engine, oneMsg bool,
@@ -44,20 +50,21 @@ func digestVariants() []digestVariant {
 		}
 	}
 	return []digestVariant{
-		{"radix", "ccsas", ccsas(false)},
-		{"radix", "ccsas-new", ccsas(true)},
-		{"radix", "mpi-NEW", withMPI(mpi.Direct, false, RadixMPI)},
-		{"radix", "mpi-SGI", withMPI(mpi.Staged, false, RadixMPI)},
-		{"radix", "mpi-NEW-onemsg", withMPI(mpi.Direct, true, RadixMPI)},
-		{"radix", "shmem", RadixSHMEM},
-		{"sample", "ccsas", SampleCCSAS},
-		{"sample", "mpi-NEW", withMPI(mpi.Direct, false, SampleMPI)},
-		{"sample", "mpi-SGI", withMPI(mpi.Staged, false, SampleMPI)},
-		{"sample", "shmem", SampleSHMEM},
-		{"psrs", "ccsas", PsrsCCSAS},
-		{"psrs", "mpi-NEW", withMPI(mpi.Direct, false, PsrsMPI)},
-		{"psrs", "mpi-SGI", withMPI(mpi.Staged, false, PsrsMPI)},
-		{"psrs", "shmem", PsrsSHMEM},
+		{"radix", "seq", SeqRadix, 1},
+		{"radix", "ccsas", ccsas(false), 0},
+		{"radix", "ccsas-new", ccsas(true), 0},
+		{"radix", "mpi-NEW", withMPI(mpi.Direct, false, RadixMPI), 0},
+		{"radix", "mpi-SGI", withMPI(mpi.Staged, false, RadixMPI), 0},
+		{"radix", "mpi-NEW-onemsg", withMPI(mpi.Direct, true, RadixMPI), 0},
+		{"radix", "shmem", RadixSHMEM, 0},
+		{"sample", "ccsas", SampleCCSAS, 0},
+		{"sample", "mpi-NEW", withMPI(mpi.Direct, false, SampleMPI), 0},
+		{"sample", "mpi-SGI", withMPI(mpi.Staged, false, SampleMPI), 0},
+		{"sample", "shmem", SampleSHMEM, 0},
+		{"psrs", "ccsas", PsrsCCSAS, 0},
+		{"psrs", "mpi-NEW", withMPI(mpi.Direct, false, PsrsMPI), 0},
+		{"psrs", "mpi-SGI", withMPI(mpi.Staged, false, PsrsMPI), 0},
+		{"psrs", "shmem", PsrsSHMEM, 0},
 	}
 }
 
@@ -79,6 +86,11 @@ type digestShape struct {
 func digestShapes() []digestShape {
 	return []digestShape{
 		{name: "p1", procs: 1, n: 1 << 11, radix: 8, dist: keys.Gauss},
+		// One-processor shapes that also pin the sequential baseline: an
+		// odd pass count, whose result ends in the scratch array, with its
+		// phase spans traced; and the flat-memory ablation.
+		{name: "p1-r11-traced", procs: 1, n: 5000, radix: 11, dist: keys.Gauss, traced: true},
+		{name: "p1-flat", procs: 1, n: 1 << 13, radix: 8, dist: keys.Zipf, flat: true},
 		{name: "p2", procs: 2, n: 1 << 12, radix: 8, dist: keys.Gauss},
 		{name: "p8", procs: 8, n: 1 << 13, radix: 8, dist: keys.Gauss},
 		{name: "p64", procs: 64, n: 1 << 14, radix: 8, dist: keys.Gauss},
@@ -181,10 +193,11 @@ func resultDigest(res *Result) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestVariantDigests pins the simulated result of all 14 algorithm ×
-// model variants, bit for bit, across processor counts (1, 2, 8, 64 and
-// non-powers-of-two), uneven and tiny inputs, radix sizes, key
-// distributions and memory systems. The committed file was generated
+// TestVariantDigests pins the simulated result of the 14 parallel
+// algorithm × model variants, bit for bit, across processor counts (1,
+// 2, 8, 64 and non-powers-of-two), uneven and tiny inputs, radix sizes, key
+// distributions and memory systems, and of the sequential baseline at
+// every one-processor shape. The committed file was generated
 // from the nine hand-written per-model program bodies; any refactor of
 // the sorts or the model layers must reproduce it exactly. Run with
 // -update only when a change of simulated behaviour is intended.
@@ -200,6 +213,9 @@ func TestVariantDigests(t *testing.T) {
 		want := append([]uint32(nil), in...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		for _, v := range digestVariants() {
+			if !v.runsOn(s) {
+				continue
+			}
 			id := fmt.Sprintf("%s/%s %s", v.algorithm, v.model, s.name)
 			cfg := Config{Radix: s.radix, SampleSize: s.sampleSize}
 			res, err := v.run(s.machine(t), in, cfg)

@@ -156,3 +156,25 @@ func TestSeqRadixDeterministic(t *testing.T) {
 		t.Errorf("non-deterministic: %v vs %v", a, b)
 	}
 }
+
+// TestSeqRadixLeavesOtherProcsIdle: on a machine with more than one
+// processor the baseline still sorts every key on processor 0, and the
+// others charge nothing.
+func TestSeqRadixLeavesOtherProcsIdle(t *testing.T) {
+	m := scaled(t, 2)
+	in := genKeys(t, keys.Gauss, 4096, 2, 8)
+	res, err := SeqRadix(m, in, Config{Radix: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSorted(t, in, res)
+	if got := res.Run.PerProc[0].Breakdown.Total(); got <= 0 {
+		t.Errorf("processor 0 charged %v ns", got)
+	}
+	idle := res.Run.PerProc[1]
+	if idle.Breakdown != (machine.Breakdown{}) || len(idle.Phases) != 0 ||
+		idle.CacheAccesses != 0 || idle.Traffic.Messages != 0 {
+		t.Errorf("processor 1 charged %+v, phases %v, %d accesses, %d messages",
+			idle.Breakdown, idle.Phases, idle.CacheAccesses, idle.Traffic.Messages)
+	}
+}
