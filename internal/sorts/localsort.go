@@ -83,36 +83,31 @@ func localRadixSort(p *machine.Proc, arr, tmp *machine.Array[uint32], lo, n int,
 
 // SeqRadix runs the sequential radix sort the paper uses as the speedup
 // baseline for both algorithms (Table 1) on processor 0 of m, a
-// 1-processor machine as its Variants() row states.
+// 1-processor machine as its Variants() row states; any other processor
+// returns at once.
 func SeqRadix(m *machine.Machine, keysIn []uint32, cfg Config) (*Result, error) {
-	cfg, err := cfg.resolved()
-	if err != nil {
-		return nil, err
-	}
-	n := len(keysIn)
-	arr := machine.NewArrayOnProc[uint32](m, "seq.keys", n, 0)
-	tmp := machine.NewArrayOnProc[uint32](m, "seq.tmp", n, 0)
-	hist := machine.NewArrayOnProc[int32](m, "seq.hist", cfg.Buckets(), 0)
-	copy(arr.Data, keysIn)
-	m.ResetMemory()
-	var inTmp bool
-	run, err := m.Run(func(p *machine.Proc) {
+	return runProgram(m, keysIn, cfg, seqLayout{}, algRadix, nil, func(p *machine.Proc, st *store, cfg Config, _ int) part {
 		if p.ID != 0 {
-			return
+			return part{arr: st.keys.part[0].arr}
 		}
 		p.SetPhase("localsort")
-		inTmp = localRadixSort(p, arr, tmp, 0, n, cfg, hist, machine.Private)
+		sorted := sortLocal(p, st, cfg)
 		p.SetPhase("")
+		return sorted.part[0]
 	})
-	if err != nil {
-		return nil, err
+}
+
+// seqLayout keeps the whole baseline on processor 0: one partition of
+// all n keys, its scratch twin and one histogram.
+type seqLayout struct{}
+
+func (seqLayout) model() string { return "seq" }
+
+func (seqLayout) alloc(m *machine.Machine, cfg Config, _ algorithm, n, _ int) *store {
+	whole := func(name string) *partitioned {
+		return &partitioned{part: []part{{arr: machine.NewArrayOnProc[uint32](m, name, n, 0), n: n}}}
 	}
-	out := arr
-	if inTmp {
-		out = tmp
-	}
-	sorted := make([]uint32, n)
-	copy(sorted, out.Data)
-	return &Result{Algorithm: "radix", Model: "seq", Sorted: sorted,
-		RecvCounts: []int{n}, Run: run}, nil
+	st := &store{keys: whole("seq.keys"), tmp: whole("seq.tmp")}
+	st.hist = []*machine.Array[int32]{machine.NewArrayOnProc[int32](m, "seq.hist", cfg.Buckets(), 0)}
+	return st
 }

@@ -11,7 +11,9 @@
 // between the models — storage, small collectives, the planned
 // all-to-all, barriers — and one frame, runProgram, resolves the
 // config, lays out and loads the storage, runs the program on every
-// processor and builds the Result. A new algorithm is one file: its
+// processor and builds the Result. The sequential baseline
+// (localsort.go) is one more body in that frame, over a layout that
+// keeps all its arrays on processor 0. A new algorithm is one file: its
 // per-processor body plus its Variants() rows.
 //
 // Every program operates on real data — results are bitwise-verifiable
