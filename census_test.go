@@ -30,14 +30,14 @@ func TestOptionCensus(t *testing.T) {
 		{repro.Request{}, 10},
 		{repro.Experiment{}, 17},
 		{keys.GenConfig{}, 5},
-		{repro.Options{}, 11},
+		{repro.Options{}, 10},
 		{sorts.Config{}, 5},
 		{mpi.Config{}, 2},
 		{shmem.Config{}, 0},
 		{topology.Config{}, 3},
 		{cache.Config{}, 3},
 		{cache.TLBConfig{}, 2},
-		{machine.Config{}, 8},
+		{machine.Config{}, 7},
 		{perfmodel.Workload{}, 3},
 		{report.StackedBreakdown{}, 4},
 		{resultcache.Config{}, 2},

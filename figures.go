@@ -29,8 +29,6 @@ type Options struct {
 	// (default 8, 11, 12 — the paper's winners; the full 6..14 sweep is
 	// available but costly).
 	TableRadixes []int
-	// FullSize runs on unscaled Origin2000 parameters.
-	FullSize bool
 	// Parallelism bounds how many experiment cells the harness runs
 	// concurrently (default runtime.GOMAXPROCS(0)). Results are always
 	// gathered in deterministic cell order and the simulator's virtual
@@ -213,11 +211,7 @@ func program(alg Algorithm, model Model, procs int) Experiment {
 // harness-wide seed and checking. It is the only place Options reach an
 // Experiment.
 func (h *Harness) experiment(s SizeClass, e Experiment) Experiment {
-	e.N = s.ScaledN
-	if h.opts.FullSize {
-		e.N = s.PaperN
-	}
-	e.Seed, e.FullSize = h.opts.Seed, h.opts.FullSize
+	e.N, e.Seed = s.ScaledN, h.opts.Seed
 	e.Paranoid, e.ParanoidSampleEvery = h.opts.Paranoid, h.opts.ParanoidSampleEvery
 	// A baseline is computed once and shared by every figure that divides
 	// by it, so whose trace list it would land in depends on what ran

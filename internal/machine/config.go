@@ -29,24 +29,12 @@ type Config struct {
 	// Every fixed software cost is divided by it (SoftwareNs).
 	Scale int
 
-	// ContentionScatteredPerProc and ContentionBulkPerProc control the
-	// deterministic contention factor charged during communication phases:
-	// factor = 1 + perProc * (communicatingProcs - 1), scaled for
-	// scattered traffic by how saturating the phase is (see
-	// ScatteredContention). Scattered (fine-grained, per-line) traffic
-	// contends much harder than bulk transfers because each line moves a
-	// full protocol transaction (request, invalidations, acknowledgements,
-	// later writeback) through the home memory controller, which is the
-	// paper's explanation for the poor performance of the original CC-SAS
-	// radix sort.
-	ContentionScatteredPerProc float64
-	ContentionBulkPerProc      float64
-
 	// FlatMemory, when true, prices every miss at the local latency and
 	// disables coherence/NUMA effects. Used by the flat-memory ablation.
-	// (The no-contention ablation needs no switch: zero slopes make every
-	// contention factor exactly 1.)
 	FlatMemory bool
+	// NoContention, when true, makes every contention factor exactly 1.
+	// Used by the no-contention ablation.
+	NoContention bool
 	// ParanoidSampleEvery turns on paranoid mode: the slow reference
 	// models and invariant checks of internal/check (see DESIGN.md §9).
 	// 0 is off. 1 shadows every simulated access. N > 1 runs only the
@@ -65,7 +53,11 @@ type Config struct {
 // The Origin2000's fixed per-processor costs. A charge multiplies a
 // run-time value by one of them, as in float64(ops) * OpNs, never a
 // constant: Go folds constant expressions exactly, which can round
-// differently from the run-time product the variant digests pin.
+// differently from the run-time product the variant digests pin. A
+// product that is later added is rounded explicitly,
+// float64(float64(ops) * OpNs): the conversion keeps a compiler from
+// fusing the multiply into the addition (arm64 and ppc64le do), which
+// would round once instead of twice.
 const (
 	// OpNs is the busy cost of one abstract ALU operation in
 	// nanoseconds: 195 MHz R10000 ~ 5.13 ns per cycle.
@@ -85,10 +77,22 @@ const (
 	barrierPerLogNs float64 = 500
 )
 
-// contentionLoadFloor is the minimum load fraction used by
-// ScatteredContention: even short scattered bursts collide at the home
-// controllers, so the penalty never ramps entirely to zero.
-const contentionLoadFloor = 0.1
+// The deterministic contention factor charged during communication
+// phases is 1 + perProc·(communicatingProcs − 1), scaled for scattered
+// traffic by how saturating the phase is (see ScatteredContention).
+// Scattered (fine-grained, per-line) traffic contends much harder than
+// bulk transfers because each line moves a full protocol transaction
+// (request, invalidations, acknowledgements, later writeback) through
+// the home memory controller, which is the paper's explanation for the
+// poor performance of the original CC-SAS radix sort.
+const (
+	contentionScatteredPerProc float64 = 0.045
+	contentionBulkPerProc      float64 = 0.005
+	// contentionLoadFloor is the minimum load fraction used by
+	// ScatteredContention: even short scattered bursts collide at the
+	// home controllers, so the penalty never ramps entirely to zero.
+	contentionLoadFloor = 0.1
+)
 
 // Validate checks the configuration; it changes nothing.
 func (c *Config) Validate() error {
@@ -126,16 +130,16 @@ func (c *Config) SoftwareNs(fullSizeNs float64) float64 {
 // (internal/perfmodel) both price through it, so the formula has one
 // body.
 func (c *Config) BarrierCost(procs int) float64 {
-	return c.SoftwareNs(barrierBaseNs) + c.SoftwareNs(barrierPerLogNs)*float64(bits.Len(uint(procs-1)))
+	return c.SoftwareNs(barrierBaseNs) + float64(c.SoftwareNs(barrierPerLogNs)*float64(bits.Len(uint(procs-1))))
 }
 
 // contentionFactor returns the multiplier for bulk remote traffic when
 // q processors communicate concurrently.
 func (c *Config) contentionFactor(q int) float64 {
-	if q <= 1 {
+	if q <= 1 || c.NoContention {
 		return 1
 	}
-	return 1 + c.ContentionBulkPerProc*float64(q-1)
+	return 1 + float64(contentionBulkPerProc*float64(q-1))
 }
 
 // ScatteredContention returns the multiplier for a scattered all-to-all
@@ -147,7 +151,7 @@ func (c *Config) contentionFactor(q int) float64 {
 // (internal/perfmodel) prices its scattered phases through this method,
 // so the curve has one body.
 func (c *Config) ScatteredContention(q, bytesPerProc int) float64 {
-	if q <= 1 {
+	if q <= 1 || c.NoContention {
 		return 1
 	}
 	load := float64(bytesPerProc) / float64(c.Cache.Size)
@@ -157,7 +161,7 @@ func (c *Config) ScatteredContention(q, bytesPerProc int) float64 {
 	if load > 1 {
 		load = 1
 	}
-	return 1 + c.ContentionScatteredPerProc*float64(q-1)*load
+	return 1 + float64(contentionScatteredPerProc*float64(q-1)*load)
 }
 
 // Origin2000 returns the full-size machine parameters of the paper's
@@ -172,12 +176,10 @@ func Origin2000(procs int) Config {
 		procsPerNode = 1
 	}
 	return Config{
-		Topology:                   topology.Config{Processors: procs, ProcsPerNode: procsPerNode},
-		Cache:                      cache.Config{Size: 4 << 20, LineSize: 128, Ways: 2},
-		TLB:                        cache.TLBConfig{Entries: 64, PageSize: 16 << 10},
-		Scale:                      1,
-		ContentionScatteredPerProc: 0.045,
-		ContentionBulkPerProc:      0.005,
+		Topology: topology.Config{Processors: procs, ProcsPerNode: procsPerNode},
+		Cache:    cache.Config{Size: 4 << 20, LineSize: 128, Ways: 2},
+		TLB:      cache.TLBConfig{Entries: 64, PageSize: 16 << 10},
+		Scale:    1,
 	}
 }
 

@@ -240,10 +240,10 @@ func TestContentionFactor(t *testing.T) {
 	if bulk <= 1 || scattered <= bulk {
 		t.Errorf("want 1 < bulk (%v) < saturated scattered (%v)", bulk, scattered)
 	}
-	// The no-contention ablation: zero slopes give exactly 1.
-	cfg.ContentionScatteredPerProc, cfg.ContentionBulkPerProc = 0, 0
+	// The no-contention ablation: every factor is exactly 1.
+	cfg.NoContention = true
 	if f, g := cfg.contentionFactor(64), cfg.ScatteredContention(64, cfg.Cache.Size); f != 1 || g != 1 {
-		t.Errorf("zero-slope factors = %v, %v, want 1", f, g)
+		t.Errorf("no-contention factors = %v, %v, want 1", f, g)
 	}
 }
 

@@ -214,7 +214,7 @@ func (p *Proc) countTx(c trace.TxClass) {
 
 // Compute charges ops abstract ALU operations to BUSY.
 func (p *Proc) Compute(ops int) {
-	p.ComputeNs(float64(ops) * OpNs)
+	p.ComputeNs(float64(float64(ops) * OpNs))
 }
 
 // ComputeNs charges ns nanoseconds to BUSY.
@@ -291,7 +291,7 @@ func (p *Proc) chargeLocal(ns float64) {
 // chargeRemote adds a remote-memory stall, scaled by the current
 // contention factor.
 func (p *Proc) chargeRemote(ns float64) {
-	ns *= p.contention
+	ns = float64(ns * p.contention)
 	p.clock += ns
 	p.stats.Breakdown.RMem += ns
 	if p.phaseAcc != nil {

@@ -208,7 +208,7 @@ func (p *Proc) seqStream(a Addr, elemSize, n int, write bool, sh Sharing, ops in
 	if n <= 0 {
 		return
 	}
-	opNs := float64(ops) * OpNs
+	opNs := float64(float64(ops) * OpNs)
 	es := Addr(elemSize)
 	tl, cl := &p.sTLB[0], &p.sLane
 	p.tlb.AttachLane(tl)
@@ -256,7 +256,7 @@ func (p *Proc) idxStream(base Addr, elemSize int, idx []int64, write bool, overl
 	if len(idx) == 0 {
 		return
 	}
-	opNs := float64(ops) * OpNs
+	opNs := float64(float64(ops) * OpNs)
 	tl, cl := &p.sTLB[0], &p.sLane
 	p.tlb.AttachLane(tl)
 	cl.Reset()
@@ -292,7 +292,7 @@ func (p *Proc) CountStream(src *Array[uint32], lo, n int, srcSh Sharing,
 	if n <= 0 {
 		return
 	}
-	opNs := float64(opsPerElem) * OpNs
+	opNs := float64(float64(opsPerElem) * OpNs)
 	td := tbl.Data
 	srcA, tblBase := src.base+Addr(lo*wordBytes), tbl.base
 	sT, tT := &p.sTLB[0], &p.sTLB[1]
@@ -346,7 +346,7 @@ func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 	if n <= 0 {
 		return
 	}
-	opNs := float64(opsPerElem) * OpNs
+	opNs := float64(float64(opsPerElem) * OpNs)
 	dd := dst.Data
 	srcA, tblBase, dstBase := src.base+Addr(lo*wordBytes), tbl.base, dst.base
 	sT, tT := &p.sTLB[0], &p.sTLB[1]

@@ -207,7 +207,7 @@ func (c *Comm) recv(p *machine.Proc, ps *pairState, rs *rankState) {
 	p.ComputeNs(c.overheadNs)
 	if c.cfg.Engine == Staged && bytes > 0 {
 		// Copy out of the library buffer into the application buffer.
-		p.LocalMemNs(float64(bytes) * stagedCopyNsPerByte)
+		p.LocalMemNs(float64(float64(bytes) * stagedCopyNsPerByte))
 	}
 	if rs.st.DstBytes > 0 {
 		p.InvalidateRange(rs.st.Addr, rs.st.DstBytes)

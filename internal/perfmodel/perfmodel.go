@@ -179,14 +179,14 @@ func (pr *Predictor) Predict(model Model, w Workload) (*Prediction, error) {
 
 	// Histogram sweep: busy + streamed key reads + TLB-free sequential
 	// access.
-	sweepBusy := np * sweepOpsPerKey * machine.OpNs
-	sweepMem := np * pr.missRatio(int(np)*4) * pr.localMissNs() / machine.MissOverlap
+	sweepBusy := float64(np * sweepOpsPerKey * machine.OpNs)
+	sweepMem := float64(np * pr.missRatio(int(np)*4) * pr.localMissNs() / machine.MissOverlap)
 	phases["sweep"] = passes * (sweepBusy + sweepMem)
 
 	// Permutation: busy + the local write stream (all models permute
 	// locally first except plain CC-SAS, which scatters remotely).
-	permBusy := np * permuteOpsPerKey * machine.OpNs
-	tlbLocal := np * pr.tlbMissRatio(int(np)*4, buckets) * machine.TLBMissNs
+	permBusy := float64(np * permuteOpsPerKey * machine.OpNs)
+	tlbLocal := float64(np * pr.tlbMissRatio(int(np)*4, buckets) * machine.TLBMissNs)
 	phases["permute"] = passes * (permBusy + tlbLocal)
 
 	remoteFrac := 1 - 1/float64(w.Procs) // fraction of keys leaving the processor
@@ -200,25 +200,25 @@ func (pr *Predictor) Predict(model Model, w Workload) (*Prediction, error) {
 		// span the whole output array.
 		cont := pr.cfg.ScatteredContention(w.Procs, int(np)*4)
 		lines := np / pr.lineKeys() * remoteFrac
-		scatter := lines * (pr.remoteMissNs()/machine.MissOverlap + pr.wbNs()) * cont
-		tlbGlobal := np * pr.tlbMissRatio(w.N*4, buckets) * machine.TLBMissNs
+		scatter := lines * (float64(pr.remoteMissNs()/machine.MissOverlap) + pr.wbNs()) * cont
+		tlbGlobal := float64(np * pr.tlbMissRatio(w.N*4, buckets) * machine.TLBMissNs)
 		phases["transfer"] = passes * scatter
 		phases["permute"] = passes * (permBusy + tlbGlobal)
 		phases["histogram"] = passes * pr.treeNs(w.Procs, buckets)
 	case CCSASNew:
-		cont := 1 + (pr.cfg.ScatteredContention(w.Procs, int(np)*4)-1)/2
+		cont := 1 + float64((pr.cfg.ScatteredContention(w.Procs, int(np)*4)-1)/2)
 		lines := np / pr.lineKeys() * remoteFrac
 		phases["transfer"] = passes * lines * (pr.remoteMissNs() / machine.MissOverlap) * cont
 		phases["histogram"] = passes * pr.treeNs(w.Procs, buckets)
 	case SHMEM:
 		chunks := float64(buckets)
 		get := pr.getNs + topology.RemoteBaseLatency
-		phases["transfer"] = passes * (chunks*get + wire)
+		phases["transfer"] = passes * (float64(chunks*get) + wire)
 		phases["histogram"] = passes * pr.collectNs(w.Procs, buckets)
 	case MPI:
 		chunks := float64(buckets)
 		msg := 2*pr.msgNs + topology.RemoteBaseLatency
-		phases["transfer"] = passes * (chunks*msg + wire)
+		phases["transfer"] = passes * (float64(chunks*msg) + wire)
 		phases["histogram"] = passes * pr.allgatherNs(w.Procs, buckets)
 	default:
 		return nil, fmt.Errorf("perfmodel: unknown model %q", model)
@@ -257,9 +257,9 @@ func (pr *Predictor) treeNs(procs, buckets int) float64 {
 	}
 	levels := bits.Len(uint(procs - 1))
 	lines := float64(buckets*4) / float64(pr.cfg.Cache.LineSize)
-	perLevel := lines*pr.remoteMissNs()/machine.MissOverlap +
+	perLevel := float64(lines*pr.remoteMissNs()/machine.MissOverlap) +
 		topology.RemoteBaseLatency + // flag transfer
-		2*float64(buckets)*machine.OpNs
+		float64(2*float64(buckets)*machine.OpNs)
 	return 2 * float64(levels) * perLevel
 }
 
@@ -268,7 +268,7 @@ func (pr *Predictor) collectNs(procs, buckets int) float64 {
 	bytes := float64((procs - 1) * buckets * 4)
 	gets := float64(procs - 1)
 	return pr.entryNs +
-		gets*(pr.getNs+topology.RemoteBaseLatency) +
+		float64(gets*(pr.getNs+topology.RemoteBaseLatency)) +
 		bytes/topology.LinkBandwidth
 }
 
@@ -280,7 +280,7 @@ func (pr *Predictor) allgatherNs(procs, buckets int) float64 {
 	rounds := bits.Len(uint(procs - 1))
 	bytes := float64((procs - 1) * buckets * 4)
 	perRound := 2*pr.msgNs + topology.RemoteBaseLatency
-	return float64(rounds)*perRound + bytes/topology.LinkBandwidth
+	return float64(float64(rounds)*perRound) + bytes/topology.LinkBandwidth
 }
 
 // wbNs prices one writeback's charged share.

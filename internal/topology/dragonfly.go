@@ -73,7 +73,7 @@ func dragonfly(routers int) route {
 	// (a, b) in a fixed expression, so equal (a, b) means bit-identical
 	// cost everywhere.
 	cost := func(a, b int16) float64 {
-		return float64(a)*HopLatency + float64(b)*globalNs
+		return float64(float64(a)*HopLatency) + float64(float64(b)*globalNs)
 	}
 	better := func(a1, b1, a2, b2 int16) bool {
 		c1, c2 := cost(a1, b1), cost(a2, b2)
@@ -120,6 +120,6 @@ func dragonfly(routers int) route {
 	return func(ra, rb int) (int, float64) {
 		i := ra*routers + rb
 		return int(hops[i]), RemoteBaseLatency +
-			HopLatency*float64(locals[i]) + globalNs*float64(globals[i])
+			float64(HopLatency*float64(locals[i])) + float64(globalNs*float64(globals[i]))
 	}
 }

@@ -29,7 +29,7 @@ var kinds = map[string]func(routers int) route{
 // base plus HopLatency per router hop. Remote latency affine in the hop
 // count is the Origin2000's published behaviour (paper_test.go).
 func perHop(hops int) float64 {
-	return RemoteBaseLatency + HopLatency*float64(hops)
+	return RemoteBaseLatency + float64(HopLatency*float64(hops))
 }
 
 // hypercube is the Origin2000 binary hypercube — the default network and
