@@ -668,7 +668,7 @@ func TestWireContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantDoc = `{"key":"sha256:24d8432f2ae3e1abcaa06001d0886cfef183334757ec61c7c856b1e14421cb43","code_version":"wire-contract-v1","config":{"algorithm":"sample","model":"mpi","n":4096,"procs":4,"radix":8,"dist":"zipf","topo":"torus3d","seed":7,"full_size":false,"trace":false},"time_ns":1039714.4449998648,"verified":true,"breakdowns":[{"busy_ns":936857.6799998608,"lmem_ns":23732.75,"rmem_ns":5838.5,"sync_ns":1046.4649999999674},{"busy_ns":923971.1199998658,"lmem_ns":23006.25,"rmem_ns":5645.65,"sync_ns":698.4749999999767},{"busy_ns":854300.5899998932,"lmem_ns":21773.75,"rmem_ns":5782.674999999999,"sync_ns":949.1099999999278},{"busy_ns":1008205.7199998361,"lmem_ns":25020.25,"rmem_ns":5691.325,"sync_ns":797.1500000000233}]}` + "\n"
+	const wantDoc = `{"key":"sha256:24d8432f2ae3e1abcaa06001d0886cfef183334757ec61c7c856b1e14421cb43","code_version":"wire-contract-v1","config":{"algorithm":"sample","model":"mpi","n":4096,"procs":4,"radix":8,"dist":"zipf","topo":"torus3d","seed":7,"full_size":false,"trace":false},"time_ns":1039714.445,"verified":true,"breakdowns":[{"busy_ns":936857.68,"lmem_ns":23732.75,"rmem_ns":5838.5,"sync_ns":1046.465},{"busy_ns":923971.12,"lmem_ns":23006.25,"rmem_ns":5645.65,"sync_ns":698.475},{"busy_ns":854300.59,"lmem_ns":21773.75,"rmem_ns":5782.675,"sync_ns":949.11},{"busy_ns":1008205.72,"lmem_ns":25020.25,"rmem_ns":5691.325,"sync_ns":797.15}]}` + "\n"
 	if got := string(readAll(t, resp)); got != wantDoc {
 		t.Errorf("result document:\n%swant:\n%s", got, wantDoc)
 	}

@@ -89,7 +89,7 @@ func Example_breakdown() {
 	// Radix sort mean per-processor time (µs), 4M class on 16P
 	//   [B=BUSY l=LMEM r=RMEM s=SYNC]
 	//   ccsas     |BBBBBBBBBBBBBBBBBBllllllllllllllllllllllllllllllllrrrrrrrs| 23554.902
-	//   ccsas-new |BBBBBBBBBBBBBBBBBBBlrrrrrrs| 10879.082
+	//   ccsas-new |BBBBBBBBBBBBBBBBBBBlrrrrrrs| 10879.083
 	//   mpi       |BBBBBBBBBBBBBBBBBBBlrrs| 9556.708
 	//   shmem     |BBBBBBBBBBBBBBBBBBrrs| 8983.966
 }

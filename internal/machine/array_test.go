@@ -48,7 +48,7 @@ func TestArrayGrowBeyondCapacityPanics(t *testing.T) {
 // store writes element i of a and charges it as a scattered store:
 // posted through the write buffer, so a miss overlaps like a stream's.
 func store[T any](p *Proc, a *Array[T], i int, v T, sh Sharing) {
-	p.access(a.Addr(i), true, sh, MissOverlap)
+	p.access(a.Addr(i), true, sh, streamed)
 	a.Data[i] = v
 }
 
@@ -79,7 +79,7 @@ func TestSeqAccessCheaperThanScattered(t *testing.T) {
 		}
 		before := p.Stats().Breakdown.LMem
 		for i := 0; i < a.Len(); i += 32 {
-			p.access(a.Addr(i), false, Private, MissOverlap)
+			p.access(a.Addr(i), false, Private, streamed)
 		}
 		seqCost = p.Stats().Breakdown.LMem - before
 		before = p.Stats().Breakdown.LMem

@@ -50,20 +50,17 @@ type Config struct {
 	ParanoidSampleEvery int
 }
 
-// The Origin2000's fixed per-processor costs. A charge multiplies a
-// run-time value by one of them, as in float64(ops) * OpNs, never a
-// constant: Go folds constant expressions exactly, which can round
-// differently from the run-time product the variant digests pin. A
-// product that is later added is rounded explicitly,
-// float64(float64(ops) * OpNs): the conversion keeps a compiler from
-// fusing the multiply into the addition (arm64 and ppc64le do), which
-// would round once instead of twice.
+// The Origin2000's fixed per-processor costs. The machine charges the
+// first two in picoseconds (opPs, tlbMissPs), exactly; the nanosecond
+// forms are for callers of the float API and for the analytic model.
 const (
+	opPs      = 5130
+	tlbMissPs = 300_000
 	// OpNs is the busy cost of one abstract ALU operation in
 	// nanoseconds: 195 MHz R10000 ~ 5.13 ns per cycle.
-	OpNs float64 = 5.13
+	OpNs float64 = opPs / 1e3
 	// TLBMissNs is the stall for one TLB refill.
-	TLBMissNs float64 = 300
+	TLBMissNs float64 = tlbMissPs / 1e3
 	// MissOverlap is the number of outstanding misses a sequential stream
 	// can overlap (the R10000 sustains 4); scattered dependent accesses
 	// serialize at full latency. Applied by the stream/block access

@@ -56,14 +56,14 @@ type gate struct {
 	waiting int     // arrivals at the episode in progress
 	kind    episode // its kind, as its first arrival named it
 	first   int     // that arrival's processor
-	latest  float64 // the latest virtual clock parked in it
+	latest  int64   // the latest virtual clock parked in it, ps
 
 	// release and value are the results of the episode that most recently
 	// completed: a barrier's release time and a shared value. Neither can
 	// be overwritten before every member has read it, because overwriting
 	// requires all members to arrive at the next episode, and a member
 	// still reading has not. shares counts the run's shared values.
-	release float64
+	release int64
 	value   any
 	shares  int
 
@@ -284,11 +284,11 @@ func (b *Mailbox) pass(p *Proc, put bool, t float64) float64 {
 // charging each processor's wait to SYNC.
 func (m *Machine) Barrier(p *Proc) {
 	arrival := p.clock
-	m.gate.meet(p, atBarrier, func() { m.gate.release = m.gate.latest + m.cfg.BarrierCost(len(m.procs)) })
+	m.gate.meet(p, atBarrier, func() { m.gate.release = m.gate.latest + psOf(m.cfg.BarrierCost(len(m.procs))) })
 	rel := m.gate.release
-	p.WaitUntil(rel)
+	p.waitUntil(rel)
 	if p.tr != nil {
-		p.tr.Emit(trace.EvBarrier, arrival, rel-arrival, -1, 0)
+		p.tr.Emit(trace.EvBarrier, nsOf(arrival), nsOf(rel-arrival), -1, 0)
 	}
 }
 

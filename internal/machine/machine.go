@@ -234,12 +234,12 @@ func (m *Machine) Run(body func(p *Proc)) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{PerProc: make([]ProcStats, len(m.procs))}
+	var end int64
 	for i, p := range m.procs {
 		res.PerProc[i] = p.snapshot()
-		if p.clock > res.TimeNs {
-			res.TimeNs = p.clock
-		}
+		end = max(end, p.clock)
 	}
+	res.TimeNs = nsOf(end)
 	if m.checker != nil {
 		// End-of-run structural checks: accounting identities, counter
 		// conservation, trace/Tx alignment (see paranoid.go).
@@ -249,7 +249,7 @@ func (m *Machine) Run(body func(p *Proc)) (*Result, error) {
 	}
 	if tr != nil {
 		for _, p := range m.procs {
-			p.tr.CloseSpan(p.clock)
+			p.tr.CloseSpan(nsOf(p.clock))
 		}
 		tr.TimeNs = res.TimeNs
 		fillMetrics(tr, res)

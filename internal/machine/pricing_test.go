@@ -71,9 +71,9 @@ func TestPriceTableMatchesProtocol(t *testing.T) {
 						}
 						wantRemote := remote || sh == DirtyElsewhere
 						e := m.missEntry(sh, write, req, home)
-						if e.latencyNs != res.Latency {
-							t.Fatalf("procs=%d %v write=%v req=%d home=%d: latency %v, protocol %v",
-								procs, sh, write, req, home, e.latencyNs, res.Latency)
+						if want := [2]int64{psOf(res.Latency), psOf(res.Latency / MissOverlap)}; e.ps != want {
+							t.Fatalf("procs=%d %v write=%v req=%d home=%d: latency %vps, protocol %vps",
+								procs, sh, write, req, home, e.ps, want)
 						}
 						if e.remote != wantRemote {
 							t.Fatalf("procs=%d %v write=%v req=%d home=%d: remote=%v, want %v",
@@ -88,14 +88,14 @@ func TestPriceTableMatchesProtocol(t *testing.T) {
 				// Writeback row: legacy chargeWriteback arithmetic.
 				wbe := m.writebackEntry(req, home)
 				if !remote {
-					if wbe.latencyNs != coherence.DirOccupancy || wbe.remote {
+					if wbe.ps[scattered] != psOf(coherence.DirOccupancy) || wbe.remote {
 						t.Fatalf("procs=%d writeback req=%d home=%d: got %+v, want local DirOccupancy",
 							procs, req, home, wbe)
 					}
 				} else {
 					wb := proto.Writeback(req, home)
 					wantLat := coherence.DirOccupancy + topology.TransferTime(wb.TrafficBytes)
-					if wbe.latencyNs != wantLat || !wbe.remote || wbe.trafficBytes != int64(wb.TrafficBytes) {
+					if wbe.ps[scattered] != psOf(wantLat) || !wbe.remote || wbe.trafficBytes != int64(wb.TrafficBytes) {
 						t.Fatalf("procs=%d writeback req=%d home=%d: got %+v, want latency %v traffic %d",
 							procs, req, home, wbe, wantLat, wb.TrafficBytes)
 					}

@@ -56,17 +56,18 @@ type Proc struct {
 	// the index into the pricing table's rows. Immutable (see pricing.go).
 	classRow []int32
 
-	clock float64 // virtual time, ns
+	clock int64  // virtual time, ps
+	led   ledger // the clock's charges by category
 	stats ProcStats
 
 	// contention multiplies remote charges during a communication phase.
 	contention float64
 
-	// phase is the current phase label; phaseAcc points at its breakdown
-	// accumulator so per-charge bookkeeping stays a pointer write.
+	// phase is the current phase label; phaseAcc points at its ledger so
+	// per-charge bookkeeping stays a pointer write.
 	phase    string
-	phaseAcc *Breakdown
-	phases   map[string]*Breakdown
+	phaseAcc *ledger
+	phases   map[string]*ledger
 
 	// tr is this processor's event-trace track, nil when tracing is
 	// disabled. Every emission site is guarded by a nil check, so the
@@ -112,6 +113,7 @@ func newProc(m *Machine, id int) *Proc {
 
 func (p *Proc) resetClock() {
 	p.clock = 0
+	p.led = ledger{}
 	p.stats = ProcStats{}
 	p.contention = 1
 	p.phase = ""
@@ -136,9 +138,9 @@ func (p *Proc) SetPhase(name string) {
 	}
 	if p.tr != nil {
 		if name == "" {
-			p.tr.CloseSpan(p.clock)
+			p.tr.CloseSpan(nsOf(p.clock))
 		} else {
-			p.tr.BeginSpan(name, p.clock)
+			p.tr.BeginSpan(name, nsOf(p.clock))
 		}
 	}
 	p.phase = name
@@ -147,11 +149,11 @@ func (p *Proc) SetPhase(name string) {
 		return
 	}
 	if p.phases == nil {
-		p.phases = make(map[string]*Breakdown)
+		p.phases = make(map[string]*ledger)
 	}
 	acc, ok := p.phases[name]
 	if !ok {
-		acc = &Breakdown{}
+		acc = &ledger{}
 		p.phases[name] = acc
 	}
 	p.phaseAcc = acc
@@ -162,6 +164,7 @@ func (p *Proc) Phase() string { return p.phase }
 
 func (p *Proc) snapshot() ProcStats {
 	s := p.stats
+	s.Breakdown = p.led.breakdown()
 	cs := p.cache.Stats()
 	s.CacheAccesses = cs.Accesses
 	s.CacheMisses = cs.Misses
@@ -170,7 +173,7 @@ func (p *Proc) snapshot() ProcStats {
 	if p.phases != nil {
 		s.Phases = make(map[string]Breakdown, len(p.phases))
 		for name, acc := range p.phases {
-			if *acc == (Breakdown{}) {
+			if *acc == (ledger{}) {
 				// A phase entered but never charged (e.g. a barrier-only
 				// phase whose wait resolved at zero cost, or a label set
 				// and immediately replaced) would report an empty
@@ -179,7 +182,7 @@ func (p *Proc) snapshot() ProcStats {
 				// phase (TestZeroChargePhasePruned).
 				continue
 			}
-			s.Phases[name] = *acc
+			s.Phases[name] = acc.breakdown()
 		}
 	}
 	return s
@@ -189,7 +192,7 @@ func (p *Proc) snapshot() ProcStats {
 func (p *Proc) Machine() *Machine { return p.m }
 
 // Now returns the processor's virtual clock (ns).
-func (p *Proc) Now() float64 { return p.clock }
+func (p *Proc) Now() float64 { return nsOf(p.clock) }
 
 // Stats returns a snapshot of the processor's accumulated statistics.
 func (p *Proc) Stats() ProcStats { return p.snapshot() }
@@ -200,7 +203,7 @@ func (p *Proc) Stats() ProcStats { return p.snapshot() }
 // no-op (one branch, zero allocations) when tracing is disabled.
 func (p *Proc) TraceEvent(kind trace.EventKind, peer, bytes int, durNs float64) {
 	if p.tr != nil {
-		p.tr.Emit(kind, p.clock-durNs, durNs, peer, int64(bytes))
+		p.tr.Emit(kind, nsOf(p.clock)-durNs, durNs, peer, int64(bytes))
 	}
 }
 
@@ -212,39 +215,39 @@ func (p *Proc) countTx(c trace.TxClass) {
 	}
 }
 
-// Compute charges ops abstract ALU operations to BUSY.
-func (p *Proc) Compute(ops int) {
-	p.ComputeNs(float64(float64(ops) * OpNs))
-}
-
-// ComputeNs charges ns nanoseconds to BUSY.
-func (p *Proc) ComputeNs(ns float64) {
-	p.clock += ns
-	p.stats.Breakdown.Busy += ns
+// charge advances the clock by ps picoseconds and books them to bucket
+// b, whole-run and in the open phase. Every charge ends here.
+func (p *Proc) charge(b bucket, ps int64) {
+	p.clock += ps
+	p.led[b] += ps
 	if p.phaseAcc != nil {
-		p.phaseAcc.Busy += ns
+		p.phaseAcc[b] += ps
 	}
 }
 
+// Compute charges ops abstract ALU operations to BUSY.
+func (p *Proc) Compute(ops int) { p.charge(bBusy, int64(ops)*opPs) }
+
+// ComputeNs charges ns nanoseconds to BUSY.
+func (p *Proc) ComputeNs(ns float64) { p.charge(bBusy, psOf(ns)) }
+
 // WaitUntil advances the clock to t if t is in the future, charging the
 // gap to SYNC. It is the primitive under message waits and flow control.
-func (p *Proc) WaitUntil(t float64) {
-	if t > p.clock {
-		p.stats.Breakdown.Sync += t - p.clock
-		if p.phaseAcc != nil {
-			p.phaseAcc.Sync += t - p.clock
-		}
-		p.clock = t
+func (p *Proc) WaitUntil(t float64) { p.waitUntil(psOf(t)) }
+
+func (p *Proc) waitUntil(ps int64) {
+	if ps > p.clock {
+		p.charge(bSync, ps-p.clock)
 	}
 }
 
 // LocalMemNs charges ns nanoseconds of local-memory stall (library-level
 // copies and buffer management in the programming-model layers).
-func (p *Proc) LocalMemNs(ns float64) { p.chargeLocal(ns) }
+func (p *Proc) LocalMemNs(ns float64) { p.charge(bLMem, psOf(ns)) }
 
 // RemoteMemNs charges ns nanoseconds of remote-memory stall, scaled by
 // the current contention factor.
-func (p *Proc) RemoteMemNs(ns float64) { p.chargeRemote(ns) }
+func (p *Proc) RemoteMemNs(ns float64) { p.charge(bRMem, psOf(ns*p.contention)) }
 
 // AddMessageTraffic records one explicit message carrying remoteBytes
 // bytes across node boundaries (0 for an intra-node message).
@@ -279,35 +282,25 @@ func (p *Proc) ScatteredContentionFactor(q, bytesPerProc int) float64 {
 	return p.m.cfg.ScatteredContention(q, bytesPerProc)
 }
 
-// chargeLocal adds a local-memory stall.
-func (p *Proc) chargeLocal(ns float64) {
-	p.clock += ns
-	p.stats.Breakdown.LMem += ns
-	if p.phaseAcc != nil {
-		p.phaseAcc.LMem += ns
+// chargeRemote adds a remote-memory stall of ps picoseconds, scaled by
+// the current contention factor.
+func (p *Proc) chargeRemote(ps int64) {
+	if p.contention != 1 {
+		ps = psOf(nsOf(ps) * p.contention)
 	}
-}
-
-// chargeRemote adds a remote-memory stall, scaled by the current
-// contention factor.
-func (p *Proc) chargeRemote(ns float64) {
-	ns = float64(ns * p.contention)
-	p.clock += ns
-	p.stats.Breakdown.RMem += ns
-	if p.phaseAcc != nil {
-		p.phaseAcc.RMem += ns
-	}
+	p.charge(bRMem, ps)
 }
 
 // access simulates one memory reference through the plain TLB and cache
 // probes. It is the definition of what a reference charges: every stream
 // kernel must leave the machine in the state the equivalent loop of
-// access calls leaves it in (TestStreamEquivalence). overlap divides the
-// miss latency: 1 for scattered dependent accesses, MissOverlap
-// for sequential streams whose misses pipeline through the MSHRs.
-func (p *Proc) access(a Addr, write bool, sh Sharing, overlap float64) {
+// access calls leaves it in (TestStreamEquivalence). ov selects the
+// miss price: scattered dependent accesses pay the full latency,
+// streamed ones, whose misses pipeline through the MSHRs, 1/MissOverlap
+// of it.
+func (p *Proc) access(a Addr, write bool, sh Sharing, ov overlap) {
 	p.translated(a, p.tlb.Access(a))
-	p.accessed(a, write, sh, overlap, p.cache.Access(a, write))
+	p.accessed(a, write, sh, ov, p.cache.Access(a, write))
 }
 
 // translated finishes a TLB access of a whose outcome was miss: full
@@ -319,7 +312,7 @@ func (p *Proc) translated(a Addr, miss bool) {
 		p.pc.checkTLBAccess(p, a, miss)
 	}
 	if miss {
-		p.chargeLocal(TLBMissNs)
+		p.charge(bLMem, tlbMissPs)
 	}
 }
 
@@ -327,7 +320,7 @@ func (p *Proc) translated(a Addr, miss bool) {
 // paranoid mode diffs the outcome against the reference cache, then the
 // writeback and the miss are priced. Every translated reference ends
 // here, whether it came from the plain probe or from a lane's slow step.
-func (p *Proc) accessed(a Addr, write bool, sh Sharing, overlap float64, res cache.AccessResult) {
+func (p *Proc) accessed(a Addr, write bool, sh Sharing, ov overlap, res cache.AccessResult) {
 	if p.pc != nil {
 		p.pc.checkCacheAccess(p, a, write, res)
 	}
@@ -335,22 +328,21 @@ func (p *Proc) accessed(a Addr, write bool, sh Sharing, overlap float64, res cac
 		p.chargeWriteback(res.WritebackAddr)
 	}
 	if !res.Hit {
-		p.missCharge(a, write, sh, overlap)
+		p.missCharge(a, write, sh, ov)
 	}
 }
 
 // missCharge prices a cache miss according to the declared sharing
 // class. The charge comes from the machine's memoized pricing table; the
-// table is built by the live coherence.Protocol at Machine.New, so the
-// charged floats are bit-identical to the per-miss protocol walk it
-// replaced (TestPriceTableMatchesProtocol).
-func (p *Proc) missCharge(a Addr, write bool, sh Sharing, overlap float64) {
+// table is built by the live coherence.Protocol at Machine.New
+// (TestPriceTableMatchesProtocol).
+func (p *Proc) missCharge(a Addr, write bool, sh Sharing, ov overlap) {
 	cfg := &p.m.cfg
 	if cfg.FlatMemory {
 		// Ablation: uniform memory, no coherence (and no protocol
 		// transactions to count — nor, consistently, any paranoid
 		// miss/pricing oracle to run).
-		p.chargeLocal(topology.LocalLatency)
+		p.charge(bLMem, int64(topology.LocalLatency*1e3))
 		return
 	}
 	home := p.m.as.HomeOf(a)
@@ -364,10 +356,10 @@ func (p *Proc) missCharge(a Addr, write bool, sh Sharing, overlap float64) {
 	p.stats.Traffic.ProtocolTransactions++
 	if e.remote {
 		p.stats.Traffic.RemoteBytes += e.trafficBytes
-		p.chargeRemote(e.latencyNs / overlap)
+		p.chargeRemote(e.ps[ov])
 		return
 	}
-	p.chargeLocal(e.latencyNs / overlap)
+	p.charge(bLMem, e.ps[ov])
 }
 
 // chargeWriteback prices the eviction of a dirty line. Writebacks are
@@ -377,7 +369,7 @@ func (p *Proc) missCharge(a Addr, write bool, sh Sharing, overlap float64) {
 func (p *Proc) chargeWriteback(a Addr) {
 	cfg := &p.m.cfg
 	if cfg.FlatMemory {
-		p.chargeLocal(coherence.DirOccupancy)
+		p.charge(bLMem, int64(coherence.DirOccupancy*1e3))
 		return
 	}
 	home := p.m.as.HomeOf(a)
@@ -389,15 +381,15 @@ func (p *Proc) chargeWriteback(a Addr) {
 	e := &p.m.prices.writeback[p.classRow[home]]
 	if e.remote {
 		p.stats.Traffic.RemoteBytes += e.trafficBytes
-		p.chargeRemote(e.latencyNs)
+		p.chargeRemote(e.ps[scattered])
 		return
 	}
-	p.chargeLocal(e.latencyNs)
+	p.charge(bLMem, e.ps[scattered])
 }
 
 // Load simulates a scattered (dependent, unoverlapped) read of the line
 // containing a.
-func (p *Proc) Load(a Addr, sh Sharing) { p.access(a, false, sh, 1) }
+func (p *Proc) Load(a Addr, sh Sharing) { p.access(a, false, sh, scattered) }
 
 // BulkTransfer simulates a pipelined block transfer of bytes between this
 // processor's node and node other (direction does not change the cost):
@@ -413,10 +405,10 @@ func (p *Proc) BulkTransfer(otherNode int, bytes int, dst Addr, intoCache bool) 
 	p.stats.Traffic.Messages++
 	lat := p.m.top.ReadLatency(p.Node, otherNode) + topology.TransferTime(bytes)
 	if otherNode == p.Node {
-		p.chargeLocal(lat)
+		p.LocalMemNs(lat)
 	} else {
 		p.stats.Traffic.RemoteBytes += int64(bytes)
-		p.chargeRemote(lat)
+		p.RemoteMemNs(lat)
 	}
 	if intoCache {
 		line := Addr(p.m.cfg.Cache.LineSize)

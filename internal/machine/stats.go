@@ -1,5 +1,40 @@
 package machine
 
+import "math"
+
+// Virtual time is kept in integer picoseconds: clocks, breakdown totals,
+// barrier times and memoized prices. Integer sums are exact, so a total
+// does not depend on the order or grouping of its charges. The exported
+// API speaks float64 nanoseconds and converts through psOf and nsOf; a
+// charge that is not a whole number of picoseconds (a contention-scaled
+// one, a library's cost expression) rounds once, in psOf.
+
+// psOf converts ns nanoseconds to the nearest picosecond.
+func psOf(ns float64) int64 { return int64(math.Round(ns * 1e3)) }
+
+// nsOf converts ps picoseconds to nanoseconds.
+func nsOf(ps int64) float64 { return float64(ps) / 1e3 }
+
+// bucket indexes a ledger by the paper's four categories.
+type bucket uint8
+
+const (
+	bBusy bucket = iota
+	bLMem
+	bRMem
+	bSync
+)
+
+// ledger is a Breakdown in picoseconds: what a processor accumulates,
+// whole-run and per phase.
+type ledger [4]int64
+
+func (l *ledger) total() int64 { return l[bBusy] + l[bLMem] + l[bRMem] + l[bSync] }
+
+func (l *ledger) breakdown() Breakdown {
+	return Breakdown{Busy: nsOf(l[bBusy]), LMem: nsOf(l[bLMem]), RMem: nsOf(l[bRMem]), Sync: nsOf(l[bSync])}
+}
+
 // Breakdown is the paper's per-processor execution-time decomposition,
 // all in nanoseconds of simulated time.
 type Breakdown struct {

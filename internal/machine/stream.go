@@ -14,15 +14,15 @@ import "repro/internal/cache"
 // test the TLB lane, on failure tlbSlow; test the cache lane, on failure
 // cacheSlow. The slow steps run the plain probe, recapture the lane and
 // end in the same translated/accessed helpers as the per-element path. A
-// kernel loop carries what every access bumps — the two access counters,
-// the clock, the busy totals — in registers (counters, clocks), so an
-// access that hits both lanes stores nothing but its line's LRU word.
-// Block walks (LoadRange/StoreRange) are the sequential kernel over whole
-// lines.
+// kernel loop carries the two access counters in registers (counters), so
+// an access that hits both lanes stores nothing but its line's LRU word,
+// and charges its busy time once, when it ends: the clock is an integer,
+// so the sum does not depend on where the additions fall. Block walks
+// (LoadRange/StoreRange) are the sequential kernel over whole lines.
 //
 // Equivalence contract: every kernel charges exactly what the equivalent
 // loop of per-element accesses charges — same counters, same replacement
-// decisions, same float addition order — so simulated results are
+// decisions, same picoseconds — so simulated results are
 // bit-identical whichever API a sort uses (TestStreamEquivalence,
 // FuzzAccessOracle). Full paranoid mode adds no second copy of any loop:
 // the slow steps leave the lane empty, so every access of the kernel's
@@ -30,16 +30,13 @@ import "repro/internal/cache"
 // there. Spot-sampled paranoid mode (Config.ParanoidSampleEvery > 1)
 // keeps the lanes live; its oracles sit in missCharge/chargeWriteback.
 
-// counters and clocks are what a kernel loop keeps in registers instead
-// of bumping through p, p.cache and p.tlb on every access (at most four
-// fields each, so the compiler keeps them in registers across the loop).
-// regs loads them when a kernel starts and settle stores them when it
-// ends. In between only the slow steps look at the processor's state,
-// and of these values they use two: the clock, which their charges
-// advance, and the cache's access count, the LRU stamp of the line they
-// fill. They neither count accesses nor charge busy time — that is the
-// kernel loop's side of the step — so those two are all a slow step is
-// handed.
+// counters is what a kernel loop keeps in registers instead of bumping
+// through p.cache and p.tlb on every access. regs loads them when a
+// kernel starts and settle stores them when it ends. In between only the
+// slow steps look at the processor's state, and of these values they use
+// one: the cache's access count, the LRU stamp of the line they fill.
+// They do not count accesses — that is the kernel loop's side of the
+// step — so the count is all a slow step is handed.
 type counters struct {
 	tick uint64 // cache accesses so far, which is also the LRU clock
 	// xlat is the TLB's access count minus tick: a constant, since every
@@ -55,59 +52,41 @@ type counters struct {
 	coast Addr
 }
 
-type clocks struct {
-	clock, busy float64 // p.clock, p.stats.Breakdown.Busy
-	phase       float64 // p.phaseAcc.Busy when a phase is open
-}
-
 // regs loads a kernel's registers from the processor's state.
-func (p *Proc) regs() (counters, clocks) {
-	k := clocks{clock: p.clock, busy: p.stats.Breakdown.Busy}
-	if p.phaseAcc != nil {
-		k.phase = p.phaseAcc.Busy
-	}
+func (p *Proc) regs() counters {
 	tick := p.cache.Accesses()
-	return counters{tick: tick, xlat: p.tlb.Accesses() - tick}, k
+	return counters{tick: tick, xlat: p.tlb.Accesses() - tick}
 }
 
-// settle stores a kernel's registers back. Each float is the sum of the
-// same additions in the same order as if it had been updated in place.
-func (p *Proc) settle(c counters, k clocks) {
+// settle stores a kernel's registers back and charges its busy time, ops
+// operations in all.
+func (p *Proc) settle(c counters, ops int) {
 	p.cache.SetAccesses(c.tick)
 	p.tlb.SetAccesses(c.tick + c.xlat)
-	p.clock = k.clock
-	p.stats.Breakdown.Busy = k.busy
-	if p.phaseAcc != nil {
-		p.phaseAcc.Busy = k.phase
-	}
+	p.Compute(ops)
 }
 
 // tlbSlow completes a translation, already counted, whose lane test
-// failed. clock is the caller's clock; the results are the clock after
-// any refill charge and the caller's new counters.coast (none).
-func (p *Proc) tlbSlow(clock float64, l *cache.TLBLane, a Addr) (now float64, coast Addr) {
-	p.clock = clock
+// failed. The result is the caller's new counters.coast (none).
+func (p *Proc) tlbSlow(l *cache.TLBLane, a Addr) (coast Addr) {
 	miss := p.tlb.LaneRefill(l, a)
 	if p.pc != nil && p.pc.perAccess() {
 		p.tlb.AttachLane(l)
 	}
 	p.translated(a, miss)
-	return p.clock, 0
+	return 0
 }
 
 // cacheSlow completes the cache access numbered tick whose lane test
-// failed. clock is the caller's clock; the results are the clock after
-// any miss and writeback charges and the caller's new counters.coast
-// (none).
-func (p *Proc) cacheSlow(clock float64, tick uint64, l *cache.Lane, a Addr, write bool, sh Sharing, overlap float64) (now float64, coast Addr) {
-	p.clock = clock
+// failed. The result is the caller's new counters.coast (none).
+func (p *Proc) cacheSlow(tick uint64, l *cache.Lane, a Addr, write bool, sh Sharing, ov overlap) (coast Addr) {
 	p.cache.SetAccesses(tick)
 	res := p.cache.AccessLaneMiss(l, a, write)
 	if p.pc != nil && p.pc.perAccess() {
 		l.Reset()
 	}
-	p.accessed(a, write, sh, overlap, res)
-	return p.clock, 0
+	p.accessed(a, write, sh, ov, res)
+	return 0
 }
 
 // geom is the cache and TLB geometry a kernel loop's inlined lane tests
@@ -208,13 +187,12 @@ func (p *Proc) seqStream(a Addr, elemSize, n int, write bool, sh Sharing, ops in
 	if n <= 0 {
 		return
 	}
-	opNs := float64(float64(ops) * OpNs)
 	es := Addr(elemSize)
 	tl, cl := &p.sTLB[0], &p.sLane
 	p.tlb.AttachLane(tl)
 	cl.Reset()
 	g := p.geom()
-	c, k := p.regs()
+	c := p.regs()
 	for i := 0; i < n; i++ {
 		c.tick++
 		if a < c.coast {
@@ -222,18 +200,15 @@ func (p *Proc) seqStream(a Addr, elemSize, n int, write bool, sh Sharing, ops in
 		} else {
 			c.coast = g.runEnd(a)
 			if !tl.Hit(g.page(a)) {
-				k.clock, c.coast = p.tlbSlow(k.clock, tl, a)
+				c.coast = p.tlbSlow(tl, a)
 			}
 			if !cl.Hit(g.line(a), c.tick, write) {
-				k.clock, c.coast = p.cacheSlow(k.clock, c.tick, cl, a, write, sh, MissOverlap)
+				c.coast = p.cacheSlow(c.tick, cl, a, write, sh, streamed)
 			}
 		}
-		k.clock += opNs
-		k.busy += opNs
-		k.phase += opNs
 		a += es
 	}
-	p.settle(c, k)
+	p.settle(c, n*ops)
 }
 
 // walkBlock touches each cache line of [a, a+bytes) once with stream
@@ -252,30 +227,26 @@ func (p *Proc) walkBlock(a Addr, bytes int, write bool, sh Sharing) {
 // idxStream charges len(idx) accesses of elements base+idx[i], with ops
 // busy operations after each — equivalent to `for each i { access of
 // element idx[i] at overlap; Compute }`.
-func (p *Proc) idxStream(base Addr, elemSize int, idx []int64, write bool, overlap float64, sh Sharing, ops int) {
+func (p *Proc) idxStream(base Addr, elemSize int, idx []int64, write bool, ov overlap, sh Sharing, ops int) {
 	if len(idx) == 0 {
 		return
 	}
-	opNs := float64(float64(ops) * OpNs)
 	tl, cl := &p.sTLB[0], &p.sLane
 	p.tlb.AttachLane(tl)
 	cl.Reset()
 	g := p.geom()
-	c, k := p.regs()
+	c := p.regs()
 	for _, ix := range idx {
 		a := base + Addr(int(ix)*elemSize)
 		c.tick++
 		if !tl.Hit(g.page(a)) {
-			k.clock, _ = p.tlbSlow(k.clock, tl, a)
+			p.tlbSlow(tl, a)
 		}
 		if !cl.Hit(g.line(a), c.tick, write) {
-			k.clock, _ = p.cacheSlow(k.clock, c.tick, cl, a, write, sh, overlap)
+			p.cacheSlow(c.tick, cl, a, write, sh, ov)
 		}
-		k.clock += opNs
-		k.busy += opNs
-		k.phase += opNs
 	}
-	p.settle(c, k)
+	p.settle(c, len(idx)*ops)
 }
 
 // wordBytes is the element size of the radix kernels' arrays: uint32
@@ -292,7 +263,6 @@ func (p *Proc) CountStream(src *Array[uint32], lo, n int, srcSh Sharing,
 	if n <= 0 {
 		return
 	}
-	opNs := float64(float64(opsPerElem) * OpNs)
 	td := tbl.Data
 	srcA, tblBase := src.base+Addr(lo*wordBytes), tbl.base
 	sT, tT := &p.sTLB[0], &p.sTLB[1]
@@ -302,7 +272,7 @@ func (p *Proc) CountStream(src *Array[uint32], lo, n int, srcSh Sharing,
 	sL.Reset()
 	g := p.geom()
 	tl, tl0 := p.tblScratch(g, tblBase, int(mask)+1)
-	c, k := p.regs()
+	c := p.regs()
 	for _, key := range src.Data[lo : lo+n] {
 		c.tick++
 		if srcA < c.coast {
@@ -310,28 +280,25 @@ func (p *Proc) CountStream(src *Array[uint32], lo, n int, srcSh Sharing,
 		} else {
 			c.coast = g.runEnd(srcA)
 			if !sT.Hit(g.page(srcA)) {
-				k.clock, c.coast = p.tlbSlow(k.clock, sT, srcA)
+				c.coast = p.tlbSlow(sT, srcA)
 			}
 			if !sL.Hit(g.line(srcA), c.tick, false) {
-				k.clock, c.coast = p.cacheSlow(k.clock, c.tick, sL, srcA, false, srcSh, MissOverlap)
+				c.coast = p.cacheSlow(c.tick, sL, srcA, false, srcSh, streamed)
 			}
 		}
 		d := int(key >> shift & mask)
 		ta := tblBase + Addr(d*wordBytes)
 		c.tick++
 		if !tT.Hit(g.page(ta)) {
-			k.clock, c.coast = p.tlbSlow(k.clock, tT, ta)
+			c.coast = p.tlbSlow(tT, ta)
 		}
 		if tln := g.line(ta); !tl[(tln-tl0)%tblLaneCap].Hit(tln, c.tick, false) {
-			k.clock, c.coast = p.cacheSlow(k.clock, c.tick, &tl[(tln-tl0)%tblLaneCap], ta, false, tblSh, 1)
+			c.coast = p.cacheSlow(c.tick, &tl[(tln-tl0)%tblLaneCap], ta, false, tblSh, scattered)
 		}
 		td[d]++
-		k.clock += opNs
-		k.busy += opNs
-		k.phase += opNs
 		srcA += wordBytes
 	}
-	p.settle(c, k)
+	p.settle(c, n*opsPerElem)
 }
 
 // PermuteStream charges a radix permutation pass: per element, one
@@ -346,7 +313,6 @@ func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 	if n <= 0 {
 		return
 	}
-	opNs := float64(float64(opsPerElem) * OpNs)
 	dd := dst.Data
 	srcA, tblBase, dstBase := src.base+Addr(lo*wordBytes), tbl.base, dst.base
 	sT, tT := &p.sTLB[0], &p.sTLB[1]
@@ -357,7 +323,7 @@ func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 	g := p.geom()
 	tl, tl0 := p.tblScratch(g, tblBase, int(mask)+1)
 	bk, perLine, dl0 := p.dstScratch(g, dstBase, pos, n, int(mask)+1)
-	c, k := p.regs()
+	c := p.regs()
 	for _, key := range src.Data[lo : lo+n] {
 		c.tick++
 		if srcA < c.coast {
@@ -365,20 +331,20 @@ func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 		} else {
 			c.coast = g.runEnd(srcA)
 			if !sT.Hit(g.page(srcA)) {
-				k.clock, c.coast = p.tlbSlow(k.clock, sT, srcA)
+				c.coast = p.tlbSlow(sT, srcA)
 			}
 			if !sL.Hit(g.line(srcA), c.tick, false) {
-				k.clock, c.coast = p.cacheSlow(k.clock, c.tick, sL, srcA, false, srcSh, MissOverlap)
+				c.coast = p.cacheSlow(c.tick, sL, srcA, false, srcSh, streamed)
 			}
 		}
 		d := int(key >> shift & mask)
 		ta := tblBase + Addr(d*wordBytes)
 		c.tick++
 		if !tT.Hit(g.page(ta)) {
-			k.clock, c.coast = p.tlbSlow(k.clock, tT, ta)
+			c.coast = p.tlbSlow(tT, ta)
 		}
 		if tln := g.line(ta); !tl[(tln-tl0)%tblLaneCap].Hit(tln, c.tick, false) {
-			k.clock, c.coast = p.cacheSlow(k.clock, c.tick, &tl[(tln-tl0)%tblLaneCap], ta, false, tblSh, 1)
+			c.coast = p.cacheSlow(c.tick, &tl[(tln-tl0)%tblLaneCap], ta, false, tblSh, scattered)
 		}
 		at := pos[d]
 		pos[d]++
@@ -391,17 +357,14 @@ func (p *Proc) PermuteStream(src, dst *Array[uint32], lo, n int,
 		b := &bk[li]
 		c.tick++
 		if !b.dstT.Hit(g.page(da)) {
-			k.clock, c.coast = p.tlbSlow(k.clock, &b.dstT, da)
+			c.coast = p.tlbSlow(&b.dstT, da)
 		}
 		if !b.dst.Hit(g.line(da), c.tick, true) {
-			k.clock, c.coast = p.cacheSlow(k.clock, c.tick, &b.dst, da, true, dstSh, MissOverlap)
+			c.coast = p.cacheSlow(c.tick, &b.dst, da, true, dstSh, streamed)
 		}
-		k.clock += opNs
-		k.busy += opNs
-		k.phase += opNs
 		srcA += wordBytes
 	}
-	p.settle(c, k)
+	p.settle(c, n*opsPerElem)
 }
 
 // A SeqCursor charges the accesses of one sequential stream whose
@@ -434,15 +397,15 @@ func (a *Array[T]) OpenCursor(cur *SeqCursor, p *Proc, write bool, sh Sharing) {
 }
 
 // Access charges one access of element i through the cursor's lanes: the
-// kernels' step on the processor's own counters and clock.
+// kernels' step on the processor's own counters.
 func (cur *SeqCursor) Access(i int) {
 	p := cur.p
 	a := cur.base + Addr(i*cur.elemSize)
 	if !p.tlb.LaneHit(&cur.tlb, a) {
-		p.tlbSlow(p.clock, &cur.tlb, a)
+		p.tlbSlow(&cur.tlb, a)
 	}
 	if !p.cache.LaneHit(&cur.lane, a, cur.write) {
-		p.cacheSlow(p.clock, p.cache.Accesses(), &cur.lane, a, cur.write, cur.sh, MissOverlap)
+		p.cacheSlow(p.cache.Accesses(), &cur.lane, a, cur.write, cur.sh, streamed)
 	}
 }
 
@@ -464,7 +427,7 @@ func (a *Array[T]) LoadRangeWith(p *Proc, lo, hi int, sh Sharing, opsPerElem int
 // opsPerElem busy operations per element. Gathered reads are dependent
 // accesses, so misses do not overlap.
 func (a *Array[T]) GatherLoad(p *Proc, idx []int64, sh Sharing, opsPerElem int) {
-	p.idxStream(a.base, a.elemSize, idx, false, 1, sh, opsPerElem)
+	p.idxStream(a.base, a.elemSize, idx, false, scattered, sh, opsPerElem)
 }
 
 // ScatterStore charges scattered writes of elements idx[0..] with
@@ -473,5 +436,5 @@ func (a *Array[T]) GatherLoad(p *Proc, idx []int64, sh Sharing, opsPerElem int) 
 // MissOverlap); sustained scatter is throttled by the contention
 // model, not by per-store round trips.
 func (a *Array[T]) ScatterStore(p *Proc, idx []int64, sh Sharing, opsPerElem int) {
-	p.idxStream(a.base, a.elemSize, idx, true, MissOverlap, sh, opsPerElem)
+	p.idxStream(a.base, a.elemSize, idx, true, streamed, sh, opsPerElem)
 }

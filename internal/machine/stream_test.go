@@ -173,7 +173,7 @@ func (s *streamTestState) viaKernels(r streamRound) {
 // definition the kernels must match.
 func (s *streamTestState) viaElements(r streamRound) {
 	p, lo, cnt, ops := s.p, r.lo, r.cnt, r.ops
-	ov := MissOverlap
+	ov := streamed
 	switch r.kind {
 	case 0:
 		for i := lo; i < lo+cnt; i++ {
@@ -238,7 +238,7 @@ func (s *streamTestState) perLine(a *Array[uint32], lo, hi int, write bool, sh S
 	}
 	line := Addr(s.m.cfg.Cache.LineSize)
 	for la := a.Addr(lo) &^ (line - 1); la < a.Addr(hi); la += line {
-		s.p.access(la, write, sh, MissOverlap)
+		s.p.access(la, write, sh, streamed)
 	}
 }
 

@@ -186,7 +186,7 @@ func TestFillMetricsManyPhasesDeterministic(t *testing.T) {
 				p.SetPhase(fmt.Sprintf("ph%02d", ph))
 				lo := (p.ID*phases + ph) * 64
 				for i := lo; i < lo+64; i++ {
-					p.access(arr.Addr(i), true, Private, MissOverlap)
+					p.access(arr.Addr(i), true, Private, streamed)
 					p.Compute(ph + 1)
 				}
 				m.Barrier(p)
