@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -54,6 +55,77 @@ func TestCLIEveryVariant(t *testing.T) {
 			t.Errorf("%s/%s: no verified result in output:\n%s", pr.algo, pr.model, stdout)
 		}
 	}
+}
+
+// TestCLITraceAndMetrics: -trace and -metrics write a Chrome trace and
+// the flat metrics map of the run, and the metrics' time_ns is the
+// simulated time repro.Run reports for the same experiment.
+func TestCLITraceAndMetrics(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.json")
+	stdout, stderr, err := sortbench("-algo", "radix", "-model", "mpi", "-n", "16384", "-procs", "4",
+		"-trace", tracePath, "-metrics", metricsPath)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stderr)
+	}
+	for _, want := range []string{"trace: wrote " + tracePath, "metrics: wrote " + metricsPath} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+
+	var chrome struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			Pid  int     `json:"pid"`
+			Tid  int     `json:"tid"`
+			Ts   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(readFile(t, tracePath), &chrome); err != nil {
+		t.Fatalf("trace is not JSON: %v", err)
+	}
+	tids := map[int]bool{}
+	spans := 0
+	for _, ev := range chrome.TraceEvents {
+		if ev.Ph == "X" {
+			spans++
+			tids[ev.Tid] = true
+		}
+	}
+	if spans == 0 || len(tids) != 4 {
+		t.Errorf("trace holds %d spans on %d threads, want spans on all 4 processors", spans, len(tids))
+	}
+
+	var metrics map[string]float64
+	if err := json.Unmarshal(readFile(t, metricsPath), &metrics); err != nil {
+		t.Fatalf("metrics are not JSON: %v", err)
+	}
+	e, _, err := repro.Request{Algorithm: "radix", Model: "mpi", N: 16384, Procs: 4, Trace: true}.Experiment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := repro.Run(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := metrics["time_ns"]; !ok || got != out.TimeNs {
+		t.Errorf("metrics time_ns = %v (present %v), repro.Run TimeNs = %v", got, ok, out.TimeNs)
+	}
+	if metrics["procs"] != 4 {
+		t.Errorf("metrics procs = %v, want 4", metrics["procs"])
+	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestCLIMachineFailure: a simulated processor that panics fails the

@@ -10,14 +10,15 @@ package repro
 // rendered table and figure is byte-identical to a serial run.
 //
 // Safety argument (audited; see DESIGN.md §5): each Run builds its own
-// Machine, address space, caches and key slices; the internal packages
-// hold no package-level mutable state (only read-only tables such as
-// keys.AllDists and the libraries' cost constants), and every config a
-// cell is built from (keys.GenConfig, machine.Config, sorts.Config with
-// its mpi.Config) has value semantics. The only state shared across
-// concurrent cells lives in the Harness: the baseline cache (guarded by
-// singleflight entries), the work counters, the trace list and the
-// Progress callback (serialized).
+// Machine, address space, caches and key slices, and every config a cell
+// is built from (keys.GenConfig, machine.Config, sorts.Config with its
+// mpi.Config) has value semantics. The internal packages hold two pieces
+// of package-level mutable state: machine's slab pool, which concurrent
+// cells share behind its mutex, and sorts' PSRS boundary-corruption test
+// hook, which must not be set while runs are in flight. Besides the slab
+// pool, the state shared across concurrent cells lives in the Harness:
+// the baseline cache (guarded by singleflight entries), the work
+// counters, the trace list and the Progress callback (serialized).
 
 import (
 	"cmp"

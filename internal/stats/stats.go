@@ -287,7 +287,7 @@ func Summarize(name string, values []float64, confidence float64) Metric {
 		ss := 0.0
 		for _, v := range values {
 			d := v - m.Mean
-			ss += d * d
+			ss += float64(d * d)
 		}
 		m.Std = math.Sqrt(ss / (n - 1))
 	}
